@@ -92,13 +92,14 @@ def _bench_images_path() -> str:
                                 row_group_size=256)
 
 
-def run_headline() -> dict:
-    """Flagship: decode + cells + spatial join + tile assign, images/sec."""
+def run_headline(path: str) -> dict:
+    """Flagship over the image table at ``path`` (parquet or lance): decode
+    + phash verify + cells + spatial join + tile assign + tile cut,
+    images/sec."""
     from georay.pipelines import flagship_join
-    path = _bench_images_path()
     t0 = time.perf_counter()
     out = flagship_join(path, zoom=12, n_polygons=500, decode=True, cut=True,
-                        verify=True, source="direct")
+                        verify=True)
     # consume DISTRIBUTED: count() executes the full pipeline but leaves
     # result blocks in the object store — the 100 TB shape is a
     # distributed sink (write_parquet), not a driver pull, and iter_batches
@@ -126,18 +127,6 @@ def _bench_images_lance() -> str:
         with open(marker, "w") as f:
             f.write("ok")
     return root
-
-
-def run_headline_lance() -> dict:
-    from georay.pipelines import flagship_join
-    root = _bench_images_lance()
-    t0 = time.perf_counter()
-    out = flagship_join(root, zoom=12, n_polygons=500, decode=True,
-                        cut=True, verify=True, source="direct")
-    rows = out.count()
-    dt = time.perf_counter() - t0
-    return {"sec": dt, "images": N_IMAGES, "rows": rows,
-            "images_per_sec": N_IMAGES / dt}
 
 
 def run_queries() -> dict:
@@ -171,14 +160,14 @@ def main_plain():
              ignore_reinit_error=True, logging_level="ERROR",
              log_to_driver=False)  # keep stdout = exactly one JSON line
     _quiet()
-    _bench_images_path()          # build fixture outside the timed window
+    path = _bench_images_path()   # build fixture outside the timed window
     from georay.queries import _bench_images
     _bench_images(SF_DIR)         # query-side image fixture too: its
     # one-time synthesis (JPEG encodes + first-touch faults) inflated
     # image_dedup 5-15× in fresh containers (NOTES bench caution)
-    run_headline()                # warm-up: page cache + actor pools
-    head = run_headline()
-    lance_head = run_headline_lance()
+    run_headline(path)            # warm-up: page cache + worker pool
+    head = run_headline(path)
+    lance_head = run_headline(_bench_images_lance())
     queries = run_queries()
     result = {
         "metric": "flagship spatial-join+tile-assign (sec)",
@@ -215,9 +204,10 @@ def main_headline_only():
              ignore_reinit_error=True, logging_level="ERROR",
              log_to_driver=False)  # keep stdout = exactly one JSON line
     _quiet()
-    _bench_images_path()
-    run_headline()  # warm-up (page cache, worker pool, plasma arenas)
-    head = min((run_headline() for _ in range(2)), key=lambda h: h["sec"])
+    path = _bench_images_path()
+    run_headline(path)  # warm-up (page cache, worker pool, plasma arenas)
+    head = min((run_headline(path) for _ in range(2)),
+               key=lambda h: h["sec"])
     print(json.dumps({"num_cpus": NUM_CPUS, **{k: round(v, 3) if
                       isinstance(v, float) else v for k, v in head.items()}}))
     ray.shutdown()

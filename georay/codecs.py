@@ -171,6 +171,8 @@ def png_decode(data: bytes) -> np.ndarray:
         tag = bytes(data[pos + 4:pos + 8])
         payload = data[pos + 8:pos + 8 + length]
         pos += 12 + length
+        if pos > len(data):
+            raise ValueError(f"truncated PNG {tag!r} chunk")
         if tag == b"IHDR":
             w, h, depth, color_type, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", payload)
@@ -302,7 +304,20 @@ def encode_image(arr: np.ndarray, fmt: str) -> bytes:
 def decode_image(data: bytes, fmt: str) -> np.ndarray:
     """Decode one ``bytes`` payload.  PNG → exact; "jpeg" → the from-scratch
     baseline JPEG decoder (georay.jpeg); legacy GRJ1 payloads (round-1
-    fixture caches) are still recognized by magic."""
+    fixture caches) are still recognized by magic.
+
+    Truncated or corrupt input raises ``ValueError`` whatever the codec
+    trips over (a read past a short buffer, a bad zlib stream), so one
+    ``except ValueError`` marks a bad row."""
+    try:
+        return _decode_image(data, fmt)
+    except (IndexError, KeyError, EOFError, OverflowError, struct.error,
+            zlib.error) as e:
+        raise ValueError(f"corrupt {fmt} payload: "
+                         f"{type(e).__name__}: {e}") from e
+
+
+def _decode_image(data: bytes, fmt: str) -> np.ndarray:
     if fmt == "png":
         return png_decode(data)
     if fmt == "jpeg":
@@ -435,35 +450,3 @@ def phash64(arr: np.ndarray) -> np.int64:
     if packed >= 1 << 63:  # two's-complement wrap into int64
         packed -= 1 << 64
     return np.int64(packed)
-
-
-def phash64_batch(arrs) -> np.ndarray:
-    """pHash of many images: per-image gray+resize (inherently per-image —
-    variable sizes), then ONE batched 32×32 DCT / median / bit-pack for
-    the whole batch (``(k,32,32) @`` broadcasting + vectorized packing)
-    instead of k full :func:`phash64` Python round-trips.
-
-    Bit-exact with :func:`phash64` (same op order per slice; the round(6)
-    quantization absorbs any BLAS accumulation-order difference —
-    asserted in tests)."""
-    k = len(arrs)
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    smalls = np.empty((k, 32, 32), dtype=np.float64)
-    for i, arr in enumerate(arrs):
-        arr = np.asarray(arr)
-        if arr.ndim == 3:
-            chan = np.add.reduce(arr, axis=2, dtype=np.int32)
-            divisor = 3.0
-        else:
-            chan = arr.astype(np.int32)
-            divisor = 1.0
-        smalls[i] = _block_mean_resize_int(chan, 32) / divisor
-    d = _DCT32.T[None, :, :] @ smalls @ _DCT32[None, :, :]
-    vals = np.round(d[:, :8, :8].reshape(k, 64)[:, 1:], 6)  # drop DC
-    med = np.median(vals, axis=1, keepdims=True)
-    bits = vals > med  # (k, 63); DC slot = 0
-    weights = (np.uint64(1) << np.arange(62, -1, -1, dtype=np.uint64))
-    packed = (bits.astype(np.uint64) * weights[None, :]).sum(
-        axis=1, dtype=np.uint64)
-    return packed.view(np.int64)

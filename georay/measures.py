@@ -394,8 +394,9 @@ def areas_any_wkb(wkb_list) -> np.ndarray:
     (WKB 3/6) through the packed-ring shoelace kernel; curve/surface
     types (10/12/15/16/17 and closed curves 8/9) through the arc-exact
     OGR ladder (curves.curve_areas — full-circle / convex chord+segment
-    / linearize fallback, ogrcircularstring.cpp:846).  Mixed-type
-    columns dispatch per row on the WKB type word."""
+    / linearize fallback, ogrcircularstring.cpp:846); Point and
+    MultiPoint measure 0.  Mixed-type columns dispatch per row on the WKB
+    type word."""
     import struct as _struct
 
     from .geom import _wkb_type_dims
@@ -409,6 +410,8 @@ def areas_any_wkb(wkb_list) -> np.ndarray:
             continue
         (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
         base, _ = _wkb_type_dims(raw)
+        if base in (1, 4):
+            continue   # points: not a surface, area 0 as in OGR_G_Area
         (poly_idx if base in (3, 6) else curve_idx).append(i)
     out = np.zeros(len(wkb_list))
     if poly_idx:

@@ -1,45 +1,48 @@
 """End-to-end pipeline compositions (the gdalwarp / ogr2ogr / gdal2tiles
 replacements, SURVEY.md §3).  All functions take an already-initialised Ray
 session (they never call ``ray.init``) and return lazy Datasets.
+
+The flagship (:func:`flagship_join`) has one execution path: the driver
+plans work units (:func:`flagship_work_units` — parquet row-group bundles
+or lance fragment row ranges, the warp chunk-list analog), and one Ray task
+per unit reads its own rows straight from storage and runs the fused
+:class:`FlagshipStage` on them.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+
 import numpy as np
 import pyarrow as pa
 
-from . import fixtures
+from . import codecs, fixtures
 from .decode import DecodeImages, add_cells, add_georef
-from .join import spatial_join_points
 from .tiles import CutTiles, assign_center_tile, build_pyramid, \
-    composite_tiles
+    composite_tiles, cut_windows
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
            "flagship_checkpointed", "tile_pipeline", "flagship_summary"]
 
+# the columns a flagship unit reads when it does not decode: the multi-KB
+# ``bytes`` column never leaves storage
+_META_COLS = ["image_id", "w", "h", "caption", "phash"]
+_JOIN_COLS = ["image_id", "caption", "phash", "lat", "lon", "hexcell",
+              "s2cell"]
 
-def read_images(images_path: str, *, columns=None, read_concurrency=None):
-    """Column-pruned parquet read.  ``read_concurrency`` caps concurrent
-    read tasks: wide-binary reads are object-store-write-bound, and a few
-    readers keep the downstream compute pool saturated without the
-    many-concurrent-writers page-fault contention this sandbox's VM
-    exhibits (reads overlap compute under streaming execution either way).
-    """
-    import os
 
+def read_images(images_path: str, *, columns=None):
+    """Column-pruned image-table read: a parquet file or directory, or a
+    lance-layout root (the north rule's named input format, read
+    fragment-parallel with the same projection pushdown)."""
     import ray
 
     if os.path.isdir(images_path) and os.path.exists(
             os.path.join(images_path, "_latest.manifest")):
-        # lance-layout dataset (the north rule's named input format):
-        # fragment-parallel read with the same projection pushdown
         from .lancefmt import read_lance
-        return read_lance(images_path, columns=columns,
-                          concurrency=read_concurrency)
-    kwargs = {}
-    if read_concurrency is not None:
-        kwargs["concurrency"] = read_concurrency
-    return ray.data.read_parquet(images_path, columns=columns, **kwargs)
+        return read_lance(images_path, columns=columns)
+    return ray.data.read_parquet(images_path, columns=columns)
 
 
 def georeferenced_images(images_path: str, *, decode: bool = True,
@@ -65,260 +68,161 @@ def georeferenced_images(images_path: str, *, decode: bool = True,
 
 
 class FlagshipStage:
-    """Fused flagship actor: georef → H3/S2 cells → decode (pixels never
-    leave the actor) → broadcast R-tree PIP join → center-tile assignment,
-    one batch pass.
+    """Fused flagship stage: georef → H3/S2 cells (→ decode, phash verify
+    and tile cut, one image at a time) → broadcast R-tree PIP join →
+    center-tile assignment, one batch pass.
 
-    Fusing matters at scale: the decoded pixel payload (~250 KB/row) is
-    consumed inside the same actor that produced it instead of being
-    re-shipped through the object store to a second pool — the same reason
+    Fusing matters at scale: each image is decoded once into a local array
+    that is verified and cut right away, so no pixels column is ever
+    materialized or re-shipped through the object store — the same reason
     gdal2tiles does read+warp+encode in one worker (gdal2tiles.py:4593).
-    The polygon index arrives as a ``ray.put`` ref, deserialized once per
-    actor.
+    The polygon index arrives as a ``ray.put`` ref, deserialized once.
+
+    Output: one join row per (image, matching polygon); with ``decode`` a
+    ``decode_ok`` column (bytes that fail to decode are flagged, not
+    fatal), with ``verify`` a ``phash_ok`` column, and with ``cut`` one
+    extra row per (image, covering tile) whose ``frag_checksum`` is the
+    prime-LUT checksum of the tile fragment (null on join rows).
     """
 
     def __init__(self, index_ref, zoom: int = 12, decode: bool = True,
                  cut: bool = False, verify: bool = False):
+        if (cut or verify) and not decode:
+            raise ValueError("FlagshipStage: cut and verify need decode=True")
         import ray
         from .join import PolygonIndex
         self.index = (ray.get(index_ref)
                       if not isinstance(index_ref, PolygonIndex) else index_ref)
         self.zoom = zoom
-        self.decode = DecodeImages(keep_bytes=False) if decode else None
-        self.cut = CutTiles(zoom=zoom) if cut else None
+        self.decode = decode
+        self.cut = cut
         self.verify = verify
-        if cut:
-            from .stats import gdal_checksum
-            self._checksum = gdal_checksum
-        if verify:
-            from .codecs import phash64
-            self._phash = phash64
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = add_georef(batch)
         batch = add_cells(batch)
-        if self.cut is not None and self.decode is not None:
-            # headline fused path: each image is decoded ONCE into a local
-            # array, phash-verified and cut-checksummed immediately, and
-            # the pixels are dropped before anything reaches the output —
-            # no pixels column is ever materialized (two fewer copies of
-            # every decoded byte; the stage stays compute-bound)
-            return self._headline(batch)
-        if self.decode is not None:
-            batch = self.decode(batch)
+        if self.decode:
+            decode_ok, phash_ok, frags = self._decode_rows(batch)
+        qi, ii = self.index.match_points(batch["lon"].to_numpy(),
+                                         batch["lat"].to_numpy())
+        out = batch.select(_JOIN_COLS).take(pa.array(qi))
         if self.verify:
-            # BASELINE per-row invariant: the stored phash must match the
-            # hash of the decoded pixels (decoded-pixel fidelity check)
-            from .codecs import phash64_batch
-            h_arr = batch["h"].to_numpy()
-            w_arr = batch["w"].to_numpy()
-            stored = batch["phash"].to_numpy()
-            pix = batch["pixels"]
-            arrs = [np.frombuffer(pix[i].as_buffer(), dtype=np.uint8)
-                    .reshape(int(h_arr[i]), int(w_arr[i]), 3)
-                    for i in range(batch.num_rows)]
-            ok = phash64_batch(arrs) == stored
-            batch = batch.append_column("phash_ok", pa.array(ok))
-        lon = batch["lon"].to_numpy()
-        lat = batch["lat"].to_numpy()
-        qi, ii = self.index.match_points(lon, lat)
-        keep = ["image_id", "caption", "phash", "lat", "lon",
-                "hexcell", "s2cell"]
-        if self.verify:
-            keep.append("phash_ok")
-        out = batch.select(keep).take(pa.array(qi))
+            out = out.append_column("phash_ok", pa.array(phash_ok[qi]))
+        if self.decode:
+            out = out.append_column("decode_ok", pa.array(decode_ok[qi]))
         for name, arr in self.index.payload.items():
             out = out.append_column(name, pa.array(arr[ii]))
         out = assign_center_tile(out, self.zoom)
-        if self.cut is None:
+        if not self.cut:
             return out
-        # headline tail: cut every image into its covering z tiles and
-        # checksum the fragments (the gdal2tiles base-tile work, fused).
-        # The checksum is computed directly from the scaled window against
-        # a positional prime LUT — pixels outside the window are zero and
-        # contribute nothing, so no 256² canvas is ever materialized
-        # (keeps the stage compute-bound instead of bandwidth-bound).
-        frag_summary = self._cut_checksums(batch)
-        # align schemas: join rows + fragment rows share the output table
         out = out.append_column("frag_checksum",
                                 pa.nulls(out.num_rows, pa.int64()))
-        for col in out.schema.names:
-            if col not in frag_summary.schema.names:
-                frag_summary = frag_summary.append_column(
-                    col, pa.nulls(frag_summary.num_rows,
-                                  out.schema.field(col).type))
-        frag_summary = frag_summary.drop_columns(
-            [c for c in frag_summary.schema.names
-             if c not in out.schema.names]).select(out.schema.names)
-        return pa.concat_tables([out, frag_summary])
+        # fragment rows, aligned to the join-row schema
+        rows, tx, ty, sums = frags
+        idx = pa.array(np.asarray(rows, dtype=np.int64))
+        cols = {name: batch[name].take(idx) for name in
+                ("image_id", "phash", "lat", "lon", "hexcell", "s2cell")}
+        if self.verify:
+            cols["phash_ok"] = pa.array(phash_ok[rows])
+        cols["decode_ok"] = pa.array(np.ones(len(rows), dtype=bool))
+        cols["z"] = pa.array(np.full(len(rows), self.zoom, dtype=np.int64))
+        cols["tile_x"] = pa.array(tx, pa.int64())
+        cols["tile_y"] = pa.array(ty, pa.int64())
+        cols["frag_checksum"] = pa.array(sums, pa.int64())
+        frag_t = pa.table([cols[f.name] if f.name in cols
+                           else pa.nulls(len(rows), f.type)
+                           for f in out.schema], schema=out.schema)
+        return pa.concat_tables([out, frag_t])
 
-
-    _LUT256 = None
-
-    @staticmethod
-    def _lut():
-        from .stats import CHECKSUM_PRIMES
-        if FlagshipStage._LUT256 is None:
-            # uint8 LUT: primes <= 43, pixel values <= 255 -> uint8 % uint8
-            # stays uint8 and the mod array is 1/8 the int64 footprint
-            FlagshipStage._LUT256 = CHECKSUM_PRIMES[
-                (np.arange(256 * 256) % 11)].reshape(256, 256)\
-                .astype(np.uint8)
-        return FlagshipStage._LUT256
-
-    def _headline(self, batch: pa.Table) -> pa.Table:
-        from .codecs import decode_image
-        from .mercator import (geo_query, tile_bounds_meters,
-                               tile_range_for_extent, tms_to_xyz_y)
-        from .tiles import _scale_to
-        lut = self._lut()
-        z = self.zoom
+    def _decode_rows(self, batch: pa.Table):
+        """Decode each image once, verify its phash and cut it into tile
+        fragment checksums; returns ``(decode_ok, phash_ok, (rows, tile_x,
+        tile_y, checksums))``.  A row whose bytes do not decode gets
+        ``decode_ok = phash_ok = False`` and no fragments."""
         n = batch.num_rows
+        decode_ok = np.ones(n, dtype=bool)
+        phash_ok = np.ones(n, dtype=bool)
         w_arr = batch["w"].to_numpy()
         h_arr = batch["h"].to_numpy()
         ulx_arr = batch["ulx"].to_numpy()
         uly_arr = batch["uly"].to_numpy()
         ps_arr = batch["psize"].to_numpy()
         fmts = batch["fmt"].to_pylist()
-        ids = batch["image_id"].to_pylist()
         stored_phash = batch["phash"].to_numpy()
         bufs = batch["bytes"]
-        phash_ok = np.ones(n, dtype=bool)
-        out_x, out_y, out_row, out_sum = [], [], [], []
+        lut = _checksum_lut()
+        rows, out_x, out_y, sums = [], [], [], []
         for i in range(n):
-            arr = decode_image(bufs[i].as_buffer(), fmts[i])
+            try:
+                arr = codecs.decode_image(bufs[i].as_buffer(), fmts[i])
+            except ValueError:
+                decode_ok[i] = phash_ok[i] = False
+                continue
             if arr.ndim == 2:
                 arr = np.stack([arr] * 3, axis=2)
             if self.verify:
-                phash_ok[i] = int(self._phash(arr)) == int(stored_phash[i])
-            w, h = int(w_arr[i]), int(h_arr[i])
-            ulx, uly, ps = (float(ulx_arr[i]), float(uly_arr[i]),
-                            float(ps_arr[i]))
-            gt = (ulx, ps, 0.0, uly, 0.0, -ps)
-            tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
-                ulx, uly - h * ps, ulx + w * ps, uly, z)
-            for ty_tms in range(tminy, tmaxy + 1):
-                for tx in range(tminx, tmaxx + 1):
-                    b = tile_bounds_meters(tx, ty_tms, z)
-                    (rx, ry_, rxs, rys), (wx, wy, wxs, wys) = geo_query(
-                        gt, w, h, b[0], b[3], b[2], b[1], querysize=256)
-                    if rxs <= 0 or rys <= 0 or wxs <= 0 or wys <= 0:
-                        continue
-                    window = arr[ry_:ry_ + rys, rx:rx + rxs]
-                    if window.size == 0:
-                        continue
-                    scaled = _scale_to(window, wys, wxs, "average")
-                    lslice = lut[wy:wy + wys, wx:wx + wxs]
-                    cs = int((np.mod(scaled[:, :, 0], lslice)
-                              .sum(dtype=np.int64)
-                              + np.mod(scaled[:, :, 1], lslice)
-                              .sum(dtype=np.int64)
-                              + np.mod(scaled[:, :, 2], lslice)
-                              .sum(dtype=np.int64)) & 0xFFFF)
-                    out_x.append(tx)
-                    out_y.append(int(tms_to_xyz_y(ty_tms, z)))
-                    out_row.append(i)
-                    out_sum.append(cs)
-        # join rows
-        lon = batch["lon"].to_numpy()
-        lat = batch["lat"].to_numpy()
-        qi, ii = self.index.match_points(lon, lat)
-        keep = ["image_id", "caption", "phash", "lat", "lon",
-                "hexcell", "s2cell"]
-        out = batch.select(keep).take(pa.array(qi))
-        if self.verify:
-            out = out.append_column("phash_ok", pa.array(phash_ok[qi]))
-        for name, arr_p in self.index.payload.items():
-            out = out.append_column(name, pa.array(arr_p[ii]))
-        out = assign_center_tile(out, z)
-        out = out.append_column("frag_checksum",
-                                pa.nulls(out.num_rows, pa.int64()))
-        # fragment rows aligned to the join-row schema
-        m = len(out_x)
-        row_idx = np.asarray(out_row, dtype=np.int64)
-        frag = {
-            "image_id": pa.array([ids[r] for r in row_idx], pa.string()),
-            "caption": pa.nulls(m, pa.string()),
-            "phash": pa.array(stored_phash[row_idx]),
-            "lat": pa.array(lat[row_idx]),
-            "lon": pa.array(lon[row_idx]),
-            "hexcell": batch["hexcell"].take(pa.array(row_idx)),
-            "s2cell": batch["s2cell"].take(pa.array(row_idx)),
-        }
-        if self.verify:
-            frag["phash_ok"] = pa.array(phash_ok[row_idx])
-        for name, arr_p in self.index.payload.items():
-            frag[name] = pa.nulls(m, pa.array(arr_p[:1]).type)
-        frag["z"] = pa.array(np.full(m, z, dtype=np.int64))
-        frag["tile_x"] = pa.array(np.asarray(out_x, dtype=np.int64))
-        frag["tile_y"] = pa.array(np.asarray(out_y, dtype=np.int64))
-        frag["frag_checksum"] = pa.array(np.asarray(out_sum, dtype=np.int64))
-        frag_t = pa.table(frag).select(out.schema.names)
-        return pa.concat_tables([out, frag_t])
+                phash_ok[i] = int(codecs.phash64(arr)) == int(stored_phash[i])
+            if not self.cut:
+                continue
+            # checksum the scaled window against the positional LUT:
+            # pixels outside it are zero and add nothing, so no 256² canvas
+            # is ever materialized
+            for tx, ty, wx, wy, scaled in cut_windows(
+                    arr, int(w_arr[i]), int(h_arr[i]), float(ulx_arr[i]),
+                    float(uly_arr[i]), float(ps_arr[i]), self.zoom):
+                lslice = lut[wy:wy + scaled.shape[0], wx:wx + scaled.shape[1]]
+                rows.append(i)
+                out_x.append(tx)
+                out_y.append(ty)
+                sums.append(int(sum(np.mod(scaled[:, :, c], lslice)
+                                    .sum(dtype=np.int64)
+                                    for c in range(3)) & 0xFFFF))
+        return decode_ok, phash_ok, (rows, out_x, out_y, sums)
 
-    def _cut_checksums(self, batch: pa.Table) -> pa.Table:
-        from .mercator import (geo_query, tile_bounds_meters,
-                               tile_range_for_extent, tms_to_xyz_y)
-        from .tiles import _scale_to
-        lut = self._lut()
-        z = self.zoom
-        w_arr = batch["w"].to_numpy()
-        h_arr = batch["h"].to_numpy()
-        ulx_arr = batch["ulx"].to_numpy()
-        uly_arr = batch["uly"].to_numpy()
-        ps_arr = batch["psize"].to_numpy()
-        ids = batch["image_id"].to_pylist()
-        pix = batch["pixels"]
-        out_x, out_y, out_id, out_sum = [], [], [], []
-        for i in range(batch.num_rows):
-            w, h = int(w_arr[i]), int(h_arr[i])
-            ulx, uly, ps = float(ulx_arr[i]), float(uly_arr[i]), float(ps_arr[i])
-            gt = (ulx, ps, 0.0, uly, 0.0, -ps)
-            src = np.frombuffer(pix[i].as_buffer(), dtype=np.uint8)\
-                .reshape(h, w, 3)
-            tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
-                ulx, uly - h * ps, ulx + w * ps, uly, z)
-            for ty_tms in range(tminy, tmaxy + 1):
-                for tx in range(tminx, tmaxx + 1):
-                    b = tile_bounds_meters(tx, ty_tms, z)
-                    (rx, ry_, rxs, rys), (wx, wy, wxs, wys) = geo_query(
-                        gt, w, h, b[0], b[3], b[2], b[1], querysize=256)
-                    if rxs <= 0 or rys <= 0 or wxs <= 0 or wys <= 0:
-                        continue
-                    window = src[ry_:ry_ + rys, rx:rx + rxs]
-                    if window.size == 0:
-                        continue
-                    scaled = _scale_to(window, wys, wxs, "average")
-                    lslice = lut[wy:wy + wys, wx:wx + wxs]
-                    cs = int((np.mod(scaled[:, :, 0], lslice)
-                              .sum(dtype=np.int64)
-                              + np.mod(scaled[:, :, 1], lslice)
-                              .sum(dtype=np.int64)
-                              + np.mod(scaled[:, :, 2], lslice)
-                              .sum(dtype=np.int64)) & 0xFFFF)
-                    out_x.append(tx)
-                    out_y.append(int(tms_to_xyz_y(ty_tms, z)))
-                    out_id.append(ids[i])
-                    out_sum.append(cs)
-        n = len(out_x)
-        return pa.table({
-            "z": pa.array(np.full(n, z, dtype=np.int64)),
-            "tile_x": pa.array(out_x, pa.int64()),
-            "tile_y": pa.array(out_y, pa.int64()),
-            "image_id": pa.array(out_id, pa.string()),
-            "frag_checksum": pa.array(out_sum, pa.int64()),
-        })
+
+@functools.lru_cache(maxsize=1)
+def _checksum_lut() -> np.ndarray:
+    """The 256×256 positional prime LUT of the fragment checksum, as uint8:
+    primes <= 43 and pixel values <= 255, so ``uint8 % uint8`` stays uint8
+    at 1/8 the int64 footprint."""
+    from .stats import CHECKSUM_PRIMES
+    return CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)\
+        .astype(np.uint8)
 
 
 _STAGE_CACHE: dict = {}
 
 
-def _flagship_fn(batch: pa.Table, *, index_ref, zoom, decode, cut,
-                 verify=False) -> pa.Table:
-    """Task-based wrapper around :class:`FlagshipStage`: the stage (with its
-    deserialized broadcast index) is cached per WORKER PROCESS, so stateless
-    tasks reuse Ray's warm worker pool with actor-like state amortization —
-    no per-execution actor-pool spin-up."""
+def _read_unit(unit: dict, columns) -> pa.Table:
+    """Read one work unit's rows: parquet row groups, or a lance fragment
+    row range with the fragment's delete file applied."""
+    if "row_groups" in unit:
+        import pyarrow.parquet as pq
+        return pq.ParquetFile(unit["path"]).read_row_groups(
+            unit["row_groups"], columns=columns)
+    from .lancefmt import _apply_deletes, lance_manifest, read_fragment
+    key = ("lance_schema", unit["root"])
+    schema = _STAGE_CACHE.get(key)
+    if schema is None:
+        schema = _STAGE_CACHE[key] = lance_manifest(unit["root"])["schema"]
+    rng = (unit["start"], unit["stop"])
+    tbl = read_fragment(unit["path"], schema, columns=columns, row_range=rng)
+    if unit["del_file"]:
+        with open(os.path.join(unit["root"], "data", unit["del_file"]),
+                  "rb") as f:
+            dels = np.frombuffer(f.read(), "<u8")
+        tbl = _apply_deletes(tbl, dels, row_range=rng)
+    return tbl
+
+
+def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
+                      verify) -> pa.Table:
+    """One task per work unit: read the unit's rows worker-locally (the way
+    a 100 TB deployment reads its shard straight from object storage — the
+    encoded payloads never enter the object store, only the small output
+    rows do) and run the fused stage on them.  The stage, with its
+    deserialized broadcast index, is cached per worker process, so warm
+    workers keep actor-like state without an actor pool."""
     key = (index_ref.hex() if hasattr(index_ref, "hex") else id(index_ref),
            zoom, decode, cut, verify)
     stage = _STAGE_CACHE.get(key)
@@ -327,57 +231,14 @@ def _flagship_fn(batch: pa.Table, *, index_ref, zoom, decode, cut,
                               verify=verify)
         _STAGE_CACHE.clear()
         _STAGE_CACHE[key] = stage
-    return stage(batch)
-
-
-def _flagship_direct_fn(batch: pa.Table, *, index_ref, zoom, decode, cut,
-                        verify=False) -> pa.Table:
-    """Direct-read variant of the fused flagship: each task reads its own
-    parquet row groups (worker-local I/O, the way a 100 TB deployment reads
-    its shard straight from object storage) and runs the fused stage on
-    them — the multi-MB encoded payloads never enter the object store;
-    only the small summary rows do."""
-    import pyarrow.parquet as pq_mod
-    paths = batch["path"].to_pylist()
-    outs = []
-    if "start" in batch.column_names:        # lance fragment row ranges
-        import numpy as _np
-
-        from .lancefmt import _apply_deletes, lance_manifest, \
-            read_fragment
-        roots = batch["root"].to_pylist()
-        starts = batch["start"].to_pylist()
-        stops = batch["stop"].to_pylist()
-        dels = batch["del_file"].to_pylist() \
-            if "del_file" in batch.column_names else [""] * len(paths)
-        import os as _os
-        for root, path, a, b, dl in zip(roots, paths, starts, stops,
-                                        dels):
-            key = ("lance_schema", root)
-            sch = _STAGE_CACHE.get(key)
-            if sch is None:
-                sch = lance_manifest(root)["schema"]
-                _STAGE_CACHE[key] = sch
-            tbl = read_fragment(path, sch, row_range=(int(a), int(b)))
-            if dl:
-                dd = _np.frombuffer(
-                    open(_os.path.join(root, "data", dl), "rb").read(),
-                    "<u8")
-                tbl = _apply_deletes(tbl, dd, row_range=(int(a), int(b)))
-            outs.append(_flagship_fn(tbl, index_ref=index_ref, zoom=zoom,
-                                     decode=decode, cut=cut,
-                                     verify=verify))
-        return pa.concat_tables(outs)
-    rgs = batch["row_groups"].to_pylist()
-    for path, groups in zip(paths, rgs):
-        tbl = pq_mod.ParquetFile(path).read_row_groups(list(groups))
-        outs.append(_flagship_fn(tbl, index_ref=index_ref, zoom=zoom,
-                                 decode=decode, cut=cut, verify=verify))
-    return pa.concat_tables(outs)
+    columns = None if decode else _META_COLS
+    return pa.concat_tables([stage(_read_unit(u, columns))
+                             for u in units.to_pylist()])
 
 
 def flagship_work_units(images_path: str, groups_per_task: int = 2):
-    """Driver-side plan: one row per (file, row-group bundle) — the warp
+    """Driver-side plan: one row per (file, row-group bundle) of a parquet
+    file or directory, or per 512-row range of a lance fragment — the warp
     chunk list analog (alg/gdalwarpoperation.cpp:846 CollectChunkList).
 
     Unit size: 2 row groups (~512 images, ~2.8 s of fused work) keeps the
@@ -386,79 +247,53 @@ def flagship_work_units(images_path: str, groups_per_task: int = 2):
     CPUs; 1 group/unit paid task overhead at 8 CPUs).  At production scale
     units outnumber workers by orders of magnitude and any value here is
     tail-free — the floor only matters when input ≈ cluster size."""
-    import os
-    import pyarrow.parquet as pq_mod
+    import pyarrow.parquet as pq
     if os.path.exists(os.path.join(images_path, "_latest.manifest")):
         # lance root: sub-fragment row ranges are the unit (the
-        # read_fragment row-range pushdown makes this a true partial
-        # read — same ~512-row unit size as the parquet path)
+        # read_fragment row-range pushdown makes this a true partial read)
         from .lancefmt import lance_manifest
-        man = lance_manifest(images_path)
-        units = []
         rows_per_unit = 512
-        for fr in man["fragments"]:
-            full = os.path.join(images_path, "data", fr["filename"])
-            for a in range(0, fr["num_rows"], rows_per_unit):
-                units.append({"root": images_path, "path": full,
-                              "start": a,
-                              "stop": min(a + rows_per_unit,
-                                          fr["num_rows"]),
-                              "del_file": fr.get("del_file", "")})
-        return units
+        return [{"root": images_path,
+                 "path": os.path.join(images_path, "data", fr["filename"]),
+                 "start": a, "stop": min(a + rows_per_unit, fr["num_rows"]),
+                 "del_file": fr.get("del_file", "")}
+                for fr in lance_manifest(images_path)["fragments"]
+                for a in range(0, fr["num_rows"], rows_per_unit)]
+    files = ([images_path] if os.path.isfile(images_path) else
+             [os.path.join(images_path, f)
+              for f in sorted(os.listdir(images_path))
+              if f.endswith(".parquet")])
     units = []
-    for f in sorted(os.listdir(images_path)):
-        if not f.endswith(".parquet"):
-            continue
-        full = os.path.join(images_path, f)
-        n_rg = pq_mod.ParquetFile(full).metadata.num_row_groups
+    for path in files:
+        n_rg = pq.ParquetFile(path).metadata.num_row_groups
         for start in range(0, n_rg, groups_per_task):
-            units.append({"path": full,
-                          "row_groups": list(range(start,
-                                                   min(start + groups_per_task,
-                                                       n_rg)))})
+            units.append({"path": path, "row_groups": list(
+                range(start, min(start + groups_per_task, n_rg)))})
     return units
 
 
 def flagship_join(images_path: str, polygons: pa.Table | None = None, *,
                   zoom: int = 12, n_polygons: int = 500,
                   decode: bool = False, cut: bool = False,
-                  verify: bool = False,
-                  batch_size: int = 64, compute: str = "tasks",
-                  source: str = "dataset", concurrency=None):
-    """Images georeferenced → H3/S2 cells (→ decode) → broadcast R-tree
-    spatial join with polygons → center-tile assignment (→ tile cut +
-    fragment checksums when ``cut``).  The BASELINE headline op, executed
-    as ONE fused stage.
-
-    ``compute="tasks"`` (default) runs the fused stage as stateless tasks
-    with per-worker state caching — elastic, reuses warm workers;
-    ``compute="actors"`` uses an explicit actor pool (fixed size
-    ``concurrency`` or n_cpus-1)."""
+                  verify: bool = False, source: str = "direct"):
+    """Images georeferenced → H3/S2 cells (→ decode, phash verify) →
+    broadcast R-tree spatial join with polygons → center-tile assignment
+    (→ tile cut + fragment checksums when ``cut``).  The BASELINE headline
+    op, executed as ONE fused stage: one task per work unit of
+    :func:`flagship_work_units`, which reads its own rows (only
+    ``image_id, w, h, caption, phash`` when not decoding) and runs
+    :class:`FlagshipStage` on them.  ``source`` names that read path;
+    ``"direct"`` is its only value."""
     import ray
     from .join import PolygonIndex
+    if source != "direct":
+        raise ValueError(f"flagship_join: unknown source {source!r}; "
+                         "the only read path is 'direct'")
     if polygons is None:
         polygons = fixtures.polygons_table(n_polygons)
     index_ref = ray.put(PolygonIndex.build(polygons))
-    if source == "direct":
-        units = flagship_work_units(images_path)
-        plan = ray.data.from_items(units)
-        return plan.map_batches(
-            _flagship_direct_fn, batch_format="pyarrow", batch_size=1,
-            fn_kwargs=dict(index_ref=index_ref, zoom=zoom, decode=decode,
-                           cut=cut, verify=verify))
-    cols = None if decode else ["image_id", "w", "h", "caption", "phash"]
-    ds = read_images(images_path, columns=cols, read_concurrency=4)
-    if compute == "actors":
-        if concurrency is None:
-            n = int(ray.cluster_resources().get("CPU", 4))
-            concurrency = max(2, n - 1)
-        return ds.map_batches(
-            FlagshipStage, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs=dict(index_ref=index_ref, zoom=zoom,
-                                       decode=decode, cut=cut, verify=verify),
-            concurrency=concurrency)
-    return ds.map_batches(
-        _flagship_fn, batch_format="pyarrow", batch_size=batch_size,
+    return ray.data.from_items(flagship_work_units(images_path)).map_batches(
+        _flagship_unit_fn, batch_format="pyarrow", batch_size=1,
         fn_kwargs=dict(index_ref=index_ref, zoom=zoom, decode=decode,
                        cut=cut, verify=verify))
 

@@ -31,7 +31,7 @@ from .mercator import (TILE_SIZE, geo_query, latlon_to_tile_xyz,
 
 __all__ = [
     "resample_average", "resample_nearest", "resample_bilinear",
-    "assign_center_tile", "CutTiles", "composite_tile_group",
+    "assign_center_tile", "cut_windows", "CutTiles", "composite_tile_group",
     "partial_composite_batch", "merge_composite_group", "composite_tiles",
     "overview_reduce_group", "build_pyramid", "write_tiles_png",
     "write_tiles_cog",
@@ -305,6 +305,33 @@ def _scale_to(src: np.ndarray, oh: int, ow: int, kernel: str) -> np.ndarray:
     return _KERNELS[kernel](src, oh, ow)
 
 
+def cut_windows(src: np.ndarray, w: int, h: int, ulx: float, uly: float,
+                ps: float, z: int, kernel: str = "average",
+                ts: int = TILE_SIZE):
+    """The one tile-cut kernel: for each zoom-``z`` tile that the ``w``×``h``
+    image ``src`` (upper-left ``ulx, uly``, pixel size ``ps``, EPSG:3857)
+    covers, yield ``(tile_x, tile_y_xyz, wx, wy, scaled)`` — the source
+    window resampled to its destination size, to be placed at ``(wx, wy)``
+    in the tile.  Tile ranges per gdal2tiles.py:2460-2467, windows per
+    ``geo_query`` (gdal2tiles.py:2995-3037); zero-coverage tiles are
+    skipped (gdal2tiles.py:2950-2953)."""
+    gt = (ulx, ps, 0.0, uly, 0.0, -ps)
+    tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
+        ulx, uly - h * ps, ulx + w * ps, uly, z, ts)
+    for ty_tms in range(tminy, tmaxy + 1):
+        ty = int(tms_to_xyz_y(ty_tms, z))
+        for tx in range(tminx, tmaxx + 1):
+            b = tile_bounds_meters(tx, ty_tms, z, ts)
+            (rx, ry, rxs, rys), (wx, wy, wxs, wys) = geo_query(
+                gt, w, h, b[0], b[3], b[2], b[1], querysize=ts)
+            if rxs <= 0 or rys <= 0 or wxs <= 0 or wys <= 0:
+                continue
+            window = src[ry:ry + rys, rx:rx + rxs]
+            if window.size == 0:
+                continue
+            yield tx, ty, wx, wy, _scale_to(window, wys, wxs, kernel)
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: center-tile assignment (stateless `mb`)
 # ---------------------------------------------------------------------------
@@ -342,7 +369,7 @@ class CutTiles:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         z, ts = self.zoom, self.ts
-        out_z, out_x, out_y, out_id, out_frag = [], [], [], [], []
+        out_x, out_y, out_id, out_frag = [], [], [], []
         w_arr = batch["w"].to_numpy()
         h_arr = batch["h"].to_numpy()
         ulx_arr = batch["ulx"].to_numpy()
@@ -352,35 +379,21 @@ class CutTiles:
         pix_col = batch["pixels"]
         for i in range(batch.num_rows):
             w, h = int(w_arr[i]), int(h_arr[i])
-            ulx, uly, ps = float(ulx_arr[i]), float(uly_arr[i]), float(ps_arr[i])
-            gt = (ulx, ps, 0.0, uly, 0.0, -ps)
             src = np.frombuffer(pix_col[i].as_buffer(), dtype=np.uint8)\
                 .reshape(h, w, 3)
-            xmin, xmax = ulx, ulx + w * ps
-            ymax, ymin = uly, uly - h * ps
-            tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
-                xmin, ymin, xmax, ymax, z, ts)
-            for ty_tms in range(tminy, tmaxy + 1):
-                for tx in range(tminx, tmaxx + 1):
-                    b = tile_bounds_meters(tx, ty_tms, z, ts)
-                    (rx, ry_, rxs, rys), (wx, wy, wxs, wys) = geo_query(
-                        gt, w, h, b[0], b[3], b[2], b[1], querysize=ts)
-                    if rxs <= 0 or rys <= 0 or wxs <= 0 or wys <= 0:
-                        continue  # zero coverage (gdal2tiles.py:2950-2953)
-                    window = src[ry_:ry_ + rys, rx:rx + rxs]
-                    if window.size == 0:
-                        continue
-                    scaled = _scale_to(window, wys, wxs, self.kernel)
-                    frag = np.zeros((ts, ts, 4), dtype=np.uint8)
-                    frag[wy:wy + wys, wx:wx + wxs, :3] = scaled
-                    frag[wy:wy + wys, wx:wx + wxs, 3] = 255
-                    out_z.append(z)
-                    out_x.append(tx)
-                    out_y.append(int(tms_to_xyz_y(ty_tms, z)))
-                    out_id.append(ids[i])
-                    out_frag.append(frag.tobytes())
+            for tx, ty, wx, wy, scaled in cut_windows(
+                    src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
+                    float(ps_arr[i]), z, self.kernel, ts):
+                sh, sw = scaled.shape[:2]
+                frag = np.zeros((ts, ts, 4), dtype=np.uint8)
+                frag[wy:wy + sh, wx:wx + sw, :3] = scaled
+                frag[wy:wy + sh, wx:wx + sw, 3] = 255
+                out_x.append(tx)
+                out_y.append(ty)
+                out_id.append(ids[i])
+                out_frag.append(frag.tobytes())
         return pa.table({
-            "z": pa.array(out_z, pa.int64()),
+            "z": pa.array(np.full(len(out_x), z, dtype=np.int64)),
             "tile_x": pa.array(out_x, pa.int64()),
             "tile_y": pa.array(out_y, pa.int64()),
             "image_id": pa.array(out_id, pa.string()),

@@ -38,6 +38,20 @@ def test_png_filtered_rows_decode():
     assert np.array_equal(cd.png_decode(data), arr)
 
 
+@pytest.mark.parametrize("keep", [2, 4])
+def test_truncated_payload_raises_value_error(keep):
+    """Every fixture (fmt, w, h) class, cut to 1/2 and 1/4 of its bytes,
+    fails with ValueError — the one error a per-row decode guard catches."""
+    t = fx.images_table(16)
+    classes = set()
+    for row in t.to_pylist():
+        classes.add((row["fmt"], row["w"], row["h"]))
+        data = row["bytes"]
+        with pytest.raises(ValueError):
+            cd.decode_image(data[:len(data) // keep], row["fmt"])
+    assert len(classes) == 16
+
+
 def test_lossy_is_actually_lossy_but_over_40db():
     arr = fx.pattern(11, 64, 64)
     dec = cd.lossy_decode(cd.lossy_encode(arr))

@@ -284,10 +284,18 @@ def test_areas_any_wkb_mixed_column():
     from georay.curves import wkb_circularstring, wkb_curvepolygon
     from georay.geom import box_ring, wkb_polygon
     from georay.measures import areas_any_wkb
+    import struct
+
+    from georay.geom import wkb_point
     circle = wkb_curvepolygon([wkb_circularstring(
         np.array([[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]))])
     square = wkb_polygon([box_ring(0.0, 0.0, 2.0, 3.0)])
-    out = areas_any_wkb([square, None, circle])
+    point = wkb_point(1.0, 2.0)
+    multipoint = (struct.pack("<BII", 1, 4, 2) + wkb_point(0.0, 0.0)
+                  + wkb_point(3.0, 4.0))
+    out = areas_any_wkb([square, None, circle, point, multipoint])
     assert abs(out[0] - 6.0) < 1e-12
     assert out[1] == 0.0
     assert abs(out[2] - np.pi * 4.0) < 1e-12
+    # non-surface rows measure 0, as OGR_G_Area does
+    assert out[3] == 0.0 and out[4] == 0.0

@@ -68,6 +68,97 @@ def test_broadcast_join_matches_brute_force(ray_session, images_path, polygons):
         assert colname in r
 
 
+@pytest.mark.parametrize("kw", [dict(cut=True), dict(verify=True)])
+def test_flagship_stage_cut_and_verify_need_decode(polygons, kw):
+    from georay.join import PolygonIndex
+    from georay.pipelines import FlagshipStage
+    with pytest.raises(ValueError, match="decode"):
+        FlagshipStage(PolygonIndex.build(polygons), decode=False, **kw)
+
+
+@pytest.mark.parametrize("zoom", [12, 15])
+def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
+    """The fused stage and CutTiles share one window cutter: each fused
+    (image, tile) checksum equals the prime-LUT checksum of CutTiles' RGBA
+    fragment for the same image and tile."""
+    from georay.decode import DecodeImages, add_georef
+    from georay.join import PolygonIndex
+    from georay.pipelines import FlagshipStage
+    from georay.stats import CHECKSUM_PRIMES
+    from georay.tiles import CutTiles
+    t = fx.images_table(32)
+    out = FlagshipStage(PolygonIndex.build(polygons), zoom=zoom,
+                        decode=True, cut=True)(t)
+    out = out.filter(out["frag_checksum"].is_valid())
+    fused = {(r["image_id"], r["tile_x"], r["tile_y"]): r["frag_checksum"]
+             for r in out.select(["image_id", "tile_x", "tile_y",
+                                  "frag_checksum"]).to_pylist()}
+    frags = CutTiles(zoom=zoom)(add_georef(DecodeImages()(t)))
+    lut = CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)
+    cut = {}
+    for r in frags.to_pylist():
+        rgba = np.frombuffer(r["frag"], np.uint8).reshape(256, 256, 4)
+        cs = sum(int((rgba[:, :, c] % lut).sum()) for c in range(3))
+        cut[(r["image_id"], r["tile_x"], r["tile_y"])] = cs & 0xFFFF
+    assert len(fused) == out.num_rows >= t.num_rows
+    assert fused == cut
+
+
+def test_flagship_bad_rows_are_flagged_not_fatal(ray_session, polygons,
+                                                 tmp_path):
+    """A truncated JPEG row and a truncated PNG row get decode_ok=False,
+    phash_ok=False and no fragment rows, keep their join rows, and leave
+    every other row's output as it is without them."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    from georay.pipelines import flagship_join
+
+    def run(table, name, **kw):
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(table, path)
+        return pa.Table.from_pandas(
+            flagship_join(path, polygons, zoom=12, **kw).to_pandas(),
+            preserve_index=False)
+
+    t = fx.images_table(120)
+    joined = set(run(t, "meta")["image_id"].to_pylist())
+    rows = t.to_pylist()
+    bad = {fmt: next(i for i, r in enumerate(rows)
+                     if r["fmt"] == fmt and r["image_id"] in joined)
+           for fmt in ("jpeg", "png")}
+    bad_ids = {rows[i]["image_id"] for i in bad.values()}
+    data = t["bytes"].to_pylist()
+    for i in bad.values():
+        data[i] = data[i][:len(data[i]) // 2]
+    broken = t.set_column(t.schema.get_field_index("bytes"), "bytes",
+                          pa.array(data, t.schema.field("bytes").type))
+    keep = pa.array([r["image_id"] not in bad_ids for r in rows])
+    full = dict(decode=True, cut=True, verify=True)
+    got = run(broken, "broken", **full)
+    ref = run(t.filter(keep), "ref", **full)
+    is_bad = pc.is_in(got["image_id"], pa.array(sorted(bad_ids)))
+    mine = got.filter(is_bad)
+    assert set(mine["image_id"].to_pylist()) == bad_ids
+    assert not any(mine["decode_ok"].to_pylist())
+    assert not any(mine["phash_ok"].to_pylist())
+    assert mine["frag_checksum"].null_count == mine.num_rows
+    meta = run(broken, "broken_meta")
+    want = meta.filter(pc.is_in(meta["image_id"], pa.array(sorted(bad_ids))))
+    key = ["image_id", "polygon_id", "tile_x", "tile_y"]
+    assert (sorted(map(tuple, mine.select(key).to_pylist()))
+            == sorted(map(tuple, want.select(key).to_pylist())))
+    rest = got.filter(pc.invert(is_bad)).to_pandas()
+    ref = ref.to_pandas()
+    assert rest["decode_ok"].all() and rest["phash_ok"].all()
+    cols = sorted(ref.columns)
+    import pandas as pd
+    pd.testing.assert_frame_equal(
+        rest[cols].sort_values(cols, na_position="first")
+        .reset_index(drop=True),
+        ref[cols].sort_values(cols, na_position="first")
+        .reset_index(drop=True))
+
+
 def test_partitioned_join_matches_broadcast(ray_session, images_path, polygons):
     from georay.join import spatial_join_partitioned
     from georay.pipelines import georeferenced_images
