@@ -34,30 +34,24 @@ BENCH_QUERIES = [
     "tile_assign", "tile_census", "zone_join", "zone_join_agg",
     "knn_customer_supplier", "hex_census", "s2_census", "q1_pricing",
     "top_revenue_orders", "revenue_by_nation", "join_lineitem_orders",
-    "events_hourly", "doc_tokens", "doc_quality", "doc_dedup",
-    "doc_minhash_pairs", "ann_topk", "embedding_dups", "image_dedup",
+    "events_hourly", "image_dedup",
     "overlay_intersection", "zone_join_icosa", "sql_filter_group",
     "proximity_images", "sessions", "geom_measures", "sql_functions",
-    "interval_join", "dedup_clusters", "fgb_zone_join",
-    "zarr_density", "sample_per_key", "sql_exists", "doc_chunks",
-    "gpkg_zone_join", "sql_q3", "lineref_mileposts", "augment_images",
+    "interval_join", "fgb_zone_join",
+    "zarr_density", "sample_per_key", "sql_exists",
+    "gpkg_zone_join", "sql_q3", "lineref_mileposts",
     "sql_case", "sql_union", "osm_nodes_census", "kml_zone_join",
     "gpx_waypoint_census", "webp_images", "lance_zone_join",
     "delta_zone_join",     # delta-layout roundtrip + COW delete
     "grib_density",        # GRIB2 band-message roundtrip census
     "iceberg_zone_join",   # iceberg metadata-tree roundtrip + append
     "data_quality",        # one-pass rule validation + FK broadcast
-    "doc_decontam", "doc_repetition", "doc_substr_dups", "sql_cte", "doc_bm25_topk",
-    "embedding_kmeans", "doc_top_terms",
+    "sql_cte",
     "sql_q7", "sql_q18", "sql_q21",   # self-join / IN-HAVING / ineq-EXISTS
     "sql_q9", "sql_q20",   # composite-key join hop / composite vmap
-    "doc_bpe_tokens",      # BPE train + actor-pool encode
-    "image_quality",       # decode + stacked quality metrics
     "jp2_images",          # lossless JPEG 2000 transcode (EBCOT/MQ)
     "geodesic_measures",   # Karney solver + authalic-excess areas
     "image_exif",          # APP1/Exif IFD extraction from real bytes
-    "doc_perplexity",      # char-trigram LM train + broadcast score
-    "doc_pack_sequences",  # distributed prefix-sum sequence packing
     "knn_partitioned",     # co-shuffled k-ring kNN (no broadcast side)
     "crs_project_lcc",     # ellipsoidal LCC via the CRS dispatch
 ]
@@ -65,7 +59,7 @@ BENCH_QUERIES = [
 # queries whose short multi-stage shapes swing multi-× with host noise on
 # this VM (NOTES.md): timed 3× and reported as the MEDIAN so round-over-
 # round deltas are attributable (VERDICT r2 next-10)
-MEDIAN_QUERIES = {"doc_minhash_pairs", "dedup_clusters", "sql_q3"}
+MEDIAN_QUERIES = {"sql_q3"}
 
 
 def _consume(res) -> int:

@@ -14,11 +14,12 @@ Layers:
 * chunked-array / multidim: :mod:`georay.zarrstore`, :mod:`georay.mdim`
 * pipeline-step APIs: :mod:`georay.ogr` (VectorPipeline),
   :mod:`georay.rasterpipe` (RasterPipeline), :mod:`georay.csvdriver`,
-  :mod:`georay.rat`, :mod:`georay.sample`
+  :mod:`georay.rat`, :mod:`georay.sample` (hash sampling, per-key
+  top-k), :mod:`georay.sketch` (HLL distinct, KLL quantiles)
 * fixtures: :mod:`georay.fixtures` (deterministic image/polygon/point tables)
 * Ray Data stages & pipelines: :mod:`georay.decode`, :mod:`georay.join`,
   :mod:`georay.knn`, :mod:`georay.tiles`, :mod:`georay.stats`,
-  :mod:`georay.dedup`, :mod:`georay.text`, :mod:`georay.ann`,
+  :mod:`georay.dedup` (exact dedup), :mod:`georay.morph`,
   :mod:`georay.checkpoint`, :mod:`georay.pipelines`
 
 None of these call ``ray.init()`` — the session is owned by the caller

@@ -9,9 +9,7 @@ The container has no imaging libraries (no PIL/libjpeg/OpenCV), so:
   gray/RGB/RGBA (filter 0, optional Adam7) — losslessly exact, the
   "exact for PNG" half of the BASELINE fidelity gate.
 * **JPEG** is real and from scratch (``georay.jpeg``): baseline SOF0
-  AND progressive SOF2, both directions; ``GRJ1`` (uniform quantization
-  + zlib) is kept as a deterministic lossy test codec under
-  ``fmt="grj1"``.
+  AND progressive SOF2, both directions.
 
 GDAL analog: the raster driver decode path (frmts/…); we only need codec
 decode of the ``bytes`` column, not a driver framework (SURVEY.md §2.1).
@@ -25,8 +23,8 @@ import zlib
 import numpy as np
 
 __all__ = [
-    "png_encode", "png_decode", "lossy_encode", "lossy_decode",
-    "encode_image", "decode_image", "psnr", "phash64",
+    "png_encode", "png_decode", "encode_image", "decode_image", "psnr",
+    "phash64",
 ]
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -233,52 +231,17 @@ def png_decode(data: bytes) -> np.ndarray:
     return img[:, :, 0] if ch == 1 else img
 
 
-# ---------------------------------------------------------------------------
-# Deterministic lossy codec ("GRJ1") — JPEG stand-in (no libjpeg in image)
-# ---------------------------------------------------------------------------
-
-_LOSSY_MAGIC = b"GRJ1"
-_LOSSY_STEP = 4  # uniform quantization step -> MSE ~ step^2/12 -> PSNR ~ 47 dB
-
-
-def lossy_encode(arr: np.ndarray, step: int = _LOSSY_STEP) -> bytes:
-    """Deterministic lossy encode: uniform quantization (step=4 → ~47 dB
-    PSNR worst-case) + zlib.  Header: magic, w, h, channels, step."""
-    arr = np.asarray(arr, dtype=np.uint8)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    h, w, ch = arr.shape
-    q = (arr.astype(np.uint16) + step // 2) // step
-    q = np.clip(q, 0, 255 // step).astype(np.uint8)
-    head = _LOSSY_MAGIC + struct.pack("<IIBB", w, h, ch, step)
-    return head + zlib.compress(q.tobytes(), 6)
-
-
-def lossy_decode(data: bytes) -> np.ndarray:
-    data = bytes(data)
-    if data[:4] != _LOSSY_MAGIC:
-        raise ValueError("not a GRJ1 payload")
-    w, h, ch, step = struct.unpack_from("<IIBB", data, 4)
-    q = np.frombuffer(zlib.decompress(data[14:]), dtype=np.uint8)
-    arr = np.clip(q.astype(np.uint16) * step, 0, 255).astype(np.uint8)
-    arr = arr.reshape(h, w, ch)
-    return arr[:, :, 0] if ch == 1 else arr
-
-
 _JPEG_QUALITY = 95  # fixture default: worst-case PSNR ≈ 41.6 dB ≥ 40 gate
 
 
 def encode_image(arr: np.ndarray, fmt: str) -> bytes:
     """``fmt="jpeg"`` emits REAL baseline JFIF (georay.jpeg — from-scratch
-    ITU T.81 codec, VERDICT r1 missing-#1 closed); ``"grj1"`` keeps the
-    round-1 deterministic stand-in as a test codec."""
+    ITU T.81 codec)."""
     if fmt == "png":
         return png_encode(arr)
     if fmt == "jpeg":
         from .jpeg import jpeg_encode
         return jpeg_encode(arr, quality=_JPEG_QUALITY)
-    if fmt == "grj1":
-        return lossy_encode(arr)
     if fmt == "tiff":
         from .gtiff import tiff_encode
         return tiff_encode(arr, predictor=2 if arr.dtype.kind in "ui"
@@ -303,8 +266,7 @@ def encode_image(arr: np.ndarray, fmt: str) -> bytes:
 
 def decode_image(data: bytes, fmt: str) -> np.ndarray:
     """Decode one ``bytes`` payload.  PNG → exact; "jpeg" → the from-scratch
-    baseline JPEG decoder (georay.jpeg); legacy GRJ1 payloads (round-1
-    fixture caches) are still recognized by magic.
+    baseline JPEG decoder (georay.jpeg).
 
     Truncated or corrupt input raises ``ValueError`` whatever the codec
     trips over (a read past a short buffer, a bad zlib stream), so one
@@ -321,15 +283,10 @@ def _decode_image(data: bytes, fmt: str) -> np.ndarray:
     if fmt == "png":
         return png_decode(data)
     if fmt == "jpeg":
-        head = bytes(data[:4])
-        if head[:2] == b"\xff\xd8":
-            from .jpeg import jpeg_decode
-            return jpeg_decode(data)
-        if head == _LOSSY_MAGIC:
-            return lossy_decode(data)
-        raise ValueError("unrecognized jpeg payload")
-    if fmt == "grj1":
-        return lossy_decode(data)
+        if bytes(data[:2]) != b"\xff\xd8":
+            raise ValueError("unrecognized jpeg payload")
+        from .jpeg import jpeg_decode
+        return jpeg_decode(data)
     if fmt == "tiff":
         from .gtiff import tiff_decode
         return tiff_decode(data)[0]

@@ -81,7 +81,7 @@ def compare_images(golden_ds, new_ds, *, key: str = "image_id",
                     pb_ = decode_image(g["bytes__"][b].as_py(), fb)
                     if pa_.shape != pb_.shape:
                         issues.append("pixel_shape")
-                    elif fa in ("jpeg", "grj1"):
+                    elif fa == "jpeg":
                         if psnr(pa_, pb_) < psnr_floor:
                             issues.append("pixels_psnr")
                     elif not np.array_equal(pa_, pb_):

@@ -1,28 +1,9 @@
-"""Deduplication operators over document / image tables — the
-training-data-pipeline extensions (repo charter: exact, MinHash+LSH,
-SimHash, n-gram Jaccard, embedding-cosine near-dup).
+"""Exact deduplication: keep the first row per key group (SURVEY.md §2.6).
 
-GDAL itself has no generic dedup (SURVEY.md §2.6 — FID uniqueness +
-SQL DISTINCT only); these are first-class additions expressed Ray-Data
-native, designed for the 100 TB shuffle budget:
-
-* exact: vectorized 64-bit content hash in ``map_batches`` (straight off
-  the Arrow buffers) → ``groupby(hash)`` — whole documents never shuffle.
-* MinHash+LSH: signatures are computed once per doc (one concatenated
-  ``minimum.reduceat`` per batch, no per-doc Python); ONLY
-  ``(band, band_hash, id)`` rows enter the banding shuffle (never the
-  signature — 16× smaller than replicating it per band); candidate
-  buckets are size-capped against degenerate boilerplate keys; candidate
-  pairs are verified with EXACT n-gram Jaccard via a tagged-union
-  co-shuffle that moves only candidate documents.
-* SimHash: 64-bit fingerprint; candidates via ``n_blocks`` block keys
-  (pigeonhole: hamming ≤ n_blocks−1 guaranteed recall), verified with a
-  vectorized SWAR popcount — never per-pair Python ``bin().count``.
-* embedding cosine: multi-band random-hyperplane LSH (OR-construction
-  across bands) shuffling ``(band, key, id)`` only, with exact cosine
-  verification through the same tagged-union pattern; plus an exact
-  broadcast all-pairs path for corpora whose matrix fits the object
-  store (the oracle baseline).
+GDAL itself has no generic dedup (FID uniqueness + SQL DISTINCT only);
+this is the Ray-Data-native form: the key is hash-partitioned, and each
+partition keeps its first row per key in one vectorized pass.  Image
+tables dedup by ``phash`` / ``image_id`` (queries ``image_dedup``).
 """
 
 from __future__ import annotations
@@ -30,27 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .util import fsl_to_numpy, hash_strings, popcount64
-
-__all__ = [
-    "content_hash_batch", "exact_dedup", "minhash_signature_batch",
-    "minhash_lsh_pairs", "simhash_batch", "simhash_pairs",
-    "ngram_jaccard", "jaccard_texts_batch", "embedding_dup_pairs",
-    "embedding_dup_pairs_exact", "verify_pairs_jaccard",
-]
+__all__ = ["exact_dedup"]
 
 _H1 = np.uint64(0x9E3779B97F4A7C15)
-_H2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def content_hash_batch(batch: pa.Table, col: str = "text",
-                       out_col: str = "content_hash") -> pa.Table:
-    """Add a 64-bit content hash of a string/binary column — vectorized
-    polynomial hash over the Arrow values buffer (georay.util.hash_strings);
-    no per-row Python."""
-    h = hash_strings(batch[col])
-    return batch.append_column(out_col, pa.array(h.view(np.int64)))
 
 
 def exact_dedup(ds, key_col: str, order_col: str,
@@ -59,7 +23,7 @@ def exact_dedup(ds, key_col: str, order_col: str,
 
     Hash-PARTITIONED (``groupby(hash(key) % P)``, P ≈ 4×CPUs), one
     vectorized lexsort + first-of-run pass per partition — never one
-    Python call per distinct key (content hashes are unique per doc, so
+    Python call per distinct key (when most keys are unique,
     ``groupby(key)`` directly would pay per-group dispatch for EVERY
     surviving row; NOTES.md per-group-overhead rule)."""
     P = num_partitions or _num_partitions()
@@ -85,284 +49,10 @@ def exact_dedup(ds, key_col: str, order_col: str,
                                           batch_format="pyarrow"))
 
 
-# ---------------------------------------------------------------------------
-# Shingles + MinHash
-# ---------------------------------------------------------------------------
-
-def _shingle_hashes(text: str, n: int = 5, unique: bool = True) -> np.ndarray:
-    """Character n-gram shingle hashes (uint64) of one document.
-
-    ``unique=False`` skips the dedup sort — valid for MinHash (the min over
-    a multiset equals the min over its set)."""
-    b = text.encode("utf-8")
-    if len(b) < n:
-        b = b + b"\x00" * (n - len(b))
-    a = np.frombuffer(b, dtype=np.uint8).astype(np.uint64)
-    idx = np.arange(n, dtype=np.uint64)
-    weights = np.uint64(1099511628211) ** idx
-    windows = np.lib.stride_tricks.sliding_window_view(a, n)
-    h = (windows * weights).sum(axis=1, dtype=np.uint64)
-    return np.unique(h) if unique else h
-
-
-_SCRATCH: dict = {}
-
-
-def _scratch(name: str, size: int, dtype) -> np.ndarray:
-    """Grow-only per-process scratch buffer.  On this class of host
-    (NOTES.md: ~10 MB/s first-touch page faults) a fresh multi-MB numpy
-    temporary per batch costs more than the arithmetic — reuse pages."""
-    a = _SCRATCH.get(name)
-    if a is None or a.size < size or a.dtype != np.dtype(dtype):
-        a = np.empty(int(size * 1.3) + 64, dtype=dtype)
-        _SCRATCH[name] = a
-    return a[:size]
-
-
-def _batch_shingles(texts, n: int):
-    """All docs' shingle hashes concatenated + per-doc offsets — one
-    vectorized pass over the batch (no per-doc hashing loop).
-
-    Uses the same rolling-hash family as :func:`_shingle_hashes` (verified
-    equal in tests).  Hashes accumulate Horner-style with ``out=``-
-    targeted in-place ops over scratch buffers — the naive
-    ``(sliding_window_view * weights).sum`` shape allocates ~5× the
-    input in fresh pages per batch."""
-    bufs = [t.encode("utf-8") for t in texts]
-    bufs = [b + b"\x00" * (n - len(b)) if len(b) < n else b for b in bufs]
-    lens = np.array([len(b) for b in bufs], dtype=np.int64)
-    cat = np.frombuffer(b"".join(bufs), dtype=np.uint8)
-    total = len(cat)
-    m = total - n + 1  # all window positions (incl. cross-doc, masked out)
-    P = np.uint64(1099511628211)
-    # Horner: h(pos) = Σ_j cat[pos+j]·P^j = c_0 + P·(c_1 + P·(c_2 + …))
-    all_h = _scratch("shingle_h", m, np.uint64)
-    all_h[:] = cat[n - 1:n - 1 + m]
-    for j in range(n - 2, -1, -1):
-        np.multiply(all_h, P, out=all_h)
-        np.add(all_h, cat[j:j + m], out=all_h, casting="unsafe")
-    # valid window start positions: [start, start+len-n] per doc — gather
-    # them with the ranges trick (start offsets repeated per window)
-    counts = lens - n + 1
-    starts = np.concatenate([[0], np.cumsum(lens)])[:-1]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    tot_valid = int(offsets[-1])
-    idx = _scratch("shingle_idx", tot_valid, np.int64)
-    idx[:] = np.arange(tot_valid, dtype=np.int64)
-    np.add(idx, np.repeat(starts - offsets[:-1], counts), out=idx)
-    # NOTE: the result is a view into a per-process scratch buffer — valid
-    # until the NEXT _batch_shingles call in this process (callers consume
-    # it within one batch)
-    sh = np.take(all_h, idx, out=_scratch("shingle_out", tot_valid,
-                                          np.uint64))
-    return sh, offsets
-
-
-def minhash_signature_batch(batch: pa.Table, col: str = "text",
-                            num_perm: int = 128,
-                            shingle_n: int = 5) -> pa.Table:
-    """Add a fixed-size MinHash signature column (list<uint64 as int64>).
-
-    Universal-hash family ``h_i(x) = (a_i·x + b_i) mod 2^64`` over shingle
-    hashes; the whole batch is one concatenated ``minimum.reduceat`` —
-    no per-document broadcast loop."""
-    rng_a = (np.arange(1, num_perm + 1, dtype=np.uint64) * _H1 | np.uint64(1))
-    rng_b = np.arange(num_perm, dtype=np.uint64) * _H2
-    texts = batch[col].to_pylist()
-    n_docs = len(texts)
-    if n_docs == 0:
-        return batch.append_column(
-            "minhash", pa.array([], pa.list_(pa.int64(), num_perm)))
-    sh, offsets = _batch_shingles(texts, shingle_n)
-    sigs = np.empty((n_docs, num_perm), dtype=np.uint64)
-    # chunk the (shingles × perms) expansion to bound the working set:
-    # the budget is TOTAL matrix elements (shingles × num_perm), so the
-    # temporary stays ≈16 MB regardless of num_perm — under 16-way actor
-    # concurrency a per-shingle budget would be a memory-bus blowup
-    # (ADVICE r2)
-    chunk = max(1, 2_000_000 // num_perm)
-    doc_idx = 0
-    total = len(sh)
-    # process docs in runs whose shingles fit the chunk budget
-    vals_buf = _scratch("minhash_vals", chunk * num_perm, np.uint64)
-    run_start = 0
-    while run_start < n_docs:
-        run_end = run_start
-        while (run_end < n_docs
-               and offsets[run_end + 1] - offsets[run_start] <= chunk):
-            run_end += 1
-        run_end = max(run_end, run_start + 1)
-        lo, hi = int(offsets[run_start]), int(offsets[run_end])
-        k = hi - lo
-        if k * num_perm <= len(vals_buf):
-            vals = vals_buf[:k * num_perm].reshape(k, num_perm)
-        else:  # single doc longer than the whole chunk budget
-            vals = np.empty((k, num_perm), dtype=np.uint64)
-        np.multiply(sh[lo:hi, None], rng_a[None, :], out=vals)
-        np.add(vals, rng_b[None, :], out=vals)  # uint64 wraps == mod 2^64
-        local_off = (offsets[run_start:run_end] - lo).astype(np.int64)
-        sigs[run_start:run_end] = np.minimum.reduceat(vals, local_off, axis=0)
-        run_start = run_end
-    return batch.append_column(
-        "minhash", pa.array(list(sigs.view(np.int64)),
-                            pa.list_(pa.int64(), num_perm)))
-
-
-def ngram_jaccard(text_a: str, text_b: str, n: int = 5) -> float:
-    """Exact character n-gram Jaccard (pair-level verifier)."""
-    a = set(_shingle_hashes(text_a, n).tolist())
-    b = set(_shingle_hashes(text_b, n).tolist())
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
-
-
-def jaccard_texts_batch(texts_a, texts_b, n: int = 5) -> np.ndarray:
-    """n-gram Jaccard of k text PAIRS in one vectorized pass (the batched
-    form of :func:`ngram_jaccard`, verified equal in tests).
-
-    Unique texts are shingled once (``_batch_shingles``); shingles fold
-    into ``(doc_idx << hb) | hash_hb`` packed int64 keys so ONE in-place
-    ``sort`` yields all per-doc shingle sets, and per-pair intersection
-    sizes come from a single ``searchsorted`` of each pair's A-side keys
-    (rewritten to the B doc's key space) into the packed table — no
-    second sort, no B-side gather, ~3× less memory traffic than the
-    two-lexsort shape (this VM's memory bus is the judge bottleneck).
-
-    Exactness: hashes are folded to ``64 − ceil(log2(nd))`` bits (≥40 for
-    any sane batch); collision probability per pair is < 1e-9 — the same
-    epistemic class as the 64-bit polynomial hashing the scalar verifier
-    already treats as exact."""
-    m = len(texts_a)
-    if m == 0:
-        return np.empty(0, np.float64)
-    all_t = np.asarray(list(texts_a) + list(texts_b), dtype=object)
-    uts, inv = np.unique(all_t, return_inverse=True)
-    sh, offsets = _batch_shingles([str(t) for t in uts], n)
-    counts = np.diff(offsets)
-    nd = len(uts)
-    bits_d = max(1, int(np.ceil(np.log2(nd + 1))))
-    hb = np.uint64(64 - bits_d)
-    total = int(offsets[-1])
-    hash_mask = (np.uint64(1) << hb) - np.uint64(1)
-    packed = _scratch("jacc_packed", total, np.uint64)
-    # fold by keeping the LOW hb bits: h(x)−h(y) = Σδ_j·P^j (P odd) is
-    # never ≡ 0 mod 2^hb for small byte deltas — whereas dropping the low
-    # bits collides windows whose first byte differs by < 2^bits_d
-    np.bitwise_and(sh, hash_mask, out=packed)
-    doc_of = np.repeat(np.arange(nd, dtype=np.uint64) << hb, counts)
-    np.bitwise_or(packed, doc_of, out=packed)
-    packed.sort()  # in-place; doc in high bits → grouped by doc
-    keep = np.ones(total, dtype=bool)
-    keep[1:] = packed[1:] != packed[:-1]
-    pu = packed[keep]  # sorted unique (doc, hash) keys
-    docu = (pu >> hb).astype(np.int64)
-    cnt = np.bincount(docu, minlength=nd).astype(np.int64)
-    offs = np.concatenate([[0], np.cumsum(cnt)])
-    ia, ib = inv[:m], inv[m:]
-    ca = cnt[ia]
-    tot = int(ca.sum())
-    if tot == 0:
-        return np.ones(m, np.float64)  # all-empty sets: J defined as 1
-    # positions of each pair's A-side elements in pu (ranges trick)
-    csum = np.concatenate([[0], np.cumsum(ca)])[:-1]
-    idxA = _scratch("jacc_idxA", tot, np.int64)
-    idxA[:] = np.arange(tot, dtype=np.int64)
-    np.add(idxA, np.repeat(offs[ia] - csum, ca), out=idxA)
-    q = _scratch("jacc_q", tot, np.uint64)
-    np.take(pu, idxA, out=q)
-    np.bitwise_and(q, hash_mask, out=q)
-    np.bitwise_or(q, np.repeat(ib.astype(np.uint64) << hb, ca), out=q)
-    pos = np.searchsorted(pu, q)
-    pos_c = np.minimum(pos, len(pu) - 1)
-    match = pu[pos_c] == q
-    plabA = np.repeat(np.arange(m, dtype=np.int64), ca)
-    inter = np.bincount(plabA[match], minlength=m).astype(np.int64)
-    union = ca + cnt[ib] - inter
-    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Candidate-pair machinery shared by MinHash / SimHash / embedding LSH
-# ---------------------------------------------------------------------------
-
-def _bucket_candidate_pairs(ds_keys, id_col: str, key_cols,
-                            max_bucket: int = 512, extra_cols=(),
-                            num_partitions: int | None = None):
-    """Bucketed candidate (id_a, id_b) pairs WITHOUT one map_groups call
-    per bucket: buckets are hash-PARTITIONED (``groupby(hash(key) % P)``,
-    P ≈ 4×CPUs) and each partition resolves all its buckets in one
-    vectorized pass (lexsort → run detection → per-run triu) — per-group
-    Python-call overhead at millions of buckets killed the naive
-    ``groupby(bucket).map_groups`` shape.
-
-    Buckets larger than ``max_bucket`` are truncated to their first
-    ``max_bucket`` ids (sorted) — degenerate boilerplate buckets otherwise
-    cost O(b²); the cap is the documented recall cut (VERDICT r1 §wrong-2).
-    ``extra_cols`` are carried from both rows (suffixed _a/_b)."""
-    import ray
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8)))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for c in key_cols:
-            h = (h * np.uint64(1099511628211)
-                 + batch[c].to_numpy().view(np.uint64)) & _MASK
-        return batch.append_column(
-            "part__", pa.array((h % np.uint64(num_partitions))
-                               .astype(np.int64)))
-
-    def pairs_in_partition(g: pa.Table) -> pa.Table:
-        out = {"id_a": pa.array([], pa.int64()),
-               "id_b": pa.array([], pa.int64())}
-        for c in extra_cols:
-            t = g.schema.field(c).type
-            out[f"{c}_a"] = pa.array([], t)
-            out[f"{c}_b"] = pa.array([], t)
-        if g.num_rows < 2:
-            return pa.table(out)
-        keys = [g[c].to_numpy() for c in key_cols]
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((ids, *reversed(keys)))
-        ks = [k[order] for k in keys]
-        ids_s = ids[order]
-        diff = np.zeros(len(ids_s), dtype=bool)
-        for k in ks:
-            diff[1:] |= k[1:] != k[:-1]
-        starts = np.concatenate([[0], np.nonzero(diff)[0],
-                                 [len(ids_s)]])
-        starts = np.unique(starts)
-        out_a, out_b, out_take_a, out_take_b = [], [], [], []
-        for si in range(len(starts) - 1):
-            s, e = int(starts[si]), int(starts[si + 1])
-            n = min(e - s, max_bucket)
-            if n < 2:
-                continue
-            iu = np.triu_indices(n, k=1)
-            out_take_a.append(order[s:s + n][iu[0]])
-            out_take_b.append(order[s:s + n][iu[1]])
-        if not out_take_a:
-            return pa.table(out)
-        ta = np.concatenate(out_take_a)
-        tb = np.concatenate(out_take_b)
-        res = {"id_a": pa.array(ids[ta]), "id_b": pa.array(ids[tb])}
-        for c in extra_cols:
-            col = g[c].to_numpy()
-            res[f"{c}_a"] = pa.array(col[ta])
-            res[f"{c}_b"] = pa.array(col[tb])
-        return pa.table(res)
-
-    return (ds_keys.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part__")
-            .map_groups(pairs_in_partition, batch_format="pyarrow"))
-
-
 def _num_partitions(mult: int = 4) -> int:
-    """Hash-partition count for pair shuffles: ~mult×cluster CPUs — enough
-    groups for parallelism, few enough that per-group Python-call overhead
-    (NOTES.md: ~0.1–1 ms/group) is negligible."""
+    """Hash-partition count for the dedup shuffle: ~mult×cluster CPUs —
+    enough groups for parallelism, few enough that per-group Python-call
+    overhead (NOTES.md: ~0.1–1 ms/group) is negligible."""
     import ray
     n = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
@@ -377,721 +67,3 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK
     z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK
     return z ^ (z >> np.uint64(31))
-
-
-def _pair_value_verify(pairs_ds, src_ds, *, id_col: str, val_col: str,
-                       val_type, score_batch, score_name: str,
-                       threshold: float, num_partitions: int | None = None,
-                       broadcast_bytes_cap: int = 256 << 20):
-    """Candidate-pair verification with NO driver materialization of pairs
-    and NO shuffle of non-candidate source rows (VERDICT r2 wrong-1/2):
-
-    1. distinct pairs (hash-partitioned vectorized unique) are
-       ``materialize()``d — output-scale blocks pinned in the OBJECT
-       STORE, never collected to the driver;
-    2. only the UNIQUE CANDIDATE IDS are collected (per-block unique →
-       tiny id blocks) and broadcast via ``ray.put`` for the source
-       semi-filter — driver memory is O(distinct candidate ids);
-    3. **small-side broadcast fast path** (same size-adaptive rule as
-       ``join.equi_join``): when the candidate values total ≤
-       ``broadcast_bytes_cap``, they are ``ray.put`` ONCE as an
-       id-sorted Arrow table and every judge task scores its pair batch
-       against the zero-copy broadcast — NO shuffle at all (pairs are
-       the only moving bytes).  This is the common case: candidate docs
-       are output-scale, and the two text-payload sort shuffles of the
-       general path were the measured wall-time at sf0.1;
-    4. otherwise the general co-shuffle path: one tagged-union shuffle
-       keyed on ``hash(id) % P`` attaches values with ONE searchsorted
-       pass per partition, then one pair-keyed shuffle scores all of a
-       partition's pairs in a single vectorized ``score_batch`` call
-       (never one Python call per doc or per pair).
-    """
-    import pyarrow.compute as pc
-    import ray
-
-    P = num_partitions or _num_partitions()
-    pairs = _distinct_pairs(
-        pairs_ds.select_columns(["id_a", "id_b"]), num_partitions=P
-    ).materialize()
-
-    empty_out = pa.table({"id_a": pa.array([], pa.int64()),
-                          "id_b": pa.array([], pa.int64()),
-                          score_name: pa.array([], pa.float64())})
-
-    def ids_of(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"cid": pa.array([], pa.int64())})
-        u = np.unique(np.concatenate([batch["id_a"].to_numpy(),
-                                      batch["id_b"].to_numpy()]))
-        return pa.table({"cid": pa.array(u)})
-
-    id_blocks = ray.get(
-        pairs.map_batches(ids_of, batch_format="pyarrow").to_arrow_refs())
-    parts = [t["cid"].to_numpy() for t in id_blocks if t.num_rows]
-    if not parts:
-        return ray.data.from_arrow(empty_out)
-    ids = np.unique(np.concatenate(parts))
-    ids_ref = ray.put(pa.array(ids))
-
-    # ---- small-side broadcast fast path ---------------------------------
-    def pick_vals(batch: pa.Table) -> pa.Table:
-        wanted = ray.get(ids_ref)
-        batch = batch.filter(pc.is_in(batch[id_col], value_set=wanted))
-        vals = batch[val_col]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        if vals.type != val_type:
-            vals = vals.cast(val_type)
-        return pa.table({"cid__": batch[id_col], "cval__": vals})
-
-    val_blocks = ray.get(src_ds.map_batches(
-        pick_vals, batch_format="pyarrow").to_arrow_refs())
-    val_blocks = [t for t in val_blocks if t.num_rows]
-    total_bytes = sum(t.nbytes for t in val_blocks)
-    if total_bytes <= broadcast_bytes_cap:
-        lookup = pa.concat_tables(val_blocks).combine_chunks() \
-            if val_blocks else pa.table({"cid__": pa.array([], pa.int64()),
-                                         "cval__": pa.array([], val_type)})
-        lid = lookup["cid__"].to_numpy()
-        order = np.argsort(lid, kind="stable")
-        lookup_ref = ray.put((lid[order],
-                              lookup["cval__"].combine_chunks()
-                              .take(pa.array(order))))
-
-        def judge_broadcast(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return empty_out
-            sorted_ids, sorted_vals = ray.get(lookup_ref)
-            a = batch["id_a"].to_numpy()
-            b = batch["id_b"].to_numpy()
-            pa_pos = np.searchsorted(sorted_ids, a)
-            pb_pos = np.searchsorted(sorted_ids, b)
-            pa_c = np.minimum(pa_pos, len(sorted_ids) - 1)
-            pb_c = np.minimum(pb_pos, len(sorted_ids) - 1)
-            ok = (sorted_ids[pa_c] == a) & (sorted_ids[pb_c] == b)
-            if not ok.all():
-                a, b = a[ok], b[ok]
-                pa_c, pb_c = pa_c[ok], pb_c[ok]
-            if len(a) == 0:
-                return empty_out
-            vals_a = sorted_vals.take(pa.array(pa_c))
-            vals_b = sorted_vals.take(pa.array(pb_c))
-            scores = np.asarray(score_batch(vals_a, vals_b),
-                                dtype=np.float64)
-            keep = scores >= threshold
-            return pa.table({"id_a": pa.array(a[keep]),
-                             "id_b": pa.array(b[keep]),
-                             score_name: pa.array(scores[keep])})
-
-        return pairs.map_batches(judge_broadcast, batch_format="pyarrow",
-                                 batch_size=4096)
-    # ---- general co-shuffle path (candidate values > broadcast cap) -----
-
-    def explode(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].to_numpy()
-        b = batch["id_b"].to_numpy()
-        m = np.concatenate([a, b])
-        return pa.table({
-            "m__": pa.array(m),
-            "id_a": pa.array(np.concatenate([a, a])),
-            "id_b": pa.array(np.concatenate([b, b])),
-            "role__": pa.array(np.concatenate([
-                np.zeros(len(a), np.int8), np.ones(len(b), np.int8)])),
-            "val__": pa.nulls(2 * len(a), val_type),
-            "part__": pa.array((_mix64(m) % np.uint64(P))
-                               .astype(np.int64)),
-        })
-
-    def tag_src(batch: pa.Table) -> pa.Table:
-        wanted = ray.get(ids_ref)
-        batch = batch.filter(pc.is_in(batch[id_col], value_set=wanted))
-        n = batch.num_rows
-        vals = batch[val_col]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        if vals.type != val_type:
-            vals = vals.cast(val_type)
-        src_ids = batch[id_col].to_numpy()
-        return pa.table({
-            "m__": batch[id_col],
-            "id_a": pa.nulls(n, pa.int64()),
-            "id_b": pa.nulls(n, pa.int64()),
-            "role__": pa.array(np.full(n, -1, np.int8)),
-            "val__": vals,
-            "part__": pa.array((_mix64(src_ids) % np.uint64(P))
-                               .astype(np.int64)),
-        })
-
-    both = pairs.map_batches(explode, batch_format="pyarrow").union(
-        src_ds.map_batches(tag_src, batch_format="pyarrow"))
-
-    attach_empty = pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "role__": pa.array([], pa.int8()),
-                             "val__": pa.array([], val_type),
-                             "ppart__": pa.array([], pa.int64())})
-
-    def attach(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        roles = g["role__"].to_numpy()
-        src_mask = roles == -1
-        if src_mask.all() or not src_mask.any():
-            return attach_empty
-        sidx = np.nonzero(src_mask)[0]
-        midx = np.nonzero(~src_mask)[0]
-        mids = g["m__"].to_numpy()
-        src_ids = mids[sidx]
-        o = np.argsort(src_ids, kind="stable")
-        src_sorted = src_ids[o]
-        mem_ids = mids[midx]
-        pos = np.searchsorted(src_sorted, mem_ids)
-        pos_c = np.minimum(pos, len(src_sorted) - 1)
-        ok = src_sorted[pos_c] == mem_ids
-        take_mem = midx[ok]
-        take_src = sidx[o[pos_c[ok]]]
-        if len(take_mem) == 0:
-            return attach_empty
-        mem = g.take(pa.array(take_mem))
-        ida = mem["id_a"].to_numpy()
-        idb = mem["id_b"].to_numpy()
-        ph = (_mix64(ida) * _H2 + _mix64(idb)) & _MASK
-        return pa.table({
-            "id_a": mem["id_a"],
-            "id_b": mem["id_b"],
-            "role__": mem["role__"],
-            "val__": g["val__"].take(pa.array(take_src)),
-            "ppart__": pa.array((ph % np.uint64(P)).astype(np.int64)),
-        })
-
-    attached = both.groupby("part__").map_groups(
-        attach, batch_format="pyarrow")
-
-    def judge(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        if g.num_rows < 2:
-            return empty_out
-        a = g["id_a"].to_numpy()
-        b = g["id_b"].to_numpy()
-        roles = g["role__"].to_numpy()
-        order = np.lexsort((roles, b, a))
-        a_s, b_s = a[order], b[order]
-        new = np.ones(len(a_s), dtype=bool)
-        new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        starts = np.nonzero(new)[0]
-        lens = np.diff(np.concatenate([starts, [len(a_s)]]))
-        comp = starts[lens == 2]  # pairs with both roles present
-        if len(comp) == 0:
-            return empty_out
-        vals_a = g["val__"].take(pa.array(order[comp]))
-        vals_b = g["val__"].take(pa.array(order[comp + 1]))
-        scores = np.asarray(score_batch(vals_a, vals_b), dtype=np.float64)
-        keep = scores >= threshold
-        return pa.table({"id_a": pa.array(a_s[comp][keep]),
-                         "id_b": pa.array(b_s[comp][keep]),
-                         score_name: pa.array(scores[keep])})
-
-    return attached.groupby("ppart__").map_groups(
-        judge, batch_format="pyarrow")
-
-
-def verify_pairs_jaccard(pairs_ds, docs_ds, *, id_col: str = "doc_id",
-                         col: str = "text", shingle_n: int = 5,
-                         threshold: float = 0.5):
-    """Exact n-gram-Jaccard verification of candidate ``(id_a, id_b)``
-    pairs — the generic :func:`_pair_value_verify` shape with the batched
-    shingle-intersection kernel (:func:`jaccard_texts_batch`) as judge.
-    Extra candidate columns (e.g. simhash's ``hamming``) are dropped."""
-
-    def score(vals_a: pa.Array, vals_b: pa.Array) -> np.ndarray:
-        return jaccard_texts_batch(vals_a.to_pylist(), vals_b.to_pylist(),
-                                   shingle_n)
-
-    return _pair_value_verify(
-        pairs_ds, docs_ds, id_col=id_col, val_col=col,
-        val_type=pa.string(), score_batch=score, score_name="jaccard",
-        threshold=threshold)
-
-
-# ---------------------------------------------------------------------------
-# MinHash + LSH near-dup pipeline
-# ---------------------------------------------------------------------------
-
-def minhash_band_keys(ds, id_col: str = "doc_id", col: str = "text",
-                      num_perm: int = 128, bands: int = 32,
-                      shingle_n: int = 5):
-    """Signature → (band, band_hash, id) rows.  ONLY these three columns
-    enter the shuffle (the signature itself never replicates per band)."""
-    rows_per_band = num_perm // bands
-
-    def explode(batch: pa.Table) -> pa.Table:
-        sigt = minhash_signature_batch(batch, col, num_perm, shingle_n)
-        sigs = fsl_to_numpy(sigt["minhash"], dtype=np.int64)\
-            .view(np.uint64)
-        n = len(sigs)
-        if n == 0:
-            return pa.table({"band": pa.array([], pa.int64()),
-                             "band_hash": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64())})
-        grouped = sigs.reshape(n, bands, rows_per_band)
-        acc = np.zeros((n, bands), dtype=np.uint64)
-        for j in range(rows_per_band):
-            acc = (acc * np.uint64(1099511628211) + grouped[:, :, j]) & _MASK
-        ids = batch[id_col].to_numpy()
-        return pa.table({
-            "band": pa.array(np.repeat(np.arange(bands, dtype=np.int64), n)),
-            "band_hash": pa.array(acc.T.reshape(-1).view(np.int64)),
-            id_col: pa.array(np.tile(ids, bands)),
-        })
-
-    return ds.map_batches(explode, batch_format="pyarrow")
-
-
-def minhash_lsh_pairs(ds, id_col: str = "doc_id", col: str = "text",
-                      num_perm: int = 128, bands: int = 32,
-                      jaccard_threshold: float = 0.5, shingle_n: int = 5,
-                      max_bucket: int = 512):
-    """Near-duplicate pairs: MinHash banding candidates + EXACT n-gram
-    Jaccard ≥ ``jaccard_threshold`` verification.
-
-    Returns ``(id_a, id_b, jaccard)`` with id_a < id_b, deduplicated.
-    Recall at similarity j: ``1 − (1 − j^(num_perm/bands))^bands`` —
-    ≈1−5e−8 at j=0.8 with the 128/32 defaults."""
-    keys = minhash_band_keys(ds, id_col, col, num_perm, bands, shingle_n)
-    cand = _bucket_candidate_pairs(keys, id_col, ["band", "band_hash"],
-                                   max_bucket)
-    return verify_pairs_jaccard(cand, ds, id_col=id_col, col=col,
-                                shingle_n=shingle_n,
-                                threshold=jaccard_threshold)
-
-
-# ---------------------------------------------------------------------------
-# SimHash
-# ---------------------------------------------------------------------------
-
-def simhash_batch(batch: pa.Table, col: str = "text",
-                  out_col: str = "simhash", shingle_n: int = 4) -> pa.Table:
-    """64-bit SimHash of character shingles: sum of ±1 bit votes of shingle
-    hashes, sign → bit.  Whole batch vectorized (one concatenated
-    ``add.reduceat`` over the bit-vote matrix)."""
-    texts = batch[col].to_pylist()
-    n_docs = len(texts)
-    if n_docs == 0:
-        return batch.append_column(out_col, pa.array([], pa.int64()))
-    sh, offsets = _batch_shingles(texts, shingle_n)
-    # unique shingles per doc (simhash votes once per distinct shingle):
-    # ONE global lexsort over (doc, hash) + run detection — no per-doc
-    # np.unique loop
-    counts = np.diff(offsets)
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-    order = np.lexsort((sh, doc_of))
-    sh_s = sh[order]
-    doc_s = doc_of[order]
-    first = np.ones(len(sh_s), dtype=bool)
-    first[1:] = (sh_s[1:] != sh_s[:-1]) | (doc_s[1:] != doc_s[:-1])
-    shu = sh_s[first]
-    docu = doc_s[first]
-    new_counts = np.bincount(docu, minlength=n_docs).astype(np.int64)
-    offs = np.concatenate([[0], np.cumsum(new_counts)])
-    idx = np.minimum(offs[:-1], max(len(shu) - 1, 0))
-    # per-bit loop over ONE reused scratch column — the one-shot
-    # ``(shu[:, None] >> bit_idx) & 1`` bits matrix is shingles×64×8 B of
-    # fresh pages per batch (~GB at realistic batch sizes)
-    tmp = _scratch("simhash_bit", len(shu), np.uint64)
-    out = np.zeros(n_docs, dtype=np.uint64)
-    nz = new_counts > 0
-    for b in range(64):
-        np.right_shift(shu, np.uint64(b), out=tmp)
-        np.bitwise_and(tmp, np.uint64(1), out=tmp)
-        sums = np.add.reduceat(tmp, idx).astype(np.int64)
-        bit_set = (2 * sums > new_counts) & nz  # vote sign per doc
-        out |= bit_set.astype(np.uint64) << np.uint64(b)
-    return batch.append_column(out_col, pa.array(out.view(np.int64)))
-
-
-def hamming_pairs(ds, id_col: str, hash_col: str,
-                  max_hamming: int = 3, n_blocks: int = 4,
-                  max_bucket: int = 512,
-                  prepare=None):
-    """Near-dup pairs over an EXISTING 64-bit hash column by
-    block-permutation LSH: the hash splits into ``n_blocks`` equal
-    blocks; pairs within hamming ≤ ``n_blocks − 1`` share at least one
-    block (pigeonhole) → groupby block value → vectorized SWAR-popcount
-    hamming verify.  The generic core behind SimHash text near-dup and
-    pHash image near-dup — only (blk, key, id, hash) rows shuffle.
-
-    ``n_blocks`` must exceed ``max_hamming`` for guaranteed recall.
-    ``prepare``: optional per-batch callable run first (e.g. compute
-    the hash column)."""
-    if n_blocks <= max_hamming:
-        raise ValueError("n_blocks must be > max_hamming (pigeonhole)")
-    bits_per = 64 // n_blocks
-
-    def explode(batch: pa.Table) -> pa.Table:
-        if prepare is not None:
-            batch = prepare(batch)
-        h = batch[hash_col].to_numpy().view(np.uint64)
-        n = len(h)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        blocks = np.repeat(np.arange(n_blocks, dtype=np.int64), n)
-        shifts = (np.arange(n_blocks, dtype=np.uint64) * np.uint64(bits_per))
-        mask = np.uint64((1 << bits_per) - 1)
-        keys = ((h[None, :] >> shifts[:, None]) & mask).astype(np.int64)
-        return pa.table({
-            "blk": pa.array(blocks),
-            "key": pa.array(keys.reshape(-1)),
-            id_col: pa.array(np.tile(ids, n_blocks)),
-            hash_col: pa.array(np.tile(h.view(np.int64), n_blocks)),
-        })
-
-    keys = ds.map_batches(explode, batch_format="pyarrow")
-    cand = _bucket_candidate_pairs(keys, id_col, ["blk", "key"],
-                                   max_bucket, extra_cols=(hash_col,))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        ha = batch[f"{hash_col}_a"].to_numpy().view(np.uint64)
-        hb = batch[f"{hash_col}_b"].to_numpy().view(np.uint64)
-        ham = popcount64(ha ^ hb)
-        keep = ham <= max_hamming
-        idx = pa.array(np.nonzero(keep)[0])
-        return pa.table({
-            "id_a": batch["id_a"].take(idx),
-            "id_b": batch["id_b"].take(idx),
-            "hamming": pa.array(ham[keep]),
-        })
-
-    verified = cand.map_batches(verify, batch_format="pyarrow")
-    # a pair may surface from several blocks → distinct
-    return _distinct_pairs(verified)
-
-
-def simhash_pairs(ds, id_col: str = "doc_id", col: str = "text",
-                  max_hamming: int = 3, n_blocks: int = 4,
-                  shingle_n: int = 4, max_bucket: int = 512):
-    """Near-dup pairs by SimHash block-permutation LSH (see
-    :func:`hamming_pairs` for the LSH core; this wrapper computes the
-    64-bit SimHash from text shingles per batch first)."""
-    return hamming_pairs(
-        ds, id_col, "simhash", max_hamming=max_hamming,
-        n_blocks=n_blocks, max_bucket=max_bucket,
-        prepare=lambda b: simhash_batch(b, col, shingle_n=shingle_n))
-
-
-def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
-    """One row per ``(id_a, id_b)`` (first occurrence, all columns kept) —
-    hash-PARTITIONED (P ≈ 4×CPUs) with one vectorized lexsort-unique pass
-    per partition; never one ``map_groups`` Python call per pair
-    (VERDICT r2 wrong-2 / NOTES.md per-group-overhead rule)."""
-    P = num_partitions or _num_partitions()
-
-    def _id_hash(col):
-        arr = col.to_numpy(zero_copy_only=False)
-        if arr.dtype.kind in "iu":
-            return _mix64(arr)
-        from .util import hash_strings
-        return hash_strings(col)           # string/binary ids
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("part__", pa.array([], pa.int64()))
-        h = (_id_hash(batch["id_a"]) * _H2
-             + _id_hash(batch["id_b"])) & _MASK
-        return batch.append_column(
-            "part__", pa.array((h % np.uint64(P)).astype(np.int64)))
-
-    def uniq(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks().drop_columns(["part__"])
-        a = g["id_a"].to_numpy(zero_copy_only=False)
-        b = g["id_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a_s, b_s = a[order], b[order]
-        first = np.ones(len(a_s), dtype=bool)
-        first[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        return g.take(pa.array(np.sort(order[first])))
-
-    return (pairs_ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part__").map_groups(uniq, batch_format="pyarrow"))
-
-
-# ---------------------------------------------------------------------------
-# Embedding cosine near-dup
-# ---------------------------------------------------------------------------
-
-def embedding_dup_pairs(ds, id_col: str = "vec_id", vec_col: str = "embedding",
-                        threshold: float = 0.95, bands: int = 16,
-                        planes_per_band: int = 8, seed: int = 42,
-                        max_bucket: int = 512):
-    """Near-dup pairs by cosine ≥ threshold: multi-band random-hyperplane
-    LSH (OR-construction: candidate iff sign patterns agree in ≥1 band;
-    recall at angle θ = 1−(1−(1−θ/π)^r)^B) → candidates shuffle as
-    ``(band, key, id)`` rows only → exact-cosine verification moves only
-    candidate vectors (tagged-union co-shuffle).  The hyperplane matrix is
-    sampled ONCE per stage (closure), not per batch."""
-    import pyarrow.compute as pc
-
-    state = {}
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        vecs = fsl_to_numpy(batch[vec_col])
-        n = len(vecs)
-        if n == 0:
-            return pa.table({"band": pa.array([], pa.int64()),
-                             "key": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64())})
-        if "planes" not in state:
-            rng = np.random.default_rng(seed)
-            state["planes"] = rng.standard_normal(
-                (vecs.shape[1], bands * planes_per_band))
-        signs = (vecs @ state["planes"]) > 0  # (n, B*r)
-        keys = np.zeros((n, bands), dtype=np.int64)
-        for b in range(bands):
-            for p in range(planes_per_band):
-                keys[:, b] |= (signs[:, b * planes_per_band + p]
-                               .astype(np.int64) << p)
-        ids = batch[id_col].to_numpy()
-        return pa.table({
-            "band": pa.array(np.repeat(np.arange(bands, dtype=np.int64), n)),
-            "key": pa.array(keys.T.reshape(-1)),
-            id_col: pa.array(np.tile(ids, bands)),
-        })
-
-    keys = ds.map_batches(bucket, batch_format="pyarrow")
-    cand = _bucket_candidate_pairs(keys, id_col, ["band", "key"], max_bucket)
-
-    # exact cosine verify — same distributed shape as the Jaccard path:
-    # candidate vectors attach via one keyed co-shuffle, each partition
-    # scores all of its pairs in one vectorized matmul-free rowwise dot.
-    sch = ds.schema()
-    vec_type = sch.types[list(sch.names).index(vec_col)]
-    if not (pa.types.is_fixed_size_list(vec_type)
-            or pa.types.is_list(vec_type)):
-        raise TypeError(f"{vec_col} must be a list column, got {vec_type}")
-
-    def score(vals_a: pa.Array, vals_b: pa.Array) -> np.ndarray:
-        va = fsl_to_numpy(vals_a)
-        vb = fsl_to_numpy(vals_b)
-        num = np.einsum("ij,ij->i", va, vb)
-        den = np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
-        return num / np.maximum(den, 1e-12)
-
-    return _pair_value_verify(
-        cand, ds, id_col=id_col, val_col=vec_col, val_type=vec_type,
-        score_batch=score, score_name="cosine", threshold=threshold)
-
-
-class _ExactDupScore:
-    """Actor: broadcast normalized matrix + ids; per batch emits all pairs
-    (my rows × whole matrix) with cosine ≥ threshold and id_a < id_b."""
-
-    def __init__(self, ref, threshold: float, id_col: str, vec_col: str):
-        import ray
-        self.ids, self.mat = ray.get(ref)
-        self.threshold = threshold
-        self.id_col, self.vec_col = id_col, vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"id_a": pa.array([], pa.int64()),
-                          "id_b": pa.array([], pa.int64())})
-        vecs = fsl_to_numpy(batch[self.vec_col])
-        if vecs.size == 0:
-            return empty
-        vecs = vecs / np.maximum(
-            np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-        ids = batch[self.id_col].to_numpy()
-        sim = vecs @ self.mat.T  # (nb, N)
-        hit_r, hit_c = np.nonzero(sim >= self.threshold)
-        ia, ib = ids[hit_r], self.ids[hit_c]
-        keep = ia < ib  # dedup: each unordered pair emitted once
-        return pa.table({"id_a": pa.array(ia[keep]),
-                         "id_b": pa.array(ib[keep])})
-
-
-def embedding_dup_pairs_exact(ds, full: pa.Table, *, threshold: float,
-                              id_col: str = "vec_id",
-                              vec_col: str = "embedding",
-                              batch_size: int = 4096, concurrency=None):
-    """EXACT all-pairs cosine ≥ threshold: the normalized corpus matrix is
-    broadcast once (``ray.put``); every batch does one matmul against it.
-    O(n²) work distributed over batches with NO shuffle — correct whenever
-    the matrix fits worker memory (the oracle baseline; the LSH path above
-    is the >memory scale path)."""
-    import ray
-    from .util import default_concurrency
-    ids = full[id_col].to_numpy()
-    mat = fsl_to_numpy(full[vec_col])
-    mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-    ref = ray.put((ids, mat))
-    # cap the pool: per-batch work is one matmul — actor spin-up would
-    # dominate a wide autoscaled pool on small inputs
-    return ds.map_batches(
-        _ExactDupScore, batch_format="pyarrow", batch_size=batch_size,
-        fn_constructor_kwargs=dict(ref=ref, threshold=threshold,
-                                   id_col=id_col, vec_col=vec_col),
-        concurrency=concurrency or default_concurrency(cap=8))
-
-
-def connected_components(pairs_ds, *, a_col: str = "id_a",
-                         b_col: str = "id_b", max_iter: int = 50,
-                         num_partitions: int | None = None):
-    """Distributed connected components over an edge list — the cluster
-    step that turns verified near-dup PAIRS into dedup groups (pick one
-    canonical doc per component).
-
-    Algorithm: hash-to-min (Chierichetti/Kumar/Lattanzi/Mitzenmacher,
-    "Max-Cover in Map-Reduce" family; public) — each round every node u
-    sends the minimum label of its neighborhood to all its neighbors and
-    its neighborhood to that minimum, which contracts every component
-    into a star around its minimum id in O(log diameter) rounds.  One
-    hash shuffle per round, NO joins and NO driver materialization: the
-    edge list is hash-partitioned by u (each u wholly in one partition),
-    each partition resolves all its nodes in one vectorized
-    lexsort+reduceat pass, per-partition dedup bounds edge growth at
-    ~2x the symmetric input, and the only driver-side value per round is
-    the label-sum convergence witness (labels only decrease).
-
-    Returns ``(node, comp)`` with comp = min node id of the component,
-    one row per distinct node appearing in any pair."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = 4 * cpus
-    P = num_partitions
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def _part(u: np.ndarray) -> np.ndarray:
-        return ((u.astype(np.uint64) * _GOLD) >> np.uint64(40)) \
-            % np.uint64(P)
-
-    def sym(batch: pa.Table) -> pa.Table:
-        a = batch[a_col].combine_chunks().cast(pa.int64())\
-            .to_numpy(zero_copy_only=False)
-        b = batch[b_col].combine_chunks().cast(pa.int64())\
-            .to_numpy(zero_copy_only=False)
-        u = np.concatenate([a, b, a, b])
-        v = np.concatenate([b, a, a, b])     # symmetric + self loops
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "part": pa.array(_part(u))})
-
-    def contract(g: pa.Table) -> pa.Table:
-        u = g["u"].combine_chunks().to_numpy(zero_copy_only=False)
-        v = g["v"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        mu = np.minimum.reduceat(v, starts)          # per-u min label
-        seg = np.repeat(np.arange(len(starts)),
-                        np.diff(np.r_[starts, len(u)]))
-        # u -> mu (kept as self-ish edge), every neighbor x -> mu,
-        # and mu -> x so the minimum learns its component
-        out_u = np.concatenate([u[starts], v, mu[seg]])
-        out_v = np.concatenate([mu, mu[seg], v])
-        pairs = np.unique(np.stack([out_u, out_v], axis=1), axis=0)
-        ou, ov = pairs[:, 0], pairs[:, 1]
-        return pa.table({"u": pa.array(ou), "v": pa.array(ov),
-                         "part": pa.array(_part(ou)),
-                         "wit": pa.array(
-                             np.r_[mu, np.zeros(len(ou) - len(mu),
-                                                np.int64)])})
-
-    def finalize(g: pa.Table) -> pa.Table:
-        u = g["u"].combine_chunks().to_numpy(zero_copy_only=False)
-        v = g["v"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        return pa.table({"node": pa.array(u[starts]),
-                         "comp": pa.array(
-                             np.minimum.reduceat(v, starts))})
-
-    edges = pairs_ds.map_batches(sym, batch_format="pyarrow")
-    prev_tot = None
-    for _ in range(max_iter):
-        edges = (edges.groupby("part")
-                 .map_groups(contract, batch_format="pyarrow")
-                 .materialize())      # break per-round lineage chains
-        tot = edges.sum("wit")        # Σ per-u min: monotone witness
-        if prev_tot is not None and tot == prev_tot:
-            break
-        prev_tot = tot
-    return (edges.groupby("part")
-            .map_groups(finalize, batch_format="pyarrow")
-            .select_columns(["node", "comp"]))
-
-
-def substr_dup_counts(ds, *, n: int = 50, id_col: str = "doc_id",
-                      text_col: str = "text", num_partitions=None):
-    """Duplicated-passage detection (ExactSubstr flavor of Lee et al.
-    2022, "Deduplicating Training Data Makes Language Models Better",
-    arXiv:2107.06499): per document, the number of DISTINCT character
-    ``n``-grams that also occur in at least one OTHER document.
-
-    Scale shape: only (gram-hash, doc_id) DISTINCT pairs enter the
-    shuffle — one row per distinct gram per doc, never text.  Pairs are
-    hash-partitioned on the gram hash; each partition resolves ALL its
-    grams in one vectorized pass (sort → run detection → multi-doc
-    grams → per-doc partial counts), and a tiny ``groupby(doc).sum``
-    folds the partials.  Same Horner rolling family as the rest of the
-    near-dup stack."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    P = np.uint64(num_partitions)
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        if not texts:
-            return pa.table({"h": pa.array([], pa.int64()),
-                             id_col: pa.array([], batch[id_col].type),
-                             "part__": pa.array([], pa.int64())})
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sh, offsets = _batch_shingles(texts, n)
-        doc = np.repeat(np.arange(len(texts), dtype=np.int64),
-                        np.diff(offsets))
-        # distinct (doc, gram) within the batch: one lexsort
-        order = np.lexsort((sh, doc))
-        d, h = doc[order], sh[order]
-        first = np.ones(d.size, dtype=bool)
-        first[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
-        d, h = d[first], h[first]
-        mix = h * np.uint64(0x9E3779B97F4A7C15)
-        mix ^= mix >> np.uint64(29)
-        return pa.table({
-            "h": pa.array(h.view(np.int64)),
-            id_col: pa.array(ids[d]),
-            "part__": pa.array((mix % P).astype(np.int64)),
-        })
-
-    def resolve(g: pa.Table) -> pa.Table:
-        h = g["h"].to_numpy().view(np.uint64)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h))
-        hs, ds_ = h[order], ids[order]
-        # (doc, gram) pairs are distinct per batch but a doc can span
-        # batches — re-unique, then count distinct docs per gram
-        first = np.ones(hs.size, dtype=bool)
-        first[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
-        hs, ds_ = hs[first], ds_[first]
-        new_gram = np.ones(hs.size, dtype=bool)
-        new_gram[1:] = hs[1:] != hs[:-1]
-        gram_id = np.cumsum(new_gram) - 1
-        docs_per_gram = np.bincount(gram_id)
-        shared = docs_per_gram[gram_id] >= 2
-        if not shared.any():
-            return pa.table({id_col: pa.array([], g[id_col].type),
-                             "n_shared": pa.array([], pa.int64())})
-        keep_ids = ds_[shared]
-        u, cnt = np.unique(keep_ids, return_counts=True)
-        return pa.table({id_col: pa.array(u),
-                         "n_shared": pa.array(cnt.astype(np.int64))})
-
-    part = (ds.map_batches(pairs, batch_format="pyarrow")
-              .groupby("part__")
-              .map_groups(resolve, batch_format="pyarrow"))
-    out = part.groupby(id_col).aggregate(
-        Sum("n_shared", alias_name="n_shared"))
-    return out

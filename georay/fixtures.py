@@ -4,7 +4,7 @@ function of the row index) — FIXTURES.md T1/T2/T3.
 * :func:`images_table` — the mandated input table (BASELINE.json
   input_hint): ``image_id:string, bytes:binary, w:int32, h:int32,
   fmt:string, caption:string, phash:int64``.  PNG rows are exact; "jpeg"
-  rows use the deterministic GRJ1 lossy stand-in (see georay.codecs).
+  rows are real baseline JFIF (see georay.codecs / georay.jpeg).
   Every 97th row is an exact duplicate of row 0's pixels (dedup test).
 * :func:`georef` — derived (not stored) georeferencing: center lat/lon from
   a hash of the row index with a 30/70 uniform/hotspot-cluster mix
@@ -249,8 +249,8 @@ def write_images_parquet(path: str, n: int, rows_per_file: int = 2048,
     """
     import os
     import pyarrow.parquet as pq
-    # v2: fmt="jpeg" rows carry real JFIF bytes (georay.jpeg) — older GRJ1
-    # caches are stale and rebuilt
+    # the marker version bumps whenever cached bytes change meaning, so
+    # a stale cache is rebuilt
     marker = os.path.join(path, f".complete-v3-{n}-{unique or 0}")
     if os.path.exists(marker):
         return path

@@ -1070,6 +1070,8 @@ def j2k_encode(arr: np.ndarray, levels: int | None = None,
     transform + ICT with scalar-expounded quantization at absolute base
     step ``step`` (sample units; 1.0 ~ visually lossless for 8-bit,
     PSNR drops ~6 dB per doubling) — frmts/openjpeg/ parity surface."""
+    if not reversible and not step > 0:
+        raise ValueError("step must be > 0")
     if arr.ndim == 2:
         arr = arr[..., None]
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):

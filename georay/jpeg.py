@@ -1,9 +1,8 @@
 """Baseline JPEG (ITU-T T.81) encoder/decoder — pure numpy + Python,
 no libjpeg.
 
-This replaces the round-1 "GRJ1" lossy stand-in as the engine's
-``fmt="jpeg"`` path (VERDICT r1 missing-#1): fixtures now emit real JFIF
-bytes and :func:`georay.codecs.decode_image` decodes them.  Scope is the
+This is the engine's ``fmt="jpeg"`` path: fixtures emit real JFIF bytes
+and :func:`georay.codecs.decode_image` decodes them.  Scope is the
 baseline sequential DCT process (the overwhelmingly common JPEG variant;
 reference semantics: frmts/jpeg/jpgdataset.cpp wrapping libjpeg):
 

@@ -19,7 +19,6 @@ import pyarrow.compute as pc
 
 from .geom import box_ring, wkb_polygon
 from .mercator import latlon_to_tile_xyz
-from .sample import weighted_sample_sql
 
 __all__ = ["QUERIES", "ORACLE_SQL", "derived_lon", "derived_lat"]
 
@@ -63,17 +62,6 @@ _SQL_TILE_Y = """
 def _rp(sf_dir: str, table: str, columns=None):
     import ray
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _rp_split(sf_dir: str, table: str, columns=None):
-    """Read + repartition to the CPU count: small-on-disk tables (the 5 MB
-    documents table) arrive as ONE block, which would serialize every
-    downstream compute-heavy stage; an explicit repartition costs one tiny
-    all-to-all and unlocks the pool.  (At 100 TB inputs arrive as many
-    blocks naturally and this is a no-op-sized shuffle.)"""
-    import ray
-    n = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    return _rp(sf_dir, table, columns).repartition(n)
 
 
 def _round2(batch: pa.Table, cols) -> pa.Table:
@@ -649,174 +637,6 @@ def q_events_hourly(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# documents / embeddings (training-data ops)
-# ---------------------------------------------------------------------------
-
-def q_doc_dedup(sf_dir: str):
-    """Exact dedup census: min doc_id + count per distinct text — grouped
-    by a 64-bit CONTENT HASH (vectorized off the Arrow buffers) so whole
-    documents never enter the shuffle; only (hash, id) partials do.  The
-    oracle groups by text itself; outputs (keep_id, n_copies) compare.
-
-    Collision assumption: grouping by the 64-bit polynomial hash treats a
-    hash collision between DISTINCT texts as a duplicate (the oracle would
-    then diverge).  Expected collisions at n docs ≈ n²/2^65 — negligible
-    below ~10^8 docs; the hash is non-cryptographic, so an ADVERSARIAL
-    corpus can force collisions (use a second independent hash or verify
-    within-group text equality if that matters for your data)."""
-    from ray.data.aggregate import Min, Sum
-    from .dedup import content_hash_batch
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"content_hash": pa.array([], pa.int64()),
-                             "keep_id": pa.array([], pa.int64()),
-                             "n_copies": pa.array([], pa.int64())})
-        batch = content_hash_batch(batch, "text")
-        h = batch["content_hash"].to_numpy()
-        ids = batch["doc_id"].to_numpy()
-        order = np.argsort(h, kind="stable")
-        hs, ids_s = h[order], ids[order]
-        starts = np.concatenate([[0], np.nonzero(np.diff(hs))[0] + 1])
-        counts = np.diff(np.concatenate([starts, [len(hs)]]))
-        return pa.table({"content_hash": pa.array(hs[starts]),
-                         "keep_id": pa.array(
-                             np.minimum.reduceat(ids_s, starts)),
-                         "n_copies": pa.array(counts)})
-
-    agg = (_rp(sf_dir, "documents", ["doc_id", "text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("content_hash")
-           .aggregate(Min("keep_id", alias_name="keep_id"),
-                      Sum("n_copies", alias_name="n_copies")))
-    return agg.select_columns(["keep_id", "n_copies"])
-
-
-def q_doc_tokens(sf_dir: str):
-    """Token counts with the [A-Za-z0-9]+ tokenizer (SQL oracle:
-    regexp_extract_all)."""
-    from .text import token_count_batch
-    return (_rp(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(token_count_batch, batch_format="pyarrow")
-            .select_columns(["doc_id", "token_count"]))
-
-
-def q_doc_redact(sf_dir: str):
-    """Pattern-redaction scrub (the PII-masking stage of a corpus
-    pipeline) over the documents table; the fixture vocabulary has no
-    emails/phones, so the query demonstrates the stage with a
-    corpus-hitting word pattern.  Both engines run the IDENTICAL RE2
-    pattern (pyarrow replace_substring_regex / DuckDB regexp_replace
-    share RE2 semantics), so output strings match byte-for-byte."""
-    from .text import Redactor
-    return (_rp(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(Redactor(pattern=r"\b(customer|key|value)\b"),
-                         batch_format="pyarrow")
-            .select_columns(["doc_id", "n_redactions", "redacted"]))
-
-
-def q_doc_distinct_ratio(sf_dir: str):
-    """Type-token ratio (Gopher-style repetition quality signal):
-    distinct words / total words per document, vectorized via one regex
-    split + (row, word-hash) lexsort per batch.  The oracle computes the
-    identical tokenization in SQL (string_split_regex + list_distinct)."""
-    from .text import distinct_ratio_batch
-    return (_rp(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(distinct_ratio_batch, batch_format="pyarrow")
-            .select_columns(["doc_id", "n_tokens", "n_distinct", "ttr"]))
-
-
-def q_doc_quality(sf_dir: str):
-    """Quality-scoring actor stage; ratios rounded to 6 digits on both
-    sides (the oracle reproduces the identical formula in SQL)."""
-    from .text import TextFeatures
-    from .util import default_concurrency
-    out = (_rp_split(sf_dir, "documents", ["doc_id", "text"])
-           .map_batches(TextFeatures, batch_format="pyarrow",
-                        concurrency=default_concurrency(cap=8))
-           .select_columns(["doc_id", "n_tokens", "punct_ratio",
-                            "stop_ratio", "quality"]))
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": b["doc_id"], "n_tokens": b["n_tokens"],
-            "punct_ratio": pc.round(b["punct_ratio"], ndigits=6),
-            "stop_ratio": pc.round(b["stop_ratio"], ndigits=6),
-            "quality": pc.round(b["quality"], ndigits=6)}),
-        batch_format="pyarrow")
-
-
-def q_doc_langid(sf_dir: str):
-    """Language-ID heuristic counts per predicted language; the oracle
-    reproduces the argmax-with-dict-order tie-break in SQL CASE arms."""
-    from ray.data.aggregate import Count
-    from .text import LangId
-    from .util import default_concurrency
-    return (_rp_split(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(LangId, batch_format="pyarrow",
-                         concurrency=default_concurrency(cap=8))
-            .groupby("lang_pred").aggregate(Count(alias_name="n")))
-
-
-def q_doc_minhash_pairs(sf_dir: str):
-    """MinHash-LSH candidates + EXACT n-gram-Jaccard ≥ 0.5 verification.
-    Oracle: DuckDB 5-gram self-join computing exact Jaccard (checks
-    candidate RECALL, not signature estimates).  Banding (128 perms /
-    16 bands of 8 rows) has recall ≈1−1e−18 at the fixture's planted
-    similarity (≈0.99); the background tops out at ≈0.3."""
-    from .dedup import minhash_lsh_pairs
-    ds = _rp_split(sf_dir, "documents", ["doc_id", "text"])
-    pairs = minhash_lsh_pairs(ds, num_perm=128, bands=16,
-                              jaccard_threshold=0.5)
-    return pairs.map_batches(
-        lambda b: pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
-                            "jaccard": pc.round(b["jaccard"], ndigits=6)}),
-        batch_format="pyarrow")
-
-
-def q_doc_simhash_pairs(sf_dir: str):
-    """SimHash block-LSH candidates (8×8-bit blocks → hamming ≤ 6
-    guaranteed by pigeonhole ≤ 7) + exact n-gram-Jaccard ≥ 0.5 verdict —
-    same oracle as the MinHash path (both must find exactly the true
-    near-dup set; candidate generation differs)."""
-    from .dedup import simhash_pairs, verify_pairs_jaccard
-    ds = _rp_split(sf_dir, "documents", ["doc_id", "text"])
-    cand = simhash_pairs(ds, max_hamming=6, n_blocks=8)
-    verified = verify_pairs_jaccard(cand, ds, threshold=0.5)
-    return verified.map_batches(
-        lambda b: pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
-                            "jaccard": pc.round(b["jaccard"], ndigits=6)}),
-        batch_format="pyarrow")
-
-
-def q_ann_topk(sf_dir: str):
-    """Exact cosine top-5 for 8 query vectors over the embedding table —
-    broadcast query matrix + per-batch matmul partials."""
-    import pyarrow.parquet as pq
-    from .ann import ann_topk_bruteforce
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    queries = emb.filter(pc.less(emb["vec_id"], 8))
-    ds = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_topk_bruteforce(ds, queries, k=5)
-    return out.select_columns(["query_id", "rank", "vec_id"])
-
-
-def q_embedding_dups(sf_dir: str):
-    """Embedding-cosine near-dup pairs — EXACT broadcast all-pairs path
-    (matrix `ray.put` once, per-batch matmul, no shuffle).  Oracle:
-    DuckDB self-join with list_cosine_similarity.  The threshold (0.425)
-    sits in a ≥0.005-wide gap of the fixture's cosine spectrum so
-    float32/float64 engine differences cannot flip membership.  The LSH
-    path (`dedup.embedding_dup_pairs`) is the >memory scale variant,
-    recall-tested in tests/test_dedup_text_ann.py."""
-    import pyarrow.parquet as pq
-    from .dedup import embedding_dup_pairs_exact
-    full = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    ds = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return embedding_dup_pairs_exact(ds, full, threshold=0.425)
-
-
-# ---------------------------------------------------------------------------
 # Image flagship (synthetic mandated table; rows-only checks)
 # ---------------------------------------------------------------------------
 
@@ -985,120 +805,6 @@ def q_image_dedup(sf_dir: str):
             .groupby("phash")
             .aggregate(Min("image_id", alias_name="keep_id"),
                        Count(alias_name="n_copies")))
-
-
-def q_image_neardup(sf_dir: str):
-    """pHash near-dup pairs by hamming-LSH (dedup.hamming_pairs — the
-    generic 64-bit block-permutation core shared with SimHash):
-    16-bit blocks keep buckets tiny at fixture cardinalities, pairs
-    within hamming ≤ 3 guaranteed by pigeonhole, SWAR-popcount verify.
-    SELF-GATED (no SQL analog over the image table): the fixture
-    plants exact duplicate images, and every exact-dup pair (same
-    phash, counted via groupby) MUST surface with hamming 0 — the
-    emitted ``zero_recall_ok`` flag folds that recall check into the
-    driver's rows-only hash."""
-    import pyarrow.compute as _pc
-    import ray
-
-    from .dedup import hamming_pairs
-    path = _bench_images(sf_dir)
-    ds = ray.data.read_parquet(path, columns=["image_id", "phash"])
-    pairs = hamming_pairs(ds, "image_id", "phash",
-                          max_hamming=3, n_blocks=4)
-    tbl = pa.concat_tables(
-        [b for b in pairs.iter_batches(batch_format="pyarrow")
-         if b.num_rows] or [pa.table({"hamming": pa.array([], pa.int64())})])
-    n_pairs = tbl.num_rows
-    n_zero = int(_pc.sum(_pc.equal(tbl["hamming"], 0)).as_py() or 0) \
-        if n_pairs else 0
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        n = batch["count()"].to_numpy()
-        return pa.table({"p": pa.array([int((n * (n - 1) // 2).sum())])})
-
-    expected = sum(r["p"] for r in
-                   ds.groupby("phash").count()
-                   .map_batches(pair_partial, batch_format="pyarrow")
-                   .take_all())
-    return pa.table({
-        "n_pairs": pa.array([n_pairs], pa.int64()),
-        "n_zero_pairs": pa.array([n_zero], pa.int64()),
-        "expected_zero_pairs": pa.array([int(expected)], pa.int64()),
-        "zero_recall_ok": pa.array([n_zero == int(expected)]),
-    })
-
-
-def q_image_quality(sf_dir: str):
-    """Image quality filtering (LAION-style curation features): decode →
-    per-image brightness/contrast/Laplacian-sharpness/entropy/clip
-    fractions (stack-vectorized per equal-shape run) → per-fmt census
-    with the low-quality count.  Rows-only: the metrics need decoded
-    pixels."""
-    import ray
-    from ray.data.aggregate import Count, Mean, Sum
-
-    from .decode import DecodeImages
-    from .imgquality import ImageQuality
-    from .util import default_concurrency
-
-    path = _bench_images(sf_dir)
-    ds = (ray.data.read_parquet(path,
-                                columns=["image_id", "bytes", "fmt",
-                                         "w", "h"])
-          .map_batches(DecodeImages, batch_format="pyarrow",
-                       concurrency=default_concurrency())
-          .map_batches(ImageQuality(), batch_format="pyarrow")
-          .map_batches(lambda b: b.append_column(
-              "lq_", pc.cast(b["low_quality"], pa.int64())),
-              batch_format="pyarrow"))
-    return ds.groupby("fmt").aggregate(
-        Count(alias_name="n"),
-        Mean("brightness", alias_name="mean_brightness"),
-        Mean("sharpness", alias_name="mean_sharpness"),
-        Mean("entropy", alias_name="mean_entropy"),
-        Sum("lq_", alias_name="n_low_quality"))
-
-
-def q_augment_images(sf_dir: str):
-    """Deterministic augmentation over the image table (rows-only: no SQL
-    analog for pixel transforms): decode → crop/flip/jitter → per-image
-    GDAL checksum of the augmented band + audit params.  Determinism is
-    the checkable contract — the same (id, seed) always yields the same
-    checksum, so the driver's rows-only hash is stable run-to-run."""
-    import ray
-
-    from .augment import AugmentImages
-    from .decode import DecodeImages
-    from .stats import gdal_checksum
-    from .util import default_concurrency
-
-    path = _bench_images(sf_dir)
-    ds = (ray.data.read_parquet(path,
-                                columns=["image_id", "bytes", "fmt",
-                                         "w", "h"])
-          .map_batches(DecodeImages, batch_format="pyarrow",
-                       concurrency=default_concurrency())
-          .map_batches(AugmentImages(seed=42, crop_frac=0.75, jitter=0.1),
-                       batch_format="pyarrow"))
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        h = batch["h"].to_numpy()
-        w = batch["w"].to_numpy()
-        cks = []
-        for i in range(batch.num_rows):
-            arr = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                dtype=np.uint8).reshape(
-                int(h[i]), int(w[i]), -1)[:, :, 0]
-            cks.append(gdal_checksum(arr))
-        return pa.table({
-            "image_id": batch["image_id"],
-            "checksum": pa.array(cks, pa.int64()),
-            "aug_flip": batch["aug_flip"],
-            "aug_x0": batch["aug_x0"],
-            "aug_y0": batch["aug_y0"],
-        })
-
-    return ds.map_batches(summarize, batch_format="pyarrow")
 
 
 def q_tile_checksums(sf_dir: str):
@@ -1849,45 +1555,6 @@ def q_geoparquet_window(sf_dir: str):
     return ds.map_batches(out, batch_format="pyarrow")
 
 
-def q_doc_mixture(sf_dir: str):
-    """Deterministic training-mixture resampling: sample each source at
-    the rate that hits a target composition (weight ∝ source index + 1,
-    target 250 rows total), via the coordination-free hash-cut rule
-    (sample.weighted_mixture).  Oracle: identical cut arithmetic in
-    SQL — floor both sides (no round-half ties across engines)."""
-    from .sample import weighted_mixture
-    from ray.data.aggregate import Count, Max, Min
-
-    ds = _rp(sf_dir, "documents", ["doc_id", "source"])
-    srcs = sorted({r["source"] for r in
-                   ds.groupby("source").count().take_all()})
-    weights = {s: float(int(s[3:]) + 1) for s in srcs}
-    mixed, _ = weighted_mixture(ds, "doc_id", "source", weights,
-                                total=250)
-    return (mixed.groupby("source")
-            .aggregate(Count(alias_name="n_kept"),
-                       Min("doc_id", alias_name="min_id"),
-                       Max("doc_id", alias_name="max_id")))
-
-
-def q_doc_perplexity(sf_dir: str):
-    """Character-trigram LM perplexity scoring (the CCNet/KenLM-style
-    quality-filtering op): train add-one-smoothed trigram counts over
-    the corpus (per-block partials → hash-partition combine; model
-    bounded by |vocab|³ → broadcast), then score every document with a
-    vectorized lookup stage (georay/lm.py).  Oracle: the identical
-    model expressed in SQL with one lateral-generate_series trigram
-    table (numerator and context counts from the SAME stream)."""
-    from .lm import add_perplexity
-
-    ds = _rp_split(sf_dir, "documents", ["doc_id", "text"])
-    out = add_perplexity(ds, "text")
-    return out.map_batches(
-        lambda b: b.select(["doc_id", "n_trigrams", "avg_logprob",
-                            "ppl"]),
-        batch_format="pyarrow")
-
-
 def q_image_exif(sf_dir: str):
     """EXIF metadata extraction over REAL image bytes — the gdalexif.cpp
     tag walk (gcore/gdalexif.cpp:648 Exif/GPS sub-IFD chase) from the
@@ -2267,24 +1934,6 @@ def q_interval_join(sf_dir: str):
                        Max("event_id", alias_name="max_eid")))
 
 
-def q_doc_split(sf_dir: str):
-    """Deterministic train/val/test split (80/10/10) by Knuth
-    multiplicative hash of doc_id — the coordination-free reproducible
-    split a growing corpus needs (yesterday's val docs can never drift
-    into tomorrow's train set).  Oracle: the identical hash arithmetic
-    as a SQL CASE."""
-    from ray.data.aggregate import Count, Max, Min
-
-    from .sample import hash_split
-    ds = _rp(sf_dir, "documents", ["doc_id"])
-    out = hash_split(ds, "doc_id", [0.8, 0.1, 0.1],
-                     ["train", "val", "test"])
-    return (out.groupby("split")
-            .aggregate(Count(alias_name="n"),
-                       Min("doc_id", alias_name="min_id"),
-                       Max("doc_id", alias_name="max_id")))
-
-
 _SQL_Q3_TEXT = (
     "SELECT c_mktsegment, COUNT(*) AS n, SUM(l_quantity) AS qty "
     "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
@@ -2485,41 +2134,6 @@ def q_iceberg_zone_join(sf_dir: str):
         payload_cols=("n_name",)).select_columns(["c_custkey", "n_name"])
 
 
-def q_ann_hnsw(sf_dir: str):
-    """Sharded-HNSW top-5 for 8 query vectors, SELF-GATED against the
-    exact broadcast brute force (the image_neardup discipline): the
-    emitted per-query flags — self_found (rank-0 self match survived
-    sharding) and recall_ok (≥4 of the exact top-5 recovered at
-    ef_search=96) — are verified Ray-side against ann_topk_bruteforce,
-    so the driver hash checks the graph's accuracy claims, not raw
-    neighbor ids (whose ties are approximate by design).  Oracle: the
-    constant expectation table in SQL."""
-    import pyarrow.parquet as pq
-
-    from .ann import ann_topk_bruteforce, ann_topk_hnsw
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    queries = emb.filter(pc.less(emb["vec_id"], 8))
-    ds = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    exact = ann_topk_bruteforce(ds, queries, k=5).to_pandas()
-    approx = ann_topk_hnsw(ds, queries, k=5, rows_per_shard=2048,
-                           ef_search=96).to_pandas()
-    rows = {"query_id": [], "n_results": [], "self_found": [],
-            "recall_ok": []}
-    for q in sorted(exact["query_id"].unique()):
-        e = set(exact[exact["query_id"] == q]["vec_id"])
-        a = set(approx[approx["query_id"] == q]["vec_id"])
-        rows["query_id"].append(int(q))
-        rows["n_results"].append(len(a))
-        rows["self_found"].append(int(q) in a)
-        rows["recall_ok"].append(len(e & a) >= 4)
-    return pa.table({
-        "query_id": pa.array(rows["query_id"], pa.int64()),
-        "n_results": pa.array(rows["n_results"], pa.int64()),
-        "self_found": pa.array(rows["self_found"]),
-        "recall_ok": pa.array(rows["recall_ok"]),
-    })
-
-
 def q_las_zone_join(sf_dir: str):
     """Customer points routed through a LAS 1.2 point-cloud roundtrip
     (georay.las — ASPRS header + fixed-size point records; the range-
@@ -2621,127 +2235,6 @@ def q_avro_zone_join(sf_dir: str):
     return spatial_join_points(
         back, zones, keep_cols=["c_custkey"],
         payload_cols=("n_name",)).select_columns(["c_custkey", "n_name"])
-
-
-def q_doc_decontam(sf_dir: str):
-    """Benchmark decontamination (GPT-3-style n-gram overlap): docs with
-    doc_id % 37 == 0 act as the held-out benchmark; every other doc
-    sharing ANY character 20-gram with it is flagged with its distinct
-    shared-gram count.  Benchmark gram set broadcast once; corpus
-    streams — no shuffle (georay/decontam.py).  Oracle: the exact
-    string-join in SQL."""
-    from .decontam import benchmark_ngram_set, flag_contaminated
-
-    docs = _rp(sf_dir, "documents", ["doc_id", "text"])
-
-    def bench_part(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.array(batch["doc_id"].to_numpy() % 37 == 0))
-
-    def corpus_part(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.array(batch["doc_id"].to_numpy() % 37 != 0))
-
-    bench = docs.map_batches(bench_part, batch_format="pyarrow")
-    corpus = docs.map_batches(corpus_part, batch_format="pyarrow")
-    ref = benchmark_ngram_set(bench, n=20)
-    return flag_contaminated(corpus, ref, n=20)
-
-
-def q_audio_features(sf_dir: str):
-    """Multimodal audio path through the driver surface: deterministic
-    sine-mixture fixtures (real WAV / pcm16 / G.711 μ-law codecs, the
-    opus rows stay honest stubs → decoded=false), mel-spectrogram
-    actor-pool stage, per-row frame count + rounded mel norm.  Row
-    count scales with the documents table so the rows-only check is
-    size-sensitive; every value is a pure function of row index."""
-    import ray
-
-    from .multimodal import MelSpectrogram, audio_table
-
-    n_docs = _rp(sf_dir, "documents", ["doc_id"]).count()
-    t = audio_table(min(int(n_docs), 400))
-    ds = ray.data.from_arrow(t).repartition(4)
-    feats = ds.map_batches(MelSpectrogram, batch_format="pyarrow",
-                           concurrency=(1, 4), batch_size=64)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        mel = np.asarray(batch["mel_mean"].to_pylist(), dtype=np.float64)
-        norm = np.round(np.linalg.norm(mel, axis=1), 6) if mel.size             else np.zeros(0)
-        return pa.table({
-            "audio_id": batch["audio_id"],
-            "decoded": batch["decoded"],
-            "n_frames_stft": batch["n_frames_stft"],
-            "mel_norm": pa.array(norm),
-        })
-
-    return feats.map_batches(summarize, batch_format="pyarrow")
-
-
-def q_semantic_dedup(sf_dir: str):
-    """SemDeDup (k-means buckets → within-cluster cosine prune,
-    first-occurrence-wins).  The fixture embeddings have no natural
-    near-dups (max pairwise cosine ≈0.51), so the pipeline INJECTS an
-    exact copy of every third vector under a higher id: the copy lands
-    in the same cluster by construction (identical distances) and its
-    cosine is exactly 1, so the kept set is provably the original
-    table — an end-to-end SQL gate through the whole kmeans + prune
-    chain."""
-    from .kmeans import semantic_dedup
-
-    base = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def copies(batch: pa.Table) -> pa.Table:
-        keep = pa.array(batch["vec_id"].to_numpy() % 3 == 0)
-        dup = batch.filter(keep)
-        return pa.table({
-            "vec_id": pa.array(dup["vec_id"].to_numpy() + 1_000_000),
-            "embedding": dup["embedding"],
-        })
-
-    injected = base.union(base.map_batches(copies, batch_format="pyarrow"))
-    out = semantic_dedup(injected, k=8, threshold=0.999)
-    return out.select_columns(["vec_id"])
-
-
-def q_doc_substr_dups(sf_dir: str):
-    """Duplicated-passage detection (ExactSubstr flavor, Lee et al.
-    2022): per doc, distinct 50-grams shared with any other doc.  Only
-    (gram-hash, doc) pairs shuffle; partitions resolve vectorized."""
-    from .dedup import substr_dup_counts
-    return substr_dup_counts(
-        _rp(sf_dir, "documents", ["doc_id", "text"]), n=50)
-
-
-def q_doc_repetition(sf_dir: str):
-    """Word-bigram repetition quality signals (Gopher/C4 filtering
-    family): top-bigram fraction + duplicate-bigram fraction per doc,
-    one lexsort per batch (georay/text.py).  Oracle: the verbatim
-    formula over string_split + list_transform bigrams."""
-    from .text import repetition_stats_batch
-    return _rp(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        repetition_stats_batch, batch_format="pyarrow")
-
-
-def q_doc_chunks(sf_dir: str):
-    """Overlapping character-window chunking (window 500 / stride 400) —
-    the training-pipeline context splitter, vectorized by chunk index.
-    Oracle: generate_series × substr with the identical arithmetic."""
-    from .text import chunk_documents_batch
-    return _rp(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda b: chunk_documents_batch(b, window=500, stride=400),
-        batch_format="pyarrow")
-
-
-def q_doc_pack_sequences(sf_dir: str):
-    """Concat-and-split sequence packing (seq_len 256) — the LLM-
-    pretraining layout step as a distributed exclusive prefix sum (per-
-    bucket census → broadcast offsets → per-partition vectorized
-    fan-out; only ≤n_buckets census rows ever reach the driver).
-    Oracle: window running-sum + unnest(range()) with the identical
-    arithmetic."""
-    from .text import pack_sequences
-    return pack_sequences(_rp(sf_dir, "documents", ["doc_id", "text"]),
-                          seq_len=256, n_buckets=64)
 
 
 def q_zarr_density(sf_dir: str):
@@ -2900,19 +2393,6 @@ def q_sample_per_key(sf_dir: str):
     ds = _rp(sf_dir, "orders", ["o_custkey", "o_orderkey"])
     return hash_topk_per_key(ds, "o_custkey", "o_orderkey", 3) \
         .select_columns(["o_custkey", "o_orderkey"])
-
-
-def q_dedup_clusters(sf_dir: str):
-    """Near-dup CLUSTERS: verified MinHash pairs → distributed connected
-    components (hash-to-min; one groupby shuffle per round, no joins) →
-    ``(node, comp)`` with comp = min doc_id of the cluster.  Oracle: the
-    same exact-Jaccard pair set closed under a recursive-CTE reachability
-    min in DuckDB."""
-    from .dedup import connected_components, minhash_lsh_pairs
-    ds = _rp_split(sf_dir, "documents", ["doc_id", "text"])
-    pairs = minhash_lsh_pairs(ds, num_perm=128, bands=16,
-                              jaccard_threshold=0.5)
-    return connected_components(pairs, a_col="id_a", b_col="id_b")
 
 
 def q_asof_join(sf_dir: str):
@@ -3077,9 +2557,8 @@ _SQL_JSON_TEXT = """
 
 
 def q_sql_json(sf_dir: str):
-    """JSON metadata extraction as a group key (the LLM-pipeline
-    props-column shape) — identical text runs in DuckDB's json
-    extension."""
+    """JSON metadata extraction as a group key (a props-column shape)
+    — identical text runs in DuckDB's json extension."""
     from .sql import execute_sql
     return execute_sql(_SQL_JSON_TEXT, _sql_tables(sf_dir, "events"))
 
@@ -3402,23 +2881,13 @@ def q_quantile_prices(sf_dir: str):
                             q_names=["q25", "q50", "q75", "q99"])
 
 
-def q_doc_epoch_order(sf_dir: str):
-    """Deterministic per-epoch global shuffle order (seed 7) — every
-    document ranked under the seeded Knuth hash via the distributed
-    census→offsets→partition-rank machinery (no global sort, no
-    zipWithIndex).  Oracle: ROW_NUMBER over the identical hash."""
-    from .sample import epoch_shuffle
-    return epoch_shuffle(_rp(sf_dir, "documents", ["doc_id"]),
-                         "doc_id", seed=7, n_buckets=64)
-
-
 def q_quantile_sketch(sf_dir: str):
     """ONE-PASS approximate quantiles (KLL, Karnin-Lang-Liberty 2016)
-    over l_extendedprice, SELF-GATED like doc_distinct_approx: the
-    query emits the EXACT quantile (histogram-refinement plan, DuckDB-
-    interpolation-exact) plus a flag proving the sketch's estimate
-    lands within 1% RANK error (verified by one counting pass over the
-    data, not against the sketch's own claim) — the driver hash then
+    over l_extendedprice, SELF-GATED: the query emits the EXACT quantile
+    (histogram-refinement plan, DuckDB-interpolation-exact) plus a flag
+    proving the sketch's estimate lands within 1% RANK error (verified
+    by one counting pass over the data, not against the sketch's own
+    claim) — the gate's value hash then
     pins both the exact values and the accuracy guarantee.  At 100 TB
     the sketch path is a single streaming pass with ≤64 combine rows
     ever collected, vs O(log n) refinement passes for the exact plan."""
@@ -3481,111 +2950,6 @@ def q_sql_q5(sf_dir: str):
     return execute_sql(_SQL_Q5_TEXT,
                        _sql_tables(sf_dir, "customer", "orders",
                                    "lineitem", "supplier", "nation"))
-
-
-def q_doc_weighted_sample(sf_dir: str):
-    """Deterministic weighted sampling without replacement
-    (Efraimidis–Spirakis keys on the Knuth hash — sample.py): 50 docs
-    drawn with probability ∝ n_chars, reproducible on any cluster size.
-    The oracle runs the verbatim POWER(u, 1/w) formula in DuckDB."""
-    from .sample import weighted_sample
-    ds = _rp(sf_dir, "documents", ["doc_id", "n_chars"])
-    return weighted_sample(ds, "doc_id", "n_chars", 50)
-
-
-def q_embedding_kmeans(sf_dir: str):
-    """Distributed Lloyd's k-means over the embeddings table
-    (georay/kmeans.py) — SELF-GATED: the row certifies the algorithm's
-    invariants (assignment covers every point; inertia is monotonically
-    non-increasing across Lloyd iterations; ≥2 clusters are populated)
-    so the driver's hash compare verifies the distributed iteration, not
-    just a row count."""
-    from .kmeans import kmeans_assign, kmeans_fit
-    ds = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    fit = kmeans_fit(ds, k=8, iters=8)
-    h = fit["inertia"]
-    mono = bool(all(h[i + 1] <= h[i] * (1.0 + 1e-9)
-                    for i in range(len(h) - 1)))
-    n = kmeans_assign(ds, fit["centroids"]).count()
-    split = bool(int((fit["counts"] > 0).sum()) >= 2)
-    return pa.table({"n_points": pa.array([n], pa.int64()),
-                     "k": pa.array([8], pa.int64()),
-                     "inertia_monotone": pa.array([mono]),
-                     "clusters_split": pa.array([split])})
-
-
-def q_embedding_pca(sf_dir: str):
-    """Distributed PCA over the embeddings table (georay/dimred.py:
-    streaming (n, Σx, Σxxᵀ) partials → fanin fold → driver eigh) +
-    projection pass; reports per-quadrant counts of the 2-D projection
-    (integers — stable under float fold jitter).  SELF-GATED: the row
-    carries orthonormality of the components and the eigenvalue
-    ordering, so the driver's hash verifies the distributed moment
-    pass, not just a row count.  Rows-only: eigendecomposition has no
-    SQL analog; test_dimred pins the fit against exact numpy PCA."""
-    from .dimred import pca_fit, pca_transform
-
-    ds = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    fit = pca_fit(ds, k=2)
-    comps, eig = fit["components"], fit["eigenvalues"]
-    ortho = bool(np.allclose(comps @ comps.T, np.eye(2), atol=1e-9))
-    ordered = bool(eig[0] >= eig[1] >= -1e-12)
-
-    def quadrant(batch: pa.Table) -> pa.Table:
-        from .util import fsl_to_numpy
-        m = fsl_to_numpy(batch["pc"], dtype=np.float64)
-        q = (m[:, 0] >= 0).astype(np.int64) * 2 + (m[:, 1] >= 0)
-        return pa.table({"quadrant": pa.array(q, pa.int64())})
-
-    counts = (pca_transform(ds, fit)
-              .map_batches(quadrant, batch_format="pyarrow")
-              .groupby("quadrant").count())
-    out = counts.to_pandas().sort_values("quadrant")
-    return pa.table({
-        "quadrant": pa.array(out["quadrant"].to_numpy(), pa.int64()),
-        "n": pa.array(out["count()"].to_numpy(), pa.int64()),
-        "orthonormal": pa.array([ortho] * len(out)),
-        "eig_ordered": pa.array([ordered] * len(out))})
-
-
-def q_doc_bpe_tokens(sf_dir: str):
-    """BPE tokenizer TRAIN + ENCODE end-to-end: learn 30 merges over
-    the corpus (distributed wordcount → vectorized merge loop,
-    georay/bpe.py — merge list pinned bit-identical to the Sennrich
-    reference by test_bpe), then count tokens per document through the
-    actor-pool encoder (broadcast rank map, unique-words-only encode
-    with an actor-local cache).  Rows-only: the merge iteration has no
-    SQL analog."""
-    from .bpe import bpe_train, encode_tokens
-    ds = _rp_split(sf_dir, "documents", ["doc_id", "text"])
-    merges = bpe_train(ds, n_merges=30, min_freq=2)
-    return encode_tokens(ds, merges).select_columns(
-        ["doc_id", "n_bpe_tokens"])
-
-
-def q_doc_top_terms(sf_dir: str):
-    """Exact heavy hitters: top-10 corpus terms via Misra-Gries-
-    compressed candidate pass + exact verify pass (georay/sketch.py —
-    never a full vocabulary groupby).  The `certified` column carries
-    the proof that MG pruning could not have displaced the top-10 (D=0
-    here: block vocabularies fit the capacity).  Oracle: the verbatim
-    unnest + GROUP BY + LIMIT."""
-    import pyarrow.compute as _pc
-
-    from .sketch import heavy_hitters
-    ds = _rp(sf_dir, "documents", ["text"])
-
-    def explode(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return pa.table(
-            {"term": _pc.list_flatten(_pc.split_pattern(col, " "))})
-
-    top, certified = heavy_hitters(
-        ds.map_batches(explode, batch_format="pyarrow"), "term", k=10)
-    return top.append_column(
-        "certified", pa.array([certified] * top.num_rows))
 
 
 _SQL_ROLLUP_TEXT = (
@@ -4246,9 +3610,9 @@ def q_data_profile(sf_dir: str):
     count / nulls / min / max / mean per column from per-block partials
     (one tiny row per block×column reaches the driver), plus an HLL
     approximate distinct SELF-GATED within 3% of the exact count (the
-    doc_distinct_approx discipline: the flag is verified against an
-    independent exact distinct plan, so the driver hash checks the
-    sketch's accuracy claim, not its raw estimate)."""
+    flag is verified against an independent exact distinct plan, so the
+    gate's value hash checks the sketch's accuracy claim, not its raw
+    estimate)."""
     from ray.data.aggregate import Count
 
     from .validate import column_profile
@@ -4325,89 +3689,70 @@ def q_sql_cube(sf_dir: str):
     return execute_sql(_SQL_CUBE_TEXT, _sql_tables(sf_dir, "orders"))
 
 
-_SQL_BM25_TEXT = """
-      WITH toks AS (
-        SELECT doc_id, unnest(string_split(text, ' ')) AS term,
-               len(string_split(text, ' ')) AS dl FROM documents),
-      stats AS (SELECT COUNT(*) AS n,
-                       AVG(len(string_split(text, ' '))) AS avgdl
-                FROM documents),
-      dfreq AS (SELECT term, COUNT(DISTINCT doc_id) AS df FROM toks
-                WHERE term IN ('key', 'fast') GROUP BY term),
-      tf AS (SELECT doc_id, term, COUNT(*) AS tf, ANY_VALUE(dl) AS dl
-             FROM toks WHERE term IN ('key', 'fast')
-             GROUP BY doc_id, term)
-      SELECT tf.doc_id,
-             ROUND(SUM(LN(1 + (stats.n - dfreq.df + 0.5)
-                           / (dfreq.df + 0.5))
-                   * tf.tf * 2.2
-                   / (tf.tf + 1.2 * (1 - 0.75 + 0.75 * tf.dl
-                                     / stats.avgdl))), 6) AS score
-      FROM tf JOIN dfreq ON tf.term = dfreq.term, stats
-      GROUP BY tf.doc_id ORDER BY score DESC, tf.doc_id LIMIT 10
-"""
-
-
-def q_doc_bm25_topk(sf_dir: str):
-    """BM25 top-10 documents for the query {key, fast} — two streaming
-    passes (per-block df/length partials → one tiny aggregate; then
-    broadcast-stats scoring with per-block top-k pre-truncation); see
-    georay/bm25.py for the scale analysis.  The DuckDB oracle spells
-    out the identical Robertson formula over string_split tokens."""
-    from .bm25 import bm25_topk
-    ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    return bm25_topk(ds, ["key", "fast"], k=10)
-
-
-def q_doc_distinct_approx(sf_dir: str):
-    """HyperLogLog distinct-token sketch (georay/sketch.py) SELF-GATED
-    against the engine's exact distributed distinct: the row carries the
-    exact count plus a within-3%% flag (p=14 → 3σ = 2.4%%), so the
-    driver's value-hash compare verifies BOTH the exact path and the
-    sketch's accuracy claim."""
-    import pyarrow.compute as _pc
-
-    from .sketch import approx_distinct
-    ds = _rp(sf_dir, "documents", ["text"])
-
-    def explode(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return pa.table(
-            {"term": _pc.unique(_pc.list_flatten(
-                _pc.split_pattern(col, " ")))})
-
-    terms = ds.map_batches(explode, batch_format="pyarrow")
-    exact = terms.groupby("term").count().count()
-    est = approx_distinct(terms, "term")
-    ok = bool(exact > 0 and abs(est / exact - 1.0) < 0.03)
-    return pa.table({"exact_distinct": pa.array([exact], pa.int64()),
-                     "within_3pct": pa.array([ok])})
-
-
 QUERIES = {
 # Driver-run order matters: the correctness harness runs EXACTLY the
-# first 50 entries in dict order (r3 evidence: of 73 committed queries
-# the driver recorded rows for indices 0-49 and none after).  Window
-# policy: (a) queries with no driver row in ANY round come first,
-# (b) then rows-only queries never run, (c) then the re-check of the
-# one r3 FAIL, (d) then headline anchors (north-rule image pipeline +
-# LLM-data ops).  Long-green utility queries sit BEHIND the window —
-# each already has a green CORRECTNESS_r{1..4} row.  New queries added
-# each round must be inserted INSIDE the window (displacing an anchor
-# whose green row is already on record — r5: overlay_identity/update,
-# sliding_windows, sessions rotated behind on their r4 rows).
-    # -- new this round (r5): partitioned kNN, projected-CRS oracles,
-    # Delaunay linear gridding; curve_measures (below) re-windows with
-    # its new arc-exact curve_area column --
+# first 50 entries in dict order.  Window policy: every oracle-backed
+# query with no green row (rows, schema and value hash all matching, no
+# error) in any committed CORRECTNESS_r*.json comes first, then the
+# flagship anchor (rows-only, but the north-star pipeline needs a
+# gate row on every run), then oracle-backed re-checks to fill the
+# window.  Rows-only queries sit behind it.  tests/test_oracle_parity.py
+# derives the never-verified set from the records and pins this.
+    "osm_nodes_census": q_osm_nodes_census,
+    "kml_zone_join": q_kml_zone_join,
+    "geoparquet_window": q_geoparquet_window,
+    "quantile_sketch": q_quantile_sketch,
+    "sql_case": q_sql_case,
+    "sql_union": q_sql_union,
+    "sql_q20": q_sql_q20,
+    "sql_q5": q_sql_q5,
+    "sql_dates": q_sql_dates,
+    "sql_window_range": q_sql_window_range,
+    "sql_intersect": q_sql_intersect,
+    "quantile_prices": q_quantile_prices,
+    "raster_xyz": q_raster_xyz,
+    "sql_rollup": q_sql_rollup,
+    "gpx_waypoint_census": q_gpx_waypoint_census,
+    "sql_json": q_sql_json,
+    "sql_date_trunc": q_sql_date_trunc,
+    "sql_union_distinct": q_sql_union_distinct,
+    "sql_count_distinct_group": q_sql_count_distinct_group,
+    "las_zone_join": q_las_zone_join,
+    "geojsonseq_zone_join": q_geojsonseq_zone_join,
+    "arrow_ipc_zone_join": q_arrow_ipc_zone_join,
+    "avro_zone_join": q_avro_zone_join,
+    "sql_cube": q_sql_cube,
+    "sql_q6": q_sql_q6,
+    "sql_q14": q_sql_q14,
+    "sql_q4": q_sql_q4,
+    "sql_q10": q_sql_q10,
+    "sql_q7": q_sql_q7,
+    "sql_q8": q_sql_q8,
+    "sql_q12": q_sql_q12,
+    "sql_q13": q_sql_q13,
+    "sql_q17": q_sql_q17,
+    "sql_q18": q_sql_q18,
+    "sql_q19": q_sql_q19,
+    "sql_q15": q_sql_q15,
+    "sql_q22": q_sql_q22,
+    "sql_q16": q_sql_q16,
+    "sql_q21": q_sql_q21,
+    "sql_q9": q_sql_q9,
+    "sql_q2": q_sql_q2,
+    "sql_q11": q_sql_q11,
+    "dxf_zone_join": q_dxf_zone_join,
+    "topojson_zone_join": q_topojson_zone_join,
+    "sql_outer_join": q_sql_outer_join,
+    "sql_sum_distinct": q_sql_sum_distinct,
+    "flagship_join_images": q_flagship_join_images,
+    "zonal_stats_rect": q_zonal_stats_rect,
+    "dem_hillshade_plane": q_dem_hillshade_plane,
+    "sql_window_frame": q_sql_window_frame,
+    # ---- end of the correctness window (50 entries above) ----
     "knn_partitioned": q_knn_partitioned,
     "crs_project_lcc": q_crs_project_lcc,
     "crs_project_albers": q_crs_project_albers,
     "grid_linear_plane": q_grid_linear_plane,
-    "zonal_stats_rect": q_zonal_stats_rect,
-    "dem_hillshade_plane": q_dem_hillshade_plane,
-    "sql_window_frame": q_sql_window_frame,
     "sql_in_subquery": q_sql_in_subquery,
     "sql_scalar_corr": q_sql_scalar_corr,
     "hilbert_sort": q_hilbert_sort,
@@ -4415,8 +3760,6 @@ QUERIES = {
     "quantity_stats": q_quantity_stats,
     "asof_join": q_asof_join,
     "interval_join": q_interval_join,
-    "dedup_clusters": q_dedup_clusters,
-    "doc_split": q_doc_split,
     "geom_measures": q_geom_measures,
     "geodesic_measures": q_geodesic_measures,
     "curve_measures": q_curve_measures,
@@ -4424,18 +3767,11 @@ QUERIES = {
     "sample_per_key": q_sample_per_key,
     "sql_exists": q_sql_exists,
     "zarr_density": q_zarr_density,
-    "doc_chunks": q_doc_chunks,
-    "doc_decontam": q_doc_decontam,
-    "doc_repetition": q_doc_repetition,
-    "doc_substr_dups": q_doc_substr_dups,
     "gpkg_zone_join": q_gpkg_zone_join,
     "lance_zone_join": q_lance_zone_join,
     "sql_q3": q_sql_q3,
     "lineref_mileposts": q_lineref_mileposts,
-    # -- (b) rows-only queries with no driver row in any round --
-    # -- (c) r3 FAIL re-check (SUM-widening fix, commit a452984) --
     "sql_filter_group": q_sql_filter_group,
-    # -- new this round (CASE / UNION in the SQL front-end; OSM PBF) --
     "delta_zone_join": q_delta_zone_join,
     "sql_asof_join": q_sql_asof_join,
     "sql_cte": q_sql_cte,
@@ -4444,161 +3780,27 @@ QUERIES = {
     "sql_qualify": q_sql_qualify,
     "pmtiles_census": q_pmtiles_census,
     "sql_median": q_sql_median,
-    # -- TPC-H partsupp five (deterministic synth; CTE oracles) --
     "sql_pivot": q_sql_pivot,
-    "doc_perplexity": q_doc_perplexity,
     "sql_recursive": q_sql_recursive,
-    "doc_pack_sequences": q_doc_pack_sequences,
     "image_exif": q_image_exif,
     "grib_density": q_grib_density,
-    "doc_bm25_topk": q_doc_bm25_topk,
     "iceberg_zone_join": q_iceberg_zone_join,
     "warp_near_affine": q_warp_near_affine,
-    # flagship anchor: ALWAYS in-window (rows-only by design, exempt from
-    # the oracle-first rule) — the north-star pipeline needs a driver row
-    # every round.
-    "flagship_join_images": q_flagship_join_images,
-    # ---- end of driver window (50 entries above this line) ----
-    # rotated behind in r5 (green r4 rows, untouched this round):
     "overlay_identity": q_overlay_identity,
     "overlay_update": q_overlay_update,
     "sliding_windows": q_sliding_windows,
     "sessions": q_sessions,
-    "osm_nodes_census": q_osm_nodes_census,  # rotated behind by
-    # data_quality: the protobuf wire + DenseNodes decode is pinned
-    # byte-level by test_osmpbf and the sf0.01 local gate
-    "kml_zone_join": q_kml_zone_join,  # rotated behind by
-    # data_profile: one of six format zone joins; the KML roundtrip is
-    # pinned repr-exact by test_xmldrivers
-    "geoparquet_window": q_geoparquet_window,  # rotated behind by
-    # sql_pivot: the bbox row-group pushdown core is pinned by
-    # test_seq_ipc and shares the stats plan with hilbert_sort
-    "doc_mixture": q_doc_mixture,  # rotated behind by sql_recursive:
-    # the weighted-mixture resample core is pinned by test_sample and
-    # doc_weighted_sample shares the POWER()-oracle machinery
-    "doc_epoch_order": q_doc_epoch_order,  # rotated behind by
-    # iceberg_zone_join: shares the census->offsets->partition-rank
-    # machinery with doc_pack_sequences (in-window)
-    "quantile_sketch": q_quantile_sketch,  # rotated behind by
-    # grib_density: its oracle is a self-gated within-1%-rank flag (the
-    # weakest oracle class, same rationale as doc_distinct_approx) and
-    # the KLL core is pinned by test_bm25_sketch
-    "sql_case": q_sql_case,  # rotated behind by delta_zone_join: CASE
-    # kernels are pinned by test_sql + the QUALIFY/fuzz families and
-    # shared with several in-window queries
-    "sql_union": q_sql_union,  # rotated behind by sql_asof_join: the
-    # set-op core is also exercised by sql_union_distinct/sql_intersect
-    # (behind) and pinned by test_sql + the sf0.01 local gate
-    "doc_top_terms": q_doc_top_terms,  # rotated behind: term-census
-    # shape shared with doc_bm25_topk (in-window), same df machinery
-    "sql_q20": q_sql_q20,  # rotated behind: partsupp machinery pinned
-    # row-identical vs DuckDB by test_sql_tpch; sql_q5 stays in-window
-    "embedding_kmeans": q_embedding_kmeans,  # rotated behind:
-    # self-gated oracle, kmeans core pinned by test_kmeans
-    "sql_q5": q_sql_q5,  # rotated behind: sql_q3 stays as the TPC-H
-    # rep in-window; all 22 pinned row-identical by test_sql_tpch
-    "doc_weighted_sample": q_doc_weighted_sample,  # rotated behind:
-    # Efraimidis-Spirakis core pinned by test_sample, POWER() oracle
-    "sql_dates": q_sql_dates,  # rotated behind: date-part kernels also
-    # pinned by test_sql and the sf0.01 local gate
-    "sql_window_range": q_sql_window_range,  # rotated behind: RANGE
-    # frames share the frame machinery with sql_window_frame (in-window)
-    "sql_intersect": q_sql_intersect,  # rotated behind: set-op core
-    # shared with sql_union (in-window), pinned by test_sql
-    "quantile_prices": q_quantile_prices,  # rotated behind: same
-    # histogram-refinement plan as sql_median (in-window)
-    "raster_xyz": q_raster_xyz,  # rotated behind: strided explode
-    # pinned by test_raster; generate_series oracle unchanged
-    "sql_rollup": q_sql_rollup,  # rotated behind: bitmask grouping-id
-    # core shared with sql_cube, pinned by test_sql
-    "gpx_waypoint_census": q_gpx_waypoint_census,  # rotated behind:
-    # repr-exact float roundtrip pinned by test_xmldrivers
-    "sql_json": q_sql_json,  # rotated behind: one extract_regex kernel,
-    # pinned by test_sql
-    "sql_date_trunc": q_sql_date_trunc,  # rotated behind: shares the
-    # datetime kernel table with sql_dates (in-window)
-    "sql_union_distinct": q_sql_union_distinct,  # rotated behind: shares
-    # the UNION machinery with sql_union (in-window) + distinct covered
-    # by sql_distinct (green r3)
-    # doc_distinct_approx rotated behind to make room for lance_zone_join:
-    # its oracle is a self-gated within-3% band (weakest of the round-4
-    # set) and the HLL estimator is pinned by in-repo tests.
-    "doc_distinct_approx": q_doc_distinct_approx,
-    "sql_count_distinct_group": q_sql_count_distinct_group,  # rotated
-    # behind by pmtiles_census: grouped count-distinct machinery is
-    # shared with count_distinct_custkeys (green r3) + pinned by test_sql
-    "ann_hnsw": q_ann_hnsw,  # oracle-backed self-gate; rotate into
-    # the window next round (HNSW recall pinned by test_dedup_text_ann)
-    "las_zone_join": q_las_zone_join,  # oracle-backed; rotate into
-    # the window next round (LAS roundtrip pinned by test_las now)
-    "geojsonseq_zone_join": q_geojsonseq_zone_join,  # oracle-backed;
-    # rotate into the window next round (in-repo parity pins it now)
-    "arrow_ipc_zone_join": q_arrow_ipc_zone_join,    # oracle-backed; ditto
-    "avro_zone_join": q_avro_zone_join,  # oracle-backed; from-scratch OCF
-    "sql_cube": q_sql_cube,  # oracle-backed; rotate into window next round
-    "sql_q6": q_sql_q6,      # oracle-backed (TPC-H Q6 verbatim)
-    "sql_q14": q_sql_q14,    # oracle-backed (TPC-H Q14 verbatim)
-    "sql_q4": q_sql_q4,      # oracle-backed (TPC-H Q4 verbatim)
-    "sql_q10": q_sql_q10,    # oracle-backed (TPC-H Q10 verbatim)
-    "sql_q7": q_sql_q7,      # oracle-backed (TPC-H Q7 verbatim — self-join)
-    "sql_q8": q_sql_q8,      # oracle-backed (TPC-H Q8 verbatim — self-join)
-    "sql_q12": q_sql_q12,    # oracle-backed (TPC-H Q12 shape)
-    "sql_q13": q_sql_q13,    # oracle-backed (TPC-H Q13 verbatim)
-    "sql_q17": q_sql_q17,    # oracle-backed (TPC-H Q17 — corr scalar expr)
-    "sql_q18": q_sql_q18,    # oracle-backed (TPC-H Q18 verbatim)
-    "sql_q19": q_sql_q19,    # oracle-backed (TPC-H Q19 shape)
-    "sql_q15": q_sql_q15,    # oracle-backed (TPC-H Q15 — CTE used twice)
-    "sql_q22": q_sql_q22,    # oracle-backed (TPC-H Q22 shape)
-    "sql_q16": q_sql_q16,    # rotated behind by image_exif: the partsupp
-    # machinery stays in-window via sql_q2/q9/q11/q20
-
-    "sql_q21": q_sql_q21,    # oracle-backed (TPC-H Q21 — ineq EXISTS)
-    "sql_q9": q_sql_q9,      # rotated behind by doc_perplexity
-    "sql_q2": q_sql_q2,      # rotated behind by geoparquet_window:
-    # partsupp machinery stays in-window via sql_q20
-    "sql_q11": q_sql_q11,    # rotated behind by doc_mixture: the
-    # partsupp machinery stays in-window via sql_q2/q20
-    "dxf_zone_join": q_dxf_zone_join,  # oracle-backed (DXF roundtrip)
-    "topojson_zone_join": q_topojson_zone_join,  # oracle-backed (arcs)
-    "sql_outer_join": q_sql_outer_join,  # oracle-backed (FULL OUTER)
-    "sql_sum_distinct": q_sql_sum_distinct,  # oracle-backed
-    "audio_features": q_audio_features,  # rows-only (multimodal audio
-    # plumbing; codec correctness pinned by test_morph_multimodal)
-    "doc_bpe_tokens": q_doc_bpe_tokens,  # rows-only (BPE train+encode;
-    # merge list pinned == Sennrich reference by test_bpe)
-    "semantic_dedup": q_semantic_dedup,  # oracle-backed via injected
-    # exact copies; rotate into the window next round
-    # (rows-only queries may sit behind the window: the driver check for
-    # them is row-count only, which the in-repo tests pin harder; window
-    # slots go to oracle-backed queries first.)
-    "embedding_pca": q_embedding_pca,  # rows-only; self-gated +
-    # exact-numpy parity pinned by test_dimred
-    "image_quality": q_image_quality,  # rows-only; metric math pinned
-    # by test_imgquality closed-form fixtures
-    "webp_images": q_webp_images,    # rows-only; bit-exact in-repo pins
-    "jp2_images": q_jp2_images,      # rows-only; bit-exact in-repo pins
-    "augment_images": q_augment_images,  # rows-only; in-repo determinism pins
-    "ann_topk": q_ann_topk,          # oracle-green r3; tests pin it
-    # (never-driver-verified queries outrank re-checks: image_dedup /
-    # tile_checksums have rows-only driver rows from r1-r3 and byte-
-    # level test pins, so they rotate behind the window this round)
+    "webp_images": q_webp_images,
+    "jp2_images": q_jp2_images,
     "raster_stats": q_raster_stats,
     "footprint_images": q_footprint_images,
     "image_dedup": q_image_dedup,
-    "image_neardup": q_image_neardup,  # rows-only, self-gated
-    # (zero-recall flag folded into the hash)
     "tile_checksums": q_tile_checksums,
     "icosa_multires": q_icosa_multires,
     "clip_zones": q_clip_zones,
     "knn_customer_supplier": q_knn,
-    "doc_dedup": q_doc_dedup,
-    # Everything below was driver-verified green (or rows-only-green) in
-    # a prior round; rotate into the window in a later round if needed.
-    "embedding_dups": q_embedding_dups,
     "q1_pricing": q1_pricing,
     "events_hourly": q_events_hourly,
-    "doc_simhash_pairs": q_doc_simhash_pairs,
-    "doc_minhash_pairs": q_doc_minhash_pairs,
     "zone_join": q_zone_join,
     "zone_join_agg": q_zone_join_agg,
     "tile_assign": q_tile_assign,
@@ -4614,11 +3816,6 @@ QUERIES = {
     "union_names": q_union_names,
     "filter_priority": q_filter_priority,
     "top_parts": q_top_parts,
-    "doc_tokens": q_doc_tokens,
-    "doc_redact": q_doc_redact,
-    "doc_distinct_ratio": q_doc_distinct_ratio,
-    "doc_quality": q_doc_quality,
-    "doc_langid": q_doc_langid,
     "attribute_filter": q_attribute_filter,
     "sql_topk": q_sql_topk,
     "sql_distinct": q_sql_distinct,
@@ -4859,32 +4056,6 @@ ORACLE_SQL = {
     """,
     "sql_asof_join": _SQL_ASOF_TEXT,
     "sql_sum_distinct": _SQL_SUM_DISTINCT_TEXT,
-    "doc_top_terms": """
-        SELECT term, COUNT(*) AS n, TRUE AS certified
-        FROM (SELECT unnest(string_split(text, ' ')) AS term
-              FROM documents)
-        GROUP BY term ORDER BY n DESC, term LIMIT 10
-    """,
-    "doc_bm25_topk": _SQL_BM25_TEXT,
-    "doc_weighted_sample": weighted_sample_sql("doc_id", "n_chars", 50),
-    "embedding_kmeans": """
-        SELECT COUNT(*) AS n_points, 8 AS k,
-               TRUE AS inertia_monotone, TRUE AS clusters_split
-        FROM embeddings
-    """,
-    "doc_distinct_approx": """
-        SELECT COUNT(DISTINCT term) AS exact_distinct,
-               TRUE AS within_3pct
-        FROM (SELECT unnest(string_split(text, ' ')) AS term
-              FROM documents)
-    """,
-    "doc_epoch_order": """
-        SELECT doc_id,
-               ROW_NUMBER() OVER (
-                   ORDER BY ((doc_id + 7) * 2654435761) % 4294967296,
-                            doc_id) - 1 AS epoch_pos
-        FROM documents
-    """,
     "quantile_sketch": """
         SELECT 0.1 AS q, quantile_cont(l_extendedprice, 0.1) AS exact_q,
                TRUE AS sketch_ok FROM lineitem
@@ -5032,11 +4203,6 @@ ORACLE_SQL = {
     "las_zone_join": f"""
         SELECT c_custkey, n_name FROM ({_zone_sql()})
     """,
-    "ann_hnsw": """
-        SELECT vec_id AS query_id, 5 AS n_results,
-               TRUE AS self_found, TRUE AS recall_ok
-        FROM embeddings WHERE vec_id < 8 ORDER BY vec_id
-    """,
     "geojsonseq_zone_join": f"""
         SELECT c_custkey, n_name FROM ({_zone_sql()})
     """,
@@ -5140,105 +4306,6 @@ ORACLE_SQL = {
                    AS sum_value
         FROM events GROUP BY 1, 2
     """,
-    "doc_dedup": """
-        SELECT min(doc_id) AS keep_id, count(*) AS n_copies
-        FROM documents GROUP BY text
-    """,
-    "doc_quality": """
-        WITH f AS (
-          SELECT doc_id,
-                 regexp_extract_all(text, '[A-Za-z0-9]+') AS toks,
-                 len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS n_tokens,
-                 CASE WHEN length(text) > 0 THEN
-                     cast(len(regexp_extract_all(text, '[^\\w\\s]'))
-                          AS DOUBLE) / length(text) ELSE 0.0 END
-                     AS punct_ratio
-          FROM documents),
-        f2 AS (
-          SELECT doc_id, n_tokens, punct_ratio,
-                 CASE WHEN n_tokens > 0 THEN
-                     cast(len(list_filter(list_transform(toks, x -> lower(x)),
-                          x -> list_contains(['the','and','of','to','a','in',
-                                              'is','that','it','for'], x)))
-                          AS DOUBLE) / n_tokens ELSE 0.0 END AS stop_ratio,
-                 CASE WHEN n_tokens > 0 THEN
-                     cast(list_sum(list_transform(toks, x -> length(x)))
-                          AS DOUBLE) / n_tokens ELSE 0.0 END AS mwl
-          FROM f)
-        SELECT doc_id, n_tokens,
-               round(punct_ratio, 6) AS punct_ratio,
-               round(stop_ratio, 6) AS stop_ratio,
-               round(least(greatest(
-                   0.25 * (CASE WHEN n_tokens > 5 THEN 1.0 ELSE 0.0 END)
-                   + 0.25 * least(greatest(1.0 - punct_ratio / 0.25, 0.0), 1.0)
-                   + 0.30 * least(greatest(stop_ratio / 0.3, 0.0), 1.0)
-                   + 0.20 * least(greatest(1.0 - abs(mwl - 4.5) / 4.5,
-                                           0.0), 1.0),
-                   0.0), 1.0), 6) AS quality
-        FROM f2
-    """,
-    "doc_langid": """
-        WITH t AS (
-          SELECT doc_id, list_transform(
-                     regexp_extract_all(text, '[A-Za-z0-9]+'),
-                     x -> lower(x)) AS toks
-          FROM documents),
-        h AS (
-          SELECT doc_id,
-            len(list_filter(toks, x -> list_contains(['the','and','of','to',
-                'a','in','is','that','it','for'], x))) AS he,
-            len(list_filter(toks, x -> list_contains(['der','die','und','das',
-                'ist','nicht','ein','mit','zu'], x))) AS hd,
-            len(list_filter(toks, x -> list_contains(['le','la','et','les',
-                'des','un','une','est','dans','que'], x))) AS hf,
-            len(list_filter(toks, x -> list_contains(['el','la','los','de',
-                'que','y','en','un','una','es'], x))) AS hs
-          FROM t)
-        SELECT CASE WHEN hs > he AND hs > hd AND hs > hf THEN 'es'
-                    WHEN hf > he AND hf > hd THEN 'fr'
-                    WHEN hd > he THEN 'de'
-                    WHEN he > 0 THEN 'en'
-                    ELSE 'und' END AS lang_pred,
-               count(*) AS n
-        FROM h GROUP BY 1
-    """,
-    "doc_minhash_pairs": """
-        WITH g AS (
-          SELECT DISTINCT doc_id,
-                 unnest(list_transform(
-                     generate_series(1, greatest(length(text) - 4, 1)),
-                     i -> substring(text, i, 5))) AS gram
-          FROM documents),
-        c AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
-        ix AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-               FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-               GROUP BY 1, 2)
-        SELECT id_a, id_b,
-               round(cast(i AS DOUBLE) / (ca.n + cb.n - i), 6) AS jaccard
-        FROM ix JOIN c ca ON ca.doc_id = id_a JOIN c cb ON cb.doc_id = id_b
-        WHERE cast(i AS DOUBLE) / (ca.n + cb.n - i) >= 0.5
-    """,
-    "doc_simhash_pairs": """
-        WITH g AS (
-          SELECT DISTINCT doc_id,
-                 unnest(list_transform(
-                     generate_series(1, greatest(length(text) - 4, 1)),
-                     i -> substring(text, i, 5))) AS gram
-          FROM documents),
-        c AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
-        ix AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-               FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-               GROUP BY 1, 2)
-        SELECT id_a, id_b,
-               round(cast(i AS DOUBLE) / (ca.n + cb.n - i), 6) AS jaccard
-        FROM ix JOIN c ca ON ca.doc_id = id_a JOIN c cb ON cb.doc_id = id_b
-        WHERE cast(i AS DOUBLE) / (ca.n + cb.n - i) >= 0.5
-    """,
-    "embedding_dups": """
-        SELECT a.vec_id AS id_a, b.vec_id AS id_b
-        FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-        WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.425
-    """,
     "hilbert_sort": f"""
         WITH RECURSIVE pts AS (
           SELECT c_custkey,
@@ -5302,31 +4369,6 @@ ORACLE_SQL = {
                count(*) AS n
         FROM cells GROUP BY 1
     """,
-    "doc_tokens": """
-        SELECT doc_id,
-               len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS token_count
-        FROM documents
-    """,
-    "doc_redact": r"""
-        SELECT doc_id,
-               len(regexp_extract_all(text, '\b(customer|key|value)\b'))
-                   AS n_redactions,
-               regexp_replace(text, '\b(customer|key|value)\b',
-                              '<redacted>', 'g') AS redacted
-        FROM documents
-    """,
-    "doc_distinct_ratio": """
-        WITH toks AS (
-            SELECT doc_id,
-                   list_filter(string_split_regex(lower(text),
-                                                  '[^a-z0-9]+'),
-                               x -> x <> '') AS ws
-            FROM documents)
-        SELECT doc_id, len(ws) AS n_tokens,
-               len(list_distinct(ws)) AS n_distinct,
-               len(list_distinct(ws)) / CAST(len(ws) AS DOUBLE) AS ttr
-        FROM toks
-    """,
     "sliding_windows": """
         WITH e AS (SELECT event_type,
                           cast(floor(epoch(ts) / 1800) as bigint) * 1800 AS base
@@ -5365,87 +4407,6 @@ ORACLE_SQL = {
                    GROUP BY user_id, ts) p
           ON c.user_id = p.user_id AND c.ts >= p.ts
     """,
-    "doc_split": """
-        WITH h AS (SELECT doc_id,
-                          (doc_id * 2654435761) % 4294967296 AS hb
-                   FROM documents),
-             s AS (SELECT doc_id,
-                          CASE WHEN hb < 3435973837 THEN 'train'
-                               WHEN hb < 3865470566 THEN 'val'
-                               ELSE 'test' END AS split
-                   FROM h)
-        SELECT split, count(*) AS n, min(doc_id) AS min_id,
-               max(doc_id) AS max_id
-        FROM s GROUP BY split
-    """,
-    "semantic_dedup": """
-        SELECT vec_id FROM embeddings
-    """,
-    "doc_substr_dups": """
-        WITH g AS (SELECT DISTINCT doc_id, unnest(list_transform(
-                generate_series(1, greatest(length(text) - 49, 1)),
-                i -> substring(text, i, 50))) AS gram FROM documents),
-        multi AS (SELECT gram FROM g GROUP BY gram
-                  HAVING COUNT(DISTINCT doc_id) >= 2)
-        SELECT doc_id, COUNT(*) AS n_shared FROM g JOIN multi USING (gram)
-        GROUP BY doc_id
-    """,
-    "doc_repetition": """
-        WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws
-                   FROM documents),
-        bg AS (SELECT doc_id, unnest(list_transform(
-                generate_series(1, len(ws) - 1),
-                i -> ws[i] || ' ' || ws[i + 1])) AS g
-               FROM w WHERE len(ws) >= 2),
-        cnt AS (SELECT doc_id, g, COUNT(*) AS c FROM bg GROUP BY doc_id, g),
-        agg AS (SELECT doc_id, SUM(c) AS tot, MAX(c) AS mx,
-                       COUNT(*) AS dist FROM cnt GROUP BY doc_id)
-        SELECT doc_id, ROUND(mx * 1.0 / tot, 6) AS top_bigram_frac,
-               ROUND(1.0 - dist * 1.0 / tot, 6) AS dup_bigram_frac
-        FROM agg
-    """,
-    "doc_decontam": """
-        WITH bench AS (SELECT text FROM documents WHERE doc_id % 37 = 0),
-        bg AS (SELECT DISTINCT unnest(list_transform(
-                generate_series(1, greatest(length(text) - 19, 1)),
-                i -> substring(text, i, 20))) AS gram FROM bench),
-        cg AS (SELECT DISTINCT doc_id, unnest(list_transform(
-                generate_series(1, greatest(length(text) - 19, 1)),
-                i -> substring(text, i, 20))) AS gram
-               FROM documents WHERE doc_id % 37 <> 0)
-        SELECT doc_id, COUNT(*) AS n_hits FROM cg JOIN bg USING (gram)
-        GROUP BY doc_id
-    """,
-    "doc_chunks": """
-        WITH s AS (SELECT i FROM generate_series(0, 255) AS t(i))
-        SELECT doc_id, i AS chunk_idx,
-               substr(text, cast(i * 400 + 1 as bigint), 500) AS chunk
-        FROM documents, s
-        WHERE i <= (greatest(length(text), 1) - 1) // 400
-    """,
-    "doc_pack_sequences": """
-        WITH c AS (
-          SELECT doc_id,
-                 len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS cnt
-          FROM documents),
-        p AS (
-          SELECT doc_id, cnt,
-                 CAST(COALESCE(SUM(cnt) OVER (ORDER BY doc_id
-                      ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                      0) AS BIGINT) AS tok_start
-          FROM c),
-        u AS (
-          SELECT doc_id, tok_start, cnt,
-                 unnest(range(tok_start // 256,
-                              (tok_start + cnt - 1) // 256 + 1)) AS seq_id
-          FROM p WHERE cnt > 0)
-        SELECT doc_id, seq_id,
-               CAST(GREATEST(tok_start, seq_id * 256) - seq_id * 256
-                    AS BIGINT) AS seq_off,
-               CAST(LEAST(tok_start + cnt, (seq_id + 1) * 256)
-                    - GREATEST(tok_start, seq_id * 256) AS BIGINT) AS n_tok
-        FROM u
-    """,
     "zarr_density": f"""
         WITH pts AS (SELECT {_SQL_LON.format(k='o_orderkey')} AS lon,
                             {_SQL_LAT.format(k='o_orderkey')} AS lat
@@ -5480,30 +4441,6 @@ ORACLE_SQL = {
                        ORDER BY (o_orderkey * 2654435761) % 4294967296,
                                 o_orderkey) AS rn
             FROM orders) WHERE rn <= 3
-    """,
-    "dedup_clusters": """
-        WITH RECURSIVE g AS (
-          SELECT DISTINCT doc_id,
-                 unnest(list_transform(
-                     generate_series(1, greatest(length(text) - 4, 1)),
-                     i -> substring(text, i, 5))) AS gram
-          FROM documents),
-        c AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
-        ix AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-               FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-               GROUP BY 1, 2),
-        pairs AS (
-          SELECT id_a, id_b
-          FROM ix JOIN c ca ON ca.doc_id = id_a
-                  JOIN c cb ON cb.doc_id = id_b
-          WHERE cast(i AS DOUBLE) / (ca.n + cb.n - i) >= 0.5),
-        e AS (SELECT id_a AS u, id_b AS v FROM pairs
-              UNION ALL SELECT id_b, id_a FROM pairs),
-        reach(node, comp) AS (
-          SELECT u, u FROM (SELECT DISTINCT u FROM e)
-          UNION
-          SELECT e.v, r.comp FROM reach r JOIN e ON e.u = r.node)
-        SELECT node, min(comp) AS comp FROM reach GROUP BY node
     """,
     "interval_join": """
         WITH iv AS (SELECT event_id AS iv_id, ts AS lo,
@@ -5589,57 +4526,6 @@ ORACLE_SQL = {
         FROM pts
         WHERE lon >= -30.0 AND lon <= 40.0
           AND lat >= -25.0 AND lat <= 35.0
-    """,
-    "doc_mixture": """
-        WITH n AS (SELECT source, count(*) AS ns
-                   FROM documents GROUP BY source),
-        w AS (SELECT source, ns,
-                     cast(substr(source, 4) AS double) + 1.0 AS wraw
-              FROM n),
-        tot AS (SELECT sum(wraw) AS sw FROM w),
-        cuts AS (SELECT source, ns,
-                        floor(least(1.0, (wraw / sw) * 250.0 / ns)
-                              * 4294967296.0) AS cut
-                 FROM w, tot),
-        kept AS (SELECT d.source, d.doc_id
-                 FROM documents d JOIN cuts c ON d.source = c.source
-                 WHERE (d.doc_id * 2654435761) % 4294967296 < c.cut)
-        SELECT source, count(*) AS n_kept,
-               min(doc_id) AS min_id, max(doc_id) AS max_id
-        FROM kept GROUP BY source
-    """,
-    "doc_perplexity": """
-        WITH tri AS (
-            SELECT doc_id, substr(text, i, 3) AS t3,
-                   substr(text, i, 2) AS t2
-            FROM (SELECT doc_id, text,
-                         unnest(generate_series(
-                             1, greatest(length(text) - 2, 0))) AS i
-                  FROM documents)
-        ),
-        tc AS (SELECT t3, count(*) AS c3 FROM tri GROUP BY t3),
-        bc AS (SELECT t2, count(*) AS c2 FROM tri GROUP BY t2),
-        v AS (
-            SELECT cast(count(DISTINCT substr(text, j, 1)) AS double)
-                       AS vsize
-            FROM (SELECT text,
-                         unnest(generate_series(1, length(text)))
-                             AS j
-                  FROM documents)
-        ),
-        scored AS (
-            SELECT tri.doc_id,
-                   ln((tc.c3 + 1.0) / (bc.c2 + v.vsize)) AS lp
-            FROM tri
-            JOIN tc ON tri.t3 = tc.t3
-            JOIN bc ON tri.t2 = bc.t2, v
-        )
-        SELECT doc_id,
-               count(*) AS n_trigrams,
-               round(avg(lp), 6) AS avg_logprob,
-               round(exp(-avg(lp)), 4) AS ppl
-        FROM scored
-        GROUP BY doc_id
     """,
     "image_exif": """
         SELECT c_custkey,
@@ -5750,17 +4636,6 @@ ORACLE_SQL = {
         SELECT o_orderkey, o_orderpriority FROM orders
         WHERE o_totalprice > 100000 AND (o_orderpriority LIKE '1-%'
               OR o_orderpriority LIKE '2-%') AND o_orderkey % 3 = 0
-    """,
-    "ann_topk": """
-        WITH q AS (SELECT vec_id AS query_id, embedding AS qe
-                   FROM embeddings WHERE vec_id < 8),
-        s AS (SELECT q.query_id, e.vec_id,
-                     row_number() OVER (
-                         PARTITION BY q.query_id
-                         ORDER BY list_cosine_similarity(q.qe, e.embedding)
-                                  DESC, e.vec_id) - 1 AS rank
-              FROM q CROSS JOIN embeddings e)
-        SELECT query_id, rank, vec_id FROM s WHERE rank < 5
     """,
 }
 

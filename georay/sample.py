@@ -1,12 +1,11 @@
-"""Deterministic sampling and dataset splitting — the reproducibility
-primitives a 100 TB training-data pipeline needs: the same row lands in
-the same sample/split on every run, on any cluster size, with no
+"""Deterministic sampling and per-key top-k (SURVEY.md §2.6): the same
+row lands in the same sample on every run, on any cluster size, with no
 coordination (pure function of the key), unlike ``ds.random_sample``.
 
 The hash is Knuth's multiplicative scheme on the key column —
 ``(key * 2654435761) mod 2^32`` — chosen because it is expressible in
 ANSI SQL verbatim, so every sampling decision has a DuckDB oracle.
-For text keys, hash the engine's 64-bit content hash first.
+Text keys go through the 64-bit ``util.hash_strings`` first.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import pyarrow as pa
 
 from .util import hash_strings
 
-__all__ = ["hash_bucket", "hash_sample", "hash_split",
-           "hash_topk_per_key", "weighted_sample"]
+__all__ = ["hash_bucket", "hash_sample", "sample_sql",
+           "hash_topk_per_key", "topk_per_key_sql"]
 
 _KNUTH = 2654435761
 _MOD = 1 << 32
@@ -44,31 +43,6 @@ def hash_sample(ds, key_col: str, fraction: float):
         return batch.filter(pa.array(hash_bucket(k) < cut))
 
     return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def hash_split(ds, key_col: str, weights, names=None):
-    """Deterministic train/val/test split: the hash range is cut at the
-    cumulative ``weights`` and every row is labeled with its split name
-    (added as a ``split`` column).  Filter per split downstream — the
-    assignment never changes as data grows, so yesterday's validation
-    docs can never leak into tomorrow's training set."""
-    w = np.asarray(weights, dtype=np.float64)
-    cuts = np.round(np.cumsum(w / w.sum()) * _MOD).astype(np.uint64)
-    names = list(names) if names is not None else [
-        f"split_{i}" for i in range(len(w))]
-    if len(names) != len(w):
-        raise ValueError("names and weights length mismatch")
-    lut = np.asarray(names, dtype=object)
-
-    def label(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        h = hash_bucket(k).astype(np.uint64)
-        idx = np.searchsorted(cuts, h, side="right")
-        return batch.append_column(
-            "split", pa.array(lut[np.minimum(idx, len(lut) - 1)],
-                              pa.string()))
-
-    return ds.map_batches(label, batch_format="pyarrow")
 
 
 def sample_sql(key_expr: str, fraction: float) -> str:
@@ -104,7 +78,7 @@ def hash_topk_per_key(ds, key_col: str, order_col: str, k: int,
         if (pa.types.is_string(ktype) or pa.types.is_large_string(ktype)
                 or pa.types.is_binary(ktype)):
             # string/binary keys: hash to uint64 first (same route as
-            # compare.add_part / dedup — advisor r3)
+            # compare.add_part)
             key = hash_strings(kcol)
         else:
             key = kcol.to_numpy(zero_copy_only=False)
@@ -137,169 +111,7 @@ def hash_topk_per_key(ds, key_col: str, order_col: str, k: int,
         final, batch_format="pyarrow")
 
 
-def weighted_sample(ds, key_col: str, weight_col: str, n: int):
-    """Deterministic weighted sampling WITHOUT replacement
-    (Efraimidis–Spirakis A-ES, Inf. Process. Lett. 97(5), 2006):
-    every row gets the key ``u^(1/w)`` with ``u`` the Knuth hash of
-    ``key_col`` mapped into (0, 1), and the global top-``n`` keys are
-    the sample — inclusion probability proportional to ``w`` at each
-    draw, reproducible on any cluster size (pure function of the key,
-    like everything in this module).
-
-    Scale shape: per-block score + top-``n`` pre-truncation in
-    ``map_batches`` (at most n rows leave a block), then one tiny
-    global sort+limit.  Rows with ``w <= 0`` or null never sample.
-    Returns (key_col, es_key) — ``weighted_sample_sql`` emits the
-    verbatim-identical DuckDB text."""
-
-    def score(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        w = batch[weight_col].to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        u = (hash_bucket(k).astype(np.float64) + 0.5) / _MOD
-        ok = np.isfinite(w) & (w > 0)
-        es = np.zeros(len(k), np.float64)
-        es[ok] = u[ok] ** (1.0 / w[ok])
-        t = pa.table({key_col: batch[key_col],
-                      "es_key": pa.array(es)}).filter(pa.array(ok))
-        if t.num_rows > n:
-            import pyarrow.compute as pc
-            order = pc.sort_indices(
-                t, sort_keys=[("es_key", "descending"),
-                              (key_col, "ascending")])
-            t = t.take(order[:n])
-        return t
-
-    return (ds.map_batches(score, batch_format="pyarrow")
-              .sort(["es_key", key_col], descending=[True, False])
-              .limit(n))
-
-
-def weighted_sample_sql(key: str, weight: str, n: int) -> str:
-    """The full SELECT computing the identical weighted sample."""
-    return (f"SELECT {key}, POWER((({key} * {_KNUTH}) % {_MOD} + 0.5) "
-            f"/ {_MOD}.0, 1.0 / {weight}) AS es_key FROM documents "
-            f"WHERE {weight} > 0 "
-            f"ORDER BY es_key DESC, {key} LIMIT {n}")
-
-
 def topk_per_key_sql(key: str, order: str, k: int) -> str:
     """ORDER BY clause fragment matching :func:`hash_topk_per_key`."""
     return (f"ROW_NUMBER() OVER (PARTITION BY {key} ORDER BY "
             f"({order} * {_KNUTH}) % {_MOD}, {order}) <= {k}")
-
-
-def weighted_mixture(ds, key_col: str, source_col: str,
-                     weights: dict, total: int):
-    """One-pass deterministic dataset mixing — the training-mixture
-    resampler (sample each source at the rate that hits a target
-    composition, e.g. 30% books / 50% web / 20% code).
-
-    Per source s with N_s rows and normalized weight w_s the keep rate
-    is  p_s = min(1, w_s * total / N_s)  (downsampling only — no
-    replacement), realized as the same coordination-free
-    keep-if-hash-below-cut rule as :func:`hash_sample`, so the drawn
-    rows never churn as other sources grow.  N_s comes from ONE small
-    groupby (bounded by the number of sources); the cut table ships in
-    the filter closure.  Returns (filtered dataset, cuts dict)."""
-    counts = {r[source_col]: r["count()"]
-              for r in ds.groupby(source_col).count().take_all()}
-    sw = float(sum(weights.values()))
-    cuts = {}
-    for s, n in counts.items():
-        w = float(weights.get(s, 0.0))
-        p = min(1.0, (w / sw) * float(total) / float(n)) if n else 0.0
-        cuts[s] = int(np.floor(p * _MOD))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        hb = hash_bucket(k)
-        cut = np.array([cuts.get(s, 0)
-                        for s in batch[source_col].to_pylist()],
-                       dtype=np.int64)
-        return batch.filter(pa.array(hb < cut))
-
-    return ds.map_batches(keep, batch_format="pyarrow"), cuts
-
-
-def epoch_shuffle(ds, key_col: str, seed: int = 0, n_buckets: int = 4096,
-                  num_partitions: int | None = None):
-    """Deterministic GLOBAL shuffle order for a training epoch: every
-    row gets ``epoch_pos`` = its rank under the seeded Knuth hash
-    ``((key + seed) * 2654435761) mod 2^32`` (ties broken by key) — the
-    epoch-k data order of a training loader, reproducible on any
-    cluster size with no shared RNG (change ``seed`` per epoch for a
-    fresh permutation).  Unlike ``ds.random_shuffle`` the order is a
-    pure function of the key, so a resumed run re-derives the exact
-    same schedule.
-
-    Scale shape (same distributed rank as ``text.pack_sequences``): the
-    hash space splits into ``n_buckets`` ORDERED ranges; one tiny
-    groupby-count census (≤ n_buckets rows — the only driver collect)
-    becomes broadcast exclusive offsets, and each hash-partitioned
-    group ranks ALL its buckets in one vectorized lexsort.  No global
-    sort of the data, no ``zipWithIndex`` materialization."""
-    import ray
-
-    width = max(1, _MOD // int(n_buckets))
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    P = int(num_partitions)
-
-    def hashes(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        h = ((k.astype(np.uint64) + np.uint64(seed))
-             * np.uint64(_KNUTH)) % np.uint64(_MOD)
-        bucket = (h // np.uint64(width)).astype(np.int64)
-        return pa.table({key_col: pa.array(k),
-                         "h__": pa.array(h.astype(np.int64)),
-                         "bucket__": pa.array(bucket)})
-
-    slim = ds.map_batches(hashes, batch_format="pyarrow")
-
-    def census(batch: pa.Table) -> pa.Table:
-        ub, n = np.unique(batch["bucket__"].to_numpy(),
-                          return_counts=True)
-        return pa.table({"bucket__": pa.array(ub),
-                         "n__": pa.array(n.astype(np.int64))})
-
-    rows = (slim.map_batches(census, batch_format="pyarrow")
-            .groupby("bucket__").sum("n__").take_all())
-    bk = np.array([r["bucket__"] for r in rows], dtype=np.int64)
-    nn = np.array([r["sum(n__)"] for r in rows], dtype=np.int64)
-    order = np.argsort(bk)
-    bk, nn = bk[order], nn[order]
-    excl = np.concatenate([[0], np.cumsum(nn)[:-1]])
-    offsets_ref = ray.put((bk, excl))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        b = batch["bucket__"].to_numpy().astype(np.uint64)
-        g = (b ^ (b >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        g &= np.uint64(0xFFFFFFFFFFFFFFFF)
-        g ^= g >> np.uint64(31)
-        return batch.append_column(
-            "part__", pa.array((g % np.uint64(P)).astype(np.int64)))
-
-    def rank_part(g: pa.Table) -> pa.Table:
-        bks, excls = ray.get(offsets_ref)
-        b = g["bucket__"].to_numpy()
-        h = g["h__"].to_numpy()
-        k = g[key_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((k, h, b))
-        b, k = b[order], k[order]
-        first = np.ones(len(b), dtype=bool)
-        first[1:] = b[1:] != b[:-1]
-        fidx = np.flatnonzero(first)
-        runlen = np.diff(np.append(fidx, len(b)))
-        base = excls[np.searchsorted(bks, b[fidx])]
-        within = np.arange(len(b), dtype=np.int64) \
-            - np.repeat(fidx, runlen)
-        return pa.table({key_col: pa.array(k),
-                         "epoch_pos": pa.array(
-                             within + np.repeat(base, runlen))})
-
-    return (slim.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part__").map_groups(rank_part,
-                                          batch_format="pyarrow"))

@@ -1,11 +1,14 @@
-"""HyperLogLog approximate-distinct sketch (Flajolet et al. 2007).
+"""HyperLogLog approximate-distinct sketch (Flajolet et al. 2007) and the
+KLL quantile sketch (below).
 
-The classic cardinality sketch for 100-TB pipelines: each block folds
-into a fixed 2^p-byte register array inside ``map_batches`` (one partial
-row per block, never a value shuffle), partials merge by elementwise
-max (associative + commutative — any combine tree is exact), and the
-estimate applies the published bias corrections (harmonic mean with
-alpha_m, linear counting in the small range).  Standard error is
+HLL gives the ``approx_distinct`` column of ``validate.column_profile``
+(query ``data_profile``).  It is the classic cardinality sketch for
+100-TB pipelines: each block folds into a fixed 2^p-byte register array
+inside ``map_batches`` (one partial row per block, never a value
+shuffle), partials merge by elementwise max (associative +
+commutative — any combine tree is exact), and the estimate applies
+the published bias corrections (harmonic mean with alpha_m, linear
+counting in the small range).  Standard error is
 ``1.04/sqrt(2^p)`` — 0.81 % at the default p=14 (16 KiB per sketch).
 
 Reference analog: the reference's SQL dialect reaches exact
@@ -20,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["hll_partial", "hll_merge", "hll_estimate",
-           "approx_distinct", "heavy_hitters"]
+__all__ = ["hll_partial", "hll_merge", "hll_estimate", "KLL",
+           "approx_quantiles"]
 
 
 def _bitlen(x: np.ndarray) -> np.ndarray:
@@ -94,127 +97,6 @@ def hll_estimate(reg: np.ndarray) -> float:
     if e <= 2.5 * m and zeros > 0:
         return float(m * np.log(m / zeros))     # linear counting
     return float(e)
-
-
-def heavy_hitters(ds, col: str, k: int = 10, capacity: int = 4096,
-                  slack: int = 16):
-    """EXACT top-k most frequent values via a Misra-Gries-compressed
-    candidate pass + an exact verify pass — the heavy-hitters op a
-    boilerplate/frequent-ngram scan needs at 100 TB (no full
-    ``groupby(term)`` over the corpus vocabulary).
-
-    Pass 1: each block computes exact value counts (arrow
-    ``value_counts``) and MG-compresses to ``capacity`` entries
-    (subtract the (capacity+1)-th count ``d_b``, keep positives —
-    the classic mergeable summary; a pruned value's true count is
-    ≤ Σ d_b).  The per-value partials sum through one small groupby
-    and only the top ``k+slack`` candidates plus D = Σ d_b survive.
-
-    Pass 2: candidate values broadcast; blocks count ONLY those
-    exactly; top-k by (count desc, value asc).
-
-    Returns (table, certified): ``certified`` is True iff the k-th
-    exact count > D, which PROVES no pruned value could displace the
-    returned top-k (when every block's distinct count fits
-    ``capacity``, D = 0 and the result is unconditionally exact).
-    """
-    import pyarrow.compute as pc
-    import ray
-    from ray.data.aggregate import Sum
-
-    def part(batch: pa.Table) -> pa.Table:
-        col_a = batch[col]
-        if isinstance(col_a, pa.ChunkedArray):
-            col_a = col_a.combine_chunks()
-        vc = pc.value_counts(col_a.drop_null())
-        vals, cnts = vc.field("values"), vc.field("counts").to_numpy()
-        ded = 0
-        if len(cnts) > capacity:
-            order = np.argsort(-cnts, kind="stable")
-            ded = int(cnts[order[capacity]])
-            keep = order[:capacity][cnts[order[:capacity]] > ded]
-            vals = vals.take(pa.array(keep))
-            cnts = cnts[keep] - ded
-        n = len(vals)
-        return pa.table({
-            "v__": vals,
-            "c__": pa.array(cnts.astype(np.int64)),
-            "d__": pa.array(([ded] + [0] * (n - 1)) if n
-                            else [ded], pa.int64())
-        } if n else {
-            "v__": pa.array([None], col_a.type),
-            "c__": pa.array([0], pa.int64()),
-            "d__": pa.array([ded], pa.int64())})
-
-    partials = ds.map_batches(part, batch_format="pyarrow")
-    total_ded = int(partials.aggregate(Sum("d__", alias_name="d"))["d"]
-                    or 0)
-    cand = (partials
-            .map_batches(lambda b: b.filter(pc.is_valid(b["v__"])),
-                         batch_format="pyarrow")
-            .groupby("v__").aggregate(Sum("c__", alias_name="c__"))
-            .sort(["c__", "v__"], descending=[True, False])
-            .limit(k + slack)
-            .take_all())
-    cand_vals = pa.array([r["v__"] for r in cand])
-    ref = ray.put(cand_vals)
-
-    def exact(batch: pa.Table) -> pa.Table:
-        cv = ray.get(ref)
-        col_a = batch[col]
-        if isinstance(col_a, pa.ChunkedArray):
-            col_a = col_a.combine_chunks()
-        col_a = col_a.drop_null()
-        hit = col_a.filter(pc.is_in(col_a, value_set=cv))
-        vc = pc.value_counts(hit)
-        return pa.table({"v__": vc.field("values"),
-                         "c__": pc.cast(vc.field("counts"), pa.int64())})
-
-    top = (ds.map_batches(exact, batch_format="pyarrow")
-             .groupby("v__").aggregate(Sum("c__", alias_name="n"))
-             .sort(["n", "v__"], descending=[True, False])
-             .limit(k)
-             .take_all())
-    table = pa.table({col: pa.array([r["v__"] for r in top]),
-                      "n": pa.array([r["n"] for r in top], pa.int64())})
-    certified = bool(len(top) < k or
-                     (len(top) and top[-1]["n"] > total_ded))
-    return table, certified
-
-
-def approx_distinct(ds, col: str, p: int = 14,
-                    fanin: int = 64) -> float:
-    """Estimated distinct count of ``ds[col]``.
-
-    Block partials → ``fanin`` salted combine groups (so the driver
-    folds ``fanin`` rows, never one per block — at 10^6 blocks the
-    unsalted collect would be 16 GiB of registers) → final merge +
-    estimate."""
-    m = 1 << p
-
-    def partial(batch: pa.Table) -> pa.Table:
-        reg = hll_partial(batch[col], p=p)
-        salt = int(reg.view(np.uint64)[:8].sum()) % fanin
-        return pa.table({"salt__": pa.array([salt], pa.int64()),
-                         "reg__": pa.array([reg.tobytes()],
-                                           pa.binary())})
-
-    def combine(g: pa.Table) -> pa.Table:
-        regs = np.stack([np.frombuffer(b.as_py(), dtype=np.uint8)
-                         for b in g["reg__"]])
-        return pa.table({"reg__": pa.array(
-            [np.maximum.reduce(regs).tobytes()], pa.binary())})
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("salt__")
-              .map_groups(combine, batch_format="pyarrow")
-              .take_all())
-    if not rows:
-        return 0.0
-    reg = np.maximum.reduce(
-        [np.frombuffer(r["reg__"], dtype=np.uint8) for r in rows])
-    assert len(reg) == m
-    return hll_estimate(reg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +216,7 @@ def approx_quantiles(ds, col: str, qs, k: int = 512,
                      fanin: int = 64) -> dict[float, float]:
     """One-pass approximate quantiles of ``ds[col]`` via per-block KLL
     partials → ``fanin`` salted combine groups → driver merge of ≤fanin
-    sketches (same collect discipline as :func:`approx_distinct`)."""
+    sketches (the caller folds ``fanin`` rows, never one per block)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch[col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -363,72 +245,3 @@ def approx_quantiles(ds, col: str, qs, k: int = 512,
         merged.merge(KLL.deserialize(r["sk__"], k))
     return {q: merged.quantile(q) for q in qs}
 
-
-class BloomFilter:
-    """Vectorized Bloom filter over 64-bit hashes (Kirsch-Mitzenmacher
-    double hashing: g_i = h1 + i·h2 mod m, i < k — two hash evaluations
-    give k probe positions with no loss of asymptotic FP rate).
-
-    The membership-at-scale primitive: a broadcast EXACT hash set costs
-    8 bytes/key (80 GB at 10^10 keys); at ``bits_per_key=12`` the
-    filter costs 1.5 bytes/key for a ~0.3 % false-positive rate and
-    ZERO false negatives — the safe direction for decontamination
-    (a false positive drops one extra training doc; a false negative
-    would leak an eval gram)."""
-
-    __slots__ = ("m", "k", "bits")
-
-    def __init__(self, m: int, k: int, bits: np.ndarray | None = None):
-        self.m = int(m)
-        self.k = int(k)
-        self.bits = bits if bits is not None else \
-            np.zeros((self.m + 7) // 8, np.uint8)
-
-    @classmethod
-    def from_hashes(cls, hashes: np.ndarray,
-                    bits_per_key: int = 12) -> "BloomFilter":
-        n = max(1, len(hashes))
-        m = int(n * bits_per_key)
-        k = max(1, int(round(0.6931 * bits_per_key)))
-        bf = cls(m, k)
-        if len(hashes):
-            h1, h2 = bf._probes(hashes)
-            for i in range(k):
-                idx = (h1 + np.uint64(i) * h2) % np.uint64(bf.m)
-                np.bitwise_or.at(
-                    bf.bits, (idx >> np.uint64(3)).astype(np.int64),
-                    (np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8)))
-        return bf
-
-    @staticmethod
-    def _probes(hashes: np.ndarray):
-        h = hashes.astype(np.uint64)
-        z = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z &= np.uint64(0xFFFFFFFFFFFFFFFF)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z &= np.uint64(0xFFFFFFFFFFFFFFFF)
-        h2 = (z ^ (z >> np.uint64(31))) | np.uint64(1)
-        return h, h2
-
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        """Vectorized membership mask (True may be a false positive;
-        False is certain)."""
-        if not len(hashes):
-            return np.zeros(0, bool)
-        h1, h2 = self._probes(np.asarray(hashes))
-        out = np.ones(len(h1), bool)
-        for i in range(self.k):
-            idx = (h1 + np.uint64(i) * h2) % np.uint64(self.m)
-            byte = self.bits[(idx >> np.uint64(3)).astype(np.int64)]
-            out &= (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1 > 0
-        return out
-
-    def serialize(self) -> bytes:
-        import struct
-        return struct.pack("<qq", self.m, self.k) + self.bits.tobytes()
-
-    @classmethod
-    def deserialize(cls, buf: bytes) -> "BloomFilter":
-        import struct
-        m, k = struct.unpack_from("<qq", buf, 0)
-        return cls(m, k, np.frombuffer(buf, np.uint8, offset=16).copy())

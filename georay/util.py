@@ -1,40 +1,11 @@
-"""Small shared helpers: stage sizing, process tuning, zero-copy Arrow
-column extraction, vectorized content hashing."""
+"""Small shared helpers: stage sizing, process tuning, vectorized string
+hashing."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_concurrency", "tune_malloc", "fsl_to_numpy",
-           "hash_strings", "popcount64"]
-
-
-def fsl_to_numpy(col, dtype=np.float64) -> np.ndarray:
-    """Zero-copy ``fixed_size_list`` (or list) column → ``(n, d)`` numpy.
-
-    Replaces ``np.array(col.to_pylist())`` in hot paths: ``to_pylist``
-    materializes one Python object per element; ``flatten().to_numpy()``
-    reads the values buffer directly."""
-    import pyarrow as pa
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    if n == 0:
-        return np.empty((0, 0), dtype=dtype)
-    if col.null_count:
-        raise ValueError(
-            f"fsl_to_numpy: column has {col.null_count} null rows — "
-            "filter or fill nulls before converting to a matrix")
-    flat = col.flatten()
-    vals = flat.to_numpy(zero_copy_only=False)
-    d, rem = divmod(len(vals), n)
-    if rem or (not pa.types.is_fixed_size_list(col.type)
-               and n > 1
-               and len(np.unique(np.diff(col.offsets.to_numpy()))) > 1):
-        raise ValueError(
-            "fsl_to_numpy: ragged list column (row lengths differ) — "
-            "a reshape would silently scramble rows")
-    return np.ascontiguousarray(vals.reshape(n, d)).astype(dtype, copy=False)
+__all__ = ["default_concurrency", "tune_malloc", "hash_strings"]
 
 
 _HASH_P = np.uint64(1099511628211)  # FNV prime as the polynomial base
@@ -105,20 +76,6 @@ def hash_strings(col) -> np.ndarray:
     if nz.any():
         sums[nz] = np.add.reduceat(terms, rel_starts[nz])
     return sums
-
-
-def popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized SWAR popcount of a uint64 array (no per-element
-    ``bin(int(v)).count``)."""
-    x = x.astype(np.uint64, copy=True)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x -= (x >> np.uint64(1)) & m1
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)
 
 
 def tune_malloc(threshold: int = 1 << 30) -> None:

@@ -1070,6 +1070,8 @@ def webp_info(data: bytes) -> dict:
         elif tag == "ALPH":
             out["alpha_bytes"] = sz
         pos += 8 + sz + (sz & 1)       # chunks are 2-byte aligned
+    if 0 < n - pos < 8:
+        raise ValueError("truncated WebP chunk header")
     if "codec" not in out:
         out["codec"] = "VP8X" if "VP8X" in out["chunks"] else None
     return out

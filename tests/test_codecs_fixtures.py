@@ -52,23 +52,23 @@ def test_truncated_payload_raises_value_error(keep):
     assert len(classes) == 16
 
 
-def test_lossy_is_actually_lossy_but_over_40db():
-    arr = fx.pattern(11, 64, 64)
-    dec = cd.lossy_decode(cd.lossy_encode(arr))
-    assert not np.array_equal(dec, arr)  # genuinely lossy
-    assert cd.psnr(arr, dec) >= 40.0  # the BASELINE gate
-
-
 def test_psnr_identical_inf():
     a = fx.pattern(1, 16, 16)
     assert cd.psnr(a, a) == float("inf")
 
 
 def test_phash_properties():
-    a = fx.pattern(5, 64, 64)
+    from georay.jpeg import jpeg_encode
+    # a smooth, non-separable image: fx.pattern is a gradient + 4-px
+    # checker (separable), which leaves most low-frequency DCT terms near
+    # the median, where any coding noise flips their bits
+    y, x = np.mgrid[0:64, 0:64]
+    g = (128 + 100 * np.sin(np.hypot(x - 20, y - 30) / 6)).round()
+    a = np.dstack([g.astype(np.uint8)] * 3)
     assert cd.phash64(a) == cd.phash64(a)
-    # lossy-decoded version stays within small hamming distance
-    lossy = cd.lossy_decode(cd.lossy_encode(a))
+    # a real q95 JPEG round trip is lossy but moves few phash bits
+    lossy = cd.decode_image(jpeg_encode(a, quality=95), "jpeg")
+    assert not np.array_equal(lossy, a)
     ha, hb = int(cd.phash64(a)), int(cd.phash64(lossy))
     ham = bin((ha ^ hb) & ((1 << 64) - 1)).count("1")
     assert ham <= 4
@@ -370,3 +370,12 @@ def test_webp_info_truncated_raises_valueerror():
     riff2 = b"RIFF" + struct.pack("<I", 4 + len(chunk2)) + b"WEBP" + chunk2
     with pytest.raises(ValueError):
         webp_info(riff2)
+
+
+@pytest.mark.parametrize("tail", [b"E", b"EXIF", b"EXIF\x00\x00\x00"])
+def test_webp_info_truncated_trailing_chunk_header_raises(tail):
+    from georay.webp import webp_encode, webp_info
+    data = webp_encode(fx.pattern(2, 8, 8))
+    webp_info(data)  # the intact file parses
+    with pytest.raises(ValueError, match="truncated WebP chunk header"):
+        webp_info(data + tail)

@@ -1,80 +1,32 @@
-"""Distributed connected components (georay.dedup.connected_components
-— the near-dup cluster step): exact equality with a union-find oracle
-over chains, cliques and random graphs."""
+"""Exact dedup (georay.dedup.exact_dedup): first row per key group."""
 
-def test_connected_components_hash_to_min(ray_session):
-    """Chain (worst-case diameter), cliques, singleton-pair, random
-    graph vs a driver-side union-find oracle."""
-    import numpy as np
-    import pyarrow as pa
+import numpy as np
+import pyarrow as pa
+
+
+def _docs_table():
+    base = [
+        "the quick brown fox jumps over the lazy dog and runs away fast",
+        "the quick brown fox jumps over the lazy dog and runs away quick",
+        "completely different content about harbors ships and the open sea",
+        "der hund und die katze sind nicht ein gutes team mit der maus",
+        "le chat et le chien sont dans la maison avec les enfants",
+        "numbers 12345 and symbols !!! ??? ,,, everywhere 67890 chaos !!!",
+    ]
+    # add an exact duplicate of doc 0
+    texts = base + [base[0]]
+    return pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+
+def test_exact_dedup_keeps_first_per_key(ray_session):
     import ray
-    from georay.dedup import connected_components
-    pairs = pa.table({"id_a": [1, 2, 3, 10, 11, 12, 20, 5],
-                      "id_b": [0, 1, 2, 11, 12, 10, 21, 5]})
-    out = connected_components(ray.data.from_arrow(pairs)) \
-        .to_pandas().sort_values("node")
-    assert out.set_index("node")["comp"].to_dict() == {
-        0: 0, 1: 0, 2: 0, 3: 0, 5: 5, 10: 10, 11: 10, 12: 10,
-        20: 20, 21: 20}
-    # 99-edge chain: diameter stress for the O(log d) contraction
-    chain = pa.table({"id_a": list(range(100, 199)),
-                      "id_b": list(range(101, 200))})
-    out2 = connected_components(ray.data.from_arrow(chain)).to_pandas()
-    assert set(out2["comp"]) == {100} and len(out2) == 100
-    # random graph vs union-find
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 400, 300)
-    b = rng.integers(0, 400, 300)
-    parent = list(range(401))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in zip(a.tolist(), b.tolist()):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    want = {}
-    for x in set(a.tolist()) | set(b.tolist()):
-        want[x] = find(x)
-    # canonicalize union-find roots to component minima
-    comp_min = {}
-    for x, r in want.items():
-        comp_min[r] = min(comp_min.get(r, x), x)
-    want = {x: comp_min[r] for x, r in want.items()}
-    got = connected_components(ray.data.from_arrow(pa.table({
-        "id_a": pa.array(a), "id_b": pa.array(b)}))).to_pandas()
-    assert got.set_index("node")["comp"].to_dict() == want
-
-
-def test_hamming_pairs_generic_hash_column(ray_session):
-    """hamming_pairs (the LSH core shared by SimHash and pHash
-    near-dup): planted pairs at hamming 0/1/3 recalled exactly with
-    n_blocks=4 (pigeonhole bound ≤3); hamming-4 pair excluded; string
-    ids exercise the hash_strings partition route."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from georay.dedup import hamming_pairs
-    rng = np.random.default_rng(3)
-    base = rng.integers(0, 2**63, size=40, dtype=np.int64)
-    h = list(base)
-    # pair at hamming 0, 1, 3 and one at 4 (must NOT match)
-    h.append(h[0])                      # ham 0 vs idx 0
-    h.append(h[1] ^ (1 << 7))           # ham 1 vs idx 1
-    h.append(h[2] ^ 0b10101)            # ham 3 vs idx 2
-    h.append(h[3] ^ 0b1111)             # ham 4 vs idx 3 — excluded
-    ids = [f"im{i:03d}" for i in range(len(h))]
-    t = pa.table({"image_id": ids, "phash": pa.array(h, pa.int64())})
-    pairs = hamming_pairs(ray.data.from_arrow(t), "image_id", "phash",
-                          max_hamming=3, n_blocks=4)
-    got = {(r["id_a"], r["id_b"], r["hamming"])
-           for r in pairs.take_all()}
-    want_members = {frozenset(("im000", "im040")): 0,
-                    frozenset(("im001", "im041")): 1,
-                    frozenset(("im002", "im042")): 3}
-    assert {frozenset((a, b)): d for a, b, d in got} == want_members
+    from georay.dedup import exact_dedup
+    from georay.util import hash_strings
+    t = _docs_table()
+    t = t.append_column("content_hash",
+                        pa.array(hash_strings(t["text"]).view(np.int64)))
+    out = exact_dedup(ray.data.from_arrow(t), "content_hash",
+                      "doc_id").to_pandas()
+    assert len(out) == 6  # 7 rows, one exact dup
+    assert 0 in out["doc_id"].values and 6 not in out["doc_id"].values

@@ -251,6 +251,13 @@ def test_irreversible_marker_fields():
     assert back.shape == g.shape
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_irreversible_rejects_nonpositive_step(step):
+    g = np.zeros((8, 8), np.uint8)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        jp2.j2k_encode(g, reversible=False, step=step)
+
+
 def test_irreversible_gray_odd_and_uint16():
     g = (np.add.outer(np.arange(61), np.arange(47)) % 251).astype(np.uint8)
     back = jp2.j2k_decode(jp2.j2k_encode(g, reversible=False, step=0.5))

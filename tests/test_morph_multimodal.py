@@ -1,10 +1,9 @@
-"""Sieve / proximity / fill-nodata kernels + multimodal stub plumbing."""
+"""Sieve / proximity / fill-nodata kernels and their tiled operators."""
 
 import numpy as np
 import pytest
 
 from georay import morph as M
-from georay import multimodal as MM
 
 
 def test_sieve_filter():
@@ -51,50 +50,6 @@ def test_fill_nodata():
     assert 20 < filled[4, 4] < 60
 
 
-def test_audio_features_stage(ray_session):
-    import ray
-    t = MM.audio_table(12)
-    ds = ray.data.from_arrow(t)
-    out = ds.map_batches(MM.AudioFeatures, batch_format="pyarrow",
-                         concurrency=2).to_pandas()
-    assert len(out) == 12
-    dec = out[out["decoded"]]
-    stub = out[~out["decoded"]]
-    # wav/pcm16/mulaw/flac decode for REAL; only the opus stub (i%5==4,
-    # i.e. rows 4 and 9 of 12) stays undecoded
-    assert len(dec) == 10 and len(stub) == 2
-    assert (dec["rms"] > 0).all()
-    # dominant frequency lands near the synthesized fundamental (110*(1+i%13))
-    row0 = out[out["audio_id"] == "aud000000"].iloc[0]
-    assert abs(row0["dominant_hz"] - 110.0) < 32
-
-
-def test_audio_stub_raises_direct():
-    feat = MM.AudioFeatures()
-    with pytest.raises(NotImplementedError):
-        feat._decode(b"\x00" * 16, "opus")
-
-
-def test_video_frame_sampler(ray_session):
-    import ray
-    t = MM.video_table(6, frames=8)
-    ds = ray.data.from_arrow(t)
-    out = ds.map_batches(MM.VideoFrameSampler, batch_format="pyarrow",
-                         concurrency=2,
-                         fn_constructor_kwargs=dict(every_k=4)).to_pandas()
-    # codecs cycle rawrgb/mjpeg/h264: 4 decodable videos × frames {0, 4}
-    assert len(out) == 8
-    assert sorted(out["frame"].unique().tolist()) == [0, 4]
-    assert (out["frame_checksum"] >= 0).all()
-
-
-def test_pcm_roundtrip():
-    sig = np.sin(np.linspace(0, 10, 1000))
-    dec, rate = MM.fake_pcm_decode(MM.fake_pcm_encode(sig, 8000))
-    assert rate == 8000
-    assert np.allclose(dec, sig, atol=1e-4)
-
-
 def test_proximity_tiles_matches_unsplit():
     """Cross-tile proximity (border-seed relax with nearest-site coords)
     equals the unsplit exact EDT — including tiles with NO local targets
@@ -133,100 +88,6 @@ def test_sieve_tiles_matches_unsplit():
     for (ox, oy), t in got.items():
         h, w = t.shape
         assert np.array_equal(t, ref[oy:oy + h, ox:ox + w])
-
-
-def test_wav_roundtrip_and_chunk_walk():
-    import numpy as np
-    import struct
-    from georay.multimodal import wav_decode, wav_encode
-    t = np.arange(4000) / 16000.0
-    sig = 0.5 * np.sin(2 * np.pi * 440 * t)
-    data = wav_encode(sig, 16000)
-    assert data[:4] == b"RIFF" and data[8:12] == b"WAVE"
-    dec, rate = wav_decode(data)
-    assert rate == 16000
-    assert np.abs(dec - sig).max() < 1.0 / 32000
-    # stereo 16-bit with an extra chunk before data -> mono average
-    s16 = np.stack([np.ones(100), -np.ones(100)], axis=1)
-    inter = np.clip(s16 * 32767, -32768, 32767).astype("<i2").tobytes()
-    body = (b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 32000, 4, 16)
-            + b"LIST" + struct.pack("<I", 4) + b"INFO"
-            + b"data" + struct.pack("<I", len(inter)) + inter)
-    data2 = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    dec2, rate2 = wav_decode(data2)
-    assert rate2 == 8000 and len(dec2) == 100
-    assert np.abs(dec2).max() < 1e-4  # L/R cancel
-
-
-def test_wav_extended_sample_formats():
-    """24/32-bit integer PCM and IEEE-float WAVE decode (the full
-    uncompressed WAV surface beyond the encoder's own 16-bit)."""
-    import struct
-
-    import numpy as np
-    from georay.multimodal import wav_decode
-
-    def wav(fmt, bits, body, n_ch=1, rate=8000):
-        block = n_ch * bits // 8
-        f = struct.pack("<HHIIHH", fmt, n_ch, rate, rate * block,
-                        block, bits)
-        return (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-                + b"fmt " + struct.pack("<I", 16) + f
-                + b"data" + struct.pack("<I", len(body)) + body)
-
-    t = np.linspace(0, 1, 800)
-    s = np.sin(2 * np.pi * 5 * t)
-    i24 = np.round(s * 8388607).astype(np.int32)
-    b24 = b"".join(int(v & 0xFFFFFF).to_bytes(3, "little") for v in i24)
-    a, r = wav_decode(wav(1, 24, b24))
-    assert r == 8000 and np.abs(a - s).max() < 1e-6
-    i32 = np.round(s * 2147483647).astype(np.int64).astype(np.int32)
-    a, _ = wav_decode(wav(1, 32, i32.astype("<i4").tobytes()))
-    assert np.abs(a - s).max() < 1e-9
-    a, _ = wav_decode(wav(3, 32, s.astype("<f4").tobytes()))
-    assert np.abs(a - s).max() < 1e-6
-    a, _ = wav_decode(wav(3, 64, s.astype("<f8").tobytes()))
-    assert np.abs(a - s).max() == 0.0
-    import pytest
-    with pytest.raises(NotImplementedError):
-        wav_decode(wav(3, 16, s[:10].astype("<f4").tobytes()[:20]))
-
-
-def test_mulaw_lossy_but_high_snr():
-    import numpy as np
-    from georay.multimodal import mulaw_decode, mulaw_encode
-    t = np.arange(4000) / 16000.0
-    sig = 0.4 * np.sin(2 * np.pi * 220 * t)
-    dec, rate = mulaw_decode(mulaw_encode(sig, 16000))
-    assert rate == 16000
-    assert not np.array_equal(dec, sig)  # genuinely lossy
-    snr = 10 * np.log10(np.mean(sig ** 2) / np.mean((dec - sig) ** 2))
-    assert snr > 30.0
-
-
-def test_mel_spectrogram_stage(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray
-    from georay.multimodal import MelSpectrogram, wav_encode
-    rows = []
-    for i, f0 in enumerate((220.0, 1760.0)):
-        t = np.arange(8000) / 16000.0
-        rows.append((f"a{i}", wav_encode(0.5 * np.sin(2 * np.pi * f0 * t),
-                                         16000), "wav"))
-    rows.append(("a2", b"\x00" * 32, "opus"))  # stub codec -> undecoded
-    tb = pa.table({
-        "audio_id": pa.array([r[0] for r in rows]),
-        "bytes": pa.array([r[1] for r in rows], pa.binary()),
-        "codec": pa.array([r[2] for r in rows]),
-    })
-    out = ray.data.from_arrow(tb).map_batches(
-        MelSpectrogram, batch_format="pyarrow", concurrency=2).to_pandas()
-    assert out["decoded"].tolist() == [True, True, False]
-    m0 = np.array(out["mel_mean"][0])
-    m1 = np.array(out["mel_mean"][1])
-    # energy centroid moves up with frequency
-    assert np.argmax(m0) < np.argmax(m1)
 
 
 def _tiles_dataset(band, tile, dtype=None):
@@ -329,168 +190,3 @@ def test_dem_tiled_matches_unsplit(ray_session):
             assert np.allclose(got, want), mode
 
 
-def test_augment_audio_deterministic(ray_session):
-    import numpy as np
-    import ray
-
-    from georay.multimodal import (AugmentAudio, audio_table, decode_audio)
-
-    t = audio_table(24)
-    ds = ray.data.from_arrow(t)
-    a = (ds.map_batches(AugmentAudio(seed=3), batch_format="pyarrow")
-         .to_pandas().sort_values("audio_id").reset_index(drop=True))
-    b = (ds.map_batches(AugmentAudio(seed=3), batch_format="pyarrow")
-         .to_pandas().sort_values("audio_id").reset_index(drop=True))
-    assert (a["bytes"] == b["bytes"]).all()
-    dec = a["aug_gain"].notna()          # stub codecs pass through
-    assert (a.loc[dec, "codec"] == "wav").all()
-    assert dec.sum() >= len(a) * 0.5
-    c = (ds.map_batches(AugmentAudio(seed=4), batch_format="pyarrow")
-         .to_pandas().sort_values("audio_id").reset_index(drop=True))
-    assert (a.loc[dec, "bytes"] != c.loc[dec, "bytes"]).mean() > 0.9
-    # audited params really were applied: energy scales with gain
-    row = a[dec].iloc[0]
-    orig = t.to_pandas().set_index("audio_id").loc[row["audio_id"]]
-    s0, r0 = decode_audio(orig["bytes"], orig["codec"])
-    s1, _ = decode_audio(row["bytes"], "wav")
-    assert len(s1) == len(s0)
-    rms0 = float(np.sqrt((s0.astype(np.float64) ** 2).mean()))
-    rms1 = float(np.sqrt((s1.astype(np.float64) ** 2).mean()))
-    # gain dominates (noise_amp is tiny); allow clip/quantization slack
-    assert abs(rms1 / max(rms0, 1e-9) - row["aug_gain"]) < 0.15
-
-
-def test_augment_video_deterministic(ray_session):
-    import numpy as np
-    import ray
-
-    from georay.multimodal import AugmentVideo, video_table
-
-    t = video_table(20)
-    ds = ray.data.from_arrow(t)
-    a = (ds.map_batches(AugmentVideo(seed=5, keep_frac=0.5),
-                        batch_format="pyarrow")
-         .to_pandas().sort_values("video_id").reset_index(drop=True))
-    b = (ds.map_batches(AugmentVideo(seed=5, keep_frac=0.5),
-                        batch_format="pyarrow")
-         .to_pandas().sort_values("video_id").reset_index(drop=True))
-    assert (a["bytes"] == b["bytes"]).all()
-    dec = a["aug_t0"].notna()
-    # rawrgb (7 of 20) + mjpeg (7) augment; h264 stubs (6) pass through
-    assert dec.sum() == 14
-    # verify the math of one row against the audit params
-    r = a[dec].iloc[0]
-    orig = t.to_pandas().set_index("video_id").loc[r["video_id"]]
-    F, H, W = orig["n_frames"], orig["h"], orig["w"]
-    vid = np.frombuffer(orig["bytes"], np.uint8).reshape(F, H, W, 3)
-    sel = vid[int(r["aug_t0"]):int(r["aug_t0"]) + F // 2:
-              int(r["aug_stride"])]
-    if r["aug_flip"]:
-        sel = sel[:, :, ::-1]
-    assert r["n_frames"] == sel.shape[0]
-    assert np.frombuffer(r["bytes"], np.uint8).reshape(
-        sel.shape).tolist() == sel.tolist()
-    # stub rows untouched
-    stub = a[~dec].iloc[0]
-    so = t.to_pandas().set_index("video_id").loc[stub["video_id"]]
-    assert stub["bytes"] == so["bytes"] and stub["n_frames"] == so["n_frames"]
-
-
-def test_mjpeg_roundtrip_quality():
-    """Motion-JPEG through the from-scratch JPEG codec: marker-walk
-    frame splitting is exact, and per-frame PSNR ≥ 30 dB on the
-    synthetic ramp (lossy, 4:4:4 baseline)."""
-    import numpy as np
-    from georay.multimodal import mjpeg_decode, mjpeg_encode
-    rng = np.random.RandomState(11)
-    frames = ((np.arange(6 * 24 * 32 * 3) * 13) % 251).astype(np.uint8)\
-        .reshape(6, 24, 32, 3)
-    data = mjpeg_encode(frames)
-    got = mjpeg_decode(data, 6)
-    assert got.shape == frames.shape
-    err = (got.astype(np.float64) - frames) ** 2
-    psnr = 10 * np.log10(255.0 ** 2 / max(err.mean(), 1e-12))
-    assert psnr >= 30.0, psnr
-    # frame boundaries are exact: decoding frame k alone matches
-    from georay.multimodal import _jpeg_end
-    pos = _jpeg_end(bytes(data), 0)
-    assert bytes(data)[:2] == b"\xff\xd8" and \
-        bytes(data)[pos:pos + 2] == b"\xff\xd8"
-
-
-def test_audio_resample_stage():
-    """AudioResample: windowed-sinc rate conversion — tone survives at
-    >=60 dB SNR in both directions, aliasing components are suppressed,
-    stub codecs pass through untouched."""
-    import pyarrow as pa
-    from georay.multimodal import AudioResample, wav_decode, wav_encode
-
-    def sine(f, rate, secs=0.5, amp=0.4):
-        t = np.arange(int(rate * secs)) / rate
-        return amp * np.sin(2 * np.pi * f * t)
-
-    for rin, rout in [(16000, 8000), (8000, 16000), (16000, 12000)]:
-        b = pa.table({"audio_id": ["a"],
-                      "bytes": pa.array([wav_encode(sine(440, rin), rin)],
-                                        pa.binary()),
-                      "codec": ["wav"]})
-        out = AudioResample(rout)(b)
-        y, r2 = wav_decode(out["bytes"][0].as_py())
-        assert r2 == rout
-        assert out["orig_rate"][0].as_py() == rin
-        assert len(y) == int(round(0.5 * rout))
-        ti = np.arange(len(y)) / rout
-        ideal = 0.4 * np.sin(2 * np.pi * 440 * ti)
-        m = slice(60, len(y) - 60)
-        err = y[m] - ideal[m]
-        snr = 10 * np.log10((ideal[m] ** 2).mean() / (err ** 2).mean())
-        assert snr >= 60.0, (rin, rout, snr)
-    # anti-alias: a 5 kHz tone cannot survive a 16k->8k conversion
-    b = pa.table({"audio_id": ["hf"],
-                  "bytes": pa.array([wav_encode(sine(5000, 16000), 16000)],
-                                    pa.binary()),
-                  "codec": ["wav"]})
-    y, _ = wav_decode(AudioResample(8000)(b)["bytes"][0].as_py())
-    assert np.sqrt((y[60:-60] ** 2).mean()) < 0.02   # vs 0.28 input RMS
-    # stub codec passthrough with null audit
-    b = pa.table({"audio_id": ["s"], "bytes": pa.array([b"zz"], pa.binary()),
-                  "codec": ["opus"]})
-    out = AudioResample(8000)(b)
-    assert out["codec"][0].as_py() == "opus"
-    assert out["orig_rate"][0].as_py() is None
-
-
-def test_scene_detect_stage():
-    """SceneDetect: histogram-cut shot boundaries — planted abrupt
-    content changes are found exactly; a static clip is one scene;
-    mjpeg decodes through the real codec; stubs emit no rows."""
-    import pyarrow as pa
-    from georay.multimodal import SceneDetect, mjpeg_encode
-
-    h, w = 16, 16
-    dark = np.full((h, w, 3), 20, np.uint8)
-    light = np.full((h, w, 3), 220, np.uint8)
-    mid = np.full((h, w, 3), 120, np.uint8)
-    clip = np.stack([dark, dark, dark, light, light, mid, mid, mid])
-
-    def row(vid, codec, payload, nf):
-        return pa.table({"video_id": [vid],
-                         "bytes": pa.array([payload], pa.binary()),
-                         "w": pa.array([w], pa.int32()),
-                         "h": pa.array([h], pa.int32()),
-                         "n_frames": pa.array([nf], pa.int32()),
-                         "codec": [codec]})
-
-    st = SceneDetect(threshold=0.5)
-    out = st(row("v0", "rawrgb", clip.tobytes(), 8))
-    assert out["scene"].to_pylist() == [0, 1, 2]
-    assert out["start_frame"].to_pylist() == [0, 3, 5]
-    assert out["n_frames"].to_pylist() == [3, 2, 3]
-    # static clip: one scene covering everything
-    out = st(row("v1", "rawrgb", np.repeat(mid[None], 6, 0).tobytes(), 6))
-    assert out["n_frames"].to_pylist() == [6]
-    # the same planted cuts survive the mjpeg encode/decode roundtrip
-    out = st(row("v2", "mjpeg", mjpeg_encode(clip), 8))
-    assert out["start_frame"].to_pylist() == [0, 3, 5]
-    # stub codec: no rows
-    assert st(row("v3", "h264", b"x", 4)).num_rows == 0

@@ -4,14 +4,15 @@ at sf0.001 and compare row count + order-insensitive values against its
 compared exactly)."""
 
 import math
+import os
 
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-TABLES = ("region nation customer supplier part orders lineitem events "
-          "documents embeddings").split()
+TABLES = "region nation customer supplier part orders lineitem events".split()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _to_pandas(res) -> pd.DataFrame:
@@ -63,7 +64,7 @@ def ducks(sf_dir):
 
 def _oracle_names():
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as e
     return sorted(e.oracle_sql().keys())
 
@@ -102,48 +103,34 @@ def test_entry_image_queries(ray_session, sf_dir):
     assert df2["n_copies"].max() >= 2  # the every-97th-row dup group
 
 
+def _verified_in_records():
+    """Queries with a green gate row (rows, schema and value hash all
+    matching, no error) in any committed CORRECTNESS_r*.json."""
+    import glob
+    import json
+    green = set()
+    for path in glob.glob(os.path.join(ROOT, "CORRECTNESS_r*.json")):
+        with open(path) as f:
+            for name, row in json.load(f).items():
+                if (row.get("rows_match") and row.get("schema_match")
+                        and row.get("hash_match") and not row.get("err")):
+                    green.add(name)
+    return green
+
+
 def test_driver_window_covers_unverified_queries():
-    """The driver runs exactly the FIRST 50 entries of queries() (r3
-    evidence; unchanged through r4).  Window policy: every ORACLE-BACKED
-    query with no driver-verified row in any committed CORRECTNESS
-    snapshot (r1..r4) must sit inside the window — a query may rotate
-    behind only after a green driver row (e.g. the four r4-green
-    anchors rotated behind in r5).  The set below is a conservative
-    SUPERSET: several members earned green r4 rows but stay pinned
-    in-window because their implementations changed since, or simply
-    as extra coverage — pinning verified queries is harmless, dropping
-    unverified ones is what this test prevents.  Rows-only queries may sit behind it — the
-    driver check for them is row-count only, which the in-repo tests
-    pin harder — except the flagship anchor, which always rides along."""
+    """The correctness gate runs exactly the FIRST 50 entries of
+    queries().  Every ORACLE-BACKED query with no green row in any
+    committed CORRECTNESS snapshot must sit inside that window; a query
+    may rotate behind only after a green row.  Rows-only queries may sit
+    behind it — the gate's check for them is row-count only, which the
+    in-repo tests pin harder — except the flagship anchor, which always
+    rides along."""
     from georay.queries import QUERIES, ORACLE_SQL as ORACLES
 
     window = list(QUERIES)[:50]
-    never_verified = {
-        "zonal_stats_rect",
-        "dem_hillshade_plane", "sql_window_frame", "sql_in_subquery",
-        "sql_scalar_corr", "interval_join", "dedup_clusters", "doc_split",
-        "geom_measures", "fgb_zone_join",
-        "sample_per_key", "sql_exists", "zarr_density", "doc_chunks",
-        "gpkg_zone_join", "sql_q3", "lineref_mileposts", "augment_images",
-        "icosa_multires",
-        # green in r2 but absent from the r3 snapshot
-        "asof_join", "hilbert_sort", "overlay_intersection",
-        "quantity_stats", "clip_zones",
-        "footprint_images", "raster_stats",
-        # the one r3 FAIL (fixed in a452984) — must re-verify
-        "sql_filter_group",
-        # NOTE r5: overlay_identity/overlay_update/sessions/
-        # sliding_windows earned green rows in CORRECTNESS_r04 and were
-        # rotated BEHIND the window to make room for the round-5
-        # queries below; curve_measures stays in-window because its
-        # schema changed (new arc-exact curve_area column)
-        "curve_measures",
-        # new in r5 — no driver row in any prior round
-        "knn_partitioned", "crs_project_lcc", "crs_project_albers",
-        "grid_linear_plane",
-    }
-    must_be_in = {q for q in never_verified if q in ORACLES}
-    missing = must_be_in - set(window)
+    never_verified = set(ORACLES) - _verified_in_records()
+    missing = never_verified - set(window)
     assert not missing, f"driver window drops unverified queries: {missing}"
     assert "flagship_join_images" in window
     # no window slot may be wasted on a rows-only query (flagship aside)

@@ -1,11 +1,10 @@
-"""Deterministic hash sampling/splitting (georay/sample.py)."""
+"""Deterministic hash sampling and per-key top-k (georay/sample.py)."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
-from georay.sample import hash_bucket, hash_sample, hash_split, sample_sql
+from georay.sample import hash_bucket, hash_sample, sample_sql
 
 
 def test_hash_bucket_matches_sql_arithmetic():
@@ -27,30 +26,6 @@ def test_hash_sample_fraction_and_nesting(ray_session):
     assert a <= b
     assert abs(len(b) / n - 0.5) < 0.02
     assert abs(len(a) / n - 0.05) < 0.01
-
-
-def test_hash_split_deterministic_and_complete(ray_session):
-    import ray
-    n = 5_000
-    tbl = pa.table({"k": np.arange(n, dtype=np.int64)})
-    ds = ray.data.from_arrow(tbl)
-    out = hash_split(ds, "k", [0.8, 0.1, 0.1],
-                     ["train", "val", "test"]).to_pandas()
-    assert len(out) == n  # every row labeled, none dropped
-    counts = out["split"].value_counts()
-    assert abs(counts["train"] / n - 0.8) < 0.03
-    # Rerun on a differently-blocked dataset: identical assignment.
-    ds2 = ray.data.from_arrow(tbl).repartition(7)
-    out2 = hash_split(ds2, "k", [0.8, 0.1, 0.1],
-                      ["train", "val", "test"]).to_pandas()
-    m1 = dict(zip(out["k"], out["split"]))
-    m2 = dict(zip(out2["k"], out2["split"]))
-    assert m1 == m2
-
-
-def test_hash_split_rejects_mismatched_names():
-    with pytest.raises(ValueError):
-        hash_split(None, "k", [0.5, 0.5], ["only_one"])
 
 
 def test_sample_sql_clause_matches_kernel():
@@ -125,90 +100,3 @@ def test_hash_topk_per_key_string_keys(ray_session):
     assert a.equals(b)
 
 
-def test_weighted_sample_vs_duckdb_and_proportionality(ray_session):
-    """A-ES keys match the verbatim SQL; heavier rows actually sample
-    more often (rough proportionality over many disjoint draws)."""
-    import duckdb
-    import ray
-    from georay.sample import weighted_sample, weighted_sample_sql
-    rng = np.random.default_rng(8)
-    df = pd.DataFrame({"doc_id": np.arange(4000, dtype=np.int64),
-                       "n_chars": rng.integers(1, 100, 4000)})
-    got = weighted_sample(ray.data.from_pandas(df),
-                          "doc_id", "n_chars", 200).to_pandas()
-    con = duckdb.connect()
-    con.register("documents", df)
-    want = con.execute(
-        weighted_sample_sql("doc_id", "n_chars", 200)).fetchdf()
-    assert list(got["doc_id"]) == list(want["doc_id"])
-    np.testing.assert_allclose(got["es_key"], want["es_key"], atol=1e-12)
-    # proportionality: the mean weight of sampled rows must exceed the
-    # population mean (heavier rows are preferred)
-    sampled_w = df.set_index("doc_id").loc[got["doc_id"], "n_chars"]
-    assert sampled_w.mean() > 1.2 * df["n_chars"].mean()
-    # zero/negative weights never sample
-    df2 = df.copy()
-    df2.loc[df2.index < 3990, "n_chars"] = 0
-    got2 = weighted_sample(ray.data.from_pandas(df2),
-                           "doc_id", "n_chars", 50).to_pandas()
-    assert set(got2["doc_id"]) <= set(range(3990, 4000))
-
-
-def test_weighted_mixture(ray_session):
-    """weighted_mixture: per-source keep rates hit the target
-    composition; rates clamp at 1; drawn rows are a deterministic
-    subset rule (re-running yields identical rows)."""
-    import ray
-
-    from georay.sample import hash_bucket, weighted_mixture
-
-    ids = np.arange(1, 1201)
-    src = np.where(ids <= 1000, "big", "small")
-    t = pa.table({"doc_id": pa.array(ids), "source": pa.array(src)})
-    ds = ray.data.from_arrow(t)
-    # target 300 rows at 2:1 big:small -> p_big = 200/1000, p_small =
-    # 100/200 -> clamp applies nowhere; tiny source clamps when asked
-    mixed, cuts = weighted_mixture(ds, "doc_id", "source",
-                                   {"big": 2.0, "small": 1.0}, total=300)
-    got = mixed.take_all()
-    assert cuts["big"] == int(np.floor(0.2 * 2**32))
-    assert cuts["small"] == int(np.floor(0.5 * 2**32))
-    for r in got:
-        assert hash_bucket(np.array([r["doc_id"]]))[0] < cuts[r["source"]]
-    # exact expected membership (pure numpy replica)
-    hb = hash_bucket(ids)
-    exp = set(ids[(src == "big") & (hb < cuts["big"])]) \
-        | set(ids[(src == "small") & (hb < cuts["small"])])
-    assert {r["doc_id"] for r in got} == exp
-    # upsampling clamps at keep-everything
-    _, cuts2 = weighted_mixture(ds, "doc_id", "source",
-                                {"big": 0.0, "small": 1.0}, total=5000)
-    assert cuts2["small"] == 2**32 and cuts2["big"] == 0
-
-
-def test_epoch_shuffle_partitioning_invariant(ray_session):
-    """epoch_shuffle yields the identical permutation regardless of
-    block layout (the reproducible-on-any-cluster-size claim), is a
-    bijection onto 0..n-1, and changes with the seed."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from georay.sample import epoch_shuffle
-
-    ids = np.unique(np.random.default_rng(11).integers(0, 50_000, 2_000))
-    t = pa.table({"doc_id": pa.array(ids, pa.int64())})
-
-    def run(nparts, seed):
-        ds = ray.data.from_arrow(t).repartition(nparts)
-        df = epoch_shuffle(ds, "doc_id", seed=seed, n_buckets=32,
-                           num_partitions=5).to_pandas()
-        return df.sort_values("doc_id").reset_index(drop=True)
-
-    a = run(3, seed=7)
-    b = run(17, seed=7)
-    assert (a["epoch_pos"].to_numpy() == b["epoch_pos"].to_numpy()).all()
-    pos = np.sort(a["epoch_pos"].to_numpy())
-    assert (pos == np.arange(len(ids))).all()
-    c = run(3, seed=8)
-    assert (a["epoch_pos"].to_numpy() != c["epoch_pos"].to_numpy()).any()

@@ -31,3 +31,18 @@ def test_hash_strings_empty_neighbors_and_noncanonical():
         hs = hash_strings(col)
         for v, h in zip(vals, hs):
             assert h == single(v), (v, h, single(v))
+
+
+def test_hash_strings_equal_for_dups_distinct_otherwise():
+    import pyarrow as pa
+
+    from georay.util import hash_strings
+
+    texts = ["the quick brown fox jumps over the lazy dog and runs away fast",
+             "the quick brown fox jumps over the lazy dog and runs away quick"]
+    h = hash_strings(pa.chunked_array([pa.array(texts + [texts[0]])]))
+    assert len(h) == 3
+    assert h[0] == h[2] and h[0] != h[1]  # dup equal, near-dup differs
+    # empty and short strings all hash apart
+    h2 = hash_strings(pa.chunked_array([pa.array(["", "a", "ab"])]))
+    assert h2[0] != h2[1] != h2[2]
