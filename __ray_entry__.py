@@ -34,10 +34,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB-equivalent SQL for every SQL-expressible query (incl. exact
-    n-gram-Jaccard self-joins for the near-dup pipelines, a recursive-CTE
-    Hilbert key, axial hex cube-round, overlay areas via rect
-    decomposition).  Only IMAGE-pipeline queries (decode/tile/warp/zonal
-    over synthetic rasters) are absent → driver's rows-only check."""
+    """DuckDB-equivalent SQL for every SQL-expressible query (incl. a
+    recursive-CTE Hilbert key, axial hex cube-round, overlay areas via
+    rect decomposition; SQL-text queries run their own text).  Queries
+    without one (image pipelines, cell grids with no SQL analog) get the
+    driver's rows-only check."""
     from georay.queries import ORACLE_SQL
     return dict(ORACLE_SQL)

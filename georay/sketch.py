@@ -14,7 +14,7 @@ counting in the small range).  Standard error is
 Reference analog: the reference's SQL dialect reaches exact
 COUNT(DISTINCT) through sqlite3; this is the approximate counterpart a
 distinct-count over 10^12 rows actually needs (exact stays available —
-georay/queries.py q_count_distinct).  Merge-tree shape mirrors the
+georay/queries.py q_count_distinct_custkeys).  Merge-tree shape mirrors the
 engine's Welford partials (georay/stats.py).
 """
 

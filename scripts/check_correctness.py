@@ -81,6 +81,7 @@ def main():
         dt = time.perf_counter() - t0
         if name not in oracles:
             results[name] = {"rows": len(got), "err": "no_oracle",
+                             "value_hash": _value_hash(got),
                              "sec": round(dt, 2)}
             print(f"rows-only {name}: {len(got)} rows  [{dt:.1f}s]")
             continue
@@ -91,6 +92,7 @@ def main():
         ok = rows and schema and hmatch
         results[name] = {"rows_match": rows, "schema_match": schema,
                          "hash_match": hmatch, "n": len(got),
+                         "value_hash": _value_hash(got),
                          "sec": round(dt, 2)}
         tag = "ok  " if ok else "FAIL"
         if not ok:

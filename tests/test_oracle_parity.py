@@ -137,3 +137,18 @@ def test_driver_window_covers_unverified_queries():
     wasted = [q for q in window if q not in ORACLES and q != "flagship_join_images"]
     assert not wasted, f"rows-only queries occupy oracle window slots: {wasted}"
     assert len(QUERIES) >= 50, "window narrower than the driver cap"
+
+
+def test_registry_resolves_every_row_once():
+    """QUERIES is built from the driver-run order alone: every oracle names
+    a query, every name resolves to a callable, and no ``q_*`` function,
+    SQL row or zone row of georay.queries is left out of the order."""
+    from georay import queries as Q
+
+    assert set(Q.ORACLE_SQL) <= set(Q.QUERIES)
+    assert len(Q.QUERIES) == len(Q._ORDER), "a name repeats in _ORDER"
+    assert all(callable(fn) for fn in Q.QUERIES.values())
+    defined = {n[2:] for n in vars(Q) if n.startswith("q_")}
+    defined |= set(Q.SQL_TEXT) | set(Q.ZONE_JOINS)
+    orphans = defined - set(Q.QUERIES)
+    assert not orphans, f"queries missing from _ORDER: {sorted(orphans)}"

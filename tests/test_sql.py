@@ -41,6 +41,16 @@ def _run(sql: str, tables):
     return res.to_pandas()
 
 
+def _run_row(name: str) -> pd.DataFrame:
+    """A georay.queries.SQL_TEXT row over the tables its runner derives
+    from the text (synthesized partsupp included)."""
+    from georay import queries as Q
+    from georay.sql import execute_sql
+    text = Q.SQL_TEXT[name]
+    res = execute_sql(text, Q._sql_tables(SF, text))
+    return res if isinstance(res, pd.DataFrame) else res.to_pandas()
+
+
 CASES = [
     ("SELECT o_orderpriority, COUNT(*) AS n, SUM(o_orderkey % 97) AS s "
      "FROM orders WHERE o_totalprice > 50000 GROUP BY o_orderpriority",
@@ -1134,14 +1144,10 @@ def test_sql_extract_sugar(ray_session):
 def test_sql_tpch_q7_q8(ray_session):
     """TPC-H Q7 and Q8 (the self-join queries) verbatim vs DuckDB at
     sf0.001 through the driver query texts."""
-    from georay.queries import _SQL_Q7_TEXT, _SQL_Q8_TEXT
-    for sql, tables in [
-            (_SQL_Q7_TEXT, ["supplier", "lineitem", "orders",
-                            "customer", "nation"]),
-            (_SQL_Q8_TEXT, ["part", "supplier", "lineitem", "orders",
-                            "customer", "nation", "region"])]:
-        got = _norm(_run(sql, tables))
-        want = _norm(_duck(sql))
+    from georay.queries import SQL_TEXT
+    for name in ["sql_q7", "sql_q8"]:
+        got = _norm(_run_row(name))
+        want = _norm(_duck(SQL_TEXT[name]))
         want.columns = got.columns
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -1152,18 +1158,11 @@ def test_sql_tpch_q12_q13_q17_q18_q19(ray_session):
     table), Q17 (correlated scalar subquery whose item is an expression
     over the aggregate), Q18 (IN over grouped HAVING), Q19 (OR-of-AND
     residual join predicates)."""
-    from georay.queries import (_SQL_Q12_TEXT, _SQL_Q13_TEXT,
-                                _SQL_Q17_TEXT, _SQL_Q18_TEXT,
-                                _SQL_Q19_TEXT)
-    for sql, tables in [
-            (_SQL_Q12_TEXT, ["orders", "lineitem"]),
-            (_SQL_Q13_TEXT, ["customer", "orders"]),
-            (_SQL_Q17_TEXT, ["lineitem", "part"]),
-            (_SQL_Q18_TEXT, ["customer", "orders", "lineitem"]),
-            (_SQL_Q19_TEXT, ["lineitem", "part"])]:
-        got = _norm(_run(sql, tables))
-        want = _norm(_duck(sql))
-        assert len(got) > 0 or "q17" not in sql
+    from georay.queries import SQL_TEXT
+    for name in ["sql_q12", "sql_q13", "sql_q17", "sql_q18", "sql_q19"]:
+        got = _norm(_run_row(name))
+        want = _norm(_duck(SQL_TEXT[name]))
+        assert len(got) > 0 or name != "sql_q17"
         want.columns = got.columns
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -1172,12 +1171,10 @@ def test_sql_tpch_q15_q22(ray_session):
     """TPC-H Q15 (CTE referenced twice: join side + scalar MAX) and Q22
     (string-IN + scalar AVG in a derived table + NOT EXISTS with a
     residual conjunct) vs DuckDB at sf0.001."""
-    from georay.queries import _SQL_Q15_TEXT, _SQL_Q22_TEXT
-    for sql, tables in [
-            (_SQL_Q15_TEXT, ["lineitem", "supplier"]),
-            (_SQL_Q22_TEXT, ["customer", "orders"])]:
-        got = _norm(_run(sql, tables))
-        want = _norm(_duck(sql))
+    from georay.queries import SQL_TEXT
+    for name in ["sql_q15", "sql_q22"]:
+        got = _norm(_run_row(name))
+        want = _norm(_duck(SQL_TEXT[name]))
         assert len(got) > 0
         want.columns = got.columns
         for c in got.columns:
@@ -1192,10 +1189,9 @@ def test_sql_tpch_q21_inequality_exists(ray_session):
     inequality on a self-referenced lineitem — decorrelated to grouped
     count-distinct/min maps.  Verified against DuckDB at sf0.001, plus
     a hand-built miniature where the expected keep-set is enumerable."""
-    from georay.queries import _SQL_Q21_TEXT
-    got = _norm(_run(_SQL_Q21_TEXT,
-                     ["supplier", "lineitem", "orders", "nation"]))
-    want = _norm(_duck(_SQL_Q21_TEXT))
+    from georay.queries import SQL_TEXT
+    got = _norm(_run_row("sql_q21"))
+    want = _norm(_duck(SQL_TEXT["sql_q21"]))
     assert len(got) > 0
     want.columns = got.columns
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
@@ -1335,24 +1331,9 @@ def test_sql_tpch_partsupp_five(ray_session):
     Q16 = NOT IN value set + grouped COUNT(DISTINCT); Q20 = correlated
     scalar with a COMPOSITE (two-column) correlation key."""
     from georay import queries as Q
-    for body, tables in [
-            (Q._SQL_Q2_BODY, ["part", "supplier", "nation", "region"]),
-            (Q._SQL_Q9_BODY, ["part", "supplier", "lineitem", "orders",
-                              "nation"]),
-            (Q._SQL_Q11_BODY, ["supplier", "nation"]),
-            (Q._SQL_Q16_BODY, ["part", "supplier"]),
-            (Q._SQL_Q20_BODY, ["supplier", "nation", "part",
-                               "lineitem"])]:
-        import ray
-        tabs = {t: ray.data.read_parquet(f"{SF}/{t}.parquet")
-                for t in tables}
-        tabs["partsupp"] = Q.synth_partsupp(SF)
-        from georay.sql import execute_sql
-        res = execute_sql(body, tabs)
-        got = res.to_pandas() if not isinstance(res, pd.DataFrame) \
-            else res
-        got = _norm(got)
-        want = _norm(_duck(Q._PARTSUPP_CTE + body))
+    for name in ["sql_q2", "sql_q9", "sql_q11", "sql_q16", "sql_q20"]:
+        got = _norm(_run_row(name))
+        want = _norm(_duck(Q._PARTSUPP_CTE + Q.SQL_TEXT[name]))
         for c in got.columns:
             if got[c].dtype.kind == "f":
                 got[c] = got[c].round(6)
