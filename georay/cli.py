@@ -286,7 +286,7 @@ def _warp_core(arr, gt, *, s_srs, t_srs, kernel="bilinear", ts=None,
 
 
 # ---------------------------------------------------------------------------
-# gdaldem (apps/gdaldem_lib.cpp; library: raster.* + DemDerivatives)
+# gdaldem (apps/gdaldem_lib.cpp; library: raster.* + dem_derivatives)
 # ---------------------------------------------------------------------------
 
 def gdaldem(args: list) -> str:
@@ -365,7 +365,7 @@ def gdal2tiles(args: list) -> str:
     import pyarrow as pa
     import ray.data
 
-    from .tiles import build_pyramid, composite_tiles, CutTiles, \
+    from .tiles import build_pyramid, composite_tiles, cut_tiles, \
         write_tiles_png
     zspec = _pop_opt(args, "-z", default="0-3")
     kernel = _pop_opt(args, "-r", default="average")
@@ -405,8 +405,8 @@ def gdal2tiles(args: list) -> str:
         "uly": pa.array([gt[3]], pa.float64()),
         "psize": pa.array([abs(gt[1])], pa.float64())})
     ds = ray.data.from_arrow(row)
-    frags = ds.map_batches(CutTiles(zoom=maxz, resampling=kernel),
-                           batch_format="pyarrow")
+    frags = ds.map_batches(cut_tiles, batch_format="pyarrow",
+                           fn_kwargs=dict(zoom=maxz, resampling=kernel))
     levels = build_pyramid(composite_tiles(frags), minz, maxz,
                            kernel=kernel) if minz < maxz else \
         {maxz: composite_tiles(frags)}

@@ -1,13 +1,11 @@
 """Image decode / georeference stages for ``map_batches``.
 
-``DecodeImages`` is a callable CLASS → Ray actor pool (codec state built
-once per actor, mirroring gdal2tiles' per-worker cached dataset handle,
-osgeo_utils/gdal2tiles.py:1340-1345).  Batches stay ``pyarrow`` end-to-end;
-decoded pixels travel as a raw ``binary`` column (``pixels`` = uint8 RGB
-buffer, C-order h×w×3) next to their shape columns — zero-copy in/out of
-the object store, no Python object columns.
-
-``add_georef`` / ``add_cells`` are stateless batch fns (pure math).
+All three are stateless batch functions, run as plain Ray tasks with
+their options passed through ``fn_kwargs``; ``add_georef`` and
+``add_cells`` are pure math.  Batches stay ``pyarrow`` end-to-end; decoded
+pixels travel as a raw ``binary`` column (``pixels`` = uint8 RGB buffer,
+C-order h×w×3) next to their shape columns — zero-copy in/out of the
+object store, no Python object columns.
 """
 
 from __future__ import annotations
@@ -19,50 +17,32 @@ from . import codecs
 from .cells import hex_cell, s2_cell_id
 from .fixtures import georef, parse_image_idx
 
-__all__ = ["DecodeImages", "add_georef", "add_cells", "decoded_pixels"]
+__all__ = ["decode_images", "add_georef", "add_cells", "decoded_pixels"]
 
 
-class DecodeImages:
-    """Actor-pool decode: ``bytes`` + ``fmt`` → ``pixels`` (+ optional
-    per-band checksum columns).
-
-    Parameters
-    ----------
-    keep_bytes: drop the encoded payload after decode (halves block size).
-    with_checksum: also emit GDAL band checksums (conformance columns).
-    """
-
-    def __init__(self, keep_bytes: bool = False, with_checksum: bool = False):
-        # per-actor state: codec dispatch table + any expensive setup
-        self._decode = codecs.decode_image
-        self._keep_bytes = keep_bytes
-        self._with_checksum = with_checksum
+def decode_images(batch: pa.Table, *, keep_bytes: bool = False,
+                  with_checksum: bool = False) -> pa.Table:
+    """Decode stage: ``bytes`` + ``fmt`` → ``pixels``; the encoded payload
+    is dropped unless ``keep_bytes`` (halves block size), and
+    ``with_checksum`` adds the GDAL band checksums (conformance columns)."""
+    from .stats import gdal_checksum
+    pixels, checks = [], []
+    for data, fmt in zip(batch["bytes"].to_pylist(),
+                         batch["fmt"].to_pylist()):
+        arr = codecs.decode_image(data, fmt)
+        if arr.ndim == 2:
+            arr = np.stack([arr] * 3, axis=2)
+        pixels.append(arr.tobytes())
         if with_checksum:
-            from .stats import gdal_checksum
-            self._checksum = gdal_checksum
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        pixels = []
-        checks = [] if self._with_checksum else None
-        for data, fmt in zip(bufs, fmts):
-            arr = self._decode(data, fmt)
-            if arr.ndim == 2:
-                arr = np.stack([arr] * 3, axis=2)
-            pixels.append(arr.tobytes())
-            if checks is not None:
-                checks.append([int(self._checksum(arr[:, :, b]))
-                               for b in range(3)])
-        out = batch
-        if not self._keep_bytes:
-            out = out.drop_columns(["bytes"])
-        out = out.append_column("pixels", pa.array(pixels, pa.binary()))
-        if checks is not None:
-            arr = np.asarray(checks, dtype=np.int64)
-            for b, name in enumerate(("checksum_r", "checksum_g", "checksum_b")):
-                out = out.append_column(name, pa.array(arr[:, b]))
-        return out
+            checks.append([int(gdal_checksum(arr[:, :, b]))
+                           for b in range(3)])
+    out = batch if keep_bytes else batch.drop_columns(["bytes"])
+    out = out.append_column("pixels", pa.array(pixels, pa.binary()))
+    if with_checksum:
+        arr = np.asarray(checks, dtype=np.int64).reshape(-1, 3)
+        for b, name in enumerate(("checksum_r", "checksum_g", "checksum_b")):
+            out = out.append_column(name, pa.array(arr[:, b]))
+    return out
 
 
 def decoded_pixels(batch: pa.Table, row: int) -> np.ndarray:

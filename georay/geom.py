@@ -205,7 +205,7 @@ class PackedPolygons:
     """A polygon set packed into flat numpy arrays for vectorized PIP.
 
     This is the broadcast side of the spatial join: built once on the
-    driver, ``ray.put()`` once, deserialized once per actor (SURVEY.md
+    driver, ``ray.put()`` once, deserialized once per worker (SURVEY.md
     §2.3) — the Ray analog of GDAL holding GEOS prepared geometries per
     outer feature (ogrlayer.cpp:2757-2766).
 

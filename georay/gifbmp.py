@@ -17,7 +17,7 @@ libs).
 * PNM: P2/P3 (ASCII) and P5/P6 (binary) gray/RGB, maxval ≤ 65535
   (16-bit samples big-endian per the spec).  Encoder emits P5/P6.
 
-Scale shape: these run inside codec actor stages (decode.py) like
+Scale shape: these run inside the decode stage (decode.py) like
 every other format — one ``bytes`` payload per row, decoded per batch
 in ``map_batches``; the sequential LZW inner loop touches only one
 image at a time and is bounded by the format's own 12-bit code space.

@@ -6,9 +6,10 @@ Ray-Data-first:
 
 * **Broadcast path** (default; polygon side ≪ point side): the packed
   R-tree + edge arrays are built ONCE on the driver, ``ray.put`` ONCE, and
-  every join actor deserializes them once in ``__init__`` — never
-  re-shipped per batch.  Candidate pairs come from a vectorized batched
-  R-tree descent; the PIP test is one vectorized parity reduction.
+  every worker process running a join task deserializes them once
+  (:func:`georay.util.worker_get`) — never re-shipped per batch.
+  Candidate pairs come from a vectorized batched R-tree descent; the PIP
+  test is one vectorized parity reduction.
 * **Partitioned path** (both sides large): polygons are exploded to the
   hex cells their envelope covers, points keyed by their cell, both sides
   co-shuffled with ``groupby(cell)`` and joined cell-locally in
@@ -34,9 +35,10 @@ from .cells import hex_cell, hex_cell_from_meters, hex_circumradius
 from .geom import PackedPolygons
 from .mercator import latlon_to_meters
 from .rtree import PackedRTree
+from .util import worker_get
 
 __all__ = [
-    "PolygonIndex", "SpatialJoinPoints", "spatial_join_points",
+    "PolygonIndex", "spatial_join_batch", "spatial_join_points",
     "cell_census", "salt_map", "spatial_join_partitioned", "equi_join",
 ]
 
@@ -257,51 +259,37 @@ class PolygonIndex:
         return qi[mask], ii[mask]
 
 
-class SpatialJoinPoints:
-    """Actor-pool join stage: one output row per (point, polygon) match.
+def spatial_join_batch(batch: pa.Table, *, index_ref, lon_col: str = "lon",
+                       lat_col: str = "lat", keep_cols=None) -> pa.Table:
+    """Join stage: one output row per (point, polygon) match.
 
     ``index_ref`` is a ``ray.ObjectRef`` to a :class:`PolygonIndex`
-    (``ray.put`` once on the driver).  Passing the ref — not the index —
-    keeps the broadcast out of the task closure so it ships through the
-    object store once per node.
+    (``ray.put`` once on the driver; a plain index works too).  Passing the
+    ref — not the index — keeps the broadcast out of the task closure so
+    it ships through the object store once per node.
     """
-
-    def __init__(self, index_ref, lon_col: str = "lon", lat_col: str = "lat",
-                 keep_cols=None):
-        import ray
-        self.index: PolygonIndex = (
-            ray.get(index_ref) if not isinstance(index_ref, PolygonIndex)
-            else index_ref)
-        self.lon_col, self.lat_col = lon_col, lat_col
-        self.keep_cols = keep_cols
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy()
-        lat = batch[self.lat_col].to_numpy()
-        qi, ii = self.index.match_points(lon, lat)
-        keep = self.keep_cols or [c for c in batch.schema.names
-                                  if c not in ("bytes", "pixels")]
-        taken = batch.select(keep).take(pa.array(qi))
-        for name, arr in self.index.payload.items():
-            taken = taken.append_column(name, pa.array(arr[ii]))
-        return taken
+    index: PolygonIndex = worker_get(index_ref)
+    qi, ii = index.match_points(batch[lon_col].to_numpy(),
+                                batch[lat_col].to_numpy())
+    keep = keep_cols or [c for c in batch.schema.names
+                         if c not in ("bytes", "pixels")]
+    taken = batch.select(keep).take(pa.array(qi))
+    for name, arr in index.payload.items():
+        taken = taken.append_column(name, pa.array(arr[ii]))
+    return taken
 
 
 def spatial_join_points(points_ds, polygons: pa.Table, *,
                         lon_col="lon", lat_col="lat", keep_cols=None,
-                        payload_cols=("polygon_id", "category"),
-                        batch_size: int = 8192, concurrency=None):
+                        payload_cols=("polygon_id", "category")):
     """Broadcast spatial join: ``points_ds`` (Dataset with lon/lat cols) ×
     ``polygons`` (small pyarrow table with WKB) → matched pairs Dataset."""
     import ray
     index_ref = ray.put(PolygonIndex.build(polygons, payload_cols=payload_cols))
-    from .util import default_concurrency
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size,
-                  fn_constructor_kwargs=dict(index_ref=index_ref,
-                                             lon_col=lon_col, lat_col=lat_col,
-                                             keep_cols=keep_cols),
-                  concurrency=concurrency or default_concurrency())
-    return points_ds.map_batches(SpatialJoinPoints, **kwargs)
+    return points_ds.map_batches(
+        spatial_join_batch, batch_format="pyarrow", batch_size=8192,
+        fn_kwargs=dict(index_ref=index_ref, lon_col=lon_col,
+                       lat_col=lat_col, keep_cols=keep_cols))
 
 
 # ---------------------------------------------------------------------------

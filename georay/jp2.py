@@ -26,8 +26,8 @@ external JP2 codec exists in this container, so cross-codec interop is
 untested; the claim is "valid-shaped Part-1 lossless round-trip", which
 is exactly what the transcode pipeline needs (PSNR = inf).
 
-Scale shape: one (image) = one row; encode/decode run inside actor-pool
-``map_batches`` stages (georay.queries.q_jp2_images) so the per-image
+Scale shape: one (image) = one row; encode/decode run inside
+``map_batches`` task stages (georay.queries.q_jp2_images) so the per-image
 cost parallelizes across the cluster and nothing but the compressed
 bytes crosses the object store.
 """

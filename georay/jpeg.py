@@ -20,7 +20,7 @@ reference semantics: frmts/jpeg/jpgdataset.cpp wrapping libjpeg):
 Encoder: batched matrix FDCT over all blocks at once, per-symbol Huffman
 in a tight Python bit-writer (the encoder runs only in fixture
 generation, cached on disk); chroma shares the luma AC table so decode
-speculation runs once.  Decoder is the hot path (actor-pool decode
+speculation runs once.  Decoder is the hot path (the decode
 stage): per BIT position the AC symbol/advance/value are speculated
 VECTORIZED into a per-process reused scratch pool (``_Scratch`` — fresh
 temporaries cost more than the math on slow-fault VMs), packed into one
@@ -380,7 +380,7 @@ class _Scratch:
     speculation stage — all numpy work targets these with ``out=`` so a
     decode allocates (almost) nothing.  Fresh temporaries measured 3-5×
     slower than the arithmetic itself on slow-fault VMs, and under
-    actor-pool concurrency they saturate the memory bus."""
+    32-way concurrency they saturate the memory bus."""
 
     def __init__(self):
         self.cap = -1
@@ -439,7 +439,7 @@ def _huff_pk_lut(bits, vals):
     everything derivable from the window index is PRECOMPUTED so the
     per-bit-position vector pass is two gathers plus a handful of int32
     ops (the earlier ~17-op mixed-width pipeline saturated the memory
-    bus under 32-way actor concurrency):
+    bus under 32-way concurrency):
 
       ``pk_lut``: (rs << 8) | adv   with adv = code_len + size
       ``vx_lut``: (shift << 16) | mask  with shift = 32-adv, mask = 2^size-1
@@ -636,7 +636,7 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
         fully vectorized into PER-PROCESS REUSED scratch buffers (grow-only
         pool, every op ``out=``-targeted).  Fresh numpy temporaries here
         cost more than the math on this VM's slow-fault memory, and under
-        actor-pool concurrency they saturate the memory bus.  The chase
+        32-way concurrency they saturate the memory bus.  The chase
         reads the results through ``memoryview`` casts: plain Python
         indexing speed, zero copies, nothing boxes until accessed.
 

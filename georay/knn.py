@@ -18,7 +18,8 @@ Exactness argument (matches the brute-force oracle bit-for-bit):
    brute force over the broadcast index — still exact.
 
 The neighbor side is a broadcast :class:`NeighborIndex` (``ray.put`` once,
-used per actor); queries stream through ``map_batches``.
+fetched once per worker process); queries stream through ``map_batches``
+tasks.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import pyarrow as pa
 from .cells import hex_cell, hex_circumradius, hex_k_ring
 from .mercator import ORIGIN_SHIFT, latlon_to_meters
 from .geom import haversine_m
+from .util import worker_get
 
-__all__ = ["NeighborIndex", "KnnPoints", "knn_points",
+__all__ = ["NeighborIndex", "KnnPoints", "knn_batch", "knn_points",
            "knn_points_partitioned"]
 
 _EARTH_MEAN_R = 6371008.8
@@ -100,15 +102,14 @@ def _topk_per_query(qidx, dist, nbr_ids, nbr_pos, k):
 
 
 class KnnPoints:
-    """Actor-pool kNN stage: each query row → k output rows
-    ``(query cols…, rank, neighbor_id, dist_m)``."""
+    """kNN ring search over one :class:`NeighborIndex`: each query row → k
+    output rows ``(query cols…, rank, neighbor_id, dist_m)``.  Built per
+    batch by :func:`knn_batch` from the worker-cached index."""
 
-    def __init__(self, index_ref, k: int = 5, lon_col="lon", lat_col="lat",
-                 keep_cols=None, neighbor_id_name: str = "neighbor_id"):
-        import ray
-        self.ix: NeighborIndex = (ray.get(index_ref)
-                                  if not isinstance(index_ref, NeighborIndex)
-                                  else index_ref)
+    def __init__(self, ix: NeighborIndex, k: int = 5, lon_col="lon",
+                 lat_col="lat", keep_cols=None,
+                 neighbor_id_name: str = "neighbor_id"):
+        self.ix = ix
         self.k = k
         self.lon_col, self.lat_col = lon_col, lat_col
         self.keep_cols = keep_cols
@@ -232,11 +233,17 @@ class KnnPoints:
         return out
 
 
+def knn_batch(batch: pa.Table, *, index_ref, **kwargs) -> pa.Table:
+    """kNN stage: :class:`KnnPoints` over the index behind ``index_ref`` (a
+    ``ray.put`` ref, fetched once per worker process, or the index itself);
+    ``kwargs`` are KnnPoints' options."""
+    return KnnPoints(worker_get(index_ref), **kwargs)(batch)
+
+
 def knn_points(queries_ds, neighbors: pa.Table, k: int = 5, *,
                id_col: str, lat_col_n="lat", lon_col_n="lon",
                lon_col="lon", lat_col="lat", res: int = 7,
-               keep_cols=None, neighbor_id_name="neighbor_id",
-               batch_size: int = 4096, concurrency=None):
+               keep_cols=None, neighbor_id_name="neighbor_id"):
     """Broadcast kNN: each row of ``queries_ds`` → its ``k`` nearest rows of
     ``neighbors`` by haversine distance (ties broken by neighbor id)."""
     import ray
@@ -244,14 +251,11 @@ def knn_points(queries_ds, neighbors: pa.Table, k: int = 5, *,
                              neighbors[lon_col_n].to_numpy(),
                              neighbors[id_col].to_numpy(zero_copy_only=False),
                              res=res)
-    ref = ray.put(ix)
-    from .util import default_concurrency
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size,
-                  fn_constructor_kwargs=dict(
-                      index_ref=ref, k=k, lon_col=lon_col, lat_col=lat_col,
-                      keep_cols=keep_cols, neighbor_id_name=neighbor_id_name),
-                  concurrency=concurrency or default_concurrency())
-    return queries_ds.map_batches(KnnPoints, **kwargs)
+    return queries_ds.map_batches(
+        knn_batch, batch_format="pyarrow", batch_size=4096,
+        fn_kwargs=dict(index_ref=ray.put(ix), k=k, lon_col=lon_col,
+                       lat_col=lat_col, keep_cols=keep_cols,
+                       neighbor_id_name=neighbor_id_name))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def knn_points(queries_ds, neighbors: pa.Table, k: int = 5, *,
 def build_icosa_index(lat, lon, ids, res: int = 5):
     """Cell-bucketed CSR index keyed by icosa cell (same shape as
     :class:`NeighborIndex`; broadcast with ``ray.put`` for the
-    distributed form — the actor wiring mirrors :class:`KnnPoints`)."""
+    distributed form — the task wiring mirrors :func:`knn_batch`)."""
     from .icosa import icosa_cell
     lat = np.asarray(lat, dtype=np.float64)
     lon = np.asarray(lon, dtype=np.float64)
@@ -287,7 +291,7 @@ def knn_points_icosa(q_lat, q_lon, index: dict, k: int = 5):
     point-to-own-center and query-to-own-center, icosa._CELL_STRETCH).
     When the kth candidate distance is below that bound the answer is
     exact.  Queries sharing a cell reuse one disc (the batch-level
-    optimization the distributed actor applies per batch).
+    optimization the distributed stage applies per batch).
 
     Returns ``(query_idx, rank, neighbor_id, dist_m)`` arrays."""
     from .icosa import _CELL_STRETCH, icosa_cell, icosa_disc, \

@@ -429,7 +429,7 @@ def measures_batch(batch: pa.Table, wkb_col: str = "wkb",
                    round_to: int | None = None) -> pa.Table:
     """Append st_area / st_length / st_cx / st_cy / hull_area /
     hull_npoints (+ buf_area when ``buffer_dist``) to a batch.  Pure
-    function — pass directly to ``map_batches`` (no per-actor state)."""
+    function — pass directly to ``map_batches`` (no per-worker state)."""
     packed = pack_rings(batch.column(wkb_col).to_pylist())
     area = feature_areas(packed)
     length = feature_lengths(packed)

@@ -18,9 +18,10 @@ import numpy as np
 import pyarrow as pa
 
 from . import codecs, fixtures
-from .decode import DecodeImages, add_cells, add_georef
-from .tiles import CutTiles, assign_center_tile, build_pyramid, \
-    composite_tiles, cut_windows
+from .decode import add_cells, add_georef, decode_images
+from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
+    cut_tiles, cut_windows
+from .util import worker_cached, worker_get
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
            "flagship_checkpointed", "tile_pipeline", "flagship_summary"]
@@ -46,8 +47,7 @@ def read_images(images_path: str, *, columns=None):
 
 
 def georeferenced_images(images_path: str, *, decode: bool = True,
-                         hex_res: int = 9, s2_level: int = 12,
-                         decode_concurrency=None, decode_batch_size: int = 64):
+                         hex_res: int = 9, s2_level: int = 12):
     """images parquet → Dataset with georef + cell columns (+ decoded
     pixels): the shared front of every flagship pipeline."""
     # prune at the read: without decode the multi-KB `bytes` column never
@@ -59,11 +59,8 @@ def georeferenced_images(images_path: str, *, decode: bool = True,
     ds = ds.map_batches(add_cells, batch_format="pyarrow",
                         fn_kwargs=dict(hex_res=hex_res, s2_level=s2_level))
     if decode:
-        from .util import default_concurrency
-        kwargs = dict(batch_format="pyarrow", batch_size=decode_batch_size,
-                      concurrency=(decode_concurrency
-                                   or default_concurrency()))
-        ds = ds.map_batches(DecodeImages, **kwargs)
+        ds = ds.map_batches(decode_images, batch_format="pyarrow",
+                            batch_size=64)
     return ds
 
 
@@ -76,7 +73,8 @@ class FlagshipStage:
     that is verified and cut right away, so no pixels column is ever
     materialized or re-shipped through the object store — the same reason
     gdal2tiles does read+warp+encode in one worker (gdal2tiles.py:4593).
-    The polygon index arrives as a ``ray.put`` ref, deserialized once.
+    The polygon index arrives as a ``ray.put`` ref, deserialized once per
+    worker process (:func:`georay.util.worker_get`).
 
     Output: one join row per (image, matching polygon); with ``decode`` a
     ``decode_ok`` column (bytes that fail to decode are flagged, not
@@ -89,10 +87,7 @@ class FlagshipStage:
                  cut: bool = False, verify: bool = False):
         if (cut or verify) and not decode:
             raise ValueError("FlagshipStage: cut and verify need decode=True")
-        import ray
-        from .join import PolygonIndex
-        self.index = (ray.get(index_ref)
-                      if not isinstance(index_ref, PolygonIndex) else index_ref)
+        self.index = worker_get(index_ref)
         self.zoom = zoom
         self.decode = decode
         self.cut = cut
@@ -190,9 +185,6 @@ def _checksum_lut() -> np.ndarray:
         .astype(np.uint8)
 
 
-_STAGE_CACHE: dict = {}
-
-
 def _read_unit(unit: dict, columns) -> pa.Table:
     """Read one work unit's rows: parquet row groups, or a lance fragment
     row range with the fragment's delete file applied."""
@@ -201,10 +193,10 @@ def _read_unit(unit: dict, columns) -> pa.Table:
         return pq.ParquetFile(unit["path"]).read_row_groups(
             unit["row_groups"], columns=columns)
     from .lancefmt import _apply_deletes, lance_manifest, read_fragment
-    key = ("lance_schema", unit["root"])
-    schema = _STAGE_CACHE.get(key)
-    if schema is None:
-        schema = _STAGE_CACHE[key] = lance_manifest(unit["root"])["schema"]
+    # a committed lance version never changes, so its schema is cached
+    schema = worker_cached(
+        ("lance_schema", unit["root"], unit["version"]),
+        lambda: lance_manifest(unit["root"], unit["version"])["schema"])
     rng = (unit["start"], unit["stop"])
     tbl = read_fragment(unit["path"], schema, columns=columns, row_range=rng)
     if unit["del_file"]:
@@ -220,17 +212,9 @@ def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
     """One task per work unit: read the unit's rows worker-locally (the way
     a 100 TB deployment reads its shard straight from object storage — the
     encoded payloads never enter the object store, only the small output
-    rows do) and run the fused stage on them.  The stage, with its
-    deserialized broadcast index, is cached per worker process, so warm
-    workers keep actor-like state without an actor pool."""
-    key = (index_ref.hex() if hasattr(index_ref, "hex") else id(index_ref),
-           zoom, decode, cut, verify)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        stage = FlagshipStage(index_ref, zoom=zoom, decode=decode, cut=cut,
-                              verify=verify)
-        _STAGE_CACHE.clear()
-        _STAGE_CACHE[key] = stage
+    rows do) and run the fused stage on them."""
+    stage = FlagshipStage(index_ref, zoom=zoom, decode=decode, cut=cut,
+                          verify=verify)
     columns = None if decode else _META_COLS
     return pa.concat_tables([stage(_read_unit(u, columns))
                              for u in units.to_pylist()])
@@ -253,11 +237,12 @@ def flagship_work_units(images_path: str, groups_per_task: int = 2):
         # read_fragment row-range pushdown makes this a true partial read)
         from .lancefmt import lance_manifest
         rows_per_unit = 512
-        return [{"root": images_path,
+        man = lance_manifest(images_path)
+        return [{"root": images_path, "version": man["version"],
                  "path": os.path.join(images_path, "data", fr["filename"]),
                  "start": a, "stop": min(a + rows_per_unit, fr["num_rows"]),
                  "del_file": fr.get("del_file", "")}
-                for fr in lance_manifest(images_path)["fragments"]
+                for fr in man["fragments"]
                 for a in range(0, fr["num_rows"], rows_per_unit)]
     files = ([images_path] if os.path.isfile(images_path) else
              [os.path.join(images_path, f)
@@ -299,17 +284,12 @@ def flagship_join(images_path: str, polygons: pa.Table | None = None, *,
 
 
 def tile_pipeline(images_path: str, *, zoom: int = 12, tminz: int | None = None,
-                  resampling: str = "average", decode_batch_size: int = 64,
-                  cut_concurrency=None):
+                  resampling: str = "average"):
     """gdal2tiles replacement: decode → cut base tiles → composite per tile
     → overview pyramid.  Returns ``{z: Dataset}`` of composited tiles."""
-    ds = georeferenced_images(images_path, decode=True,
-                              decode_batch_size=decode_batch_size)
-    from .util import default_concurrency
-    kwargs = dict(batch_format="pyarrow", batch_size=decode_batch_size,
-                  fn_constructor_kwargs=dict(zoom=zoom, resampling=resampling),
-                  concurrency=cut_concurrency or default_concurrency())
-    frags = ds.map_batches(CutTiles, **kwargs)
+    frags = georeferenced_images(images_path, decode=True).map_batches(
+        cut_tiles, batch_format="pyarrow", batch_size=64,
+        fn_kwargs=dict(zoom=zoom, resampling=resampling))
     # two-level composite: within-block combiner + per-tile merge
     base = composite_tiles(frags)
     if tminz is None or tminz >= zoom:
@@ -328,7 +308,6 @@ def flagship_checkpointed(images_path: str, out_dir: str, *,
     part_shift)``; rows whose partition is already committed are dropped
     BEFORE the write shuffle (anti-join against the manifest).  Returns
     the small per-partition status Dataset — consume it to run."""
-    import pyarrow.compute as _pc
     from .checkpoint import resume_filter, write_partitioned
     out = flagship_join(images_path, zoom=zoom, n_polygons=n_polygons,
                         **kwargs)

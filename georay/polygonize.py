@@ -18,7 +18,7 @@ import pyarrow as pa
 from .geom import wkb_polygon
 
 __all__ = ["label_components", "polygonize", "contour_lines",
-           "PolygonizeImages"]
+           "polygonize_images", "footprint_images"]
 
 
 def label_components(band: np.ndarray, connect8: bool = False) -> np.ndarray:
@@ -234,35 +234,30 @@ def contour_lines(band: np.ndarray, levels, gt=None):
     return out
 
 
-class PolygonizeImages:
+def polygonize_images(batch: pa.Table, *, quantize: int = 64,
+                      connect8: bool = False) -> pa.Table:
     """map_batches stage: band 0 of each image row → polygon rows
     ``(image_id, value, wkb, pixel_count)``.  Quantize first (e.g. ``//64``)
     so regions are meaningful for continuous imagery."""
-
-    def __init__(self, quantize: int = 64, connect8: bool = False):
-        self.q = quantize
-        self.c8 = connect8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        h_arr = batch["h"].to_numpy()
-        w_arr = batch["w"].to_numpy()
-        ids, vals, wkbs, counts = [], [], [], []
-        for i in range(batch.num_rows):
-            band = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                 dtype=np.uint8).reshape(
-                int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
-            q = band // self.q
-            for value, wkb, n in polygonize(q, connect8=self.c8):
-                ids.append(batch["image_id"][i].as_py())
-                vals.append(int(value))
-                wkbs.append(wkb)
-                counts.append(n)
-        return pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "value": pa.array(vals, pa.int64()),
-            "wkb": pa.array(wkbs, pa.binary()),
-            "pixel_count": pa.array(counts, pa.int64()),
-        })
+    h_arr = batch["h"].to_numpy()
+    w_arr = batch["w"].to_numpy()
+    ids, vals, wkbs, counts = [], [], [], []
+    for i in range(batch.num_rows):
+        band = np.frombuffer(batch["pixels"][i].as_buffer(),
+                             dtype=np.uint8).reshape(
+            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
+        for value, wkb, n in polygonize(band // quantize,
+                                        connect8=connect8):
+            ids.append(batch["image_id"][i].as_py())
+            vals.append(int(value))
+            wkbs.append(wkb)
+            counts.append(n)
+    return pa.table({
+        "image_id": pa.array(ids, pa.string()),
+        "value": pa.array(vals, pa.int64()),
+        "wkb": pa.array(wkbs, pa.binary()),
+        "pixel_count": pa.array(counts, pa.int64()),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -571,38 +566,33 @@ def footprint(band: np.ndarray, gt=None, nodata=0):
     return wkb_multipolygon(rings), n_valid
 
 
-class FootprintImages:
+def footprint_images(batch: pa.Table, *, nodata: int = 0) -> pa.Table:
     """map_batches stage: per image row → footprint WKB of band 0's
     non-nodata region in georeferenced coords (when ulx/uly/psize
     present) — the mask→polygonize chain as one operator."""
-
-    def __init__(self, nodata: int = 0):
-        self.nodata = nodata
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, wkbs, counts = [], [], []
-        h_arr = batch["h"].to_numpy()
-        w_arr = batch["w"].to_numpy()
-        geo = all(c in batch.schema.names for c in ("ulx", "uly", "psize"))
-        for i in range(batch.num_rows):
-            band = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                 dtype=np.uint8).reshape(
-                int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
-            gt = None
-            if geo:
-                gt = (float(batch["ulx"][i].as_py()),
-                      float(batch["psize"][i].as_py()), 0.0,
-                      float(batch["uly"][i].as_py()), 0.0,
-                      -float(batch["psize"][i].as_py()))
-            wkb, n = footprint(band, gt=gt, nodata=self.nodata)
-            ids.append(batch["image_id"][i].as_py())
-            wkbs.append(wkb if wkb is not None else b"")
-            counts.append(n)
-        return pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "footprint_wkb": pa.array(wkbs, pa.binary()),
-            "n_valid": pa.array(counts, pa.int64()),
-        })
+    ids, wkbs, counts = [], [], []
+    h_arr = batch["h"].to_numpy()
+    w_arr = batch["w"].to_numpy()
+    geo = all(c in batch.schema.names for c in ("ulx", "uly", "psize"))
+    for i in range(batch.num_rows):
+        band = np.frombuffer(batch["pixels"][i].as_buffer(),
+                             dtype=np.uint8).reshape(
+            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
+        gt = None
+        if geo:
+            gt = (float(batch["ulx"][i].as_py()),
+                  float(batch["psize"][i].as_py()), 0.0,
+                  float(batch["uly"][i].as_py()), 0.0,
+                  -float(batch["psize"][i].as_py()))
+        wkb, n = footprint(band, gt=gt, nodata=nodata)
+        ids.append(batch["image_id"][i].as_py())
+        wkbs.append(wkb if wkb is not None else b"")
+        counts.append(n)
+    return pa.table({
+        "image_id": pa.array(ids, pa.string()),
+        "footprint_wkb": pa.array(wkbs, pa.binary()),
+        "n_valid": pa.array(counts, pa.int64()),
+    })
 
 
 def contour_tiled(tiles_ds, levels, *, source_col: str = "source_id"):

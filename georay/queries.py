@@ -884,44 +884,38 @@ def _bench_images(sf_dir: str) -> str:
 
 def q_webp_images(sf_dir: str):
     """Distributed WebP transcode (rows-only: pixel codecs have no SQL
-    analog): decode the PNG/JPEG image table in an actor pool, re-encode
+    analog): decode the PNG/JPEG image table, re-encode
     LOSSLESSLY as VP8L WebP (georay.webp), decode that back and require
     bit-exact pixels; emits per-image (checksum, webp_bytes) — the
     checksum is deterministic so the driver's rows-only hash is stable."""
     import ray
 
-    from .decode import DecodeImages
+    from .decode import decode_images
     from .stats import gdal_checksum
-    from .util import default_concurrency
 
     path = _bench_images(sf_dir)
 
-    class WebpTranscode:
-        def __init__(self):
-            from .webp import webp_decode, webp_encode_auto
-            self._enc = webp_encode_auto   # mode search: smallest of
-            # palette / subtract-green / predictor / cross-color
-            self._dec = webp_decode
-            self._checksum = gdal_checksum
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, sums, sizes = [], [], []
-            ws = batch["w"].to_numpy()
-            hs = batch["h"].to_numpy()
-            pix = batch["pixels"].to_pylist()
-            for i, pid in enumerate(batch["image_id"].to_pylist()):
-                arr = np.frombuffer(pix[i], np.uint8).reshape(
-                    int(hs[i]), int(ws[i]), 3)
-                data = self._enc(arr)
-                back = self._dec(data)
-                if not np.array_equal(back, arr):
-                    raise ValueError(f"webp roundtrip mismatch: {pid}")
-                ids.append(pid)
-                sums.append(int(self._checksum(back[:, :, 1])))
-                sizes.append(len(data))
-            return pa.table({"image_id": pa.array(ids),
-                             "checksum": pa.array(sums, pa.int64()),
-                             "webp_bytes": pa.array(sizes, pa.int64())})
+    def webp_transcode(batch: pa.Table) -> pa.Table:
+        # webp_encode_auto's mode search keeps the smallest of palette /
+        # subtract-green / predictor / cross-color
+        from .webp import webp_decode, webp_encode_auto
+        ids, sums, sizes = [], [], []
+        ws = batch["w"].to_numpy()
+        hs = batch["h"].to_numpy()
+        pix = batch["pixels"].to_pylist()
+        for i, pid in enumerate(batch["image_id"].to_pylist()):
+            arr = np.frombuffer(pix[i], np.uint8).reshape(
+                int(hs[i]), int(ws[i]), 3)
+            data = webp_encode_auto(arr)
+            back = webp_decode(data)
+            if not np.array_equal(back, arr):
+                raise ValueError(f"webp roundtrip mismatch: {pid}")
+            ids.append(pid)
+            sums.append(int(gdal_checksum(back[:, :, 1])))
+            sizes.append(len(data))
+        return pa.table({"image_id": pa.array(ids),
+                         "checksum": pa.array(sums, pa.int64()),
+                         "webp_bytes": pa.array(sizes, pa.int64())})
 
     # deterministic 1-in-8 sample keeps the pure-Python entropy coder
     # off the bench critical path while still transcoding a spread
@@ -935,17 +929,15 @@ def q_webp_images(sf_dir: str):
     return (ray.data.read_parquet(path, columns=["image_id", "bytes",
                                                  "fmt", "w", "h"])
             .map_batches(sample, batch_format="pyarrow")
-            .map_batches(DecodeImages, batch_format="pyarrow",
-                         concurrency=default_concurrency())
-            .map_batches(WebpTranscode, batch_format="pyarrow",
-                         concurrency=default_concurrency(),
+            .map_batches(decode_images, batch_format="pyarrow")
+            .map_batches(webp_transcode, batch_format="pyarrow",
                          batch_size=64)
             .select_columns(["image_id", "checksum", "webp_bytes"]))
 
 
 def q_jp2_images(sf_dir: str):
     """Distributed JPEG 2000 transcode (rows-only: pixel codecs have no
-    SQL analog): decode the image table in an actor pool, re-encode as a
+    SQL analog): decode the image table, re-encode as a
     LOSSLESS Part-1 JP2 (georay.jp2 — reversible 5/3 + RCT + EBCOT/MQ,
     all from scratch), decode back and require bit-exact pixels; ALSO
     re-encode IRREVERSIBLE (9/7 + ICT + scalar-expounded quantization,
@@ -954,48 +946,39 @@ def q_jp2_images(sf_dir: str):
     (checksum, jp2_bytes, jp2_lossy_bytes, lossy_psnr_ok)."""
     import ray
 
-    from .decode import DecodeImages
+    from .decode import decode_images
     from .stats import gdal_checksum
-    from .util import default_concurrency
 
     path = _bench_images(sf_dir)
 
-    class Jp2Transcode:
-        def __init__(self):
-            from .jp2 import jp2_decode, jp2_encode
-            self._enc = jp2_encode
-            self._dec = jp2_decode
-            self._checksum = gdal_checksum
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, sums, sizes, lsizes, lok = [], [], [], [], []
-            ws = batch["w"].to_numpy()
-            hs = batch["h"].to_numpy()
-            pix = batch["pixels"].to_pylist()
-            for i, pid in enumerate(batch["image_id"].to_pylist()):
-                arr = np.frombuffer(pix[i], np.uint8).reshape(
-                    int(hs[i]), int(ws[i]), 3)
-                data = self._enc(arr)
-                back = self._dec(data)
-                if not np.array_equal(back, arr):
-                    raise ValueError(f"jp2 roundtrip mismatch: {pid}")
-                lossy = self._enc(arr, reversible=False, step=1.0)
-                lback = self._dec(lossy)
-                mse = float(np.mean((lback.astype(np.float64)
-                                     - arr.astype(np.float64)) ** 2))
-                psnr = (10.0 * np.log10(255.0 ** 2 / mse)
-                        if mse > 0 else np.inf)
-                ids.append(pid)
-                sums.append(int(self._checksum(back[:, :, 1])))
-                sizes.append(len(data))
-                lsizes.append(len(lossy))
-                lok.append(bool(psnr >= 40.0))
-            return pa.table({"image_id": pa.array(ids),
-                             "checksum": pa.array(sums, pa.int64()),
-                             "jp2_bytes": pa.array(sizes, pa.int64()),
-                             "jp2_lossy_bytes": pa.array(lsizes,
-                                                         pa.int64()),
-                             "lossy_psnr_ok": pa.array(lok)})
+    def jp2_transcode(batch: pa.Table) -> pa.Table:
+        from .jp2 import jp2_decode, jp2_encode
+        ids, sums, sizes, lsizes, lok = [], [], [], [], []
+        ws = batch["w"].to_numpy()
+        hs = batch["h"].to_numpy()
+        pix = batch["pixels"].to_pylist()
+        for i, pid in enumerate(batch["image_id"].to_pylist()):
+            arr = np.frombuffer(pix[i], np.uint8).reshape(
+                int(hs[i]), int(ws[i]), 3)
+            data = jp2_encode(arr)
+            back = jp2_decode(data)
+            if not np.array_equal(back, arr):
+                raise ValueError(f"jp2 roundtrip mismatch: {pid}")
+            lossy = jp2_encode(arr, reversible=False, step=1.0)
+            lback = jp2_decode(lossy)
+            mse = float(np.mean((lback.astype(np.float64)
+                                 - arr.astype(np.float64)) ** 2))
+            psnr = 10.0 * np.log10(255.0 ** 2 / mse) if mse > 0 else np.inf
+            ids.append(pid)
+            sums.append(int(gdal_checksum(back[:, :, 1])))
+            sizes.append(len(data))
+            lsizes.append(len(lossy))
+            lok.append(bool(psnr >= 40.0))
+        return pa.table({"image_id": pa.array(ids),
+                         "checksum": pa.array(sums, pa.int64()),
+                         "jp2_bytes": pa.array(sizes, pa.int64()),
+                         "jp2_lossy_bytes": pa.array(lsizes, pa.int64()),
+                         "lossy_psnr_ok": pa.array(lok)})
 
     # 1-in-16 sample of the <=64 px rows: EBCOT tier-1 is a per-sample
     # Python state machine (documented floor, like the JPEG/WebP
@@ -1011,10 +994,8 @@ def q_jp2_images(sf_dir: str):
     return (ray.data.read_parquet(path, columns=["image_id", "bytes",
                                                  "fmt", "w", "h"])
             .map_batches(sample, batch_format="pyarrow")
-            .map_batches(DecodeImages, batch_format="pyarrow",
-                         concurrency=default_concurrency())
-            .map_batches(Jp2Transcode, batch_format="pyarrow",
-                         concurrency=default_concurrency(),
+            .map_batches(decode_images, batch_format="pyarrow")
+            .map_batches(jp2_transcode, batch_format="pyarrow",
                          batch_size=32)
             .select_columns(["image_id", "checksum", "jp2_bytes",
                              "jp2_lossy_bytes", "lossy_psnr_ok"]))
@@ -1068,26 +1049,22 @@ def q_dem_hillshade(sf_dir: str):
     """gdaldem hillshade over band 0 of each image (3×3 Horn kernel in a
     stateless `mb`); output = per-image GDAL checksum of the shaded tile."""
     from .pipelines import georeferenced_images
-    from .raster import DemDerivatives
+    from .raster import dem_derivatives
     path = _bench_images(sf_dir)
     ds = georeferenced_images(path, decode=True)
-    from .util import default_concurrency
-    out = ds.map_batches(DemDerivatives, batch_format="pyarrow",
-                         concurrency=default_concurrency(cap=8),
-                         fn_constructor_kwargs=dict(mode="hillshade"))
+    out = ds.map_batches(dem_derivatives, batch_format="pyarrow",
+                         fn_kwargs=dict(mode="hillshade"))
     return out.select_columns(["image_id", "hillshade_checksum"])
 
 
 def q_polygonize_images(sf_dir: str):
     """GDALPolygonize per image (quantized band 0 → connected regions)."""
     from .pipelines import georeferenced_images
-    from .polygonize import PolygonizeImages
-    from .util import default_concurrency
+    from .polygonize import polygonize_images
     path = _bench_images(sf_dir)
     ds = georeferenced_images(path, decode=True)
-    out = ds.map_batches(PolygonizeImages, batch_format="pyarrow",
-                         concurrency=default_concurrency(cap=8),
-                         fn_constructor_kwargs=dict(quantize=64))
+    out = ds.map_batches(polygonize_images, batch_format="pyarrow",
+                         fn_kwargs=dict(quantize=64))
     return out.select_columns(["image_id", "value", "pixel_count"])
 
 
@@ -1099,8 +1076,7 @@ def q_zonal_stats(sf_dir: str):
     from .geom import PackedPolygons, parse_wkb, wkb_polygon
     from .mercator import latlon_to_meters
     from .pipelines import georeferenced_images
-    from .rasterize import ZonalStats
-    from .util import default_concurrency
+    from .rasterize import zonal_stats
     path = _bench_images(sf_dir)
     polys = polygons_table(120)
     # reproject polygon rings from lon/lat to EPSG:3857 (image gt space)
@@ -1115,9 +1091,8 @@ def q_zonal_stats(sf_dir: str):
     packed = PackedPolygons.from_wkb(wkbs)
     ref = ray.put((packed, polys.select(["polygon_id"])))
     ds = georeferenced_images(path, decode=True)
-    out = ds.map_batches(ZonalStats, batch_format="pyarrow",
-                         concurrency=default_concurrency(cap=8),
-                         fn_constructor_kwargs=dict(index_ref=ref))
+    out = ds.map_batches(zonal_stats, batch_format="pyarrow",
+                         fn_kwargs=dict(index_ref=ref))
     return out.select_columns(["image_id", "polygon_id", "count"])
 
 
@@ -1159,13 +1134,12 @@ def q_zonal_stats_rect(sf_dir: str):
     a known grid (pixel value = (px + 2·py + i) % 256), 6 rectangular
     zones whose edges sit at .25 offsets so no pixel CENTER (.5 offsets)
     is ever on a boundary — the rasterize-then-aggregate path
-    (PackedPolygons broadcast → ZonalStats actor) is exactly
+    (PackedPolygons broadcast → zonal_stats task) is exactly
     reproducible as a generate_series aggregation in SQL (VERDICT r3
     next-6: an oracle for the zonal join)."""
     import ray
     from .geom import PackedPolygons, box_ring, wkb_polygon
-    from .rasterize import ZonalStats
-    from .util import default_concurrency
+    from .rasterize import zonal_stats
 
     def build(i):
         px = np.arange(64)
@@ -1181,9 +1155,8 @@ def q_zonal_stats_rect(sf_dir: str):
     packed = PackedPolygons.from_wkb(wkbs)
     payload = pa.table({"polygon_id": pa.array(np.arange(6), pa.int64())})
     ref = ray.put((packed, payload))
-    out = tiles.map_batches(ZonalStats, batch_format="pyarrow",
-                            concurrency=default_concurrency(cap=8),
-                            fn_constructor_kwargs=dict(index_ref=ref))
+    out = tiles.map_batches(zonal_stats, batch_format="pyarrow",
+                            fn_kwargs=dict(index_ref=ref))
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1222,8 +1195,7 @@ def q_dem_hillshade_plane(sf_dir: str):
     constant Horn response in the interior, so the center-pixel value is
     a pure trig function of (a, b) that DuckDB can evaluate with the
     identical op order (VERDICT r3 next-6)."""
-    from .raster import DemDerivatives
-    from .util import default_concurrency
+    from .raster import dem_derivatives
 
     def build(i):
         a = i % 3 - 1
@@ -1234,10 +1206,8 @@ def q_dem_hillshade_plane(sf_dir: str):
         return arr, 0.0, 0.0
 
     tiles = _plane_tiles(sf_dir, 45, build)
-    shaded = tiles.map_batches(
-        DemDerivatives, batch_format="pyarrow",
-        concurrency=default_concurrency(cap=8),
-        fn_constructor_kwargs=dict(mode="hillshade"))
+    shaded = tiles.map_batches(dem_derivatives, batch_format="pyarrow",
+                               fn_kwargs=dict(mode="hillshade"))
 
     def center(batch: pa.Table) -> pa.Table:
         vals = np.frombuffer(
@@ -1338,12 +1308,10 @@ def q_footprint_images(sf_dir: str):
     """gdal_footprint: per-image valid-data (band0 != 0) footprint polygon
     + valid-pixel count (rows-only: pixels have no SQL analog)."""
     from .pipelines import georeferenced_images
-    from .polygonize import FootprintImages
-    from .util import default_concurrency
+    from .polygonize import footprint_images
     path = _bench_images(sf_dir)
     ds = georeferenced_images(path, decode=True)
-    out = ds.map_batches(FootprintImages, batch_format="pyarrow",
-                         concurrency=default_concurrency(cap=8))
+    out = ds.map_batches(footprint_images, batch_format="pyarrow")
     return out.select_columns(["image_id", "n_valid"])
 
 

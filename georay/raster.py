@@ -16,7 +16,7 @@ __all__ = [
     "pixel_calc", "translate_window", "translate_scale",
     "expand_palette", "translate_unscale",
     "hillshade", "slope", "aspect", "tri", "tpi", "roughness",
-    "warp_affine_mercator", "TranslateImages", "DemDerivatives",
+    "warp_affine_mercator", "translate_images", "dem_derivatives",
     "pansharpen_brovey", "median_cut_palette", "dither_floyd_steinberg",
     "color_relief", "pixel_function",
     "viewshed", "edit_metadata", "nearblack", "dem_tiled",
@@ -204,42 +204,34 @@ def nearblack(img: np.ndarray, *, near: int = 15, white: bool = False,
     return out
 
 
-class TranslateImages:
+def translate_images(batch: pa.Table, *, srcwin=None, outsize=None,
+                     scale=False, resampling: str = "near") -> pa.Table:
     """map_batches stage: -srcwin / -outsize / -scale over the decoded
     ``pixels`` column (gdal_translate as a batch transform)."""
-
-    def __init__(self, srcwin=None, outsize=None, scale=False,
-                 resampling: str = "near"):
-        self.srcwin = srcwin
-        self.outsize = outsize
-        self.scale = scale
-        self.kernel = resampling
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .tiles import _scale_to
-        h_arr = batch["h"].to_numpy()
-        w_arr = batch["w"].to_numpy()
-        out_pix, out_w, out_h = [], [], []
-        for i in range(batch.num_rows):
-            arr = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                dtype=np.uint8).reshape(
-                int(h_arr[i]), int(w_arr[i]), 3)
-            if self.srcwin:
-                arr = translate_window(arr, *self.srcwin)
-            if self.outsize:
-                ow, oh = self.outsize
-                arr = _scale_to(arr, oh, ow, self.kernel)
-            if self.scale:
-                arr = translate_scale(arr)
-            out_pix.append(arr.tobytes())
-            out_h.append(arr.shape[0])
-            out_w.append(arr.shape[1])
-        batch = batch.drop_columns(["pixels"])
-        batch = batch.set_column(batch.schema.get_field_index("w"), "w",
-                                 pa.array(np.asarray(out_w, np.int32)))
-        batch = batch.set_column(batch.schema.get_field_index("h"), "h",
-                                 pa.array(np.asarray(out_h, np.int32)))
-        return batch.append_column("pixels", pa.array(out_pix, pa.binary()))
+    from .tiles import _scale_to
+    h_arr = batch["h"].to_numpy()
+    w_arr = batch["w"].to_numpy()
+    out_pix, out_w, out_h = [], [], []
+    for i in range(batch.num_rows):
+        arr = np.frombuffer(batch["pixels"][i].as_buffer(),
+                            dtype=np.uint8).reshape(
+            int(h_arr[i]), int(w_arr[i]), 3)
+        if srcwin:
+            arr = translate_window(arr, *srcwin)
+        if outsize:
+            ow, oh = outsize
+            arr = _scale_to(arr, oh, ow, resampling)
+        if scale:
+            arr = translate_scale(arr)
+        out_pix.append(arr.tobytes())
+        out_h.append(arr.shape[0])
+        out_w.append(arr.shape[1])
+    batch = batch.drop_columns(["pixels"])
+    batch = batch.set_column(batch.schema.get_field_index("w"), "w",
+                             pa.array(np.asarray(out_w, np.int32)))
+    batch = batch.set_column(batch.schema.get_field_index("h"), "h",
+                             pa.array(np.asarray(out_h, np.int32)))
+    return batch.append_column("pixels", pa.array(out_pix, pa.binary()))
 
 
 # ---------------------------------------------------------------------------
@@ -422,34 +414,29 @@ def dem_tiled(tiles_ds, mode: str = "hillshade", *,
         out_dtype=np.uint8 if mode == "hillshade" else np.float64)
 
 
-class DemDerivatives:
+def dem_derivatives(batch: pa.Table, *, mode: str = "hillshade",
+                    **kwargs) -> pa.Table:
     """map_batches stage: treat band 0 of ``pixels`` as a DEM and emit the
     requested derivative (+ its GDAL checksum) per row — the gdaldem
     pipeline, one tile per row, embarrassingly parallel.  For tiled
     multi-row rasters use ``dem_tiled`` (exact cross-tile 1-px halo)."""
-
-    def __init__(self, mode: str = "hillshade", **kwargs):
-        self.fn = _DEM_FUNCS[mode]
-        self.mode = mode
-        self.kwargs = kwargs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .stats import gdal_checksum
-        h_arr = batch["h"].to_numpy()
-        w_arr = batch["w"].to_numpy()
-        outs, checks = [], []
-        for i in range(batch.num_rows):
-            dem = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                dtype=np.uint8).reshape(
-                int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
-            out = self.fn(dem, **self.kwargs)
-            outs.append(np.ascontiguousarray(out).tobytes())
-            q = (out if out.dtype == np.uint8
-                 else np.clip(np.rint(out), 0, 255).astype(np.uint8))
-            checks.append(gdal_checksum(q))
-        batch = batch.append_column(self.mode, pa.array(outs, pa.binary()))
-        return batch.append_column(f"{self.mode}_checksum",
-                                   pa.array(checks, pa.int64()))
+    from .stats import gdal_checksum
+    fn = _DEM_FUNCS[mode]
+    h_arr = batch["h"].to_numpy()
+    w_arr = batch["w"].to_numpy()
+    outs, checks = [], []
+    for i in range(batch.num_rows):
+        dem = np.frombuffer(batch["pixels"][i].as_buffer(),
+                            dtype=np.uint8).reshape(
+            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
+        out = fn(dem, **kwargs)
+        outs.append(np.ascontiguousarray(out).tobytes())
+        q = (out if out.dtype == np.uint8
+             else np.clip(np.rint(out), 0, 255).astype(np.uint8))
+        checks.append(gdal_checksum(q))
+    batch = batch.append_column(mode, pa.array(outs, pa.binary()))
+    return batch.append_column(f"{mode}_checksum",
+                               pa.array(checks, pa.int64()))
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +456,6 @@ def _crs_to_latlon(crs: str, x, y):
 def _latlon_to_crs(crs: str, lat, lon):
     from .mercator import crs_forward
     return crs_forward(crs, lat, lon)
-
-
-def _kernel_weights(kernel: str, t: np.ndarray) -> np.ndarray:
-    if kernel == "cubic":            # Catmull-Rom, a=-0.5 (GDAL GRA_Cubic)
-        a = -0.5
-        at = np.abs(t)
-        return np.where(
-            at <= 1, (a + 2) * at**3 - (a + 3) * at**2 + 1,
-            np.where(at < 2, a * at**3 - 5 * a * at**2 + 8 * a * at - 4 * a,
-                     0.0))
-    if kernel == "lanczos":          # a=3 (GRA_Lanczos)
-        return np.where(np.abs(t) < 3, np.sinc(t) * np.sinc(t / 3.0), 0.0)
-    raise ValueError(kernel)
 
 
 def warp_affine_mercator(src: np.ndarray, src_gt, dst_gt, dst_shape,
@@ -697,6 +671,7 @@ def warp_affine_mercator(src: np.ndarray, src_gt, dst_gt, dst_shape,
         if src.ndim == 2:
             out = out[:, :, 0]
     elif kernel in ("cubic", "lanczos"):
+        from .tiles import _conv_kernel
         fx = px - 0.5
         fy = py - 0.5
         x0 = np.floor(fx).astype(np.int64)
@@ -708,10 +683,10 @@ def warp_affine_mercator(src: np.ndarray, src_gt, dst_gt, dst_shape,
         acc = np.zeros(dx.shape + a.shape[2:], dtype=np.float64)
         wsum = np.zeros(dx.shape, dtype=np.float64)
         for jy in taps:
-            wy = _kernel_weights(kernel, fy - (y0 + jy))
+            wy = _conv_kernel(kernel, fy - (y0 + jy))
             yc = np.clip(y0 + jy, 0, h - 1)
             for jx in taps:
-                wx = _kernel_weights(kernel, fx - (x0 + jx))
+                wx = _conv_kernel(kernel, fx - (x0 + jx))
                 xc = np.clip(x0 + jx, 0, w - 1)
                 wgt = wy * wx
                 if a.ndim == 3:

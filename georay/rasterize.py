@@ -2,8 +2,9 @@
 sampling, scattered-point gridding — SURVEY.md §2.7 (alg/gdalrasterize.cpp,
 alg/gdalgrid.cpp, gcore/gdal_interpolateatpoint.cpp analogs).
 
-All kernels are pure numpy; batch wrappers are stateless or broadcast-state
-``map_batches`` stages.
+All kernels are pure numpy; the batch wrapper :func:`zonal_stats` is a
+task-based ``map_batches`` stage whose broadcast polygons are cached per
+worker process.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import numpy as np
 import pyarrow as pa
 
 from .geom import PackedPolygons
+from .util import worker_get
 
 __all__ = [
-    "rasterize_polygons", "zonal_stats_image", "ZonalStats",
+    "rasterize_polygons", "zonal_stats_image", "zonal_stats",
     "sample_at_points", "grid_invdist", "grid_nearest", "grid_average",
     "grid_metrics", "grid_linear", "delaunay_triangulate",
 ]
@@ -106,48 +108,44 @@ def zonal_stats_image(arr: np.ndarray, gt, polys: PackedPolygons):
     return out
 
 
-class ZonalStats:
-    """Actor stage: decoded image rows × broadcast polygon set → one row
-    per (image, polygon) with pixel stats.  Polygons are in the SAME
-    georeferenced space as the image geotransform."""
-
-    def __init__(self, index_ref, payload=("polygon_id",)):
-        import ray
-        obj = ray.get(index_ref) if not isinstance(index_ref, tuple) else index_ref
-        self.polys, self.payload_tbl = obj
-        self.payload = payload
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        h_arr = batch["h"].to_numpy()
-        w_arr = batch["w"].to_numpy()
-        rows = {"image_id": [], "poly_idx": [], "count": [], "sum": [],
-                "mean": [], "min": [], "max": []}
-        for i in range(batch.num_rows):
-            arr = np.frombuffer(batch["pixels"][i].as_buffer(),
-                                dtype=np.uint8).reshape(
-                int(h_arr[i]), int(w_arr[i]), 3)
-            gt = (float(batch["ulx"][i].as_py()),
-                  float(batch["psize"][i].as_py()), 0.0,
-                  float(batch["uly"][i].as_py()), 0.0,
-                  -float(batch["psize"][i].as_py()))
-            for st in zonal_stats_image(arr, gt, self.polys):
-                rows["image_id"].append(batch["image_id"][i].as_py())
-                for k in ("poly_idx", "count", "sum", "mean", "min", "max"):
-                    rows[k].append(st[k])
-        out = pa.table({
-            "image_id": pa.array(rows["image_id"], pa.string()),
-            "poly_idx": pa.array(rows["poly_idx"], pa.int64()),
-            "count": pa.array(rows["count"], pa.int64()),
-            "sum": pa.array(rows["sum"], pa.float64()),
-            "mean": pa.array(rows["mean"], pa.float64()),
-            "min": pa.array(rows["min"], pa.float64()),
-            "max": pa.array(rows["max"], pa.float64()),
-        })
-        for name in self.payload:
-            if name in self.payload_tbl.schema.names:
-                out = out.append_column(
-                    name, self.payload_tbl[name].take(out["poly_idx"]))
-        return out
+def zonal_stats(batch: pa.Table, *, index_ref,
+                payload=("polygon_id",)) -> pa.Table:
+    """map_batches stage: decoded image rows × broadcast polygon set → one
+    row per (image, polygon) with pixel stats.  ``index_ref`` is a
+    ``ray.put`` ref (or the value) of ``(PackedPolygons, payload table)``;
+    polygons are in the SAME georeferenced space as the image
+    geotransform."""
+    polys, payload_tbl = worker_get(index_ref)
+    h_arr = batch["h"].to_numpy()
+    w_arr = batch["w"].to_numpy()
+    rows = {"image_id": [], "poly_idx": [], "count": [], "sum": [],
+            "mean": [], "min": [], "max": []}
+    for i in range(batch.num_rows):
+        arr = np.frombuffer(batch["pixels"][i].as_buffer(),
+                            dtype=np.uint8).reshape(
+            int(h_arr[i]), int(w_arr[i]), 3)
+        gt = (float(batch["ulx"][i].as_py()),
+              float(batch["psize"][i].as_py()), 0.0,
+              float(batch["uly"][i].as_py()), 0.0,
+              -float(batch["psize"][i].as_py()))
+        for st in zonal_stats_image(arr, gt, polys):
+            rows["image_id"].append(batch["image_id"][i].as_py())
+            for k in ("poly_idx", "count", "sum", "mean", "min", "max"):
+                rows[k].append(st[k])
+    out = pa.table({
+        "image_id": pa.array(rows["image_id"], pa.string()),
+        "poly_idx": pa.array(rows["poly_idx"], pa.int64()),
+        "count": pa.array(rows["count"], pa.int64()),
+        "sum": pa.array(rows["sum"], pa.float64()),
+        "mean": pa.array(rows["mean"], pa.float64()),
+        "min": pa.array(rows["min"], pa.float64()),
+        "max": pa.array(rows["max"], pa.float64()),
+    })
+    for name in payload:
+        if name in payload_tbl.schema.names:
+            out = out.append_column(name,
+                                    payload_tbl[name].take(out["poly_idx"]))
+    return out
 
 
 def sample_at_points(arr: np.ndarray, gt, px, py, method: str = "near"):

@@ -45,25 +45,22 @@ class RasterPipeline:
         return RasterPipeline(attribute_filter(self.ds, clause))
 
     def decode(self, *, keep_bytes: bool = False,
-               with_checksum: bool = False,
-               concurrency=None) -> "RasterPipeline":
-        """bytes+fmt → pixels via the actor-pool codec stage."""
-        from .decode import DecodeImages
-        from .util import default_concurrency
+               with_checksum: bool = False) -> "RasterPipeline":
+        """bytes+fmt → pixels via the codec stage."""
+        from .decode import decode_images
         return RasterPipeline(self.ds.map_batches(
-            DecodeImages, batch_format="pyarrow",
-            fn_constructor_kwargs=dict(keep_bytes=keep_bytes,
-                                       with_checksum=with_checksum),
-            concurrency=concurrency or default_concurrency()))
+            decode_images, batch_format="pyarrow",
+            fn_kwargs=dict(keep_bytes=keep_bytes,
+                           with_checksum=with_checksum)))
 
     def translate(self, *, srcwin=None, outsize=None, scale=False,
                   resampling: str = "near") -> "RasterPipeline":
         """gdal_translate -srcwin/-outsize/-scale."""
-        from .raster import TranslateImages
+        from .raster import translate_images
         return RasterPipeline(self.ds.map_batches(
-            TranslateImages(srcwin=srcwin, outsize=outsize, scale=scale,
-                            resampling=resampling),
-            batch_format="pyarrow"))
+            translate_images, batch_format="pyarrow",
+            fn_kwargs=dict(srcwin=srcwin, outsize=outsize, scale=scale,
+                           resampling=resampling)))
 
     def calc(self, expr: str, out_col: str = "calc") -> "RasterPipeline":
         """gdal_calc over band 0 of ``pixels`` (expression gets ``A``);
@@ -90,17 +87,18 @@ class RasterPipeline:
 
     def dem(self, mode: str = "hillshade", **kwargs) -> "RasterPipeline":
         """gdaldem derivative per row (band 0 as the DEM)."""
-        from .raster import DemDerivatives
+        from .raster import dem_derivatives
         return RasterPipeline(self.ds.map_batches(
-            DemDerivatives(mode=mode, **kwargs), batch_format="pyarrow"))
+            dem_derivatives, batch_format="pyarrow",
+            fn_kwargs=dict(mode=mode, **kwargs)))
 
     def cut_tiles(self, zoom: int, resampling: str = "average"
                   ) -> "RasterPipeline":
         """gdal2tiles base-tile cut (rows → per-tile RGBA fragments)."""
-        from .tiles import CutTiles
+        from .tiles import cut_tiles
         return RasterPipeline(self.ds.map_batches(
-            CutTiles(zoom=zoom, resampling=resampling),
-            batch_format="pyarrow"))
+            cut_tiles, batch_format="pyarrow",
+            fn_kwargs=dict(zoom=zoom, resampling=resampling)))
 
     def map(self, fn) -> "RasterPipeline":
         """Custom step (the UDF hook): any pa.Table → pa.Table callable."""

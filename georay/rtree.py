@@ -9,7 +9,7 @@ descends all query boxes level-by-level as one vectorized frontier, so a
 whole ``map_batches`` batch of points/boxes is answered with a handful of
 numpy ops instead of a per-row tree walk.
 
-Built once on the driver, ``ray.put()`` once, reused by every join actor
+Built once on the driver, ``ray.put()`` once, reused by every join task
 (SURVEY.md §2.3 "Spatial index for join pretest").
 """
 

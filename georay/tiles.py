@@ -31,10 +31,9 @@ from .mercator import (TILE_SIZE, geo_query, latlon_to_tile_xyz,
 
 __all__ = [
     "resample_average", "resample_nearest", "resample_bilinear",
-    "assign_center_tile", "cut_windows", "CutTiles", "composite_tile_group",
+    "assign_center_tile", "cut_windows", "cut_tiles", "composite_tile_group",
     "partial_composite_batch", "merge_composite_group", "composite_tiles",
-    "overview_reduce_group", "build_pyramid", "write_tiles_png",
-    "write_tiles_cog",
+    "build_pyramid", "write_tiles_png", "write_tiles_cog",
 ]
 
 
@@ -349,56 +348,49 @@ def assign_center_tile(batch: pa.Table, zoom: int,
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: base-tile cutting (actor pool; generate_base_tiles analog)
+# Stage 2: base-tile cutting (generate_base_tiles analog)
 # ---------------------------------------------------------------------------
 
-class CutTiles:
-    """map_batches actor: decoded image rows → per-tile RGBA fragments.
+def cut_tiles(batch: pa.Table, *, zoom: int, tile_size: int = TILE_SIZE,
+              resampling: str = "average") -> pa.Table:
+    """map_batches stage: decoded image rows → per-tile RGBA fragments.
 
     Input columns: ``image_id, pixels, w, h, ulx, uly, psize``.
     Output rows: ``z, tile_x, tile_y (XYZ), image_id, frag`` (256·256·4
     raw bytes), one per (image, overlapping tile) — TileDetail analog
     (gdal2tiles.py:2126).
     """
-
-    def __init__(self, zoom: int, tile_size: int = TILE_SIZE,
-                 resampling: str = "average"):
-        self.zoom = zoom
-        self.ts = tile_size
-        self.kernel = resampling
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        z, ts = self.zoom, self.ts
-        out_x, out_y, out_id, out_frag = [], [], [], []
-        w_arr = batch["w"].to_numpy()
-        h_arr = batch["h"].to_numpy()
-        ulx_arr = batch["ulx"].to_numpy()
-        uly_arr = batch["uly"].to_numpy()
-        ps_arr = batch["psize"].to_numpy()
-        ids = batch["image_id"].to_pylist()
-        pix_col = batch["pixels"]
-        for i in range(batch.num_rows):
-            w, h = int(w_arr[i]), int(h_arr[i])
-            src = np.frombuffer(pix_col[i].as_buffer(), dtype=np.uint8)\
-                .reshape(h, w, 3)
-            for tx, ty, wx, wy, scaled in cut_windows(
-                    src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
-                    float(ps_arr[i]), z, self.kernel, ts):
-                sh, sw = scaled.shape[:2]
-                frag = np.zeros((ts, ts, 4), dtype=np.uint8)
-                frag[wy:wy + sh, wx:wx + sw, :3] = scaled
-                frag[wy:wy + sh, wx:wx + sw, 3] = 255
-                out_x.append(tx)
-                out_y.append(ty)
-                out_id.append(ids[i])
-                out_frag.append(frag.tobytes())
-        return pa.table({
-            "z": pa.array(np.full(len(out_x), z, dtype=np.int64)),
-            "tile_x": pa.array(out_x, pa.int64()),
-            "tile_y": pa.array(out_y, pa.int64()),
-            "image_id": pa.array(out_id, pa.string()),
-            "frag": pa.array(out_frag, pa.binary()),
-        })
+    ts = tile_size
+    out_x, out_y, out_id, out_frag = [], [], [], []
+    w_arr = batch["w"].to_numpy()
+    h_arr = batch["h"].to_numpy()
+    ulx_arr = batch["ulx"].to_numpy()
+    uly_arr = batch["uly"].to_numpy()
+    ps_arr = batch["psize"].to_numpy()
+    ids = batch["image_id"].to_pylist()
+    pix_col = batch["pixels"]
+    for i in range(batch.num_rows):
+        w, h = int(w_arr[i]), int(h_arr[i])
+        src = np.frombuffer(pix_col[i].as_buffer(), dtype=np.uint8)\
+            .reshape(h, w, 3)
+        for tx, ty, wx, wy, scaled in cut_windows(
+                src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
+                float(ps_arr[i]), zoom, resampling, ts):
+            sh, sw = scaled.shape[:2]
+            frag = np.zeros((ts, ts, 4), dtype=np.uint8)
+            frag[wy:wy + sh, wx:wx + sw, :3] = scaled
+            frag[wy:wy + sh, wx:wx + sw, 3] = 255
+            out_x.append(tx)
+            out_y.append(ty)
+            out_id.append(ids[i])
+            out_frag.append(frag.tobytes())
+    return pa.table({
+        "z": pa.array(np.full(len(out_x), zoom, dtype=np.int64)),
+        "tile_x": pa.array(out_x, pa.int64()),
+        "tile_y": pa.array(out_y, pa.int64()),
+        "image_id": pa.array(out_id, pa.string()),
+        "frag": pa.array(out_frag, pa.binary()),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -564,50 +556,24 @@ def _parent_key(batch: pa.Table) -> pa.Table:
     return batch
 
 
-def overview_reduce_group(group: pa.Table,
-                          tile_size: int = TILE_SIZE,
-                          kernel: str = "average") -> pa.Table:
-    """≤4 child tiles → parent tile: children placed on a 2× canvas by XYZ
-    quadrant (x&1 → right, y&1 → bottom), downsampled 2× with ``kernel``
-    (create_overview_tile, gdal2tiles.py:1515-1560; kernel dispatch =
-    gcore/overview.cpp:4156-4225 average/near/bilinear/rms/mode/gauss/
-    cubic/cubicspline/lanczos)."""
-    from .stats import gdal_checksum
-    ts = tile_size
-    canvas = np.zeros((2 * ts, 2 * ts, 4), dtype=np.uint8)
-    xs = group["tile_x"].to_numpy()
-    ys = group["tile_y"].to_numpy()
-    for i in range(group.num_rows):
-        child = np.frombuffer(group["tile"][i].as_buffer(),
-                              dtype=np.uint8).reshape(ts, ts, 4)
-        qx, qy = int(xs[i] & 1), int(ys[i] & 1)
-        canvas[qy * ts:(qy + 1) * ts, qx * ts:(qx + 1) * ts] = child
-    shrunk = _KERNELS[kernel](canvas, ts, ts)
-    checks = [int(gdal_checksum(shrunk[:, :, b])) for b in range(3)]
-    return pa.table({
-        "z": pa.array([int(group["pz"][0].as_py())], pa.int64()),
-        "tile_x": pa.array([int(group["px"][0].as_py())], pa.int64()),
-        "tile_y": pa.array([int(group["py"][0].as_py())], pa.int64()),
-        "tile": pa.array([shrunk.tobytes()], pa.binary()),
-        "n_frags": pa.array([group.num_rows], pa.int64()),
-        "checksum_r": pa.array([checks[0]], pa.int64()),
-        "checksum_g": pa.array([checks[1]], pa.int64()),
-        "checksum_b": pa.array([checks[2]], pa.int64()),
-    })
-
-
-def write_tiles_png(tiles_ds, out_dir: str):
-    """Write composited tiles as ``out_dir/z/x/y.png`` with a per-tile
-    lineage manifest — the gdal2tiles output layout with ``--resume``
-    generalized (gdal2tiles.py:2880-2883: skip-existing; here the manifest
-    is the committed-set, written AFTER the atomic PNG rename).
+def _write_tiles(tiles_ds, out_dir: str, ext: str, encode):
+    """``out_dir/z/x/y.<ext>`` tiles with a per-tile lineage manifest — the
+    gdal2tiles output layout with ``--resume`` generalized
+    (gdal2tiles.py:2880-2883: skip-existing; here the manifest is the
+    committed-set, written AFTER the atomic tile rename).  ``encode(canvas,
+    z, x, y)`` gives the file bytes of one RGBA tile.
 
     Returns the small per-tile status Dataset (consume it to run)."""
     import json
     import os
 
+    def atomic_write(path: str, data: bytes) -> None:
+        tmp = path + f".tmp-{os.getpid()}"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+
     def write_batch(batch: pa.Table) -> pa.Table:
-        from .codecs import png_encode
         ts = TILE_SIZE
         statuses = []
         mdir = os.path.join(out_dir, "_manifest")
@@ -616,8 +582,7 @@ def write_tiles_png(tiles_ds, out_dir: str):
             z = int(batch["z"][i].as_py())
             x = int(batch["tile_x"][i].as_py())
             y = int(batch["tile_y"][i].as_py())
-            key = f"{z}-{x}-{y}"
-            mpath = os.path.join(mdir, key + ".json")
+            mpath = os.path.join(mdir, f"{z}-{x}-{y}.json")
             if os.path.exists(mpath):
                 statuses.append("skipped")
                 continue
@@ -625,24 +590,27 @@ def write_tiles_png(tiles_ds, out_dir: str):
                                    dtype=np.uint8).reshape(ts, ts, 4)
             d = os.path.join(out_dir, str(z), str(x))
             os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, f"{y}.png")
-            tmp = path + f".tmp-{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                fh.write(png_encode(canvas))
-            os.replace(tmp, path)
-            rec = {"tile": [z, x, y],
-                   "n_frags": int(batch["n_frags"][i].as_py()),
-                   "checksum_r": int(batch["checksum_r"][i].as_py())}
-            mtmp = mpath + f".tmp-{os.getpid()}"
-            with open(mtmp, "w") as fh:
-                json.dump(rec, fh)
-            os.replace(mtmp, mpath)
+            atomic_write(os.path.join(d, f"{y}.{ext}"),
+                         encode(canvas, z, x, y))
+            atomic_write(mpath, json.dumps({
+                "tile": [z, x, y],
+                "n_frags": int(batch["n_frags"][i].as_py()),
+                "checksum_r": int(batch["checksum_r"][i].as_py())}).encode())
             statuses.append("written")
         return pa.table({"z": batch["z"], "tile_x": batch["tile_x"],
                          "tile_y": batch["tile_y"],
                          "status": pa.array(statuses, pa.string())})
 
     return tiles_ds.map_batches(write_batch, batch_format="pyarrow")
+
+
+def write_tiles_png(tiles_ds, out_dir: str):
+    """Write composited tiles as ``out_dir/z/x/y.png`` with the resumable
+    manifest of :func:`_write_tiles`.  Returns the per-tile status
+    Dataset (consume it to run)."""
+    from .codecs import png_encode
+    return _write_tiles(tiles_ds, out_dir, "png",
+                        lambda canvas, z, x, y: png_encode(canvas))
 
 
 def partial_overview_batch(batch: pa.Table,
@@ -702,8 +670,8 @@ def merge_overview_group(group: pa.Table,
                          tile_size: int = TILE_SIZE,
                          kernel: str = "average") -> pa.Table:
     """Place the partials' (quadrant, tile) pairs on the 2× canvas and
-    downsample with ``kernel`` — output schema identical to
-    :func:`overview_reduce_group`."""
+    downsample with ``kernel`` (create_overview_tile,
+    gdal2tiles.py:1515-1560) — one composited tile row per parent."""
     from .stats import gdal_checksum
     ts = tile_size
     canvas = np.zeros((2 * ts, 2 * ts, 4), dtype=np.uint8)
@@ -751,58 +719,23 @@ def build_pyramid(base_tiles_ds, tminz: int, tmaxz: int,
     return levels
 
 
-def write_tiles_cog(tiles_ds, out_dir: str, *, compression: str = "deflate"):
+def _geotiff_tile(canvas: np.ndarray, z: int, x: int, y: int) -> bytes:
+    """One RGBA tile as a GeoTIFF carrying its EPSG:3857 geotransform (from
+    the exact tile bounds) and the PixelIsArea GeoKeys."""
+    from .gtiff import tiff_encode
+    minx, _, maxx, maxy = tile_bounds_meters(x, y, z, TILE_SIZE)
+    res = (maxx - minx) / TILE_SIZE
+    return tiff_encode(canvas, compression="deflate", predictor=2,
+                       geotransform=(minx, res, 0.0, maxy, 0.0, -res),
+                       crs="EPSG:3857")
+
+
+def write_tiles_cog(tiles_ds, out_dir: str):
     """Write composited tiles as georeferenced ``out_dir/z/x/y.tif``
     GeoTIFFs (the gdal2tiles ``--tiledriver=GTiff`` analog, through the
-    from-scratch TIFF codec): each tile carries its EPSG:3857
-    geotransform from the exact tile bounds and the PixelIsArea GeoKeys,
-    so any GDAL reader opens the pyramid georeferenced.  Same atomic
-    rename + manifest resume protocol as ``write_tiles_png``.
+    from-scratch TIFF codec), so any GDAL reader opens the pyramid
+    georeferenced.  Same atomic rename + manifest resume protocol as
+    ``write_tiles_png``.
 
     Returns the small per-tile status Dataset (consume it to run)."""
-    import json
-    import os
-
-    def write_batch(batch: pa.Table) -> pa.Table:
-        from .gtiff import tiff_encode
-        from .mercator import tile_bounds_meters
-        ts = TILE_SIZE
-        statuses = []
-        mdir = os.path.join(out_dir, "_manifest")
-        os.makedirs(mdir, exist_ok=True)
-        for i in range(batch.num_rows):
-            z = int(batch["z"][i].as_py())
-            x = int(batch["tile_x"][i].as_py())
-            y = int(batch["tile_y"][i].as_py())
-            key = f"{z}-{x}-{y}"
-            mpath = os.path.join(mdir, key + ".json")
-            if os.path.exists(mpath):
-                statuses.append("skipped")
-                continue
-            canvas = np.frombuffer(batch["tile"][i].as_buffer(),
-                                   dtype=np.uint8).reshape(ts, ts, 4)
-            minx, miny, maxx, maxy = tile_bounds_meters(x, y, z, ts)
-            res = (maxx - minx) / ts
-            gt = (minx, res, 0.0, maxy, 0.0, -res)
-            d = os.path.join(out_dir, str(z), str(x))
-            os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, f"{y}.tif")
-            tmp = path + f".tmp-{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                fh.write(tiff_encode(canvas, compression=compression,
-                                     predictor=2, geotransform=gt,
-                                     crs="EPSG:3857"))
-            os.replace(tmp, path)
-            rec = {"tile": [z, x, y],
-                   "n_frags": int(batch["n_frags"][i].as_py()),
-                   "checksum_r": int(batch["checksum_r"][i].as_py())}
-            mtmp = mpath + f".tmp-{os.getpid()}"
-            with open(mtmp, "w") as fh:
-                json.dump(rec, fh)
-            os.replace(mtmp, mpath)
-            statuses.append("written")
-        return pa.table({"z": batch["z"], "tile_x": batch["tile_x"],
-                         "tile_y": batch["tile_y"],
-                         "status": pa.array(statuses, pa.string())})
-
-    return tiles_ds.map_batches(write_batch, batch_format="pyarrow")
+    return _write_tiles(tiles_ds, out_dir, "tif", _geotiff_tile)

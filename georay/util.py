@@ -1,11 +1,11 @@
-"""Small shared helpers: stage sizing, process tuning, vectorized string
-hashing."""
+"""Small shared helpers: the per-worker stage cache, process tuning,
+vectorized string hashing."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_concurrency", "tune_malloc", "hash_strings"]
+__all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings"]
 
 
 _HASH_P = np.uint64(1099511628211)  # FNV prime as the polynomial base
@@ -105,14 +105,32 @@ def tune_malloc(threshold: int = 1 << 30) -> None:
         pass  # non-glibc platform: env vars alone
 
 
-def default_concurrency(cap: int | None = None) -> tuple:
-    """Autoscaling actor-pool size ``(1, n_cpus)`` derived from the current
-    Ray cluster (works identically in local mode and on a real cluster —
-    the pool scales to the CPUs actually present).  ``cap`` bounds the max.
-    """
+# the most entries one worker process keeps: a long-lived worker holds the
+# broadcast state of the last few datasets, not of every one it served
+_WORKER_CACHE_ENTRIES = 4
+_worker_cache: dict = {}
+
+
+def worker_cached(key, build):
+    """``build()`` once per ``key`` per worker process.  Every stateful
+    ``map_batches`` stage is a plain task that keeps its broadcast state
+    here, so warm workers hold actor-like state without an actor pool (and
+    a killed worker's task simply retries elsewhere).  The oldest entry
+    goes first once ``_WORKER_CACHE_ENTRIES`` are held."""
+    if key in _worker_cache:
+        return _worker_cache[key]
+    value = build()
+    if len(_worker_cache) >= _WORKER_CACHE_ENTRIES:
+        del _worker_cache[next(iter(_worker_cache))]
+    _worker_cache[key] = value
+    return value
+
+
+def worker_get(obj):
+    """The object behind a ``ray.put`` ref, fetched once per worker process
+    and cached under the ref's hex id (the ref itself is never stored); any
+    other object is returned unchanged."""
     import ray
-    n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    hi = max(2, n)
-    if cap is not None:
-        hi = min(hi, cap)
-    return (1, hi)
+    if not isinstance(obj, ray.ObjectRef):
+        return obj
+    return worker_cached(obj.hex(), lambda: ray.get(obj))

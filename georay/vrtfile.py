@@ -22,7 +22,7 @@ ComplexSource windows, derived-band pixel functions) open directly:
 
 Scale shape: ``vrt_tile_plan`` plans (tile × intersecting-sources)
 driver-side from the RECTS ONLY (no pixel reads), and
-:class:`VRTTileReader` assembles each tile inside ``map_batches`` —
+:func:`render_vrt_tiles` assembles each tile inside ``map_batches`` —
 one task touches only the source windows that overlap its tile, the
 block-based IRasterIO shape GDAL itself uses over VRTs.  Later sources
 paint over earlier ones (vrtsources.cpp composition order).
@@ -35,8 +35,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from .util import worker_cached, worker_get
+
 __all__ = ["vrt_parse", "vrt_read", "vrt_build", "vrt_tile_plan",
-           "VRTTileReader", "read_vrt_tiles"]
+           "render_vrt_tiles", "read_vrt_tiles"]
 
 _DT = {"Byte": np.uint8, "UInt16": np.uint16, "Int16": np.int16,
        "UInt32": np.uint32, "Int32": np.int32,
@@ -199,12 +201,17 @@ def _render_band(band: dict, base_dir: str, w: int, h: int,
     return canvas
 
 
+def _parse_file(path: str) -> tuple[dict, str]:
+    """``(vrt_parse of the file, its directory)`` — relative sources
+    resolve against that directory."""
+    with open(path, "r", encoding="utf-8") as f:
+        return vrt_parse(f.read()), os.path.dirname(os.path.abspath(path))
+
+
 def vrt_read(path: str):
     """Open + assemble a .vrt → ``(array, geotransform, nodata)``
     (GDALOpen-on-VRT analog; full-extent single read)."""
-    with open(path, "r", encoding="utf-8") as f:
-        meta = vrt_parse(f.read())
-    base = os.path.dirname(os.path.abspath(path))
+    meta, base = _parse_file(path)
     cache: dict = {}
     w, h = meta["xsize"], meta["ysize"]
     planes = [_render_band(b, base, w, h, cache) for b in meta["bands"]]
@@ -300,9 +307,8 @@ def vrt_build(paths: list[str], out_path: str | None = None, *,
 def vrt_tile_plan(path: str, tile: int = 512) -> list[dict]:
     """Driver-side plan: one row per output tile listing ONLY the source
     indices whose DstRect intersects it (rect math, no pixel reads) —
-    empty tiles are skipped entirely.  Feed to :class:`VRTTileReader`."""
-    with open(path, "r", encoding="utf-8") as f:
-        meta = vrt_parse(f.read())
+    empty tiles are skipped entirely.  Feed to :func:`render_vrt_tiles`."""
+    meta, _ = _parse_file(path)
     w, h = meta["xsize"], meta["ysize"]
     rows = []
     for ty in range(0, h, tile):
@@ -326,51 +332,35 @@ def vrt_tile_plan(path: str, tile: int = 512) -> list[dict]:
     return rows
 
 
-class VRTTileReader:
-    """Actor stage: assemble the planned tiles.  The parsed VRT and the
-    decoded-source cache live per actor (__init__ parses once; source
-    rasters decode once per worker, shared across that worker's tiles)."""
-
-    def __init__(self):
-        self._meta: dict = {}
-        self._cache: dict = {}
-
-    def _get_meta(self, path: str) -> tuple[dict, str]:
-        got = self._meta.get(path)
-        if got is None:
-            with open(path, "r", encoding="utf-8") as f:
-                got = (vrt_parse(f.read()),
-                       os.path.dirname(os.path.abspath(path)))
-            self._meta[path] = got
-        return got
-
-    def __call__(self, batch):
-        import pyarrow as pa
-        from .gtiff import tiff_encode
-        tbl = batch if isinstance(batch, pa.Table) else pa.Table.from_pydict(
-            {k: list(v) for k, v in batch.items()})
-        out_bytes, out_sum = [], []
-        for row in tbl.to_pylist():
-            meta, base = self._get_meta(row["vrt_path"])
-            win = (row["xoff"], row["yoff"], row["xsize"], row["ysize"])
-            planes = [_render_band(b, base, meta["xsize"], meta["ysize"],
-                                   self._cache, win)
-                      for b in meta["bands"]]
-            arr = planes[0] if len(planes) == 1 else np.stack(planes, -1)
-            out_bytes.append(tiff_encode(arr))
-            out_sum.append(float(np.asarray(arr, np.float64).sum()))
-        return tbl.append_column(
-            "bytes", pa.array(out_bytes, pa.binary())).append_column(
-            "pixel_sum", pa.array(out_sum, pa.float64()))
+def render_vrt_tiles(batch, *, vrt_ref):
+    """map_batches stage: assemble planned tiles of one VRT.  ``vrt_ref`` is
+    a ``ray.put`` ref of its :func:`_parse_file` result, fetched once per
+    worker process; the decoded sources are cached per worker under the
+    same ref, so each source decodes once per worker, shared across that
+    worker's tiles."""
+    import pyarrow as pa
+    from .gtiff import tiff_encode
+    meta, base = worker_get(vrt_ref)
+    sources = worker_cached(("vrt_sources", vrt_ref.hex()), dict)
+    out_bytes, out_sum = [], []
+    for row in batch.to_pylist():
+        win = (row["xoff"], row["yoff"], row["xsize"], row["ysize"])
+        planes = [_render_band(b, base, meta["xsize"], meta["ysize"],
+                               sources, win)
+                  for b in meta["bands"]]
+        arr = planes[0] if len(planes) == 1 else np.stack(planes, -1)
+        out_bytes.append(tiff_encode(arr))
+        out_sum.append(float(np.asarray(arr, np.float64).sum()))
+    return batch.append_column(
+        "bytes", pa.array(out_bytes, pa.binary())).append_column(
+        "pixel_sum", pa.array(out_sum, pa.float64()))
 
 
-def read_vrt_tiles(path: str, tile: int = 512, concurrency: int = 4):
-    """Ray source over a .vrt: tile plan → actor-pool assembly.  Each
+def read_vrt_tiles(path: str, tile: int = 512):
+    """Ray source over a .vrt: tile plan → task-based assembly.  Each
     task reads only the source windows overlapping its tiles; output is
     one GeoTIFF-encoded tile per row (compose/write with tiles.py)."""
-    import ray.data
-    rows = vrt_tile_plan(path, tile)
-    ds = ray.data.from_items(rows)
-    return ds.map_batches(VRTTileReader, batch_format="pyarrow",
-                          concurrency=min(concurrency, max(1, len(rows))),
-                          batch_size=8)
+    import ray
+    return ray.data.from_items(vrt_tile_plan(path, tile)).map_batches(
+        render_vrt_tiles, batch_format="pyarrow", batch_size=8,
+        fn_kwargs=dict(vrt_ref=ray.put(_parse_file(path))))

@@ -37,7 +37,7 @@ The right-edge TR border rule is a documented guess (TR := T) that
 our encoder's TR-free mode set never exercises.
 
 Scale shape: one image = one payload cell in a ``bytes`` column;
-encode/decode run inside actor-pool ``map_batches`` stages like the
+encode/decode run inside ``map_batches`` task stages like the
 JPEG/PNG codecs (georay.decode), never on the driver.
 """
 

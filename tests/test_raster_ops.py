@@ -209,9 +209,8 @@ def test_polygonize_images_stage(ray_session, tmp_path):
     from georay.pipelines import georeferenced_images
     p = fx.write_images_parquet(str(tmp_path / "imgs"), 8, rows_per_file=8)
     ds = georeferenced_images(p, decode=True)
-    out = ds.map_batches(PZ.PolygonizeImages, batch_format="pyarrow",
-                         concurrency=2,
-                         fn_constructor_kwargs=dict(quantize=64)).take_all()
+    out = ds.map_batches(PZ.polygonize_images, batch_format="pyarrow",
+                         fn_kwargs=dict(quantize=64)).take_all()
     assert len(out) > 8  # several regions per image
     assert {"image_id", "value", "wkb", "pixel_count"} <= set(out[0].keys())
 

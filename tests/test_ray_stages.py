@@ -1,4 +1,4 @@
-"""Ray Data stage tests: decode actors, spatial join (broadcast +
+"""Ray Data stage tests: decode, spatial join (broadcast +
 partitioned + salted), kNN, tiling, checkpoint/resume.
 
 Oracles are brute-force pure-numpy implementations (FIXTURES.md golden
@@ -78,14 +78,14 @@ def test_flagship_stage_cut_and_verify_need_decode(polygons, kw):
 
 @pytest.mark.parametrize("zoom", [12, 15])
 def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
-    """The fused stage and CutTiles share one window cutter: each fused
-    (image, tile) checksum equals the prime-LUT checksum of CutTiles' RGBA
+    """The fused stage and cut_tiles share one window cutter: each fused
+    (image, tile) checksum equals the prime-LUT checksum of cut_tiles' RGBA
     fragment for the same image and tile."""
-    from georay.decode import DecodeImages, add_georef
+    from georay.decode import add_georef, decode_images
     from georay.join import PolygonIndex
     from georay.pipelines import FlagshipStage
     from georay.stats import CHECKSUM_PRIMES
-    from georay.tiles import CutTiles
+    from georay.tiles import cut_tiles
     t = fx.images_table(32)
     out = FlagshipStage(PolygonIndex.build(polygons), zoom=zoom,
                         decode=True, cut=True)(t)
@@ -93,7 +93,7 @@ def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
     fused = {(r["image_id"], r["tile_x"], r["tile_y"]): r["frag_checksum"]
              for r in out.select(["image_id", "tile_x", "tile_y",
                                   "frag_checksum"]).to_pylist()}
-    frags = CutTiles(zoom=zoom)(add_georef(DecodeImages()(t)))
+    frags = cut_tiles(add_georef(decode_images(t)), zoom=zoom)
     lut = CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)
     cut = {}
     for r in frags.to_pylist():

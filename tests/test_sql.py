@@ -32,13 +32,9 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _run(sql: str, tables):
-    import ray
+    from georay.queries import _rp
     from georay.sql import execute_sql
-    tabs = {t: ray.data.read_parquet(f"{SF}/{t}.parquet") for t in tables}
-    res = execute_sql(sql, tabs)
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res.to_pandas()
+    return execute_sql(sql, {t: _rp(SF, t) for t in tables}).to_pandas()
 
 
 def _run_row(name: str) -> pd.DataFrame:

@@ -143,7 +143,7 @@ def test_tile_plan_skips_empty_and_matches_full(mosaic_dir, ray_session):
     assert {(r["tile_x"], r["tile_y"]) for r in plan} == {
         (0, 0), (1, 0), (0, 1)}
     full, _, _ = vrt_read(out)
-    got = read_vrt_tiles(out, tile=10, concurrency=2).to_pandas()
+    got = read_vrt_tiles(out, tile=10).to_pandas()
     assert float(got["pixel_sum"].sum()) == float(
         full.astype(np.float64).sum())
     # each tile payload is a decodable GeoTIFF of the right shape
