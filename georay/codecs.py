@@ -334,46 +334,25 @@ def _dct_matrix(n: int) -> np.ndarray:
 _DCT32 = _dct_matrix(32)
 
 
-def _block_mean_resize_int(chan: np.ndarray, out: int) -> np.ndarray:
-    """Integer-sum variant of :func:`_block_mean_resize`: exact bin sums
-    via int reduceat, division deferred to the out×out stage."""
-    h, w = chan.shape
+def _bin_sums(arr: np.ndarray, out: int):
+    """Exact integer sums of an integer image over an ``out``×``out`` grid
+    of index bins (source row ``y`` falls in bin ``y·out // h``, likewise
+    columns; trailing band axes are kept), and the pixel count of each
+    bin.  Contiguous ``np.add.reduceat`` per axis (scatter-free;
+    ``np.add.at`` measured ~10× slower).  Empty bins (source smaller than
+    ``out``) sum to zero — stored phashes depend on it."""
+    h, w = arr.shape[:2]
     ys = np.arange(h) * out // h
     xs = np.arange(w) * out // w
     row_cnt = np.bincount(ys, minlength=out)
     col_cnt = np.bincount(xs, minlength=out)
     row_starts = np.minimum(np.searchsorted(ys, np.arange(out), "left"), h - 1)
     col_starts = np.minimum(np.searchsorted(xs, np.arange(out), "left"), w - 1)
-    a = np.add.reduceat(chan, row_starts, axis=0)
+    a = np.add.reduceat(arr, row_starts, axis=0, dtype=np.int64)
     a[row_cnt == 0] = 0
     a = np.add.reduceat(a, col_starts, axis=1)
     a[:, col_cnt == 0] = 0
-    cnt = (row_cnt[:, None] * col_cnt[None, :]).astype(np.float64)
-    return a.astype(np.float64) / np.maximum(cnt, 1.0)
-
-
-def _block_mean_resize(gray: np.ndarray, out: int) -> np.ndarray:
-    """Box-filter resize to out×out via per-axis block means (handles
-    non-divisible sizes with index binning).
-
-    Implemented with contiguous ``np.add.reduceat`` per axis (scatter-free;
-    ``np.add.at`` measured ~10× slower and bandwidth-bound).  Empty bins
-    (source smaller than ``out``) are zero, matching the scatter-add
-    semantics this replaced — stored phashes depend on it.
-    """
-    h, w = gray.shape
-    ys = np.arange(h) * out // h
-    xs = np.arange(w) * out // w
-    row_cnt = np.bincount(ys, minlength=out)
-    col_cnt = np.bincount(xs, minlength=out)
-    row_starts = np.minimum(np.searchsorted(ys, np.arange(out), "left"), h - 1)
-    col_starts = np.minimum(np.searchsorted(xs, np.arange(out), "left"), w - 1)
-    a = np.add.reduceat(gray.astype(np.float64), row_starts, axis=0)
-    a[row_cnt == 0] = 0.0
-    a = np.add.reduceat(a, col_starts, axis=1)
-    a[:, col_cnt == 0] = 0.0
-    cnt = (row_cnt[:, None] * col_cnt[None, :]).astype(np.float64)
-    return a / np.maximum(cnt, 1.0)
+    return a, row_cnt[:, None] * col_cnt[None, :]
 
 
 def phash64(arr: np.ndarray) -> np.int64:
@@ -381,17 +360,16 @@ def phash64(arr: np.ndarray) -> np.int64:
     (skip DC) → median threshold → 64 bits (packed MSB-first, int64).
 
     The gray conversion and box resize are fused in integer space: the
-    block mean of (r+g+b)/3 equals blockmean(r+g+b)/3, and integer sums
-    via reduceat are exact — no full-resolution float64 gray array is ever
-    materialized (4 bytes/px instead of 8, one fewer pass)."""
+    block mean of (r+g+b)/3 equals blockmean(r+g+b)/3, and the bands are
+    summed after the binning, on 32×32 exact integer bin sums — no
+    full-resolution gray array is ever materialized."""
     arr = np.asarray(arr)
+    sums, cnt = _bin_sums(arr, 32)
+    divisor = 1.0
     if arr.ndim == 3:
-        chan = np.add.reduce(arr, axis=2, dtype=np.int32)  # r+g+b, exact
+        sums = sums.sum(axis=2)              # r+g+b per bin, exact
         divisor = 3.0
-    else:
-        chan = arr.astype(np.int32)
-        divisor = 1.0
-    small = _block_mean_resize_int(chan, 32) / divisor
+    small = sums.astype(np.float64) / np.maximum(cnt, 1.0) / divisor
     d = _DCT32.T @ small @ _DCT32
     block = d[:8, :8].copy().ravel()
     vals = np.delete(block, 0)  # drop DC
@@ -401,9 +379,5 @@ def phash64(arr: np.ndarray) -> np.int64:
     vals = np.round(vals, 6)
     med = np.median(vals)
     bits = np.concatenate([[False], vals > med])  # 64 bits, DC slot = 0
-    packed = 0
-    for b in bits:
-        packed = (packed << 1) | int(bool(b))
-    if packed >= 1 << 63:  # two's-complement wrap into int64
-        packed -= 1 << 64
-    return np.int64(packed)
+    # MSB-first into 8 big-endian bytes, read as a two's-complement int64
+    return np.packbits(bits).view(">i8")[0].astype(np.int64)

@@ -19,16 +19,16 @@ reference semantics: frmts/jpeg/jpgdataset.cpp wrapping libjpeg):
 
 Encoder: batched matrix FDCT over all blocks at once, per-symbol Huffman
 in a tight Python bit-writer (the encoder runs only in fixture
-generation, cached on disk); chroma shares the luma AC table so decode
-speculation runs once.  Decoder is the hot path (the decode
-stage): per BIT position the AC symbol/advance/value are speculated
-VECTORIZED into a per-process reused scratch pool (``_Scratch`` — fresh
-temporaries cost more than the math on slow-fault VMs), packed into one
-int32 ``array.array`` so the sequential Huffman chase is a single
-indexed read per symbol; DC terms decode inline from raw 40-bit windows
-and resolve by per-restart-segment cumsum; coefficients land in one
-vectorized scatter and dequantize/IDCT/level-shift run batched over
-every block of the image.
+generation, cached on disk); chroma shares the luma AC table so the
+decoder builds one AC step table per image.  Decoder is the hot path
+(the decode stage): per restart interval, one vectorized pass looks up
+the AC step (bit advance, zigzag advance) at EVERY bit position, so the
+sequential Huffman chase (:class:`_MCUPlan`) is one indexed read and one
+add per symbol and records only where each symbol starts.  Symbols,
+extra bits, DC predictors and block offsets are then recovered from
+those positions in numpy; coefficients land in one vectorized scatter
+and dequantize/IDCT/level-shift run batched over every block of the
+image.
 
 All tables (quantization, Huffman) are carried IN the file (DQT/DHT),
 so output is valid JPEG for any conformant reader regardless of the
@@ -38,6 +38,7 @@ default tables chosen here (ITU T.81 Annex K).
 from __future__ import annotations
 
 import array as _array
+import re
 import struct
 
 import numpy as np
@@ -283,7 +284,7 @@ def jpeg_encode(arr: np.ndarray, quality: int = 92,
 
     # NOTE: chroma components use the LUMA AC table (legal — the SOS
     # declares it).  One shared AC table means the decoder's per-position
-    # speculation runs ONCE instead of twice: decode is the hot path,
+    # step lookup runs ONCE instead of twice: decode is the hot path,
     # a slightly longer chroma bitstream is not.
     if gray:
         comps = [(arr.astype(np.float64), ql, dc_l, ac_l, 1, 1, 0)]
@@ -374,38 +375,21 @@ def jpeg_encode(arr: np.ndarray, quality: int = 92,
 
 _LUT_CACHE: dict = {}
 
-
-class _Scratch:
-    """Per-process grow-only buffer pool for the decoder's vectorized
-    speculation stage — all numpy work targets these with ``out=`` so a
-    decode allocates (almost) nothing.  Fresh temporaries measured 3-5×
-    slower than the arithmetic itself on slow-fault VMs, and under
-    32-way concurrency they saturate the memory bus."""
-
-    def __init__(self):
-        self.cap = -1
-        self.k8 = (np.uint64(8) - np.arange(8, dtype=np.uint64))
-
-    def ensure(self, nbytes: int):
-        if nbytes <= self.cap:
-            return
-        cap = max(nbytes, 4096, self.cap * 2 if self.cap > 0 else 0)
-        npos = 8 * cap
-        self.cap = cap
-        self.sb = np.empty(cap, dtype=np.uint8)
-        self.u40 = np.empty(cap, dtype=np.uint64)
-        self.tb = np.empty(cap, dtype=np.uint64)
-        self.w64 = np.empty(npos, dtype=np.uint64)
-        self.w32 = np.empty(npos, dtype=np.int32)
-        self.w16 = np.empty(npos, dtype=np.int32)
-        self.x1 = np.empty(npos, dtype=np.int32)
-        self.x2 = np.empty(npos, dtype=np.int32)
-        self.x3 = np.empty(npos, dtype=np.int32)
-        self.b1 = np.empty(npos, dtype=bool)
-        self.p32 = [np.empty(npos, dtype=np.int32) for _ in range(2)]
+# the end of an entropy-coded segment: the first marker that is neither a
+# stuffed 0xFF00 nor a restart marker
+_SEG_END = re.compile(rb"\xff[^\x00\xd0-\xd7]")
+_RST = re.compile(rb"\xff[\xd0-\xd7]")
 
 
-_SCRATCH = _Scratch()
+def _entropy_segments(d: bytes, pos: int):
+    """The entropy-coded data of the scan that starts at ``pos``: returns
+    ``(end, segments)`` — the offset of the marker that ends it (else the
+    last byte, ``len(d) - 1``) and its restart intervals with the stuffed
+    zero bytes removed.  All three passes run in C (``re``, ``bytes``)."""
+    m = _SEG_END.search(d, pos)
+    end = m.start() if m else max(pos, len(d) - 1)
+    return end, [s.replace(b"\xff\x00", b"\xff")
+                 for s in _RST.split(d[pos:end])]
 
 
 def _huff_lut(bits, vals):
@@ -434,30 +418,44 @@ def _huff_lut(bits, vals):
     return out
 
 
-def _huff_pk_lut(bits, vals):
-    """Packed speculation LUTs over the 16-bit left-aligned window —
-    everything derivable from the window index is PRECOMPUTED so the
-    per-bit-position vector pass is two gathers plus a handful of int32
-    ops (the earlier ~17-op mixed-width pipeline saturated the memory
-    bus under 32-way concurrency):
-
-      ``pk_lut``: (rs << 8) | adv   with adv = code_len + size
-      ``vx_lut``: (shift << 16) | mask  with shift = 32-adv, mask = 2^size-1
-    """
-    key = ("pk", bytes(bits), bytes(vals))
+def _huff_dc_adv(bits, vals) -> list:
+    """Per 16-bit left-aligned window, how far one DC symbol moves the bit
+    position: code length + difference bits (0 for an unassigned window).
+    A plain list of small ints: the chase indexes it once per block."""
+    key = ("dc_adv", bytes(bits), bytes(vals))
     hit = _LUT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    sym, ln = _huff_lut(bits, vals)
-    rs = sym.astype(np.int32) & 0xFF
-    size = rs & 15
-    adv = ln.astype(np.int32) + size
-    pk_lut = (rs << 8) | adv
-    shift = np.clip(32 - adv, 0, 31)
-    mask = (1 << size) - 1
-    vx_lut = (shift << 16) | mask
-    out = (pk_lut, vx_lut)
-    _LUT_CACHE[key] = out
+    if hit is None:
+        sym, ln = _huff_lut(bits, vals)
+        hit = (ln.astype(np.int64) + sym).tolist()
+        _LUT_CACHE[key] = hit
+    return hit
+
+
+def _huff_ac_step(bits, vals, kshift: int) -> np.ndarray:
+    """Per 16-bit left-aligned window, one AC symbol's step in the chase,
+    packed as ``(k_step << kshift) + advance``: ``advance`` is code length
+    + extra bits, and ``k_step`` is how far the symbol moves the zigzag
+    index — run+1 for a coefficient, 16 for ZRL, 64 for EOB and for the
+    invalid run/size-0 symbols (which end the block as EOB does).  An
+    unassigned window has advance 0 and the EOB step."""
+    key = ("ac_step", kshift, bytes(bits), bytes(vals))
+    hit = _LUT_CACHE.get(key)
+    if hit is None:
+        sym, ln = _huff_lut(bits, vals)
+        rs = sym.astype(np.int64) & 0xFF
+        size = rs & 15
+        k_step = np.where(size > 0, (rs >> 4) + 1,
+                          np.where(rs == 0xF0, 16, 64))
+        hit = (k_step << kshift) + ln + size
+        _LUT_CACHE[key] = hit
+    return hit
+
+
+def _as_array(a: np.ndarray) -> _array.array:
+    """One copy of an integer array into an ``array.array``, whose scalar
+    indexing is several times faster than a numpy array's."""
+    out = _array.array(a.dtype.char)
+    out.frombytes(memoryview(a).cast("B"))
     return out
 
 
@@ -507,6 +505,113 @@ def _idct_blocks_scaled(zz: np.ndarray, q: np.ndarray,
         cn = cn.astype(np.float32)
         out = cn.T[None] @ f @ cn[None]
     return out + np.float32(128.0)
+
+
+class _MCUPlan:
+    """The baseline scan's Huffman decode, one restart interval at a time.
+
+    The sequential part is a chase that only records where each symbol
+    starts: per block the DC symbol advances the bit position through a
+    length table, and per AC symbol one packed step table lookup advances
+    both the bit position and the zigzag index, which ride together in
+    one int (``acc = p + (k << kshift)``; the block ends once ``k``
+    reaches 64).  Everything else — symbols, extra bits, DC predictors,
+    block offsets — is recovered from the recorded positions afterwards
+    with numpy, once per interval."""
+
+    def __init__(self, mcu, scomps, scan, hufftabs, mcux):
+        self.hufftabs = hufftabs
+        self.mcux = mcux
+        self.nsc = len(scomps)
+        self.nblk = len(mcu)
+        s_ci = np.array([ci for ci, _ in mcu], dtype=np.int64)
+        self.s_ci = s_ci
+        self.s_off = np.array([o for _, o in mcu], dtype=np.int64)
+        # store-row step per MCU row and per MCU column, per block slot
+        self.s_row = np.array([scomps[ci]["v"] * scomps[ci]["bw"]
+                               for ci in s_ci], dtype=np.int64)
+        self.s_col = np.array([scomps[ci]["h"] for ci in s_ci],
+                              dtype=np.int64)
+        self.dc_keys = [(0, scan[ci][1]) for ci in s_ci]
+        self.ac_keys = [(1, scan[ci][2]) for ci in s_ci]
+        # one symbol/length LUT per distinct table, concatenated: entry
+        # t * 65536 + window is table t's decode of that window
+        keys = list(dict.fromkeys(self.dc_keys + self.ac_keys))
+        luts = [_huff_lut(*hufftabs[k]) for k in keys]
+        self.sym = np.concatenate([lt[0] for lt in luts])
+        self.len = np.concatenate([lt[1] for lt in luts])
+        self.dc_tab = np.array([keys.index(k) << 16 for k in self.dc_keys])
+        self.ac_tab = np.array([keys.index(k) << 16 for k in self.ac_keys])
+        self.dc_adv = [_huff_dc_adv(*hufftabs[k]) for k in self.dc_keys]
+
+    def decode(self, seg: bytes, m0: int, m1: int, store: np.ndarray):
+        """Decode MCUs ``[m0, m1)`` from one restart interval's unstuffed
+        bytes into ``store``.  Reads past the interval's end (plus its
+        zero padding) raise ``IndexError``."""
+        nb = len(seg) + 4
+        npos = 8 * nb
+        # k rides above every bit position the interval can reach
+        kshift = max(24, (npos + 512).bit_length())
+        k1 = 1 << kshift
+        lim = 64 << kshift
+        mask = k1 - 1
+        # 40-bit big-endian window at each byte offset (zero-padded tail),
+        # and the 16-bit window at each bit position 8i+j: u40[i] >> 24-j
+        b = np.frombuffer(seg + bytes(8), dtype=np.uint8).astype(np.int64)
+        u40 = (b[:nb] << 32) | (b[1:nb + 1] << 24) | (b[2:nb + 2] << 16) \
+            | (b[3:nb + 3] << 8) | b[4:nb + 4]
+        w16 = ((u40[:, None] >> np.arange(24, 16, -1)) & 0xFFFF).ravel()
+        steps = {k: _as_array(_huff_ac_step(*self.hufftabs[k], kshift)
+                              .take(w16))
+                 for k in dict.fromkeys(self.ac_keys)}
+        del w16
+        u = _as_array(u40)
+        blocks = list(zip(self.dc_adv, [steps[k] for k in self.ac_keys]))
+        # the chase: a DC entry is its bit position p (< k1), an AC entry
+        # is p + (k << kshift) with k the zigzag index before the symbol
+        ents = []
+        add = ents.append
+        p = 0
+        for dadv, step in blocks * (m1 - m0):
+            add(p)
+            acc = p + k1 + dadv[(u[p >> 3] >> (24 - (p & 7))) & 0xFFFF]
+            while acc < lim:
+                add(acc)
+                acc += step[acc & mask]
+            p = acc & mask
+        del steps, u
+        self._place(np.array(ents, dtype=np.int64), u40, kshift, m0,
+                    store.reshape(-1))
+
+    def _place(self, e, u40, kshift, m0, flat):
+        """Symbols, extra bits and coefficient positions of the recorded
+        entries ``e``, scattered into the flat coefficient store."""
+        isdc = e < (1 << kshift)
+        pos = e & ((1 << kshift) - 1)
+        blk = np.cumsum(isdc) - 1            # block ordinal in the interval
+        slot = blk % self.nblk
+        win = (u40[pos >> 3] >> (8 - (pos & 7))) & 0xFFFFFFFF
+        t = np.where(isdc, self.dc_tab[slot], self.ac_tab[slot]) \
+            + (win >> 16)
+        sym = self.sym[t].astype(np.int64)
+        size = np.where(isdc, sym, sym & 15)
+        bits = (win >> np.clip(32 - self.len[t] - size, 0, 31)) \
+            & ((1 << size) - 1)
+        val = np.where(bits < ((1 << size) >> 1),
+                       bits - (1 << size) + 1, bits)
+        my, mx = np.divmod(m0 + blk // self.nblk, self.mcux)
+        row = self.s_off[slot] + my * self.s_row[slot] \
+            + mx * self.s_col[slot]
+        k = (e >> kshift) + (sym >> 4)
+        ac = ~isdc & (size > 0) & (k < 64)
+        flat[row[ac] * 64 + k[ac]] = val[ac]
+        # DC: the predictor is the running sum of the differences of each
+        # component, reset at every interval
+        dc = np.flatnonzero(isdc)
+        comp = self.s_ci[slot[dc]]
+        for ci in range(self.nsc):
+            m = dc[comp == ci]
+            flat[row[m] * 64] = np.cumsum(val[m])
 
 
 def jpeg_decode(data, scale: int = 1) -> np.ndarray:
@@ -584,16 +689,7 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
             for i in range(ns):
                 cs, tt = seg[1 + 2 * i:3 + 2 * i]
                 scan.append((cs, tt >> 4, tt & 15))
-            # entropy data follows until EOI/next non-RST marker
-            start = pos
-            p = pos
-            while p < n - 1:
-                if d[p] == 0xFF and d[p + 1] not in (0x00,) \
-                        and not (0xD0 <= d[p + 1] <= 0xD7):
-                    break
-                p += 1
-            entropy = d[start:p]
-            pos = p
+            _, segments = _entropy_segments(d, pos)
             break
         # else: APPn/COM — skipped
     if comps is None or scan is None:
@@ -611,200 +707,21 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
         c["bh"] = mcuy * c["v"]
         scomps.append(c)
 
-    # split entropy stream at restart markers; strip stuffed zero bytes —
-    # both in C (re.split / bytes.replace), never per byte in Python
-    import re
-    segments = [s.replace(b"\xff\x00", b"\xff")
-                for s in re.split(b"\xff[\xd0-\xd7]", entropy)]
-
-    # coefficient store per component
-    coef = [np.zeros((c["bw"] * c["bh"], 64), dtype=np.int32)
-            for c in scomps]
-    nsc = len(scomps)
-    # AC scatter accumulators: flat index (bi*64+k) + value, scattered once
-    ac_idx = [[] for _ in scomps]
-    ac_val_out = [[] for _ in scomps]
-    # DC diffs in emission order + their block ids; predictors resolved by
-    # per-restart-segment cumsum afterwards (no per-block Python state)
-    dc_diffs = [[] for _ in scomps]
-    dc_bis = [[] for _ in scomps]
-    dc_marks = [[] for _ in scomps]     # restart boundaries per comp
-
-    def _speculate(seg: bytes, ac_keys):
-        """Per BIT position under each AC Huffman table: total advance
-        (code+extra bits), decoded coefficient value, and run/size byte —
-        fully vectorized into PER-PROCESS REUSED scratch buffers (grow-only
-        pool, every op ``out=``-targeted).  Fresh numpy temporaries here
-        cost more than the math on this VM's slow-fault memory, and under
-        32-way concurrency they saturate the memory bus.  The chase
-        reads the results through ``memoryview`` casts: plain Python
-        indexing speed, zero copies, nothing boxes until accessed.
-
-        DC symbols (~5% of the stream) are decoded inline from the raw
-        40-bit windows — speculating their tables would double the vector
-        work for a twentieth of the symbols."""
-        sc = _SCRATCH
-        nbytes = len(seg) + 8
-        npos = 8 * (nbytes - 4)
-        sc.ensure(nbytes)
-        sb = sc.sb[:nbytes]
-        sb[:len(seg)] = np.frombuffer(seg, dtype=np.uint8)
-        sb[len(seg):] = 0
-        nb4 = nbytes - 4
-        u40 = sc.u40[:nb4]
-        t0 = sc.tb[:nb4]
-        np.copyto(u40, sb[:nb4], casting="unsafe")
-        np.left_shift(u40, np.uint64(32), out=u40)
-        for shift, off in ((24, 1), (16, 2), (8, 3), (0, 4)):
-            np.copyto(t0, sb[off:off + nb4], casting="unsafe")
-            if shift:
-                np.left_shift(t0, np.uint64(shift), out=t0)
-            np.bitwise_or(u40, t0, out=u40)
-        w64m = sc.w64[:npos].reshape(nb4, 8)
-        np.right_shift(u40[:, None], sc.k8[None, :], out=w64m)
-        # low 32 bits as int32 — the speculation math below runs entirely
-        # in int32 (half the traffic of the uint64 pipeline); arithmetic
-        # >> is safe because every masked field lies strictly below the
-        # bits the sign-fill can reach (adv = L+size >= size+1)
-        w32 = sc.w32[:npos]
-        np.copyto(w32, sc.w64[:npos], casting="unsafe")
-        w16 = sc.w16[:npos]
-        np.right_shift(w32, 16, out=w16)
-        np.bitwise_and(w16, 0xFFFF, out=w16)
-        out = {}
-        for slot, key in enumerate(dict.fromkeys(ac_keys)):
-            while slot >= len(sc.p32):  # >2 distinct AC tables in one scan
-                sc.p32.append(np.empty(8 * sc.cap, dtype=np.int32))
-            pk_lut, vx_lut = np_pk_luts[key]
-            pk = sc.p32[slot][:npos]
-            np.take(pk_lut, w16, out=pk)          # rs<<8 | adv
-            vx = sc.x1[:npos]
-            np.take(vx_lut, w16, out=vx)          # shift<<16 | mask
-            sh = sc.x2[:npos]
-            np.right_shift(vx, 16, out=sh)
-            mask = sc.x3[:npos]
-            np.bitwise_and(vx, 0xFFFF, out=mask)
-            t = vx                                 # vx dead: reuse as ebits
-            np.right_shift(w32, sh, out=t)
-            np.bitwise_and(t, mask, out=t)
-            # sign-extend: val = ebits - (2^size - 1) when ebits < 2^(size-1)
-            half = sh                              # sh dead: reuse
-            np.right_shift(mask, 1, out=half)      # 2^(size-1) - 1
-            neg = sc.b1[:npos]
-            np.less_equal(t, half, out=neg)
-            np.subtract(t, mask, out=t, where=neg)
-            # pack (val<<16 | rs<<8 | adv) into ONE int32 array so each
-            # chase hop costs a single indexed read; array.array indexing
-            # is several times faster than memoryview's
-            np.left_shift(t, 16, out=t)
-            np.bitwise_or(pk, t, out=pk)
-            out[key] = _array.array("i", pk.tobytes())
-        return out, _array.array("Q", u40.tobytes())
-
-    # numpy LUTs per distinct (class, id) table in the scan (cached)
-    np_luts = {}
-    np_pk_luts = {}
-    for cs, tdc, tac in scan:
-        for key in ((0, tdc), (1, tac)):
-            if key not in np_luts:
-                np_luts[key] = _huff_lut(*hufftabs[key])
-        ackey = (1, tac)
-        if ackey not in np_pk_luts:
-            np_pk_luts[ackey] = _huff_pk_lut(*hufftabs[ackey])
-    scan_keys = [((0, tdc), (1, tac)) for _, tdc, tac in scan]
-
-    # DC LUTs as plain lists (fast scalar indexing), cached per process
-    dc_lists = []
-    for ci in range(nsc):
-        key = scan_keys[ci][0]
-        lkey = ("list",) + key + (bytes(hufftabs[key][0]),
-                                  bytes(hufftabs[key][1]))
-        hit = _LUT_CACHE.get(lkey)
-        if hit is None:
-            sym_np, len_np = np_luts[key]
-            hit = (sym_np.tolist(), len_np.tolist())
-            _LUT_CACHE[lkey] = hit
-        dc_lists.append(hit)
-
+    # one coefficient store for every scan component (coef[ci] are views);
+    # the MCU's blocks in emission order, each with its component and its
+    # store row relative to the MCU's first block
+    base = np.cumsum([0] + [c["bw"] * c["bh"] for c in scomps])
+    store = np.zeros((int(base[-1]), 64), dtype=np.int32)
+    coef = [store[base[ci]:base[ci + 1]] for ci in range(len(scomps))]
+    mcu = [(ci, int(base[ci]) + by * c["bw"] + bx)
+           for ci, c in enumerate(scomps)
+           for by in range(c["v"]) for bx in range(c["h"])]
+    plan = _MCUPlan(mcu, scomps, scan, hufftabs, mcux)
     mcu_total = mcux * mcuy
     per_seg = restart_interval if restart_interval else mcu_total
-    mcu_done = 0
-    seg_idx = 0
-    while mcu_done < mcu_total:
-        seg = segments[seg_idx] if seg_idx < len(segments) else b""
-        seg_idx += 1
-        spec, u40a = _speculate(
-            seg, [scan_keys[ci][1] for ci in range(nsc)])
-        comp_ac = [spec[scan_keys[ci][1]] for ci in range(nsc)]
-        for ci in range(nsc):
-            dc_marks[ci].append(len(dc_diffs[ci]))
-        p = 0
-        end = min(mcu_done + per_seg, mcu_total)
-        for mi in range(mcu_done, end):
-            my, mx = divmod(mi, mcux)
-            for ci in range(nsc):
-                c = scomps[ci]
-                dsym, dlen = dc_lists[ci]
-                apk = comp_ac[ci]
-                bwb = c["bw"]
-                add_idx = ac_idx[ci].append
-                add_val = ac_val_out[ci].append
-                for by in range(c["v"]):
-                    for bx in range(c["h"]):
-                        bi64 = ((my * c["v"] + by) * bwb
-                                + (mx * c["h"] + bx)) * 64
-                        # DC inline from the 40-bit raw window
-                        win = (u40a[p >> 3] >> (8 - (p & 7))) & 0xFFFFFFFF
-                        idx16 = win >> 16
-                        s = dsym[idx16]
-                        L = dlen[idx16]
-                        if s:
-                            e = (win >> (32 - L - s)) & ((1 << s) - 1)
-                            dc_diffs[ci].append(
-                                e if e >= (1 << (s - 1))
-                                else e - (1 << s) + 1)
-                        else:
-                            dc_diffs[ci].append(0)
-                        dc_bis[ci].append(bi64)
-                        p += L + s
-                        k = 1
-                        while True:
-                            pk = apk[p]
-                            rs = (pk >> 8) & 0xFF
-                            if rs == 0:          # EOB
-                                p += pk & 0xFF
-                                break
-                            sz = rs & 15
-                            if sz == 0:
-                                p += pk & 0xFF
-                                if rs == 0xF0:   # ZRL
-                                    k += 16
-                                    continue
-                                break
-                            k += rs >> 4
-                            if k < 64:
-                                add_idx(bi64 + k)
-                                add_val(pk >> 16)
-                            p += pk & 0xFF
-                            k += 1
-                            if k >= 64:
-                                break
-        mcu_done = end
-
-    for ci, c in enumerate(scomps):
-        if ac_idx[ci]:
-            coef[ci].reshape(-1)[np.asarray(ac_idx[ci])] = \
-                np.asarray(ac_val_out[ci], dtype=np.int32)
-        if dc_bis[ci]:
-            # DC predictors: cumsum of diffs, reset at each restart segment
-            diffs = np.asarray(dc_diffs[ci], dtype=np.int64)
-            bounds = dc_marks[ci] + [len(diffs)]
-            preds = np.empty(len(diffs), dtype=np.int64)
-            for si in range(len(bounds) - 1):
-                s0, e0 = bounds[si], bounds[si + 1]
-                preds[s0:e0] = np.cumsum(diffs[s0:e0])
-            coef[ci].reshape(-1)[np.asarray(dc_bis[ci])] = \
-                preds.astype(np.int32)
+    for si, m0 in enumerate(range(0, mcu_total, per_seg)):
+        seg = segments[si] if si < len(segments) else b""
+        plan.decode(seg, m0, min(m0 + per_seg, mcu_total), store)
     return _coef_to_image(coef, scomps, qtables, h, w, hmax, vmax,
                           scale=scale)
 
@@ -890,7 +807,7 @@ def _coef_to_image(coef, comps, qtables, h, w, hmax, vmax,
 # with EOB-run aggregation, and AC refinement with embedded correction
 # bits.  This is a coverage/correctness path — multi-scan streams decode
 # with a plain scalar bit reader, NOT the baseline decoder's per-bit
-# speculation engine (single-scan, flagship hot loop).  Parity is pinned
+# step tables (single-scan, flagship hot loop).  Parity is pinned
 # by tests: progressive and baseline encodes of the same input decode to
 # IDENTICAL pixels (same quantized coefficients).
 # ---------------------------------------------------------------------------
@@ -1008,8 +925,6 @@ def _prog_ac_refine(br, row, actab, Ss, Se, Al, st):
 
 
 def _jpeg_decode_progressive(d: bytes, scale: int = 1) -> np.ndarray:
-    import re
-
     pos = 2
     qtables: dict = {}
     hufftabs: dict = {}
@@ -1096,16 +1011,7 @@ def _jpeg_decode_progressive(d: bytes, scale: int = 1) -> np.ndarray:
                 sc.append((cs, tt >> 4, tt & 15))
             Ss, Se = seg[1 + 2 * ns], seg[2 + 2 * ns]
             Ah, Al = seg[3 + 2 * ns] >> 4, seg[3 + 2 * ns] & 15
-            p = pos
-            while p < n - 1:
-                if d[p] == 0xFF and d[p + 1] != 0x00 \
-                        and not (0xD0 <= d[p + 1] <= 0xD7):
-                    break
-                p += 1
-            entropy = d[pos:p]
-            pos = p
-            segments = [s.replace(b"\xff\x00", b"\xff")
-                        for s in re.split(b"\xff[\xd0-\xd7]", entropy)]
+            pos, segments = _entropy_segments(d, pos)
             by_id = {c["id"]: c for c in comps}
 
             if Ss == 0:                       # DC scan

@@ -11,7 +11,6 @@ per unit reads its own rows straight from storage and runs the fused
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -20,7 +19,7 @@ import pyarrow as pa
 from . import codecs, fixtures
 from .decode import add_cells, add_georef, decode_images
 from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
-    cut_tiles, cut_windows
+    cut_tiles, cut_windows, fragment_checksum
 from .util import worker_cached, worker_get
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
@@ -145,7 +144,6 @@ class FlagshipStage:
         fmts = batch["fmt"].to_pylist()
         stored_phash = batch["phash"].to_numpy()
         bufs = batch["bytes"]
-        lut = _checksum_lut()
         rows, out_x, out_y, sums = [], [], [], []
         for i in range(n):
             try:
@@ -159,30 +157,16 @@ class FlagshipStage:
                 phash_ok[i] = int(codecs.phash64(arr)) == int(stored_phash[i])
             if not self.cut:
                 continue
-            # checksum the scaled window against the positional LUT:
-            # pixels outside it are zero and add nothing, so no 256² canvas
-            # is ever materialized
-            for tx, ty, wx, wy, scaled in cut_windows(
+            # each fragment's checksum comes from its source window: no
+            # 256² canvas, and no upsampled window, is ever materialized
+            for tx, ty, wx, wy, window, wys, wxs in cut_windows(
                     arr, int(w_arr[i]), int(h_arr[i]), float(ulx_arr[i]),
                     float(uly_arr[i]), float(ps_arr[i]), self.zoom):
-                lslice = lut[wy:wy + scaled.shape[0], wx:wx + scaled.shape[1]]
                 rows.append(i)
                 out_x.append(tx)
                 out_y.append(ty)
-                sums.append(int(sum(np.mod(scaled[:, :, c], lslice)
-                                    .sum(dtype=np.int64)
-                                    for c in range(3)) & 0xFFFF))
+                sums.append(fragment_checksum(window, wys, wxs, wy, wx))
         return decode_ok, phash_ok, (rows, out_x, out_y, sums)
-
-
-@functools.lru_cache(maxsize=1)
-def _checksum_lut() -> np.ndarray:
-    """The 256×256 positional prime LUT of the fragment checksum, as uint8:
-    primes <= 43 and pixel values <= 255, so ``uint8 % uint8`` stays uint8
-    at 1/8 the int64 footprint."""
-    from .stats import CHECKSUM_PRIMES
-    return CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)\
-        .astype(np.uint8)
 
 
 def _read_unit(unit: dict, columns) -> pa.Table:

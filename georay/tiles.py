@@ -28,10 +28,12 @@ import pyarrow as pa
 from .mercator import (TILE_SIZE, geo_query, latlon_to_tile_xyz,
                        tile_bounds_meters, tile_range_for_extent,
                        tms_to_xyz_y)
+from .stats import CHECKSUM_PRIMES
 
 __all__ = [
     "resample_average", "resample_nearest", "resample_bilinear",
-    "assign_center_tile", "cut_windows", "cut_tiles", "composite_tile_group",
+    "assign_center_tile", "cut_windows", "fragment_checksum", "cut_tiles",
+    "composite_tile_group",
     "partial_composite_batch", "merge_composite_group", "composite_tiles",
     "build_pyramid", "write_tiles_png", "write_tiles_cog",
 ]
@@ -305,15 +307,15 @@ def _scale_to(src: np.ndarray, oh: int, ow: int, kernel: str) -> np.ndarray:
 
 
 def cut_windows(src: np.ndarray, w: int, h: int, ulx: float, uly: float,
-                ps: float, z: int, kernel: str = "average",
-                ts: int = TILE_SIZE):
-    """The one tile-cut kernel: for each zoom-``z`` tile that the ``w``×``h``
-    image ``src`` (upper-left ``ulx, uly``, pixel size ``ps``, EPSG:3857)
-    covers, yield ``(tile_x, tile_y_xyz, wx, wy, scaled)`` — the source
-    window resampled to its destination size, to be placed at ``(wx, wy)``
-    in the tile.  Tile ranges per gdal2tiles.py:2460-2467, windows per
-    ``geo_query`` (gdal2tiles.py:2995-3037); zero-coverage tiles are
-    skipped (gdal2tiles.py:2950-2953)."""
+                ps: float, z: int, ts: int = TILE_SIZE):
+    """The one tile-window planner: for each zoom-``z`` tile that the
+    ``w``×``h`` image ``src`` (upper-left ``ulx, uly``, pixel size ``ps``,
+    EPSG:3857) covers, yield ``(tile_x, tile_y_xyz, wx, wy, window, wys,
+    wxs)`` — the source window, to be resampled to ``wys``×``wxs`` and
+    placed at ``(wx, wy)`` in the tile.  Tile ranges per
+    gdal2tiles.py:2460-2467, windows per ``geo_query``
+    (gdal2tiles.py:2995-3037); zero-coverage tiles are skipped
+    (gdal2tiles.py:2950-2953)."""
     gt = (ulx, ps, 0.0, uly, 0.0, -ps)
     tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
         ulx, uly - h * ps, ulx + w * ps, uly, z, ts)
@@ -328,7 +330,63 @@ def cut_windows(src: np.ndarray, w: int, h: int, ulx: float, uly: float,
             window = src[ry:ry + rys, rx:rx + rxs]
             if window.size == 0:
                 continue
-            yield tx, ty, wx, wy, _scale_to(window, wys, wxs, kernel)
+            yield tx, ty, wx, wy, window, wys, wxs
+
+
+# The fragment checksum's positional prime LUT: entry (row, col) is
+# CHECKSUM_PRIMES[(256·row + col) % 11], and 256 ≡ 3 (mod 11), so the LUT
+# class of tile row r is (3·r) % 11, of tile column c is c % 11, and of
+# pixel (r, c) the sum of the two, mod 11.
+_ROW_CLASS = (3 * np.arange(256)) % 11
+_COL_CLASS = np.arange(256) % 11
+# the LUT as uint8 with each column repeated per RGB band, so a window's
+# ``pixel % LUT`` is one non-broadcast pass over its (h, 3·w) view (primes
+# <= 43, so uint8 % uint8 stays uint8)
+_LUT3 = np.repeat(CHECKSUM_PRIMES[(_ROW_CLASS[:, None] + _COL_CLASS) % 11],
+                  3, axis=1).astype(np.uint8)
+# _MOD[m, v] = v % CHECKSUM_PRIMES[m], float64 for BLAS
+_MOD = (np.arange(256) % CHECKSUM_PRIMES[:, None]).astype(np.float64)
+# [m, b] -> (m - b) % 11: the row class that meets column class b in m
+_ROW_FOR = (np.arange(11)[:, None] - np.arange(11)) % 11
+_ODD = 2 * np.arange(256) + 1
+
+
+def fragment_checksum(window: np.ndarray, oh: int, ow: int, wy: int,
+                      wx: int) -> int:
+    """Prime-LUT checksum of a tile fragment: the RGB ``window`` resampled
+    (``average``, as :func:`cut_tiles` does by default) to ``oh``×``ow``
+    and placed at ``(wy, wx)`` of an otherwise-zero tile — the sum over
+    its first 3 bands of ``pixel % LUT``, masked to 16 bits.
+
+    An upsampled window is nearest-resampled, so each source pixel lands
+    on whole destination rows and columns, and the checksum comes from the
+    source pixels alone: with ``R[y, a]`` the number of destination rows
+    of LUT class ``a`` that read source row ``y``, ``C[x, b]`` likewise for
+    columns and ``V[m] = Σ_band src % P[m]``, it is ``Σ_{a,b} (Rᵀ V[(a+b)
+    % 11] C)[a, b]`` — an exact integer sum, equal to the materialized
+    window's."""
+    window = window[:, :, :3]
+    h, w = window.shape[:2]
+    if oh > h or ow > w:
+        # resample_nearest's source index ⌊(r + ½)·h / oh⌋, in exact
+        # integers (the float form rounds to the same index)
+        R = np.bincount((_ODD[:oh] * h // (2 * oh)) * 11
+                        + _ROW_CLASS[wy:wy + oh], minlength=h * 11)
+        C = np.bincount((_ODD[:ow] * w // (2 * ow)) * 11
+                        + _COL_CLASS[wx:wx + ow], minlength=w * 11)
+        # Y[m, y, b] = Σ_{x, band} (src % P[m]) · C[x, b]
+        Y = np.take(_MOD, window.reshape(h, 3 * w), axis=1)\
+            .reshape(11 * h, 3 * w) @ np.repeat(C.reshape(w, 11), 3, axis=0)
+        # Σ_{m, y, b} Y[m, y, b] · R[y, (m - b) % 11]
+        total = np.einsum("myb,mby->", Y.reshape(11, h, 11),
+                          R.reshape(h, 11).T[_ROW_FOR])
+        return int(total) & 0xFFFF
+    if oh != h or ow != w:
+        window = resample_average(window, oh, ow)
+    return int(np.add.reduce(
+        np.mod(window.reshape(oh, 3 * ow),
+               _LUT3[wy:wy + oh, 3 * wx:3 * (wx + ow)]),
+        axis=None, dtype=np.uint32)) & 0xFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +431,10 @@ def cut_tiles(batch: pa.Table, *, zoom: int, tile_size: int = TILE_SIZE,
         w, h = int(w_arr[i]), int(h_arr[i])
         src = np.frombuffer(pix_col[i].as_buffer(), dtype=np.uint8)\
             .reshape(h, w, 3)
-        for tx, ty, wx, wy, scaled in cut_windows(
+        for tx, ty, wx, wy, window, sh, sw in cut_windows(
                 src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
-                float(ps_arr[i]), zoom, resampling, ts):
-            sh, sw = scaled.shape[:2]
+                float(ps_arr[i]), zoom, ts):
+            scaled = _scale_to(window, sh, sw, resampling)
             frag = np.zeros((ts, ts, 4), dtype=np.uint8)
             frag[wy:wy + sh, wx:wx + sw, :3] = scaled
             frag[wy:wy + sh, wx:wx + sw, 3] = 255

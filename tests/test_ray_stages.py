@@ -7,6 +7,7 @@ oracles #2/#5/#6)."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from georay import codecs, fixtures as fx
 from georay.geom import PackedPolygons, haversine_m
@@ -76,11 +77,13 @@ def test_flagship_stage_cut_and_verify_need_decode(polygons, kw):
         FlagshipStage(PolygonIndex.build(polygons), decode=False, **kw)
 
 
-@pytest.mark.parametrize("zoom", [12, 15])
+@pytest.mark.parametrize("zoom", [10, 12, 15])
 def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
-    """The fused stage and cut_tiles share one window cutter: each fused
+    """The fused stage and cut_tiles share one window planner: each fused
     (image, tile) checksum equals the prime-LUT checksum of cut_tiles' RGBA
-    fragment for the same image and tile."""
+    fragment for the same image and tile.  Zoom 10 has downsampled, 1:1
+    and upsampled windows, zoom 12 upsampled and 1:1, zoom 15 upsampled
+    only."""
     from georay.decode import add_georef, decode_images
     from georay.join import PolygonIndex
     from georay.pipelines import FlagshipStage
@@ -102,6 +105,29 @@ def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
         cut[(r["image_id"], r["tile_x"], r["tile_y"])] = cs & 0xFFFF
     assert len(fused) == out.num_rows >= t.num_rows
     assert fused == cut
+
+
+@settings(max_examples=300, deadline=None)
+@example(h=20, w=20, oh=256, ow=256, wy=0, wx=0, seed=0)
+@example(h=64, w=1, oh=65, ow=255, wy=191, wx=1, seed=1)
+@given(h=st.integers(1, 64), w=st.integers(1, 64), oh=st.integers(1, 256),
+       ow=st.integers(1, 256), wy=st.integers(0, 255), wx=st.integers(0, 255),
+       seed=st.integers(0, 2**32 - 1))
+def test_fragment_checksum_closed_form_matches_materialized(h, w, oh, ow, wy,
+                                                             wx, seed):
+    """The closed-form checksum of an upsampled window (computed from its
+    source pixels) equals the checksum of the materialized
+    ``resample_nearest`` window against the prime LUT, for any window and
+    destination size and offset, integer or not (e.g. 20 → 256)."""
+    from georay.stats import CHECKSUM_PRIMES
+    from georay.tiles import fragment_checksum, resample_nearest
+    oh, ow = min(oh, 256 - wy), min(ow, 256 - wx)
+    assume(oh > h or ow > w)
+    win = np.random.default_rng(seed).integers(0, 256, (h, w, 3), np.uint8)
+    lut = CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)
+    scaled = resample_nearest(win, oh, ow)
+    want = int((scaled % lut[wy:wy + oh, wx:wx + ow, None]).sum()) & 0xFFFF
+    assert fragment_checksum(win, oh, ow, wy, wx) == want
 
 
 def test_flagship_bad_rows_are_flagged_not_fatal(ray_session, polygons,

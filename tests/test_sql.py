@@ -81,9 +81,9 @@ def test_sql_matches_duckdb(ray_session, sql, tables):
 
 
 def test_sql_errors(ray_session):
-    import ray
+    from georay.queries import _rp
     from georay.sql import SqlError, execute_sql
-    tabs = {"orders": ray.data.read_parquet(f"{SF}/orders.parquet")}
+    tabs = {"orders": _rp(SF, "orders")}
     for bad in [
         "SELECT FROM orders",
         "SELECT o_orderkey FROM nope",
@@ -98,9 +98,9 @@ def test_sql_errors(ray_session):
 
 
 def test_sql_limit_offset(ray_session):
-    import ray
+    from georay.queries import _rp
     from georay.sql import execute_sql
-    tabs = {"part": ray.data.read_parquet(f"{SF}/part.parquet")}
+    tabs = {"part": _rp(SF, "part")}
     full = execute_sql("SELECT p_partkey FROM part ORDER BY p_partkey "
                        "LIMIT 10", tabs).to_pandas()
     off = execute_sql("SELECT p_partkey FROM part ORDER BY p_partkey "
@@ -114,12 +114,12 @@ def test_cast_and_group_by_alias(ray_session, sf_dir):
     checked against DuckDB running the identical text (SUM kept int64 via
     CAST; DuckDB SUM(BIGINT)→HUGEINT handled by value comparison)."""
     import duckdb
-    import ray
+    from georay.queries import _rp
     sql = ("SELECT upper(substr(o_orderpriority, 3, 8)) AS pri, "
            "count(*) AS n, "
            "sum(cast(round(o_totalprice * 100.0, 0) AS BIGINT)) AS cents "
            "FROM orders GROUP BY pri ORDER BY pri")
-    tables = {"orders": ray.data.read_parquet(f"{sf_dir}/orders.parquet")}
+    tables = {"orders": _rp(sf_dir, "orders")}
     from georay.sql import execute_sql
     got = execute_sql(sql, tables)
     got = got.to_pandas() if hasattr(got, "to_pandas") else got
@@ -154,9 +154,9 @@ def test_cast_semantics():
 
 def test_ilike_and_stddev(ray_session, sf_dir):
     import duckdb
-    import ray
+    from georay.queries import _rp
     from georay.sql import execute_sql
-    tables = {"customer": ray.data.read_parquet(f"{sf_dir}/customer.parquet")}
+    tables = {"customer": _rp(sf_dir, "customer")}
     con = duckdb.connect()
     con.sql(f"CREATE VIEW customer AS SELECT * FROM "
             f"read_parquet('{sf_dir}/customer.parquet')")
@@ -296,9 +296,9 @@ def test_sql_subquery_matches_duckdb(ray_session, sql, tables):
 
 
 def test_sql_window_errors(ray_session):
-    import ray
+    from georay.queries import _rp
     from georay.sql import SqlError, execute_sql
-    tabs = {"orders": ray.data.read_parquet(f"{SF}/orders.parquet")}
+    tabs = {"orders": _rp(SF, "orders")}
     for bad in [
         # window + GROUP BY mix
         "SELECT o_custkey, COUNT(*) AS n, ROW_NUMBER() OVER "
@@ -319,10 +319,10 @@ def test_sql_global_window_and_left_join_right_key(ray_session):
     """r4: OVER () with no PARTITION BY routes through one hidden
     constant partition; after LEFT JOIN the right key column is rebuilt
     (NULL where unmatched) so WHERE/SELECT can still reference it."""
-    import ray
+    from georay.queries import _rp
     from georay.sql import execute_sql
-    tabs = {"orders": ray.data.read_parquet(f"{SF}/orders.parquet"),
-            "customer": ray.data.read_parquet(f"{SF}/customer.parquet")}
+    tabs = {"orders": _rp(SF, "orders"),
+            "customer": _rp(SF, "customer")}
     df = execute_sql(
         "SELECT o_orderkey, DENSE_RANK() OVER (ORDER BY o_orderkey) AS rk"
         " FROM orders ORDER BY o_orderkey LIMIT 5", tabs).to_pandas()
