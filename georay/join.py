@@ -17,8 +17,9 @@ Ray-Data-first:
   duplicate pairs arise (SURVEY.md §7.4 border-dedup rule).
 * **Skew** (BASELINE north rule): :func:`cell_census` pre-aggregates row
   counts per cell inside ``map_batches`` (one partial row per cell per
-  block) before a tiny ``groupby().sum``; :func:`salt_map` derives per-cell
-  salt fan-outs for cells above threshold; the partitioned join salts hot
+  block), then sums the partials exactly in ONE combine task — no
+  keyed (sort or hash) shuffle; :func:`salt_map` derives per-cell salt
+  fan-outs for cells above threshold; the partitioned join salts hot
   cells into ``cell#s`` sub-keys and replicates the polygon side to every
   sub-key.
 """
@@ -311,10 +312,14 @@ def _grid_cell_fn(grid: str):
 
 def cell_census(ds, res: int = 7, lat_col="lat", lon_col="lon",
                 grid: str = "hex"):
-    """Row count per cell, computed as per-block partials (one row per
-    cell per block emitted from ``map_batches``) + a small ``groupby.sum``
-    — the pre-aggregation pattern that avoids shuffling every row."""
-    from ray.data.aggregate import Sum
+    """Row count per cell as a lazy Dataset of (``hexcell``, ``n``) rows in
+    ascending cell order.  Each block emits one partial row per cell it
+    holds (``map_batches``); the partials then go through
+    ``repartition(1)`` into ONE combine task that sorts the cells and sums
+    their counts exactly in int64 — no keyed (sort or hash) shuffle.  The
+    combine task holds at most the per-block partial rows (cells × blocks,
+    never the points); :func:`salt_map` holds the whole census on the
+    driver anyway."""
     cell_fn = _grid_cell_fn(grid)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -323,9 +328,21 @@ def cell_census(ds, res: int = 7, lat_col="lat", lon_col="lon",
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table({"hexcell": uniq, "partial_count": counts})
 
+    def combine(batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:
+            return pa.table({"hexcell": pa.array([], pa.int64()),
+                             "n": pa.array([], pa.int64())})
+        cells = batch["hexcell"].to_numpy()
+        order = np.argsort(cells)
+        cells = cells[order]
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        counts = batch["partial_count"].to_numpy().astype(np.int64)[order]
+        return pa.table({"hexcell": cells[starts],
+                         "n": np.add.reduceat(counts, starts)})
+
     return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("hexcell")
-              .aggregate(Sum("partial_count", alias_name="n")))
+              .repartition(1)
+              .map_batches(combine, batch_format="pyarrow", batch_size=None))
 
 
 def salt_map(census_table: pa.Table, threshold: int, max_salt: int = 32) -> dict:
@@ -338,28 +355,58 @@ def salt_map(census_table: pa.Table, threshold: int, max_salt: int = 32) -> dict
             for c, n in zip(cells[hot], counts[hot])}
 
 
+def _salt_fanout(cells: np.ndarray, hot: np.ndarray,
+                 fan: np.ndarray) -> np.ndarray:
+    """Salt sub-keys per cell: ``fan`` for cells in the sorted ``hot``
+    array, 1 for every other cell."""
+    if not len(hot):
+        return np.ones(len(cells), dtype=np.int64)
+    i = np.minimum(np.searchsorted(hot, cells), len(hot) - 1)
+    return np.where(hot[i] == cells, fan[i], 1)
+
+
+def _arange_runs(start: np.ndarray, stop: np.ndarray, step: float) -> tuple:
+    """``np.arange(start[i], stop[i], step)`` for every i, concatenated,
+    plus the run lengths.  Laid out as numpy lays out one float arange —
+    ``start``, ``start + step``, then ``start + k * ((start + step) -
+    start)`` — so every value equals the per-run call's."""
+    lens = np.ceil((stop - start) / step).astype(np.int64)
+    first = np.cumsum(lens) - lens
+    k = np.arange(lens.sum(), dtype=np.int64) - np.repeat(first, lens)
+    s = np.repeat(start, lens)
+    second = np.repeat(start + step, lens)
+    vals = s + k * (second - s)
+    vals[k == 1] = second[k == 1]
+    return vals, lens
+
+
 def _polygon_cell_cover(polygons: pa.Table, res: int) -> tuple:
     """Explode each polygon to every hex cell its envelope overlaps
     (driver-side; polygon side assumed enumerable).  Envelope cover is a
     superset of the true cover → correct (extra cells just test no points
-    or fail PIP)."""
-    minx = polygons["minx"].to_numpy()
-    miny = polygons["miny"].to_numpy()
-    maxx = polygons["maxx"].to_numpy()
-    maxy = polygons["maxy"].to_numpy()
-    poly_idx, cover = [], []
+    or fail PIP).  One sweep for all polygons: each polygon's grid of
+    cell centers (its bbox plus a two-cell margin, one cell apart) is laid
+    out in one array, then deduplicated per polygon; ``(poly_idx, cover)``
+    is sorted by polygon, then cell."""
     R = float(hex_circumradius(res))
-    for i in range(len(minx)):
-        x0, y0 = latlon_to_meters(miny[i], minx[i])
-        x1, y1 = latlon_to_meters(maxy[i], maxx[i])
-        # walk cell centers over the bbox with one-cell margin
-        xs = np.arange(float(x0) - 2 * R, float(x1) + 2 * R, R)
-        ys = np.arange(float(y0) - 2 * R, float(y1) + 2 * R, R)
-        gx, gy = np.meshgrid(xs, ys)
-        cells = np.unique(hex_cell_from_meters(gx.ravel(), gy.ravel(), res))
-        cover.append(cells)
-        poly_idx.append(np.full(cells.shape, i, dtype=np.int64))
-    return np.concatenate(poly_idx), np.concatenate(cover)
+    x0, y0 = latlon_to_meters(polygons["miny"].to_numpy(),
+                              polygons["minx"].to_numpy())
+    x1, y1 = latlon_to_meters(polygons["maxy"].to_numpy(),
+                              polygons["maxx"].to_numpy())
+    xs, nx = _arange_runs(x0 - 2 * R, x1 + 2 * R, R)
+    ys, ny = _arange_runs(y0 - 2 * R, y1 + 2 * R, R)
+    # every y row of polygon i takes polygon i's whole x run
+    row_poly = np.repeat(np.arange(len(nx)), ny)
+    row_len = nx[row_poly]
+    owner = np.repeat(row_poly, row_len)
+    x_at = (np.repeat((np.cumsum(nx) - nx)[row_poly], row_len)
+            + np.arange(row_len.sum())
+            - np.repeat(np.cumsum(row_len) - row_len, row_len))
+    cells = hex_cell_from_meters(xs[x_at], np.repeat(ys, row_len), res)
+    order = np.lexsort((cells, owner))
+    owner, cells = owner[order], cells[order]
+    keep = np.r_[True, (owner[1:] != owner[:-1]) | (cells[1:] != cells[:-1])]
+    return owner[keep].astype(np.int64), cells[keep]
 
 
 def _icosa_polygon_cell_cover(polygons: pa.Table, res: int) -> tuple:
@@ -415,12 +462,13 @@ def spatial_join_partitioned(points_ds, polygons: pa.Table, *, res: int = 6,
 
     salts: dict = {}
     if salt_threshold:
-        census = cell_census(points_ds, res, lat_col, lon_col,
-                             grid=grid).take_all()
-        census_t = pa.table({
-            "hexcell": [r["hexcell"] for r in census],
-            "n": [r["n"] for r in census]})
-        salts = salt_map(census_t, salt_threshold)
+        census = cell_census(points_ds, res, lat_col, lon_col, grid=grid)
+        parts = [t for t in ray.get(census.to_arrow_refs()) if t.num_rows]
+        if parts:
+            salts = salt_map(pa.concat_tables(parts), salt_threshold)
+    # salt lookups as sorted (hot cell, fan-out) arrays, built once here
+    hot_cells = np.array(sorted(salts), dtype=np.int64)
+    hot_fan = np.array([salts[c] for c in hot_cells], dtype=np.int64)
     # unified row layout so the two sides union cleanly:
     #   point cols (nulls on the polygon side) + wkb/payload (nulls on the
     #   point side) + hexcell + salt + side
@@ -432,7 +480,7 @@ def spatial_join_partitioned(points_ds, polygons: pa.Table, *, res: int = 6,
     poly_payload_types = {c: polygons.schema.field(c).type for c in payload_cols}
 
     # polygon side rows — replicated to every salt sub-key of hot cells
-    n_salt_per = np.array([salts.get(int(c), 1) for c in pcells], dtype=np.int64)
+    n_salt_per = _salt_fanout(pcells, hot_cells, hot_fan)
     rep_idx = np.repeat(pidx, n_salt_per)
     rep_cells = np.repeat(pcells, n_salt_per)
     rep_salt = (np.arange(len(rep_idx), dtype=np.int64)
@@ -450,7 +498,6 @@ def spatial_join_partitioned(points_ds, polygons: pa.Table, *, res: int = 6,
     poly_ds = ray.data.from_arrow(pa.table(poly_cols))
 
     def key_points(batch: pa.Table) -> pa.Table:
-        salts_l = salts
         cells = cell_fn(batch[lat_col].to_numpy(),
                         batch[lon_col].to_numpy(), res)
         n = len(cells)
@@ -459,7 +506,7 @@ def spatial_join_partitioned(points_ds, polygons: pa.Table, *, res: int = 6,
         for c in payload_cols:
             cols[c] = pa.nulls(n, poly_payload_types[c])
         cols["hexcell"] = pa.array(cells, pa.int64())
-        n_s = np.array([salts_l.get(int(c), 1) for c in cells], dtype=np.int64)
+        n_s = _salt_fanout(cells, hot_cells, hot_fan)
         cols["salt"] = pa.array(
             np.where(n_s > 1, np.arange(n, dtype=np.int64) % n_s, 0))
         cols["side"] = pa.array(np.zeros(n, dtype=np.int8))

@@ -207,12 +207,106 @@ def test_partitioned_join_salted_same_result(ray_session, images_path, polygons)
     assert got == _brute_join_pairs(images_path, polygons)
 
 
+def _census_blocks():
+    """Four overlapping slices of one hotspot point table: every block
+    holds cells the others hold too, so the combine really sums."""
+    pts = fx.points_table(600)
+    return [pts.slice(0, 400), pts.slice(200, 400), pts.slice(100, 300), pts]
+
+
 def test_cell_census_counts(ray_session, images_path):
-    from georay.join import cell_census
+    # one test id over both grids (a parametrize would rename the id)
+    import ray
+    from georay.join import _grid_cell_fn, cell_census
     from georay.pipelines import georeferenced_images
     ds = georeferenced_images(images_path, decode=False)
     rows = cell_census(ds, res=5).take_all()
     assert sum(r["n"] for r in rows) == 120
+    blocks = _census_blocks()
+    lat = np.concatenate([b["lat"].to_numpy() for b in blocks])
+    lon = np.concatenate([b["lon"].to_numpy() for b in blocks])
+    for grid in ("hex", "icosa"):
+        cell_fn = _grid_cell_fn(grid)
+        shared = set(np.unique(cell_fn(blocks[0]["lat"].to_numpy(),
+                                       blocks[0]["lon"].to_numpy(), 5)))
+        for b in blocks[1:]:
+            shared &= set(np.unique(cell_fn(b["lat"].to_numpy(),
+                                            b["lon"].to_numpy(), 5)))
+        assert shared, grid
+        want_cells, want_n = np.unique(cell_fn(lat, lon, 5),
+                                       return_counts=True)
+        census = cell_census(ray.data.from_arrow(blocks), res=5, grid=grid)
+        got = pa.concat_tables(
+            [t for t in ray.get(census.to_arrow_refs()) if t.num_rows])
+        assert got.schema.field("n").type == pa.int64(), grid
+        np.testing.assert_array_equal(got["hexcell"].to_numpy(), want_cells)
+        np.testing.assert_array_equal(got["n"].to_numpy(), want_n)
+        empty = ray.data.from_arrow(blocks[0].slice(0, 0))
+        assert cell_census(empty, res=5, grid=grid).take_all() == [], grid
+
+
+def test_cell_census_runs_without_shuffle(ray_session):
+    """The census sums per-block partials in one combine task: its plan
+    holds no Sort, Aggregate or hash-shuffle operator."""
+    import ray
+    from georay.join import cell_census
+    census = cell_census(ray.data.from_arrow(_census_blocks()),
+                         res=5).materialize()
+    stats = census.stats()
+    for op in ("Sort", "Aggregate", "Shuffle"):
+        assert op not in stats, op
+    assert "MapBatches(combine)" in stats
+
+
+def test_polygon_cell_cover_matches_per_polygon_sweep(polygons):
+    """The one-sweep cover equals a per-polygon ``np.arange`` sweep,
+    array for array, on the fixture polygons and on boxes that straddle
+    the origin and the antimeridian."""
+    from georay.cells import hex_cell_from_meters, hex_circumradius
+    from georay.join import _polygon_cell_cover
+    from georay.mercator import latlon_to_meters
+
+    def per_polygon(t, res):
+        R = float(hex_circumradius(res))
+        pidx, cover = [], []
+        for i in range(t.num_rows):
+            x0, y0 = latlon_to_meters(t["miny"][i].as_py(),
+                                      t["minx"][i].as_py())
+            x1, y1 = latlon_to_meters(t["maxy"][i].as_py(),
+                                      t["maxx"][i].as_py())
+            xs = np.arange(float(x0) - 2 * R, float(x1) + 2 * R, R)
+            ys = np.arange(float(y0) - 2 * R, float(y1) + 2 * R, R)
+            gx, gy = np.meshgrid(xs, ys)
+            cells = np.unique(hex_cell_from_meters(gx.ravel(), gy.ravel(),
+                                                   res))
+            cover.append(cells)
+            pidx.append(np.full(cells.shape, i, dtype=np.int64))
+        return np.concatenate(pidx), np.concatenate(cover)
+
+    boxes = pa.table({"minx": [-0.3, 179.2, -180.0, 10.0],
+                      "miny": [-0.2, -5.0, -80.0, 60.0],
+                      "maxx": [0.4, 180.0, -170.5, 10.0],
+                      "maxy": [0.1, 5.0, -60.0, 60.0]})
+    for t, res in ((polygons, 6), (polygons, 9), (boxes, 3), (boxes, 7)):
+        want = per_polygon(t, res)
+        got = _polygon_cell_cover(t, res)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_salt_fanout_matches_dict_lookup():
+    from georay.join import _salt_fanout, salt_map
+    rng = np.random.default_rng(3)
+    cells = rng.integers(-50, 50, 2000).astype(np.int64) * 1_000_003
+    uniq, n = np.unique(cells, return_counts=True)
+    for threshold in (10, 25, 10_000):
+        salts = salt_map(pa.table({"hexcell": uniq, "n": n}), threshold)
+        hot = np.array(sorted(salts), dtype=np.int64)
+        fan = np.array([salts[c] for c in hot], dtype=np.int64)
+        want = np.array([salts.get(int(c), 1) for c in cells])
+        np.testing.assert_array_equal(_salt_fanout(cells, hot, fan), want)
+        assert (threshold == 10_000) == (not salts)
 
 
 def test_knn_matches_brute_force(ray_session):
