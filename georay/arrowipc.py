@@ -7,51 +7,31 @@ the format is native, so the driver's job is purely the PARALLELISM
 contract: the IPC *file* format has a footer with per-batch offsets, so
 reads fan out one task per (file, batch range) with random access —
 no full-file scan per task — and writes land one ``.arrow`` file per
-block (task-parallel, atomic rename, resumable like every other
-partitioned sink here).
+block (task-parallel, atomic rename through ``util.write_parts``: each
+call appends one file per block, and a retried task rewrites its own
+files).
 """
 from __future__ import annotations
-
-import os
-import uuid
 
 import pyarrow as pa
 import pyarrow.ipc as pipc
 
+from .util import list_parts, write_parts
+
 __all__ = ["write_arrow_ipc", "read_arrow_ipc", "read_arrow_ipc_table"]
+
+_EXTS = (".arrow", ".feather", ".ipc")
+
+
+def _encode(table: pa.Table, path: str) -> None:
+    with pipc.new_file(path, table.schema) as w:
+        w.write_table(table)
 
 
 def write_arrow_ipc(ds_or_table, path: str) -> str:
     """Dataset → ``path``/part-*.arrow (one per block); table → one
     file at ``path``."""
-    if isinstance(ds_or_table, pa.Table):
-        with pipc.new_file(path, ds_or_table.schema) as w:
-            w.write_table(ds_or_table)
-        return path
-    os.makedirs(path, exist_ok=True)
-
-    def sink(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        name = os.path.join(path, f"part-{uuid.uuid4().hex}.arrow")
-        tmp = name + ".tmp"
-        with pipc.new_file(tmp, batch.schema) as w:
-            w.write_table(batch)
-        os.replace(tmp, name)
-        return pa.table({"path": pa.array([name]),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    ds_or_table.map_batches(sink, batch_format="pyarrow",
-                            batch_size=None).materialize()
-    return path
-
-
-def _ipc_files(path: str) -> list[str]:
-    if os.path.isdir(path):
-        return sorted(os.path.join(path, p) for p in os.listdir(path)
-                      if p.endswith((".arrow", ".feather", ".ipc")))
-    return [path]
+    return write_parts(ds_or_table, path, "arrow", _encode)
 
 
 def read_arrow_ipc(path: str, *, columns=None,
@@ -63,7 +43,7 @@ def read_arrow_ipc(path: str, *, columns=None,
     import ray
 
     units = []
-    for p in _ipc_files(path):
+    for p in list_parts(path, _EXTS):
         with pa.memory_map(p) as mm:
             n = pipc.RecordBatchFileReader(mm).num_record_batches
         for a in range(0, max(n, 1), batches_per_task):
@@ -94,7 +74,7 @@ def read_arrow_ipc(path: str, *, columns=None,
 def read_arrow_ipc_table(path: str, *, columns=None) -> pa.Table:
     """Driver-side read (small layers)."""
     tabs = []
-    for p in _ipc_files(path):
+    for p in list_parts(path, _EXTS):
         with pa.memory_map(p) as mm:
             t = pipc.RecordBatchFileReader(mm).read_all()
         tabs.append(t.select(columns) if columns else t)

@@ -15,11 +15,11 @@ ONE cheap driver-side pass over each file hopping block HEADERS only
 count) scan index, then fans blocks out through ``map_batches`` — each
 task decompresses and decodes only its block, so a single large file
 reads wide, like the Arrow-IPC footer fan-out.  ``write_avro`` on a
-Dataset lands one ``part-*.avro`` per block (task-parallel, atomic
-rename, resumable).  Record decode inside a block is a per-record
-Python loop (varints are data-dependent — same documented floor as the
-other hand-rolled binary drivers); encode vectorizes the zigzag step
-per column and loops only to interleave.
+Dataset appends one ``part-*.avro`` per block (task-parallel, atomic
+rename; a retried task rewrites its own files).  Record decode inside a
+block is a per-record Python loop (varints are data-dependent — same
+documented floor as the other hand-rolled binary drivers); encode
+vectorizes the zigzag step per column and loops only to interleave.
 
 Schema subset: records of null/boolean/int/long/float/double/bytes/
 string, ``["null", T]`` unions for nullable columns, and arrays of
@@ -28,15 +28,15 @@ primitives.  Anything else raises loudly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import uuid
 import zlib
 
-import numpy as np
 import pyarrow as pa
+
+from .util import list_parts, write_parts
 
 __all__ = ["write_avro", "read_avro", "read_avro_table", "avro_schema"]
 
@@ -212,57 +212,41 @@ def _encode_block(table: pa.Table) -> bytes:
     return bytes(out)
 
 
-def _write_ocf(fh, table: pa.Table, codec: str, sync: bytes,
+def _write_ocf(path: str, table: pa.Table, codec: str,
                rows_per_block: int = 8192):
+    schema = json.dumps(avro_schema(table.schema))
+    # the same table always gives the same bytes: the sync marker is
+    # derived from the schema instead of drawn at random
+    sync = uuid.uuid5(uuid.NAMESPACE_OID, schema).bytes
     meta = bytearray()
     _w_long(meta, 2)
     _w_bytes(meta, b"avro.schema")
-    _w_bytes(meta, json.dumps(avro_schema(table.schema)).encode())
+    _w_bytes(meta, schema.encode())
     _w_bytes(meta, b"avro.codec")
     _w_bytes(meta, codec.encode())
     _w_long(meta, 0)
-    fh.write(_MAGIC + bytes(meta) + sync)
-    for a in range(0, max(table.num_rows, 1), rows_per_block):
-        chunk = table.slice(a, rows_per_block)
-        if chunk.num_rows == 0:
-            continue
-        body = _encode_block(chunk)
-        if codec == "deflate":
-            body = zlib.compress(body, 6)[2:-4]  # raw deflate per spec
-        head = bytearray()
-        _w_long(head, chunk.num_rows)
-        _w_long(head, len(body))
-        fh.write(bytes(head) + body + sync)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + bytes(meta) + sync)
+        for a in range(0, max(table.num_rows, 1), rows_per_block):
+            chunk = table.slice(a, rows_per_block)
+            if chunk.num_rows == 0:
+                continue
+            body = _encode_block(chunk)
+            if codec == "deflate":
+                body = zlib.compress(body, 6)[2:-4]  # raw deflate per spec
+            head = bytearray()
+            _w_long(head, chunk.num_rows)
+            _w_long(head, len(body))
+            fh.write(bytes(head) + body + sync)
 
 
 def write_avro(ds_or_table, path: str, codec: str = "deflate") -> str:
     """Table → one ``.avro`` OCF at ``path``; Dataset → ``path``/
-    part-*.avro, one per block (task-parallel, resumable)."""
+    part-*.avro, one per block (task-parallel; see ``util.write_parts``)."""
     if codec not in ("null", "deflate"):
         raise ValueError("codec must be 'null' or 'deflate'")
-    if isinstance(ds_or_table, pa.Table):
-        sync = uuid.uuid5(uuid.NAMESPACE_OID, path).bytes
-        with open(path, "wb") as fh:
-            _write_ocf(fh, ds_or_table, codec, sync)
-        return path
-    os.makedirs(path, exist_ok=True)
-
-    def sink(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        name = os.path.join(path, f"part-{uuid.uuid4().hex}.avro")
-        sync = uuid.uuid5(uuid.NAMESPACE_OID, name).bytes
-        tmp = name + ".tmp"
-        with open(tmp, "wb") as fh:
-            _write_ocf(fh, batch, codec, sync)
-        os.replace(tmp, name)
-        return pa.table({"path": pa.array([name]),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    ds_or_table.map_batches(sink, batch_format="pyarrow",
-                            batch_size=None).materialize()
-    return path
+    return write_parts(ds_or_table, path, "avro",
+                       lambda t, p: _write_ocf(p, t, codec))
 
 
 # --------------------------------------------------------------------------
@@ -394,17 +378,10 @@ def _r_prim(data, pos, code):
     raise NotImplementedError(f"avro: type {code!r} unsupported")
 
 
-def _avro_files(path: str) -> list[str]:
-    if os.path.isdir(path):
-        return sorted(os.path.join(path, p) for p in os.listdir(path)
-                      if p.endswith(".avro"))
-    return [path]
-
-
 def read_avro_table(path: str, columns=None) -> pa.Table:
     """Single-process read (tests / small files)."""
     parts = []
-    for p in _avro_files(path):
+    for p in list_parts(path, [".avro"]):
         blocks, schema, codec = _block_index(p)
         with open(p, "rb") as fh:
             for (off, sz, nrec) in blocks:
@@ -423,7 +400,7 @@ def read_avro(path: str, *, columns=None):
     import ray
 
     units = []
-    for p in _avro_files(path):
+    for p in list_parts(path, [".avro"]):
         blocks, schema, codec = _block_index(p)
         sj = json.dumps(schema)
         for (off, sz, nrec) in blocks:

@@ -24,6 +24,8 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .util import staged
+
 __all__ = ["PartitionedWriter", "committed_keys", "load_manifest",
            "write_partitioned", "resume_filter"]
 
@@ -73,9 +75,8 @@ class PartitionedWriter:
         status = "skipped"
         if not os.path.exists(mpath):
             data_path = os.path.join(self.out_dir, f"part-{key}.parquet")
-            tmp = data_path + f".tmp-{os.getpid()}"
-            pq.write_table(group, tmp)
-            os.replace(tmp, data_path)  # atomic
+            with staged(data_path) as tmp:
+                pq.write_table(group, tmp)
             record = {
                 "partition_key": key,
                 "row_count": group.num_rows,
@@ -86,10 +87,8 @@ class PartitionedWriter:
                         str(max(group[c].to_pylist()))]
                     for c in self.lineage_cols if c in group.schema.names},
             }
-            mtmp = mpath + f".tmp-{os.getpid()}"
-            with open(mtmp, "w") as fh:
+            with staged(mpath) as tmp, open(tmp, "w") as fh:
                 json.dump(record, fh)
-            os.replace(mtmp, mpath)
             status = "written"
         return pa.table({
             "partition_key": pa.array([key], pa.string()),

@@ -81,6 +81,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .util import staged
+
 __all__ = [
     "write_delta", "read_delta", "read_delta_table", "delta_snapshot",
     "delete_delta", "checkpoint_delta", "vacuum_delta", "optimize_delta",
@@ -659,14 +661,11 @@ def checkpoint_delta(root: str) -> dict:
     t = pa.table({"protocol": proto_col, "metaData": meta_col,
                   "add": add_col})
     path = os.path.join(_log_dir(root), f"{v:020d}.checkpoint.parquet")
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
+    with staged(path) as tmp:
+        pq.write_table(t, tmp)
     lc = os.path.join(_log_dir(root), "_last_checkpoint")
-    tmp2 = lc + f".tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp2, "w") as f:
+    with staged(lc) as tmp, open(tmp, "w") as f:
         json.dump({"version": v, "size": n}, f)
-    os.replace(tmp2, lc)
     return {"version": v, "num_files": len(snap["files"])}
 
 

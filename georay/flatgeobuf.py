@@ -684,12 +684,18 @@ def write_fgb(table: pa.Table, geom_col: str = "wkb", *, name: str = "layer",
 
 def read_fgb_header(data) -> dict:
     data = memoryview(data)
-    if bytes(data[:3]) != b"fgb" or data[3] != 3:
+    if bytes(data[:4]) != b"fgb\x03":
         raise ValueError("not a FlatGeobuf v3 file")
-    hlen = _U32.unpack_from(data, 8)[0]
-    h = FBTable.root(data, 12)
-    cols = [(c.string(0), c.scalar(1, "<B", 0)) for c in h.table_vector(7)]
-    crs = h.table(10)
+    try:
+        hlen = _U32.unpack_from(data, 8)[0]
+        if 12 + hlen > len(data):
+            raise struct.error
+        h = FBTable.root(data, 12)
+        cols = [(c.string(0), c.scalar(1, "<B", 0))
+                for c in h.table_vector(7)]
+        crs = h.table(10)
+    except struct.error:
+        raise ValueError(f"truncated fgb at byte {len(data)}") from None
     return {
         "name": h.string(0),
         "envelope": (h.vector(1, "<f8").tolist()
@@ -726,22 +732,35 @@ def read_fgb(data, *, bbox=None, geom_col: str = "wkb") -> pa.Table:
     idx_len = _index_size(n, ns) if ns else 0
     feat_base = hdr["_features_pos"] + idx_len
     col_specs = hdr["columns"]
+    total = len(data)
 
+    def feature_end(pos: int) -> int:
+        """The byte after the length-prefixed feature at ``pos``."""
+        if pos + 4 <= total:
+            end = pos + 4 + _U32.unpack_from(data, pos)[0]
+            if end <= total:
+                return end
+        raise ValueError(f"truncated fgb at byte {pos}")
+
+    if feat_base > total:
+        raise ValueError(f"truncated fgb at byte {total}")
     if bbox is not None and idx_len:
         offsets = _search_index(data, hdr["_features_pos"], n, ns, bbox)
         positions = [feat_base + int(o) for o in offsets]
     else:
         positions = []
         pos = feat_base
-        total = len(data)
-        while pos + 4 <= total:
+        while pos < total:
             positions.append(pos)
-            pos += 4 + _U32.unpack_from(data, pos)[0]
+            pos = feature_end(pos)
+        if n and len(positions) != n:  # features_count 0 means unknown
+            raise ValueError(f"truncated fgb at byte {total}: "
+                             f"{len(positions)} features, header declares {n}")
 
     wkbs = []
     attr_vals = {i: [] for i in range(len(col_specs))}
     for pos in positions:
-        ln = _U32.unpack_from(data, pos)[0]
+        feature_end(pos)  # index offsets may point past a cut
         feat = FBTable.root(data, pos + 4)
         geom = feat.table(0)
         wkbs.append(_wkb_from_geometry(geom, hdr["geometry_type"])
@@ -781,25 +800,13 @@ def write_fgb_partitioned(ds, out_dir: str, part_col: str,
     (fgb needs its header/index finalized over all of a file's features,
     so the file — not the row — is the unit of parallelism; same shape as
     the z/x/y tile sink).  Returns a manifest Dataset (part, path, rows)."""
-    import os
+    from .util import write_groups
 
-    os.makedirs(out_dir, exist_ok=True)
+    def encode(g: pa.Table, path: str, part: str) -> None:
+        with open(path, "wb") as f:
+            f.write(write_fgb(g, geom_col=geom_col, name=part, **kw))
 
-    def write_group(g: pa.Table) -> pa.Table:
-        part = g[part_col][0].as_py()
-        body = write_fgb(g.drop_columns([part_col]), geom_col=geom_col,
-                         name=str(part), **kw)
-        path = os.path.join(out_dir, f"{part}.fgb")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(body)
-        os.replace(tmp, path)  # atomic: resumable like the tile sink
-        return pa.table({"part": pa.array([str(part)]),
-                         "path": pa.array([path]),
-                         "rows": pa.array([g.num_rows], pa.int64())})
-
-    return ds.groupby(part_col).map_groups(write_group,
-                                           batch_format="pyarrow")
+    return write_groups(ds, out_dir, part_col, "fgb", encode)
 
 
 def read_fgb_dataset(paths, *, bbox=None, geom_col: str = "wkb"):

@@ -21,6 +21,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .util import list_parts, write_parts
+
 __all__ = [
     "geometry_to_wkb", "wkb_to_geometry", "feature_collection_to_table",
     "table_to_feature_collection", "read_geojson", "write_geojson",
@@ -192,33 +194,15 @@ def _features_to_lines(t: pa.Table, wkb_col: str) -> str:
 def write_geojsonseq(ds_or_table, path: str, wkb_col: str = "wkb") -> str:
     """Newline-delimited GeoJSON (GeoJSONSeq / .geojsonl — reference
     driver ogr/ogrsf_frmts/geojson/ogrgeojsonseqdriver.cpp).  A Dataset
-    writes ONE FILE PER BLOCK under ``path``/part-*.geojsonl
-    (task-parallel, atomic rename — the resumable-partitioned-sink
-    contract); a table writes a single file at ``path``."""
-    import os
-    import uuid
+    appends ONE FILE PER BLOCK under ``path``/part-*.geojsonl
+    (task-parallel, atomic rename; a retried task rewrites its own files
+    — see ``util.write_parts``); a table writes a single file at
+    ``path``."""
+    def encode(t: pa.Table, p: str) -> None:
+        with open(p, "w") as f:
+            f.write(_features_to_lines(t, wkb_col))
 
-    if isinstance(ds_or_table, pa.Table):
-        with open(path, "w") as f:
-            f.write(_features_to_lines(ds_or_table, wkb_col))
-        return path
-    os.makedirs(path, exist_ok=True)
-
-    def sink(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        name = os.path.join(path, f"part-{uuid.uuid4().hex}.geojsonl")
-        tmp = name + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(_features_to_lines(batch, wkb_col))
-        os.replace(tmp, name)
-        return pa.table({"path": pa.array([name]),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    ds_or_table.map_batches(sink, batch_format="pyarrow",
-                            batch_size=None).materialize()
-    return path
+    return write_parts(ds_or_table, path, "geojsonl", encode)
 
 
 def _parse_lines(raw: bytes) -> pa.Table:
@@ -238,9 +222,7 @@ def read_geojsonseq(path: str, *, target_bytes: int = 64 << 20):
     import ray
 
     if os.path.isdir(path):
-        files = sorted(
-            os.path.join(path, p) for p in os.listdir(path)
-            if p.endswith((".geojsonl", ".geojson", ".jsonl")))
+        files = list_parts(path, (".geojsonl", ".geojson", ".jsonl"))
         src = ray.data.from_items(
             [{"path": p, "start": -1, "stop": -1} for p in files],
             override_num_blocks=max(1, len(files)))

@@ -483,23 +483,10 @@ def write_gpkg_partitioned(ds, out_dir: str, part_col: str,
                            geom_col: str = "wkb", **kw):
     """Distributed GPKG sink: one ``<part>.gpkg`` per partition-key group
     (same shape as the fgb sink).  Returns the manifest Dataset."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_group(g: pa.Table) -> pa.Table:
-        part = g[part_col][0].as_py()
-        path = os.path.join(out_dir, f"{part}.gpkg")
-        tmp = path + ".tmp"
-        n = write_gpkg(g.drop_columns([part_col]), tmp,
-                       layer=str(part), geom_col=geom_col, **kw)
-        os.replace(tmp, path)
-        return pa.table({"part": pa.array([str(part)]),
-                         "path": pa.array([path]),
-                         "rows": pa.array([n], pa.int64())})
-
-    return ds.groupby(part_col).map_groups(write_group,
-                                           batch_format="pyarrow")
+    from .util import write_groups
+    return write_groups(ds, out_dir, part_col, "gpkg",
+                        lambda g, path, part: write_gpkg(
+                            g, path, layer=part, geom_col=geom_col, **kw))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ import struct
 
 import numpy as np
 
+from .util import staged
+
 __all__ = [
     "write_grib", "scan_grib", "read_grib_message", "read_grib",
     "read_grib_dataset",
@@ -178,11 +180,9 @@ def write_grib(path: str, fields, *, lat0: float, lon0: float,
         sec0 = (b"GRIB" + b"\x00\x00" + bytes([discipline, 2])
                 + struct.pack(">Q", total))
         msgs.append(sec0 + body + b"7777")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with staged(path) as tmp, open(tmp, "wb") as f:
         for m in msgs:
             f.write(m)
-    os.replace(tmp, path)
     return {"messages": len(msgs), "bytes": sum(len(m) for m in msgs)}
 
 # ---------------------------------------------------------------- read

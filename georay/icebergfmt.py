@@ -62,11 +62,11 @@ import time
 import uuid
 import zlib
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .avrofmt import _MAGIC, _r_long, _w_bytes, _w_long
+from .util import staged
 
 __all__ = [
     "write_iceberg", "read_iceberg", "read_iceberg_table",
@@ -213,12 +213,10 @@ def write_ocf_records(path: str, schema: dict, records: list[dict],
     if records:
         _w_long(head, len(records))
         _w_long(head, len(body))
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "wb") as f:
+    with staged(path) as tmp, open(tmp, "wb") as f:
         f.write(_MAGIC + bytes(meta) + sync)
         if records:
             f.write(bytes(head) + body + sync)
-    os.replace(tmp, path)
 
 
 def read_ocf_records(path: str) -> list[dict]:
@@ -384,10 +382,8 @@ def _commit_metadata(root: str, version: int, meta: dict):
             f"concurrent commit: metadata v{version} exists")
     os.unlink(tmp)
     hint = os.path.join(mdir, "version-hint.text")
-    tmp2 = hint + f".tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp2, "w") as f:
+    with staged(hint) as tmp, open(tmp, "w") as f:
         f.write(str(version))
-    os.replace(tmp2, hint)
 
 
 def _write_data_files(ds, root: str, schema_ser: bytes | None):

@@ -73,6 +73,8 @@ import uuid
 import numpy as np
 import pyarrow as pa
 
+from .util import staged
+
 __all__ = [
     "write_lance", "read_lance", "read_lance_table", "lance_manifest",
     "write_fragment", "read_fragment", "fragment_stats", "compact_lance",
@@ -334,14 +336,12 @@ def write_fragment(table: pa.Table, path: str) -> dict:
             meta += _len_field(4, mn) + _len_field(5, mx)
         col_metas.append(_len_field(2, meta))
     filemeta = _varint_field(1, table.num_rows) + b"".join(col_metas)
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "wb") as f:
+    with staged(path) as tmp, open(tmp, "wb") as f:
         for c in chunks:
             f.write(c)
         f.write(filemeta)
         f.write(struct.pack("<QQHH", pos, len(filemeta), _MAJOR, _MINOR))
         f.write(_MAGIC)
-    os.replace(tmp, path)
     return {"filename": os.path.basename(path), "num_rows": table.num_rows}
 
 
@@ -484,17 +484,13 @@ def _write_manifest(root: str, version: int, schema: pa.Schema,
     body += _varint_field(4, sum(fr["num_rows"] for fr in fragments))
     vdir = os.path.join(root, "_versions")
     os.makedirs(vdir, exist_ok=True)
-    tmp = os.path.join(vdir, f".{version}.manifest.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp, "wb") as f:
-        f.write(body)
     # manifest commit IS the transaction: both renames are atomic, and
     # the version file lands before _latest so a crash between the two
     # still leaves a readable, listed version
-    os.replace(tmp, os.path.join(vdir, f"{version}.manifest"))
-    tmp2 = os.path.join(root, f"._latest.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp2, "wb") as f:
-        f.write(body)
-    os.replace(tmp2, os.path.join(root, "_latest.manifest"))
+    for final in (os.path.join(vdir, f"{version}.manifest"),
+                  os.path.join(root, "_latest.manifest")):
+        with staged(final) as tmp, open(tmp, "wb") as f:
+            f.write(body)
 
 
 def lance_manifest(root: str, version: int | None = None) -> dict:
@@ -779,10 +775,9 @@ def delete_lance(root: str, predicate, *, columns=None,
                 outs["n_deleted"].append(int(prev.size))
                 continue
             dname = f"del-{uuid.uuid4().hex}.bin"
-            tmp = os.path.join(data_dir, dname + ".tmp")
-            with open(tmp, "wb") as f:
+            with staged(os.path.join(data_dir, dname)) as tmp, \
+                    open(tmp, "wb") as f:
                 f.write(idx.astype("<u8").tobytes())
-            os.replace(tmp, os.path.join(data_dir, dname))
             outs["filename"].append(fname)
             outs["del_file"].append(dname)
             outs["n_deleted"].append(int(idx.size))

@@ -31,11 +31,12 @@ scope like opus/h264.
 """
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
 import pyarrow as pa
+
+from .util import staged
 
 __all__ = ["write_las", "read_las", "read_las_dataset", "las_header"]
 
@@ -212,10 +213,8 @@ def write_las(table, path: str, *, point_format: int = 0,
                      float(y.min()) if n else 0.0,
                      float(z.max()) if n else 0.0,
                      float(z.min()) if n else 0.0)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with staged(path) as tmp, open(tmp, "wb") as f:
         f.write(bytes(hdr))
         f.write(pts.tobytes())
-    os.replace(tmp, path)
     return {"n_points": n, "format": point_format,
             "bytes": _HDR_LEN + n * _REC_LEN[point_format]}

@@ -378,25 +378,12 @@ def read_osm_pbf(path: str, kind: str = "nodes"):
 
 def write_osm_pbf_partitioned(ds, out_dir: str, part_col: str):
     """Distributed OSM PBF sink: one ``<part>.osm.pbf`` of DenseNodes
-    per partition-key group (same shape as the fgb/gpkg sinks; atomic
-    rename).  Node tables must carry (id, lat, lon[, tag_keys,
-    tag_vals]).  Returns the manifest Dataset."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_group(g: pa.Table) -> pa.Table:
-        part = g[part_col][0].as_py()
-        path = os.path.join(out_dir, f"{part}.osm.pbf")
-        tmp = path + ".tmp"
-        n = write_osm_pbf(tmp, nodes=g.drop_columns([part_col]))
-        os.replace(tmp, path)
-        return pa.table({"part": pa.array([str(part)]),
-                         "path": pa.array([path]),
-                         "rows": pa.array([n], pa.int64())})
-
-    return ds.groupby(part_col).map_groups(write_group,
-                                           batch_format="pyarrow")
+    per partition-key group (same shape as the fgb/gpkg sinks).  Node
+    tables must carry (id, lat, lon[, tag_keys, tag_vals]).  Returns the
+    manifest Dataset."""
+    from .util import write_groups
+    return write_groups(ds, out_dir, part_col, "osm.pbf",
+                        lambda g, path, part: write_osm_pbf(path, nodes=g))
 
 
 def read_osm_pbf_table(path: str, kind: str = "nodes") -> pa.Table:

@@ -46,6 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from .osmpbf import _packed_varints
+from .util import staged
 
 __all__ = [
     "zxy_to_tileid", "tileid_to_zxy",
@@ -440,15 +441,12 @@ def write_pmtiles(ds, path: str, *, metadata: dict | None = None,
         "center_lon": (bounds[0] + bounds[2]) / 2,
         "center_lat": (bounds[1] + bounds[3]) / 2,
     })
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with staged(path) as tmp, open(tmp, "wb") as f:
         f.write(header)
         f.write(root)
         f.write(meta)
         f.write(leaves)
         f.write(tile_data)
-    import os
-    os.replace(tmp, path)
     return len(tid)
 
 

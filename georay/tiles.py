@@ -625,11 +625,11 @@ def _write_tiles(tiles_ds, out_dir: str, ext: str, encode):
     import json
     import os
 
+    from .util import staged
+
     def atomic_write(path: str, data: bytes) -> None:
-        tmp = path + f".tmp-{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        with staged(path) as tmp, open(tmp, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
 
     def write_batch(batch: pa.Table) -> pa.Table:
         ts = TILE_SIZE

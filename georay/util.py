@@ -1,11 +1,17 @@
 """Small shared helpers: the per-worker stage cache, process tuning,
-vectorized string hashing."""
+vectorized string hashing, and the one file-commit protocol every writer
+uses (:func:`staged`, :func:`write_parts`, :func:`write_groups`)."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import uuid
+
 import numpy as np
 
-__all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings"]
+__all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings",
+           "staged", "write_parts", "write_groups", "list_parts"]
 
 
 _HASH_P = np.uint64(1099511628211)  # FNV prime as the polynomial base
@@ -134,3 +140,85 @@ def worker_get(obj):
     if not isinstance(obj, ray.ObjectRef):
         return obj
     return worker_cached(obj.hex(), lambda: ray.get(obj))
+
+
+@contextlib.contextmanager
+def staged(path: str):
+    """Commit one file at ``path`` all at once: yields a temp path unique
+    to the writing process, renamed onto ``path`` (atomic) on a clean exit
+    and removed on an exception.  The temp name ends in ``.tmp-<pid>``, a
+    suffix no reader lists, so nothing ever reads a half-written file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def write_parts(ds_or_table, path: str, ext: str, encode) -> str:
+    """Table → one file at ``path``; Dataset → one file per non-empty
+    block, ``path/part-<write_id>-<task:06d>-<block:06d>.<ext>``.
+    ``encode(table, file_path)`` writes one file; every file is committed
+    through :func:`staged`.
+
+    ``write_id`` is drawn once per call on the driver, and Ray retries a
+    dead task with the same task index, so a retried task rewrites its
+    own files and never adds one: each call appends exactly one file per
+    block to ``path``."""
+    import pyarrow as pa
+    if isinstance(ds_or_table, pa.Table):
+        with staged(path) as tmp:
+            encode(ds_or_table, tmp)
+        return path
+    from ray.data import Datasink
+    from ray.data.block import BlockAccessor
+
+    class PartSink(Datasink):
+        def __init__(self):
+            self.write_id = uuid.uuid4().hex
+
+        def write(self, blocks, ctx):
+            for i, block in enumerate(blocks):
+                t = BlockAccessor.for_block(block).to_arrow()
+                if t.num_rows:
+                    name = f"part-{self.write_id}-{ctx.task_idx:06d}-{i:06d}"
+                    with staged(os.path.join(path, f"{name}.{ext}")) as tmp:
+                        encode(t, tmp)
+
+    os.makedirs(path, exist_ok=True)
+    ds_or_table.write_datasink(PartSink())
+    return path
+
+
+def write_groups(ds, out_dir: str, part_col: str, ext: str, encode):
+    """One ``out_dir/<part>.<ext>`` per ``part_col`` group (the file, not
+    the row, is the unit of parallelism: formats whose header or index
+    covers every feature of a file).  ``encode(group, file_path, part)``
+    writes one file, committed through :func:`staged`; a retried group
+    rewrites the same name.  Returns the lazy manifest Dataset (part,
+    path, rows): consume it to run the write."""
+    import pyarrow as pa
+    os.makedirs(out_dir, exist_ok=True)
+
+    def write_group(g: pa.Table) -> pa.Table:
+        part = str(g[part_col][0].as_py())
+        path = os.path.join(out_dir, f"{part}.{ext}")
+        with staged(path) as tmp:
+            encode(g.drop_columns([part_col]), tmp, part)
+        return pa.table({"part": pa.array([part]), "path": pa.array([path]),
+                         "rows": pa.array([g.num_rows], pa.int64())})
+
+    return ds.groupby(part_col).map_groups(write_group,
+                                           batch_format="pyarrow")
+
+
+def list_parts(path: str, exts) -> list[str]:
+    """The files a reader scans: every file under directory ``path`` whose
+    name ends in one of ``exts`` (sorted), or ``[path]`` for a file."""
+    if os.path.isdir(path):
+        return sorted(os.path.join(path, p) for p in os.listdir(path)
+                      if p.endswith(tuple(exts)))
+    return [path]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .util import staged
+
 __all__ = ["open_vector", "write_vector", "attach_geoparquet_metadata",
            "geoparquet_metadata"]
 
@@ -126,11 +128,8 @@ def write_vector(ds_or_table, path: str, *, layer: str = "layer",
         write_gpkg(t, path, layer=layer, geom_col=wkb_col)
     elif low.endswith(".fgb"):
         from .flatgeobuf import write_fgb
-        blob = write_fgb(t, wkb_col, name=layer)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
+        with staged(path) as tmp, open(tmp, "wb") as f:
+            f.write(write_fgb(t, wkb_col, name=layer))
     elif low.endswith(".csv"):
         from .csvdriver import write_csv_vector
         write_csv_vector(t, path, geom_col=wkb_col)

@@ -35,7 +35,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .util import worker_cached, worker_get
+from .util import staged, worker_cached, worker_get
 
 __all__ = ["vrt_parse", "vrt_read", "vrt_build", "vrt_tile_plan",
            "render_vrt_tiles", "read_vrt_tiles"]
@@ -293,10 +293,8 @@ def vrt_build(paths: list[str], out_path: str | None = None, *,
     ET.indent(root)
     text = ET.tostring(root, encoding="unicode")
     if out_path:
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with staged(out_path) as tmp, open(tmp, "w", encoding="utf-8") as f:
             f.write(text)
-        os.replace(tmp, out_path)
     return text
 
 

@@ -29,6 +29,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from .util import staged
+
 __all__ = ["zarr_create", "zarr_write_chunk", "zarr_read_chunk",
            "zarr_read_window", "zarr_read", "zarr_meta",
            "zarr_chunk_grid", "dataset_to_zarr", "zarr_to_dataset"]
@@ -131,10 +133,8 @@ def zarr_write_chunk(path: str, idx, arr: np.ndarray,
         full[tuple(slice(0, s) for s in arr.shape)] = arr
         arr = full
     name = os.path.join(path, _chunk_name(idx))
-    tmp = name + ".tmp"
-    with open(tmp, "wb") as f:
+    with staged(name) as tmp, open(tmp, "wb") as f:
         f.write(_encode(arr, meta))
-    os.replace(tmp, name)
 
 
 def zarr_read_chunk(path: str, idx, meta: dict | None = None) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Local replica of the driver's correctness gate: run every
 ``queries()`` entry at sf0.01 and compare against ``oracle_sql()`` via
 DuckDB (row count + schema + order-insensitive value hash), printing one
-line per query plus wall time — so regressions are caught before the
-driver snapshot, and slow queries can be found and trimmed.
+line per query with its full value hash and wall time — so regressions
+are caught before the driver snapshot, slow queries can be found and
+trimmed, and the (name, value_hash) pairs of two runs' logs compare with
+``diff`` (strip the trailing ``[..s]`` times first).
 
 Usage: python scripts/check_correctness.py [sf_dir] [name ...]
 """
@@ -79,26 +81,26 @@ def main():
             n_fail += 1
             continue
         dt = time.perf_counter() - t0
+        vh = _value_hash(got)
         if name not in oracles:
             results[name] = {"rows": len(got), "err": "no_oracle",
-                             "value_hash": _value_hash(got),
-                             "sec": round(dt, 2)}
-            print(f"rows-only {name}: {len(got)} rows  [{dt:.1f}s]")
+                             "value_hash": vh, "sec": round(dt, 2)}
+            print(f"rows-only {name}: {len(got)} rows value_hash={vh}  "
+                  f"[{dt:.1f}s]")
             continue
         want = con.execute(oracles[name]).df()
         rows = len(got) == len(want)
         schema = sorted(got.columns) == sorted(want.columns)
-        hmatch = rows and schema and _value_hash(got) == _value_hash(want)
+        hmatch = rows and schema and vh == _value_hash(want)
         ok = rows and schema and hmatch
         results[name] = {"rows_match": rows, "schema_match": schema,
                          "hash_match": hmatch, "n": len(got),
-                         "value_hash": _value_hash(got),
-                         "sec": round(dt, 2)}
+                         "value_hash": vh, "sec": round(dt, 2)}
         tag = "ok  " if ok else "FAIL"
         if not ok:
             n_fail += 1
         print(f"{tag} {name}: rows={rows} schema={schema} hash={hmatch} "
-              f"n={len(got)}  [{dt:.1f}s]")
+              f"n={len(got)} value_hash={vh}  [{dt:.1f}s]")
     total = sum(r.get("sec", 0) for r in results.values())
     print(f"\n{len(results)} queries, {n_fail} failing, "
           f"{total:.0f}s query wall time")

@@ -3,7 +3,11 @@ task.  A stage with broadcast state gets it from ``georay.util.worker_get``
 (once per worker process), so no stage is an actor pool: no class (or
 instance of one) is handed to ``map_batches``, no pool is sized with
 ``concurrency=`` or built with ``fn_constructor_kwargs=``, and the
-pool-sizing helper ``default_concurrency`` stays gone."""
+pool-sizing helper ``default_concurrency`` stays gone.
+
+Every writer commits its files through ``georay.util.staged``, so
+``os.replace`` is called in exactly two places: inside ``staged`` and in
+the ``gdalmanage rename`` command, whose job is the rename itself."""
 
 import ast
 import pathlib
@@ -54,3 +58,19 @@ def test_every_map_batches_stage_is_a_task():
                 if k.arg in _POOL_KEYWORDS:
                     bad.append(f"{fname}:{node.lineno} passes {k.arg}=")
     assert not bad, "actor-pool stages:\n" + "\n".join(bad)
+
+
+def test_os_replace_only_in_staged():
+    """(module, function) of every ``os.replace``/``os.rename`` call; a
+    call in a nested function also names each enclosing function."""
+    found = set()
+    for fname, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("replace", "rename")
+                    and _name(n.func.value) == "os"
+                    for n in ast.walk(fn)):
+                found.add((fname, fn.name))
+    assert found == {("util.py", "staged"), ("cli.py", "gdalmanage")}

@@ -73,6 +73,15 @@ def test_roundtrip_attrs_and_geometry():
     assert a.equals(b)
 
 
+def test_truncated_file_raises():
+    """A cut anywhere — header, index, mid-feature or at a feature
+    boundary (caught by the header's ``features_count``) — raises."""
+    data = F.write_fgb(_table(50))
+    for k in range(1, 25):
+        with pytest.raises(ValueError, match="truncated fgb at byte"):
+            F.read_fgb(data[:len(data) * k // 25])
+
+
 def test_roundtrip_without_index():
     t = _table(20)
     data = F.write_fgb(t, write_index=False)

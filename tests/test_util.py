@@ -46,3 +46,43 @@ def test_hash_strings_equal_for_dups_distinct_otherwise():
     # empty and short strings all hash apart
     h2 = hash_strings(pa.chunked_array([pa.array(["", "a", "ab"])]))
     assert h2[0] != h2[1] != h2[2]
+
+
+def test_staged_commits_on_clean_exit_only(tmp_path):
+    import pytest
+
+    from georay.util import staged
+
+    final = tmp_path / "out.bin"
+    with staged(str(final)) as tmp:
+        with open(tmp, "wb") as f:
+            f.write(b"done")
+        assert not final.exists()
+    assert final.read_bytes() == b"done"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    failed = tmp_path / "failed.bin"
+    with pytest.raises(RuntimeError):
+        with staged(str(failed)) as tmp:
+            with open(tmp, "wb") as f:
+                f.write(b"half")
+            raise RuntimeError("encoder died")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_staged_temp_name_is_never_listed_by_a_reader(tmp_path):
+    """Readers list a directory by suffix; the temp of a part file being
+    written must not match any of them."""
+    from georay.util import list_parts, staged
+
+    exts = (".arrow", ".feather", ".ipc", ".avro", ".geojsonl", ".geojson",
+            ".jsonl")
+    committed = []
+    for ext in exts:
+        final = str(tmp_path / f"part-0{ext}")
+        with staged(final) as tmp:
+            assert not tmp.endswith(exts)
+            open(tmp, "wb").close()
+            assert list_parts(str(tmp_path), exts) == sorted(committed)
+        committed.append(final)
+    assert list_parts(str(tmp_path), exts) == sorted(committed)
