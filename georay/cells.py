@@ -24,7 +24,7 @@ import numpy as np
 from .mercator import ORIGIN_SHIFT, latlon_to_meters, meters_to_latlon
 
 __all__ = [
-    "s2_cell_id", "s2_parent", "s2_level", "s2_token",
+    "s2_cell_id", "s2_parent", "s2_level",
     "hex_cell", "hex_cell_from_meters", "hex_center_meters", "hex_k_ring",
     "hex_parent", "hex_res", "hex_decode", "hex_encode", "HEX_MAX_RES",
     "hex_circumradius", "hex_polyfill", "hex_compact",
@@ -163,12 +163,6 @@ def s2_level(cell_id):
     return _MAX_LEVEL - (tz >> 1)
 
 
-def s2_token(cell_id) -> str:
-    """Canonical S2 token: hex with trailing zeros stripped."""
-    h = format(int(cell_id), "016x").rstrip("0")
-    return h or "X"
-
-
 # ---------------------------------------------------------------------------
 # Hex grid (H3-style k-ring semantics, aperture 4, Web-Mercator plane)
 # ---------------------------------------------------------------------------
@@ -238,11 +232,6 @@ def hex_center_meters(cell):
     mx = R * _SQRT3 * (q.astype(np.float64) + r.astype(np.float64) / 2.0)
     my = R * 1.5 * r.astype(np.float64)
     return mx, my
-
-
-def hex_center_latlon(cell):
-    mx, my = hex_center_meters(cell)
-    return meters_to_latlon(mx, my)
 
 
 def _ring_offsets(k: int):

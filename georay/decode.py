@@ -17,7 +17,7 @@ from . import codecs
 from .cells import hex_cell, s2_cell_id
 from .fixtures import georef, parse_image_idx
 
-__all__ = ["decode_images", "add_georef", "add_cells", "decoded_pixels"]
+__all__ = ["decode_images", "add_georef", "add_cells"]
 
 
 def decode_images(batch: pa.Table, *, keep_bytes: bool = False,
@@ -43,14 +43,6 @@ def decode_images(batch: pa.Table, *, keep_bytes: bool = False,
         for b, name in enumerate(("checksum_r", "checksum_g", "checksum_b")):
             out = out.append_column(name, pa.array(arr[:, b]))
     return out
-
-
-def decoded_pixels(batch: pa.Table, row: int) -> np.ndarray:
-    """View one row's ``pixels`` buffer as an (h, w, 3) uint8 array."""
-    h = batch["h"][row].as_py()
-    w = batch["w"][row].as_py()
-    buf = batch["pixels"][row].as_buffer()
-    return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3)
 
 
 def add_georef(batch: pa.Table) -> pa.Table:

@@ -28,7 +28,7 @@ import pyarrow as pa
 
 __all__ = ["SQLiteFile", "read_gpkg", "gpkg_layers", "parse_gpkg_geom",
            "read_gpkg_dataset", "read_mbtiles", "mbtiles_metadata",
-           "read_mbtiles_dataset", "write_mbtiles", "write_gpkg",
+           "write_mbtiles", "write_gpkg",
            "write_gpkg_partitioned", "rtree_query", "sqlite_lookup_rowid"]
 
 
@@ -367,24 +367,6 @@ def read_mbtiles(data: bytes, *, xyz_rows: bool = True) -> pa.Table:
     return pa.table({"z": pa.array(z), "tile_x": pa.array(x),
                      "tile_y": pa.array(y),
                      "data": pa.array([r[di] for r in rows], pa.binary())})
-
-
-def read_mbtiles_dataset(paths, **kw):
-    """Ray source: one read task per .mbtiles file."""
-    import ray
-
-    if isinstance(paths, str):
-        paths = [paths]
-
-    def load(batch: pa.Table) -> pa.Table:
-        out = []
-        for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                out.append(read_mbtiles(f.read(), **kw))
-        return pa.concat_tables(out) if out else pa.table({})
-
-    files = ray.data.from_arrow(pa.table({"path": pa.array(paths)}))
-    return files.map_batches(load, batch_format="pyarrow", batch_size=1)
 
 
 def write_mbtiles(ds, path: str, metadata: dict | None = None,

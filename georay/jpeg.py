@@ -1,5 +1,5 @@
-"""Baseline JPEG (ITU-T T.81) encoder/decoder — pure numpy + Python,
-no libjpeg.
+"""Baseline JPEG (ITU-T T.81) encoder/decoder — numpy + Python, plus one
+small C kernel for the baseline entropy decode; no libjpeg.
 
 This is the engine's ``fmt="jpeg"`` path: fixtures emit real JFIF bytes
 and :func:`georay.codecs.decode_image` decodes them.  Scope is the
@@ -19,16 +19,13 @@ reference semantics: frmts/jpeg/jpgdataset.cpp wrapping libjpeg):
 
 Encoder: batched matrix FDCT over all blocks at once, per-symbol Huffman
 in a tight Python bit-writer (the encoder runs only in fixture
-generation, cached on disk); chroma shares the luma AC table so the
-decoder builds one AC step table per image.  Decoder is the hot path
-(the decode stage): per restart interval, one vectorized pass looks up
-the AC step (bit advance, zigzag advance) at EVERY bit position, so the
-sequential Huffman chase (:class:`_MCUPlan`) is one indexed read and one
-add per symbol and records only where each symbol starts.  Symbols,
-extra bits, DC predictors and block offsets are then recovered from
-those positions in numpy; coefficients land in one vectorized scatter
-and dequantize/IDCT/level-shift run batched over every block of the
-image.
+generation, cached on disk).  Decoder is the hot path (the decode
+stage): per restart interval, one compiled pass (``_huff.c``, built with
+gcc at first use and loaded with ctypes, see :func:`_huff`) reads every
+DC and AC symbol through the 16-bit window LUTs of :func:`_huff_lut` and
+writes the quantized coefficients straight into one int32 store; then
+dequantize/IDCT/level-shift run batched in numpy over every block of
+the image.  The progressive path stays pure Python + numpy.
 
 All tables (quantization, Huffman) are carried IN the file (DQT/DHT),
 so output is valid JPEG for any conformant reader regardless of the
@@ -37,11 +34,18 @@ default tables chosen here (ITU T.81 Annex K).
 
 from __future__ import annotations
 
-import array as _array
+import ctypes
+import fcntl
+import hashlib
+import os
 import re
+import shutil
 import struct
+import subprocess
 
 import numpy as np
+
+from .util import staged
 
 __all__ = ["jpeg_encode", "jpeg_decode"]
 
@@ -418,45 +422,49 @@ def _huff_lut(bits, vals):
     return out
 
 
-def _huff_dc_adv(bits, vals) -> list:
-    """Per 16-bit left-aligned window, how far one DC symbol moves the bit
-    position: code length + difference bits (0 for an unassigned window).
-    A plain list of small ints: the chase indexes it once per block."""
-    key = ("dc_adv", bytes(bits), bytes(vals))
-    hit = _LUT_CACHE.get(key)
-    if hit is None:
-        sym, ln = _huff_lut(bits, vals)
-        hit = (ln.astype(np.int64) + sym).tolist()
-        _LUT_CACHE[key] = hit
-    return hit
+_HUFF_SRC = os.path.join(os.path.dirname(__file__), "_huff.c")
+_HUFF = None
 
 
-def _huff_ac_step(bits, vals, kshift: int) -> np.ndarray:
-    """Per 16-bit left-aligned window, one AC symbol's step in the chase,
-    packed as ``(k_step << kshift) + advance``: ``advance`` is code length
-    + extra bits, and ``k_step`` is how far the symbol moves the zigzag
-    index — run+1 for a coefficient, 16 for ZRL, 64 for EOB and for the
-    invalid run/size-0 symbols (which end the block as EOB does).  An
-    unassigned window has advance 0 and the EOB step."""
-    key = ("ac_step", kshift, bytes(bits), bytes(vals))
-    hit = _LUT_CACHE.get(key)
-    if hit is None:
-        sym, ln = _huff_lut(bits, vals)
-        rs = sym.astype(np.int64) & 0xFF
-        size = rs & 15
-        k_step = np.where(size > 0, (rs >> 4) + 1,
-                          np.where(rs == 0xF0, 16, 64))
-        hit = (k_step << kshift) + ln + size
-        _LUT_CACHE[key] = hit
-    return hit
-
-
-def _as_array(a: np.ndarray) -> _array.array:
-    """One copy of an integer array into an ``array.array``, whose scalar
-    indexing is several times faster than a numpy array's."""
-    out = _array.array(a.dtype.char)
-    out.frombytes(memoryview(a).cast("B"))
-    return out
+def _huff():
+    """The compiled entropy pass (``_huff.c``'s ``huff_interval``), loaded
+    with ctypes at the first baseline decode.  The library is built with
+    ``gcc`` once per source hash into the user cache directory, under an
+    exclusive lock on that directory, so concurrent workers build it once;
+    there is no Python fallback."""
+    global _HUFF
+    if _HUFF is not None:
+        return _HUFF
+    with open(_HUFF_SRC, "rb") as f:
+        src = f.read()
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "georay")
+    lib = os.path.join(cache,
+                       f"_huff-{hashlib.sha256(src).hexdigest()[:16]}.so")
+    if not os.path.exists(lib):
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise RuntimeError("georay's JPEG decoder needs the C compiler "
+                               "gcc on PATH to build georay/_huff.c")
+        os.makedirs(cache, exist_ok=True)
+        fd = os.open(cache, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if not os.path.exists(lib):
+                with staged(lib) as tmp:
+                    subprocess.run([gcc, "-O2", "-shared", "-fPIC", "-x", "c",
+                                    "-", "-o", tmp], input=src, check=True,
+                                   capture_output=True)
+        finally:
+            os.close(fd)
+    fn = ctypes.CDLL(lib).huff_interval
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_void_p]
+    _HUFF = fn
+    return fn
 
 
 _C32 = None
@@ -508,110 +516,42 @@ def _idct_blocks_scaled(zz: np.ndarray, q: np.ndarray,
 
 
 class _MCUPlan:
-    """The baseline scan's Huffman decode, one restart interval at a time.
-
-    The sequential part is a chase that only records where each symbol
-    starts: per block the DC symbol advances the bit position through a
-    length table, and per AC symbol one packed step table lookup advances
-    both the bit position and the zigzag index, which ride together in
-    one int (``acc = p + (k << kshift)``; the block ends once ``k``
-    reaches 64).  Everything else — symbols, extra bits, DC predictors,
-    block offsets — is recovered from the recorded positions afterwards
-    with numpy, once per interval."""
+    """The baseline scan's block layout for the compiled entropy pass:
+    per block slot of an MCU, its DC and AC table offsets into one
+    concatenated (sym, len) LUT, its component, and its store row as an
+    offset plus a step per MCU row and per MCU column."""
 
     def __init__(self, mcu, scomps, scan, hufftabs, mcux):
-        self.hufftabs = hufftabs
         self.mcux = mcux
-        self.nsc = len(scomps)
         self.nblk = len(mcu)
-        s_ci = np.array([ci for ci, _ in mcu], dtype=np.int64)
-        self.s_ci = s_ci
-        self.s_off = np.array([o for _, o in mcu], dtype=np.int64)
-        # store-row step per MCU row and per MCU column, per block slot
-        self.s_row = np.array([scomps[ci]["v"] * scomps[ci]["bw"]
-                               for ci in s_ci], dtype=np.int64)
-        self.s_col = np.array([scomps[ci]["h"] for ci in s_ci],
-                              dtype=np.int64)
-        self.dc_keys = [(0, scan[ci][1]) for ci in s_ci]
-        self.ac_keys = [(1, scan[ci][2]) for ci in s_ci]
+        dc = [(0, scan[ci][1]) for ci, _ in mcu]
+        ac = [(1, scan[ci][2]) for ci, _ in mcu]
         # one symbol/length LUT per distinct table, concatenated: entry
         # t * 65536 + window is table t's decode of that window
-        keys = list(dict.fromkeys(self.dc_keys + self.ac_keys))
-        luts = [_huff_lut(*hufftabs[k]) for k in keys]
-        self.sym = np.concatenate([lt[0] for lt in luts])
-        self.len = np.concatenate([lt[1] for lt in luts])
-        self.dc_tab = np.array([keys.index(k) << 16 for k in self.dc_keys])
-        self.ac_tab = np.array([keys.index(k) << 16 for k in self.ac_keys])
-        self.dc_adv = [_huff_dc_adv(*hufftabs[k]) for k in self.dc_keys]
+        keys = list(dict.fromkeys(dc + ac))
+        tabs = tuple((bytes(b), bytes(v))
+                     for b, v in (hufftabs[k] for k in keys))
+        hit = _LUT_CACHE.get(tabs)
+        if hit is None:
+            luts = [_huff_lut(*t) for t in tabs]
+            hit = (np.concatenate([lt[0] for lt in luts]),
+                   np.concatenate([lt[1] for lt in luts]))
+            _LUT_CACHE[tabs] = hit
+        self.sym, self.len = hit
+        self.slots = np.array(
+            [[keys.index(d) << 16, keys.index(a) << 16, ci, off,
+              scomps[ci]["v"] * scomps[ci]["bw"], scomps[ci]["h"]]
+             for (ci, off), d, a in zip(mcu, dc, ac)], dtype=np.int64)
 
     def decode(self, seg: bytes, m0: int, m1: int, store: np.ndarray):
         """Decode MCUs ``[m0, m1)`` from one restart interval's unstuffed
-        bytes into ``store``.  Reads past the interval's end (plus its
-        zero padding) raise ``IndexError``."""
-        nb = len(seg) + 4
-        npos = 8 * nb
-        # k rides above every bit position the interval can reach
-        kshift = max(24, (npos + 512).bit_length())
-        k1 = 1 << kshift
-        lim = 64 << kshift
-        mask = k1 - 1
-        # 40-bit big-endian window at each byte offset (zero-padded tail),
-        # and the 16-bit window at each bit position 8i+j: u40[i] >> 24-j
-        b = np.frombuffer(seg + bytes(8), dtype=np.uint8).astype(np.int64)
-        u40 = (b[:nb] << 32) | (b[1:nb + 1] << 24) | (b[2:nb + 2] << 16) \
-            | (b[3:nb + 3] << 8) | b[4:nb + 4]
-        w16 = ((u40[:, None] >> np.arange(24, 16, -1)) & 0xFFFF).ravel()
-        steps = {k: _as_array(_huff_ac_step(*self.hufftabs[k], kshift)
-                              .take(w16))
-                 for k in dict.fromkeys(self.ac_keys)}
-        del w16
-        u = _as_array(u40)
-        blocks = list(zip(self.dc_adv, [steps[k] for k in self.ac_keys]))
-        # the chase: a DC entry is its bit position p (< k1), an AC entry
-        # is p + (k << kshift) with k the zigzag index before the symbol
-        ents = []
-        add = ents.append
-        p = 0
-        for dadv, step in blocks * (m1 - m0):
-            add(p)
-            acc = p + k1 + dadv[(u[p >> 3] >> (24 - (p & 7))) & 0xFFFF]
-            while acc < lim:
-                add(acc)
-                acc += step[acc & mask]
-            p = acc & mask
-        del steps, u
-        self._place(np.array(ents, dtype=np.int64), u40, kshift, m0,
-                    store.reshape(-1))
-
-    def _place(self, e, u40, kshift, m0, flat):
-        """Symbols, extra bits and coefficient positions of the recorded
-        entries ``e``, scattered into the flat coefficient store."""
-        isdc = e < (1 << kshift)
-        pos = e & ((1 << kshift) - 1)
-        blk = np.cumsum(isdc) - 1            # block ordinal in the interval
-        slot = blk % self.nblk
-        win = (u40[pos >> 3] >> (8 - (pos & 7))) & 0xFFFFFFFF
-        t = np.where(isdc, self.dc_tab[slot], self.ac_tab[slot]) \
-            + (win >> 16)
-        sym = self.sym[t].astype(np.int64)
-        size = np.where(isdc, sym, sym & 15)
-        bits = (win >> np.clip(32 - self.len[t] - size, 0, 31)) \
-            & ((1 << size) - 1)
-        val = np.where(bits < ((1 << size) >> 1),
-                       bits - (1 << size) + 1, bits)
-        my, mx = np.divmod(m0 + blk // self.nblk, self.mcux)
-        row = self.s_off[slot] + my * self.s_row[slot] \
-            + mx * self.s_col[slot]
-        k = (e >> kshift) + (sym >> 4)
-        ac = ~isdc & (size > 0) & (k < 64)
-        flat[row[ac] * 64 + k[ac]] = val[ac]
-        # DC: the predictor is the running sum of the differences of each
-        # component, reset at every interval
-        dc = np.flatnonzero(isdc)
-        comp = self.s_ci[slot[dc]]
-        for ci in range(self.nsc):
-            m = dc[comp == ci]
-            flat[row[m] * 64] = np.cumsum(val[m])
+        bytes into ``store`` (C-contiguous int32).  A symbol that starts
+        past the interval's end plus 4 zero bytes raises ``ValueError``."""
+        if _huff()(seg + bytes(8), len(seg) + 4, self.sym.ctypes.data,
+                   self.len.ctypes.data, self.slots.ctypes.data, self.nblk,
+                   self.mcux, m0, m1, store.ctypes.data):
+            raise ValueError(f"corrupt jpeg: entropy data of MCUs "
+                             f"[{m0}, {m1}) ends early")
 
 
 def jpeg_decode(data, scale: int = 1) -> np.ndarray:

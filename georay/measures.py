@@ -50,7 +50,6 @@ __all__ = [
     "buffer_rings",
     "buffer_areas",
     "measures_batch",
-    "add_measures",
 ]
 
 
@@ -448,11 +447,3 @@ def measures_batch(batch: pa.Table, wkb_col: str = "wkb",
     for k, v in cols.items():
         out = out.append_column(k, pa.array(v))
     return out
-
-
-def add_measures(ds, wkb_col: str = "wkb", buffer_dist: float | None = None,
-                 round_to: int | None = None, batch_size: int = 4096):
-    """Dataset → Dataset with measure columns appended (streaming)."""
-    return ds.map_batches(
-        lambda b: measures_batch(b, wkb_col, buffer_dist, round_to),
-        batch_format="pyarrow", batch_size=batch_size)

@@ -23,7 +23,7 @@ from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
 from .util import worker_cached, worker_get
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
-           "flagship_checkpointed", "tile_pipeline", "flagship_summary"]
+           "flagship_checkpointed", "tile_pipeline"]
 
 # the columns a flagship unit reads when it does not decode: the multi-KB
 # ``bytes`` column never leaves storage
@@ -306,12 +306,3 @@ def flagship_checkpointed(images_path: str, out_dir: str, *,
     keyed_ds = resume_filter(keyed_ds, out_dir, ["part"])
     return write_partitioned(keyed_ds, out_dir, ["part"],
                              lineage_cols=["image_id", "tile_x", "tile_y"])
-
-
-def flagship_summary(images_path: str, *, zoom: int = 12,
-                     n_polygons: int = 500) -> "pa.Table":
-    """Small driver-side summary of the flagship join (counts per polygon
-    category + tile count) — used by ``entry()`` smoke checks."""
-    from ray.data.aggregate import Count
-    joined = flagship_join(images_path, n_polygons=n_polygons, zoom=zoom)
-    return joined.groupby("category").aggregate(Count(alias_name="n_matches"))

@@ -49,10 +49,19 @@ def hilbert_xy2d(order: int, x, y):
 
 def hilbert_sort_order(bbox: np.ndarray) -> np.ndarray:
     """Sort permutation of items by Hilbert value of their bbox centers,
-    quantized to the overall extent (packedrtree.h:86-105)."""
+    quantized to the extent of the finite centers (packedrtree.h:86-105).
+    Items with a NaN or infinite center (a NaN, inf or empty geometry)
+    come last, in input order, so they cannot collapse every other key."""
     bbox = np.asarray(bbox, dtype=np.float64)
-    cx = (bbox[:, 0] + bbox[:, 2]) * 0.5
-    cy = (bbox[:, 1] + bbox[:, 3]) * 0.5
+    with np.errstate(invalid="ignore"):      # inf + -inf is a NaN center
+        cx = (bbox[:, 0] + bbox[:, 2]) * 0.5
+        cy = (bbox[:, 1] + bbox[:, 3]) * 0.5
+    ok = np.isfinite(cx) & np.isfinite(cy)
+    if not ok.all():
+        good = np.flatnonzero(ok)
+        if good.size:
+            good = good[hilbert_sort_order(bbox[good])]
+        return np.concatenate([good, np.flatnonzero(~ok)])
     minx, miny = cx.min(), cy.min()
     w = max(cx.max() - minx, 1e-300)
     h = max(cy.max() - miny, 1e-300)

@@ -888,16 +888,6 @@ def _split_conjuncts(toks):
     return conj
 
 
-def _find_equality_correlation(conj, inner_names, outer_names,
-                               inner_quals=()):
-    """Locate one top-level ``inner_col = outer_col`` conjunct; returns
-    (index, inner_col, outer_col) or None.  ``inner_quals`` are the inner
-    table name + aliases whose dotted prefixes resolve to inner scope."""
-    all_ = _find_equality_correlations(conj, inner_names, outer_names,
-                                       inner_quals)
-    return all_[0] if all_ else None
-
-
 def _find_equality_correlations(conj, inner_names, outer_names,
                                 inner_quals=()):
     """ALL top-level ``inner_col = outer_col`` conjuncts, in order —

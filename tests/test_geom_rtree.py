@@ -1,10 +1,12 @@
 """WKB / point-in-polygon / R-tree / haversine tests."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from georay import geom as G
-from georay.rtree import PackedRTree, hilbert_xy2d
+from georay.rtree import PackedRTree, hilbert_sort_order, hilbert_xy2d
 
 
 def test_wkb_roundtrip_polygon():
@@ -106,6 +108,66 @@ def test_contains_brute_matches_pairs_path():
     got = set(zip(qi[mask].tolist(), ii[mask].tolist()))
     assert got == set(zip(pt_i.tolist(), pg_i.tolist()))
     assert len(got) > 0
+
+
+_BAD_BBOXES = ([np.nan, 0.0, 1.0, 1.0], [np.inf, 0.0, np.inf, 1.0],
+               [np.inf, np.inf, -np.inf, -np.inf])
+
+
+def _fixture_bboxes():
+    from georay import fixtures as fx
+    t = fx.polygons_table(500)
+    return np.stack([t[c].to_numpy() for c in ("minx", "miny", "maxx",
+                                                "maxy")], axis=1)
+
+
+def test_hilbert_sort_puts_non_finite_centers_last():
+    """A NaN or infinite bbox center neither warns nor moves any finite
+    item: the finite items keep the order they have without it."""
+    bbox = _fixture_bboxes()
+    clean = hilbert_sort_order(bbox)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _BAD_BBOXES:
+            for at in (0, len(bbox)):
+                order = hilbert_sort_order(np.insert(bbox, at, bad, axis=0))
+                assert order[-1] == at
+                finite = order[:-1]
+                assert np.array_equal(finite - (finite > at), clean)
+
+
+def test_bad_polygon_leaves_join_pairs_unchanged():
+    """The 500-polygon fixture joined with 20,000 fixture points, plus one
+    NaN, infinite or zero-ring polygon at either end: no warning, and the
+    same (point, polygon) pairs."""
+    import pyarrow as pa
+
+    from georay import fixtures as fx
+    from georay.join import PolygonIndex
+    polys = fx.polygons_table(500).select(["polygon_id", "wkb"])
+    pts = fx.points_table(20000)
+    lon, lat = pts["lon"].to_numpy(), pts["lat"].to_numpy()
+
+    def pairs(t):
+        qi, ii = PolygonIndex.build(t).match_points(lon, lat)
+        ids = t["polygon_id"].to_numpy(zero_copy_only=False)
+        return set(zip(qi.tolist(), ids[ii].tolist()))
+
+    clean = pairs(polys)
+    assert len(clean) == 121_021
+    inf = np.inf
+    bad = [G.wkb_polygon([np.array([[np.nan, 0], [1, 0], [1, 1],
+                                    [np.nan, 0]])]),
+           G.wkb_polygon([np.array([[inf, 0], [inf, 1], [inf, 2],
+                                    [inf, 0]])]),
+           G.wkb_polygon([])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wkb in bad:
+            row = pa.table({"polygon_id": ["bad"],
+                            "wkb": pa.array([wkb], pa.binary())})
+            for t in ([row, polys], [polys, row]):
+                assert pairs(pa.concat_tables(t)) == clean
 
 
 def test_haversine_known():

@@ -10,10 +10,26 @@
   and every 3 MCUs, decode to the same pixels as the same coefficients
   without restarts — and both equal the coefficients' own inverse
   transform, so the chase is checked against ground truth.
+* Damaged streams: every non-progressive stream above, cut at k/25 of
+  its length and with seeded single-byte flips in its entropy-coded
+  data, either raises ``ValueError`` through ``codecs.decode_image`` or
+  decodes to a uint8 array of the intact stream's shape; a cut of more
+  than 4 bytes into the entropy-coded data raises.  The sweep runs in a
+  child process, so a memory fault in the compiled pass fails the test.
+* The compiled pass's loader, each in a child process with its own
+  cache directory: a second process reuses the built library with no
+  compiler on ``PATH``; two processes loading at once leave one library
+  and no temp file; with no compiler and an empty cache the load raises
+  an error naming ``gcc``.
 """
 
 import hashlib
+import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +215,149 @@ def test_restart_intervals_decode_equal(subsample):
         n_rst = sum(scan.count(bytes([0xFF, m])) for m in range(0xD0, 0xD8))
         assert n_rst == -(-mcux * mcuy // restart) - 1
         assert np.array_equal(J.jpeg_decode(data), truth)
+
+
+# ---------------------------------------------------------------------------
+# Damaged input to the compiled entropy pass, and its loader
+# ---------------------------------------------------------------------------
+
+def _restart_streams():
+    """The DRI streams of the test above, every 1 and 3 MCUs, at 4:4:4
+    and 4:2:0."""
+    out = {}
+    for subsample in (False, True):
+        h, w = (37, 51) if subsample else (29, 43)
+        f = 2 if subsample else 1
+        nblk = -(-w // (8 * f)) * -(-h // (8 * f))
+        rng = np.random.default_rng(17 + subsample)
+        coefs = [_random_coefs(rng, nblk * f * f), _random_coefs(rng, nblk),
+                 _random_coefs(rng, nblk)]
+        for restart in (1, 3):
+            out[f"restart{restart}_{subsample}"] = _stream(
+                h, w, subsample, coefs, restart)
+    return out
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("decode ran over 5 s")
+
+
+def _fuzz_outcomes():
+    """Every non-progressive corpus stream and restart stream, cut at k/25
+    of its length (k = 1..24) and with 8 seeded single-byte flips in its
+    entropy-coded data, through ``codecs.decode_image``, each under a 5 s
+    alarm.  Returns ``[(case, scan_bytes_cut, outcome)]``: the outcome is
+    ``"ValueError"``, ``"ok"`` for a uint8 array of the intact stream's
+    shape, else a description of what went wrong."""
+    from georay import codecs
+
+    def outcome(b, shape):
+        signal.alarm(5)
+        try:
+            a = codecs.decode_image(b, "jpeg")
+        except ValueError:
+            return "ValueError"
+        except Exception as e:     # reported by the test, not hidden
+            return f"{type(e).__name__}: {e}"
+        finally:
+            signal.alarm(0)
+        ok = a.dtype == np.uint8 and a.shape == shape
+        return "ok" if ok else f"array {a.dtype} {a.shape}"
+
+    signal.signal(signal.SIGALRM, _on_alarm)
+    streams = {k: v for k, v in _corpus().items()
+               if not k.startswith("progressive")}
+    streams.update(_restart_streams())
+    rng = np.random.default_rng(23)
+    res = []
+    for name, d in sorted(streams.items()):
+        shape = J.jpeg_decode(d).shape
+        sos = d.index(b"\xff\xda")
+        e0 = sos + 2 + struct.unpack_from(">H", d, sos + 2)[0]
+        e1 = d.rindex(b"\xff\xd9")
+        for k in range(1, 25):
+            n = len(d) * k // 25
+            res.append((f"{name}/cut{k}", e1 - n, outcome(d[:n], shape)))
+        for j in range(8):
+            x = bytearray(d)
+            x[int(rng.integers(e0, e1))] ^= int(rng.integers(1, 256))
+            res.append((f"{name}/flip{j}", 0, outcome(bytes(x), shape)))
+    return res
+
+
+def _spawn(code, env=None):
+    """``python -c code`` with georay and this module importable and
+    ``env`` overriding the environment."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    e = dict(os.environ, PYTHONPATH=f"{os.path.dirname(tests)}:{tests}",
+             **(env or {}))
+    return subprocess.Popen([sys.executable, "-c", code], env=e, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _run(code, env=None):
+    p = _spawn(code, env)
+    out, err = p.communicate(timeout=300)
+    return out, err, p.returncode
+
+
+def test_damaged_streams_raise_value_error_or_decode():
+    """Run in a child process, so that a memory fault in the compiled pass
+    fails this test instead of killing the session."""
+    out, err, rc = _run("import json, test_jpeg_exact as t; "
+                        "print(json.dumps(t._fuzz_outcomes()))")
+    assert rc == 0, err[-2000:]
+    res = json.loads(out)
+    assert len(res) == 17 * 32
+    bad = [(case, o) for case, _, o in res if o not in ("ok", "ValueError")]
+    assert not bad
+    # past the 4 zero bytes the decoder may read, a cut must be caught
+    early = [case for case, cut, o in res if cut > 4 and o != "ValueError"]
+    assert not early
+
+
+_DECODE = ("from georay import fixtures as fx, jpeg as J; import hashlib; "
+           "b = [r['bytes'] for r in fx.images_table(16).to_pylist() "
+           "if r['fmt'] == 'jpeg'][0]; "
+           "print(hashlib.sha256(J.jpeg_decode(b).tobytes()).hexdigest())")
+
+
+def _expected_digest():
+    b = [r["bytes"] for r in fx.images_table(16).to_pylist()
+         if r["fmt"] == "jpeg"][0]
+    return hashlib.sha256(J.jpeg_decode(b).tobytes()).hexdigest()
+
+
+def _cache_env(tmp_path):
+    return {"HOME": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "c")}
+
+
+def test_loader_reuses_built_library_without_compiler(tmp_path):
+    env = _cache_env(tmp_path)
+    out, err, rc = _run(_DECODE, env)
+    assert rc == 0, err
+    assert out.strip() == _expected_digest()
+    [lib] = (tmp_path / "c" / "georay").glob("*.so")
+    stamp = lib.stat().st_mtime_ns, lib.stat().st_ino
+    # no compiler is reachable: a second build would raise
+    out, err, rc = _run(_DECODE, dict(env, PATH=""))
+    assert rc == 0, err
+    assert out.strip() == _expected_digest()
+    assert (lib.stat().st_mtime_ns, lib.stat().st_ino) == stamp
+
+
+def test_concurrent_first_loads_build_one_library(tmp_path):
+    env = _cache_env(tmp_path)
+    procs = [_spawn(_DECODE, env) for _ in range(2)]
+    for p in procs:
+        out, err = p.communicate(timeout=300)
+        assert p.returncode == 0, err
+        assert out.strip() == _expected_digest()
+    files = sorted(f.name for f in (tmp_path / "c" / "georay").iterdir())
+    assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+def test_loader_without_compiler_names_it(tmp_path):
+    out, err, rc = _run(_DECODE, dict(_cache_env(tmp_path), PATH=""))
+    assert rc != 0 and out == ""
+    assert "RuntimeError" in err and "gcc" in err
