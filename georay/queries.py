@@ -713,10 +713,12 @@ def q_top_revenue_orders(sf_dir: str):
     # high-cardinality key (~1 group per 4 rows): the hash-partition
     # combine (sql._hash_grouped_aggregate) beats Ray's sort-based
     # groupby 4-5x at this shape (NOTES.md round-4 measurement)
-    from .sql import _hash_grouped_aggregate
+    from .sql import _Rel, _hash_grouped_aggregate
     agg = _hash_grouped_aggregate(
-        ds.map_batches(partial_revenue, batch_format="pyarrow"),
-        ["l_orderkey"], [("rev_e4", "SUM", "rev_e4")])
+        _Rel(ds.map_batches(partial_revenue, batch_format="pyarrow"),
+             pa.schema([("l_orderkey", pa.int64()),
+                        ("rev_e4", pa.int64())])),
+        ["l_orderkey"], [("rev_e4", "SUM", "rev_e4")]).ds
 
     def local_topk(batch: pa.Table) -> pa.Table:
         # per-block top-k partial; the global sort then runs on ~10 rows

@@ -43,16 +43,25 @@ SQLite-dialect window surface OGR reaches via its SQLite VFS
 (gcore/gdaldataset.cpp:5386); a window call must be a top-level select
 item (not nested in an expression).  Correlations beyond one EXISTS
 equality are out of scope — rewrite as a JOIN.
+
+Every relation carries its Arrow schema; no planner step executes a plan
+to learn one.  A base table brings its own (read_parquet and from_arrow
+plans know it; a caller plan that does not is asked once, on entry); a
+``map_batches`` step runs its batch function on the driver over the
+empty input table; an aggregate, window or join step follows its
+operator's output rule; a set operation takes its first branch's.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .expr import FilterSyntaxError, _eval, _Parser, _tokenize
 
-__all__ = ["execute_sql", "explain_sql", "SqlError"]
+__all__ = ["execute_sql", "SqlError"]
 
 
 class SqlError(FilterSyntaxError):
@@ -782,48 +791,78 @@ def _agg_signature(item: _SelectItem) -> tuple:
     return (item.func, item.distinct, item.star, toks)
 
 
-def _collect(res) -> pa.Table:
-    """Materialize a (small, reduced) query result to one pyarrow table."""
+class _Rel(NamedTuple):
+    """One relation of a plan: its rows (a lazy Dataset, or a small
+    driver-side pyarrow table) and their Arrow schema, derived while the
+    plan is built so that no planner step runs a plan to learn it."""
+    ds: object
+    schema: pa.Schema
+
+    def map(self, fn) -> "_Rel":
+        """``map_batches(fn)``; its schema is ``fn`` run on the driver
+        over the empty input table."""
+        return _Rel(self.ds.map_batches(fn, batch_format="pyarrow"),
+                    fn(self.schema.empty_table()).schema)
+
+    def shuffle(self, pre, key, post) -> "_Rel":
+        """``pre`` per block, then ``post`` per ``key`` group; its schema
+        is ``post(pre(empty))`` on the driver."""
+        ds = (self.ds.map_batches(pre, batch_format="pyarrow")
+              .groupby(key).map_groups(post, batch_format="pyarrow"))
+        return _Rel(ds, post(pre(self.schema.empty_table())).schema)
+
+
+def _base_rel(ds) -> _Rel:
+    """A caller's table: read_parquet / from_arrow plans know their
+    schema; a caller plan that does not is asked once."""
+    s = ds.schema(fetch_if_missing=False)
+    if s is None:
+        s = ds.schema()
+    # pandas blocks report numpy dtypes; object columns arrive as strings
+    return _Rel(ds, pa.schema([(n, t if isinstance(t, pa.DataType)
+                                else pa.string())
+                               for n, t in zip(s.names, s.types)]))
+
+
+def _as_rel(rel: _Rel) -> _Rel:
+    """A relation another query can scan: its rows as a Dataset."""
+    return rel._replace(ds=_as_dataset(rel.ds))
+
+
+def _const(v, n: int):
+    """Broadcast a scalar ``_eval`` result to an ``n``-row column (typed
+    from its Python value, also when ``n`` is 0)."""
+    if isinstance(v, pa.Scalar):
+        return pa.repeat(pa.scalar(v.as_py()), n)
+    return v
+
+
+def _project(rel: _Rel, names, nodes) -> _Rel:
+    """The select list: column ``name`` = expression ``node``."""
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({name: _const(_eval(node, batch), batch.num_rows)
+                         for name, node in zip(names, nodes)})
+
+    return rel.map(project)
+
+
+def _collect(res, schema: pa.Schema | None = None) -> pa.Table:
+    """Materialize a (small, reduced) query result to one pyarrow table;
+    an empty result is ``schema``'s empty table (no columns without
+    one)."""
     if isinstance(res, pa.Table):
         return res
-    batches = list(res.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        schema = res.schema()
-        if schema is None:
-            # a fully-empty pipeline can lose its schema (Ray infers
-            # from the first non-empty block); zero columns is the
-            # best honest answer here
-            return pa.table({})
-        return pa.table({n: pa.array([], t) for n, t in
-                         zip(schema.names, schema.types)})
     tbls = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-            for b in batches]
+            for b in res.iter_batches(batch_format="pyarrow")]
     # drop schema-less empty blocks (Ray's Aggregate op can emit them
     # alongside real blocks; concat would fail on the schema mismatch)
     keep = [t for t in tbls if t.num_columns]
-    return pa.concat_tables(keep) if keep else pa.table({})
+    if keep:
+        return pa.concat_tables(keep)
+    return schema.empty_table() if schema is not None else pa.table({})
 
 
 _SUBQ_LIMIT = 5_000_000
-
-
-def _schema_names(t):
-    s = t.schema() if callable(getattr(t, "schema", None)) else t.schema
-    return set(s.names)
-
-
-def _schema_name_list(t) -> list:
-    """Column names in SCHEMA ORDER (use where output column order
-    matters — sets reorder under str-hash randomization)."""
-    s = t.schema() if callable(getattr(t, "schema", None)) else t.schema
-    return list(s.names)
-
-
-def _schema_types(t) -> dict:
-    """{column: arrow type} for a Dataset or pa.Table."""
-    s = t.schema() if callable(getattr(t, "schema", None)) else t.schema
-    s = getattr(s, "base_schema", s)
-    return {n: s.field(n).type for n in s.names}
 
 
 def _is_exists_tok(tok) -> bool:
@@ -914,7 +953,7 @@ def _exists_to_in(inner, tables, outer_names, neg, outer_quals=()):
     q = _SqlParser(list(inner)).parse()
     if q["table"] not in tables:
         raise SqlError(f"unknown table {q['table']!r} in EXISTS")
-    inner_names = set(_schema_names(tables[q["table"]]))
+    inner_names = set(tables[q["table"]].schema.names)
     if not q["where"]:
         raise SqlError("EXISTS subquery needs a correlation predicate "
                        "(… WHERE inner_col = outer_col)")
@@ -1000,7 +1039,7 @@ def _exists_to_in(inner, tables, outer_names, neg, outer_quals=()):
         q2["having"] = None
         q2["order"] = []
         q2["limit"] = q2["offset"] = None
-        res = _collect(_execute(q2, tables))
+        res = _collect(*_execute(q2, tables))
         if res.num_rows > _SUBQ_LIMIT:
             raise SqlError(f"EXISTS key set has {res.num_rows} rows "
                            f"(> {_SUBQ_LIMIT}); rewrite as a JOIN")
@@ -1029,7 +1068,7 @@ def _exists_to_in(inner, tables, outer_names, neg, outer_quals=()):
     q2["group"] = q2["having"] = None
     q2["order"] = []
     q2["limit"] = q2["offset"] = None
-    res = _collect(_execute(q2, tables))
+    res = _collect(*_execute(q2, tables))
     if res.num_rows > _SUBQ_LIMIT:
         raise SqlError(f"EXISTS key set has {res.num_rows} rows "
                        f"(> {_SUBQ_LIMIT}); rewrite as a JOIN")
@@ -1108,9 +1147,9 @@ def _try_correlated_scalar(inner, tables, outer_names, outer_quals=()):
         return None
     if agg_it.distinct:
         return None
-    inner_names = set(_schema_names(tables[q["table"]]))
+    inner_names = set(tables[q["table"]].schema.names)
     for _, t2, _, _ in q["joins"]:
-        inner_names |= set(_schema_names(tables[t2]))
+        inner_names |= set(tables[t2].schema.names)
     inner_quals = ({q["table"]} | {t2 for _, t2, _, _ in q["joins"]}
                    | set(q.get("aliases") or ()))
 
@@ -1150,14 +1189,13 @@ def _try_correlated_scalar(inner, tables, outer_names, outer_quals=()):
     q2["having"] = None
     q2["order"] = []
     q2["limit"] = q2["offset"] = None
-    res = _collect(_execute(q2, tables))
+    res = _collect(*_execute(q2, tables))
     if res.num_rows > _SUBQ_LIMIT:
         raise SqlError(
             f"correlated scalar subquery has {res.num_rows} distinct "
             f"keys (> {_SUBQ_LIMIT}); rewrite as a JOIN")
     nk = len(inner_cols)
-    vals = res.column(nk).combine_chunks() if res.num_columns > nk \
-        else pa.array([], pa.float64())
+    vals = res.column(nk).combine_chunks()
     default = 0 if agg_it.func == "COUNT" else None
     if post_node is not None:
         vals = _eval(post_node, pa.table({"__corr_agg__": vals}))
@@ -1168,13 +1206,9 @@ def _try_correlated_scalar(inner, tables, outer_names, outer_quals=()):
                 {"__corr_agg__": pa.array([default], vals.type)}))
             default = d[0].as_py()
     if nk == 1:
-        keys = res.column(0).combine_chunks() if res.num_columns \
-            else pa.array([], pa.null())
-        return ("vmap", (outer_cols[0], keys, vals, default))
-    if res.num_columns == 0:     # empty pipeline lost its schema
-        keys = tuple(pa.array([], pa.null()) for _ in range(nk))
-    else:
-        keys = tuple(res.column(i).combine_chunks() for i in range(nk))
+        return ("vmap", (outer_cols[0], res.column(0).combine_chunks(),
+                         vals, default))
+    keys = tuple(res.column(i).combine_chunks() for i in range(nk))
     return ("vmap", (tuple(outer_cols), keys, vals, default))
 
 
@@ -1214,24 +1248,11 @@ def _resolve_subqueries(toks, tables, outer_names=(), outer_quals=()):
                     out.extend([("op", "("), vm, ("op", ")")])
                     i = j + 1
                     continue
-            res = _collect(_execute(
+            res = _collect(*_execute(
                 _SqlParser(_rewrite_comma_joins(list(inner),
                                                 tables)).parse(),
                 tables))
             if res.num_columns != 1:
-                if res.num_rows == 0 and res.num_columns == 0:
-                    # fully-empty pipelines lose their schema (Ray emits
-                    # schema-less blocks; documented wart) — an empty
-                    # subquery is an empty IN set / a NULL scalar
-                    if out and out[-1] == ("kw", "IN"):
-                        out.extend([("op", "("),
-                                    ("vset", pa.array([], pa.null())),
-                                    ("op", ")")])
-                    else:
-                        out.extend([("op", "("), ("kw", "NULL"),
-                                    ("op", ")")])
-                    i = j + 1
-                    continue
                 raise SqlError("subquery must return exactly one column")
             if out and out[-1] == ("kw", "IN"):
                 if res.num_rows > _SUBQ_LIMIT:
@@ -1241,9 +1262,10 @@ def _resolve_subqueries(toks, tables, outer_names=(), outer_quals=()):
                 vals = res.column(0).combine_chunks().unique()
                 out.extend([("op", "("), ("vset", vals), ("op", ")")])
             else:
-                if res.num_rows != 1:
+                if res.num_rows > 1:
                     raise SqlError("scalar subquery must return one row")
-                v = res.column(0)[0].as_py()
+                # an empty scalar subquery is NULL
+                v = res.column(0)[0].as_py() if res.num_rows else None
                 if v is None:
                     out.extend([("op", "("), ("kw", "NULL"), ("op", ")")])
                 elif isinstance(v, str):
@@ -1275,23 +1297,20 @@ def _as_dataset(res):
     return ray.data.from_arrow(res) if isinstance(res, pa.Table) else res
 
 
-def _rename_positional(ds, names: list[str]):
-    """Positionally rename a Dataset/table's columns (CTE column alias
-    list), zero-copy."""
-    if isinstance(ds, pa.Table):
-        return ds.rename_columns(names)
-    schema = ds.schema()
-    old = list(getattr(schema, "base_schema", schema).names)
+def _rename_positional(rel: _Rel, names: list[str]) -> _Rel:
+    """Positionally rename a relation's columns (CTE column alias list),
+    zero-copy."""
+    old = rel.schema.names
     if len(old) != len(names):
         raise SqlError(f"CTE column alias list has {len(names)} names "
                        f"for {len(old)} columns")
     if old == names:
-        return ds
+        return rel
 
     def ren(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(names)
 
-    return ds.map_batches(ren, batch_format="pyarrow")
+    return rel.map(ren)
 
 
 _RECURSION_LIMIT = 10_000
@@ -1336,17 +1355,11 @@ def _execute_recursive_cte(name, body, tables, col_alias):
                        "seed branch and one self-referencing branch")
 
     def run(branch_toks, tabs):
-        res = execute_sql(list(branch_toks), tabs)
-        if isinstance(res, pa.Table):
-            return res
-        batches = list(res.iter_batches(batch_size=1 << 20,
-                                        batch_format="pyarrow"))
-        return pa.concat_tables(batches) if batches else None
+        return _collect(*_plan(list(branch_toks), tabs))
 
     import ray
 
-    parts = [run(b, tables) for b in seeds]
-    parts = [p for p in parts if p is not None and p.num_rows]
+    parts = [p for p in (run(b, tables) for b in seeds) if p.num_rows]
     if not parts:
         raise SqlError(f"recursive CTE {name!r}: empty seed")
     work = pa.concat_tables(
@@ -1366,9 +1379,8 @@ def _execute_recursive_cte(name, body, tables, col_alias):
             raise SqlError(f"recursive CTE {name!r} exceeded "
                            f"{_RECURSION_LIMIT} iterations")
         tabs = dict(tables)
-        tabs[name] = ray.data.from_arrow(work)
-        outs = [run(b, tabs) for b in recs]
-        outs = [o for o in outs if o is not None and o.num_rows]
+        tabs[name] = _Rel(ray.data.from_arrow(work), work.schema)
+        outs = [o for o in (run(b, tabs) for b in recs) if o.num_rows]
         if not outs:
             break
         new = pa.concat_tables(
@@ -1402,7 +1414,7 @@ def _execute_recursive_cte(name, body, tables, col_alias):
         acc.append(new)
         work = new
     out = pa.concat_tables(acc)
-    return ray.data.from_arrow(out)
+    return _Rel(ray.data.from_arrow(out), out.schema)
 
 
 def _lit_tok(v) -> str:
@@ -1458,7 +1470,7 @@ def _rewrite_pivot_unpivot(toks, tables):
             items = [v for k2, v in rest[3:e - 1] if k2 != "op"]
             if rest[e:]:
                 raise SqlError(f"trailing tokens in {kind}")
-            cols = _schema_name_list(tables[src])
+            cols = tables[src].schema.names
             gen += 1
             name = f"__{kind.lower()}{gen}"
             if kind == "PIVOT":
@@ -1481,9 +1493,9 @@ def _rewrite_pivot_unpivot(toks, tables):
                 sql = f"SELECT {', '.join(sel)} FROM {src}"
                 if others:
                     sql += f" GROUP BY {', '.join(others)}"
-                res = _as_dataset(execute_sql(sql, tables))
                 tables[name] = _rename_positional(
-                    res, others + [str(v) for v in items])
+                    _as_rel(_plan(sql, tables)),
+                    others + [str(v) for v in items])
             else:                                    # UNPIVOT
                 if len(head) != 1 or head[0][0] != "ident":
                     raise SqlError("UNPIVOT needs <value-name> FOR")
@@ -1497,7 +1509,7 @@ def _rewrite_pivot_unpivot(toks, tables):
                 # standard NULL exclusion; value columns promote to a
                 # common arrow type
                 vtype = pa.unify_schemas(
-                    [pa.schema([("v", _schema_types(tables[src])[c])])
+                    [pa.schema([("v", tables[src].schema.field(c).type)])
                      for c in items],
                     promote_options="permissive").field("v").type
 
@@ -1514,11 +1526,7 @@ def _rewrite_pivot_unpivot(toks, tables):
                         parts.append(pa.table(colmap))
                     return pa.concat_tables(parts)
 
-                ds_src = tables[src]
-                tables[name] = ds_src.map_batches(
-                    explode, batch_format="pyarrow") \
-                    if not isinstance(ds_src, pa.Table) \
-                    else explode(ds_src)
+                tables[name] = tables[src].map(explode)
             out.append(t)
             out.append(("ident", name))
             i = j
@@ -1531,11 +1539,11 @@ def _rewrite_pivot_unpivot(toks, tables):
 
 def _expand_ctes_and_derived(toks, tables):
     """WITH ctes and derived tables (``FROM (SELECT …) alias``) compile
-    COMPOSITIONALLY: each subquery executes through ``execute_sql``
-    recursively and registers its (lazy where possible) result Dataset
-    under its name; the outer token stream is rewritten to reference the
-    registered name.  A CTE referenced twice re-executes its lineage —
-    documented cost; materialize driver-side first if that matters.
+    COMPOSITIONALLY: each subquery is planned recursively and its (lazy
+    where possible) result relation registers under its name; the outer
+    token stream is rewritten to reference the registered name.  A CTE
+    referenced twice re-executes its lineage — documented cost;
+    materialize driver-side first if that matters.
     Returns (rewritten_toks, extended_tables)."""
     tables = dict(tables)
     # WITH [RECURSIVE] name [(cols)] AS ( q ) [, ...] — later CTEs see
@@ -1573,7 +1581,7 @@ def _expand_ctes_and_derived(toks, tables):
                 tables[name] = _execute_recursive_cte(
                     name, body, tables, col_alias)
             else:
-                res = _as_dataset(execute_sql(body, tables))
+                res = _as_rel(_plan(body, tables))
                 if col_alias is not None:
                     res = _rename_positional(res, col_alias)
                 tables[name] = res
@@ -1607,7 +1615,7 @@ def _expand_ctes_and_derived(toks, tables):
             else:
                 gen += 1
                 alias = f"__derived{gen}"
-            tables[alias] = _as_dataset(execute_sql(inner, tables))
+            tables[alias] = _as_rel(_plan(inner, tables))
             out.append(("ident", alias))
             i = k
             continue
@@ -1655,8 +1663,7 @@ def _rewrite_comma_joins(toks, tables):
     for (t, al), key in zip(entries, keys):
         if t not in tables:
             return toks          # unknown table → let _execute report
-        s = tables[t].schema()
-        inst_cols[key] = frozenset(getattr(s, "names", []))
+        inst_cols[key] = frozenset(tables[t].schema.names)
         for c in inst_cols[key]:
             cols.setdefault(c, set()).add(key)
     # WHERE conjuncts at top level
@@ -1771,6 +1778,11 @@ def execute_sql(sql: str, tables: dict):
     pass for plain UNION); a trailing ORDER BY / LIMIT binds the whole
     union, as in standard SQL.  WITH ctes and derived FROM-subqueries
     compile compositionally (see :func:`_expand_ctes_and_derived`)."""
+    return _plan(sql, {n: _base_rel(ds) for n, ds in tables.items()}).ds
+
+
+def _plan(sql, tables: dict) -> _Rel:
+    """:func:`execute_sql` over relations ({name: _Rel})."""
     toks = _split_clauses(sql) if isinstance(sql, str) else sql
     toks = _rewrite_extract(toks)
     toks, tables = _expand_ctes_and_derived(toks, tables)
@@ -1790,14 +1802,10 @@ def execute_sql(sql: str, tables: dict):
             raise SqlError("ORDER BY / LIMIT inside a UNION branch is "
                            "not supported — only the trailing, "
                            "union-wide clause")
-    import ray
-
-    def as_ds(res):
-        return ray.data.from_arrow(res) if isinstance(res, pa.Table) \
-            else res
-
-    parts = [as_ds(_execute(q, tables)) for q in parsed]
-    names = list(parts[0].schema().names)
+    parts = [_as_rel(_execute(q, tables)) for q in parsed]
+    # column names and types come from the FIRST branch (SQL set-op rule)
+    names = parts[0].schema.names
+    tail_q = dict(order=order, limit=limit, offset=offset)
     setops = [a for a in alls if a in ("intersect", "except")]
     if setops:
         if any(a not in ("intersect", "except") for a in alls) \
@@ -1805,29 +1813,23 @@ def execute_sql(sql: str, tables: dict):
             raise SqlError("mixed UNION/INTERSECT/EXCEPT chains are "
                            "not supported — parenthesize as separate "
                            "queries")
-        # column names come from the FIRST branch (SQL set-op rule);
         # later branches align by position
         aligned = [parts[0]]
         for p in parts[1:]:
-            pn = list(p.schema().names)
-            if len(pn) != len(names):
+            if len(p.schema) != len(names):
                 raise SqlError("set-operation branches must have the "
                                "same number of columns")
-            if pn != names:
-                p = p.map_batches(
-                    lambda b, _n=tuple(names):
-                        b.rename_columns(list(_n)),
-                    batch_format="pyarrow")
+            if p.schema.names != names:
+                p = p.map(lambda b, _n=tuple(names):
+                          b.rename_columns(list(_n)))
             aligned.append(p)
-        out = _set_op_rows(aligned, names, alls[0])
-        return _finish(out, dict(order=order, limit=limit,
-                                 offset=offset), names)
-    out = parts[0].union(*parts[1:])
-    names = list(out.schema().names)
+        return _finish(_set_op_rows(aligned, names, alls[0]), tail_q,
+                       names)
+    out = parts[0]._replace(
+        ds=parts[0].ds.union(*[p.ds for p in parts[1:]]))
     if not all(alls):
         out = _distinct_rows(out, names)
-    return _finish(out, dict(order=order, limit=limit, offset=offset),
-                   names)
+    return _finish(out, tail_q, names)
 
 
 def _set_op_rows(parts, names, op):
@@ -1860,7 +1862,7 @@ def _set_op_rows(parts, names, op):
                 pa.array(np.full(g.num_rows, si, dtype=np.int64)))
         return tag
 
-    tagged = [p.map_batches(tagger(si), batch_format="pyarrow")
+    tagged = [p.ds.map_batches(tagger(si), batch_format="pyarrow")
               for si, p in enumerate(parts)]
     allds = tagged[0].union(*tagged[1:])
 
@@ -1876,8 +1878,8 @@ def _set_op_rows(parts, names, op):
                            pc.equal(t["side___min"], 0))
         return t.filter(keep).select(names)
 
-    return allds.groupby("part__").map_groups(resolve,
-                                              batch_format="pyarrow")
+    return parts[0]._replace(ds=allds.groupby("part__").map_groups(
+        resolve, batch_format="pyarrow"))
 
 
 def _distinct_rows(out, names):
@@ -1908,8 +1910,7 @@ def _distinct_rows(out, names):
         return g.group_by(names, use_threads=False).aggregate([]) \
             .select(names)
 
-    return (out.map_batches(local, batch_format="pyarrow")
-            .groupby("part__").map_groups(uniq, batch_format="pyarrow"))
+    return out.shuffle(local, "part__", uniq)
 
 
 def _split_union(toks):
@@ -1988,7 +1989,7 @@ def _dequalify(q: dict, tables: dict | None = None) -> dict:
         # column ownership per instance (needs registered schemas)
         for t, al in insts:
             tb = (tables or {}).get(t)
-            cols = frozenset(_schema_names(tb)) if tb is not None \
+            cols = frozenset(tb.schema.names) if tb is not None \
                 else frozenset()
             inst_cols.append((t, al, cols))
         for i, (t, al, cols) in enumerate(inst_cols):
@@ -2086,7 +2087,7 @@ def _dequalify(q: dict, tables: dict | None = None) -> dict:
     return q
 
 
-def _rename_instance(ds, alias: str, cols):
+def _rename_instance(rel: _Rel, alias: str, cols) -> _Rel:
     """Physically rename an aliased instance's columns to ``alias.c``
     (zero-copy: arrow rename_columns is metadata-only)."""
     mapping = {c: f"{alias}.{c}" for c in cols}
@@ -2095,9 +2096,7 @@ def _rename_instance(ds, alias: str, cols):
         return batch.rename_columns(
             [_m.get(c, c) for c in batch.column_names])
 
-    if isinstance(ds, pa.Table):
-        return ren(ds)
-    return ds.map_batches(ren, batch_format="pyarrow")
+    return rel.map(ren)
 
 
 def _group_key_hash(batch: pa.Table, group_cols, P: int):
@@ -2238,12 +2237,10 @@ def _hash_grouped_aggregate(prepped, group_cols, specs,
                 cols[alias] = agg_out[p1]
         return pa.table(cols)
 
-    return (prepped.map_batches(partial, batch_format="pyarrow")
-            .groupby("part__")
-            .map_groups(combine, batch_format="pyarrow"))
+    return prepped.shuffle(partial, "part__", combine)
 
 
-def _asof_join_fold(ds, rds, pairs, left_names, rnames):
+def _asof_join_fold(rel: _Rel, rrel: _Rel, pairs) -> _Rel:
     """ASOF JOIN (DuckDB syntax): exactly one equality key + one >=/<=
     inequality on an ordered column.  Compiles onto the engine's
     hash-partitioned vectorized :func:`georay.windows.asof_join` via
@@ -2257,8 +2254,9 @@ def _asof_join_fold(ds, rds, pairs, left_names, rnames):
     (key, ts) are reduced deterministically inside asof_join — pre-
     aggregate the right side in the query text when the oracle must
     match exactly."""
-    from .windows import asof_join as _asof
+    from .windows import _asof_join
 
+    left_names, rnames = set(rel.schema.names), set(rrel.schema.names)
     eqs = [(ca, cb) for ca, cb, op in pairs if op == "="]
     ineqs = [(ca, cb, op) for ca, cb, op in pairs if op != "="]
     if len(eqs) != 1 or len(ineqs) != 1:
@@ -2299,16 +2297,21 @@ def _asof_join_fold(ds, rds, pairs, left_names, rnames):
                                        _probe_i64(batch[tcol]))
         return f
 
-    lds = ds.map_batches(prep(lk, lt), batch_format="pyarrow")
-    rprep = rds.map_batches(prep(rk, rt), batch_format="pyarrow")
-    right_cols = [c for c in sorted(rnames)]
-    out = _asof(lds, rprep, key_col="__asof_k__", ts_col="__asof_ts__",
-                right_cols=tuple(right_cols), suffix="")
+    lrel = rel.map(prep(lk, lt))
+    rprep = rrel.map(prep(rk, rt))
+    right_cols = sorted(rnames)
+    out = _asof_join(lrel.ds, rprep.ds, lrel.schema, rprep.schema,
+                     key_col="__asof_k__", ts_col="__asof_ts__",
+                     right_cols=tuple(right_cols), suffix="",
+                     num_partitions=None)
+    # output: every left column, then the right columns
+    schema = pa.schema(list(lrel.schema)
+                       + [rprep.schema.field(c) for c in right_cols])
 
     def drop_probe(batch: pa.Table) -> pa.Table:
         return batch.drop_columns(["__asof_k__", "__asof_ts__"])
 
-    return out.map_batches(drop_probe, batch_format="pyarrow")
+    return _Rel(out, schema).map(drop_probe)
 
 
 def _execute(q: dict, tables: dict):
@@ -2317,19 +2320,16 @@ def _execute(q: dict, tables: dict):
     q = _dequalify(q, tables)
     if q["table"] == "__dual__" and "__dual__" not in tables:
         import ray
+        dual = pa.table({"__dummy__": pa.array([0], pa.int8())})
         tables = dict(tables)
-        tables["__dual__"] = ray.data.from_arrow(
-            pa.table({"__dummy__": pa.array([0], pa.int8())}))
+        tables["__dual__"] = _Rel(ray.data.from_arrow(dual), dual.schema)
     if q["table"] not in tables:
         raise SqlError(f"unknown table {q['table']!r}")
-    ds = tables[q["table"]]
+    rel = tables[q["table"]]
     renamed = q.get("renamed") or {}
     fal = q.get("from_alias")
     if fal in renamed:
-        ds = _rename_instance(ds, fal, renamed[fal])
-    scope_names = None   # tracked through the join fold: avoids a
-    # schema() probe on the joined pipeline (Ray executes a limit-1
-    # prefix of the whole join chain just to infer names — seconds)
+        rel = _rename_instance(rel, fal, renamed[fal])
     if q["joins"]:
         # FROM a JOIN b ON x = y — fold left through the engine's
         # hash-shuffle equi_join (byte-sized partitions); column names
@@ -2337,25 +2337,20 @@ def _execute(q: dict, tables: dict):
         # references stay unambiguous (the TPC-H / OGR naming style);
         # self-joins get per-alias renamed instances (see _dequalify)
         from .join import equi_join
-        left_names = ({f"{fal}.{c}" for c in renamed[fal]}
-                      if fal in renamed else set(ds.schema().names))
         for jtype, t2, pairs, jal in q["joins"]:
             if t2 not in tables:
                 raise SqlError(f"unknown table {t2!r}")
-            rds = tables[t2]
+            rrel = tables[t2]
             if jal in renamed:
-                rds = _rename_instance(rds, jal, renamed[jal])
-                rnames = {f"{jal}.{c}" for c in renamed[jal]}
-            else:
-                rnames = set(rds.schema().names)
+                rrel = _rename_instance(rrel, jal, renamed[jal])
+            left_names = set(rel.schema.names)
+            rnames = set(rrel.schema.names)
             dup = left_names & rnames
             if dup:
                 raise SqlError(
                     f"ambiguous columns across joined tables: {sorted(dup)}")
             if jtype == "asof":
-                ds = _asof_join_fold(ds, rds, pairs, left_names, rnames)
-                left_names = left_names | rnames
-                scope_names = left_names
+                rel = _asof_join_fold(rel, rrel, pairs)
                 continue
             lks, rks = [], []
             for ca, cb, _op in pairs:
@@ -2386,17 +2381,26 @@ def _execute(q: dict, tables: dict):
                     return f
 
                 if not left_rebuild:
-                    ds = ds.map_batches(addp("__lp__"),
-                                        batch_format="pyarrow")
-                rds = rds.map_batches(addp("__rp__"),
-                                      batch_format="pyarrow")
-                rnames = set(rnames) | {"__rp__"}
-            if len(lks) == 1:
-                ds = equi_join(ds, rds, left_on=lks[0], right_on=rks[0],
-                               join_type=jtype)
+                    rel = rel.map(addp("__lp__"))
+                rrel = rrel.map(addp("__rp__"))
+            # Ray's join is pyarrow's join per hash partition: it keeps
+            # the right keys (coalesced) for RIGHT OUTER, else the left
+            if jtype == "right_outer":
+                schema = pa.schema([f for f in rel.schema
+                                    if f.name not in lks]
+                                   + list(rrel.schema))
             else:
-                ds = equi_join(ds, rds, left_on=lks, right_on=rks,
-                               join_type=jtype)
+                schema = pa.schema(list(rel.schema)
+                                   + [f for f in rrel.schema
+                                      if f.name not in rks])
+            if len(lks) == 1:
+                rel = _Rel(equi_join(rel.ds, rrel.ds, left_on=lks[0],
+                                     right_on=rks[0], join_type=jtype),
+                           schema)
+            else:
+                rel = _Rel(equi_join(rel.ds, rrel.ds, left_on=lks,
+                                     right_on=rks, join_type=jtype),
+                           schema)
             if left_rebuild:
                 # rebuild each right key: equals the (never-NULL) left
                 # key where the right row matched, NULL elsewhere
@@ -2412,8 +2416,7 @@ def _execute(q: dict, tables: dict):
                                                          merged.type)))
                     return batch.drop_columns(["__rp__"])
 
-                ds = ds.map_batches(remake_right, batch_format="pyarrow")
-                rnames = (rnames - {"__rp__"}) | set(rks)
+                rel = rel.map(remake_right)
             if jtype in ("right_outer", "full_outer"):
                 # Ray names the coalesced key after the RIGHT side for
                 # right_outer and the LEFT side for full_outer
@@ -2441,9 +2444,7 @@ def _execute(q: dict, tables: dict):
                                            pa.scalar(None, t)))
                     return batch.drop_columns(["__lp__", "__rp__"])
 
-                ds = ds.map_batches(unmerge, batch_format="pyarrow")
-                rnames = (rnames - {"__rp__"}) | set(rks)
-                left_names |= set(lks)
+                rel = rel.map(unmerge)
             if jtype == "inner":
                 # Ray's join merges the right KEY columns into the left
                 # ones; SQL keeps both names in scope (a later JOIN ON
@@ -2461,19 +2462,15 @@ def _execute(q: dict, tables: dict):
                                 batch = batch.append_column(rn, batch[ln])
                         return batch
 
-                    ds = ds.map_batches(realias, batch_format="pyarrow")
-            left_names |= rnames
-        scope_names = left_names
+                    rel = rel.map(realias)
     if q["where"]:
         # outer scope for correlated subqueries: table names + aliases
         # whose qualified references strip to bare outer columns
         # (renamed self-join aliases resolve by physical spelling)
         oq = ({q["table"]} | {t2 for _, t2, _, _ in q["joins"]}
               | set(q.get("aliases") or ())) - set(renamed)
-        wtoks = _resolve_subqueries(
-            q["where"], tables,
-            scope_names if scope_names is not None
-            else ds.schema().names, oq)
+        wtoks = _resolve_subqueries(q["where"], tables, rel.schema.names,
+                                    oq)
         wnode, used = _parse_expr_tokens(wtoks)
         if used != len(wtoks):
             raise SqlError("trailing tokens in WHERE")
@@ -2481,12 +2478,12 @@ def _execute(q: dict, tables: dict):
         def filt(batch: pa.Table, _n=wnode) -> pa.Table:
             return batch.filter(pc.fill_null(_eval(_n, batch), False))
 
-        ds = ds.map_batches(filt, batch_format="pyarrow")
+        rel = rel.map(filt)
 
     items = q["items"]
     if items == "*":
         items = [_SelectItem("expr", expr_toks=[("ident", n)])
-                 for n in ds.schema().names]
+                 for n in rel.schema.names]
         q = dict(q, items=items)
     names = [_item_default_name(it, i) for i, it in enumerate(items)]
     # a default (un-AS'd) name over a renamed self-join instance keeps
@@ -2541,7 +2538,7 @@ def _execute(q: dict, tables: dict):
         if q["group"] or has_agg:
             raise SqlError("window functions cannot mix with GROUP BY or "
                            "plain aggregates in one SELECT")
-        return _execute_window(ds, q, items, names, win_items)
+        return _execute_window(rel, q, items, names, win_items)
 
     if not has_agg and not q["group"]:
         # pure projection
@@ -2552,16 +2549,7 @@ def _execute(q: dict, tables: dict):
                 raise SqlError("bad select expression")
             nodes.append(node)
 
-        def project(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for name, node in zip(names, nodes):
-                v = _eval(node, batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
-                cols[name] = v
-            return pa.table(cols)
-
-        out = ds.map_batches(project, batch_format="pyarrow")
+        out = _project(rel, names, nodes)
         if q["distinct"]:
             out = _distinct_rows(out, names)
         return _finish(out, q, names)
@@ -2603,10 +2591,8 @@ def _execute(q: dict, tables: dict):
         if any(t == ("sqlkw", "SELECT") for t in htoks):
             oq = ({q["table"]} | {t2 for _, t2, _, _ in q["joins"]}
                   | set(q.get("aliases") or ())) - set(renamed)
-            htoks = _resolve_subqueries(
-                htoks, tables,
-                scope_names if scope_names is not None
-                else ds.schema().names, oq)
+            htoks = _resolve_subqueries(htoks, tables, rel.schema.names,
+                                        oq)
         having_node, having_hidden = _parse_having(
             htoks, items, names, extend=True)
     agg_items = [(i, it) for i, it in enumerate(items) if it.kind == "agg"]
@@ -2663,7 +2649,7 @@ def _execute(q: dict, tables: dict):
             raise SqlError("MEDIAN/QUANTILE_CONT cannot appear inside "
                            "an expression")
         return _execute_quantile(
-            ds, q, items, names, group_cols, agg_items, alias_nodes,
+            rel, q, items, names, group_cols, agg_items, alias_nodes,
             having_node, having_hidden)
     if cd:
         for i, it in agg_items:
@@ -2675,7 +2661,7 @@ def _execute(q: dict, tables: dict):
             raise SqlError("COUNT(DISTINCT) cannot mix with aggregates "
                            "inside expressions")
         return _execute_count_distinct(
-            ds, q, items, names, group_cols, agg_items, alias_nodes,
+            rel, q, items, names, group_cols, agg_items, alias_nodes,
             having_node, having_hidden)
 
     # evaluate group keys + aggregate inputs in one projection
@@ -2697,10 +2683,8 @@ def _execute(q: dict, tables: dict):
         cols = {}
         for g in group_cols:
             if g in alias_nodes:
-                v = _eval(alias_nodes[g], batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
-                cols[g] = v
+                cols[g] = _const(_eval(alias_nodes[g], batch),
+                                 batch.num_rows)
             else:
                 cols[g] = batch[g]
         for i, it in agg_items:
@@ -2710,9 +2694,7 @@ def _execute(q: dict, tables: dict):
                 # COUNT(*) FILTER (WHERE c) → count a 1/NULL column
                 v = pa.array([1] * batch.num_rows, pa.int64())
             else:
-                v = _eval(agg_nodes[i], batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
+                v = _const(_eval(agg_nodes[i], batch), batch.num_rows)
             if i in filt_nodes:
                 c = pc.fill_null(pc.cast(_eval(filt_nodes[i], batch),
                                          pa.bool_()), False)
@@ -2727,7 +2709,7 @@ def _execute(q: dict, tables: dict):
             cols["one__"] = pa.array([1] * batch.num_rows, pa.int64())
         return pa.table(cols)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
+    prepped = rel.map(prep)
     gsets = q.get("grouping_sets")
     rollup = (bool(q.get("rollup")) or gsets is not None) \
         and bool(group_cols)
@@ -2782,7 +2764,7 @@ def _execute(q: dict, tables: dict):
                 parts.append(pa.table(cols))
             return pa.concat_tables(parts, promote_options="default")
 
-        prepped = prepped.map_batches(explode, batch_format="pyarrow")
+        prepped = prepped.map(explode)
         group_cols = group_cols + ["gid__"]
     aggs = []
     hash_specs = []                  # (alias, FUNC, col) — None'd on Std
@@ -2838,7 +2820,19 @@ def _execute(q: dict, tables: dict):
             out = _hash_grouped_aggregate(prepped, group_cols,
                                           hash_specs)
         else:
-            out = prepped.groupby(group_cols).aggregate(*aggs)
+            # Ray's aggregates: COUNT int64, AVG and STDDEV float64, SUM
+            # arrow's sum type, MIN/MAX the input type
+            fields = [prepped.schema.field(g) for g in group_cols]
+            for i, it in agg_items:
+                t = (pa.int64() if it.func == "COUNT"
+                     else prepped.schema.field(f"a{i}__").type)
+                if it.func == "SUM":
+                    t = pc.sum(pa.array([], t)).type
+                elif it.func in ("AVG", "STDDEV_POP", "STDDEV_SAMP"):
+                    t = pa.float64()
+                fields.append(pa.field(names[i], t))
+            out = _Rel(prepped.ds.groupby(group_cols).aggregate(*aggs),
+                       pa.schema(fields))
         if rollup:
             group_cols = group_cols[:-1]     # drop gid__ from scope
 
@@ -2855,16 +2849,14 @@ def _execute(q: dict, tables: dict):
                         pc.if_else(keep, col, pa.scalar(None, t)))
                 return batch.drop_columns(["gid__"])
 
-            out = out.map_batches(unroll, batch_format="pyarrow")
+            out = out.map(unroll)
 
         def proj2(batch: pa.Table) -> pa.Table:
             cols = {}
             for i, it in enumerate(items[:visible_n]):
                 if i in postagg:
-                    v = _eval(postagg[i], batch)
-                    if isinstance(v, pa.Scalar):
-                        v = pa.array([v.as_py()] * batch.num_rows)
-                    cols[names[i]] = v
+                    cols[names[i]] = _const(_eval(postagg[i], batch),
+                                            batch.num_rows)
                 elif it.kind == "agg" or names[i] in group_cols:
                     cols[names[i]] = batch[names[i]]
                 else:
@@ -2873,29 +2865,13 @@ def _execute(q: dict, tables: dict):
                 cols[h] = batch[h]      # pass through; dropped post-filter
             return pa.table(cols)
 
-        out = out.map_batches(proj2, batch_format="pyarrow")
-        vnames = names[:visible_n]
-        if having_node is not None:
-            def hav(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.fill_null(_eval(having_node, batch), False))
-
-            out = out.map_batches(hav, batch_format="pyarrow")
-            if having_hidden:
-                # NOTE: proj2 closes over `names` — use a fresh list
-                # for the post-filter surface instead of rebinding it
-                out = out.map_batches(
-                    lambda b, _h=tuple(having_hidden):
-                        b.drop_columns(list(_h)),
-                    batch_format="pyarrow")
-                visible = [n for n in vnames if n not in having_hidden]
-                return _finish(out, q, visible)
-        return _finish(out, q, vnames)
+        return _having_finish(out.map(proj2), q, names[:visible_n],
+                              having_node, having_hidden)
 
     # global aggregate → one-row table
     if q["having"]:
         raise SqlError("HAVING requires GROUP BY")
-    res = prepped.aggregate(*aggs)
+    res = prepped.ds.aggregate(*aggs)
     row = {}
     for i, it in agg_items:
         v = res[names[i]]
@@ -2912,8 +2888,8 @@ def _execute(q: dict, tables: dict):
                                   if isinstance(v, pa.Scalar) else v)
             elif it.kind == "agg":
                 cols[names[i]] = t[names[i]]
-        return pa.table(cols)
-    return t
+        t = pa.table(cols)
+    return _Rel(t, t.schema)
 
 
 def _split_call_args(toks):
@@ -2933,7 +2909,7 @@ def _split_call_args(toks):
     return parts
 
 
-def _execute_quantile(ds, q, items, names, group_cols, agg_items,
+def _execute_quantile(rel, q, items, names, group_cols, agg_items,
                       alias_nodes, having_node, having_hidden):
     """MEDIAN(x) / QUANTILE_CONT(x, q) — grouped and global, optionally
     mixed with COUNT(*)/COUNT/SUM/AVG/MIN/MAX over the SAME expression
@@ -2992,28 +2968,31 @@ def _execute_quantile(ds, q, items, names, group_cols, agg_items,
         cols = {}
         for g in group_cols:
             if g in alias_nodes:
-                v = _eval(alias_nodes[g], batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
-                cols[g] = v
+                cols[g] = _const(_eval(alias_nodes[g], batch),
+                                 batch.num_rows)
             else:
                 cols[g] = batch[g]
-        v = _eval(vnode, batch)
-        if isinstance(v, pa.Scalar):
-            v = pa.array([v.as_py()] * batch.num_rows)
-        cols["qv__"] = v
+        cols["qv__"] = _const(_eval(vnode, batch), batch.num_rows)
         if "count_star" in extras.values() and not group_cols:
             # Ray's Count() without `on` yields 0 in the global path
             cols["one__"] = pa.array([1] * batch.num_rows, pa.int64())
         return pa.table(cols)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
+    prepped = rel.map(prep)
     q_names = [names[i] for i, _, _ in qspec]
     qs_list = [f for _, f, _ in qspec]
 
     if group_cols:
-        out = grouped_quantiles(prepped, group_cols, "qv__", qs_list,
-                                q_names=q_names, extras=extras)
+        # grouped_quantiles emits the keys, float64 quantiles, then the
+        # extras (int64 counts, float64 otherwise)
+        fields = [prepped.schema.field(g) for g in group_cols]
+        fields += [pa.field(nm, pa.float64()) for nm in q_names]
+        fields += [pa.field(nm, pa.int64() if kind.startswith("count")
+                            else pa.float64())
+                   for nm, kind in extras.items()]
+        out = _Rel(grouped_quantiles(prepped.ds, group_cols, "qv__",
+                                     qs_list, q_names=q_names,
+                                     extras=extras), pa.schema(fields))
 
         def proj2(batch: pa.Table) -> pa.Table:
             cols = {}
@@ -3024,26 +3003,13 @@ def _execute_quantile(ds, q, items, names, group_cols, agg_items,
                     cols[names[i]] = batch[it.expr_toks[0][1]]
             return pa.table(cols)
 
-        out = out.map_batches(proj2, batch_format="pyarrow")
-        if having_node is not None:
-            def hav(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.fill_null(_eval(having_node, batch), False))
-
-            out = out.map_batches(hav, batch_format="pyarrow")
-            if having_hidden:
-                out = out.map_batches(
-                    lambda b, _h=tuple(having_hidden):
-                        b.drop_columns(list(_h)),
-                    batch_format="pyarrow")
-                visible = [n for n in names if n not in having_hidden]
-                return _finish(out, q, visible)
-        return _finish(out, q, names)
+        return _having_finish(out.map(proj2), q, names, having_node,
+                              having_hidden)
 
     # global form: histogram-refinement quantiles + one aggregate pass
     if q["having"]:
         raise SqlError("HAVING requires GROUP BY")
-    qt = global_quantiles(prepped, "qv__", qs_list, q_names=q_names)
+    qt = global_quantiles(prepped.ds, "qv__", qs_list, q_names=q_names)
     row = {}
     if extras:
         from ray.data.aggregate import Count, Max, Mean, Min, Sum
@@ -3063,7 +3029,7 @@ def _execute_quantile(ds, q, items, names, group_cols, agg_items,
                 aggs.append(Min("qv__", alias_name=nm))
             else:
                 aggs.append(Max("qv__", alias_name=nm))
-        res = prepped.aggregate(*aggs)
+        res = prepped.ds.aggregate(*aggs)
         for nm, kind in kinds:
             v = res[nm]
             if v is None and kind in ("count", "count_star"):
@@ -3071,10 +3037,11 @@ def _execute_quantile(ds, q, items, names, group_cols, agg_items,
             row[nm] = [v]
     for nm in q_names:
         row[nm] = [qt[nm][0].as_py()]
-    return pa.table({nm: row[nm] for nm in names})
+    t = pa.table({nm: row[nm] for nm in names})
+    return _Rel(t, t.schema)
 
 
-def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
+def _execute_count_distinct(rel, q, items, names, group_cols, agg_items,
                             alias_nodes, having_node, having_hidden):
     """COUNT(DISTINCT) — grouped, global, several at once, and mixed
     with COUNT/SUM/AVG/MIN/MAX — in ONE shuffle and no per-key Python
@@ -3135,10 +3102,8 @@ def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
         cols = {}
         for g in group_cols:
             if g in alias_nodes:
-                v = _eval(alias_nodes[g], batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
-                cols[g] = v
+                cols[g] = _const(_eval(alias_nodes[g], batch),
+                                 batch.num_rows)
             else:
                 cols[g] = batch[g]
         for i, _ in dist:
@@ -3162,8 +3127,6 @@ def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
         else:
             part = np.zeros(g.num_rows, np.int64)
         return g.append_column("part__", pa.array(part))
-
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
 
     def _item_col(i, it, t, cd_name):
         """Final output column for one select item from the combined
@@ -3226,21 +3189,8 @@ def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
                     for i, it in enumerate(items)}
             return pa.table(cols)
 
-        out = prepped.groupby("part__").map_groups(
-            finish_bucket, batch_format="pyarrow")
-        if having_node is not None:
-            out = out.map_batches(
-                lambda b, _n=having_node: b.filter(
-                    pc.fill_null(_eval(_n, b), False)),
-                batch_format="pyarrow")
-            if having_hidden:
-                out = out.map_batches(
-                    lambda b, _h=tuple(having_hidden):
-                        b.drop_columns(list(_h)),
-                    batch_format="pyarrow")
-                visible = [n for n in names if n not in having_hidden]
-                return _finish(out, q, visible)
-        return _finish(out, q, names)
+        return _having_finish(rel.shuffle(prep, "part__", finish_bucket),
+                              q, names, having_node, having_hidden)
 
     # global: per-bucket scalar partials, tiny driver-side combine
     if q["having"]:
@@ -3265,8 +3215,7 @@ def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
             cols[out] = pa.array([v.as_py()])
         return pa.table(cols)
 
-    rows = _collect(prepped.groupby("part__").map_groups(
-        bucket_scalars, batch_format="pyarrow"))
+    rows = _collect(*rel.shuffle(prep, "part__", bucket_scalars))
     final = {}
     for i, it in dist:
         col = rows[dcols[i]] if rows.num_rows else None
@@ -3287,18 +3236,18 @@ def _execute_count_distinct(ds, q, items, names, group_cols, agg_items,
             v = 0 if fn in ("sum", "count") and c == "one__" else None
         final[out] = pa.array([v])
     t = pa.table(final)
-    return pa.table({names[i]: _item_col(
-                        i, it, t,
-                        lambda j: f"{dcols[j]}_count_distinct")
-                     for i, it in enumerate(items)})
+    t = pa.table({names[i]: _item_col(
+                     i, it, t, lambda j: f"{dcols[j]}_count_distinct")
+                  for i, it in enumerate(items)})
+    return _Rel(t, t.schema)
 
 
-def _execute_window(ds, q, items, names, win_items):
+def _execute_window(rel, q, items, names, win_items):
     """SELECT with window functions: WHERE has already been applied; the
     windows run through ``georay.windows.window_compute`` (hash-partition
     the PARTITION BY keys, one vectorized lexsort+segment pass per
     partition), then a plain projection emits the select list."""
-    from .windows import window_compute
+    from .windows import _window_type, window_compute
 
     specs = []
     prep_nodes = {}
@@ -3354,15 +3303,17 @@ def _execute_window(ds, q, items, names, win_items):
     if prep_nodes:
         def addcols(batch: pa.Table, _nodes=prep_nodes) -> pa.Table:
             for cname, node in _nodes.items():
-                v = _eval(node, batch)
-                if isinstance(v, pa.Scalar):
-                    v = pa.array([v.as_py()] * batch.num_rows)
-                batch = batch.append_column(cname, v)
+                batch = batch.append_column(
+                    cname, _const(_eval(node, batch), batch.num_rows))
             return batch
 
-        ds = ds.map_batches(addcols, batch_format="pyarrow")
+        rel = rel.map(addcols)
 
-    ds = window_compute(ds, specs)
+    schema = rel.schema
+    for spec in specs:
+        schema = schema.append(
+            pa.field(spec["name"], _window_type(spec, rel.schema)))
+    rel = _Rel(window_compute(rel.ds, specs), schema)
 
     if q.get("qualify"):
         # QUALIFY filters AFTER window computation, BEFORE projection
@@ -3381,7 +3332,7 @@ def _execute_window(ds, q, items, names, win_items):
         def qfilt(batch: pa.Table, _n=qnode) -> pa.Table:
             return batch.filter(pc.fill_null(_eval(_n, batch), False))
 
-        ds = ds.map_batches(qfilt, batch_format="pyarrow")
+        rel = rel.map(qfilt)
 
     nodes = []
     for i, it in enumerate(items):
@@ -3393,16 +3344,7 @@ def _execute_window(ds, q, items, names, win_items):
                 raise SqlError("bad select expression")
             nodes.append(node)
 
-    def project(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name, node in zip(names, nodes):
-            v = _eval(node, batch)
-            if isinstance(v, pa.Scalar):
-                v = pa.array([v.as_py()] * batch.num_rows)
-            cols[name] = v
-        return pa.table(cols)
-
-    out = ds.map_batches(project, batch_format="pyarrow")
+    out = _project(rel, names, nodes)
     if q["distinct"]:
         out = _distinct_rows(out, names)
     return _finish(out, q, names)
@@ -3468,7 +3410,20 @@ def _parse_having(toks, items, names, extend=False):
     return (node, hidden) if extend else node
 
 
-def _finish(out, q, names):
+def _having_finish(out: _Rel, q, names, having_node, having_hidden):
+    """A grouped result's HAVING filter, minus its hoisted aggregate
+    columns, then :func:`_finish`."""
+    if having_node is not None:
+        out = out.map(lambda b, _n=having_node:
+                      b.filter(pc.fill_null(_eval(_n, b), False)))
+        if having_hidden:
+            out = out.map(lambda b, _h=tuple(having_hidden):
+                          b.drop_columns(list(_h)))
+            names = [n for n in names if n not in having_hidden]
+    return _finish(out, q, names)
+
+
+def _finish(out: _Rel, q, names) -> _Rel:
     if q["order"]:
         sort_cols, desc, hidden = [], [], []
         for j, entry in enumerate(q["order"]):
@@ -3499,8 +3454,7 @@ def _finish(out, q, names):
                         return batch.append_column(
                             _h, pc.is_null(batch[_c]))
 
-                    out = out.map_batches(add_nn,
-                                          batch_format="pyarrow")
+                    out = out.map(add_nn)
                     sort_cols.append(nn)
                     desc.append(bool(nf))    # FIRST → descending bool
                     hidden.append(nn)
@@ -3525,184 +3479,19 @@ def _finish(out, q, names):
                         v = pa.array(v)
                     return batch.append_column(_h, v)
 
-                out = out.map_batches(add_key, batch_format="pyarrow")
+                out = out.map(add_key)
                 sort_cols.append(hname)
                 hidden.append(hname)
             desc.append(d)
-        out = out.sort(sort_cols, descending=desc)
+        out = out._replace(ds=out.ds.sort(sort_cols, descending=desc))
         if hidden:
-            out = out.map_batches(
-                lambda b, _h=tuple(hidden): b.drop_columns(list(_h)),
-                batch_format="pyarrow")
+            out = out.map(lambda b, _h=tuple(hidden):
+                          b.drop_columns(list(_h)))
     if q["limit"] is not None:
         off = q["offset"] or 0
-        out = out.limit(q["limit"] + off)
+        out = out._replace(ds=out.ds.limit(q["limit"] + off))
         if off:
             # OFFSET applies to a small post-LIMIT result: slice driver-side
-            tbl = pa.concat_tables(
-                [b for b in out.iter_batches(batch_format="pyarrow")]
-                or [pa.table({n: pa.array([]) for n in names})])
-            return tbl.slice(off)
+            tbl = _collect(*out).slice(off)
+            return _Rel(tbl, tbl.schema)
     return out
-
-
-# ----------------------------------------------------------- EXPLAIN
-
-
-def explain_sql(sql: str, tables: dict | None = None) -> str:
-    """Logical plan + runtime-policy description WITHOUT executing:
-    re-uses the parser and reports the stages `_execute` would run and
-    the documented size-adaptive policies it applies at runtime
-    (broadcast vs hash-shuffle join, partial-aggregation shuffle
-    shapes).  CTE and derived-table subqueries are described
-    recursively; nothing touches a Dataset, so EXPLAIN on a plan over
-    a 100 TB table is free.
-
-    Returns an indented text tree (one line per stage, top = first)."""
-    tables = dict(tables or {})
-    lines: list[str] = []
-
-    def emit(depth, text):
-        lines.append("  " * depth + text)
-
-    def describe(toks, depth, title):
-        emit(depth, title)
-        # WITH [RECURSIVE] ctes — peel and recurse without executing
-        if toks and toks[0][0] == "ident" \
-                and toks[0][1].upper() == "WITH":
-            i = 1
-            recursive = False
-            if (i < len(toks) and toks[i][0] == "ident"
-                    and toks[i][1].upper() == "RECURSIVE"):
-                recursive = True
-                i += 1
-            while True:
-                name = toks[i][1]
-                i += 1
-                if i < len(toks) and toks[i] == ("op", "("):
-                    i = _balanced_end(toks, i)      # column alias list
-                i += 1                              # AS
-                j = _balanced_end(toks, i)
-                body = toks[i + 1:j - 1]
-                self_ref = any(k == "ident" and v == name
-                               for k, v in body)
-                if recursive and self_ref:
-                    emit(depth + 1,
-                         f"RecursiveCTE {name}: driver-side fixpoint "
-                         "loop, working-table semantics, each level = "
-                         "one Ray pipeline")
-                    bs, als = _split_union(body)
-                    for b in bs:
-                        describe(b, depth + 2, "Branch")
-                else:
-                    describe(body, depth + 1, f"CTE {name}")
-                tables[name] = None
-                i = j
-                if i < len(toks) and toks[i] == ("op", ","):
-                    i += 1
-                    continue
-                break
-            toks = toks[i:]
-        # derived tables
-        out = []
-        i = 0
-        while i < len(toks):
-            t = toks[i]
-            out.append(t)
-            if (t[0] == "sqlkw" and t[1] in ("FROM", "JOIN")
-                    and i + 1 < len(toks)
-                    and toks[i + 1] == ("op", "(")):
-                j = _balanced_end(toks, i + 1)
-                describe(toks[i + 2:j - 1], depth + 1, "DerivedTable")
-                out.append(("ident", "__derived__"))
-                tables["__derived__"] = None
-                i = j
-                if i < len(toks) and toks[i] == ("sqlkw", "AS"):
-                    i += 1
-                if i < len(toks) and toks[i][0] == "ident" \
-                        and str(toks[i][1]).upper() not in (
-                            "PIVOT", "UNPIVOT", "ASOF"):
-                    tables[toks[i][1]] = None
-                    i += 1
-                continue
-            i += 1
-        toks = out
-        branches, alls = _split_union(toks)
-        if len(branches) > 1:
-            ops = ["UNION ALL" if a is True else
-                   "UNION" if a is False else a.upper() for a in alls]
-            emit(depth + 1, f"SetOp [{' / '.join(ops)}]: Dataset.union"
-                 + (" + NULL-safe distributed DISTINCT"
-                    if False in alls else ""))
-            for b in branches:
-                describe(b, depth + 2, "Branch")
-            return
-        try:
-            q = _SqlParser(list(branches[0])).parse()
-        except SqlError as e:
-            emit(depth + 1, f"(unparsed: {e})")
-            return
-        emit(depth + 1, f"Scan {q['table']}"
-             + (" [one-row __dual__]" if q["table"] == "__dual__"
-                else " (read_parquet / registered Dataset; "
-                "column projection pushed to the read)"))
-        for jtype, t2, pairs, jal in q["joins"]:
-            if jtype == "asof":
-                emit(depth + 1,
-                     f"AsofJoin {t2}: hash-partitioned vectorized "
-                     "probe (windows.asof_join), keys+rank composites")
-            else:
-                keys = ", ".join(f"{a}={b}" for a, b, _ in pairs)
-                emit(depth + 1,
-                     f"{jtype.replace('_', ' ').title()}Join {t2} "
-                     f"ON {keys}: size-adaptive — right side ≤32 MB "
-                     "broadcasts via ray.put + searchsorted expand, "
-                     "else hash shuffle with byte-sized partitions "
-                     "(bytes//128MB, floor 8, cap 4×CPUs)")
-        if q["where"]:
-            emit(depth + 1, "Filter: vectorized pyarrow.compute mask "
-                 "per batch (subqueries decorrelate to broadcast "
-                 "semi-joins)")
-        aggs = [it for it in (q["items"] if q["items"] != "*" else ())
-                if getattr(it, "kind", "") == "agg"]
-        if q["group"] is not None:
-            kind = "ROLLUP/CUBE/GROUPING SETS bitmask explode, one shuffle" \
-                if (q.get("rollup") or q.get("grouping_sets")) else \
-                "per-block arrow hash partials → key-content-hash " \
-                "partition → per-partition combine (one shuffle)"
-            emit(depth + 1, f"GroupedAggregate: {kind}")
-        elif aggs:
-            emit(depth + 1, "GlobalAggregate: native distributed "
-                 "partials (Sum/Count/Min/Max/Mean/Std)")
-        if any(getattr(it, "distinct", False) for it in aggs):
-            emit(depth + 1, "DistinctAggregate: single-shuffle "
-                 "(group, value) dedup plan")
-        if q["having"]:
-            emit(depth + 1, "Having: post-aggregate vectorized filter")
-        if any(getattr(it, "over", None)
-               for it in (q["items"] if q["items"] != "*" else ())):
-            emit(depth + 1, "Window: hash-partition by PARTITION BY → "
-                 "per-partition vectorized frame kernels")
-        if q.get("qualify"):
-            emit(depth + 1, "Qualify: post-window filter")
-        if q.get("distinct"):
-            emit(depth + 1, "Distinct: local arrow group_by → row-hash "
-                 "partition → per-bucket group_by (NULL-safe)")
-        if q["order"]:
-            cols = ", ".join(str(c if isinstance(c, str) else "<expr>")
-                             for c, _d, _n in q["order"])
-            if q["limit"] is not None:
-                emit(depth + 1, f"TopK [{cols}] limit={q['limit']}: "
-                     "per-block local top-k, then global sort of "
-                     "k rows per block")
-            else:
-                emit(depth + 1, f"Sort [{cols}]: Ray range-partitioned "
-                     "distributed sort")
-        elif q["limit"] is not None:
-            emit(depth + 1, f"Limit {q['limit']}")
-        return
-
-    toks = _split_clauses(sql)
-    toks = _rewrite_extract(toks)
-    describe(toks, 0, "Plan")
-    return "\n".join(lines)

@@ -129,6 +129,21 @@ def window_compute(ds, specs, num_partitions: int | None = None):
     return ds
 
 
+def _window_type(spec, schema: pa.Schema) -> pa.DataType:
+    """Arrow type of the column :func:`window_compute` appends for
+    ``spec`` over an input of ``schema`` (what its kernel emits for
+    non-null input)."""
+    f = spec["func"]
+    if f in ("row_number", "rank", "dense_rank", "ntile", "count"):
+        return pa.int64()
+    if f == "sum" and not spec.get("star") \
+            and pa.types.is_integer(schema.field(spec["arg"]).type):
+        return pa.int64()
+    if f in ("percent_rank", "cume_dist", "sum", "avg", "min", "max"):
+        return pa.float64()
+    return schema.field(spec["arg"]).type    # lag/lead/first/last_value
+
+
 def _range_extreme(vals: np.ndarray, s_i: np.ndarray, e_i: np.ndarray,
                    is_min: bool) -> np.ndarray:
     """Vectorized range-min/max over ``[s_i, e_i]`` (inclusive, e >= s)
@@ -585,6 +600,16 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str = "ts",
     reduced to ONE row per (key, ts) (max of ``right_cols[0]``) before
     matching, so output is deterministic and the SQL oracle applies the
     same reduction."""
+    return _asof_join(left_ds, right_ds, left_ds.schema(),
+                      right_ds.schema(), key_col=key_col, ts_col=ts_col,
+                      right_cols=right_cols, suffix=suffix,
+                      num_partitions=num_partitions)
+
+
+def _asof_join(left_ds, right_ds, l_schema, r_schema, *, key_col, ts_col,
+               right_cols, suffix, num_partitions):
+    """:func:`asof_join` for a caller that already holds both sides'
+    schemas (anything with ``names`` and ``types``)."""
     import ray
 
     if num_partitions is None:
@@ -593,8 +618,6 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str = "ts",
             if ray.is_initialized() else 8)
     P = num_partitions
 
-    l_schema = left_ds.schema()
-    r_schema = right_ds.schema()
     left_names = list(l_schema.names)
     r_types = {c: r_schema.types[list(r_schema.names).index(c)]
                for c in right_cols}

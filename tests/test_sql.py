@@ -1540,33 +1540,6 @@ def test_sql_unpivot(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_explain_sql():
-    """EXPLAIN: parse-level plan description, no execution (works with
-    no tables registered at all)."""
-    from georay.sql import explain_sql
-    plan = explain_sql(
-        "SELECT o_orderpriority, COUNT(*) AS c "
-        "FROM orders JOIN customer ON o_custkey = c_custkey "
-        "WHERE o_totalprice > 1000 "
-        "GROUP BY o_orderpriority ORDER BY c DESC LIMIT 5")
-    assert "Scan orders" in plan
-    assert "InnerJoin customer ON o_custkey=c_custkey" in plan
-    assert "size-adaptive" in plan
-    assert "GroupedAggregate" in plan and "one shuffle" in plan
-    assert "TopK [c] limit=5" in plan
-
-    plan2 = explain_sql(
-        "WITH RECURSIVE t(n) AS (SELECT 1 UNION ALL "
-        "SELECT n + 1 FROM t WHERE n < 5) SELECT n FROM t")
-    assert "RecursiveCTE t" in plan2
-    assert "fixpoint" in plan2
-    assert "__dual__" in plan2
-
-    plan3 = explain_sql(
-        "SELECT a FROM x UNION SELECT b FROM y")
-    assert "SetOp [UNION]" in plan3 and "DISTINCT" in plan3
-
-
 def test_recursive_cte_row_cap(ray_session, monkeypatch):
     # VERDICT r4 caveat 2: the driver-side working set is bounded —
     # an exploding closure raises instead of materializing unbounded
@@ -1577,3 +1550,100 @@ def test_recursive_cte_row_cap(ray_session, monkeypatch):
             WITH RECURSIVE t(n) AS (
                 SELECT 1 UNION ALL SELECT n + 1 FROM t WHERE n < 1000
             ) SELECT count(*) AS c FROM t""", [])
+
+
+def _small_tables():
+    a = pa.table({"a": pa.array(np.arange(100), pa.int64()),
+                  "b": pa.array([f"s{i % 7}" for i in range(100)])})
+    ev = pa.table({"k": pa.array(np.arange(60) % 5, pa.int64()),
+                   "ts": pa.array(np.arange(60) * 3, pa.int64()),
+                   "v": pa.array(np.arange(60) * 0.5)})
+    qt = pa.table({"qk": pa.array(np.arange(20) % 5, pa.int64()),
+                   "qts": pa.array(np.arange(20) * 7, pa.int64()),
+                   "qv": pa.array(np.arange(20) * 1.5)})
+    return {"t": a, "ev": ev, "qt": qt}
+
+
+def test_sql_empty_relations_match_duckdb(ray_session):
+    """A CTE, UNION branch, join side or EXISTS subquery that filters to
+    zero rows plans from its carried schema; results match DuckDB."""
+    import duckdb
+    import ray
+
+    arrow = _small_tables()
+    tabs = {n: ray.data.from_arrow(t) for n, t in arrow.items()}
+    con = duckdb.connect()
+    for n, t in arrow.items():
+        con.register(n, t)
+    for sql in [
+        "WITH c AS (SELECT a, b FROM t WHERE a < 0) SELECT * FROM c",
+        "SELECT a FROM t WHERE a < 0 UNION ALL "
+        "SELECT a FROM t WHERE a < 0",
+        "WITH c AS (SELECT a FROM t WHERE a < 0) "
+        "SELECT x.a, y.b FROM c x JOIN t y ON x.a = y.a",
+        # [NOT] EXISTS over an empty subquery
+        "SELECT a FROM t WHERE EXISTS "
+        "(SELECT k FROM ev WHERE k = a AND k > 100)",
+        "SELECT a FROM t WHERE NOT EXISTS "
+        "(SELECT k FROM ev WHERE k = a AND k > 100)",
+        # non-empty control
+        "WITH c AS (SELECT a FROM t WHERE a < 20) "
+        "SELECT x.a, y.b FROM c x JOIN t y ON x.a = y.a",
+    ]:
+        got = _run_tabs(sql, tabs)
+        want = con.execute(sql).df()
+        assert len(got) == len(want), sql
+        if len(want):
+            want.columns = got.columns
+            pd.testing.assert_frame_equal(_norm(got), _norm(want),
+                                          check_dtype=False)
+
+
+def test_sql_planner_runs_no_plan_for_a_schema(ray_session, monkeypatch):
+    """No Dataset.schema() call executes a plan while a query compiles
+    (Ray's schema() runs a Limit[1] copy of an unknown-schema plan and
+    cancels its in-flight tasks), and the schema the planner carries
+    equals the collected result's, names and types."""
+    import ray
+    from georay import sql as S
+    from georay.queries import _rp
+
+    tabs = {n: ray.data.from_arrow(t) for n, t in _small_tables().items()}
+    tabs["orders"] = _rp(SF, "orders")
+    fetch = ray.data.Dataset.schema
+
+    def no_exec(self, fetch_if_missing=True):
+        s = fetch(self, fetch_if_missing=False)
+        assert s is not None or not fetch_if_missing, \
+            "Dataset.schema() would execute a plan"
+        return s
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", no_exec)
+    for sql in [
+        "WITH c AS (SELECT a, b FROM t WHERE a < 50) SELECT * FROM c",
+        "SELECT a, 1 AS one, 'x' AS s FROM t WHERE a < 3",
+        "SELECT a, b FROM t WHERE a < 10 UNION "
+        "SELECT a, b FROM t WHERE a > 90",
+        "SELECT a FROM t WHERE a < 10 INTERSECT SELECT k FROM ev",
+        "WITH c AS (SELECT a, b FROM t WHERE a < 30) "
+        "SELECT a, b, ts FROM c JOIN ev ON a = k",
+        "WITH c AS (SELECT a AS ca, b FROM t) "
+        "SELECT ca, b, ts, v FROM c, ev WHERE ca = k",
+        "SELECT k, ts FROM ev WHERE ts > "
+        "(SELECT MIN(qts) FROM qt WHERE qk = k)",
+        "SELECT b, COUNT(*) AS n FROM t GROUP BY b "
+        "HAVING COUNT(*) > (SELECT MIN(k) FROM ev WHERE k = 3)",
+        "WITH c(x, y) AS (SELECT a, b FROM t) SELECT x, y FROM c "
+        "WHERE x < 5",
+        "SELECT k, ts, v, qv FROM ev ASOF JOIN qt "
+        "ON k = qk AND ts >= qts",
+        "SELECT k, ts, ROW_NUMBER() OVER (PARTITION BY k ORDER BY ts) "
+        "AS rn, SUM(v) OVER (PARTITION BY k ORDER BY ts) AS sv FROM ev",
+        "SELECT o_orderstatus, COUNT(*) AS n, SUM(o_totalprice) AS s "
+        "FROM (SELECT * FROM orders WHERE o_orderkey < 500) "
+        "GROUP BY o_orderstatus",
+    ]:
+        got = S._collect(S.execute_sql(sql, tabs))
+        rel = S._plan(sql, {n: S._base_rel(d) for n, d in tabs.items()})
+        assert got.num_rows, sql
+        assert rel.schema == got.schema, sql
