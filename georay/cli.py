@@ -365,6 +365,7 @@ def gdal2tiles(args: list) -> str:
     import pyarrow as pa
     import ray.data
 
+    from .decode import with_pixels
     from .tiles import build_pyramid, composite_tiles, cut_tiles, \
         write_tiles_png
     zspec = _pop_opt(args, "-z", default="0-3")
@@ -395,15 +396,11 @@ def gdal2tiles(args: list) -> str:
         raise SystemExit("gdal2tiles: needs square pixels")
     minz, maxz = (int(v) for v in zspec.split("-")) \
         if "-" in zspec else (int(zspec), int(zspec))
-    row = pa.table({
+    row = with_pixels(pa.table({
         "image_id": pa.array(["cli"]),
-        "pixels": pa.array([np.ascontiguousarray(arr).tobytes()],
-                           pa.binary()),
-        "w": pa.array([arr.shape[1]], pa.int32()),
-        "h": pa.array([arr.shape[0]], pa.int32()),
         "ulx": pa.array([gt[0]], pa.float64()),
         "uly": pa.array([gt[3]], pa.float64()),
-        "psize": pa.array([abs(gt[1])], pa.float64())})
+        "psize": pa.array([abs(gt[1])], pa.float64())}), [arr])
     ds = ray.data.from_arrow(row)
     frags = ds.map_batches(cut_tiles, batch_format="pyarrow",
                            fn_kwargs=dict(zoom=maxz, resampling=kernel))

@@ -2,11 +2,14 @@
 replacements, SURVEY.md §3).  All functions take an already-initialised Ray
 session (they never call ``ray.init``) and return lazy Datasets.
 
-The flagship (:func:`flagship_join`) has one execution path: the driver
-plans work units (:func:`flagship_work_units` — parquet row-group bundles
-or lance fragment row ranges, the warp chunk-list analog), and one Ray task
-per unit reads its own rows straight from storage and runs the fused
-:class:`FlagshipStage` on them.
+The image table has one reader: the driver plans work units
+(:func:`flagship_work_units` — parquet row-group bundles or lance fragment
+row ranges, the warp chunk-list analog) and one Ray task per unit reads its
+own rows straight from storage (:func:`_read_unit`).  The flagship
+(:func:`flagship_join`) runs the fused :class:`FlagshipStage` in that same
+task; every other image pipeline reads through :func:`read_images`, which
+emits the units' rows.  Decoding and the ``pixels`` layout live in
+:mod:`georay.decode`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import codecs, fixtures
-from .decode import add_cells, add_georef, decode_images
+from .decode import add_cells, add_georef, decode_images, decoded_rows
 from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
     cut_tiles, cut_windows, fragment_checksum
 from .util import worker_cached, worker_get
@@ -33,30 +36,24 @@ _JOIN_COLS = ["image_id", "caption", "phash", "lat", "lon", "hexcell",
 
 
 def read_images(images_path: str, *, columns=None):
-    """Column-pruned image-table read: a parquet file or directory, or a
-    lance-layout root (the north rule's named input format, read
-    fragment-parallel with the same projection pushdown)."""
+    """The image table (a parquet file or directory, or a lance-layout
+    root) as a Dataset: one task per work unit of
+    :func:`flagship_work_units` reads that unit's rows, pruned to
+    ``columns``."""
     import ray
-
-    if os.path.isdir(images_path) and os.path.exists(
-            os.path.join(images_path, "_latest.manifest")):
-        from .lancefmt import read_lance
-        return read_lance(images_path, columns=columns)
-    return ray.data.read_parquet(images_path, columns=columns)
+    return ray.data.from_items(flagship_work_units(images_path)).map_batches(
+        _read_units, batch_format="pyarrow", batch_size=1,
+        fn_kwargs=dict(columns=columns))
 
 
-def georeferenced_images(images_path: str, *, decode: bool = True,
-                         hex_res: int = 9, s2_level: int = 12):
-    """images parquet → Dataset with georef + cell columns (+ decoded
-    pixels): the shared front of every flagship pipeline."""
+def georeferenced_images(images_path: str, *, decode: bool = True):
+    """images table → Dataset with georef + cell columns (+ decoded
+    pixels): the shared front of the map-chain image pipelines."""
     # prune at the read: without decode the multi-KB `bytes` column never
-    # leaves storage (a read that loads all columns for a 2-column
-    # transform is wrong at 100 TB)
-    cols = None if decode else ["image_id", "w", "h", "caption", "phash"]
-    ds = read_images(images_path, columns=cols)
+    # leaves storage
+    ds = read_images(images_path, columns=None if decode else _META_COLS)
     ds = ds.map_batches(add_georef, batch_format="pyarrow")
-    ds = ds.map_batches(add_cells, batch_format="pyarrow",
-                        fn_kwargs=dict(hex_res=hex_res, s2_level=s2_level))
+    ds = ds.map_batches(add_cells, batch_format="pyarrow")
     if decode:
         ds = ds.map_batches(decode_images, batch_format="pyarrow",
                             batch_size=64)
@@ -141,18 +138,12 @@ class FlagshipStage:
         ulx_arr = batch["ulx"].to_numpy()
         uly_arr = batch["uly"].to_numpy()
         ps_arr = batch["psize"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
         stored_phash = batch["phash"].to_numpy()
-        bufs = batch["bytes"]
         rows, out_x, out_y, sums = [], [], [], []
-        for i in range(n):
-            try:
-                arr = codecs.decode_image(bufs[i].as_buffer(), fmts[i])
-            except ValueError:
+        for i, (arr, err) in enumerate(decoded_rows(batch)):
+            if err is not None:
                 decode_ok[i] = phash_ok[i] = False
                 continue
-            if arr.ndim == 2:
-                arr = np.stack([arr] * 3, axis=2)
             if self.verify:
                 phash_ok[i] = int(codecs.phash64(arr)) == int(stored_phash[i])
             if not self.cut:
@@ -191,6 +182,12 @@ def _read_unit(unit: dict, columns) -> pa.Table:
     return tbl
 
 
+def _read_units(units: pa.Table, *, columns) -> pa.Table:
+    """:func:`read_images`' task: the rows of its work units."""
+    return pa.concat_tables([_read_unit(u, columns)
+                             for u in units.to_pylist()])
+
+
 def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
                       verify) -> pa.Table:
     """One task per work unit: read the unit's rows worker-locally (the way
@@ -199,9 +196,7 @@ def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
     rows do) and run the fused stage on them."""
     stage = FlagshipStage(index_ref, zoom=zoom, decode=decode, cut=cut,
                           verify=verify)
-    columns = None if decode else _META_COLS
-    return pa.concat_tables([stage(_read_unit(u, columns))
-                             for u in units.to_pylist()])
+    return stage(_read_units(units, columns=None if decode else _META_COLS))
 
 
 def flagship_work_units(images_path: str, groups_per_task: int = 2):
@@ -209,12 +204,18 @@ def flagship_work_units(images_path: str, groups_per_task: int = 2):
     file or directory, or per 512-row range of a lance fragment — the warp
     chunk list analog (alg/gdalwarpoperation.cpp:846 CollectChunkList).
 
-    Unit size: 2 row groups (~512 images, ~2.8 s of fused work) keeps the
-    bench fixture at ≥12 waves on 32 CPUs so the last-wave straggler tail
-    stays <7% (measured: 4 groups/unit = 6 waves lost 17% throughput at 32
-    CPUs; 1 group/unit paid task overhead at 8 CPUs).  At production scale
-    units outnumber workers by orders of magnitude and any value here is
-    tail-free — the floor only matters when input ≈ cluster size."""
+    These units are the only way the image table is read (the flagship's
+    tasks and :func:`read_images` both run :func:`_read_unit` on them).
+
+    Unit size: 2 row groups, so the image count follows the writer's row
+    group size.  The bench fixture writes 256-row groups (~512 images,
+    ~2.8 s of fused work per unit), which keeps it at ≥12 waves on 32 CPUs
+    so the last-wave straggler tail stays <7% (measured: 4 groups/unit = 6
+    waves lost 17% throughput at 32 CPUs; 1 group/unit paid task overhead
+    at 8 CPUs).  ``fixtures.write_images_parquet``'s default 2,048-row
+    groups give 4,096-image units.  At production scale units outnumber
+    workers by orders of magnitude and any value here is tail-free — the
+    floor only matters when input ≈ cluster size."""
     import pyarrow.parquet as pq
     if os.path.exists(os.path.join(images_path, "_latest.manifest")):
         # lance root: sub-fragment row ranges are the unit (the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .decode import pixel_arrays
 from .geom import wkb_polygon
 
 __all__ = ["label_components", "polygonize", "contour_lines",
@@ -239,14 +240,9 @@ def polygonize_images(batch: pa.Table, *, quantize: int = 64,
     """map_batches stage: band 0 of each image row → polygon rows
     ``(image_id, value, wkb, pixel_count)``.  Quantize first (e.g. ``//64``)
     so regions are meaningful for continuous imagery."""
-    h_arr = batch["h"].to_numpy()
-    w_arr = batch["w"].to_numpy()
     ids, vals, wkbs, counts = [], [], [], []
-    for i in range(batch.num_rows):
-        band = np.frombuffer(batch["pixels"][i].as_buffer(),
-                             dtype=np.uint8).reshape(
-            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
-        for value, wkb, n in polygonize(band // quantize,
+    for i, rgb in enumerate(pixel_arrays(batch)):
+        for value, wkb, n in polygonize(rgb[:, :, 0] // quantize,
                                         connect8=connect8):
             ids.append(batch["image_id"][i].as_py())
             vals.append(int(value))
@@ -571,13 +567,9 @@ def footprint_images(batch: pa.Table, *, nodata: int = 0) -> pa.Table:
     non-nodata region in georeferenced coords (when ulx/uly/psize
     present) — the mask→polygonize chain as one operator."""
     ids, wkbs, counts = [], [], []
-    h_arr = batch["h"].to_numpy()
-    w_arr = batch["w"].to_numpy()
     geo = all(c in batch.schema.names for c in ("ulx", "uly", "psize"))
-    for i in range(batch.num_rows):
-        band = np.frombuffer(batch["pixels"][i].as_buffer(),
-                             dtype=np.uint8).reshape(
-            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
+    for i, rgb in enumerate(pixel_arrays(batch)):
+        band = rgb[:, :, 0]
         gt = None
         if geo:
             gt = (float(batch["ulx"][i].as_py()),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .decode import pixel_arrays, with_pixels
+
 __all__ = [
     "pixel_calc", "translate_window", "translate_scale",
     "expand_palette", "translate_unscale",
@@ -209,29 +211,19 @@ def translate_images(batch: pa.Table, *, srcwin=None, outsize=None,
     """map_batches stage: -srcwin / -outsize / -scale over the decoded
     ``pixels`` column (gdal_translate as a batch transform)."""
     from .tiles import _scale_to
-    h_arr = batch["h"].to_numpy()
-    w_arr = batch["w"].to_numpy()
-    out_pix, out_w, out_h = [], [], []
-    for i in range(batch.num_rows):
-        arr = np.frombuffer(batch["pixels"][i].as_buffer(),
-                            dtype=np.uint8).reshape(
-            int(h_arr[i]), int(w_arr[i]), 3)
-        if srcwin:
-            arr = translate_window(arr, *srcwin)
-        if outsize:
-            ow, oh = outsize
-            arr = _scale_to(arr, oh, ow, resampling)
-        if scale:
-            arr = translate_scale(arr)
-        out_pix.append(arr.tobytes())
-        out_h.append(arr.shape[0])
-        out_w.append(arr.shape[1])
-    batch = batch.drop_columns(["pixels"])
-    batch = batch.set_column(batch.schema.get_field_index("w"), "w",
-                             pa.array(np.asarray(out_w, np.int32)))
-    batch = batch.set_column(batch.schema.get_field_index("h"), "h",
-                             pa.array(np.asarray(out_h, np.int32)))
-    return batch.append_column("pixels", pa.array(out_pix, pa.binary()))
+
+    def translated():
+        for arr in pixel_arrays(batch):
+            if srcwin:
+                arr = translate_window(arr, *srcwin)
+            if outsize:
+                ow, oh = outsize
+                arr = _scale_to(arr, oh, ow, resampling)
+            if scale:
+                arr = translate_scale(arr)
+            yield arr
+
+    return with_pixels(batch, translated())
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +237,14 @@ def raster_to_xyz(batch, band: int = 0, skip: int = 1,
     point rows at pixel CENTERS with stride ``skip``; ``nodata`` values
     are dropped like ``-skipnodata``.  One vectorized meshgrid per tile
     — use inside ``map_batches`` so the explode streams."""
-    import pyarrow as pa
-
     ids, xs, ys, vs = [], [], [], []
-    ws = batch["w"].to_numpy()
-    hs = batch["h"].to_numpy()
     ulx = batch["ulx"].to_numpy()
     uly = batch["uly"].to_numpy()
     ps = batch["psize"].to_numpy()
-    pix = batch["pixels"].to_pylist()
-    for i, pid in enumerate(batch["image_id"].to_pylist()):
-        w, h = int(ws[i]), int(hs[i])
-        arr = np.frombuffer(pix[i], np.uint8)
-        arr = arr.reshape(h, w, -1)[::skip, ::skip, band]
+    for i, (pid, rgb) in enumerate(zip(batch["image_id"].to_pylist(),
+                                       pixel_arrays(batch))):
+        h, w = rgb.shape[:2]
+        arr = rgb[::skip, ::skip, band]
         py, px = np.mgrid[0:h:skip, 0:w:skip]
         x = ulx[i] + (px.ravel() + 0.5) * ps[i]
         y = uly[i] - (py.ravel() + 0.5) * ps[i]
@@ -422,14 +409,9 @@ def dem_derivatives(batch: pa.Table, *, mode: str = "hillshade",
     multi-row rasters use ``dem_tiled`` (exact cross-tile 1-px halo)."""
     from .stats import gdal_checksum
     fn = _DEM_FUNCS[mode]
-    h_arr = batch["h"].to_numpy()
-    w_arr = batch["w"].to_numpy()
     outs, checks = [], []
-    for i in range(batch.num_rows):
-        dem = np.frombuffer(batch["pixels"][i].as_buffer(),
-                            dtype=np.uint8).reshape(
-            int(h_arr[i]), int(w_arr[i]), 3)[:, :, 0]
-        out = fn(dem, **kwargs)
+    for rgb in pixel_arrays(batch):
+        out = fn(rgb[:, :, 0], **kwargs)
         outs.append(np.ascontiguousarray(out).tobytes())
         q = (out if out.dtype == np.uint8
              else np.clip(np.rint(out), 0, 255).astype(np.uint8))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .decode import pixel_arrays
 from .geom import PackedPolygons
 from .util import worker_get
 
@@ -116,14 +117,9 @@ def zonal_stats(batch: pa.Table, *, index_ref,
     polygons are in the SAME georeferenced space as the image
     geotransform."""
     polys, payload_tbl = worker_get(index_ref)
-    h_arr = batch["h"].to_numpy()
-    w_arr = batch["w"].to_numpy()
     rows = {"image_id": [], "poly_idx": [], "count": [], "sum": [],
             "mean": [], "min": [], "max": []}
-    for i in range(batch.num_rows):
-        arr = np.frombuffer(batch["pixels"][i].as_buffer(),
-                            dtype=np.uint8).reshape(
-            int(h_arr[i]), int(w_arr[i]), 3)
+    for i, arr in enumerate(pixel_arrays(batch)):
         gt = (float(batch["ulx"][i].as_py()),
               float(batch["psize"][i].as_py()), 0.0,
               float(batch["uly"][i].as_py()), 0.0,

@@ -30,8 +30,10 @@ class RasterPipeline:
     # -- sources ----------------------------------------------------------
     @classmethod
     def read_parquet(cls, path: str, columns=None) -> "RasterPipeline":
-        import ray
-        return cls(ray.data.read_parquet(path, columns=columns))
+        """The image table through the engine's one reader
+        (:func:`georay.pipelines.read_images`)."""
+        from .pipelines import read_images
+        return cls(read_images(path, columns=columns))
 
     @classmethod
     def from_dataset(cls, ds) -> "RasterPipeline":
@@ -66,19 +68,12 @@ class RasterPipeline:
         """gdal_calc over band 0 of ``pixels`` (expression gets ``A``);
         emits a float64 summary column (mean of the result per image) —
         the reduction form; use pixel_calc directly for full rasters."""
-        import numpy as np
-
+        from .decode import pixel_arrays
         from .raster import pixel_calc
 
         def step(batch: pa.Table) -> pa.Table:
-            h = batch["h"].to_numpy()
-            w = batch["w"].to_numpy()
-            vals = []
-            for i in range(batch.num_rows):
-                arr = np.frombuffer(
-                    batch["pixels"][i].as_buffer(), dtype=np.uint8
-                ).reshape(int(h[i]), int(w[i]), 3)[:, :, 0]
-                vals.append(float(pixel_calc(expr, A=arr).mean()))
+            vals = [float(pixel_calc(expr, A=rgb[:, :, 0]).mean())
+                    for rgb in pixel_arrays(batch)]
             return batch.append_column(out_col,
                                        pa.array(vals, pa.float64()))
 
@@ -116,19 +111,13 @@ class RasterPipeline:
         """Welford band statistics over band 0: mergeable per-batch
         partials (stats.band_stats_partial) reduced driver-side — the
         ComputeStatistics reduction (small scalar result)."""
-        import numpy as np
-
+        from .decode import pixel_arrays
         from .stats import BandStats, band_stats_combine, band_stats_partial
 
         def partial(batch: pa.Table) -> pa.Table:
-            h = batch["h"].to_numpy()
-            w = batch["w"].to_numpy()
             parts = BandStats()
-            for i in range(batch.num_rows):
-                arr = np.frombuffer(
-                    batch["pixels"][i].as_buffer(), dtype=np.uint8
-                ).reshape(int(h[i]), int(w[i]), 3)[:, :, 0]
-                parts = parts.merge(band_stats_partial(arr))
+            for rgb in pixel_arrays(batch):
+                parts = parts.merge(band_stats_partial(rgb[:, :, 0]))
             return pa.table({"count": pa.array([parts.count], pa.int64()),
                              "mean": pa.array([parts.mean]),
                              "m2": pa.array([parts.m2]),

@@ -19,17 +19,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .decode import pixel_arrays
+
 __all__ = ["rat_from_images", "apply_rat", "classify_batch", "rat_lut"]
 
 
 def _census_partial(batch: pa.Table) -> pa.Table:
-    h = batch["h"].to_numpy()
-    w = batch["w"].to_numpy()
     counts = np.zeros(256, dtype=np.int64)
-    for i in range(batch.num_rows):
-        arr = np.frombuffer(batch["pixels"][i].as_buffer(), dtype=np.uint8)
-        band = arr.reshape(int(h[i]), int(w[i]), -1)[:, :, 0]
-        counts += np.bincount(band.ravel(), minlength=256)
+    for rgb in pixel_arrays(batch):
+        counts += np.bincount(rgb[:, :, 0].ravel(), minlength=256)
     return pa.table({"value": pa.array(np.arange(256, dtype=np.int64)),
                      "pixel_count": pa.array(counts)})
 
@@ -62,14 +60,9 @@ def classify_batch(batch: pa.Table, lut: np.ndarray,
                    out_col: str = "class_pixels") -> pa.Table:
     """Map band 0 of every image through the LUT (one ``np.take`` per
     image, no per-pixel Python) — classified raster bytes out."""
-    h = batch["h"].to_numpy()
-    w = batch["w"].to_numpy()
-    out = []
     lut8 = lut.astype(np.uint8) if lut.dtype != np.uint8 else lut
-    for i in range(batch.num_rows):
-        arr = np.frombuffer(batch["pixels"][i].as_buffer(), dtype=np.uint8)
-        band = arr.reshape(int(h[i]), int(w[i]), -1)[:, :, 0]
-        out.append(np.take(lut8, band).tobytes())
+    out = [np.take(lut8, rgb[:, :, 0]).tobytes()
+           for rgb in pixel_arrays(batch)]
     return batch.append_column(out_col, pa.array(out, pa.binary()))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .decode import pixel_arrays
 from .mercator import (TILE_SIZE, geo_query, latlon_to_tile_xyz,
                        tile_bounds_meters, tile_range_for_extent,
                        tms_to_xyz_y)
@@ -420,17 +421,12 @@ def cut_tiles(batch: pa.Table, *, zoom: int, tile_size: int = TILE_SIZE,
     """
     ts = tile_size
     out_x, out_y, out_id, out_frag = [], [], [], []
-    w_arr = batch["w"].to_numpy()
-    h_arr = batch["h"].to_numpy()
     ulx_arr = batch["ulx"].to_numpy()
     uly_arr = batch["uly"].to_numpy()
     ps_arr = batch["psize"].to_numpy()
     ids = batch["image_id"].to_pylist()
-    pix_col = batch["pixels"]
-    for i in range(batch.num_rows):
-        w, h = int(w_arr[i]), int(h_arr[i])
-        src = np.frombuffer(pix_col[i].as_buffer(), dtype=np.uint8)\
-            .reshape(h, w, 3)
+    for i, src in enumerate(pixel_arrays(batch)):
+        h, w = src.shape[:2]
         for tx, ty, wx, wy, window, sh, sw in cut_windows(
                 src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
                 float(ps_arr[i]), zoom, ts):

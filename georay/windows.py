@@ -304,23 +304,17 @@ def _window_pass(ds, part_cols, order_items, specs, num_partitions):
                                / (seg_end - seg_start + 1).astype(
                                    np.float64))
             elif f in ("lag", "lead"):
+                # take on the Arrow column keeps its type and its nulls
                 k = int(s.get("offset", 1))
-                xs = out[s["arg"]].to_numpy(zero_copy_only=False)
                 if f == "lag":
                     src = idx - k
                     ok = src >= seg_start
                 else:
                     src = idx + k
                     ok = src <= seg_end
-                src = np.clip(src, 0, n - 1)
-                shifted = xs[src]
-                default = s.get("default")
-                if default is None:
-                    col = pa.array(shifted, mask=~ok)
-                else:
-                    shifted = shifted.copy()
-                    shifted[~ok] = default
-                    col = pa.array(shifted)
+                col = out[s["arg"]].take(pa.array(np.clip(src, 0, n - 1)))
+                col = pa.compute.if_else(
+                    pa.array(ok), col, pa.scalar(s.get("default"), col.type))
             elif f in ("first_value", "last_value"):
                 if not order_items:
                     raise ValueError(f"{f.upper()} needs ORDER BY in "

@@ -7,7 +7,12 @@ pool-sizing helper ``default_concurrency`` stays gone.
 
 Every writer commits its files through ``georay.util.staged``, so
 ``os.replace`` is called in exactly two places: inside ``staged`` and in
-the ``gdalmanage rename`` command, whose job is the rename itself."""
+the ``gdalmanage rename`` command, whose job is the rename itself.
+
+The image table has one reader and its ``pixels`` column one owner:
+``georay.pipelines`` reads through its work units, never through
+``ray.data.read_parquet`` or ``read_lance``, and only ``georay.decode``
+unpacks ``pixels`` with ``np.frombuffer``."""
 
 import ast
 import pathlib
@@ -74,3 +79,42 @@ def test_os_replace_only_in_staged():
                     for n in ast.walk(fn)):
                 found.add((fname, fn.name))
     assert found == {("util.py", "staged"), ("cli.py", "gdalmanage")}
+
+
+def _mentions(node, names) -> bool:
+    """``node`` names the ``pixels`` column, or a variable in ``names``."""
+    return any((isinstance(n, ast.Constant) and n.value == "pixels")
+               or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def test_pixels_unpacked_only_in_decode():
+    """(module, function) of every ``frombuffer`` call over the
+    ``pixels`` column, directly or through a variable bound from it; a
+    call in a nested function also names each enclosing function."""
+    found = set()
+    for fname, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = set()
+            for n in ast.walk(fn):
+                src = getattr(n, "value", None) if isinstance(
+                    n, ast.Assign) else getattr(n, "iter", None)
+                if src is not None and _mentions(src, ()):
+                    targets = n.targets if isinstance(n, ast.Assign) \
+                        else [n.target]
+                    bound |= {t.id for tg in targets for t in ast.walk(tg)
+                              if isinstance(t, ast.Name)}
+            if any(isinstance(n, ast.Call) and _name(n) == "frombuffer"
+                   and any(_mentions(a, bound) for a in n.args)
+                   for n in ast.walk(fn)):
+                found.add((fname, fn.name))
+    assert found == {("decode.py", "pixel_arrays")}
+
+
+def test_pipelines_read_images_through_work_units():
+    tree = _trees()["pipelines.py"]
+    calls = {_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert "_read_unit" in calls
+    assert not calls & {"read_parquet", "read_lance"}

@@ -130,6 +130,42 @@ def test_fragment_checksum_closed_form_matches_materialized(h, w, oh, ow, wy,
     assert fragment_checksum(win, oh, ow, wy, wx) == want
 
 
+def test_decode_images_names_the_bad_row(polygons):
+    """``decode_images`` raises ValueError naming a truncated row's
+    ``image_id`` and ``fmt`` (a truncated JPEG and a truncated PNG), while
+    the fused stage's decode over the same batch flags exactly those two
+    rows."""
+    import re
+
+    from georay.decode import add_georef, decode_images
+    from georay.join import PolygonIndex
+    from georay.pipelines import FlagshipStage
+    t = fx.images_table(32)
+    rows = t.to_pylist()
+    bad = {fmt: next(i for i, r in enumerate(rows) if r["fmt"] == fmt)
+           for fmt in ("jpeg", "png")}
+    data = t["bytes"].to_pylist()
+    for i in bad.values():
+        data[i] = data[i][:len(data[i]) // 2]
+    broken = t.set_column(t.schema.get_field_index("bytes"), "bytes",
+                          pa.array(data, t.schema.field("bytes").type))
+    for fmt, i in bad.items():
+        name = re.escape(f"{rows[i]['image_id']!r} ({fmt})")
+        with pytest.raises(ValueError, match=name):
+            decode_images(broken.slice(i, 1))
+    first = min(bad.values())
+    with pytest.raises(ValueError,
+                       match=re.escape(repr(rows[first]["image_id"]))):
+        decode_images(broken)
+    stage = FlagshipStage(PolygonIndex.build(polygons), decode=True,
+                          cut=True, verify=True)
+    decode_ok, phash_ok, (frag_rows, _, _, _) = stage._decode_rows(
+        add_georef(broken))
+    assert set(np.flatnonzero(~decode_ok)) == set(bad.values())
+    assert set(np.flatnonzero(~phash_ok)) == set(bad.values())
+    assert not set(frag_rows) & set(bad.values())
+
+
 def test_flagship_bad_rows_are_flagged_not_fatal(ray_session, polygons,
                                                  tmp_path):
     """A truncated JPEG row and a truncated PNG row get decode_ok=False,

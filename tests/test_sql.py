@@ -267,6 +267,36 @@ def test_sql_window_matches_duckdb(ray_session, sql, tables):
                                   check_exact=False, rtol=1e-12)
 
 
+def test_sql_lag_lead_keep_type_and_nulls(ray_session):
+    """LAG/LEAD over an int64 column holding NULLs stay int64: a NULL
+    source row and a row past the partition edge both give NULL, and a
+    default fills only the edge, row for row as DuckDB gives them.  The
+    result type is the type the planner carries (``_window_type``)."""
+    import duckdb
+    import ray
+    from georay.sql import execute_sql
+    from georay.windows import _window_type
+    t = pa.table({"g": pa.array([1, 1, 1, 2, 2, 2], pa.int64()),
+                  "o": pa.array([1, 2, 3, 1, 2, 3], pa.int64()),
+                  "x": pa.array([1, None, 3, 4, None, 6], pa.int64())})
+    sql = ("SELECT g, o, LAG(x) OVER (PARTITION BY g ORDER BY o) AS lg, "
+           "LEAD(x, 1, -1) OVER (PARTITION BY g ORDER BY o) AS ld "
+           "FROM t")
+    got = pa.concat_tables(ray.get(execute_sql(
+        sql, {"t": ray.data.from_arrow(t)}).to_arrow_refs()))
+    carried = _window_type({"func": "lag", "arg": "x"}, t.schema)
+    assert carried == pa.int64()
+    assert got.schema.field("lg").type == carried
+    assert got.schema.field("ld").type == carried
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(sql + " ORDER BY g, o").arrow()
+    got = got.sort_by([("g", "ascending"), ("o", "ascending")])
+    for c in ("lg", "ld"):
+        assert got[c].to_pylist() == want[c].to_pylist(), c
+    assert got["lg"].to_pylist() == [None, 1, None, None, 4, None]
+
+
 SUBQ_CASES = [
     ("SELECT c_name FROM customer WHERE c_custkey IN "
      "(SELECT o_custkey FROM orders WHERE o_totalprice > 200000) "
