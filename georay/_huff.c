@@ -1,13 +1,13 @@
 /* Baseline JPEG entropy decode of one restart interval (T.81 F.2.2).
 
-   georay/jpeg.py builds this file once per source hash into the user
-   cache directory and calls huff_interval through ctypes.  Symbols are
-   read through 16-bit left-aligned windows of the (sym, len) lookup
-   tables of jpeg._huff_lut, concatenated: table t's entry for window x is
-   at t * 65536 + x.  A size above 16 (only a malformed DHT has one)
-   follows numpy's int64 shift rules, 1 << s being 0 for s >= 64, as
-   the earlier numpy form of this pass did, so such a stream decodes to
-   the same pixels. */
+   georay.util.compiled builds this file once per source hash into the
+   user cache directory, and georay/jpeg.py calls huff_interval through
+   ctypes.  Symbols are read through 16-bit left-aligned windows of the
+   (sym, len) lookup tables of jpeg._huff_lut, concatenated: table t's
+   entry for window x is at t * 65536 + x.  A size above 16 (only a
+   malformed DHT has one) follows numpy's int64 shift rules, 1 << s being
+   0 for s >= 64, as the earlier numpy form of this pass did, so such a
+   stream decodes to the same pixels. */
 #include <stdint.h>
 
 /* the 32 bits of the stream that start at bit p */

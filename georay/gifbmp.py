@@ -91,52 +91,74 @@ def _deinterlace(idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gif_need(data: bytes, end: int) -> None:
+    if end > len(data):
+        raise ValueError(f"truncated gif at byte {len(data)}")
+
+
+def _gif_sub_blocks(data: bytes, pos: int):
+    """The payload of the data sub-blocks at ``pos`` and the position
+    after their terminator."""
+    parts = []
+    while True:
+        _gif_need(data, pos + 1)
+        n = data[pos]
+        if not n:
+            return b"".join(parts), pos + 1
+        _gif_need(data, pos + 1 + n)
+        parts.append(data[pos + 1:pos + 1 + n])
+        pos += n + 1
+
+
 def gif_decode(data: bytes) -> np.ndarray:
+    """First image of a GIF → uint8 (h, w, 3) RGB, or (h, w, 4) with a
+    transparent color.  Input that ends before the first image is
+    complete raises ``ValueError("truncated gif at byte N")``."""
     if data[:6] not in (b"GIF87a", b"GIF89a"):
         raise ValueError("not a GIF")
+    _gif_need(data, 13)
     sw, sh, packed, _bg, _ar = struct.unpack_from("<HHBBB", data, 6)
     pos = 13
     gct = None
     if packed & 0x80:
         n = 2 << (packed & 7)
+        _gif_need(data, pos + 3 * n)
         gct = np.frombuffer(data, np.uint8, 3 * n, pos).reshape(n, 3)
         pos += 3 * n
     transparent = None
-    while pos < len(data):
+    while True:
+        _gif_need(data, pos + 1)
         b = data[pos]
         if b == 0x3B:                            # trailer
-            break
+            raise ValueError("GIF contains no image block")
         if b == 0x21:                            # extension
+            _gif_need(data, pos + 2)
             label = data[pos + 1]
             pos += 2
             if label == 0xF9:                    # graphic control
+                _gif_need(data, pos + 5)
                 size = data[pos]
                 flags = data[pos + 1]
                 if flags & 1:
                     transparent = data[pos + 4]
                 pos += size + 1
-            while data[pos]:                     # skip sub-blocks
-                pos += data[pos] + 1
-            pos += 1
+            _, pos = _gif_sub_blocks(data, pos)
             continue
         if b != 0x2C:
             raise ValueError(f"unexpected GIF block 0x{b:02x}")
+        _gif_need(data, pos + 10)
         _l, _t, w, h, ipacked = struct.unpack_from("<HHHHB", data, pos + 1)
         pos += 10
         ct = gct
         if ipacked & 0x80:
             n = 2 << (ipacked & 7)
+            _gif_need(data, pos + 3 * n)
             ct = np.frombuffer(data, np.uint8, 3 * n, pos).reshape(n, 3)
             pos += 3 * n
+        _gif_need(data, pos + 1)
         mcs = data[pos]
-        pos += 1
-        parts = []
-        while data[pos]:
-            n = data[pos]
-            parts.append(data[pos + 1:pos + 1 + n])
-            pos += n + 1
-        pos += 1
-        idx = _lzw_decode(b"".join(parts), mcs, w * h)
+        codes, pos = _gif_sub_blocks(data, pos + 1)
+        idx = _lzw_decode(codes, mcs, w * h)
         if idx.size < w * h:
             idx = np.pad(idx, (0, w * h - idx.size))
         idx = idx.reshape(h, w)
@@ -149,7 +171,6 @@ def gif_decode(data: bytes) -> np.ndarray:
             alpha = np.where(idx == transparent, 0, 255).astype(np.uint8)
             return np.dstack([rgb, alpha])
         return rgb
-    raise ValueError("GIF contains no image block")
 
 
 class _BitPacker:

@@ -280,6 +280,10 @@ def _undo_predictor(arr: np.ndarray) -> np.ndarray:
 
 
 def _decode_one(data: memoryview, tags, e: str):
+    ends = [o + c for o, c in zip(tags.get(324, tags.get(273, ())),
+                                  tags.get(325, tags.get(279, ())))]
+    if max(ends, default=0) > len(data):
+        raise ValueError(f"truncated tiff at byte {len(data)}")
     w = int(tags[256][0])
     h = int(tags[257][0])
     spp = int(tags.get(277, (1,))[0])
@@ -362,9 +366,12 @@ def tiff_decode(data: bytes, overview: int | None = None):
     else:
         off = struct.unpack_from(e + "I", data, 4)[0]
     ifds = []
-    while off:
-        tags, off = _read_ifd(data, off, e, big)
-        ifds.append(tags)
+    try:
+        while off:
+            tags, off = _read_ifd(data, off, e, big)
+            ifds.append(tags)
+    except struct.error:
+        raise ValueError(f"truncated tiff at byte {len(data)}") from None
     levels = [(int(t[257][0]), int(t[256][0])) for t in ifds]
     pick = ifds[overview or 0]
     arr = _decode_one(data, pick, e)

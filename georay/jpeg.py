@@ -35,17 +35,12 @@ default tables chosen here (ITU T.81 Annex K).
 from __future__ import annotations
 
 import ctypes
-import fcntl
-import hashlib
-import os
 import re
-import shutil
 import struct
-import subprocess
 
 import numpy as np
 
-from .util import staged
+from .util import compiled
 
 __all__ = ["jpeg_encode", "jpeg_decode"]
 
@@ -422,49 +417,14 @@ def _huff_lut(bits, vals):
     return out
 
 
-_HUFF_SRC = os.path.join(os.path.dirname(__file__), "_huff.c")
-_HUFF = None
-
-
 def _huff():
-    """The compiled entropy pass (``_huff.c``'s ``huff_interval``), loaded
-    with ctypes at the first baseline decode.  The library is built with
-    ``gcc`` once per source hash into the user cache directory, under an
-    exclusive lock on that directory, so concurrent workers build it once;
-    there is no Python fallback."""
-    global _HUFF
-    if _HUFF is not None:
-        return _HUFF
-    with open(_HUFF_SRC, "rb") as f:
-        src = f.read()
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
-                         or os.path.expanduser("~/.cache"), "georay")
-    lib = os.path.join(cache,
-                       f"_huff-{hashlib.sha256(src).hexdigest()[:16]}.so")
-    if not os.path.exists(lib):
-        gcc = shutil.which("gcc")
-        if gcc is None:
-            raise RuntimeError("georay's JPEG decoder needs the C compiler "
-                               "gcc on PATH to build georay/_huff.c")
-        os.makedirs(cache, exist_ok=True)
-        fd = os.open(cache, os.O_RDONLY)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            if not os.path.exists(lib):
-                with staged(lib) as tmp:
-                    subprocess.run([gcc, "-O2", "-shared", "-fPIC", "-x", "c",
-                                    "-", "-o", tmp], input=src, check=True,
-                                   capture_output=True)
-        finally:
-            os.close(fd)
-    fn = ctypes.CDLL(lib).huff_interval
-    fn.restype = ctypes.c_int
-    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_void_p]
-    _HUFF = fn
-    return fn
+    """The compiled entropy pass, ``_huff.c``'s ``huff_interval``
+    (:func:`georay.util.compiled`)."""
+    return compiled("_huff.c", "huff_interval",
+                    [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
+                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_void_p], ctypes.c_int)
 
 
 _C32 = None

@@ -22,7 +22,7 @@ import pyarrow as pa
 from . import codecs, fixtures
 from .decode import add_cells, add_georef, decode_images, decoded_rows
 from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
-    cut_tiles, cut_windows, fragment_checksum
+    cut_tiles, fragment_sums, plan_tiles
 from .util import worker_cached, worker_get
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
@@ -61,16 +61,21 @@ def georeferenced_images(images_path: str, *, decode: bool = True):
 
 
 class FlagshipStage:
-    """Fused flagship stage: georef → H3/S2 cells (→ decode, phash verify
-    and tile cut, one image at a time) → broadcast R-tree PIP join →
-    center-tile assignment, one batch pass.
+    """Fused flagship stage: georef → H3/S2 cells (→ tile plan, then
+    decode, phash verify and tile cut one image at a time) → broadcast
+    R-tree PIP join → center-tile assignment, one batch pass.
 
-    Fusing matters at scale: each image is decoded once into a local array
-    that is verified and cut right away, so no pixels column is ever
-    materialized or re-shipped through the object store — the same reason
-    gdal2tiles does read+warp+encode in one worker (gdal2tiles.py:4593).
-    The polygon index arrives as a ``ray.put`` ref, deserialized once per
-    worker process (:func:`georay.util.worker_get`).
+    With ``cut``, every tile window of the batch is planned first, in one
+    vectorized pass over the metadata columns (:func:`georay.tiles.
+    plan_tiles`); then each image is decoded once into a local array that
+    is verified and checksummed right away — one compiled pass over its
+    plan rows (:func:`georay.tiles.fragment_sums`) — and dropped before
+    the next image is decoded.  So no pixels column is ever materialized
+    or re-shipped through the object store, and no image's pixels outlive
+    it — the same reason gdal2tiles does read+warp+encode in one worker
+    (gdal2tiles.py:4593).  The polygon index arrives as a ``ray.put`` ref,
+    deserialized once per worker process
+    (:func:`georay.util.worker_get`).
 
     Output: one join row per (image, matching polygon); with ``decode`` a
     ``decode_ok`` column (bytes that fail to decode are flagged, not
@@ -110,54 +115,62 @@ class FlagshipStage:
                                 pa.nulls(out.num_rows, pa.int64()))
         # fragment rows, aligned to the join-row schema
         rows, tx, ty, sums = frags
-        idx = pa.array(np.asarray(rows, dtype=np.int64))
+        idx = pa.array(rows)
         cols = {name: batch[name].take(idx) for name in
                 ("image_id", "phash", "lat", "lon", "hexcell", "s2cell")}
         if self.verify:
             cols["phash_ok"] = pa.array(phash_ok[rows])
         cols["decode_ok"] = pa.array(np.ones(len(rows), dtype=bool))
         cols["z"] = pa.array(np.full(len(rows), self.zoom, dtype=np.int64))
-        cols["tile_x"] = pa.array(tx, pa.int64())
-        cols["tile_y"] = pa.array(ty, pa.int64())
-        cols["frag_checksum"] = pa.array(sums, pa.int64())
+        cols["tile_x"] = pa.array(tx)
+        cols["tile_y"] = pa.array(ty)
+        cols["frag_checksum"] = pa.array(sums)
         frag_t = pa.table([cols[f.name] if f.name in cols
                            else pa.nulls(len(rows), f.type)
                            for f in out.schema], schema=out.schema)
         return pa.concat_tables([out, frag_t])
 
     def _decode_rows(self, batch: pa.Table):
-        """Decode each image once, verify its phash and cut it into tile
-        fragment checksums; returns ``(decode_ok, phash_ok, (rows, tile_x,
-        tile_y, checksums))``.  A row whose bytes do not decode gets
-        ``decode_ok = phash_ok = False`` and no fragments."""
+        """Plan the batch's tile windows (with ``cut``), then decode each
+        image once, verify its phash and checksum its plan rows; returns
+        ``(decode_ok, phash_ok, (rows, tile_x, tile_y, checksums))``.  A
+        row whose bytes do not decode gets ``decode_ok = phash_ok =
+        False`` and no fragments."""
         n = batch.num_rows
         decode_ok = np.ones(n, dtype=bool)
         phash_ok = np.ones(n, dtype=bool)
+        stored_phash = batch["phash"].to_numpy()
         w_arr = batch["w"].to_numpy()
         h_arr = batch["h"].to_numpy()
-        ulx_arr = batch["ulx"].to_numpy()
-        uly_arr = batch["uly"].to_numpy()
-        ps_arr = batch["psize"].to_numpy()
-        stored_phash = batch["phash"].to_numpy()
-        rows, out_x, out_y, sums = [], [], [], []
+        plan = np.empty((0, 11), dtype=np.int64)
+        if self.cut:
+            plan = plan_tiles(w_arr, h_arr, batch["ulx"].to_numpy(),
+                              batch["uly"].to_numpy(),
+                              batch["psize"].to_numpy(), self.zoom)
+        bounds = np.searchsorted(plan[:, 0], np.arange(n + 1))
+        kept, sums = [plan[:0]], [np.empty(0, dtype=np.int64)]
         for i, (arr, err) in enumerate(decoded_rows(batch)):
             if err is not None:
                 decode_ok[i] = phash_ok[i] = False
                 continue
             if self.verify:
                 phash_ok[i] = int(codecs.phash64(arr)) == int(stored_phash[i])
-            if not self.cut:
+            rows = plan[bounds[i]:bounds[i + 1]]
+            if not len(rows):
                 continue
-            # each fragment's checksum comes from its source window: no
-            # 256² canvas, and no upsampled window, is ever materialized
-            for tx, ty, wx, wy, window, wys, wxs in cut_windows(
-                    arr, int(w_arr[i]), int(h_arr[i]), float(ulx_arr[i]),
-                    float(uly_arr[i]), float(ps_arr[i]), self.zoom):
-                rows.append(i)
-                out_x.append(tx)
-                out_y.append(ty)
-                sums.append(fragment_checksum(window, wys, wxs, wy, wx))
-        return decode_ok, phash_ok, (rows, out_x, out_y, sums)
+            if arr.shape[:2] != (h_arr[i], w_arr[i]):
+                # pixels that disagree with the metadata: each window is
+                # what slicing the decoded image gives, and an empty one
+                # is no fragment
+                rows = rows.copy()
+                rows[:, 5] = np.minimum(rows[:, 5], arr.shape[1] - rows[:, 3])
+                rows[:, 6] = np.minimum(rows[:, 6], arr.shape[0] - rows[:, 4])
+                rows = rows[(rows[:, 5] > 0) & (rows[:, 6] > 0)]
+            kept.append(rows)
+            sums.append(fragment_sums(arr, rows))
+        kept = np.concatenate(kept)
+        return decode_ok, phash_ok, (kept[:, 0], kept[:, 1], kept[:, 2],
+                                     np.concatenate(sums))
 
 
 def _read_unit(unit: dict, columns) -> pa.Table:

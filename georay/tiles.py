@@ -2,12 +2,16 @@
 pipeline re-expressed Ray-Data-first (reference: osgeo_utils/gdal2tiles.py;
 plan §3.3 of SURVEY.md):
 
-* base tiles: each georeferenced image row fans out to the tiles its
-  extent overlaps at ``zoom`` (tile ranges per gdal2tiles.py:2460-2467,
-  zero-coverage tiles excluded per :2950-2953); per tile the source read /
-  destination write windows come from the exact ``geo_query`` port
-  (gdal2tiles.py:2995-3037) and the window is resampled into a 256×256
-  RGBA fragment (``scale_query_to_tile`` analog, gdal2tiles.py:856-918).
+* base tiles: one batch planner, :func:`plan_tiles`, turns a batch's
+  metadata columns (``w, h, ulx, uly, psize``, known before any decode)
+  into one int64 row per (image, tile its extent overlaps at ``zoom``)
+  holding the source read and destination write windows, in one numpy
+  pass (tile ranges per gdal2tiles.py:2460-2467, windows per the exact
+  ``geo_query`` port, gdal2tiles.py:2995-3037, zero-coverage tiles
+  excluded per :2950-2953).  :func:`cut_tiles` resamples each row's
+  window into a 256×256 RGBA fragment (``scale_query_to_tile`` analog,
+  gdal2tiles.py:856-918); the fused flagship stage instead checksums every
+  fragment of an image in one compiled pass (:func:`fragment_sums`).
 * fragments composite per tile key with ``groupby((z,x,y)).map_groups``
   (deterministic image_id order, alpha-over) — replacing the
   ``Pool.imap_unordered`` worker pool (gdal2tiles.py:4593-4596).
@@ -22,18 +26,20 @@ assignment time (gdal2tiles.py:4431-4443 ``getYTile``).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pyarrow as pa
 
 from .decode import pixel_arrays
-from .mercator import (TILE_SIZE, geo_query, latlon_to_tile_xyz,
-                       tile_bounds_meters, tile_range_for_extent,
-                       tms_to_xyz_y)
+from .mercator import (TILE_SIZE, latlon_to_tile_xyz, meters_to_tile,
+                       tile_bounds_meters, tms_to_xyz_y)
 from .stats import CHECKSUM_PRIMES
+from .util import compiled
 
 __all__ = [
     "resample_average", "resample_nearest", "resample_bilinear",
-    "assign_center_tile", "cut_windows", "fragment_checksum", "cut_tiles",
+    "assign_center_tile", "plan_tiles", "fragment_sums", "cut_tiles",
     "composite_tile_group",
     "partial_composite_batch", "merge_composite_group", "composite_tiles",
     "build_pyramid", "write_tiles_png", "write_tiles_cog",
@@ -74,41 +80,44 @@ def resample_average(src: np.ndarray, oh: int, ow: int) -> np.ndarray:
             out = src.reshape(oh, fy, ow, fx).mean(axis=(1, 3))
         return np.clip(np.rint(out), 0, 255).astype(src.dtype)
     a = src if src.ndim == 3 else src[:, :, None]
-    # integral image with zero row/col; the double integral of a
-    # piecewise-constant image is piecewise-BILINEAR, so bilinear sampling
-    # of it at fractional coords yields EXACT fractional box sums.
     # Integer cumsum (int32 when it fits): bit-identical to the float64
     # path (both are exact integer arithmetic at these magnitudes) at
-    # half/quarter the memory traffic — this runs per tile fragment in
-    # the headline stage, where the bus, not the ALU, is the bottleneck.
+    # half/quarter the memory traffic.
     idt = np.int32 if h * w < (1 << 23) else np.int64
     integ = np.zeros((h + 1, w + 1, a.shape[2]), dtype=idt)
-    np.cumsum(a, axis=0, dtype=idt, out=integ[1:, 1:])
-    np.cumsum(integ[1:, 1:], axis=1, out=integ[1:, 1:])
+    integ[1:, 1:] = a
+    # in place over the whole array: contiguous passes, twice as fast as
+    # accumulating into the strided [1:, 1:] view
+    np.cumsum(integ, axis=0, out=integ)
+    np.cumsum(integ, axis=1, out=integ)
+    out = np.clip(np.rint(_box_means(integ, oh, ow)), 0, 255)\
+        .astype(src.dtype)
+    return out[:, :, 0] if src.ndim == 2 else out
 
-    def box_sum(y0, y1, x0, x1):
-        # fractional box sums via bilinear sampling of the integral image
-        def at(yy, xx):
-            yi = np.floor(yy).astype(np.int64)
-            xi = np.floor(xx).astype(np.int64)
-            yi = np.clip(yi, 0, h - 1); xi = np.clip(xi, 0, w - 1)
-            fy = (yy - yi)[:, None, None]
-            fx = (xx - xi)[None, :, None]
-            c00 = integ[yi][:, xi]
-            c01 = integ[yi][:, xi + 1]
-            c10 = integ[yi + 1][:, xi]
-            c11 = integ[yi + 1][:, xi + 1]
-            return (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
-                    + c10 * fy * (1 - fx) + c11 * fy * fx)
-        return at(y1, x1) - at(y0, x1) - at(y1, x0) + at(y0, x0)
 
+def _box_means(integ: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Mean of each of the ``oh``×``ow`` equal fractional boxes that tile
+    an image, from its ``(h+1, w+1, bands)`` integral image ``integ``
+    (zero first row and column).  The double integral of a piecewise-
+    constant image is piecewise-BILINEAR, so bilinear sampling of it at
+    fractional coordinates yields EXACT fractional box sums; it is
+    sampled once, on the full ``(oh+1)×(ow+1)`` grid of box edges, and
+    each box sum is four corners of that grid."""
+    h, w = integ.shape[0] - 1, integ.shape[1] - 1
     ye = np.linspace(0, h, oh + 1)
     xe = np.linspace(0, w, ow + 1)
-    sums = box_sum(ye[:-1], ye[1:], xe[:-1], xe[1:])
-    area = ((ye[1:] - ye[:-1])[:, None] * (xe[1:] - xe[:-1])[None, :])[:, :, None]
-    out = sums / area
-    out = np.clip(np.rint(out), 0, 255).astype(src.dtype)
-    return out[:, :, 0] if src.ndim == 2 else out
+    yi = np.clip(np.floor(ye).astype(np.int64), 0, h - 1)
+    xi = np.clip(np.floor(xe).astype(np.int64), 0, w - 1)
+    fy = (ye - yi)[:, None, None]
+    fx = (xe - xi)[None, :, None]
+    gy, gx = 1 - fy, 1 - fx
+    top, bottom = integ[yi], integ[yi + 1]
+    g = (top[:, xi] * gy * gx + top[:, xi + 1] * gy * fx
+         + bottom[:, xi] * fy * gx + bottom[:, xi + 1] * fy * fx)
+    sums = g[1:, 1:] - g[:-1, 1:] - g[1:, :-1] + g[:-1, :-1]
+    area = ((ye[1:] - ye[:-1])[:, None]
+            * (xe[1:] - xe[:-1])[None, :])[:, :, None]
+    return sums / area
 
 
 def resample_bilinear(src: np.ndarray, oh: int, ow: int) -> np.ndarray:
@@ -150,24 +159,8 @@ def resample_rms(src: np.ndarray, oh: int, ow: int) -> np.ndarray:
     aa = a if a.ndim == 3 else a[:, :, None]
     integ = np.zeros((h + 1, w + 1, aa.shape[2]))
     integ[1:, 1:] = aa.cumsum(axis=0).cumsum(axis=1)
-
-    def at(yy, xx):
-        yi = np.clip(np.floor(yy).astype(np.int64), 0, h - 1)
-        xi = np.clip(np.floor(xx).astype(np.int64), 0, w - 1)
-        fy = (yy - yi)[:, None, None]
-        fx = (xx - xi)[None, :, None]
-        return (integ[yi][:, xi] * (1 - fy) * (1 - fx)
-                + integ[yi][:, xi + 1] * (1 - fy) * fx
-                + integ[yi + 1][:, xi] * fy * (1 - fx)
-                + integ[yi + 1][:, xi + 1] * fy * fx)
-
-    ye = np.linspace(0, h, oh + 1)
-    xe = np.linspace(0, w, ow + 1)
-    sums = (at(ye[1:], xe[1:]) - at(ye[:-1], xe[1:])
-            - at(ye[1:], xe[:-1]) + at(ye[:-1], xe[:-1]))
-    area = ((ye[1:] - ye[:-1])[:, None]
-            * (xe[1:] - xe[:-1])[None, :])[:, :, None]
-    out = np.clip(np.rint(np.sqrt(sums / area)), 0, 255).astype(src.dtype)
+    out = np.clip(np.rint(np.sqrt(_box_means(integ, oh, ow))), 0, 255)\
+        .astype(src.dtype)
     return out[:, :, 0] if src.ndim == 2 else out
 
 
@@ -307,87 +300,131 @@ def _scale_to(src: np.ndarray, oh: int, ow: int, kernel: str) -> np.ndarray:
     return _KERNELS[kernel](src, oh, ow)
 
 
-def cut_windows(src: np.ndarray, w: int, h: int, ulx: float, uly: float,
-                ps: float, z: int, ts: int = TILE_SIZE):
-    """The one tile-window planner: for each zoom-``z`` tile that the
-    ``w``×``h`` image ``src`` (upper-left ``ulx, uly``, pixel size ``ps``,
-    EPSG:3857) covers, yield ``(tile_x, tile_y_xyz, wx, wy, window, wys,
-    wxs)`` — the source window, to be resampled to ``wys``×``wxs`` and
-    placed at ``(wx, wy)`` in the tile.  Tile ranges per
-    gdal2tiles.py:2460-2467, windows per ``geo_query``
-    (gdal2tiles.py:2995-3037); zero-coverage tiles are skipped
-    (gdal2tiles.py:2950-2953)."""
-    gt = (ulx, ps, 0.0, uly, 0.0, -ps)
-    tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
-        ulx, uly - h * ps, ulx + w * ps, uly, z, ts)
-    for ty_tms in range(tminy, tmaxy + 1):
-        ty = int(tms_to_xyz_y(ty_tms, z))
-        for tx in range(tminx, tmaxx + 1):
-            b = tile_bounds_meters(tx, ty_tms, z, ts)
-            (rx, ry, rxs, rys), (wx, wy, wxs, wys) = geo_query(
-                gt, w, h, b[0], b[3], b[2], b[1], querysize=ts)
-            if rxs <= 0 or rys <= 0 or wxs <= 0 or wys <= 0:
-                continue
-            window = src[ry:ry + rys, rx:rx + rxs]
-            if window.size == 0:
-                continue
-            yield tx, ty, wx, wy, window, wys, wxs
+def _axis_windows(t0, t1, origin, step, size, ts: int):
+    """``geo_query`` (gdal2tiles.py:2995-3037) along one axis, vectorized:
+    the read offset and size and the write offset and size of the tile
+    span ``t0 → t1`` in a raster of ``size`` pixels whose first edge is at
+    ``origin``, ``step`` per pixel, with its ``+0.001``/``+0.5`` rounding
+    (``int`` truncates toward zero, as ``astype`` does) and the clamps
+    that shift the write window."""
+    r = ((t0 - origin) / step + 0.001).astype(np.int64)
+    rs = np.maximum(1, ((t1 - t0) / step + 0.5).astype(np.int64))
+    wo = np.zeros_like(r)
+    ws = np.full_like(r, ts)
+    neg = r < 0
+    frac = -r[neg] / rs[neg]
+    wo[neg] = (ws[neg] * frac).astype(np.int64)
+    ws[neg] -= wo[neg]
+    rs[neg] -= (rs[neg] * frac).astype(np.int64)
+    r[neg] = 0
+    over = r + rs > size
+    ws[over] = (ws[over] * ((size[over] - r[over]) / rs[over])).astype(
+        np.int64)
+    rs[over] = size[over] - r[over]
+    return r, rs, wo, ws
 
 
-# The fragment checksum's positional prime LUT: entry (row, col) is
-# CHECKSUM_PRIMES[(256·row + col) % 11], and 256 ≡ 3 (mod 11), so the LUT
-# class of tile row r is (3·r) % 11, of tile column c is c % 11, and of
-# pixel (r, c) the sum of the two, mod 11.
-_ROW_CLASS = (3 * np.arange(256)) % 11
-_COL_CLASS = np.arange(256) % 11
-# the LUT as uint8 with each column repeated per RGB band, so a window's
-# ``pixel % LUT`` is one non-broadcast pass over its (h, 3·w) view (primes
-# <= 43, so uint8 % uint8 stays uint8)
-_LUT3 = np.repeat(CHECKSUM_PRIMES[(_ROW_CLASS[:, None] + _COL_CLASS) % 11],
-                  3, axis=1).astype(np.uint8)
-# _MOD[m, v] = v % CHECKSUM_PRIMES[m], float64 for BLAS
-_MOD = (np.arange(256) % CHECKSUM_PRIMES[:, None]).astype(np.float64)
-# [m, b] -> (m - b) % 11: the row class that meets column class b in m
-_ROW_FOR = (np.arange(11)[:, None] - np.arange(11)) % 11
-_ODD = 2 * np.arange(256) + 1
+def plan_tiles(w, h, ulx, uly, ps, z: int, ts: int = TILE_SIZE) -> np.ndarray:
+    """The one tile-window planner: for images ``w``×``h`` (upper-left
+    ``ulx, uly``, pixel size ``ps``, EPSG:3857; one array entry per
+    image), one int64 row per (image, zoom-``z`` tile it covers) with the
+    11 columns ``img, tile_x, tile_y, rx, ry, rxs, rys, wx, wy, wxs,
+    wys``: the image index, the tile (``tile_y`` in XYZ), the source
+    window ``(rx, ry, rxs, rys)`` and the destination window ``(wx, wy,
+    wxs, wys)`` it is resampled to.  Rows are ordered by image, then TMS
+    tile row, then tile column — gdal2tiles' loop order.
+
+    Tile ranges per gdal2tiles.py:2460-2467, windows per ``geo_query``
+    (gdal2tiles.py:2995-3037), zero-coverage tiles skipped
+    (gdal2tiles.py:2950-2953).  A window's x part depends only on its
+    tile column and its y part only on its tile row, so each is computed
+    once per (image, column) and (image, row), then crossed."""
+    w = np.asarray(w, np.int64)
+    h = np.asarray(h, np.int64)
+    ulx = np.asarray(ulx, np.float64)
+    uly = np.asarray(uly, np.float64)
+    ps = np.asarray(ps, np.float64)
+    n = len(w)
+    # tile_range_for_extent, per image
+    tminx, tminy = meters_to_tile(ulx, uly - h * ps, z, ts)
+    tmaxx, tmaxy = meters_to_tile(ulx + w * ps, uly, z, ts)
+    top = (1 << z) - 1
+    tminx, tminy, tmaxx, tmaxy = (np.clip(t, 0, top) for t in
+                                  (tminx, tminy, tmaxx, tmaxy))
+    nx = tmaxx - tminx + 1
+    ny = tmaxy - tminy + 1
+    x0 = np.cumsum(nx) - nx               # first (image, column) of each
+    y0 = np.cumsum(ny) - ny
+    xi = np.repeat(np.arange(n), nx)      # image of each (image, column)
+    yi = np.repeat(np.arange(n), ny)
+    tx = tminx[xi] + np.arange(len(xi)) - x0[xi]
+    ty = tminy[yi] + np.arange(len(yi)) - y0[yi]
+    bx0, _, bx1, _ = tile_bounds_meters(tx, 0, z, ts)
+    _, by0, _, by1 = tile_bounds_meters(0, ty, z, ts)
+    rx, rxs, wx, wxs = _axis_windows(bx0, bx1, ulx[xi], ps[xi], w[xi], ts)
+    ry, rys, wy, wys = _axis_windows(by1, by0, uly[yi], -ps[yi], h[yi], ts)
+    # the (image, row, column) cross, TMS row outer
+    cnt = nx * ny
+    img = np.repeat(np.arange(n), cnt)
+    j = np.arange(len(img)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    cx = x0[img] + j % nx[img]
+    cy = y0[img] + j // nx[img]
+    keep = ((rxs > 0) & (wxs > 0))[cx] & ((rys > 0) & (wys > 0))[cy]
+    cx, cy, img = cx[keep], cy[keep], img[keep]
+    return np.stack([img, tx[cx], tms_to_xyz_y(ty[cy], z), rx[cx], ry[cy],
+                     rxs[cx], rys[cy], wx[cx], wy[cy], wxs[cx], wys[cy]],
+                    axis=1)
 
 
-def fragment_checksum(window: np.ndarray, oh: int, ow: int, wy: int,
-                      wx: int) -> int:
-    """Prime-LUT checksum of a tile fragment: the RGB ``window`` resampled
-    (``average``, as :func:`cut_tiles` does by default) to ``oh``×``ow``
-    and placed at ``(wy, wx)`` of an otherwise-zero tile — the sum over
-    its first 3 bands of ``pixel % LUT``, masked to 16 bits.
+# _PRIME_MOD[m, v] = v % CHECKSUM_PRIMES[m]: the checksum's LUT as seen by
+# the compiled pass
+_PRIME_MOD = (np.arange(256) % CHECKSUM_PRIMES[:, None]).astype(np.uint8)
 
-    An upsampled window is nearest-resampled, so each source pixel lands
-    on whole destination rows and columns, and the checksum comes from the
-    source pixels alone: with ``R[y, a]`` the number of destination rows
-    of LUT class ``a`` that read source row ``y``, ``C[x, b]`` likewise for
-    columns and ``V[m] = Σ_band src % P[m]``, it is ``Σ_{a,b} (Rᵀ V[(a+b)
-    % 11] C)[a, b]`` — an exact integer sum, equal to the materialized
-    window's."""
-    window = window[:, :, :3]
-    h, w = window.shape[:2]
-    if oh > h or ow > w:
-        # resample_nearest's source index ⌊(r + ½)·h / oh⌋, in exact
-        # integers (the float form rounds to the same index)
-        R = np.bincount((_ODD[:oh] * h // (2 * oh)) * 11
-                        + _ROW_CLASS[wy:wy + oh], minlength=h * 11)
-        C = np.bincount((_ODD[:ow] * w // (2 * ow)) * 11
-                        + _COL_CLASS[wx:wx + ow], minlength=w * 11)
-        # Y[m, y, b] = Σ_{x, band} (src % P[m]) · C[x, b]
-        Y = np.take(_MOD, window.reshape(h, 3 * w), axis=1)\
-            .reshape(11 * h, 3 * w) @ np.repeat(C.reshape(w, 11), 3, axis=0)
-        # Σ_{m, y, b} Y[m, y, b] · R[y, (m - b) % 11]
-        total = np.einsum("myb,mby->", Y.reshape(11, h, 11),
-                          R.reshape(h, 11).T[_ROW_FOR])
-        return int(total) & 0xFFFF
-    if oh != h or ow != w:
-        window = resample_average(window, oh, ow)
-    return int(np.add.reduce(
-        np.mod(window.reshape(oh, 3 * ow),
-               _LUT3[wy:wy + oh, 3 * wx:3 * (wx + ow)]),
-        axis=None, dtype=np.uint32)) & 0xFFFF
+
+def fragment_sums(src: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """Prime-LUT checksum of each tile fragment that the :func:`plan_tiles`
+    rows ``plan`` cut from the uint8 RGB image ``src``: its window
+    resampled (``average``, as :func:`cut_tiles` does by default) to the
+    destination size and placed at the destination offset of an
+    otherwise-zero 256×256 tile — the sum over its first 3 bands of
+    ``pixel % LUT`` (the LUT of :func:`georay.stats.gdal_checksum`),
+    masked to 16 bits.
+
+    Upsampled (nearest) and 1:1 windows are summed straight from
+    ``src`` by one compiled pass (``_tilesum.c``) over all of them; a
+    downsampled window is first resampled by :func:`resample_average` and
+    then summed as a 1:1 fragment by the same pass."""
+    if src.dtype != np.uint8 or src.ndim != 3 or src.shape[2] < 3:
+        raise ValueError(f"fragment_sums needs uint8 h×w×3 pixels, got "
+                         f"{src.dtype} {src.shape}")
+    plan = np.ascontiguousarray(plan, dtype=np.int64)
+    if plan.ndim != 2 or plan.shape[1] != 11:
+        raise ValueError(f"fragment_sums needs plan_tiles rows, got shape "
+                         f"{plan.shape}")
+    out = np.empty(len(plan), dtype=np.int64)
+    _run_sums(np.ascontiguousarray(src), plan, out)
+    rxs, rys, wxs, wys = plan[:, 5], plan[:, 6], plan[:, 9], plan[:, 10]
+    down = (wys <= rys) & (wxs <= rxs) & ((wys < rys) | (wxs < rxs))
+    for k in np.flatnonzero(down):
+        _, _, _, rx, ry, sw, sh, wx, wy, ow, oh = plan[k].tolist()
+        small = resample_average(src[ry:ry + sh, rx:rx + sw, :3], oh, ow)
+        row = np.array([[0, 0, 0, 0, 0, ow, oh, wx, wy, ow, oh]], np.int64)
+        _run_sums(small, row, out[k:k + 1])
+    return out
+
+
+def _run_sums(src: np.ndarray, plan: np.ndarray, out: np.ndarray) -> None:
+    """One call of the compiled pass (``_tilesum.c``'s ``frag_sums``) over
+    C-contiguous ``src`` and ``plan``, writing ``out``."""
+    fn = compiled("_tilesum.c", "frag_sums",
+                  [ctypes.c_void_p] + [ctypes.c_int64] * 4
+                  + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                     ctypes.c_void_p], ctypes.c_int)
+    if fn(src.ctypes.data, src.shape[0], src.shape[1], src.strides[0],
+          src.strides[1], plan.ctypes.data, len(plan),
+          _PRIME_MOD.ctypes.data, out.ctypes.data):
+        raise ValueError("fragment_sums: a plan row's window leaves the "
+                         "image or the 256×256 tile")
 
 
 # ---------------------------------------------------------------------------
@@ -420,29 +457,25 @@ def cut_tiles(batch: pa.Table, *, zoom: int, tile_size: int = TILE_SIZE,
     (gdal2tiles.py:2126).
     """
     ts = tile_size
-    out_x, out_y, out_id, out_frag = [], [], [], []
-    ulx_arr = batch["ulx"].to_numpy()
-    uly_arr = batch["uly"].to_numpy()
-    ps_arr = batch["psize"].to_numpy()
+    plan = plan_tiles(batch["w"].to_numpy(), batch["h"].to_numpy(),
+                      batch["ulx"].to_numpy(), batch["uly"].to_numpy(),
+                      batch["psize"].to_numpy(), zoom, ts)
+    srcs = list(pixel_arrays(batch))
     ids = batch["image_id"].to_pylist()
-    for i, src in enumerate(pixel_arrays(batch)):
-        h, w = src.shape[:2]
-        for tx, ty, wx, wy, window, sh, sw in cut_windows(
-                src, w, h, float(ulx_arr[i]), float(uly_arr[i]),
-                float(ps_arr[i]), zoom, ts):
-            scaled = _scale_to(window, sh, sw, resampling)
-            frag = np.zeros((ts, ts, 4), dtype=np.uint8)
-            frag[wy:wy + sh, wx:wx + sw, :3] = scaled
-            frag[wy:wy + sh, wx:wx + sw, 3] = 255
-            out_x.append(tx)
-            out_y.append(ty)
-            out_id.append(ids[i])
-            out_frag.append(frag.tobytes())
+    out_frag = []
+    for i, _, _, rx, ry, rxs, rys, wx, wy, sw, sh in plan.tolist():
+        scaled = _scale_to(srcs[i][ry:ry + rys, rx:rx + rxs], sh, sw,
+                           resampling)
+        frag = np.zeros((ts, ts, 4), dtype=np.uint8)
+        frag[wy:wy + sh, wx:wx + sw, :3] = scaled
+        frag[wy:wy + sh, wx:wx + sw, 3] = 255
+        out_frag.append(frag.tobytes())
     return pa.table({
-        "z": pa.array(np.full(len(out_x), zoom, dtype=np.int64)),
-        "tile_x": pa.array(out_x, pa.int64()),
-        "tile_y": pa.array(out_y, pa.int64()),
-        "image_id": pa.array(out_id, pa.string()),
+        "z": pa.array(np.full(len(plan), zoom, dtype=np.int64)),
+        "tile_x": pa.array(plan[:, 1]),
+        "tile_y": pa.array(plan[:, 2]),
+        "image_id": pa.array([ids[i] for i in plan[:, 0].tolist()],
+                             pa.string()),
         "frag": pa.array(out_frag, pa.binary()),
     })
 

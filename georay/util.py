@@ -1,17 +1,20 @@
 """Small shared helpers: the per-worker stage cache, process tuning,
-vectorized string hashing, and the one file-commit protocol every writer
-uses (:func:`staged`, :func:`write_parts`, :func:`write_groups`)."""
+vectorized string hashing, the one loader of the package's C kernels
+(:func:`compiled`), and the one file-commit protocol every writer uses
+(:func:`staged`, :func:`write_parts`, :func:`write_groups`)."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import hashlib
 import os
 import uuid
 
 import numpy as np
 
 __all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings",
-           "staged", "write_parts", "write_groups", "list_parts"]
+           "compiled", "staged", "write_parts", "write_groups", "list_parts"]
 
 
 _HASH_P = np.uint64(1099511628211)  # FNV prime as the polynomial base
@@ -102,7 +105,6 @@ def tune_malloc(threshold: int = 1 << 30) -> None:
     os.environ.setdefault("MALLOC_MMAP_THRESHOLD_", str(threshold))
     os.environ.setdefault("MALLOC_TRIM_THRESHOLD_", str(threshold))
     try:
-        import ctypes
         libc = ctypes.CDLL("libc.so.6", use_errno=True)
         M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
         libc.mallopt(M_MMAP_THRESHOLD, threshold)
@@ -140,6 +142,52 @@ def worker_get(obj):
     if not isinstance(obj, ray.ObjectRef):
         return obj
     return worker_cached(obj.hex(), lambda: ray.get(obj))
+
+
+_LOADED: dict = {}
+
+
+def compiled(source: str, name: str, argtypes, restype):
+    """Function ``name`` of the C file ``georay/<source>``, loaded with
+    ctypes once per process.  The library is built with ``gcc -O2`` once
+    per source hash into the user cache directory, under an exclusive lock
+    on that directory, so concurrent workers build it once; a process that
+    finds it built needs no compiler.  There is no Python fallback."""
+    key = (source, name)
+    if key in _LOADED:
+        return _LOADED[key]
+    path = os.path.join(os.path.dirname(__file__), source)
+    with open(path, "rb") as f:
+        src = f.read()
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "georay")
+    stem = os.path.splitext(source)[0]
+    lib = os.path.join(
+        cache, f"{stem}-{hashlib.sha256(src).hexdigest()[:16]}.so")
+    if not os.path.exists(lib):
+        import fcntl
+        import shutil
+        import subprocess
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise RuntimeError(f"georay needs the C compiler gcc on PATH "
+                               f"to build georay/{source}")
+        os.makedirs(cache, exist_ok=True)
+        fd = os.open(cache, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if not os.path.exists(lib):
+                with staged(lib) as tmp:
+                    subprocess.run([gcc, "-O2", "-shared", "-fPIC", "-x", "c",
+                                    "-", "-o", tmp], input=src, check=True,
+                                   capture_output=True)
+        finally:
+            os.close(fd)
+    fn = getattr(ctypes.CDLL(lib), name)
+    fn.argtypes = argtypes
+    fn.restype = restype
+    _LOADED[key] = fn
+    return fn
 
 
 @contextlib.contextmanager

@@ -14,6 +14,8 @@ extensions with SQL-checkable semantics:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -170,6 +172,19 @@ def _range_extreme(vals: np.ndarray, s_i: np.ndarray, e_i: np.ndarray,
     return res
 
 
+def _cast_default(value, typ: pa.DataType) -> pa.Scalar:
+    """A LAG/LEAD default as a scalar of the column type, cast as DuckDB
+    casts it: a fractional number into an integer column rounds half
+    away from zero (0.5 → 1, -1.5 → -2), where ``pa.scalar`` truncates."""
+    if isinstance(value, float) and pa.types.is_integer(typ) \
+            and math.isfinite(value):
+        whole = math.trunc(value)
+        if abs(value - whole) >= 0.5:
+            whole += 1 if value > 0 else -1
+        value = whole
+    return pa.scalar(value, typ)
+
+
 def _window_pass(ds, part_cols, order_items, specs, num_partitions):
     if not part_cols:
         raise ValueError("window functions need PARTITION BY (a global "
@@ -314,7 +329,8 @@ def _window_pass(ds, part_cols, order_items, specs, num_partitions):
                     ok = src <= seg_end
                 col = out[s["arg"]].take(pa.array(np.clip(src, 0, n - 1)))
                 col = pa.compute.if_else(
-                    pa.array(ok), col, pa.scalar(s.get("default"), col.type))
+                    pa.array(ok), col, _cast_default(s.get("default"),
+                                                     col.type))
             elif f in ("first_value", "last_value"):
                 if not order_items:
                     raise ValueError(f"{f.upper()} needs ORDER BY in "

@@ -12,7 +12,12 @@ the ``gdalmanage rename`` command, whose job is the rename itself.
 The image table has one reader and its ``pixels`` column one owner:
 ``georay.pipelines`` reads through its work units, never through
 ``ray.data.read_parquet`` or ``read_lance``, and only ``georay.decode``
-unpacks ``pixels`` with ``np.frombuffer``."""
+unpacks ``pixels`` with ``np.frombuffer``.
+
+The package's C kernels have one loader, ``georay.util.compiled``: it is
+the only code that uses ``subprocess`` (to run the compiler) or loads a
+built library with ``ctypes.CDLL``; the one other ``CDLL`` call loads
+libc for ``util.tune_malloc``."""
 
 import ast
 import pathlib
@@ -118,3 +123,38 @@ def test_pipelines_read_images_through_work_units():
     calls = {_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     assert "_read_unit" in calls
     assert not calls & {"read_parquet", "read_lance"}
+
+
+def test_c_kernels_load_only_through_compiled():
+    """(module, function, what) of every ``subprocess`` import or use and
+    every ``ctypes.CDLL`` call; ``function`` is None at module level, and
+    a use in a nested function also names each enclosing function."""
+    def uses(node):
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "subprocess" for a in node.names):
+            return "subprocess"
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "subprocess":
+            return "subprocess"
+        if isinstance(node, ast.Name) and node.id == "subprocess":
+            return "subprocess"
+        if isinstance(node, ast.Call) and _name(node) == "CDLL":
+            arg = node.args[0] if node.args else None
+            return "CDLL " + (arg.value if isinstance(arg, ast.Constant)
+                              else "<built library>")
+        return None
+
+    found = set()
+    for fname, tree in _trees().items():
+        in_fn = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(fn):
+                    if uses(n):
+                        found.add((fname, fn.name, uses(n)))
+                        in_fn.add(id(n))
+        found |= {(fname, None, uses(n)) for n in ast.walk(tree)
+                  if uses(n) and id(n) not in in_fn}
+    assert found == {("util.py", "compiled", "subprocess"),
+                     ("util.py", "compiled", "CDLL <built library>"),
+                     ("util.py", "tune_malloc", "CDLL libc.so.6")}

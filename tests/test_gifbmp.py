@@ -1,6 +1,7 @@
 """GIF / BMP / PNM codecs (georay.gifbmp) — from-scratch spec pins and
 roundtrips (reference scope: frmts/gif via giflib, frmts/bmp, frmts/pnm)."""
 
+import signal
 import struct
 
 import numpy as np
@@ -183,3 +184,35 @@ def test_decode_image_dispatch():
         out = decode_image(encode_image(img, fmt), fmt)
         got = out[:, :, 0] if out.ndim == 3 else out
         np.testing.assert_array_equal(got, img)
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("a decode ran past its 5 s alarm")
+
+
+def _cuts_raise(decode, data: bytes, fmt: str) -> None:
+    """``decode`` of ``data`` cut at k/25 of its length (k = 1..24)
+    raises ``ValueError("truncated <fmt> at byte <cut>")``, each cut
+    under a 5 s alarm."""
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        for k in range(1, 25):
+            n = len(data) * k // 25
+            signal.alarm(5)
+            try:
+                with pytest.raises(ValueError,
+                                   match=f"^truncated {fmt} at byte {n}$"):
+                    decode(data[:n])
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_truncated_gif_raises():
+    """A 37×53 RGB GIF cut anywhere raises ValueError naming the byte it
+    ends at, never IndexError (a read past the end)."""
+    img = np.random.default_rng(0).integers(0, 256, (53, 37, 3), np.uint8)
+    data = gif_encode(img)
+    assert gif_decode(data).shape == (53, 37, 3)
+    _cuts_raise(gif_decode, data, "gif")

@@ -3,6 +3,7 @@ COG layout: roundtrips over dtype × compression × predictor, GeoKey
 recovery, the spec's own PackBits worked example, a hand-crafted
 big-endian file, and the IFDs-before-pixel-data COG property."""
 
+import signal
 import struct
 
 import numpy as np
@@ -208,3 +209,36 @@ def test_jpeg_in_tiff_rejects_bad_inputs():
     with pytest.raises(ValueError):
         tiff_encode(np.zeros((8, 8), np.uint8), compression="jpeg",
                     predictor=2)
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("a decode ran past its 5 s alarm")
+
+
+def _cuts_raise(decode, data: bytes, fmt: str) -> None:
+    """``decode`` of ``data`` cut at k/25 of its length (k = 1..24)
+    raises ``ValueError("truncated <fmt> at byte <cut>")``, each cut
+    under a 5 s alarm."""
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        for k in range(1, 25):
+            n = len(data) * k // 25
+            signal.alarm(5)
+            try:
+                with pytest.raises(ValueError,
+                                   match=f"^truncated {fmt} at byte {n}$"):
+                    decode(data[:n])
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_truncated_tiff_raises():
+    """A 37×53 RGB TIFF cut anywhere raises ValueError naming the byte it
+    ends at, never zlib.error (a cut strip) or struct.error (a cut
+    IFD)."""
+    img = np.random.default_rng(0).integers(0, 256, (53, 37, 3), np.uint8)
+    data = tiff_encode(img)
+    assert tiff_decode(data)[0].shape == (53, 37, 3)
+    _cuts_raise(tiff_decode, data, "tiff")

@@ -110,24 +110,190 @@ def test_fused_checksums_match_cuttiles_fragments(polygons, zoom):
 @settings(max_examples=300, deadline=None)
 @example(h=20, w=20, oh=256, ow=256, wy=0, wx=0, seed=0)
 @example(h=64, w=1, oh=65, ow=255, wy=191, wx=1, seed=1)
+@example(h=37, w=53, oh=37, ow=53, wy=219, wx=3, seed=2)
+@example(h=64, w=64, oh=25, ow=64, wy=0, wx=192, seed=3)
 @given(h=st.integers(1, 64), w=st.integers(1, 64), oh=st.integers(1, 256),
        ow=st.integers(1, 256), wy=st.integers(0, 255), wx=st.integers(0, 255),
        seed=st.integers(0, 2**32 - 1))
 def test_fragment_checksum_closed_form_matches_materialized(h, w, oh, ow, wy,
                                                              wx, seed):
-    """The closed-form checksum of an upsampled window (computed from its
-    source pixels) equals the checksum of the materialized
-    ``resample_nearest`` window against the prime LUT, for any window and
-    destination size and offset, integer or not (e.g. 20 → 256)."""
+    """The compiled fragment checksum (``tiles.fragment_sums``, summed
+    straight from the source window) equals the checksum of the
+    materialized ``resample_average`` fragment against the prime LUT, for
+    any window and destination size and offset: upsampled (nearest, e.g.
+    20 → 256), 1:1 and downsampled."""
     from georay.stats import CHECKSUM_PRIMES
-    from georay.tiles import fragment_checksum, resample_nearest
+    from georay.tiles import fragment_sums, resample_average
     oh, ow = min(oh, 256 - wy), min(ow, 256 - wx)
-    assume(oh > h or ow > w)
     win = np.random.default_rng(seed).integers(0, 256, (h, w, 3), np.uint8)
     lut = CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)
-    scaled = resample_nearest(win, oh, ow)
+    scaled = resample_average(win, oh, ow)
     want = int((scaled % lut[wy:wy + oh, wx:wx + ow, None]).sum()) & 0xFFFF
-    assert fragment_checksum(win, oh, ow, wy, wx) == want
+    plan = np.array([[0, 0, 0, 0, 0, w, h, wx, wy, ow, oh]])
+    assert fragment_sums(win, plan).tolist() == [want]
+
+
+def _plan_by_loop(w, h, ulx, uly, ps, z, ts=256):
+    """The reference planner: gdal2tiles' per-tile loop, one
+    ``tile_bounds_meters`` + ``geo_query`` per tile."""
+    from georay.mercator import (geo_query, tile_bounds_meters,
+                                 tile_range_for_extent, tms_to_xyz_y)
+    rows = []
+    for i in range(len(w)):
+        gt = (ulx[i], ps[i], 0.0, uly[i], 0.0, -ps[i])
+        tminx, tminy, tmaxx, tmaxy = tile_range_for_extent(
+            ulx[i], uly[i] - h[i] * ps[i], ulx[i] + w[i] * ps[i], uly[i],
+            z, ts)
+        for ty in range(tminy, tmaxy + 1):
+            for tx in range(tminx, tmaxx + 1):
+                b = tile_bounds_meters(tx, ty, z, ts)
+                (rx, ry, rxs, rys), (wx, wy, wxs, wys) = geo_query(
+                    gt, w[i], h[i], b[0], b[3], b[2], b[1], querysize=ts)
+                if min(rxs, rys, wxs, wys) > 0:
+                    rows.append([i, tx, int(tms_to_xyz_y(ty, z)), rx, ry,
+                                 rxs, rys, wx, wy, wxs, wys])
+    return rows
+
+
+@st.composite
+def _georef_images(draw):
+    """A zoom and 1-3 images: sizes from 1 px, pixel sizes from 1/8 to 8
+    zoom pixels (exactly 1 included), each edge either free or a whole
+    number of pixels off a tile edge (exactly on one included), and
+    positions up to past the world's edges."""
+    from georay.mercator import ORIGIN_SHIFT, resolution, tile_bounds_meters
+    z = draw(st.integers(0, 20))
+    res = float(resolution(z))
+    n = 1 << z
+    imgs = []
+    for _ in range(draw(st.integers(1, 3))):
+        w, h = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+        ps = res * draw(st.sampled_from([1.0, 0.5, 2.0, 0.125, 8.0])
+                        | st.floats(0.125, 8.0))
+        # keep the reference loop small: at most ~40 tiles per axis
+        assume(max(w, h) * ps <= 40 * 256 * res)
+        edges = []
+        for axis in (0, 1):
+            t = draw(st.integers(-2, n + 1))
+            edge = float(tile_bounds_meters(t, t, z)[3 * axis])
+            off = draw(st.integers(-3, 3))
+            free = draw(st.floats(-1.02 * ORIGIN_SHIFT, 1.02 * ORIGIN_SHIFT))
+            edges.append(draw(st.sampled_from([edge + off * ps, free])))
+        imgs.append((w, h, edges[0], edges[1], ps))
+    return z, imgs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_georef_images())
+def test_plan_tiles_matches_per_tile_geo_query(case):
+    """The batch planner gives gdal2tiles' per-tile loop row for row:
+    same tiles, order and windows, ``geo_query``'s ``+0.001``/``+0.5``
+    rounding, negative read offsets, over-raster clamps and zero-coverage
+    skips included, at zoom 0-20 and at the world's edges."""
+    from georay.tiles import plan_tiles
+    z, imgs = case
+    w, h, ulx, uly, ps = (list(c) for c in zip(*imgs))
+    got = plan_tiles(np.array(w, np.int32), np.array(h, np.int32),
+                     np.array(ulx), np.array(uly), np.array(ps), z)
+    assert got.dtype == np.int64 and got.shape[1] == 11
+    assert got.tolist() == _plan_by_loop(w, h, ulx, uly, ps, z)
+
+
+def test_fused_cut_follows_pixels_that_disagree_with_metadata(polygons):
+    """A row whose ``w``/``h`` columns disagree with its decoded pixels is
+    planned from the columns and cut as slicing the decoded image gives:
+    each window clipped to the pixels and an empty one dropped, so the
+    bounds-checked compiled pass never reads outside the image."""
+    from georay.decode import add_georef, decoded_rows
+    from georay.join import PolygonIndex
+    from georay.pipelines import FlagshipStage
+    from georay.stats import CHECKSUM_PRIMES
+    from georay.tiles import resample_average
+    t = fx.images_table(8)
+    w, h = t["w"].to_numpy().copy(), t["h"].to_numpy().copy()
+    w[1] += 40
+    h[1] += 40
+    h[3] += 300
+    w[5] = max(1, w[5] - 3)
+    for name, vals in (("w", w), ("h", h)):
+        t = t.set_column(t.schema.get_field_index(name), name,
+                         pa.array(vals, t.schema.field(name).type))
+    out = FlagshipStage(PolygonIndex.build(polygons), zoom=12, decode=True,
+                        cut=True)(t)
+    out = out.filter(out["frag_checksum"].is_valid())
+    got = {(r["image_id"], r["tile_x"], r["tile_y"]): r["frag_checksum"]
+           for r in out.to_pylist()}
+    g = add_georef(t)
+    lut = CHECKSUM_PRIMES[np.arange(256 * 256) % 11].reshape(256, 256)
+    want = {}
+    for i, (arr, _) in enumerate(decoded_rows(t)):
+        for _, tx, ty, rx, ry, rxs, rys, wx, wy, ow, oh in _plan_by_loop(
+                [int(w[i])], [int(h[i])], [g["ulx"][i].as_py()],
+                [g["uly"][i].as_py()], [g["psize"][i].as_py()], 12):
+            win = arr[ry:ry + rys, rx:rx + rxs]
+            if win.size:
+                frag = resample_average(win, oh, ow)
+                want[(g["image_id"][i].as_py(), tx, ty)] = int(
+                    (frag % lut[wy:wy + oh, wx:wx + ow, None]).sum()) \
+                    & 0xFFFF
+    assert got == want
+
+
+def _box_means_four_calls(integ, oh, ow):
+    """The fractional box means of ``resample_average`` and
+    ``resample_rms`` as they were: the bilinear integral-image sample
+    taken four times, once per shifted edge grid."""
+    h, w = integ.shape[0] - 1, integ.shape[1] - 1
+
+    def at(yy, xx):
+        yi = np.clip(np.floor(yy).astype(np.int64), 0, h - 1)
+        xi = np.clip(np.floor(xx).astype(np.int64), 0, w - 1)
+        fy = (yy - yi)[:, None, None]
+        fx = (xx - xi)[None, :, None]
+        return (integ[yi][:, xi] * (1 - fy) * (1 - fx)
+                + integ[yi][:, xi + 1] * (1 - fy) * fx
+                + integ[yi + 1][:, xi] * fy * (1 - fx)
+                + integ[yi + 1][:, xi + 1] * fy * fx)
+
+    ye = np.linspace(0, h, oh + 1)
+    xe = np.linspace(0, w, ow + 1)
+    sums = (at(ye[1:], xe[1:]) - at(ye[:-1], xe[1:])
+            - at(ye[1:], xe[:-1]) + at(ye[:-1], xe[:-1]))
+    area = ((ye[1:] - ye[:-1])[:, None]
+            * (xe[1:] - xe[:-1])[None, :])[:, :, None]
+    return sums / area
+
+
+@settings(max_examples=300, deadline=None)
+@example(h=256, w=256, oh=100, ow=37, bands=3, seed=0)
+@given(h=st.integers(1, 96), w=st.integers(1, 96), oh=st.integers(1, 96),
+       ow=st.integers(1, 96), bands=st.sampled_from([0, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_resample_average_matches_four_corner_form(h, w, oh, ow, bands,
+                                                   seed):
+    """``resample_average`` and ``resample_rms`` sample the integral image
+    once on the full edge grid; their outputs are bit-identical to the
+    four-call form, on gray, 1-band and RGB sources and any fractional
+    downsampling."""
+    from georay.tiles import resample_average, resample_rms
+    oh, ow = min(oh, h), min(ow, w)
+    assume(h % oh or w % ow)
+    shape = (h, w) if bands == 0 else (h, w, bands)
+    src = np.random.default_rng(seed).integers(0, 256, shape, np.uint8)
+    a = src if src.ndim == 3 else src[:, :, None]
+    # resample_average's integral image is int32 at these sizes
+    integ = np.zeros((h + 1, w + 1, a.shape[2]), np.int32)
+    integ[1:, 1:] = a.cumsum(axis=0, dtype=np.int32).cumsum(axis=1)
+    sq = a.astype(np.float64) ** 2
+    integ_sq = np.zeros((h + 1, w + 1, a.shape[2]))
+    integ_sq[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
+    for got, means in (
+            (resample_average(src, oh, ow),
+             _box_means_four_calls(integ, oh, ow)),
+            (resample_rms(src, oh, ow),
+             np.sqrt(_box_means_four_calls(integ_sq, oh, ow)))):
+        want = np.clip(np.rint(means), 0, 255).astype(np.uint8)
+        assert np.array_equal(got, want if src.ndim == 3 else want[:, :, 0])
 
 
 def test_decode_images_names_the_bad_row(polygons):

@@ -271,7 +271,10 @@ def test_sql_lag_lead_keep_type_and_nulls(ray_session):
     """LAG/LEAD over an int64 column holding NULLs stay int64: a NULL
     source row and a row past the partition edge both give NULL, and a
     default fills only the edge, row for row as DuckDB gives them.  The
-    result type is the type the planner carries (``_window_type``)."""
+    result type is the type the planner carries (``_window_type``).  A
+    fractional default is cast as DuckDB casts it, rounding half away
+    from zero (0.5 → 1, 2.5 → 3, -1.5 → -2), and the column stays
+    int64."""
     import duckdb
     import ray
     from georay.sql import execute_sql
@@ -280,21 +283,27 @@ def test_sql_lag_lead_keep_type_and_nulls(ray_session):
                   "o": pa.array([1, 2, 3, 1, 2, 3], pa.int64()),
                   "x": pa.array([1, None, 3, 4, None, 6], pa.int64())})
     sql = ("SELECT g, o, LAG(x) OVER (PARTITION BY g ORDER BY o) AS lg, "
-           "LEAD(x, 1, -1) OVER (PARTITION BY g ORDER BY o) AS ld "
+           "LEAD(x, 1, -1) OVER (PARTITION BY g ORDER BY o) AS ld, "
+           "LAG(x, 1, 0.5) OVER (PARTITION BY g ORDER BY o) AS lh, "
+           "LEAD(x, 1, 2.5) OVER (PARTITION BY g ORDER BY o) AS lf, "
+           "LAG(x, 2, -1.5) OVER (PARTITION BY g ORDER BY o) AS ln "
            "FROM t")
     got = pa.concat_tables(ray.get(execute_sql(
         sql, {"t": ray.data.from_arrow(t)}).to_arrow_refs()))
     carried = _window_type({"func": "lag", "arg": "x"}, t.schema)
     assert carried == pa.int64()
-    assert got.schema.field("lg").type == carried
-    assert got.schema.field("ld").type == carried
     con = duckdb.connect()
     con.register("t", t)
     want = con.execute(sql + " ORDER BY g, o").arrow()
     got = got.sort_by([("g", "ascending"), ("o", "ascending")])
-    for c in ("lg", "ld"):
+    for c in ("lg", "ld", "lh", "lf", "ln"):
+        assert got.schema.field(c).type == carried, c
+        assert want.schema.field(c).type == pa.int64(), c
         assert got[c].to_pylist() == want[c].to_pylist(), c
     assert got["lg"].to_pylist() == [None, 1, None, None, 4, None]
+    assert got["lh"].to_pylist() == [1, 1, None, 1, 4, None]
+    assert got["lf"].to_pylist()[2::3] == [3, 3]
+    assert got["ln"].to_pylist()[:2] == [-2, -2]
 
 
 SUBQ_CASES = [
