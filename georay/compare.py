@@ -135,7 +135,7 @@ def info_images(ds) -> pa.Table:
 def info_vector(ds, wkb_col: str = "wkb"):
     """ogrinfo -so over a WKB table: geometry-type census + layer
     extent (small driver-side result)."""
-    from .geom import wkb_envelope
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
 
     def prep(batch: pa.Table) -> pa.Table:
         types, minx, miny, maxx, maxy = [], [], [], [], []
@@ -146,18 +146,10 @@ def info_vector(ds, wkb_col: str = "wkb"):
                 minx.append(None); miny.append(None)
                 maxx.append(None); maxy.append(None)
                 continue
-            code = int.from_bytes(w[1:5], "little") % 1000
-            types.append({1: "POINT", 2: "LINESTRING", 3: "POLYGON",
-                          4: "MULTIPOINT", 5: "MULTILINESTRING",
-                          6: "MULTIPOLYGON",
-                          7: "GEOMETRYCOLLECTION"}.get(code, str(code)))
-            try:
-                e = wkb_envelope(w)
-                minx.append(e[0]); miny.append(e[1])
-                maxx.append(e[2]); maxy.append(e[3])
-            except Exception:
-                minx.append(None); miny.append(None)
-                maxx.append(None); maxy.append(None)
+            types.append(WKB_TYPE_NAMES[wkb_type(w)[0]].upper())
+            e = [None if v != v else v for v in wkb_envelope(w)]
+            minx.append(e[0]); miny.append(e[1])
+            maxx.append(e[2]); maxy.append(e[3])
         return pa.table({"geom_type": pa.array(types, pa.string()),
                          "minx": pa.array(minx, pa.float64()),
                          "miny": pa.array(miny, pa.float64()),

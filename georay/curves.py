@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .geom import _wkb_header
+from .geom import read_wkb
 
 __all__ = [
     "arc_center", "linearize_arc", "arc_length",
@@ -112,33 +112,28 @@ def arc_length(p0, p1, p2) -> float:
 
 # ----------------------------------------------------------------- parse
 
-def _read_points(buf, off, dims):
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    arr = np.frombuffer(buf, dtype="<f8", count=n * dims, offset=off)
-    return arr.reshape(n, dims)[:, :2].astype(np.float64), off + n * 8 * dims
-
-
-def _parse_curve(buf, off=0):
-    """One curve geometry at ``off`` → (('line'|'arcs'|'compound', data),
-    next offset).  'line' data = (n,2) vertices; 'arcs' data = (n,2)
-    control points (odd n, triples chained); 'compound' = list of either."""
-    t, dims, off = _wkb_header(buf, off)
+def _curve(node):
+    """One curve node → ('line'|'arcs'|'compound', data): 'line' data =
+    (n,2) vertices; 'arcs' data = (n,2) control points (odd n, triples
+    chained); 'compound' = list of either."""
+    t, _, data = node
     if t == _LINESTRING:
-        pts, off = _read_points(buf, off, dims)
-        return ("line", pts), off
+        return "line", data[:, :2].astype(np.float64)
     if t == _CIRCULARSTRING:
-        pts, off = _read_points(buf, off, dims)
-        return ("arcs", pts), off
+        return "arcs", data[:, :2].astype(np.float64)
     if t == _COMPOUNDCURVE:
-        (n,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        segs = []
-        for _ in range(n):
-            seg, off = _parse_curve(buf, off)
-            segs.append(seg)
-        return ("compound", segs), off
+        return "compound", [_curve(seg) for seg in data]
     raise ValueError(f"not a curve WKB type: {t}")
+
+
+def _surface(node):
+    """One Polygon / Triangle / CurvePolygon node → list of curve rings."""
+    t, _, data = node
+    if t in (_POLYGON, _TRIANGLE):
+        return [("line", r[:, :2].astype(np.float64)) for r in data]
+    if t == _CURVEPOLYGON:
+        return [_curve(ring) for ring in data]
+    raise ValueError(f"bad member type {t} in multisurface")
 
 
 def parse_curve_wkb(buf: bytes):
@@ -147,55 +142,20 @@ def parse_curve_wkb(buf: bytes):
     * ``("lines", [curve, ...])`` for LineString / CircularString /
       CompoundCurve / MultiLineString / MultiCurve
     * ``("polygons", [[curve-ring, ...], ...])`` for Polygon /
-      CurvePolygon / MultiPolygon / MultiSurface
+      CurvePolygon / Triangle / MultiPolygon / MultiSurface /
+      PolyhedralSurface / TIN
 
     where each *curve* is the ('line'|'arcs'|'compound', data) form."""
-    buf = memoryview(bytes(buf))
-    t, dims, off = _wkb_header(buf)
+    node = read_wkb(buf)
+    t, _, data = node
     if t in (_LINESTRING, _CIRCULARSTRING, _COMPOUNDCURVE):
-        c, _ = _parse_curve(buf, 0)
-        return "lines", [c]
+        return "lines", [_curve(node)]
     if t in (_MULTILINESTRING, _MULTICURVE):
-        (n,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        out = []
-        for _ in range(n):
-            c, off = _parse_curve(buf, off)
-            out.append(c)
-        return "lines", out
-    if t == _TRIANGLE:
-        t = _POLYGON
-    if t in (_POLYGON, _CURVEPOLYGON, _MULTIPOLYGON, _MULTISURFACE,
-             _POLYHEDRALSURFACE, _TIN):
-        polys = []
-
-        def parse_poly(t_poly, dims_poly, off):
-            (nr,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            rings = []
-            for _ in range(nr):
-                if t_poly == _POLYGON:
-                    pts, off = _read_points(buf, off, dims_poly)
-                    rings.append(("line", pts))
-                else:                      # CurvePolygon: full curve rings
-                    c, off = _parse_curve(buf, off)
-                    rings.append(c)
-            return rings, off
-
-        if t in (_POLYGON, _CURVEPOLYGON):
-            rings, _ = parse_poly(t, dims, off)
-            return "polygons", [rings]
-        (n,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        for _ in range(n):
-            st, sdims, off = _wkb_header(buf, off)
-            if st not in (_POLYGON, _CURVEPOLYGON, _TRIANGLE):
-                raise ValueError(f"bad member type {st} in multisurface")
-            if st == _TRIANGLE:            # triangles parse as polygons
-                st = _POLYGON
-            rings, off = parse_poly(st, sdims, off)
-            polys.append(rings)
-        return "polygons", polys
+        return "lines", [_curve(c) for c in data]
+    if t in (_POLYGON, _CURVEPOLYGON, _TRIANGLE):
+        return "polygons", [_surface(node)]
+    if t in (_MULTIPOLYGON, _MULTISURFACE, _POLYHEDRALSURFACE, _TIN):
+        return "polygons", [_surface(m) for m in data]
     raise ValueError(f"unsupported curve WKB type {t}")
 
 

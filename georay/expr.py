@@ -682,9 +682,9 @@ def _fn_st_intersects_bbox(args, batch):
     y1 = _np_col(args[4], batch)
     out = np.zeros(batch.num_rows, bool)
     for i, w in enumerate(col.to_pylist()):
-        if w is None or len(w) < 5:
+        if w is None:
             continue
-        ex0, ey0, ex1, ey1 = wkb_envelope(bytes(w))
+        ex0, ey0, ex1, ey1 = wkb_envelope(w)
         out[i] = (ex0 <= x1[i] and ex1 >= x0[i]
                   and ey0 <= y1[i] and ey1 >= y0[i])
     return pa.array(out)

@@ -33,6 +33,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .geom import read_wkb, wkb_envelope
+
 __all__ = [
     "write_fgb", "read_fgb", "read_fgb_header", "fgb_bbox_offsets",
     "hilbert_flatbush", "write_fgb_partitioned", "read_fgb_dataset",
@@ -398,64 +400,36 @@ def _search_index(data: memoryview, idx_pos: int, num_items: int,
 # WKB ↔ fgb Geometry
 # ---------------------------------------------------------------------------
 
-def _parse_wkb(wkb: bytes):
-    """2-D WKB → (geom_type, xy, ends, parts) in fgb conventions —
+def _fgb_geometry(wkb: bytes):
+    """WKB → (geom_type, xy, ends, parts) in fgb conventions (XY only) —
     ends are cumulative POINT counts; single-ring polygons omit ends;
     MultiPolygon → list of per-polygon (xy, ends) parts."""
-    le = wkb[0] == 1
-    bo = "<" if le else ">"
-    gt = struct.unpack_from(bo + "I", wkb, 1)[0] & 0xFF
+    t, _, data = read_wkb(wkb)
+    if t in (4, 5, 6) and any(m[0] != t - 3 for m in data):
+        raise ValueError(f"bad member type in WKB geometry type {t}")
 
-    def ring_block(pos, n_rings):
-        xs, ends, e = [], [], 0
-        for _ in range(n_rings):
-            npt = struct.unpack_from(bo + "I", wkb, pos)[0]
-            pos += 4
-            xs.append(np.frombuffer(wkb, dtype=bo + "f8", count=2 * npt,
-                                    offset=pos))
-            pos += 16 * npt
-            e += npt
-            ends.append(e)
-        return np.concatenate(xs) if xs else np.empty(0), ends, pos
+    def flat(runs):
+        xy = [r[:, :2].astype("<f8").ravel() for r in runs]
+        ends = np.cumsum([len(r) for r in runs]).tolist()
+        return (np.concatenate(xy) if xy else np.empty(0)), ends
 
-    if gt == 1:
-        return GT_POINT, np.frombuffer(wkb, bo + "f8", 2, 5), [], None
-    if gt == 2:
-        npt = struct.unpack_from(bo + "I", wkb, 5)[0]
-        return (GT_LINESTRING,
-                np.frombuffer(wkb, bo + "f8", 2 * npt, 9), [], None)
-    if gt == 3:
-        nr = struct.unpack_from(bo + "I", wkb, 5)[0]
-        xy, ends, _ = ring_block(9, nr)
-        return GT_POLYGON, xy, (ends if nr > 1 else []), None
-    if gt == 4:
-        n = struct.unpack_from(bo + "I", wkb, 5)[0]
-        pos, xs = 9, []
-        for _ in range(n):
-            xs.append(np.frombuffer(wkb, bo + "f8", 2, pos + 5))
-            pos += 21
-        return (GT_MULTIPOINT,
-                np.concatenate(xs) if xs else np.empty(0), [], None)
-    if gt == 5:
-        n = struct.unpack_from(bo + "I", wkb, 5)[0]
-        pos, xs, ends, e = 9, [], [], 0
-        for _ in range(n):
-            npt = struct.unpack_from(bo + "I", wkb, pos + 5)[0]
-            xs.append(np.frombuffer(wkb, bo + "f8", 2 * npt, pos + 9))
-            pos += 9 + 16 * npt
-            e += npt
-            ends.append(e)
-        return (GT_MULTILINESTRING,
-                np.concatenate(xs) if xs else np.empty(0), ends, None)
-    if gt == 6:
-        n = struct.unpack_from(bo + "I", wkb, 5)[0]
-        pos, parts = 9, []
-        for _ in range(n):
-            nr = struct.unpack_from(bo + "I", wkb, pos + 5)[0]
-            xy, ends, pos = ring_block(pos + 9, nr)
-            parts.append((xy, ends if nr > 1 else []))
+    if t in (1, 2):                     # GT_POINT / GT_LINESTRING
+        return t, flat([data])[0], [], None
+    if t == 3:
+        xy, ends = flat(data)
+        return GT_POLYGON, xy, (ends if len(data) > 1 else []), None
+    if t == 4:
+        return GT_MULTIPOINT, flat([m[2] for m in data])[0], [], None
+    if t == 5:
+        xy, ends = flat([m[2] for m in data])
+        return GT_MULTILINESTRING, xy, ends, None
+    if t == 6:
+        parts = []
+        for m in data:
+            xy, ends = flat(m[2])
+            parts.append((xy, ends if len(m[2]) > 1 else []))
         return GT_MULTIPOLYGON, None, [], parts
-    raise ValueError(f"unsupported WKB geometry type {gt}")
+    raise ValueError(f"unsupported WKB geometry type {t}")
 
 
 def _wkb_from_geometry(geom: FBTable, geom_type: int) -> bytes:
@@ -592,16 +566,6 @@ def _decode_props(blob: bytes, col_specs):
 # Write
 # ---------------------------------------------------------------------------
 
-def _wkb_bbox(wkb: bytes) -> tuple:
-    gt, xy, _, parts = _parse_wkb(wkb)
-    if parts is not None:
-        xy = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-    if xy is None or len(xy) == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    xs, ys = xy[0::2], xy[1::2]
-    return (xs.min(), ys.min(), xs.max(), ys.max())
-
-
 def write_fgb(table: pa.Table, geom_col: str = "wkb", *, name: str = "layer",
               geometry_type: int | None = None, node_size: int = 16,
               crs_code: int = 4326, write_index: bool = True) -> bytes:
@@ -625,10 +589,11 @@ def write_fgb(table: pa.Table, geom_col: str = "wkb", *, name: str = "layer",
     bbox = np.zeros((n, 4), dtype=np.float64)
     parsed = []
     for i, w in enumerate(wkbs):
-        g = _parse_wkb(w)
+        g = _fgb_geometry(w)
         parsed.append(g)
         gts.add(g[0])
-        bbox[i] = _wkb_bbox(w)
+        bbox[i] = wkb_envelope(w)
+    bbox[np.isnan(bbox)] = 0.0          # empty geometries index at 0
     if geometry_type is None:
         geometry_type = gts.pop() if len(gts) == 1 else GT_UNKNOWN
 
@@ -775,8 +740,6 @@ def read_fgb(data, *, bbox=None, geom_col: str = "wkb") -> pa.Table:
         out[cname] = pa.array(attr_vals[i], _CT_TO_ARROW[ct])
     t = pa.table(out)
     if bbox is not None and not idx_len:
-        from .geom import wkb_envelope
-
         qx0, qy0, qx1, qy1 = (float(v) for v in bbox)
         keep = []
         for w in wkbs:

@@ -640,20 +640,14 @@ def geodesic_areas_wkb(wkb_list, geod: Geodesic = WGS84,
                        max_seg: float = 20_000.0) -> np.ndarray:
     """|outer| - sum|holes| geodesic area (m^2) per polygon/multipolygon
     feature, the OGR_G_GeodesicArea analog (ogr/ogr_api.cpp:1750)."""
-    import struct as _struct
-
-    from .geom import _wkb_type_dims
+    from .geom import wkb_type
 
     out = np.zeros(len(wkb_list))
     poly_idx = []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        bb = bytes(b)
-        if len(bb) < 5:
-            continue
-        (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
-        base, _ = _wkb_type_dims(raw)
+        base, _ = wkb_type(b)
         if base in (3, 6):
             poly_idx.append(i)
     if not poly_idx:
@@ -719,10 +713,8 @@ def geodesic_lengths_wkb(wkb_list, geod: Geodesic = WGS84) -> np.ndarray:
     geodesics; polygons sum every ring's perimeter (OGR_G_GeodesicLength,
     ogr/ogr_api.cpp:1666; surfaces per ogr/ogrcurvepolygon.cpp).  All
     features' edges are solved in ONE vectorized inverse() call."""
-    import struct as _struct
-
     from .curves import _linearize_curve, parse_curve_wkb
-    from .geom import _wkb_type_dims
+    from .geom import wkb_type
 
     lat1s, lon1s, lat2s, lon2s, feat = [], [], [], [], []
 
@@ -738,10 +730,7 @@ def geodesic_lengths_wkb(wkb_list, geod: Geodesic = WGS84) -> np.ndarray:
         if b is None:
             continue
         bb = bytes(b)
-        if len(bb) < 5:
-            continue
-        (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
-        base, _ = _wkb_type_dims(raw)
+        base, _ = wkb_type(bb)
         if base in (3, 6):                      # polygon family: rings
             coords, rs, _rf, _rh, _ = _packed([bb])
             for r in range(len(rs) - 1):

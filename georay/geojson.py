@@ -2,8 +2,9 @@
 re-expressed for the engine's WKB-column table model.
 
 * ``geometry_to_wkb`` / ``wkb_to_geometry``: GeoJSON geometry object ⇄
-  little-endian WKB (Point/LineString/Polygon/Multi*/GeometryCollection;
-  extra ordinates dropped to 2-D like the rest of the engine).
+  WKB (Point/LineString/Polygon/Multi*/GeometryCollection; read through
+  ``geom.read_wkb``, written little-endian; extra ordinates dropped to
+  2-D like the rest of the engine).
 * ``feature_collection_to_table``: FeatureCollection → Arrow table with a
   ``wkb`` binary column + one column per property (union of keys, nulls
   where absent) — OGR's field-schema unification.
@@ -21,6 +22,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .geom import read_wkb
 from .util import list_parts, write_parts
 
 __all__ = [
@@ -82,45 +84,26 @@ def geometry_to_wkb(geom: dict) -> bytes:
     return struct.pack("<BII", 1, t, len(parts)) + b"".join(parts)
 
 
-def _read_pts(buf, off, n):
-    a = np.frombuffer(buf, dtype="<f8", count=2 * n, offset=off)
-    return a.reshape(n, 2), off + 16 * n
-
-
-def _wkb_geom(buf: memoryview, off: int):
-    from .geom import _wkb_header
-    t, dims, off = _wkb_header(buf, off)
+def _geometry(node) -> dict:
+    t, _, data = node
     if t == 1:
-        x, y = struct.unpack_from("<dd", buf, off)
-        return {"type": "Point", "coordinates": [x, y]}, off + 16
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if t == 2 or t == 8:
-        p, off = _read_pts(buf, off, n)
-        return {"type": "LineString", "coordinates": p.tolist()}, off
+        return {"type": "Point", "coordinates": data[0, :2].tolist()}
+    if t in (2, 8):
+        return {"type": "LineString", "coordinates": data[:, :2].tolist()}
     if t == 3:
-        rings = []
-        for _ in range(n):
-            (m,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            p, off = _read_pts(buf, off, m)
-            rings.append(p.tolist())
-        return {"type": "Polygon", "coordinates": rings}, off
-    if t in (4, 5, 6, 7):
-        members = []
-        for _ in range(n):
-            g, off = _wkb_geom(buf, off)
-            members.append(g)
-        if t == 7:
-            return {"type": "GeometryCollection", "geometries": members}, off
-        return {"type": _GJ_NAMES[t],
-                "coordinates": [m["coordinates"] for m in members]}, off
-    raise ValueError(f"unsupported WKB type {t}")
+        return {"type": "Polygon",
+                "coordinates": [r[:, :2].tolist() for r in data]}
+    if t not in _GJ_NAMES:
+        raise ValueError(f"unsupported WKB type {t}")
+    members = [_geometry(m) for m in data]
+    if t == 7:
+        return {"type": "GeometryCollection", "geometries": members}
+    return {"type": _GJ_NAMES[t],
+            "coordinates": [m["coordinates"] for m in members]}
 
 
 def wkb_to_geometry(buf: bytes) -> dict:
-    g, _ = _wkb_geom(memoryview(bytes(buf)), 0)
-    return g
+    return _geometry(read_wkb(buf))
 
 
 def feature_collection_to_table(fc: dict) -> pa.Table:

@@ -3,10 +3,18 @@ envelopes, haversine distance.
 
 The data model follows OGR's Arrow bridge: geometry travels as a WKB
 ``binary`` column tagged ``ogc.wkb`` (reference: ogr/ogrsf_frmts/generic/
-ogrlayerarrow.cpp:682, 2562).  WKB parse/encode here covers the subset the
-engine materializes (Point, Polygon, MultiPolygon, little-endian, 2-D) —
-the same subset GDAL's layer-algebra join actually exercises for PIP joins
-(ogr/ogrsf_frmts/generic/ogrlayer.cpp:2633-2850).
+ogrlayerarrow.cpp:682, 2562).
+
+This module holds the engine's one WKB reader, :func:`read_wkb` (the
+role of ``OGRGeometryFactory::createFromWkb``, which every OGR driver
+calls): both byte orders, ISO and EWKB Z/M/ZM, every OGC type 1-17, and
+zero-copy coordinate views, with every count and length checked against
+the buffer.  Every module that reads WKB — the GeoJSON, WKT, FlatGeobuf
+and curve converters, measures, geodesics, GeoParquet metadata and
+ogrinfo — goes through it or through the views built on it here
+(:func:`parse_wkb`, :func:`parse_wkb_multi`, :func:`wkb_envelope`,
+:func:`wkb_type`, :func:`transform_wkb`).  The encoders (``wkb_point``,
+``wkb_polygon``, ``wkb_multipolygon``) write little-endian 2-D.
 
 Point-in-polygon uses the even-odd (ray casting) rule so holes "just work"
 when all rings contribute edges — matching GEOS ``Intersects`` semantics for
@@ -29,7 +37,11 @@ __all__ = [
     "wkb_multipolygon",
     "parse_wkb",
     "parse_wkb_multi",
+    "read_wkb",
+    "wkb_type",
+    "WKB_TYPE_NAMES",
     "wkb_envelope",
+    "transform_wkb",
     "PackedPolygons",
     "haversine_m",
     "box_ring",
@@ -74,20 +86,17 @@ def wkb_multipolygon(polys) -> bytes:
     return b"".join(out)
 
 
-def _parse_rings(buf: memoryview, off: int, dims: int = 2):
-    """Ring list at ``off``; ``dims`` = coords per vertex (2 / 3 Z or M /
-    4 ZM).  Output rings are always (n, 2) XY — extra dims are dropped
-    (OGR's flatten/forceTo-2D convention for the PIP/overlay paths)."""
-    (n_rings,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    rings = []
-    for _ in range(n_rings):
-        (n_pts,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        arr = np.frombuffer(buf, dtype="<f8", count=n_pts * dims, offset=off)
-        rings.append(arr.reshape(n_pts, dims)[:, :2].astype(np.float64))
-        off += n_pts * 8 * dims
-    return rings, off
+# OGC geometry type names by base WKB type (ogr/ogr_core.h:409-519)
+WKB_TYPE_NAMES = {1: "Point", 2: "LineString", 3: "Polygon",
+                  4: "MultiPoint", 5: "MultiLineString", 6: "MultiPolygon",
+                  7: "GeometryCollection", 8: "CircularString",
+                  9: "CompoundCurve", 10: "CurvePolygon", 11: "MultiCurve",
+                  12: "MultiSurface", 13: "Curve", 14: "Surface",
+                  15: "PolyhedralSurface", 16: "TIN", 17: "Triangle"}
+
+_WKB_MAX_DEPTH = 32   # OGR's limit (ogrgeometrycollection.cpp importFromWkb)
+_U32 = (struct.Struct(">I").unpack_from, struct.Struct("<I").unpack_from)
+_F8 = (np.dtype(">f8"), np.dtype("<f8"))   # indexed by the byte-order flag
 
 
 def _wkb_type_dims(raw_type: int):
@@ -102,7 +111,7 @@ def _wkb_type_dims(raw_type: int):
     if t & 0x40000000:
         dims += 1
         t &= ~0x40000000
-    t &= ~0x20000000          # EWKB SRID flag (SRID handled by caller)
+    t &= ~0x20000000          # EWKB SRID flag (skipped by _wkb_header)
     if 1000 <= t < 2000:
         dims = 3
         t -= 1000
@@ -115,16 +124,118 @@ def _wkb_type_dims(raw_type: int):
     return t, dims
 
 
-def _wkb_header(buf: memoryview, off: int = 0):
-    """Parse one geometry header → (base_type, dims, payload offset)."""
-    byte_order, raw_type = struct.unpack_from("<BI", buf, off)
-    if byte_order != 1:
-        raise ValueError("only little-endian WKB supported")
-    t, dims = _wkb_type_dims(raw_type)
-    off += 5
-    if raw_type & 0x20000000:   # EWKB embedded SRID
-        off += 4
-    return t, dims, off
+def _wkb_truncated(buf) -> ValueError:
+    return ValueError(f"truncated wkb at byte {len(buf)}")
+
+
+def _wkb_header(buf, off: int):
+    """Geometry header at ``off`` → (base_type, dims, byte order,
+    payload offset); an EWKB SRID is skipped."""
+    if off + 5 > len(buf):
+        raise _wkb_truncated(buf)
+    order = buf[off]
+    if order > 1:
+        raise ValueError(f"bad wkb byte order {order} at byte {off}")
+    (raw,) = _U32[order](buf, off + 1)
+    base, dims = (raw, 2) if raw < 18 else _wkb_type_dims(raw)
+    if base not in WKB_TYPE_NAMES:
+        raise ValueError(f"unsupported WKB geometry type {base}")
+    return base, dims, order, off + (9 if raw & 0x20000000 else 5)
+
+
+def _wkb_walk(buf, off: int, depth: int):
+    """The one WKB walker: the geometry at ``off`` → ((base, dims, data),
+    offset past it).  ``data`` follows the type's shape: a Point is a
+    (1, dims) coordinate view; LineString and CircularString an (n, dims)
+    view; Polygon and Triangle a list of ring views; every other type a
+    list of member nodes.  Views are zero-copy over ``buf`` (writable
+    when it is a bytearray).  A count or length that runs past the end
+    raises ``ValueError("truncated wkb at byte N")``; a collection
+    nested ``_WKB_MAX_DEPTH`` deep raises ``ValueError`` too, so hostile
+    input cannot exhaust the Python stack."""
+    base, dims, order, off = _wkb_header(buf, off)
+    size = len(buf)
+    step = 8 * dims
+    if base == 1:
+        if off + step > size:
+            raise _wkb_truncated(buf)
+        data = np.frombuffer(buf, _F8[order], dims, off).reshape(1, dims)
+        return (base, dims, data), off + step
+    if off + 4 > size:
+        raise _wkb_truncated(buf)
+    u32 = _U32[order]
+    (n,) = u32(buf, off)
+    off += 4
+    if base in (2, 8):
+        if off + step * n > size:
+            raise _wkb_truncated(buf)
+        data = np.frombuffer(buf, _F8[order], dims * n, off).reshape(n, dims)
+        return (base, dims, data), off + step * n
+    data = []
+    if base in (3, 17):
+        for _ in range(n):
+            if off + 4 > size:
+                raise _wkb_truncated(buf)
+            (m,) = u32(buf, off)
+            end = off + 4 + step * m
+            if end > size:
+                raise _wkb_truncated(buf)
+            data.append(np.frombuffer(buf, _F8[order], dims * m,
+                                      off + 4).reshape(m, dims))
+            off = end
+        return (base, dims, data), off
+    if depth == _WKB_MAX_DEPTH:
+        raise ValueError(f"wkb nested deeper than {_WKB_MAX_DEPTH} "
+                         f"collections at byte {off}")
+    for _ in range(n):
+        part, off = _wkb_walk(buf, off, depth + 1)
+        data.append(part)
+    return (base, dims, data), off
+
+
+def read_wkb(buf):
+    """Read one WKB geometry of any OGC type 1-17, in either byte order,
+    2-D or ISO/EWKB Z, M and ZM (an EWKB SRID is skipped), into the
+    ``(base_type, dims, data)`` tree of :func:`_wkb_walk`.  Coordinates
+    keep all ``dims`` ordinates; readers that model XY slice
+    ``[:, :2]``."""
+    if not isinstance(buf, (bytes, bytearray)):
+        buf = bytes(buf)
+    return _wkb_walk(buf, 0, 0)[0]
+
+
+def wkb_type(buf):
+    """(base_type, dims) of a WKB geometry, after a full bounds-checked
+    read (a cut blob raises like any other reader)."""
+    base, dims, _ = read_wkb(buf)
+    return base, dims
+
+
+def _coord_views(node):
+    """Every coordinate view of a :func:`read_wkb` tree, in order."""
+    base, _, data = node
+    if base in (1, 2, 8):
+        yield data
+    elif base in (3, 17):
+        yield from data
+    else:
+        for part in data:
+            yield from _coord_views(part)
+
+
+def _polygon_rings(node) -> list:
+    """Polygon / MultiPolygon tree → one list of float64 (n, 2) XY rings
+    per polygon."""
+    base, _, data = node
+    if base == _WKB_POLYGON:
+        polys = [data]
+    elif base == _WKB_MULTIPOLYGON:
+        if any(part[0] != _WKB_POLYGON for part in data):
+            raise ValueError("MultiPolygon member is not a Polygon")
+        polys = [part[2] for part in data]
+    else:
+        raise ValueError(f"unsupported WKB geometry type {base}")
+    return [[r[:, :2].astype(np.float64) for r in rings] for rings in polys]
 
 
 def parse_wkb_multi(buf: bytes) -> list:
@@ -134,62 +245,32 @@ def parse_wkb_multi(buf: bytes) -> list:
     the extra ordinates dropped.  Needed wherever outer-vs-hole roles
     matter (area, clip); :func:`parse_wkb` flattens rings (fine for
     even-odd PIP only)."""
-    buf = memoryview(buf)
-    t, dims, off = _wkb_header(buf)
-    if t == _WKB_POLYGON:
-        rings, _ = _parse_rings(buf, off, dims)
-        return [rings]
-    if t == _WKB_MULTIPOLYGON:
-        (n_polys,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        out = []
-        for _ in range(n_polys):
-            st, sdims, off = _wkb_header(buf, off)
-            if st != _WKB_POLYGON:
-                raise ValueError("MultiPolygon member is not a Polygon")
-            sub_rings, off = _parse_rings(buf, off, sdims)
-            out.append(sub_rings)
-        return out
-    raise ValueError(f"unsupported WKB geometry type {t}")
+    return _polygon_rings(read_wkb(buf))
 
 
 def parse_wkb(buf: bytes):
-    """Parse little-endian WKB → ``("point", (x, y))`` or
-    ``("polygon", [rings])`` (MultiPolygon flattens to one ring list —
-    sufficient for even-odd PIP; use :func:`parse_wkb_multi` when
-    outer/hole grouping matters).  Z/M/ZM variants parse with extra
-    ordinates dropped."""
-    buf = memoryview(buf)
-    t, dims, off = _wkb_header(buf)
-    if t == _WKB_POINT:
-        vals = struct.unpack_from(f"<{dims}d", buf, off)
-        return "point", (vals[0], vals[1])
-    if t == _WKB_POLYGON:
-        rings, _ = _parse_rings(buf, off, dims)
-        return "polygon", rings
-    if t == _WKB_MULTIPOLYGON:
-        (n_polys,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        rings = []
-        for _ in range(n_polys):
-            st, sdims, off = _wkb_header(buf, off)
-            if st != _WKB_POLYGON:
-                raise ValueError("MultiPolygon member is not a Polygon")
-            sub_rings, off = _parse_rings(buf, off, sdims)
-            rings.extend(sub_rings)
-        return "polygon", rings
-    raise ValueError(f"unsupported WKB geometry type {t}")
+    """Parse WKB → ``("point", (x, y))`` or ``("polygon", [rings])``
+    (MultiPolygon flattens to one ring list — sufficient for even-odd
+    PIP; use :func:`parse_wkb_multi` when outer/hole grouping matters).
+    Z/M/ZM variants parse with extra ordinates dropped."""
+    node = read_wkb(buf)
+    base, _, data = node
+    if base == _WKB_POINT:
+        return "point", (float(data[0, 0]), float(data[0, 1]))
+    if base == _WKB_POLYGON:
+        return "polygon", [r[:, :2].astype(np.float64) for r in data]
+    return "polygon", [r for rings in _polygon_rings(node) for r in rings]
 
 
 def wkb_envelope(buf: bytes):
-    """(minx, miny, maxx, maxy) of a WKB geometry — OGR ``getEnvelope``."""
-    kind, data = parse_wkb(buf)
-    if kind == "point":
-        x, y = data
-        return x, y, x, y
-    pts = np.vstack(data)
-    return (float(pts[:, 0].min()), float(pts[:, 1].min()),
-            float(pts[:, 0].max()), float(pts[:, 1].max()))
+    """(minx, miny, maxx, maxy) of a WKB geometry of any type — OGR
+    ``getEnvelope``; all NaN for a geometry without coordinates."""
+    views = [v[:, :2] for v in _coord_views(read_wkb(buf)) if len(v)]
+    if not views:
+        return (np.nan,) * 4
+    xy = views[0] if len(views) == 1 else np.concatenate(views)
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
 def box_ring(minx, miny, maxx, maxy):
@@ -452,36 +533,6 @@ def force_to_multipolygon(buf: bytes) -> bytes:
     return wkb_multipolygon(polys)
 
 
-def _coord_spans(buf: memoryview, off: int, spans: list) -> int:
-    """Walk ONE WKB geometry collecting ``(byte_off, n_points, dims)``
-    coordinate runs; returns the offset past the geometry.  Handles
-    Point/LineString/Polygon/Multi*/GeometryCollection, Z/M/ZM."""
-    t, dims, off = _wkb_header(buf, off)
-    step = 8 * dims
-    if t == 1:                                   # Point
-        spans.append((off, 1, dims))
-        return off + step
-    if t == 2:                                   # LineString
-        (n,) = struct.unpack_from("<I", buf, off)
-        spans.append((off + 4, n, dims))
-        return off + 4 + step * n
-    if t == 3:                                   # Polygon
-        (nr,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        for _ in range(nr):
-            (n,) = struct.unpack_from("<I", buf, off)
-            spans.append((off + 4, n, dims))
-            off += 4 + step * n
-        return off
-    if t in (4, 5, 6, 7):                        # Multi* / Collection
-        (n,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        for _ in range(n):
-            off = _coord_spans(buf, off, spans)
-        return off
-    raise ValueError(f"unsupported WKB geometry type {t}")
-
-
 def transform_wkb(wkbs, fn):
     """Coordinate surgery over a BATCH of WKB geometries: every (x, y)
     across the batch is gathered into two flat arrays, ``fn(xs, ys) →
@@ -489,24 +540,12 @@ def transform_wkb(wkbs, fn):
     back in place — geometry structure (type, rings, Z/M ordinates) is
     preserved byte-for-byte.  The ogr2ogr -t_srs reprojection shape
     (apps/ogr2ogr_lib.cpp:6795 per-feature chain, here batched)."""
-    bufs, views = [], []
-    xs_parts, ys_parts = [], []
-    for b in wkbs:
-        ba = bytearray(b)
-        spans: list = []
-        _coord_spans(memoryview(ba), 0, spans)
-        bufs.append(ba)
-        for off, n, dims in spans:
-            if n == 0:
-                continue
-            a = np.frombuffer(ba, np.float64, n * dims, off).reshape(n,
-                                                                     dims)
-            views.append(a)
-            xs_parts.append(a[:, 0].copy())
-            ys_parts.append(a[:, 1].copy())
+    bufs = [bytearray(b) for b in wkbs]
+    views = [a for ba in bufs for a in _coord_views(read_wkb(ba)) if len(a)]
     if not views:
         return [bytes(b) for b in bufs]
-    X, Y = fn(np.concatenate(xs_parts), np.concatenate(ys_parts))
+    X, Y = fn(np.concatenate([a[:, 0] for a in views], dtype=np.float64),
+              np.concatenate([a[:, 1] for a in views], dtype=np.float64))
     pos = 0
     for a in views:
         n = a.shape[0]

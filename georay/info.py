@@ -13,16 +13,8 @@ import pyarrow as pa
 
 __all__ = ["layer_info", "raster_info"]
 
-_GEOM_NAMES = {1: "POINT", 2: "LINESTRING", 3: "POLYGON",
-               4: "MULTIPOINT", 5: "MULTILINESTRING", 6: "MULTIPOLYGON",
-               7: "GEOMETRYCOLLECTION", 8: "CIRCULARSTRING",
-               9: "COMPOUNDCURVE", 10: "CURVEPOLYGON", 11: "MULTICURVE",
-               12: "MULTISURFACE", 15: "POLYHEDRALSURFACE", 16: "TIN",
-               17: "TRIANGLE"}
-
-
 def _batch_partial(batch: pa.Table, wkb_col: str) -> pa.Table:
-    from .geom import wkb_envelope
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
     n = batch.num_rows
     ext = [np.inf, np.inf, -np.inf, -np.inf]
     counts: dict[str, int] = {}
@@ -33,8 +25,7 @@ def _batch_partial(batch: pa.Table, wkb_col: str) -> pa.Table:
             if b is None:
                 counts["NULL"] = counts.get("NULL", 0) + 1
                 continue
-            code = int.from_bytes(b[1:5], "little" if b[0] else "big")
-            name = _GEOM_NAMES.get(code % 1000, f"TYPE{code}")
+            name = WKB_TYPE_NAMES[wkb_type(b)[0]].upper()
             counts[name] = counts.get(name, 0) + 1
             x0, y0, x1, y1 = wkb_envelope(b)
             ext[0] = min(ext[0], x0)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .geom import parse_wkb_multi, wkb_polygon
+from .geom import parse_wkb_multi, wkb_polygon, wkb_type
 from .overlay import polygon_boolean
 
 __all__ = [
@@ -363,19 +363,11 @@ def lengths_any_wkb(wkb_list) -> np.ndarray:
     (WKB 2/5/8/9/11) through the analytic curve-length path (exact arc
     lengths, ogr/ogrcurve.cpp).  Mixed-type columns dispatch per row on
     the WKB type word."""
-    import struct as _struct
-
-    from .geom import _wkb_type_dims
-
     poly_idx, curve_idx = [], []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        bb = bytes(b[:9])
-        if len(bb) < 5:
-            continue
-        (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
-        base, _ = _wkb_type_dims(raw)
+        base, _ = wkb_type(b)
         (poly_idx if base in (3, 6) else curve_idx).append(i)
     out = np.zeros(len(wkb_list))
     if poly_idx:
@@ -396,19 +388,11 @@ def areas_any_wkb(wkb_list) -> np.ndarray:
     / linearize fallback, ogrcircularstring.cpp:846); Point and
     MultiPoint measure 0.  Mixed-type columns dispatch per row on the WKB
     type word."""
-    import struct as _struct
-
-    from .geom import _wkb_type_dims
-
     poly_idx, curve_idx = [], []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        bb = bytes(b[:9])
-        if len(bb) < 5:
-            continue
-        (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
-        base, _ = _wkb_type_dims(raw)
+        base, _ = wkb_type(b)
         if base in (1, 4):
             continue   # points: not a surface, area 0 as in OGR_G_Area
         (poly_idx if base in (3, 6) else curve_idx).append(i)

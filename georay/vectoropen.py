@@ -152,14 +152,6 @@ def write_vector(ds_or_table, path: str, *, layer: str = "layer",
 
 # ------------------------------------------------------------ GeoParquet
 
-_WKB_TYPE_NAMES = {1: "Point", 2: "LineString", 3: "Polygon",
-                   4: "MultiPoint", 5: "MultiLineString",
-                   6: "MultiPolygon", 7: "GeometryCollection",
-                   8: "CircularString", 9: "CompoundCurve",
-                   10: "CurvePolygon", 11: "MultiCurve",
-                   12: "MultiSurface"}
-
-
 def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
     """Stamp the GeoParquet 1.1 ``geo`` key onto a table's schema
     metadata (version / primary_column / per-column encoding +
@@ -167,27 +159,19 @@ def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
     and looks for on open (ogr/ogrsf_frmts/parquet/ogrparquetlayer.cpp:87
     reads kv_metadata["geo"]).  CRS omitted = OGC:CRS84 per spec."""
     import json
-    import struct as _struct
 
-    import pyarrow as pa
-
-    from .geom import _wkb_type_dims, wkb_envelope
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
 
     types = set()
     bbox = [float("inf"), float("inf"), float("-inf"), float("-inf")]
     any_geom = False
     for buf in t.column(wkb_col).to_pylist():
-        if buf is None or len(buf) < 5:
+        if buf is None:
             continue
-        bb = bytes(buf)
-        (raw,) = _struct.unpack_from("<I" if bb[0] == 1 else ">I", bb, 1)
-        base, dims = _wkb_type_dims(raw)
-        name = _WKB_TYPE_NAMES.get(base)
-        if name:
-            types.add(name + (" Z" if dims >= 3 else ""))
-        try:
-            x0, y0, x1, y1 = wkb_envelope(bb)
-        except Exception:
+        base, dims = wkb_type(buf)
+        types.add(WKB_TYPE_NAMES[base] + (" Z" if dims >= 3 else ""))
+        x0, y0, x1, y1 = wkb_envelope(buf)
+        if x0 != x0:                       # empty geometry: no extent
             continue
         any_geom = True
         bbox = [min(bbox[0], x0), min(bbox[1], y0),
@@ -233,12 +217,8 @@ def add_bbox_covering(batch, wkb_col: str = "wkb"):
     x1 = np.full(n, np.nan)
     y1 = np.full(n, np.nan)
     for i, w in enumerate(batch.column(wkb_col).to_pylist()):
-        if w is None or len(w) < 5:
-            continue
-        try:
-            x0[i], y0[i], x1[i], y1[i] = wkb_envelope(bytes(w))
-        except Exception:
-            continue
+        if w is not None:
+            x0[i], y0[i], x1[i], y1[i] = wkb_envelope(w)
     bbox = pa.StructArray.from_arrays(
         [pa.array(x0), pa.array(y0), pa.array(x1), pa.array(y1)],
         names=["xmin", "ymin", "xmax", "ymax"])

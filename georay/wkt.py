@@ -17,6 +17,8 @@ import struct
 
 import numpy as np
 
+from .geom import read_wkb
+
 __all__ = ["wkt_to_wkb", "wkb_to_wkt", "wkt_column_to_wkb",
            "wkb_column_to_wkt"]
 
@@ -184,57 +186,35 @@ def _fmt_pts(pts) -> str:
     return ", ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
 
 
-def _read_pts(buf, off, n):
-    a = np.frombuffer(buf, dtype="<f8", count=2 * n, offset=off)
-    return a.reshape(n, 2), off + 16 * n
-
-
-def _emit(buf: memoryview, off: int):
-    from .geom import _wkb_header
-    t, dims, off = _wkb_header(buf, off)
+def _emit(node) -> str:
+    t, dims, data = node
     if dims != 2:
         raise ValueError("WKT export supports 2-D geometries")
+    name = _NAMES.get(t)
+    if name is None:
+        raise ValueError(f"unsupported WKB type {t}")
     if t == 1:
-        x, y = struct.unpack_from("<dd", buf, off)
-        off += 16
+        x, y = data[0].tolist()
         if np.isnan(x) and np.isnan(y):
-            return "POINT EMPTY", off
-        return f"POINT ({_fmt(x)} {_fmt(y)})", off
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    name = _NAMES[t]
-    if n == 0:
-        return f"{name} EMPTY", off
+            return "POINT EMPTY"
+        return f"POINT ({_fmt(x)} {_fmt(y)})"
+    if len(data) == 0:
+        return f"{name} EMPTY"
     if t in (2, 8):
-        pts, off = _read_pts(buf, off, n)
-        return f"{name} ({_fmt_pts(pts)})", off
+        return f"{name} ({_fmt_pts(data.tolist())})"
     if t == 3:
-        rings = []
-        for _ in range(n):
-            (m,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            pts, off = _read_pts(buf, off, m)
-            rings.append(f"({_fmt_pts(pts)})")
-        return f"POLYGON ({', '.join(rings)})", off
-    if t in (4, 5, 6, 7):
-        parts = []
-        for _ in range(n):
-            s, off = _emit(buf, off)
-            if t == 4:                       # strip POINT prefix
-                parts.append(s.split(" ", 1)[1])
-            elif t in (5, 6):                # strip member type name
-                parts.append(s.split(" ", 1)[1])
-            else:
-                parts.append(s)
-        return f"{name} ({', '.join(parts)})", off
-    raise ValueError(f"unsupported WKB type {t}")
+        rings = ", ".join(f"({_fmt_pts(r.tolist())})" for r in data)
+        return f"POLYGON ({rings})"
+    parts = [_emit(m) for m in data]
+    if t in (4, 5, 6):                       # strip member type names
+        parts = [p.split(" ", 1)[1] for p in parts]
+    return f"{name} ({', '.join(parts)})"
 
 
 def wkb_to_wkt(buf: bytes) -> str:
     """Format WKB as a WKT string (OGR exportToWkt layout: one space
     after the type name, ', ' between members)."""
-    s, _ = _emit(memoryview(bytes(buf)), 0)
-    return s
+    return _emit(read_wkb(buf))
 
 
 def wkt_column_to_wkb(batch, wkt_col: str, wkb_col: str = "wkb"):

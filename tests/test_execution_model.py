@@ -14,6 +14,9 @@ The image table has one reader and its ``pixels`` column one owner:
 ``ray.data.read_parquet`` or ``read_lance``, and only ``georay.decode``
 unpacks ``pixels`` with ``np.frombuffer``.
 
+WKB has one reader: only ``georay.geom`` uses its header, type-word and
+walker helpers; every other module reads WKB through ``geom``'s views.
+
 The package's C kernels have one loader, ``georay.util.compiled``: it is
 the only code that uses ``subprocess`` (to run the compiler) or loads a
 built library with ``ctypes.CDLL``; the one other ``CDLL`` call loads
@@ -117,6 +120,25 @@ def test_pixels_unpacked_only_in_decode():
                 found.add((fname, fn.name))
     assert found == {("decode.py", "pixel_arrays")}
 
+
+
+def test_wkb_read_only_in_geom():
+    """Module of every reference to the WKB header, type-word and walker
+    helpers: the WKB format is decided in ``georay.geom`` alone."""
+    helpers = {"_wkb_header", "_wkb_type_dims", "_wkb_walk"}
+
+    def refs(n):
+        if isinstance(n, ast.Name):
+            return {n.id}
+        if isinstance(n, ast.Attribute):
+            return {n.attr}
+        if isinstance(n, ast.ImportFrom):
+            return {a.name for a in n.names}
+        return set()
+
+    found = {fname for fname, tree in _trees().items()
+             for n in ast.walk(tree) if refs(n) & helpers}
+    assert found == {"geom.py"}
 
 def test_pipelines_read_images_through_work_units():
     tree = _trees()["pipelines.py"]

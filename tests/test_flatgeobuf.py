@@ -12,6 +12,7 @@ import pyarrow as pa
 import pytest
 
 import georay.flatgeobuf as F
+from georay.geom import wkb_envelope
 
 
 def _sq(x0, y0, s=1.0, hole=False):
@@ -131,12 +132,12 @@ def test_hilbert_descending_order():
     data = F.write_fgb(t)
     back = F.read_fgb(data)
     # recompute expected order from the original table
-    bbox = np.array([F._wkb_bbox(w) for w in t["wkb"].to_pylist()])
+    bbox = np.array([wkb_envelope(w) for w in t["wkb"].to_pylist()])
     order = F._hilbert_order_desc(bbox)
     assert back["cnt"].to_pylist() == list(np.asarray(
         t["cnt"].to_numpy())[order])
     # and the stored Hilbert values really are non-increasing
-    bb2 = np.array([F._wkb_bbox(w) for w in back["wkb"].to_pylist()])
+    bb2 = np.array([wkb_envelope(w) for w in back["wkb"].to_pylist()])
     cx = (bb2[:, 0] + bb2[:, 2]) / 2
     cy = (bb2[:, 1] + bb2[:, 3]) / 2
     ex0, ey0 = bb2[:, 0].min(), bb2[:, 1].min()
@@ -172,7 +173,7 @@ def test_bbox_pushdown_matches_full_scan():
     data = F.write_fgb(t)
     bbox = (10.0, 10.0, 40.0, 35.0)
     sel = set(F.read_fgb(data, bbox=bbox)["cnt"].to_pylist())
-    bb = np.array([F._wkb_bbox(w) for w in t["wkb"].to_pylist()])
+    bb = np.array([wkb_envelope(w) for w in t["wkb"].to_pylist()])
     expect = {int(i) for i in range(300)
               if bb[i, 0] <= bbox[2] and bb[i, 2] >= bbox[0]
               and bb[i, 1] <= bbox[3] and bb[i, 3] >= bbox[1]}
@@ -212,7 +213,7 @@ def test_ray_partitioned_sink_and_source(ray_session, tmp_path):
     # bbox pushdown through the Dataset source
     some = F.read_fgb_dataset(sorted(man["path"]),
                               bbox=(0, 0, 30, 30)).to_pandas()
-    bb = np.array([F._wkb_bbox(w) for w in t["wkb"].to_pylist()])
+    bb = np.array([wkb_envelope(w) for w in t["wkb"].to_pylist()])
     expect = ((bb[:, 0] <= 30) & (bb[:, 2] >= 0)
               & (bb[:, 1] <= 30) & (bb[:, 3] >= 0)).sum()
     assert len(some) == expect

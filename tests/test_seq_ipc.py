@@ -160,6 +160,24 @@ def test_layer_info_and_raster_info(ray_session):
     assert ri["band_stats"][0]["max"] == 47.0
 
 
+def test_layer_info_line_and_zm_types():
+    """ogrinfo over a LineString, an EWKB Z polygon and an ISO ZM point:
+    every row is named by its base type and counts in the extent."""
+    import struct
+
+    from georay.info import layer_info
+
+    line = struct.pack("<BII4d", 1, 2, 2, 10, 20, 30, 40)
+    ewkb_z = struct.pack("<BIII", 1, 0x80000003, 1, 4) + struct.pack(
+        "<12d", -5, -6, 1, -4, -6, 1, -4, -5, 1, -5, -6, 1)
+    iso_zm = struct.pack("<BI4d", 1, 3001, 50, 60, 7, 8)
+    info = layer_info(pa.table({"wkb": pa.array([line, ewkb_z, iso_zm],
+                                                pa.binary())}))
+    assert info["geometry_types"] == {"LINESTRING": 1, "POLYGON": 1,
+                                      "POINT": 1}
+    assert info["extent"] == (-5.0, -6.0, 50.0, 60.0)
+
+
 def test_parquet_bbox_rowgroup_pushdown(tmp_path, ray_session):
     """Hilbert-sorted parquet + bbox read: row groups prune AND the
     result equals the exact full-scan filter."""

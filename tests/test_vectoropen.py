@@ -123,3 +123,30 @@ def test_geoparquet_covering_pushdown(tmp_path, ray_session):
     assert overlapping <= max(2, pf.num_row_groups // 3)
     # no-bbox read returns everything
     assert read_geoparquet(p).count() == 8000
+
+
+def test_geoparquet_bbox_covers_every_type(tmp_path, ray_session):
+    """The covering bbox and the ``geo`` bbox cover line rows too: a
+    window inside a LineString's envelope returns the line row."""
+    import pyarrow.parquet as pq
+
+    from georay.geom import wkb_point, wkb_polygon
+    from georay.vectoropen import (attach_geoparquet_metadata,
+                                   geoparquet_metadata, read_geoparquet,
+                                   write_geoparquet)
+
+    line = geometry_to_wkb({"type": "LineString",
+                            "coordinates": [[10, 20], [30, 40]]})
+    poly = wkb_polygon([[(14, 24), (16, 24), (16, 26), (14, 26)]])
+    p = str(tmp_path / "lines.parquet")
+    write_geoparquet(pa.table({"fid": [0, 1], "wkb": pa.array(
+        [line, poly], pa.binary())}), p)
+    got = read_geoparquet(p, bbox=(15, 25, 20, 30)).to_pandas()
+    assert sorted(got["fid"]) == [0, 1]
+
+    t = attach_geoparquet_metadata(pa.table({"wkb": pa.array(
+        [wkb_point(0, 0), line, None], pa.binary())}))
+    pq.write_table(t, str(tmp_path / "meta.parquet"))
+    col = geoparquet_metadata(str(tmp_path / "meta.parquet"))["columns"]
+    assert col["wkb"]["bbox"] == [0, 0, 30, 40]
+    assert col["wkb"]["geometry_types"] == ["LineString", "Point"]
