@@ -16,7 +16,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.ipc as pipc
 
-from .util import list_parts, write_parts
+from .util import list_parts, read_units, write_parts
 
 __all__ = ["write_arrow_ipc", "read_arrow_ipc", "read_arrow_ipc_table"]
 
@@ -34,48 +34,41 @@ def write_arrow_ipc(ds_or_table, path: str) -> str:
     return write_parts(ds_or_table, path, "arrow", _encode)
 
 
+def _ipc_units(path: str, batches_per_task: int) -> list[dict]:
+    """One unit per (file, batch range), planned from the footers."""
+    units = []
+    for p in list_parts(path, _EXTS):
+        with pa.memory_map(p) as mm:
+            n = pipc.RecordBatchFileReader(mm).num_record_batches
+        units += [{"path": p, "start": a,
+                   "stop": min(a + batches_per_task, n)}
+                  for a in range(0, max(n, 1), batches_per_task)]
+    return units
+
+
+def _ipc_batches(unit: dict, columns=None) -> pa.Table:
+    """One unit's batch range, memory-mapped (an empty range keeps the
+    file's schema)."""
+    with pa.memory_map(unit["path"]) as mm:
+        r = pipc.RecordBatchFileReader(mm)
+        t = pa.Table.from_batches(
+            [r.get_batch(j) for j in range(
+                unit["start"], min(unit["stop"], r.num_record_batches))],
+            schema=r.schema)
+    return t.select(columns) if columns else t
+
+
 def read_arrow_ipc(path: str, *, columns=None,
                    batches_per_task: int = 16):
     """Arrow IPC file(s) → ``ray.data.Dataset``: the footer's batch
     index makes (file, batch range) the scan unit — each task memory-
     maps its file and materializes ONLY its batch range (+ projected
     columns), so a single large file still reads wide."""
-    import ray
-
-    units = []
-    for p in list_parts(path, _EXTS):
-        with pa.memory_map(p) as mm:
-            n = pipc.RecordBatchFileReader(mm).num_record_batches
-        for a in range(0, max(n, 1), batches_per_task):
-            units.append({"path": p, "start": a,
-                          "stop": min(a + batches_per_task, n)})
-    src = ray.data.from_items(units, override_num_blocks=max(1, len(units)))
-
-    def load(batch: pa.Table) -> pa.Table:
-        outs = []
-        for i in range(batch.num_rows):
-            p = batch["path"][i].as_py()
-            a = int(batch["start"][i].as_py())
-            b = int(batch["stop"][i].as_py())
-            with pa.memory_map(p) as mm:
-                r = pipc.RecordBatchFileReader(mm)
-                tabs = [pa.Table.from_batches([r.get_batch(j)])
-                        for j in range(a, min(b, r.num_record_batches))]
-            if tabs:
-                t = pa.concat_tables(tabs)
-                outs.append(t.select(columns) if columns else t)
-        if not outs:
-            return pa.table({})
-        return pa.concat_tables(outs)
-
-    return src.map_batches(load, batch_format="pyarrow", batch_size=1)
+    return read_units(_ipc_units(path, batches_per_task), _ipc_batches,
+                      columns=columns)
 
 
 def read_arrow_ipc_table(path: str, *, columns=None) -> pa.Table:
     """Driver-side read (small layers)."""
-    tabs = []
-    for p in list_parts(path, _EXTS):
-        with pa.memory_map(p) as mm:
-            t = pipc.RecordBatchFileReader(mm).read_all()
-        tabs.append(t.select(columns) if columns else t)
-    return pa.concat_tables(tabs)
+    return pa.concat_tables([_ipc_batches(u, columns)
+                             for u in _ipc_units(path, 16)])

@@ -36,7 +36,7 @@ import zlib
 
 import pyarrow as pa
 
-from .util import list_parts, write_parts
+from .util import list_parts, read_units, write_parts
 
 __all__ = ["write_avro", "read_avro", "read_avro_table", "avro_schema"]
 
@@ -378,53 +378,39 @@ def _r_prim(data, pos, code):
     raise NotImplementedError(f"avro: type {code!r} unsupported")
 
 
-def read_avro_table(path: str, columns=None) -> pa.Table:
-    """Single-process read (tests / small files)."""
-    parts = []
-    for p in list_parts(path, [".avro"]):
-        blocks, schema, codec = _block_index(p)
-        with open(p, "rb") as fh:
-            for (off, sz, nrec) in blocks:
-                fh.seek(off)
-                body = fh.read(sz)
-                if codec == "deflate":
-                    body = zlib.decompress(body, -15)
-                parts.append(_decode_block(body, schema, nrec, columns))
-    if not parts:
-        return pa.table({})
-    return pa.concat_tables(parts)
-
-
-def read_avro(path: str, *, columns=None):
-    """Avro OCF file(s) → ``ray.data.Dataset``, one task per block."""
-    import ray
-
+def _avro_units(path: str) -> list[dict]:
+    """One unit per data block, planned from the block index (the schema
+    travels as JSON text)."""
     units = []
     for p in list_parts(path, [".avro"]):
         blocks, schema, codec = _block_index(p)
         sj = json.dumps(schema)
-        for (off, sz, nrec) in blocks:
-            units.append({"path": p, "off": off, "size": sz,
-                          "nrec": nrec, "codec": codec, "schema": sj})
+        units += [{"path": p, "off": off, "size": sz, "nrec": nrec,
+                   "codec": codec, "schema": sj}
+                  for (off, sz, nrec) in blocks]
+    return units
+
+
+def _avro_block(unit: dict, columns=None) -> pa.Table:
+    """One data block: seek, inflate, decode."""
+    with open(unit["path"], "rb") as fh:
+        fh.seek(unit["off"])
+        body = fh.read(unit["size"])
+    if unit["codec"] == "deflate":
+        body = zlib.decompress(body, -15)
+    return _decode_block(body, json.loads(unit["schema"]), unit["nrec"],
+                         columns)
+
+
+def read_avro_table(path: str, columns=None) -> pa.Table:
+    """Single-process read (tests / small files)."""
+    parts = [_avro_block(u, columns) for u in _avro_units(path)]
+    return pa.concat_tables(parts) if parts else pa.table({})
+
+
+def read_avro(path: str, *, columns=None):
+    """Avro OCF file(s) → ``ray.data.Dataset``, one task per block."""
+    units = _avro_units(path)
     if not units:
         raise ValueError(f"no avro blocks under {path}")
-    src = ray.data.from_items(units, override_num_blocks=len(units))
-
-    def load(batch: pa.Table) -> pa.Table:
-        outs = []
-        for i in range(batch.num_rows):
-            p = batch["path"][i].as_py()
-            off = int(batch["off"][i].as_py())
-            sz = int(batch["size"][i].as_py())
-            nrec = int(batch["nrec"][i].as_py())
-            codec = batch["codec"][i].as_py()
-            schema = json.loads(batch["schema"][i].as_py())
-            with open(p, "rb") as fh:
-                fh.seek(off)
-                body = fh.read(sz)
-            if codec == "deflate":
-                body = zlib.decompress(body, -15)
-            outs.append(_decode_block(body, schema, nrec, columns))
-        return pa.concat_tables(outs)
-
-    return src.map_batches(load, batch_format="pyarrow")
+    return read_units(units, _avro_block, columns=columns)

@@ -81,7 +81,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .util import staged
+from .util import read_units, staged
 
 __all__ = [
     "write_delta", "read_delta", "read_delta_table", "delta_snapshot",
@@ -456,9 +456,39 @@ def _prune_files(files: list[dict], col: str, lo, hi) -> list[dict]:
     return keep
 
 
+def _delta_plan(root: str, columns, version, prune):
+    """The live files after pruning, one unit each, and the per-file
+    decode arguments."""
+    snap = delta_snapshot(root, version)
+    files = snap["files"]
+    if prune is not None:
+        files = _prune_files(files, *prune)
+    units = [{"path": os.path.join(root, f["path"]),
+              "pv": json.dumps(f["partitionValues"])} for f in files]
+    return units, dict(schema=snap["schema"],
+                       want=columns or snap["schema"].names,
+                       pcols=snap["partition_columns"])
+
+
+def _delta_file(unit: dict, *, schema, want, pcols) -> pa.Table:
+    """One data file with its ``partitionValues`` re-injected as typed
+    constant columns (spec: partition columns are not stored in the
+    data files)."""
+    t = pq.read_table(unit["path"], columns=[c for c in want
+                                             if c not in pcols])
+    pv = json.loads(unit["pv"])
+    cols = {}
+    for c in want:
+        if c in pcols:
+            ft = schema.field(c).type
+            cols[c] = pa.array([_pv_cast(pv.get(c), ft)] * t.num_rows, ft)
+        else:
+            cols[c] = t[c]
+    return pa.table(cols)
+
+
 def read_delta(root: str, *, columns: list[str] | None = None,
-               version: int | None = None, prune=None,
-               concurrency: int | None = None):
+               version: int | None = None, prune=None):
     """Delta-layout table → ray.data.Dataset.
 
     Unpartitioned fast path: ``ray.data.read_parquet`` over the live
@@ -469,137 +499,72 @@ def read_delta(root: str, *, columns: list[str] | None = None,
     by the add-action zone maps before any task is scheduled."""
     import ray
 
-    snap = delta_snapshot(root, version)
-    files = snap["files"]
-    if prune is not None:
-        files = _prune_files(files, *prune)
-    schema, pcols = snap["schema"], snap["partition_columns"]
-    want = columns or schema.names
-    if not files:
-        empty = pa.table({c: pa.array([], schema.field(c).type)
-                          for c in want})
-        return ray.data.from_arrow(empty)
-
-    if not pcols:
-        paths = [os.path.join(root, f["path"]) for f in files]
+    units, kw = _delta_plan(root, columns, version, prune)
+    if not units:
+        return ray.data.from_arrow(kw["schema"].empty_table().select(
+            kw["want"]))
+    if not kw["pcols"]:
         kwargs = {}
         if columns is not None:
             kwargs["columns"] = columns
-        return ray.data.read_parquet(paths, **kwargs)
-
-    data_cols = [c for c in want if c not in pcols]
-    schema_ser = schema.serialize().to_pybytes()
-    items = [{"path": os.path.join(root, f["path"]),
-              "pv": json.dumps(f["partitionValues"])} for f in files]
-
-    def load(batch: pa.Table) -> pa.Table:
-        sch = pa.ipc.read_schema(pa.py_buffer(schema_ser))
-        out = []
-        for p, pvs in zip(batch["path"].to_pylist(),
-                          batch["pv"].to_pylist()):
-            t = pq.read_table(p, columns=data_cols)
-            pv = json.loads(pvs)
-            cols = {}
-            for c in want:
-                if c in pcols:
-                    ft = sch.field(c).type
-                    v = _pv_cast(pv.get(c), ft)
-                    cols[c] = pa.array([v] * t.num_rows, ft)
-                else:
-                    cols[c] = t[c]
-            out.append(pa.table(cols))
-        return pa.concat_tables(out)
-
-    src = ray.data.from_items(items, override_num_blocks=len(items))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    return src.map_batches(load, batch_format="pyarrow", batch_size=None,
-                           **kwargs)
+        return ray.data.read_parquet([u["path"] for u in units], **kwargs)
+    return read_units(units, _delta_file, **kw)
 
 
 def read_delta_table(root: str, *, columns=None, version=None,
                      prune=None) -> pa.Table:
     """Driver-side read of a (small) Delta-layout table."""
-    snap = delta_snapshot(root, version)
-    files = snap["files"]
-    if prune is not None:
-        files = _prune_files(files, *prune)
-    schema, pcols = snap["schema"], snap["partition_columns"]
-    want = columns or schema.names
-    data_cols = [c for c in want if c not in pcols]
-    tabs = []
-    for f in files:
-        t = pq.read_table(os.path.join(root, f["path"]), columns=data_cols)
-        cols = {}
-        for c in want:
-            if c in pcols:
-                ft = schema.field(c).type
-                v = _pv_cast(f["partitionValues"].get(c), ft)
-                cols[c] = pa.array([v] * t.num_rows, ft)
-            else:
-                cols[c] = t[c]
-        tabs.append(pa.table(cols))
-    if not tabs:
-        return pa.table({c: pa.array([], schema.field(c).type)
-                         for c in want})
-    return pa.concat_tables(tabs)
+    units, kw = _delta_plan(root, columns, version, prune)
+    if not units:
+        return kw["schema"].empty_table().select(kw["want"])
+    return pa.concat_tables([_delta_file(u, **kw) for u in units])
 
 # -------------------------------------------------------------- delete
 
 
-def delete_delta(root: str, predicate, *, columns=None,
-                 concurrency: int | None = None) -> dict:
+def _delta_delete_file(unit: dict, *, root, predicate, columns):
+    """One live file's part of a DELETE: the remove(+add) actions as one
+    JSON row (``keep`` when no row matches)."""
+    p = unit["path"]
+    full = pq.read_table(os.path.join(root, p))
+    probe = full.select(columns) if columns else full
+    mask = np.asarray(predicate(probe), dtype=bool)
+    ndel = int(mask.sum())
+    if ndel == 0:
+        return pa.table({"out": [json.dumps({"keep": p})]})
+    acts = [{"remove": {"path": p,
+                        "deletionTimestamp": int(time.time() * 1000),
+                        "dataChange": True}}]
+    if ndel < full.num_rows:
+        sub = full.filter(pa.array(~mask))
+        rel_dir = os.path.dirname(p)
+        rel = (f"{rel_dir}/" if rel_dir else "") + \
+            f"part-{uuid.uuid4().hex}-c000.snappy.parquet"
+        pq.write_table(sub, os.path.join(root, rel), compression="snappy")
+        acts.append({"add": {
+            "path": rel,
+            "partitionValues": json.loads(unit["pv"]),
+            "size": os.path.getsize(os.path.join(root, rel)),
+            "modificationTime": int(time.time() * 1000),
+            "dataChange": True, "stats": _stats_json(sub)}})
+    return pa.table({"out": [json.dumps({"acts": acts, "n": ndel},
+                                        default=str)]})
+
+
+def delete_delta(root: str, predicate, *, columns=None) -> dict:
     """Copy-on-write DELETE (the spec's DML shape): each live file
     evaluates ``predicate`` (callable pa.Table → bool mask of rows to
     delete) in its own Ray task; touched files are rewritten without
     the matching rows and remove(old)+add(new) commit in ONE version.
     Untouched files are carried implicitly (no action).  ``columns``
     limits what the predicate reads (the rewrite always reads all)."""
-    import ray
-
     snap = delta_snapshot(root)
-    rootv = root
-
-    def mark(batch: pa.Table) -> pa.Table:
-        outs = []
-        for p, pvs in zip(batch["path"].to_pylist(),
-                          batch["pv"].to_pylist()):
-            full = pq.read_table(os.path.join(rootv, p))
-            probe = full.select(columns) if columns else full
-            mask = np.asarray(predicate(probe), dtype=bool)
-            ndel = int(mask.sum())
-            if ndel == 0:
-                outs.append(json.dumps({"keep": p}))
-                continue
-            acts = [{"remove": {"path": p,
-                                "deletionTimestamp":
-                                    int(time.time() * 1000),
-                                "dataChange": True}}]
-            if ndel < full.num_rows:
-                sub = full.filter(pa.array(~mask))
-                rel_dir = os.path.dirname(p)
-                rel = (f"{rel_dir}/" if rel_dir else "") + \
-                    f"part-{uuid.uuid4().hex}-c000.snappy.parquet"
-                pq.write_table(sub, os.path.join(rootv, rel),
-                               compression="snappy")
-                acts.append({"add": {
-                    "path": rel,
-                    "partitionValues": json.loads(pvs),
-                    "size": os.path.getsize(os.path.join(rootv, rel)),
-                    "modificationTime": int(time.time() * 1000),
-                    "dataChange": True, "stats": _stats_json(sub)}})
-            outs.append(json.dumps({"acts": acts, "n": ndel},
-                                   default=str))
-        return pa.table({"out": pa.array(outs)})
-
-    items = [{"path": f["path"],
-              "pv": json.dumps(f["partitionValues"])}
+    units = [{"path": f["path"], "pv": json.dumps(f["partitionValues"])}
              for f in snap["files"]]
-    if not items:
+    if not units:
         return {"version": snap["version"], "deleted_rows": 0}
-    src = ray.data.from_items(items, override_num_blocks=len(items))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    rows = src.map_batches(mark, batch_format="pyarrow", batch_size=None,
-                           **kwargs).take_all()
+    rows = read_units(units, _delta_delete_file, root=root,
+                      predicate=predicate, columns=columns).take_all()
     actions, deleted = [], 0
     for r in rows:
         d = json.loads(r["out"])

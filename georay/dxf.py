@@ -16,12 +16,14 @@ Scope (honest subset, mirroring what the engine's pipelines need):
   holes carry the parent layer) / Multi* exploded, shortest-roundtrip
   float serialization (repr) so coordinates survive bit-exact.
 
-The FILE is the parallel unit (``read_dxf_files``), like the other
-text drivers (xmldrivers.py)."""
+The FILE is the parallel unit: ``read_dxf_files`` runs one Ray task per
+file, like the other text drivers (xmldrivers.py)."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .util import read_units
 
 __all__ = ["write_dxf", "read_dxf", "read_dxf_files"]
 
@@ -208,7 +210,10 @@ def read_dxf(path: str) -> pa.Table:
     })
 
 
+def _dxf_file(unit: dict) -> pa.Table:
+    return read_dxf(unit["path"])
+
+
 def read_dxf_files(paths: list[str]):
-    """Many DXF files → one Dataset (one parse task per file)."""
-    from .xmldrivers import _files_source
-    return _files_source(paths, read_dxf)
+    """Many DXF files → one Dataset, one Ray task per file."""
+    return read_units([{"path": p} for p in paths], _dxf_file)

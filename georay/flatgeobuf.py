@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from .geom import read_wkb, wkb_envelope
+from .util import read_units
 
 __all__ = [
     "write_fgb", "read_fgb", "read_fgb_header", "fgb_bbox_offsets",
@@ -772,22 +773,15 @@ def write_fgb_partitioned(ds, out_dir: str, part_col: str,
     return write_groups(ds, out_dir, part_col, "fgb", encode)
 
 
-def read_fgb_dataset(paths, *, bbox=None, geom_col: str = "wkb"):
-    """fgb source → Ray Dataset: one read task per file (files are the
-    natural parallel unit; bbox pushdown uses each file's packed index)."""
-    import ray
+def _fgb_file(unit: dict, *, bbox, geom_col) -> pa.Table:
+    with open(unit["path"], "rb") as f:
+        return read_fgb(f.read(), bbox=bbox, geom_col=geom_col)
 
+
+def read_fgb_dataset(paths, *, bbox=None, geom_col: str = "wkb"):
+    """fgb source → Ray Dataset: one task per file (files are the natural
+    parallel unit; bbox pushdown uses each file's packed index)."""
     if isinstance(paths, str):
         paths = [paths]
-
-    def load(batch: pa.Table) -> pa.Table:
-        out = []
-        for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                data = f.read()
-            t = read_fgb(data, bbox=bbox, geom_col=geom_col)
-            out.append(t)
-        return pa.concat_tables(out) if out else pa.table({})
-
-    files = ray.data.from_arrow(pa.table({"path": pa.array(paths)}))
-    return files.map_batches(load, batch_format="pyarrow", batch_size=1)
+    return read_units([{"path": p} for p in paths], _fgb_file, bbox=bbox,
+                      geom_col=geom_col)

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from .geom import read_wkb
-from .util import list_parts, write_parts
+from .util import list_parts, read_units, write_parts
 
 __all__ = [
     "geometry_to_wkb", "wkb_to_geometry", "feature_collection_to_table",
@@ -193,6 +193,37 @@ def _parse_lines(raw: bytes) -> pa.Table:
     return feature_collection_to_table(feats)
 
 
+def _geojsonseq_range(unit: dict) -> pa.Table:
+    """The features of one unit: a whole file (``start`` < 0), or the
+    lines that START in the byte range [start, stop)."""
+    a, b = unit["start"], unit["stop"]
+    with open(unit["path"], "rb") as f:
+        if a < 0:                       # whole file
+            raw = f.read()
+        elif a == 0:
+            raw = f.read(b)
+            if raw and not raw.endswith(b"\n"):
+                raw += f.readline()
+        else:
+            # a line belongs to this range iff it STARTS in [a, b): peek
+            # at byte a-1 — if it is a newline the line at ``a`` is
+            # complete and ours; otherwise we are mid-line and skip to
+            # the first newline
+            f.seek(a - 1)
+            raw = f.read(b - a + 1)
+            prev, raw = raw[:1], raw[1:]
+            if prev != b"\n":
+                cut = raw.find(b"\n")
+                raw = b"" if cut < 0 else raw[cut + 1:]
+            # the line spanning ``b`` is ours too (it started inside) —
+            # extend to its newline
+            if raw and not raw.endswith(b"\n"):
+                raw += f.readline()
+    if not raw.strip():
+        return pa.table({"wkb": pa.array([], pa.binary())})
+    return _parse_lines(raw)
+
+
 def read_geojsonseq(path: str, *, target_bytes: int = 64 << 20):
     """GeoJSONSeq → ``ray.data.Dataset``.  A directory reads one task
     per file; a single file is split into ~``target_bytes`` byte ranges
@@ -202,53 +233,13 @@ def read_geojsonseq(path: str, *, target_bytes: int = 64 << 20):
     in parallel."""
     import os
 
-    import ray
-
     if os.path.isdir(path):
-        files = list_parts(path, (".geojsonl", ".geojson", ".jsonl"))
-        src = ray.data.from_items(
-            [{"path": p, "start": -1, "stop": -1} for p in files],
-            override_num_blocks=max(1, len(files)))
+        units = [{"path": p, "start": -1, "stop": -1}
+                 for p in list_parts(path, (".geojsonl", ".geojson",
+                                            ".jsonl"))]
     else:
         size = os.path.getsize(path)
         cuts = list(range(0, max(size, 1), target_bytes)) + [size]
-        src = ray.data.from_items(
-            [{"path": path, "start": a, "stop": b}
-             for a, b in zip(cuts[:-1], cuts[1:]) if b > a],
-            override_num_blocks=max(1, len(cuts) - 1))
-
-    def load(batch: pa.Table) -> pa.Table:
-        outs = []
-        for i in range(batch.num_rows):
-            p = batch["path"][i].as_py()
-            a = int(batch["start"][i].as_py())
-            b = int(batch["stop"][i].as_py())
-            with open(p, "rb") as f:
-                if a < 0:                       # whole file
-                    raw = f.read()
-                elif a == 0:
-                    raw = f.read(b)
-                    if raw and not raw.endswith(b"\n"):
-                        raw += f.readline()
-                else:
-                    # a line belongs to this range iff it STARTS in
-                    # [a, b): peek at byte a-1 — if it is a newline the
-                    # line at ``a`` is complete and ours; otherwise we
-                    # are mid-line and skip to the first newline
-                    f.seek(a - 1)
-                    raw = f.read(b - a + 1)
-                    prev, raw = raw[:1], raw[1:]
-                    if prev != b"\n":
-                        cut = raw.find(b"\n")
-                        raw = b"" if cut < 0 else raw[cut + 1:]
-                    # the line spanning ``b`` is ours too (it started
-                    # inside) — extend to its newline
-                    if raw and not raw.endswith(b"\n"):
-                        raw += f.readline()
-            if raw.strip():
-                outs.append(_parse_lines(raw))
-        if not outs:
-            return pa.table({"wkb": pa.array([], pa.binary())})
-        return pa.concat_tables(outs, promote_options="default")
-
-    return src.map_batches(load, batch_format="pyarrow", batch_size=1)
+        units = [{"path": path, "start": a, "stop": b}
+                 for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    return read_units(units, _geojsonseq_range)

@@ -39,6 +39,7 @@ __all__ = [
     "parse_wkb_multi",
     "read_wkb",
     "wkb_type",
+    "wkb_has_z",
     "WKB_TYPE_NAMES",
     "wkb_envelope",
     "transform_wkb",
@@ -100,28 +101,15 @@ _F8 = (np.dtype(">f8"), np.dtype("<f8"))   # indexed by the byte-order flag
 
 
 def _wkb_type_dims(raw_type: int):
-    """Decode a WKB geometry type into (base_type, dims) across the ISO
-    (+1000 Z, +2000 M, +3000 ZM) and EWKB (0x80000000 Z, 0x40000000 M)
-    conventions (ogr/ogr_core.h:409-519 wkb variants)."""
-    dims = 2
-    t = raw_type
-    if t & 0x80000000:
-        dims += 1
-        t &= ~0x80000000
-    if t & 0x40000000:
-        dims += 1
-        t &= ~0x40000000
-    t &= ~0x20000000          # EWKB SRID flag (skipped by _wkb_header)
-    if 1000 <= t < 2000:
-        dims = 3
-        t -= 1000
-    elif 2000 <= t < 3000:
-        dims = 3
-        t -= 2000
-    elif 3000 <= t < 4000:
-        dims = 4
-        t -= 3000
-    return t, dims
+    """Decode a WKB geometry type into (base_type, dims, has_z) across the
+    ISO (+1000 Z, +2000 M, +3000 ZM) and EWKB (0x80000000 Z, 0x40000000
+    M) conventions (ogr/ogr_core.h:409-519 wkb variants)."""
+    z, m = bool(raw_type & 0x80000000), bool(raw_type & 0x40000000)
+    t = raw_type & 0x1FFFFFFF  # drops the EWKB Z, M and SRID flags
+    if 1000 <= t < 4000:
+        iso, t = divmod(t, 1000)
+        z, m = iso != 2, iso != 1
+    return t, 2 + z + m, z
 
 
 def _wkb_truncated(buf) -> ValueError:
@@ -137,7 +125,7 @@ def _wkb_header(buf, off: int):
     if order > 1:
         raise ValueError(f"bad wkb byte order {order} at byte {off}")
     (raw,) = _U32[order](buf, off + 1)
-    base, dims = (raw, 2) if raw < 18 else _wkb_type_dims(raw)
+    base, dims, _ = (raw, 2, False) if raw < 18 else _wkb_type_dims(raw)
     if base not in WKB_TYPE_NAMES:
         raise ValueError(f"unsupported WKB geometry type {base}")
     return base, dims, order, off + (9 if raw & 0x20000000 else 5)
@@ -209,6 +197,14 @@ def wkb_type(buf):
     read (a cut blob raises like any other reader)."""
     base, dims, _ = read_wkb(buf)
     return base, dims
+
+
+def wkb_has_z(buf) -> bool:
+    """The geometry's header declares a Z ordinate (ISO Z or ZM, EWKB Z).
+    An M-only geometry has three ordinates but no Z."""
+    order = _wkb_header(buf, 0)[2]
+    (raw,) = _U32[order](buf, 1)
+    return raw >= 18 and _wkb_type_dims(raw)[2]
 
 
 def _coord_views(node):

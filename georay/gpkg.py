@@ -26,6 +26,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .util import read_units
+
 __all__ = ["SQLiteFile", "read_gpkg", "gpkg_layers", "parse_gpkg_geom",
            "read_gpkg_dataset", "read_mbtiles", "mbtiles_metadata",
            "write_mbtiles", "write_gpkg",
@@ -316,25 +318,19 @@ def read_gpkg(data: bytes, table: str | None = None,
     return pa.table(out)
 
 
+def _gpkg_file(unit: dict, *, table, geom_col) -> pa.Table:
+    with open(unit["path"], "rb") as f:
+        return read_gpkg(f.read(), table=table, geom_col_out=geom_col)
+
+
 def read_gpkg_dataset(paths, *, table: str | None = None,
                       geom_col: str = "wkb"):
-    """Ray source: files are the parallel unit; each read task parses its
-    file's B-tree pages with the from-scratch reader."""
-    import ray
-
+    """Ray source: one task per file, which parses its file's B-tree pages
+    with the from-scratch reader."""
     if isinstance(paths, str):
         paths = [paths]
-
-    def load(batch: pa.Table) -> pa.Table:
-        out = []
-        for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                out.append(read_gpkg(f.read(), table=table,
-                                     geom_col_out=geom_col))
-        return pa.concat_tables(out) if out else pa.table({})
-
-    files = ray.data.from_arrow(pa.table({"path": pa.array(paths)}))
-    return files.map_batches(load, batch_format="pyarrow", batch_size=1)
+    return read_units([{"path": p} for p in paths], _gpkg_file, table=table,
+                      geom_col=geom_col)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ import os
 import struct
 
 import numpy as np
+import pyarrow as pa
 
-from .util import staged
+from .util import read_units, staged
 
 __all__ = [
     "write_grib", "scan_grib", "read_grib_message", "read_grib",
@@ -293,44 +294,23 @@ def read_grib(path: str):
     return [read_grib_message(path, m["offset"]) for m in scan_grib(path)]
 
 
-def read_grib_dataset(path: str, concurrency: int | None = None):
+def _grib_message(unit: dict) -> pa.Table:
+    """One decoded message as one row."""
+    a, meta = read_grib_message(unit["path"], unit["offset"])
+    return pa.table({
+        "message": pa.array([unit["message"]], pa.int32()),
+        "lat0": [meta["lat0"]], "lon0": [meta["lon0"]],
+        "dlat": [meta["dlat"]], "dlon": [meta["dlon"]],
+        "ni": pa.array([meta["ni"]], pa.int32()),
+        "nj": pa.array([meta["nj"]], pa.int32()),
+        "data": pa.array([a.ravel().tolist()], pa.list_(pa.float64())),
+    })
+
+
+def read_grib_dataset(path: str):
     """GRIB file → ray.data.Dataset, one decode task per message; rows
     (message, row0, lat0, lon0, dlat, dlon, data=list<float64> flat,
     ni, nj) — the raster-pipeline tile unit shape."""
-    import pyarrow as pa
-    import ray
-
-    msgs = scan_grib(path)
-
-    def load(batch: pa.Table) -> pa.Table:
-        rows = {"message": [], "lat0": [], "lon0": [], "dlat": [],
-                "dlon": [], "ni": [], "nj": [], "data": []}
-        for k, off in zip(batch["message"].to_pylist(),
-                          batch["offset"].to_pylist()):
-            a, meta = read_grib_message(path, off)
-            rows["message"].append(k)
-            rows["lat0"].append(meta["lat0"])
-            rows["lon0"].append(meta["lon0"])
-            rows["dlat"].append(meta["dlat"])
-            rows["dlon"].append(meta["dlon"])
-            rows["ni"].append(meta["ni"])
-            rows["nj"].append(meta["nj"])
-            rows["data"].append(a.ravel())
-        t = pa.table({
-            "message": pa.array(rows["message"], pa.int32()),
-            "lat0": pa.array(rows["lat0"]), "lon0": pa.array(rows["lon0"]),
-            "dlat": pa.array(rows["dlat"]), "dlon": pa.array(rows["dlon"]),
-            "ni": pa.array(rows["ni"], pa.int32()),
-            "nj": pa.array(rows["nj"], pa.int32()),
-            "data": pa.array([r.tolist() for r in rows["data"]],
-                             pa.list_(pa.float64())),
-        })
-        return t
-
-    src = ray.data.from_items(
-        [{"message": k, "offset": m["offset"]}
-         for k, m in enumerate(msgs)],
-        override_num_blocks=max(1, len(msgs)))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    return src.map_batches(load, batch_format="pyarrow",
-                           batch_size=None, **kwargs)
+    return read_units([{"path": path, "message": k, "offset": m["offset"]}
+                       for k, m in enumerate(scan_grib(path))],
+                      _grib_message)

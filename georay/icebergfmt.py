@@ -607,6 +607,15 @@ def iceberg_files(root: str, *, snapshot_id: int | None = None,
     return {"schema": schema, "files": files}
 
 
+def _iceberg_plan(root: str, columns, snapshot_id, prune):
+    """The snapshot's live data file paths and the typed empty table of
+    the columns read."""
+    snap = iceberg_files(root, snapshot_id=snapshot_id, prune=prune)
+    schema = snap["schema"]
+    return ([os.path.join(root, f["file_path"]) for f in snap["files"]],
+            schema.empty_table().select(columns or schema.names))
+
+
 def read_iceberg(root: str, *, columns=None, snapshot_id=None,
                  prune=None):
     """Iceberg-layout table → ray.data.Dataset via native read_parquet
@@ -615,14 +624,9 @@ def read_iceberg(root: str, *, columns=None, snapshot_id=None,
     path is needed — the spec's design)."""
     import ray
 
-    snap = iceberg_files(root, snapshot_id=snapshot_id, prune=prune)
-    files = snap["files"]
-    if not files:
-        want = columns or snap["schema"].names
-        return ray.data.from_arrow(pa.table(
-            {c: pa.array([], snap["schema"].field(c).type)
-             for c in want}))
-    paths = [os.path.join(root, f["file_path"]) for f in files]
+    paths, empty = _iceberg_plan(root, columns, snapshot_id, prune)
+    if not paths:
+        return ray.data.from_arrow(empty)
     kwargs = {}
     if columns is not None:
         kwargs["columns"] = columns
@@ -632,11 +636,8 @@ def read_iceberg(root: str, *, columns=None, snapshot_id=None,
 def read_iceberg_table(root: str, *, columns=None, snapshot_id=None,
                        prune=None) -> pa.Table:
     """Driver-side read of a (small) Iceberg-layout table."""
-    snap = iceberg_files(root, snapshot_id=snapshot_id, prune=prune)
-    tabs = [pq.read_table(os.path.join(root, f["file_path"]),
-                          columns=columns) for f in snap["files"]]
-    if not tabs:
-        want = columns or snap["schema"].names
-        return pa.table({c: pa.array([], snap["schema"].field(c).type)
-                         for c in want})
-    return pa.concat_tables(tabs)
+    paths, empty = _iceberg_plan(root, columns, snapshot_id, prune)
+    if not paths:
+        return empty
+    return pa.concat_tables([pq.read_table(p, columns=columns)
+                             for p in paths])

@@ -73,7 +73,7 @@ import uuid
 import numpy as np
 import pyarrow as pa
 
-from .util import staged
+from .util import read_units, staged
 
 __all__ = [
     "write_lance", "read_lance", "read_lance_table", "lance_manifest",
@@ -648,70 +648,53 @@ def _prune_keep(root: str, frags: list[dict], schema: pa.Schema,
     return keep
 
 
+def _lance_units(frags: list[dict]) -> list[dict]:
+    """One unit per fragment: its data file name and tombstone file."""
+    return [{"filename": fr["filename"],
+             "del_file": fr.get("del_file", "")} for fr in frags]
+
+
+def _lance_plan(root: str, columns, version, prune):
+    """The manifest's fragments after zone-map pruning, as units, and the
+    per-fragment decode arguments."""
+    man = lance_manifest(root, version)
+    frags = man["fragments"]
+    if prune is not None:
+        frags = _prune_keep(root, frags, man["schema"], prune)
+    return _lance_units(frags), dict(root=root, schema=man["schema"],
+                                     columns=columns)
+
+
+def _lance_fragment(unit: dict, *, root, schema, columns=None) -> pa.Table:
+    """One fragment's live rows: the data file minus its tombstones."""
+    return _apply_deletes(
+        read_fragment(os.path.join(root, "data", unit["filename"]), schema,
+                      columns), _read_deletes(root, unit))
+
+
 def read_lance(root: str, *, columns: list[str] | None = None,
-               version: int | None = None, prune=None,
-               concurrency: int | None = None):
+               version: int | None = None, prune=None):
     """lance-layout dataset → ray.data.Dataset, one read task per
     fragment (the fragment count is the parallelism, exactly Lance's
     own scan unit).  `prune=(col, lo, hi)` skips fragments by zone
     map before any task is scheduled."""
     import ray
 
-    man = lance_manifest(root, version)
-    schema = man["schema"]
-    frags = man["fragments"]
-    if prune is not None:
-        frags = _prune_keep(root, frags, schema, prune)
-    want = columns
-    paths = [os.path.join(root, "data", fr["filename"]) for fr in frags]
-    del_names = [fr.get("del_file", "") for fr in frags]
-    if not paths:
-        empty = pa.table({c: pa.array([], schema.field(c).type)
-                          for c in (want or schema.names)})
-        return ray.data.from_arrow(empty)
-    schema_ser = schema.serialize().to_pybytes()
-
-    def load(batch: pa.Table) -> pa.Table:
-        sch = pa.ipc.read_schema(pa.py_buffer(schema_ser))
-        out = []
-        for p, d in zip(batch["path"].to_pylist(),
-                        batch["del_file"].to_pylist()):
-            t = read_fragment(p, sch, want)
-            if d:
-                dels = np.frombuffer(
-                    open(os.path.join(os.path.dirname(p), d),
-                         "rb").read(), "<u8")
-                t = _apply_deletes(t, dels)
-            out.append(t)
-        return pa.concat_tables(out)
-
-    src = ray.data.from_items(
-        [{"path": p, "del_file": d}
-         for p, d in zip(paths, del_names)],
-        override_num_blocks=len(paths))
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return src.map_batches(load, batch_format="pyarrow", batch_size=None,
-                           **kwargs)
+    units, kw = _lance_plan(root, columns, version, prune)
+    if not units:
+        return ray.data.from_arrow(kw["schema"].empty_table().select(
+            columns or kw["schema"].names))
+    return read_units(units, _lance_fragment, **kw)
 
 
 def read_lance_table(root: str, *, columns=None, version=None,
                      prune=None) -> pa.Table:
     """Driver-side read of a (small) lance-layout dataset."""
-    man = lance_manifest(root, version)
-    frags = man["fragments"]
-    if prune is not None:
-        frags = _prune_keep(root, frags, man["schema"], prune)
-    tabs = [_apply_deletes(
-        read_fragment(os.path.join(root, "data", fr["filename"]),
-                      man["schema"], columns),
-        _read_deletes(root, fr)) for fr in frags]
-    if not tabs:
-        cols = columns or man["schema"].names
-        return pa.table({c: pa.array([], man["schema"].field(c).type)
-                         for c in cols})
-    return pa.concat_tables(tabs)
+    units, kw = _lance_plan(root, columns, version, prune)
+    if not units:
+        return kw["schema"].empty_table().select(
+            columns or kw["schema"].names)
+    return pa.concat_tables([_lance_fragment(u, **kw) for u in units])
 
 
 def _read_deletes(root: str, fr: dict) -> np.ndarray:
@@ -741,56 +724,39 @@ def _apply_deletes(t: pa.Table, dels: np.ndarray,
     return t.filter(pa.array(keep))
 
 
-def delete_lance(root: str, predicate, *, columns=None,
-                 concurrency: int | None = None) -> dict:
+def _lance_delete_fragment(unit: dict, *, root, schema, predicate,
+                           columns) -> pa.Table:
+    """One fragment's part of a delete: evaluate ``predicate``, merge the
+    old tombstones, and write a new tombstone file when rows were added
+    (one row: filename, del_file, n_deleted)."""
+    data_dir = os.path.join(root, "data")
+    t = read_fragment(os.path.join(data_dir, unit["filename"]), schema,
+                      columns=columns)
+    mask = np.asarray(predicate(t), dtype=bool)
+    prev = _read_deletes(root, unit)
+    mask[prev.astype(np.int64)] = True             # merge old tombstones
+    idx = np.flatnonzero(mask).astype(np.uint64)
+    dname = unit["del_file"]
+    if idx.size != prev.size:
+        dname = f"del-{uuid.uuid4().hex}.bin"
+        with staged(os.path.join(data_dir, dname)) as tmp, \
+                open(tmp, "wb") as f:
+            f.write(idx.astype("<u8").tobytes())
+    return pa.table({"filename": [unit["filename"]], "del_file": [dname],
+                     "n_deleted": [int(idx.size)]})
+
+
+def delete_lance(root: str, predicate, *, columns=None) -> dict:
     """Delete rows matching ``predicate`` (callable pa.Table → bool
     numpy mask) WITHOUT rewriting data: each fragment evaluates the
     predicate in its own Ray task and writes/merges a tombstone sidecar
     of physical row indices; a new manifest version names the sidecars.
     Old versions still read the undeleted data (time travel); data
     files never change.  ``columns`` limits what the predicate reads."""
-    import ray
-
     man = lance_manifest(root)
-    schema_ser = man["schema"].serialize().to_pybytes()
-    data_dir = os.path.join(root, "data")
-
-    def mark(batch: pa.Table) -> pa.Table:
-        sch = pa.ipc.read_schema(pa.py_buffer(schema_ser))
-        outs = {"filename": [], "del_file": [], "n_deleted": []}
-        for i in range(batch.num_rows):
-            fname = batch["filename"][i].as_py()
-            old = batch["old_del"][i].as_py() or ""
-            t = read_fragment(os.path.join(data_dir, fname), sch,
-                              columns=columns)
-            mask = np.asarray(predicate(t), dtype=bool)
-            prev = (np.frombuffer(
-                open(os.path.join(data_dir, old), "rb").read(), "<u8")
-                if old else np.empty(0, np.uint64))
-            mask[prev.astype(np.int64)] = True     # merge old tombstones
-            idx = np.flatnonzero(mask).astype(np.uint64)
-            if idx.size == prev.size:
-                outs["filename"].append(fname)
-                outs["del_file"].append(old)
-                outs["n_deleted"].append(int(prev.size))
-                continue
-            dname = f"del-{uuid.uuid4().hex}.bin"
-            with staged(os.path.join(data_dir, dname)) as tmp, \
-                    open(tmp, "wb") as f:
-                f.write(idx.astype("<u8").tobytes())
-            outs["filename"].append(fname)
-            outs["del_file"].append(dname)
-            outs["n_deleted"].append(int(idx.size))
-        return pa.table({k: pa.array(v) for k, v in outs.items()})
-
-    src = ray.data.from_items(
-        [{"filename": fr["filename"],
-          "old_del": fr.get("del_file", "")}
-         for fr in man["fragments"]],
-        override_num_blocks=max(1, len(man["fragments"])))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    rows = src.map_batches(mark, batch_format="pyarrow", batch_size=1,
-                           **kwargs).take_all()
+    rows = read_units(_lance_units(man["fragments"]), _lance_delete_fragment,
+                      root=root, schema=man["schema"], predicate=predicate,
+                      columns=columns).take_all()
     by_name = {r["filename"]: r for r in rows}
     infos = []
     deleted = 0
@@ -805,8 +771,18 @@ def delete_lance(root: str, predicate, *, columns=None,
     return {"version": man["version"] + 1, "deleted_rows": deleted}
 
 
-def compact_lance(root: str, *, target_rows: int = 65536,
-                  concurrency: int | None = None) -> dict:
+def _lance_compact_bin(unit: dict, *, root, schema) -> pa.Table:
+    """One bin of small fragments → one new fragment (one row: its
+    filename and row count)."""
+    t = pa.concat_tables([_lance_fragment(fr, root=root, schema=schema)
+                          for fr in unit["frags"]])
+    info = write_fragment(t, os.path.join(
+        root, "data", f"frag-{uuid.uuid4().hex}.lancef"))
+    return pa.table({"filename": [info["filename"]],
+                     "num_rows": pa.array([info["num_rows"]], pa.int64())})
+
+
+def compact_lance(root: str, *, target_rows: int = 65536) -> dict:
     """Lance ``optimize/compact_files`` analog: bin-pack fragments
     smaller than ``target_rows`` into new ~target_rows fragments and
     commit a NEW version whose manifest lists the rewritten fragments
@@ -817,8 +793,6 @@ def compact_lance(root: str, *, target_rows: int = 65536,
     metadata only; each output fragment is rewritten by one Ray task
     that reads only its input fragments.  Fragments already at or above
     ``target_rows`` are carried over untouched."""
-    import ray
-
     man = lance_manifest(root)
     schema = man["schema"]
     keep, small = [], []
@@ -832,48 +806,14 @@ def compact_lance(root: str, *, target_rows: int = 65536,
         cur.append(fr)
         cur_rows += fr["num_rows"]
         if cur_rows >= target_rows:
-            bins.append(cur)
+            bins.append({"frags": _lance_units(cur)})
             cur, cur_rows = [], 0
     if cur:
-        bins.append(cur)
-    schema_ser = schema.serialize().to_pybytes()
-    data_dir = os.path.join(root, "data")
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        sch = pa.ipc.read_schema(pa.py_buffer(schema_ser))
-        outs = []
-        for i in range(batch.num_rows):
-            names = batch["files"][i].as_py()
-            dels = batch["dels"][i].as_py()
-            parts = []
-            for nm, dl in zip(names, dels):
-                t1 = read_fragment(os.path.join(data_dir, nm), sch)
-                if dl:
-                    dd = np.frombuffer(
-                        open(os.path.join(data_dir, dl), "rb").read(),
-                        "<u8")
-                    t1 = _apply_deletes(t1, dd)
-                parts.append(t1)
-            t = pa.concat_tables(parts)
-            info = write_fragment(t, os.path.join(
-                data_dir, f"frag-{uuid.uuid4().hex}.lancef"))
-            outs.append(info)
-        return pa.table({
-            "filename": pa.array([o["filename"] for o in outs]),
-            "num_rows": pa.array([o["num_rows"] for o in outs],
-                                 pa.int64()),
-        })
-
-    src = ray.data.from_items(
-        [{"files": [fr["filename"] for fr in b],
-          "dels": [fr.get("del_file", "") for fr in b]} for b in bins],
-        override_num_blocks=len(bins))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
+        bins.append({"frags": _lance_units(cur)})
     new_infos = [{"filename": r["filename"],
                   "num_rows": int(r["num_rows"])}
-                 for r in src.map_batches(rewrite, batch_format="pyarrow",
-                                          batch_size=1, **kwargs)
-                 .take_all()]
+                 for r in read_units(bins, _lance_compact_bin, root=root,
+                                     schema=schema).take_all()]
     infos = [{k: fr[k] for k in ("filename", "num_rows", "del_file")
               if k in fr} for fr in keep] + new_infos
     _write_manifest(root, man["version"] + 1, schema, infos)

@@ -36,7 +36,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from .util import staged
+from .util import read_units, staged
 
 __all__ = ["write_las", "read_las", "read_las_dataset", "las_header"]
 
@@ -119,32 +119,19 @@ def read_las(path: str, *, start: int = 0,
     return _decode(raw, hdr)
 
 
-def read_las_dataset(path: str, *, target_points: int = 1 << 20,
-                     concurrency: int | None = None):
+def _las_points(unit: dict) -> pa.Table:
+    """One (start, n) point range."""
+    return read_las(unit["path"], start=unit["start"], n_points=unit["n"])
+
+
+def read_las_dataset(path: str, *, target_points: int = 1 << 20):
     """LAS file → ray.data.Dataset: (start, n) point-range units planned
     from the 227-byte header only; one seek + one structured-dtype
     frombuffer per task."""
-    import ray
-
-    hdr = las_header(path)
-    units = []
-    s = 0
-    while s < hdr["n_points"]:
-        n = min(target_points, hdr["n_points"] - s)
-        units.append({"start": s, "n": n})
-        s += n
-
-    def load(batch: pa.Table) -> pa.Table:
-        outs = [read_las(path, start=int(st), n_points=int(nn))
-                for st, nn in zip(batch["start"].to_pylist(),
-                                  batch["n"].to_pylist())]
-        return pa.concat_tables(outs)
-
-    src = ray.data.from_items(units,
-                              override_num_blocks=max(1, len(units)))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    return src.map_batches(load, batch_format="pyarrow",
-                           batch_size=None, **kwargs)
+    total = las_header(path)["n_points"]
+    return read_units([{"path": path, "start": s,
+                        "n": min(target_points, total - s)}
+                       for s in range(0, total, target_points)], _las_points)
 
 
 def write_las(table, path: str, *, point_format: int = 0,

@@ -6,8 +6,9 @@ is the minimal engine-side analog now that a chunked N-D store exists).
 An :class:`MDArray` wraps a Zarr v2 array directory.  Reads are windowed
 (only touched chunks decode — gdalmultidim's IRead with chunk
 granularity); statistics and reductions run DISTRIBUTED over the chunk
-grid: one Ray task batch per set of chunks, mergeable partials, no
-full-array materialization anywhere (the 100 TB shape).
+grid: one Ray task per chunk, mergeable partials combined in chunk order
+on the driver, no full-array materialization anywhere (the 100 TB
+shape).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .util import read_units
 from .zarrstore import (zarr_chunk_grid, zarr_meta, zarr_read_chunk,
                         zarr_read_window)
 
@@ -127,13 +129,20 @@ class MDArray:
                 out.append(idx)
         return out
 
-    def _chunk_dataset(self):
-        import ray
-        idxs = self._chunks_in_window()
-        nd = len(self.meta["shape"])
-        return ray.data.from_arrow(pa.table({
-            f"c{d}": pa.array([i[d] for i in idxs], pa.int64())
-            for d in range(nd)}))
+    def _chunk_partials(self, partial) -> list:
+        """One task per chunk in the window: the rows of ``partial(a)`` over
+        each trimmed chunk ``a``, in chunk order (so a combine reads them
+        in the same order on every run)."""
+        path, window = self.path, self._window
+
+        def chunk_partial(unit: dict) -> pa.Table:
+            a = MDArray(path, _window=window)._trimmed(tuple(unit["idx"]))
+            return partial(a).append_column("i", pa.array([unit["i"]]))
+
+        units = [{"i": i, "idx": list(idx)}
+                 for i, idx in enumerate(self._chunks_in_window())]
+        return sorted(read_units(units, chunk_partial).take_all(),
+                      key=lambda r: r["i"])
 
     def _trimmed(self, idx) -> np.ndarray:
         """One chunk restricted to the view's index set (strided-aware)."""
@@ -156,31 +165,23 @@ class MDArray:
 
     def reduce(self, op: str):
         """Whole-view scalar reduction (sum/min/max/count) — one partial
-        per chunk inside ``map_batches``, tiny combine driver-side."""
-        path, meta, window = self.path, self.meta, self._window
-        nd = len(meta["shape"])
+        per chunk task, tiny combine driver-side."""
+        if op not in ("sum", "min", "max", "count"):
+            raise ValueError(op)
 
-        def partial(batch: pa.Table) -> pa.Table:
-            arr_self = MDArray(path, _window=window)
-            vals = []
-            for i in range(batch.num_rows):
-                idx = tuple(int(batch[f"c{d}"][i].as_py())
-                            for d in range(nd))
-                a = arr_self._trimmed(idx)
-                if op == "sum":
-                    vals.append(a.sum(dtype=np.float64))
-                elif op == "min":
-                    vals.append(a.min() if a.size else np.inf)
-                elif op == "max":
-                    vals.append(a.max() if a.size else -np.inf)
-                elif op == "count":
-                    vals.append(a.size)
-                else:
-                    raise ValueError(op)
-            return pa.table({"v": pa.array(np.asarray(vals, np.float64))})
+        def partial(a: np.ndarray) -> pa.Table:
+            if op == "sum":
+                v = a.sum(dtype=np.float64)
+            elif op == "min":
+                v = a.min() if a.size else np.inf
+            elif op == "max":
+                v = a.max() if a.size else -np.inf
+            else:
+                v = a.size
+            return pa.table({"v": [float(v)]})
 
-        parts = self._chunk_dataset().map_batches(
-            partial, batch_format="pyarrow").to_pandas()["v"].to_numpy()
+        parts = np.array([r["v"] for r in self._chunk_partials(partial)],
+                         np.float64)
         if op == "sum" or op == "count":
             return float(parts.sum())
         return float(parts.min() if op == "min" else parts.max())
@@ -189,27 +190,18 @@ class MDArray:
         """GDALMDArray::GetStatistics analog: distributed Welford partials
         per chunk → exact (count, mean, std, min, max)."""
         from .stats import BandStats, band_stats_combine, band_stats_partial
-        path, meta, window = self.path, self.meta, self._window
-        nd = len(meta["shape"])
 
-        def partial(batch: pa.Table) -> pa.Table:
-            arr_self = MDArray(path, _window=window)
-            st = BandStats()
-            for i in range(batch.num_rows):
-                idx = tuple(int(batch[f"c{d}"][i].as_py())
-                            for d in range(nd))
-                st = st.merge(band_stats_partial(arr_self._trimmed(idx)))
+        def partial(a: np.ndarray) -> pa.Table:
+            st = band_stats_partial(a)
             return pa.table({"count": pa.array([st.count], pa.int64()),
                              "mean": pa.array([st.mean]),
                              "m2": pa.array([st.m2]),
                              "min": pa.array([st.min]),
                              "max": pa.array([st.max])})
 
-        rows = self._chunk_dataset().map_batches(
-            partial, batch_format="pyarrow").take_all()
         return band_stats_combine(
             BandStats(r["count"], r["mean"], r["m2"], r["min"], r["max"])
-            for r in rows)
+            for r in self._chunk_partials(partial))
 
 
 def mdim_translate(src_path: str, dst_path: str, *, window=None,
@@ -220,7 +212,7 @@ def mdim_translate(src_path: str, dst_path: str, *, window=None,
 
     The interesting distributed op is the chunk-grid change: every
     source chunk EXPLODES into its overlaps with destination chunks
-    (``map_batches``, one row per (src chunk x dst chunk) overlap
+    (one task per source chunk, one row per (src chunk x dst chunk) overlap
     carrying only the overlap bytes), a ``groupby(dst flat key)``
     co-locates the pieces, and each group assembles + writes one
     destination chunk file directly (atomic rename; existing chunks are
@@ -228,8 +220,6 @@ def mdim_translate(src_path: str, dst_path: str, *, window=None,
     the tile compositor, so neither array is ever materialized whole."""
     import os
     from itertools import product
-
-    import ray
 
     from .zarrstore import (zarr_chunk_grid, zarr_create, zarr_meta,
                             zarr_read_chunk, zarr_write_chunk,
@@ -253,23 +243,15 @@ def mdim_translate(src_path: str, dst_path: str, *, window=None,
     dmeta = zarr_create(dst_path, out_shape, chunks, dtype,
                         compressor=compressor)
 
-    grid = zarr_chunk_grid(smeta)
-    src_idx = ray.data.from_arrow(pa.table({
-        f"c{d}": pa.array([g[d] for g in grid], pa.int64())
-        for d in range(nd)}))
-
-    def explode(batch: pa.Table) -> pa.Table:
+    def explode(unit: dict) -> pa.Table:
         m = zarr_meta(src_path)
+        idx = tuple(unit["idx"])
         keys, offs, shps, datas = [], [], [], []
-        cols = [batch[f"c{d}"].to_numpy() for d in range(nd)]
-        for i in range(batch.num_rows):
-            idx = tuple(int(c[i]) for c in cols)
-            # source-chunk extent clipped to the window (absolute coords)
-            lo = [max(idx[d] * src_cs[d], w0[d]) for d in range(nd)]
-            hi = [min((idx[d] + 1) * src_cs[d], w1[d],
-                      m["shape"][d]) for d in range(nd)]
-            if any(h <= l for l, h in zip(lo, hi)):
-                continue
+        # source-chunk extent clipped to the window (absolute coords)
+        lo = [max(idx[d] * src_cs[d], w0[d]) for d in range(nd)]
+        hi = [min((idx[d] + 1) * src_cs[d], w1[d],
+                  m["shape"][d]) for d in range(nd)]
+        if all(h > l for l, h in zip(lo, hi)):
             arr = zarr_read_chunk(src_path, idx, m)
             # overlapped destination chunks (dst coords window-relative)
             dranges = [range((lo[d] - w0[d]) // chunks[d],
@@ -327,7 +309,7 @@ def mdim_translate(src_path: str, dst_path: str, *, window=None,
         return pa.table({"k": g["k"].slice(0, 1),
                          "written": pa.array([True])})
 
-    (src_idx.map_batches(explode, batch_format="pyarrow")
+    (read_units([{"idx": list(g)} for g in zarr_chunk_grid(smeta)], explode)
      .groupby("k")
      .map_groups(assemble, batch_format="pyarrow")
      .materialize())

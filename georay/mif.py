@@ -12,13 +12,15 @@ clauses (Pen/Brush/Symbol) are skipped on read, omitted on write.
 Floats serialize with repr (shortest roundtrip) — coordinates and
 Float attributes survive bit-exact.
 
-The FILE PAIR is the parallel unit (``read_mif_files``), like the
-other text drivers (xmldrivers.py, dxf.py)."""
+The FILE PAIR is the parallel unit: ``read_mif_files`` runs one Ray
+task per pair, like the other text drivers (xmldrivers.py, dxf.py)."""
 from __future__ import annotations
 
 import os
 
 import pyarrow as pa
+
+from .util import read_units
 
 __all__ = ["write_mif", "read_mif", "read_mif_files"]
 
@@ -262,7 +264,10 @@ def read_mif(path: str) -> pa.Table:
     return pa.table(data)
 
 
+def _mif_file(unit: dict) -> pa.Table:
+    return read_mif(unit["path"])
+
+
 def read_mif_files(paths: list[str]):
-    """Many MIF/MID pairs → one Dataset (one parse task per pair)."""
-    from .xmldrivers import _files_source
-    return _files_source(paths, read_mif)
+    """Many MIF/MID pairs → one Dataset, one Ray task per pair."""
+    return read_units([{"path": p} for p in paths], _mif_file)

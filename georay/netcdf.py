@@ -20,6 +20,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .util import read_units
+
 __all__ = ["nc_meta", "nc_read_var", "nc_write", "netcdf_to_zarr",
            "read_netcdf_dataset"]
 
@@ -315,62 +317,46 @@ def nc_write(dims: list, variables: dict, gatts: dict | None = None,
 # Ray integration
 # ---------------------------------------------------------------------------
 
-def read_netcdf_dataset(paths, var: str):
-    """Ray source: one read task per (file, record range) — workers read
-    their slab locally and emit rows ``(path, rec0, data, shape…)``
-    flattened per record."""
-    import os
+def _nc_slab(unit: dict, *, var: str) -> pa.Table:
+    """One unit's slab of ``var`` (its record range, or the whole fixed
+    variable when ``rec0`` < 0) as one row."""
+    with open(unit["path"], "rb") as f:
+        data = f.read()
+    r0 = unit["rec0"]
+    if r0 < 0:
+        arr, r0 = nc_read_var(data, var), 0
+    else:
+        arr = nc_read_var(data, var, rec0=r0, rec1=unit["rec1"])
+    return pa.table({
+        "path": pa.array([unit["path"]], pa.string()),
+        "rec0": pa.array([r0], pa.int64()),
+        "shape": pa.array([list(arr.shape)], pa.list_(pa.int64())),
+        "data": pa.array([np.ascontiguousarray(arr).tobytes()], pa.binary()),
+    })
 
-    import ray
+
+def read_netcdf_dataset(paths, var: str):
+    """Ray source: one task per (file, record range) unit — a record
+    variable splits into about ``os.cpu_count()`` ranges of the driver,
+    a fixed variable is one unit per file — each reading its slab
+    locally and emitting one row ``(path, rec0, shape, data)``."""
+    import os
 
     if isinstance(paths, str):
         paths = [paths]
-    rows = {"path": [], "rec0": [], "rec1": []}
+    units = []
     for p in paths:
         with open(p, "rb") as f:
             head = f.read(64 * 1024)
         meta = nc_meta(head)
-        v = meta["vars"][var]
-        if v["record"]:
+        if meta["vars"][var]["record"]:
             n = meta["numrecs"]
             step = max(1, n // max(1, os.cpu_count() or 8))
-            for r0 in range(0, n, step):
-                rows["path"].append(p)
-                rows["rec0"].append(r0)
-                rows["rec1"].append(min(n, r0 + step))
+            units += [{"path": p, "rec0": r0, "rec1": min(n, r0 + step)}
+                      for r0 in range(0, n, step)]
         else:
-            rows["path"].append(p)
-            rows["rec0"].append(-1)
-            rows["rec1"].append(-1)
-
-    def load(batch: pa.Table) -> pa.Table:
-        out = {"path": [], "rec0": [], "shape": [], "data": []}
-        for i in range(batch.num_rows):
-            p = batch["path"][i].as_py()
-            with open(p, "rb") as f:
-                data = f.read()
-            r0 = int(batch["rec0"][i].as_py())
-            r1 = int(batch["rec1"][i].as_py())
-            if r0 < 0:
-                arr = nc_read_var(data, var)
-                r0 = 0
-            else:
-                arr = nc_read_var(data, var, rec0=r0, rec1=r1)
-            out["path"].append(p)
-            out["rec0"].append(r0)
-            out["shape"].append(list(arr.shape))
-            out["data"].append(np.ascontiguousarray(arr).tobytes())
-        return pa.table({
-            "path": pa.array(out["path"], pa.string()),
-            "rec0": pa.array(out["rec0"], pa.int64()),
-            "shape": pa.array(out["shape"], pa.list_(pa.int64())),
-            "data": pa.array(out["data"], pa.binary()),
-        })
-
-    import ray
-    base = ray.data.from_arrow(pa.table(
-        {k: pa.array(v) for k, v in rows.items()}))
-    return base.map_batches(load, batch_format="pyarrow", batch_size=1)
+            units.append({"path": p, "rec0": -1, "rec1": -1})
+    return read_units(units, _nc_slab, var=var)
 
 
 def netcdf_to_zarr(nc_path: str, zarr_path: str, var: str,
@@ -379,8 +365,6 @@ def netcdf_to_zarr(nc_path: str, zarr_path: str, var: str,
     parses once driver-side; Ray tasks read record slabs worker-locally
     and write record-aligned chunks — after which the whole MDArray
     surface (strided views, distributed stats, mdim_translate) applies."""
-    import ray
-
     from .zarrstore import zarr_create, zarr_write_chunk
 
     with open(nc_path, "rb") as f:
@@ -400,40 +384,35 @@ def netcdf_to_zarr(nc_path: str, zarr_path: str, var: str,
 
     n0 = shape[0]
     c0 = chunks[0]
-    idxs = list(range((n0 + c0 - 1) // c0))
-    base = ray.data.from_arrow(pa.table({"c": pa.array(idxs, pa.int64())}))
-
     nc_dt, nc_size = _NC_TYPES[v["nc_type"]]
     per_rec = int(np.prod(shape[1:], dtype=np.int64) or 1)
     rec_bytes = per_rec * nc_size
     is_rec = v["record"]
     begin, recsize = v["begin"], meta["recsize"]
 
-    def write(batch: pa.Table) -> pa.Table:
-        # targeted byte-range reads — a task touches ONLY its slabs
-        done = []
+    def chunk_to_zarr(unit: dict) -> pa.Table:
+        # targeted byte-range reads — a task touches ONLY its slab
+        c = unit["c"]
+        r0 = c * c0
+        r1 = min(n0, r0 + c0)
         with open(nc_path, "rb") as f:
-            for c in batch["c"].to_numpy():
-                r0 = int(c) * c0
-                r1 = min(n0, r0 + c0)
-                if is_rec and recsize != rec_bytes:
-                    # interleaved record block: one seek per record
-                    bufs = []
-                    for rec in range(r0, r1):
-                        f.seek(begin + rec * recsize)
-                        bufs.append(f.read(rec_bytes))
-                    raw = b"".join(bufs)
-                else:
-                    # single record var / fixed var: rows are contiguous
-                    f.seek(begin + r0 * rec_bytes)
-                    raw = f.read((r1 - r0) * rec_bytes)
-                arr = np.frombuffer(raw, dtype=nc_dt).reshape(
-                    (r1 - r0,) + tuple(shape[1:]))
-                zarr_write_chunk(
-                    zarr_path, (int(c),) + (0,) * (len(shape) - 1),
-                    arr.astype(dt), zmeta)
-                done.append(int(c))
-        return pa.table({"c": pa.array(done, pa.int64())})
+            if is_rec and recsize != rec_bytes:
+                # interleaved record block: one seek per record
+                bufs = []
+                for rec in range(r0, r1):
+                    f.seek(begin + rec * recsize)
+                    bufs.append(f.read(rec_bytes))
+                raw = b"".join(bufs)
+            else:
+                # single record var / fixed var: rows are contiguous
+                f.seek(begin + r0 * rec_bytes)
+                raw = f.read((r1 - r0) * rec_bytes)
+        arr = np.frombuffer(raw, dtype=nc_dt).reshape(
+            (r1 - r0,) + tuple(shape[1:]))
+        zarr_write_chunk(zarr_path, (c,) + (0,) * (len(shape) - 1),
+                         arr.astype(dt), zmeta)
+        return pa.table({"c": pa.array([c], pa.int64())})
 
-    base.map_batches(write, batch_format="pyarrow").materialize()
+    read_units([{"c": c} for c in range((n0 + c0 - 1) // c0)],
+               chunk_to_zarr).materialize()
     return zarr_path

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .util import read_units
+
 __all__ = ["VectorPipeline"]
 
 
@@ -240,7 +242,6 @@ def read_parquet_bbox(path, bbox, *, lon_col: str = "lon",
     import os
 
     import pyarrow.parquet as pq_mod
-    import ray
 
     minx, miny, maxx, maxy = bbox
     files = ([os.path.join(path, f) for f in sorted(os.listdir(path))
@@ -273,23 +274,18 @@ def read_parquet_bbox(path, bbox, *, lon_col: str = "lon",
     plan = {"total_row_groups": total,
             "read_row_groups": sum(len(u["row_groups"]) for u in units)}
 
-    if not units:
-        return ray.data.from_items([]), plan
+    return read_units(units, _bbox_row_groups, bbox=bbox, lon_col=lon_col,
+                      lat_col=lat_col, columns=columns), plan
 
-    def load(batch: pa.Table) -> pa.Table:
-        outs = []
-        for i in range(batch.num_rows):
-            f = batch["path"][i].as_py()
-            rgs = list(batch["row_groups"][i].as_py())
-            t = pq_mod.ParquetFile(f).read_row_groups(
-                rgs, columns=columns)
-            lon = t[lon_col].to_numpy()
-            lat = t[lat_col].to_numpy()
-            m = (lon >= minx) & (lon <= maxx) \
-                & (lat >= miny) & (lat <= maxy)
-            outs.append(t.filter(pa.array(m)))
-        return pa.concat_tables(outs)
 
-    src = ray.data.from_items(units, override_num_blocks=len(units))
-    return src.map_batches(load, batch_format="pyarrow",
-                           batch_size=1), plan
+def _bbox_row_groups(unit: dict, *, bbox, lon_col, lat_col,
+                     columns) -> pa.Table:
+    """One file's planned row groups, filtered exactly to ``bbox``."""
+    import pyarrow.parquet as pq_mod
+    minx, miny, maxx, maxy = bbox
+    t = pq_mod.ParquetFile(unit["path"]).read_row_groups(
+        unit["row_groups"], columns=columns)
+    lon = t[lon_col].to_numpy()
+    lat = t[lat_col].to_numpy()
+    return t.filter(pa.array((lon >= minx) & (lon <= maxx)
+                             & (lat >= miny) & (lat <= maxy)))

@@ -17,7 +17,7 @@ public PBF format spec (wiki.openstreetmap.org/wiki/PBF_Format):
 Ray-Data-first read path: OSMData fileblocks are INDEPENDENT by design
 (each re-deltas from zero and carries its own string table), so the
 driver side only scans the cheap BlobHeader chain for (offset, size)
-extents and the per-block decode fans out through ``map_batches`` —
+extents and the per-block decode fans out to Ray tasks (4 blocks each) —
 at 100 TB each worker reads only its own byte ranges.  The packed
 varint streams decode VECTORIZED: one ``np.add.reduceat`` over 7-bit
 limbs per packed field, never a Python loop per value.
@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from .mvt import _field, _len_field, _read_varint, _varint, _zigzag
+from .util import read_units
 
 __all__ = ["write_osm_pbf", "scan_osm_pbf", "decode_block",
            "read_osm_pbf", "read_osm_pbf_table",
@@ -350,30 +351,33 @@ def _decode_way(buf, strings) -> dict:
     return out
 
 
-def read_osm_pbf(path: str, kind: str = "nodes"):
-    """Block-parallel Ray source: one map task per OSMData fileblock
-    (each is self-contained); workers read only their own byte extents."""
-    import ray
-
+def _osm_units(path: str) -> list[dict]:
+    """The file's OSMData blocks, 4 to a unit."""
     extents = scan_osm_pbf(path)
-    if not extents:
+    return [{"blobs": extents[i:i + 4]} for i in range(0, len(extents), 4)]
+
+
+def _osm_blobs(unit: dict, *, kind: str) -> pa.Table:
+    """The ``kind`` rows of one unit's blocks, each read at its extent."""
+    tabs = []
+    for ext in unit["blobs"]:
+        with open(ext["path"], "rb") as f:
+            f.seek(ext["offset"])
+            got = decode_block(_blob_payload(f.read(ext["size"])))
+        if kind in got:
+            tabs.append(got[kind])
+    if not tabs:
+        return pa.Table.from_pylist([], schema=_SCHEMAS[kind])
+    return pa.concat_tables(tabs)
+
+
+def read_osm_pbf(path: str, kind: str = "nodes"):
+    """Block-parallel Ray source: one task per 4 OSMData fileblocks (each
+    block is self-contained); workers read only their own byte extents."""
+    units = _osm_units(path)
+    if not units:
         raise ValueError(f"{path}: no OSMData blocks")
-
-    def load(batch: pa.Table) -> pa.Table:
-        tabs = []
-        for row in batch.to_pylist():
-            with open(row["path"], "rb") as f:
-                f.seek(row["offset"])
-                blob = f.read(row["size"])
-            got = decode_block(_blob_payload(blob))
-            if kind in got:
-                tabs.append(got[kind])
-        if not tabs:
-            return pa.Table.from_pylist([], schema=_SCHEMAS[kind])
-        return pa.concat_tables(tabs)
-
-    return (ray.data.from_arrow(pa.Table.from_pylist(extents))
-            .map_batches(load, batch_format="pyarrow", batch_size=4))
+    return read_units(units, _osm_blobs, kind=kind)
 
 
 def write_osm_pbf_partitioned(ds, out_dir: str, part_col: str):
@@ -388,14 +392,6 @@ def write_osm_pbf_partitioned(ds, out_dir: str, part_col: str):
 
 def read_osm_pbf_table(path: str, kind: str = "nodes") -> pa.Table:
     """Driver-side convenience read (tests / small files)."""
-    tabs = []
-    with open(path, "rb") as f:
-        data = f.read()
-    for ext in scan_osm_pbf(path):
-        got = decode_block(_blob_payload(
-            data[ext["offset"]:ext["offset"] + ext["size"]]))
-        if kind in got:
-            tabs.append(got[kind])
-    if not tabs:
-        return pa.Table.from_pylist([], schema=_SCHEMAS[kind])
-    return pa.concat_tables(tabs)
+    tabs = [_osm_blobs(u, kind=kind) for u in _osm_units(path)]
+    return pa.concat_tables(tabs) if tabs else pa.Table.from_pylist(
+        [], schema=_SCHEMAS[kind])

@@ -23,7 +23,7 @@ from . import codecs, fixtures
 from .decode import add_cells, add_georef, decode_images, decoded_rows
 from .tiles import assign_center_tile, build_pyramid, composite_tiles, \
     cut_tiles, fragment_sums, plan_tiles
-from .util import worker_cached, worker_get
+from .util import read_units, worker_cached, worker_get
 
 __all__ = ["read_images", "georeferenced_images", "flagship_join",
            "flagship_checkpointed", "tile_pipeline"]
@@ -40,10 +40,8 @@ def read_images(images_path: str, *, columns=None):
     root) as a Dataset: one task per work unit of
     :func:`flagship_work_units` reads that unit's rows, pruned to
     ``columns``."""
-    import ray
-    return ray.data.from_items(flagship_work_units(images_path)).map_batches(
-        _read_units, batch_format="pyarrow", batch_size=1,
-        fn_kwargs=dict(columns=columns))
+    return read_units(flagship_work_units(images_path), _image_rows,
+                      columns=columns)
 
 
 def georeferenced_images(images_path: str, *, decode: bool = True):
@@ -195,13 +193,12 @@ def _read_unit(unit: dict, columns) -> pa.Table:
     return tbl
 
 
-def _read_units(units: pa.Table, *, columns) -> pa.Table:
-    """:func:`read_images`' task: the rows of its work units."""
-    return pa.concat_tables([_read_unit(u, columns)
-                             for u in units.to_pylist()])
+def _image_rows(unit: dict, *, columns) -> pa.Table:
+    """:func:`read_images`' task: its work unit's rows."""
+    return _read_unit(unit, columns)
 
 
-def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
+def _flagship_unit_fn(unit: dict, *, index_ref, zoom, decode, cut,
                       verify) -> pa.Table:
     """One task per work unit: read the unit's rows worker-locally (the way
     a 100 TB deployment reads its shard straight from object storage — the
@@ -209,7 +206,7 @@ def _flagship_unit_fn(units: pa.Table, *, index_ref, zoom, decode, cut,
     rows do) and run the fused stage on them."""
     stage = FlagshipStage(index_ref, zoom=zoom, decode=decode, cut=cut,
                           verify=verify)
-    return stage(_read_units(units, columns=None if decode else _META_COLS))
+    return stage(_read_unit(unit, None if decode else _META_COLS))
 
 
 def flagship_work_units(images_path: str, groups_per_task: int = 2):
@@ -218,7 +215,9 @@ def flagship_work_units(images_path: str, groups_per_task: int = 2):
     chunk list analog (alg/gdalwarpoperation.cpp:846 CollectChunkList).
 
     These units are the only way the image table is read (the flagship's
-    tasks and :func:`read_images` both run :func:`_read_unit` on them).
+    tasks and :func:`read_images` both run :func:`_read_unit` on them),
+    and each one runs as exactly one Ray task at any unit count
+    (:func:`georay.util.read_units`).
 
     Unit size: 2 row groups, so the image count follows the writer's row
     group size.  The bench fixture writes 256-row groups (~512 images,
@@ -275,10 +274,9 @@ def flagship_join(images_path: str, polygons: pa.Table | None = None, *,
     if polygons is None:
         polygons = fixtures.polygons_table(n_polygons)
     index_ref = ray.put(PolygonIndex.build(polygons))
-    return ray.data.from_items(flagship_work_units(images_path)).map_batches(
-        _flagship_unit_fn, batch_format="pyarrow", batch_size=1,
-        fn_kwargs=dict(index_ref=index_ref, zoom=zoom, decode=decode,
-                       cut=cut, verify=verify))
+    return read_units(flagship_work_units(images_path), _flagship_unit_fn,
+                      index_ref=index_ref, zoom=zoom, decode=decode,
+                      cut=cut, verify=verify)
 
 
 def tile_pipeline(images_path: str, *, zoom: int = 12, tminz: int | None = None,

@@ -46,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from .osmpbf import _packed_varints
-from .util import staged
+from .util import read_units, staged
 
 __all__ = [
     "zxy_to_tileid", "tileid_to_zxy",
@@ -533,55 +533,38 @@ def get_tile(data: bytes, z: int, x: int, y: int) -> bytes | None:
     return None
 
 
+def _pmtiles_entries(unit: dict) -> pa.Table:
+    """One unit's entry range: its directories, then one read of the tile
+    byte span the range covers."""
+    with open(unit["path"], "rb") as f:
+        h = pmtiles_header(f.read(HEADER_LEN))
+        f.seek(0)
+        prefix = f.read(h["tile_data_offset"])
+        sl = slice(unit["start"], unit["stop"])
+        tid, off, ln, rl = (a[sl] for a in _resolved_entries(prefix, h))
+        lo = int(off.min())
+        f.seek(h["tile_data_offset"] + lo)
+        span = f.read(int((off + ln).max()) - lo)
+    base = h["tile_data_offset"] + lo
+    return _entries_to_table(lambda o, n: span[o - base:o - base + n], h,
+                             tid, off, ln, rl)
+
+
 def read_pmtiles_dataset(paths, *, unit_entries: int = 2048):
     """Ray source over .pmtiles archives: the driver reads each file's
     header + directories (tiny), plans (path, entry-range) scan units,
     and tasks fetch their unit's byte range — range-request-shaped, so
     the same plan works against object storage."""
-    import ray
-
     if isinstance(paths, str):
         paths = [paths]
     units = []
     for p in paths:
         with open(p, "rb") as f:
-            head = f.read(HEADER_LEN)
-            h = pmtiles_header(head)
+            h = pmtiles_header(f.read(HEADER_LEN))
             f.seek(0)
             # directories live before tile data; read the prefix once
             prefix = f.read(h["tile_data_offset"])
-        tid, off, ln, rl = _resolved_entries(prefix + b"", h)
-        for i in range(0, len(tid), unit_entries):
-            units.append({"path": p, "start": i,
-                          "stop": min(i + unit_entries, len(tid))})
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            with open(row["path"], "rb") as f:
-                h = pmtiles_header(f.read(HEADER_LEN))
-                f.seek(0)
-                prefix = f.read(h["tile_data_offset"])
-                tid, off, ln, rl = _resolved_entries(prefix, h)
-                sl = slice(row["start"], row["stop"])
-                tid, off, ln, rl = tid[sl], off[sl], ln[sl], rl[sl]
-                if len(tid) == 0:
-                    continue
-                lo = int(off.min())
-                hi = int((off + ln).max())
-                f.seek(h["tile_data_offset"] + lo)
-                span = f.read(hi - lo)
-
-            def fetch_range(o, n, _span=span, _base=h["tile_data_offset"],
-                            _lo=lo):
-                s = o - _base - _lo
-                return _span[s:s + n]
-            out.append(_entries_to_table(fetch_range, h, tid, off, ln, rl))
-        return pa.concat_tables(out) if out else pa.table(
-            {"z": pa.array([], pa.int64()),
-             "tile_x": pa.array([], pa.int64()),
-             "tile_y": pa.array([], pa.int64()),
-             "data": pa.array([], pa.binary())})
-
-    files = ray.data.from_items(units)
-    return files.map_batches(fetch, batch_format="pyarrow", batch_size=1)
+        n = len(_resolved_entries(prefix, h)[0])
+        units += [{"path": p, "start": i, "stop": min(i + unit_entries, n)}
+                  for i in range(0, n, unit_entries)]
+    return read_units(units, _pmtiles_entries)

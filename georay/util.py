@@ -1,7 +1,8 @@
 """Small shared helpers: the per-worker stage cache, process tuning,
 vectorized string hashing, the one loader of the package's C kernels
-(:func:`compiled`), and the one file-commit protocol every writer uses
-(:func:`staged`, :func:`write_parts`, :func:`write_groups`)."""
+(:func:`compiled`), the one file-commit protocol every writer uses
+(:func:`staged`, :func:`write_parts`, :func:`write_groups`), and the one
+Ray source every reader builds (:func:`read_units`)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import uuid
 import numpy as np
 
 __all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings",
-           "compiled", "staged", "write_parts", "write_groups", "list_parts"]
+           "compiled", "staged", "write_parts", "write_groups", "list_parts",
+           "read_units"]
 
 
 _HASH_P = np.uint64(1099511628211)  # FNV prime as the polynomial base
@@ -270,3 +272,30 @@ def list_parts(path: str, exts) -> list[str]:
         return sorted(os.path.join(path, p) for p in os.listdir(path)
                       if p.endswith(tuple(exts)))
     return [path]
+
+
+def read_units(units: list, read_one, **kwargs):
+    """The one Ray source of every reader: ``units`` are the unit dicts
+    the driver planned (plain values; each travels as one Arrow row), and
+    the Dataset runs exactly one Ray task per unit, which returns
+    ``read_one(unit, **kwargs)`` (a ``pa.Table``).
+
+    Each unit is its own input block and its own batch, so the task count
+    is the unit count at any size (``from_items`` without
+    ``override_num_blocks`` would cap at 200 blocks).  A planner that
+    wants several items in one task puts them in one unit.  The task is
+    named after ``read_one`` (``MapBatches(<name>)`` in
+    ``Dataset.stats()``), so that name must not contain ``read``,
+    ``write``, ``sort``, ``shuffle`` or ``repartition``: tools that file
+    operators by name (perfbench) would otherwise file the task outside
+    ``map``.  With no units the Dataset is empty and has no schema; a
+    reader that knows its schema returns its own typed empty Dataset."""
+    import ray
+
+    def task(batch, **kw):
+        return read_one(batch.to_pylist()[0], **kw)
+
+    task.__name__ = task.__qualname__ = read_one.__name__
+    return ray.data.from_items(
+        units, override_num_blocks=max(1, len(units))).map_batches(
+        task, batch_format="pyarrow", batch_size=1, fn_kwargs=kwargs)

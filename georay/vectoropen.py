@@ -55,7 +55,7 @@ def open_vector(path: str, **kw):
         return ray.data.from_arrow(read_csv_vector(path, **kw))
     if low.endswith(".gpx"):
         from .xmldrivers import read_gpx_files
-        return ray.data.from_arrow(read_gpx_files([path], **kw))
+        return read_gpx_files([path], **kw)
     if low.endswith(".kml"):
         from .xmldrivers import read_kml
         return ray.data.from_arrow(read_kml(path, **kw))
@@ -160,7 +160,7 @@ def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
     reads kv_metadata["geo"]).  CRS omitted = OGC:CRS84 per spec."""
     import json
 
-    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_has_z, wkb_type
 
     types = set()
     bbox = [float("inf"), float("inf"), float("-inf"), float("-inf")]
@@ -168,8 +168,9 @@ def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
     for buf in t.column(wkb_col).to_pylist():
         if buf is None:
             continue
-        base, dims = wkb_type(buf)
-        types.add(WKB_TYPE_NAMES[base] + (" Z" if dims >= 3 else ""))
+        # GeoParquet names Z only: an M ordinate is dropped from the name
+        types.add(WKB_TYPE_NAMES[wkb_type(buf)[0]]
+                  + (" Z" if wkb_has_z(buf) else ""))
         x0, y0, x1, y1 = wkb_envelope(buf)
         if x0 != x0:                       # empty geometry: no extent
             continue

@@ -22,8 +22,8 @@ ComplexSource windows, derived-band pixel functions) open directly:
 
 Scale shape: ``vrt_tile_plan`` plans (tile × intersecting-sources)
 driver-side from the RECTS ONLY (no pixel reads), and
-:func:`render_vrt_tiles` assembles each tile inside ``map_batches`` —
-one task touches only the source windows that overlap its tile, the
+:func:`render_vrt_tiles` assembles 8 planned tiles per Ray task —
+one task touches only the source windows that overlap its tiles, the
 block-based IRasterIO shape GDAL itself uses over VRTs.  Later sources
 paint over earlier ones (vrtsources.cpp composition order).
 """
@@ -35,7 +35,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .util import staged, worker_cached, worker_get
+from .util import read_units, staged, worker_cached, worker_get
 
 __all__ = ["vrt_parse", "vrt_read", "vrt_build", "vrt_tile_plan",
            "render_vrt_tiles", "read_vrt_tiles"]
@@ -331,7 +331,7 @@ def vrt_tile_plan(path: str, tile: int = 512) -> list[dict]:
 
 
 def render_vrt_tiles(batch, *, vrt_ref):
-    """map_batches stage: assemble planned tiles of one VRT.  ``vrt_ref`` is
+    """Assemble a table of planned tiles of one VRT.  ``vrt_ref`` is
     a ``ray.put`` ref of its :func:`_parse_file` result, fetched once per
     worker process; the decoded sources are cached per worker under the
     same ref, so each source decodes once per worker, shared across that
@@ -354,11 +354,20 @@ def render_vrt_tiles(batch, *, vrt_ref):
         "pixel_sum", pa.array(out_sum, pa.float64()))
 
 
+def _vrt_tile_group(unit: dict, *, vrt_ref):
+    """One unit of planned tiles, assembled by :func:`render_vrt_tiles`."""
+    import pyarrow as pa
+    return render_vrt_tiles(pa.Table.from_pylist(unit["tiles"]),
+                            vrt_ref=vrt_ref)
+
+
 def read_vrt_tiles(path: str, tile: int = 512):
-    """Ray source over a .vrt: tile plan → task-based assembly.  Each
-    task reads only the source windows overlapping its tiles; output is
-    one GeoTIFF-encoded tile per row (compose/write with tiles.py)."""
+    """Ray source over a .vrt: tile plan → task-based assembly, 8 planned
+    tiles per task.  Each task reads only the source windows overlapping
+    its tiles; output is one GeoTIFF-encoded tile per row (compose/write
+    with tiles.py)."""
     import ray
-    return ray.data.from_items(vrt_tile_plan(path, tile)).map_batches(
-        render_vrt_tiles, batch_format="pyarrow", batch_size=8,
-        fn_kwargs=dict(vrt_ref=ray.put(_parse_file(path))))
+    plan = vrt_tile_plan(path, tile)
+    return read_units([{"tiles": plan[i:i + 8]}
+                       for i in range(0, len(plan), 8)], _vrt_tile_group,
+                      vrt_ref=ray.put(_parse_file(path)))

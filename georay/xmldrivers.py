@@ -9,9 +9,9 @@ Point/LineString/Polygon/MultiGeometry, ``<name>`` and
 ``<ExtendedData><Data name=…><value>`` attribute fields.
 
 Scale shape: single XML documents are not block-splittable, so each
-FILE is the parallel unit — ``read_gpx_files`` / ``read_kml_files`` fan
-a path list out through ``map_batches`` (one parse per worker task),
-the same per-file model the reference uses.  Coordinates serialize via
+FILE is the parallel unit — ``read_gpx_files`` / ``read_kml_files`` /
+``read_gml_files`` run one Ray task per file of their path list, the
+same per-file model the reference uses.  Coordinates serialize via
 ``repr(float)`` (shortest roundtrip form), so geometry survives
 bit-exact — unlike the quantized OSM/MVT grids.
 """
@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from .geojson import geometry_to_wkb, wkb_to_geometry
+from .util import read_units
 
 __all__ = ["write_gpx", "read_gpx", "read_gpx_files",
            "write_kml", "read_kml", "read_kml_files",
@@ -434,29 +435,32 @@ def read_gml(path: str) -> pa.Table:
     return pa.table(out)
 
 
+def _gml_file(unit: dict) -> pa.Table:
+    return read_gml(unit["path"])
+
+
 def read_gml_files(paths: list[str]):
-    return _files_source(paths, read_gml)
+    """Many GML files → one Dataset, one Ray task per file."""
+    return read_units([{"path": p} for p in paths], _gml_file)
 
 
 # ---------------------------------------------------------------------------
 # multi-file Ray sources (the per-file parallel unit)
 # ---------------------------------------------------------------------------
 
-def _files_source(paths: list[str], parse_one):
-    import ray
-
-    def load(batch: pa.Table) -> pa.Table:
-        tabs = [parse_one(p) for p in batch["path"].to_pylist()]
-        return pa.concat_tables(tabs, promote_options="default")
-
-    return (ray.data.from_arrow(pa.table({"path": pa.array(paths)}))
-            .map_batches(load, batch_format="pyarrow", batch_size=1))
+def _gpx_file(unit: dict, *, layer: str) -> pa.Table:
+    return read_gpx(unit["path"])[layer]
 
 
 def read_gpx_files(paths: list[str], layer: str = "waypoints"):
-    """Many GPX files → one Dataset (one parse task per file)."""
-    return _files_source(paths, lambda p: read_gpx(p)[layer])
+    """Many GPX files → one Dataset, one Ray task per file."""
+    return read_units([{"path": p} for p in paths], _gpx_file, layer=layer)
+
+
+def _kml_file(unit: dict) -> pa.Table:
+    return read_kml(unit["path"])
 
 
 def read_kml_files(paths: list[str]):
-    return _files_source(paths, read_kml)
+    """Many KML files → one Dataset, one Ray task per file."""
+    return read_units([{"path": p} for p in paths], _kml_file)

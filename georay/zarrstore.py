@@ -13,7 +13,7 @@ scratch off their public specs in :mod:`georay.blosc` (bit-shuffle and
 blosclz/zstd/snappy inner codecs raise loudly).
 
 Ray mapping: a chunk is the natural unit of parallelism — the source
-emits one row per chunk (indices + bytes decoded in ``map_batches``),
+emits one row per chunk (indices + bytes, decoded in one task each),
 the sink writes one chunk file per row with atomic rename (same
 resumable-sink contract as the z/x/y tile writer), so a 100 TB array
 streams chunk-by-chunk through the object store with no full-array
@@ -29,7 +29,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from .util import staged
+from .util import read_units, staged
 
 __all__ = ["zarr_create", "zarr_write_chunk", "zarr_read_chunk",
            "zarr_read_window", "zarr_read", "zarr_meta",
@@ -195,46 +195,30 @@ def zarr_read(path: str) -> np.ndarray:
 # Ray source / sink
 # ---------------------------------------------------------------------------
 
+def _zarr_chunk_row(unit: dict, *, path: str, flatten_2d: bool) -> pa.Table:
+    """One chunk as one row, trimmed of its edge padding."""
+    m = zarr_meta(path)
+    cs, shape = m["chunks"], m["shape"]
+    idx = unit["idx"]
+    chunk = zarr_read_chunk(path, idx, m)[tuple(
+        slice(0, min(c, s - i * c)) for i, c, s in zip(idx, cs, shape))]
+    out = {f"c{d}": pa.array([i], pa.int64()) for d, i in enumerate(idx)}
+    if flatten_2d and len(idx) == 2:
+        out["h"] = pa.array([chunk.shape[0]], pa.int32())
+        out["w"] = pa.array([chunk.shape[1]], pa.int32())
+    out["data"] = pa.array([np.ascontiguousarray(chunk).tobytes()],
+                           pa.binary())
+    return pa.table(out)
+
+
 def zarr_to_dataset(path: str, *, flatten_2d: bool = True):
-    """Ray source: one row per chunk — ``(chunk indices…, h, w, data)``
-    with data as raw little-endian bytes of the (trimmed) chunk.  Chunk
-    files decode INSIDE map_batches tasks; the driver only lists names."""
-    import ray
-
-    meta = zarr_meta(path)
-    nd = len(meta["shape"])
-    grid = zarr_chunk_grid(meta)
-    base = pa.table({f"c{d}": pa.array([g[d] for g in grid], pa.int64())
-                     for d in range(nd)})
-    files = ray.data.from_arrow(base)
-
-    def load(batch: pa.Table) -> pa.Table:
-        m = zarr_meta(path)
-        cs, shape = m["chunks"], m["shape"]
-        rows = {f"c{d}": [] for d in range(nd)}
-        hs, ws, datas = [], [], []
-        cols = [batch[f"c{d}"].to_numpy() for d in range(nd)]
-        for i in range(batch.num_rows):
-            idx = [int(c[i]) for c in cols]
-            chunk = zarr_read_chunk(path, idx, m)
-            # trim edge padding back to the true extent
-            trim = tuple(slice(0, min(cs[d], shape[d] - idx[d] * cs[d]))
-                         for d in range(nd))
-            chunk = chunk[trim]
-            for d in range(nd):
-                rows[f"c{d}"].append(idx[d])
-            if flatten_2d and nd == 2:
-                hs.append(chunk.shape[0])
-                ws.append(chunk.shape[1])
-            datas.append(np.ascontiguousarray(chunk).tobytes())
-        out = {k: pa.array(v, pa.int64()) for k, v in rows.items()}
-        if flatten_2d and nd == 2:
-            out["h"] = pa.array(hs, pa.int32())
-            out["w"] = pa.array(ws, pa.int32())
-        out["data"] = pa.array(datas, pa.binary())
-        return pa.table(out)
-
-    return files.map_batches(load, batch_format="pyarrow")
+    """Ray source: one task and one row per chunk — ``(chunk indices…, h,
+    w, data)`` with data as raw little-endian bytes of the (trimmed)
+    chunk.  Chunk files decode inside the tasks; the driver only lists
+    names."""
+    return read_units([{"idx": list(g)}
+                       for g in zarr_chunk_grid(zarr_meta(path))],
+                      _zarr_chunk_row, path=path, flatten_2d=flatten_2d)
 
 
 def dataset_to_zarr(ds, path: str, shape, chunks, dtype, *,

@@ -20,10 +20,19 @@ walker helpers; every other module reads WKB through ``geom``'s views.
 The package's C kernels have one loader, ``georay.util.compiled``: it is
 the only code that uses ``subprocess`` (to run the compiler) or loads a
 built library with ``ctypes.CDLL``; the one other ``CDLL`` call loads
-libc for ``util.tune_malloc``."""
+libc for ``util.tune_malloc``.
+
+Every reader has one Ray source, ``georay.util.read_units``: the only
+``ray.data.from_items`` call, and each planned unit runs as exactly one
+task (read from ``Dataset.stats()``)."""
 
 import ast
 import pathlib
+import re
+
+import numpy as np
+import pyarrow as pa
+import pytest
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "georay"
 _POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
@@ -180,3 +189,141 @@ def test_c_kernels_load_only_through_compiled():
     assert found == {("util.py", "compiled", "subprocess"),
                      ("util.py", "compiled", "CDLL <built library>"),
                      ("util.py", "tune_malloc", "CDLL libc.so.6")}
+
+
+def test_from_items_only_in_read_units():
+    """(module, function) of every ``from_items`` call, and every call
+    outside util that sizes blocks or tasks itself (``concurrency=`` or
+    ``override_num_blocks=``, as a keyword or a ``**`` dict key)."""
+    knobs = {"concurrency", "override_num_blocks"}
+    found, bad = set(), []
+    for fname, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and _name(n) == "from_items"
+                    for n in ast.walk(fn)):
+                found.add((fname, fn.name))
+        if fname == "util.py":
+            continue
+        for n in ast.walk(tree):
+            keys = ([k.arg for k in n.keywords] if isinstance(n, ast.Call)
+                    else [k.value for k in n.keys
+                          if isinstance(k, ast.Constant)]
+                    if isinstance(n, ast.Dict) else [])
+            bad += [f"{fname}:{n.lineno} passes {k}=" for k in keys
+                    if k in knobs]
+    assert found == {("util.py", "read_units")}
+    assert not bad, "\n".join(bad)
+
+
+# ---------------------------------------------------------------------------
+# task layout: one Ray task per planned unit
+
+def _points(n: int) -> pa.Table:
+    from georay.geom import wkb_point
+    return pa.table({"wkb": pa.array([wkb_point(float(i), float(i % 5))
+                                      for i in range(n)], pa.binary()),
+                     "name": pa.array([f"p{i}" for i in range(n)])})
+
+
+def _file_list(ext: str, write, read, tmp_path):
+    paths = []
+    for k in range(3):
+        p = str(tmp_path / f"f{k}.{ext}")
+        write(_points(4), p)
+        paths.append(p)
+    return read(paths), 3
+
+
+def _kml(tmp_path, monkeypatch):
+    from georay.xmldrivers import read_kml_files, write_kml
+    return _file_list("kml", write_kml, read_kml_files, tmp_path)
+
+
+def _dxf(tmp_path, monkeypatch):
+    from georay.dxf import read_dxf_files, write_dxf
+    return _file_list("dxf", write_dxf, read_dxf_files, tmp_path)
+
+
+def _fgb(tmp_path, monkeypatch):
+    from georay.flatgeobuf import read_fgb_dataset, write_fgb
+
+    def write(t, p):
+        with open(p, "wb") as f:
+            f.write(write_fgb(t))
+    return _file_list("fgb", write, read_fgb_dataset, tmp_path)
+
+
+def _gpkg(tmp_path, monkeypatch):
+    from georay.gpkg import read_gpkg_dataset, write_gpkg
+    return _file_list("gpkg", write_gpkg, read_gpkg_dataset, tmp_path)
+
+
+def _zarr(tmp_path, monkeypatch):
+    from georay.zarrstore import (zarr_create, zarr_to_dataset,
+                                  zarr_write_chunk)
+    p = str(tmp_path / "a.zarr")
+    meta = zarr_create(p, (30, 8), (10, 8), "|u1")
+    for c in range(3):
+        zarr_write_chunk(p, (c, 0), np.full((10, 8), c, np.uint8), meta)
+    return zarr_to_dataset(p), 3
+
+
+def _netcdf(tmp_path, monkeypatch):
+    import os
+
+    from georay import netcdf as nc
+    p = str(tmp_path / "d.nc")
+    with open(p, "wb") as f:
+        f.write(nc.nc_write(
+            dims=[("time", 0), ("x", 5)],
+            variables={"v": (["time", "x"],
+                             np.arange(30, dtype=np.int32).reshape(6, 5))}))
+    # the record range is numrecs // the driver's CPU count
+    with monkeypatch.context() as m:
+        m.setattr(os, "cpu_count", lambda: 3)
+        return nc.read_netcdf_dataset(p, "v"), 3
+
+
+def _osm(tmp_path, monkeypatch):
+    from georay.osmpbf import read_osm_pbf, scan_osm_pbf, write_osm_pbf
+    p = str(tmp_path / "n.osm.pbf")
+    rng = np.random.default_rng(3)
+    write_osm_pbf(p, nodes=pa.table({
+        "id": pa.array(np.arange(1, 121, dtype=np.int64)),
+        "lat": pa.array(rng.uniform(-80, 80, 120)),
+        "lon": pa.array(rng.uniform(-170, 170, 120))}), block_rows=10)
+    assert len(scan_osm_pbf(p)) == 12          # 4 blocks per unit
+    return read_osm_pbf(p), 3
+
+
+def _lance(tmp_path, monkeypatch):
+    from georay.lancefmt import read_lance, write_lance
+    root = str(tmp_path / "t.lance")
+    for k, mode in enumerate(("create", "append", "append")):
+        write_lance(_points(4 + k).drop_columns(["wkb"]), root, mode=mode)
+    return read_lance(root), 3
+
+
+def _read_units_201(tmp_path, monkeypatch):
+    from georay.util import read_units
+
+    def unit_id(unit: dict) -> pa.Table:    # nested: pickled by value
+        return pa.table({"i": [unit["i"]]})
+    return read_units([{"i": i} for i in range(201)], unit_id), 201
+
+
+_LAYOUTS = {"kml": _kml, "dxf": _dxf, "fgb": _fgb, "gpkg": _gpkg,
+            "zarr": _zarr, "netcdf": _netcdf, "osm_pbf": _osm,
+            "lance": _lance, "read_units_201": _read_units_201}
+
+
+@pytest.mark.parametrize("case", list(_LAYOUTS))
+def test_each_planned_unit_runs_as_one_task(case, tmp_path, monkeypatch,
+                                            ray_session):
+    ds, k = _LAYOUTS[case](tmp_path, monkeypatch)
+    assert k >= 3
+    stats = ds.materialize().stats()
+    tasks = re.findall(r"Operator \d+ MapBatches\([^:\n]*: (\d+) tasks "
+                       r"executed", stats)
+    assert [int(t) for t in tasks] == [k], stats

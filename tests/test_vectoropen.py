@@ -1,6 +1,9 @@
 """open_vector driver identification across formats."""
+import struct
+
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from georay.geojson import geometry_to_wkb
 from georay.vectoropen import open_vector
@@ -58,6 +61,92 @@ def test_open_vector_formats(tmp_path, ray_session):
         f.write(b"zzzz")
     with pytest.raises(ValueError):
         open_vector(bad)
+
+
+def _write_fgb(t, p):
+    from georay.flatgeobuf import write_fgb
+    with open(p, "wb") as f:
+        f.write(write_fgb(t))
+
+
+def _write_mbtiles(t, p):
+    import ray
+
+    from georay.gpkg import write_mbtiles
+    write_mbtiles(ray.data.from_arrow(pa.table({
+        "z": pa.array([1, 1, 2], pa.int64()),
+        "tile_x": pa.array([0, 1, 3], pa.int64()),
+        "tile_y": pa.array([1, 0, 2], pa.int64()),
+        "data": pa.array([b"a", b"b", b"c"], pa.binary())})), p)
+
+
+def _bytes_reader(read):
+    def read_path(p):
+        with open(p, "rb") as f:
+            return read(f.read())
+    return read_path
+
+
+def _single_file_drivers():
+    """extension → (writer(table, path), the format's own table reader)."""
+    from georay.csvdriver import read_csv_vector, write_csv_vector
+    from georay.dxf import read_dxf, write_dxf
+    from georay.flatgeobuf import read_fgb
+    from georay.gpkg import read_gpkg, read_mbtiles, write_gpkg
+    from georay.mif import read_mif, write_mif
+    from georay.xmldrivers import (read_gml, read_gpx, read_kml, write_gml,
+                                   write_gpx, write_kml)
+    return {
+        "csv": (write_csv_vector, read_csv_vector),
+        "gpx": (lambda t, p: write_gpx(p, waypoints=t),
+                lambda p: read_gpx(p)["waypoints"]),
+        "kml": (write_kml, read_kml),
+        "gml": (write_gml, read_gml),
+        "dxf": (write_dxf, read_dxf),
+        "mif": (write_mif, read_mif),
+        "fgb": (_write_fgb, _bytes_reader(read_fgb)),
+        "gpkg": (write_gpkg, _bytes_reader(read_gpkg)),
+        "mbtiles": (_write_mbtiles, _bytes_reader(read_mbtiles)),
+    }
+
+
+@pytest.mark.parametrize("ext", ["csv", "gpx", "kml", "gml", "dxf", "mif",
+                                 "fgb", "gpkg", "mbtiles"])
+def test_open_vector_single_file_matches_table_reader(ext, tmp_path,
+                                                      ray_session):
+    """Every single-file branch of open_vector returns a Dataset whose
+    rows are exactly the format's own table reader's rows."""
+    write, read = _single_file_drivers()[ext]
+    p = str(tmp_path / f"pts.{ext}")
+    # GeoPackage reserves the name ``fid`` for its primary key
+    write(_pts(6).rename_columns(["wkb", "n"]), p)
+    want = read(p)
+    assert want.num_rows > 0
+    got = open_vector(p)
+    assert [dict(r) for r in got.take_all()] == want.to_pylist()
+
+
+def test_geoparquet_types_name_z_not_m():
+    """GeoParquet's ``geometry_types`` has no M suffix: an ISO M point is
+    a ``Point``; ISO ZM and EWKB Z points are ``Point Z``."""
+    import json
+
+    from georay.geom import wkb_point
+    from georay.vectoropen import attach_geoparquet_metadata
+
+    def types(*wkbs):
+        t = attach_geoparquet_metadata(pa.table({"wkb": pa.array(
+            list(wkbs), pa.binary())}))
+        return json.loads(t.schema.metadata[b"geo"])["columns"]["wkb"][
+            "geometry_types"]
+
+    iso_m = struct.pack("<BI3d", 1, 2001, 1.0, 2.0, 7.0)
+    iso_zm = struct.pack("<BI4d", 1, 3001, 1.0, 2.0, 3.0, 7.0)
+    ewkb_z = struct.pack("<BI3d", 1, 0x80000001, 1.0, 2.0, 3.0)
+    assert types(iso_m) == ["Point"]
+    assert types(iso_zm) == ["Point Z"]
+    assert types(ewkb_z) == ["Point Z"]
+    assert types(iso_m, wkb_point(0.0, 0.0)) == ["Point"]
 
 
 def test_geoparquet_metadata_roundtrip(tmp_path):
