@@ -17,10 +17,13 @@ decode of the ``bytes`` column, not a driver framework (SURVEY.md §2.1).
 
 from __future__ import annotations
 
+import ctypes
 import struct
 import zlib
 
 import numpy as np
+
+from .util import compiled
 
 __all__ = [
     "png_encode", "png_decode", "encode_image", "decode_image", "psnr",
@@ -334,50 +337,51 @@ def _dct_matrix(n: int) -> np.ndarray:
 _DCT32 = _dct_matrix(32)
 
 
-def _bin_sums(arr: np.ndarray, out: int):
-    """Exact integer sums of an integer image over an ``out``×``out`` grid
-    of index bins (source row ``y`` falls in bin ``y·out // h``, likewise
-    columns; trailing band axes are kept), and the pixel count of each
-    bin.  Contiguous ``np.add.reduceat`` per axis (scatter-free;
-    ``np.add.at`` measured ~10× slower).  Empty bins (source smaller than
-    ``out``) sum to zero — stored phashes depend on it."""
-    h, w = arr.shape[:2]
-    ys = np.arange(h) * out // h
-    xs = np.arange(w) * out // w
-    row_cnt = np.bincount(ys, minlength=out)
-    col_cnt = np.bincount(xs, minlength=out)
-    row_starts = np.minimum(np.searchsorted(ys, np.arange(out), "left"), h - 1)
-    col_starts = np.minimum(np.searchsorted(xs, np.arange(out), "left"), w - 1)
-    a = np.add.reduceat(arr, row_starts, axis=0, dtype=np.int64)
-    a[row_cnt == 0] = 0
-    a = np.add.reduceat(a, col_starts, axis=1)
-    a[:, col_cnt == 0] = 0
-    return a, row_cnt[:, None] * col_cnt[None, :]
+# bit weights of the 63 AC terms, MSB-first below the (zero) DC bit
+_POW2 = np.left_shift(np.int64(1), np.arange(62, -1, -1, dtype=np.int64))
+
+
+def _phash_bins():
+    """The compiled box resize, ``_phash.c``'s ``phash_bins``
+    (:func:`georay.util.compiled`)."""
+    return compiled("_phash.c", "phash_bins",
+                    [ctypes.c_void_p] + [ctypes.c_int64] * 6
+                    + [ctypes.c_void_p], None)
 
 
 def phash64(arr: np.ndarray) -> np.int64:
-    """Classic pHash: gray → 32×32 box resize → 2-D DCT-II → top-left 8×8
-    (skip DC) → median threshold → 64 bits (packed MSB-first, int64).
+    """Classic pHash of a uint8 ``(h, w)`` gray or ``(h, w, b)`` image:
+    gray → 32×32 box resize → 2-D DCT-II → top-left 8×8 (skip DC) →
+    median threshold → 64 bits (packed MSB-first, int64).  Any other
+    dtype, rank or an empty image raises ``ValueError``.
 
     The gray conversion and box resize are fused in integer space: the
-    block mean of (r+g+b)/3 equals blockmean(r+g+b)/3, and the bands are
-    summed after the binning, on 32×32 exact integer bin sums — no
-    full-resolution gray array is ever materialized."""
+    block mean of (r+g+b)/3 equals blockmean(r+g+b)/3, so one compiled
+    pass (``_phash.c``) reads the image once, through its strides, into
+    exact band-summed 32×32 bin sums and pixel counts — no
+    full-resolution gray array is ever materialized.  A multi-band image
+    sums all its bands and divides by 3."""
     arr = np.asarray(arr)
-    sums, cnt = _bin_sums(arr, 32)
-    divisor = 1.0
-    if arr.ndim == 3:
-        sums = sums.sum(axis=2)              # r+g+b per bin, exact
-        divisor = 3.0
+    if arr.dtype != np.uint8:
+        raise ValueError(f"phash64 needs uint8 pixels, got {arr.dtype}")
+    if arr.ndim not in (2, 3) or 0 in arr.shape:
+        raise ValueError(f"phash64 needs a non-empty (h, w) or (h, w, b) "
+                         f"image, got shape {arr.shape}")
+    b, band_stride = (arr.shape[2], arr.strides[2]) if arr.ndim == 3 \
+        else (1, 1)
+    bins = np.empty((2, 32, 32), dtype=np.int64)
+    _phash_bins()(arr.ctypes.data, arr.shape[0], arr.shape[1], b,
+                  arr.strides[0], arr.strides[1], band_stride,
+                  bins.ctypes.data)
+    sums, cnt = bins
+    divisor = 3.0 if arr.ndim == 3 else 1.0
     small = sums.astype(np.float64) / np.maximum(cnt, 1.0) / divisor
     d = _DCT32.T @ small @ _DCT32
-    block = d[:8, :8].copy().ravel()
-    vals = np.delete(block, 0)  # drop DC
+    vals = d[:8, :8].ravel()[1:]  # drop DC
     # quantize: synthetic/flat images produce coefficient clusters within
     # ~1e-13 of each other, where float summation order would flip bits —
     # the hash must be stable across vectorization strategies
     vals = np.round(vals, 6)
-    med = np.median(vals)
-    bits = np.concatenate([[False], vals > med])  # 64 bits, DC slot = 0
-    # MSB-first into 8 big-endian bytes, read as a two's-complement int64
-    return np.packbits(bits).view(">i8")[0].astype(np.int64)
+    med = np.partition(vals, 31)[31]  # the median of the 63 values
+    # bit 63 (the DC slot) is 0, so the hash is (vals > med) weighted
+    return (vals > med) @ _POW2

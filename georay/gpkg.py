@@ -412,12 +412,24 @@ def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
     READ side stays the from-scratch page parser).  Geometry wraps in
     the GeoPackageBinary header (GP magic, little-endian flag, srs_id);
     attribute types map to SQLite's INTEGER/REAL/TEXT/BLOB affinities.
-    One file == one writer; at scale the partition is the file unit."""
+    An integer ``fid`` column supplies the ``fid INTEGER PRIMARY KEY``
+    values, as GDAL's GPKG driver takes its FID column; without one the
+    features are numbered from 1; a non-integer ``fid`` raises
+    ``ValueError``.  One file == one writer; at scale the partition is
+    the file unit."""
     import sqlite3
 
+    if "fid" in table.schema.names:
+        t = table.schema.field("fid").type
+        if not pa.types.is_integer(t):
+            raise ValueError(f"gpkg: the fid column must be an integer, "
+                             f"got {t}")
+        fids = table["fid"].to_pylist()
+    else:
+        fids = range(1, table.num_rows + 1)
     cols = []
     for name in table.schema.names:
-        if name == geom_col:
+        if name in (geom_col, "fid"):
             continue
         t = table.schema.field(name).type
         if pa.types.is_integer(t) or pa.types.is_boolean(t):
@@ -448,8 +460,8 @@ def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
     head = b"GP" + bytes([0, 0x01]) + struct.pack("<i", srs_id)
     wkbs = table[geom_col].to_pylist()
     attrs = [table[n].to_pylist() for n, _ in cols]
-    rows = [(i + 1, None if wkbs[i] is None else head + wkbs[i],
-             *(a[i] for a in attrs)) for i in range(table.num_rows)]
+    rows = [(fid, None if wkb is None else head + wkb, *(a[i] for a in attrs))
+            for i, (fid, wkb) in enumerate(zip(fids, wkbs))]
     ph = ",".join("?" * (2 + len(cols)))
     con.executemany(f'INSERT INTO "{layer}" VALUES ({ph})', rows)
     con.commit()

@@ -48,8 +48,11 @@ class _Reader:
     def __init__(self, buf, version: int = 1):
         self.buf = memoryview(buf)
         self.pos = 0
+        self.version = version
+
+    def nn(self) -> int:
         # CDF-5: every NON_NEG widens to INT64 (tags/nc_type stay i4)
-        self.nn = self.i8 if version == 5 else self.i4
+        return self.i8() if self.version == 5 else self.i4()
 
     def i4(self) -> int:
         v = struct.unpack_from(">i", self.buf, self.pos)[0]
@@ -317,16 +320,24 @@ def nc_write(dims: list, variables: dict, gatts: dict | None = None,
 # Ray integration
 # ---------------------------------------------------------------------------
 
+# the most record bytes one read unit covers: a record variable splits
+# into runs of whole records of at most this size, at least one record each
+_UNIT_BYTES = 4 << 20
+
+
 def _nc_slab(unit: dict, *, var: str) -> pa.Table:
     """One unit's slab of ``var`` (its record range, or the whole fixed
-    variable when ``rec0`` < 0) as one row."""
-    with open(unit["path"], "rb") as f:
-        data = f.read()
+    variable when ``rec0`` < 0) as one row.  The file is memory-mapped, so
+    a unit reads the header and its own slab, not the whole file."""
+    import mmap
+
     r0 = unit["rec0"]
-    if r0 < 0:
-        arr, r0 = nc_read_var(data, var), 0
-    else:
-        arr = nc_read_var(data, var, rec0=r0, rec1=unit["rec1"])
+    with open(unit["path"], "rb") as f, \
+            mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        if r0 < 0:
+            arr, r0 = nc_read_var(data, var), 0
+        else:
+            arr = nc_read_var(data, var, rec0=r0, rec1=unit["rec1"])
     return pa.table({
         "path": pa.array([unit["path"]], pa.string()),
         "rec0": pa.array([r0], pa.int64()),
@@ -337,11 +348,11 @@ def _nc_slab(unit: dict, *, var: str) -> pa.Table:
 
 def read_netcdf_dataset(paths, var: str):
     """Ray source: one task per (file, record range) unit — a record
-    variable splits into about ``os.cpu_count()`` ranges of the driver,
-    a fixed variable is one unit per file — each reading its slab
-    locally and emitting one row ``(path, rec0, shape, data)``."""
-    import os
-
+    variable splits into runs of whole records of at most 4 MiB
+    (``_UNIT_BYTES``; one record when a record is larger), a fixed
+    variable is one unit per file — each reading its slab locally and
+    emitting one row ``(path, rec0, shape, data)``.  The units, and so the
+    rows, depend on the data alone."""
     if isinstance(paths, str):
         paths = [paths]
     units = []
@@ -349,9 +360,12 @@ def read_netcdf_dataset(paths, var: str):
         with open(p, "rb") as f:
             head = f.read(64 * 1024)
         meta = nc_meta(head)
-        if meta["vars"][var]["record"]:
+        v = meta["vars"][var]
+        if v["record"]:
             n = meta["numrecs"]
-            step = max(1, n // max(1, os.cpu_count() or 8))
+            per_rec = int(np.prod(v["shape"][1:], dtype=np.int64) or 1)
+            rec_bytes = per_rec * _NC_TYPES[v["nc_type"]][1]
+            step = max(1, _UNIT_BYTES // rec_bytes)
             units += [{"path": p, "rec0": r0, "rec1": min(n, r0 + step)}
                       for r0 in range(0, n, step)]
         else:

@@ -77,6 +77,91 @@ def test_phash_properties():
     assert bin((ha ^ hc) & ((1 << 64) - 1)).count("1") > 8
 
 
+def _phash_reference(arr):
+    """The earlier numpy formulation of ``phash64``: ``np.add.reduceat``
+    bin sums over index bins (row ``y`` in bin ``y·32 // h``, likewise
+    columns; empty bins sum to 0), then the median threshold packed by
+    ``np.packbits``."""
+    h, w = arr.shape[:2]
+    ys = np.arange(h) * 32 // h
+    xs = np.arange(w) * 32 // w
+    row_cnt = np.bincount(ys, minlength=32)
+    col_cnt = np.bincount(xs, minlength=32)
+    row_starts = np.minimum(np.searchsorted(ys, np.arange(32), "left"), h - 1)
+    col_starts = np.minimum(np.searchsorted(xs, np.arange(32), "left"), w - 1)
+    a = np.add.reduceat(arr, row_starts, axis=0, dtype=np.int64)
+    a[row_cnt == 0] = 0
+    a = np.add.reduceat(a, col_starts, axis=1)
+    a[:, col_cnt == 0] = 0
+    cnt = row_cnt[:, None] * col_cnt[None, :]
+    divisor = 1.0
+    if arr.ndim == 3:
+        a = a.sum(axis=2)
+        divisor = 3.0
+    small = a.astype(np.float64) / np.maximum(cnt, 1.0) / divisor
+    d = cd._DCT32.T @ small @ cd._DCT32
+    vals = np.round(np.delete(d[:8, :8].copy().ravel(), 0), 6)
+    bits = np.concatenate([[False], vals > np.median(vals)])
+    return np.packbits(bits).view(">i8")[0].astype(np.int64)
+
+
+def _phash_cases(rng, n):
+    """``n`` seeded uint8 images: h, w in [1, 300] (every fourth case with
+    a side under 32), gray, 3-band and the 3-band strided view of a 4-band
+    array, each random or flat."""
+    for k in range(n):
+        lo, hi = (1, 32) if k % 4 == 0 else (1, 301)
+        h, w = (int(v) for v in rng.integers(lo, hi, 2))
+        band = k % 3
+        flat = k % 5 == 0
+        shape = (h, w) if band == 0 else (h, w, 3 if band == 1 else 4)
+        if flat:
+            arr = np.full(shape, int(rng.integers(0, 256)), np.uint8)
+        else:
+            arr = rng.integers(0, 256, shape, dtype=np.uint8)
+        yield arr[:, :, :3] if band == 2 else arr
+
+
+def test_phash_matches_reference_formulation():
+    """``phash64`` equals the earlier formulation bit for bit, over seeded
+    random and flat images of every shape class, and over strided views
+    (a 4-band array's first 3 bands; every other row, reversed)."""
+    rng = np.random.default_rng(2022)
+    n = 0
+    for arr in _phash_cases(rng, 400):
+        assert arr.dtype == np.uint8
+        for view in (arr, arr[::-2]):
+            got = cd.phash64(view)
+            assert type(got) is np.int64
+            assert int(got) == int(_phash_reference(view)), view.shape
+            n += 1
+    assert n == 800
+
+
+# sha256 of the little-endian int64 phashes of fixtures.images_table(256)'s
+# decoded rows, in row order
+_FIXTURE_PHASH_SHA256 = ("5e73c53414b7076a283a49b6dbaf2859"
+                         "5f5a8108f3bbe562d71f5935eafa4f25")
+
+
+def test_phash_of_fixture_rows_frozen():
+    """Every decoded fixture row hashes to its stored ``phash``, and the
+    hashes of the first 256 rows are pinned."""
+    import hashlib
+    t = fx.images_table(256)
+    got = [int(cd.phash64(cd.decode_image(b, f)))
+           for b, f in zip(t["bytes"].to_pylist(), t["fmt"].to_pylist())]
+    assert got == t["phash"].to_pylist()
+    digest = hashlib.sha256(np.array(got, dtype="<i8").tobytes()).hexdigest()
+    assert digest == _FIXTURE_PHASH_SHA256
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64, bool])
+def test_phash_rejects_non_uint8(dtype):
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        cd.phash64(np.zeros((8, 8, 3), dtype=dtype))
+
+
 def test_images_table_deterministic_and_dup_group():
     t1 = fx.images_table(5)
     t2 = fx.images_table(5)

@@ -270,19 +270,16 @@ def _zarr(tmp_path, monkeypatch):
 
 
 def _netcdf(tmp_path, monkeypatch):
-    import os
-
     from georay import netcdf as nc
     p = str(tmp_path / "d.nc")
+    # 6 records of half the unit byte budget: 2 records per unit
+    x = nc._UNIT_BYTES // 2 // 4
     with open(p, "wb") as f:
         f.write(nc.nc_write(
-            dims=[("time", 0), ("x", 5)],
+            dims=[("time", 0), ("x", x)],
             variables={"v": (["time", "x"],
-                             np.arange(30, dtype=np.int32).reshape(6, 5))}))
-    # the record range is numrecs // the driver's CPU count
-    with monkeypatch.context() as m:
-        m.setattr(os, "cpu_count", lambda: 3)
-        return nc.read_netcdf_dataset(p, "v"), 3
+                             np.arange(6 * x, dtype=np.int32).reshape(6, x))}))
+    return nc.read_netcdf_dataset(p, "v"), 3
 
 
 def _osm(tmp_path, monkeypatch):

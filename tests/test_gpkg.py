@@ -254,6 +254,33 @@ def test_write_gpkg_roundtrip_and_partitioned(ray_session, tmp_path):
     assert total == n
 
 
+def test_write_gpkg_fid_column_is_the_primary_key(tmp_path):
+    """A (wkb, fid) table round-trips: its integer ``fid`` column supplies
+    the INTEGER PRIMARY KEY values (0 and gaps included), as GDAL's GPKG
+    driver takes its FID column; a non-integer ``fid`` raises."""
+    import pytest
+
+    from georay.gpkg import write_gpkg
+
+    fids = [0, 7, 3, 100]
+    t = pa.table({"wkb": pa.array([_point_wkb(float(i), -1.0) for i in fids],
+                                  pa.binary()),
+                  "fid": pa.array(fids, pa.int32())})
+    p = str(tmp_path / "f.gpkg")
+    assert write_gpkg(t, p) == 4
+    back = read_gpkg(open(p, "rb").read())
+    assert back.column_names == ["fid", "wkb"]
+    assert sorted(zip(back["fid"].to_pylist(), back["wkb"].to_pylist())) \
+        == sorted(zip(fids, t["wkb"].to_pylist()))
+    con = sqlite3.connect(p)
+    assert [r[0] for r in con.execute('SELECT rowid FROM "layer" '
+                                      "ORDER BY rowid")] == sorted(fids)
+    con.close()
+    with pytest.raises(ValueError, match="fid"):
+        write_gpkg(t.set_column(1, "fid", pa.array(["a", "b", "c", "d"])),
+                   str(tmp_path / "g.gpkg"))
+
+
 def test_gpkg_rtree_pushdown_and_rowid_lookup(tmp_path):
     """gpkg_rtree_index extension: the R*Tree shadow-node blobs are
     parsed directly (public rtree.c node format) and bbox reads fetch

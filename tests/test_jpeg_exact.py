@@ -16,13 +16,8 @@
   decodes to a uint8 array of the intact stream's shape; a cut of more
   than 4 bytes into the entropy-coded data raises.  The sweep runs in a
   child process, so a memory fault in the compiled pass fails the test.
-* The loader of the package's C kernels (``georay.util.compiled``), for
-  each kernel (this entropy pass and the tile-fragment checksum pass),
-  each load in a child process with its own cache directory: a second
-  process reuses the built library with no compiler on ``PATH``; two
-  processes loading both kernels at once leave one library per source
-  hash and no temp file; with no compiler and an empty cache the load
-  raises ``RuntimeError`` naming ``gcc`` and the kernel's source file.
+  The loader of the compiled pass is tested with every kernel's, in
+  tests/test_compiled.py.
 """
 
 import hashlib
@@ -220,7 +215,7 @@ def test_restart_intervals_decode_equal(subsample):
 
 
 # ---------------------------------------------------------------------------
-# Damaged input to the compiled entropy pass, and its loader
+# Damaged input to the compiled entropy pass
 # ---------------------------------------------------------------------------
 
 def _restart_streams():
@@ -287,20 +282,13 @@ def _fuzz_outcomes():
     return res
 
 
-def _spawn(code, env=None):
-    """``python -c code`` with georay and this module importable and
-    ``env`` overriding the environment."""
+def _run(code):
+    """``python -c code`` with georay and this module importable."""
     tests = os.path.dirname(os.path.abspath(__file__))
-    e = dict(os.environ, PYTHONPATH=f"{os.path.dirname(tests)}:{tests}",
-             **(env or {}))
-    return subprocess.Popen([sys.executable, "-c", code], env=e, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-
-
-def _run(code, env=None):
-    p = _spawn(code, env)
-    out, err = p.communicate(timeout=300)
-    return out, err, p.returncode
+    e = dict(os.environ, PYTHONPATH=f"{os.path.dirname(tests)}:{tests}")
+    p = subprocess.run([sys.executable, "-c", code], env=e, text=True,
+                       capture_output=True, timeout=300)
+    return p.stdout, p.stderr, p.returncode
 
 
 def test_damaged_streams_raise_value_error_or_decode():
@@ -316,66 +304,3 @@ def test_damaged_streams_raise_value_error_or_decode():
     # past the 4 zero bytes the decoder may read, a cut must be caught
     early = [case for case, cut, o in res if cut > 4 and o != "ValueError"]
     assert not early
-
-
-_DECODE = ("from georay import fixtures as fx, jpeg as J; import hashlib; "
-           "b = [r['bytes'] for r in fx.images_table(16).to_pylist() "
-           "if r['fmt'] == 'jpeg'][0]; "
-           "print(hashlib.sha256(J.jpeg_decode(b).tobytes()).hexdigest())")
-_CHECKSUM = ("import numpy as np; from georay.tiles import fragment_sums; "
-             "src = np.arange(20 * 30 * 3, dtype=np.uint8).reshape(20, 30, 3); "
-             "print(fragment_sums(src, np.array([[0, 0, 0, 2, 1, 17, 19, 5, "
-             "7, 200, 150]])).tolist())")
-# kernel source → child code that loads it, and nothing else
-_KERNELS = {"_huff.c": _DECODE, "_tilesum.c": _CHECKSUM}
-
-
-def _expected(source):
-    if source == "_tilesum.c":
-        from georay.tiles import fragment_sums
-        src = np.arange(20 * 30 * 3, dtype=np.uint8).reshape(20, 30, 3)
-        return str(fragment_sums(src, np.array(
-            [[0, 0, 0, 2, 1, 17, 19, 5, 7, 200, 150]])).tolist())
-    b = [r["bytes"] for r in fx.images_table(16).to_pylist()
-         if r["fmt"] == "jpeg"][0]
-    return hashlib.sha256(J.jpeg_decode(b).tobytes()).hexdigest()
-
-
-def _cache_env(tmp_path):
-    return {"HOME": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "c")}
-
-
-def test_loader_reuses_built_library_without_compiler(tmp_path):
-    env = _cache_env(tmp_path)
-    for source, code in _KERNELS.items():
-        out, err, rc = _run(code, env)
-        assert rc == 0, err
-        assert out.strip() == _expected(source)
-        [lib] = (tmp_path / "c" / "georay").glob(f"{source[:-2]}-*.so")
-        stamp = lib.stat().st_mtime_ns, lib.stat().st_ino
-        # no compiler is reachable: a second build would raise
-        out, err, rc = _run(code, dict(env, PATH=""))
-        assert rc == 0, err
-        assert out.strip() == _expected(source)
-        assert (lib.stat().st_mtime_ns, lib.stat().st_ino) == stamp
-
-
-def test_concurrent_first_loads_build_one_library(tmp_path):
-    env = _cache_env(tmp_path)
-    procs = [_spawn(f"{_DECODE}; {_CHECKSUM}", env) for _ in range(2)]
-    for p in procs:
-        out, err = p.communicate(timeout=300)
-        assert p.returncode == 0, err
-        assert out.split() == [_expected(k) for k in _KERNELS]
-    files = sorted(f.name for f in (tmp_path / "c" / "georay").iterdir())
-    assert [f.split("-")[0] for f in files] == ["_huff", "_tilesum"], files
-    assert all(f.endswith(".so") for f in files), files
-
-
-def test_loader_without_compiler_names_it(tmp_path):
-    for source, code in _KERNELS.items():
-        env = _cache_env(tmp_path / source)
-        out, err, rc = _run(code, dict(env, PATH=""))
-        assert rc != 0 and out == ""
-        assert "RuntimeError" in err and "gcc" in err
-        assert f"georay/{source}" in err

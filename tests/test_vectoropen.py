@@ -118,8 +118,7 @@ def test_open_vector_single_file_matches_table_reader(ext, tmp_path,
     rows are exactly the format's own table reader's rows."""
     write, read = _single_file_drivers()[ext]
     p = str(tmp_path / f"pts.{ext}")
-    # GeoPackage reserves the name ``fid`` for its primary key
-    write(_pts(6).rename_columns(["wkb", "n"]), p)
+    write(_pts(6), p)
     want = read(p)
     assert want.num_rows > 0
     got = open_vector(p)
