@@ -36,6 +36,7 @@ import zlib
 
 import pyarrow as pa
 
+from . import wire
 from .util import list_parts, read_units, write_parts
 
 __all__ = ["write_avro", "read_avro", "read_avro_table", "avro_schema"]
@@ -56,32 +57,59 @@ _AVRO_TO_ARROW = {
 
 
 # --------------------------------------------------------------------------
-# primitive binary encoding
-
-
-def _w_long(out: bytearray, v: int):
-    u = ((v << 1) ^ (v >> 63)) & 0xFFFFFFFFFFFFFFFF
-    while u > 0x7F:
-        out.append((u & 0x7F) | 0x80)
-        u >>= 7
-    out.append(u)
-
-
-def _r_long(buf, pos):
-    u = shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        u |= (b & 0x7F) << shift
-        if not b & 0x80:
-            break
-        shift += 7
-    return (u >> 1) ^ -(u & 1), pos
+# primitive binary encoding (a long is georay/wire.py's zigzag varint)
 
 
 def _w_bytes(out: bytearray, b: bytes):
-    _w_long(out, len(b))
+    out += wire.svarint(len(b))
     out += b
+
+
+def _r_bytes(buf, pos):
+    """A length-prefixed bytes/string value → ``(slice, next_pos)``."""
+    n, pos = wire.read_svarint(buf, pos, "avro")
+    return wire.take(buf, pos, n, "avro")
+
+
+def _w_prim(out: bytearray, code: str, v):
+    """One value of Avro primitive type ``code``."""
+    if code in ("int", "long"):
+        out += wire.svarint(int(v))
+    elif code == "double":
+        out += struct.pack("<d", v)
+    elif code == "float":
+        out += struct.pack("<f", v)
+    elif code == "boolean":
+        out.append(1 if v else 0)
+    elif code == "string":
+        _w_bytes(out, v.encode())
+    elif code == "bytes":
+        _w_bytes(out, bytes(v))
+    elif code != "null":
+        raise NotImplementedError(f"avro: type {code!r} unsupported")
+
+
+def _r_prim(data, pos, code):
+    """One value of Avro primitive type ``code`` → ``(value, next_pos)``."""
+    if code in ("long", "int"):
+        return wire.read_svarint(data, pos, "avro")
+    if code == "double":
+        raw, pos = wire.take(data, pos, 8, "avro")
+        return struct.unpack("<d", raw)[0], pos
+    if code == "float":
+        raw, pos = wire.take(data, pos, 4, "avro")
+        return struct.unpack("<f", raw)[0], pos
+    if code == "boolean":
+        raw, pos = wire.take(data, pos, 1, "avro")
+        return raw[0] == 1, pos
+    if code in ("string", "bytes"):
+        raw, pos = _r_bytes(data, pos)
+        return (bytes(raw).decode() if code == "string" else bytes(raw)), pos
+    if code == "null":
+        return None, pos
+    if isinstance(code, dict):
+        return _r_prim(data, pos, code.get("type"))
+    raise NotImplementedError(f"avro: type {code!r} unsupported")
 
 
 # --------------------------------------------------------------------------
@@ -137,79 +165,45 @@ def _arrow_field(af: dict | str | list) -> tuple:
 def _encode_block(table: pa.Table) -> bytes:
     """Rows of one Arrow table → concatenated Avro record bodies."""
     out = bytearray()
-    n = table.num_rows
     cols = []
     for f in table.schema:
-        col = table[f.name].combine_chunks()
-        t = f.type
-        kind = None
-        vals = None
-        if pa.types.is_list(t) or pa.types.is_large_list(t):
-            kind = "array"
-            item = t.value_type
-            vals = col  # handled per row
-            icode = _ARROW_TO_AVRO[item]
-        elif t == pa.bool_():
-            kind = "bool"
-            vals = col.to_pylist()
-        elif t in (pa.int32(), pa.int64()):
-            kind = "long"
-            vals = col.to_pylist()
-        elif t == pa.float32():
-            kind = "float"
-            vals = col.to_pylist()
-        elif t == pa.float64():
-            kind = "double"
-            vals = col.to_pylist()
-        elif t in (pa.string(), pa.large_string()):
-            kind = "str"
-            vals = [v.encode() if v is not None else None
-                    for v in col.to_pylist()]
-        elif t in (pa.binary(), pa.large_binary()):
-            kind = "str"
-            vals = col.to_pylist()
-        else:
-            raise NotImplementedError(f"avro: arrow type {t} unsupported")
-        cols.append((kind, vals, f.nullable,
-                     icode if kind == "array" else None))
-    for i in range(n):
-        for kind, vals, nullable, icode in cols:
-            v = vals[i] if kind != "array" else vals[i].as_py()
+        t = _avro_type(f)
+        cols.append((table[f.name].to_pylist(), f.nullable,
+                     t[1] if f.nullable else t))
+    for i in range(table.num_rows):
+        for vals, nullable, t in cols:
+            v = vals[i]
             if nullable:
+                out += wire.svarint(0 if v is None else 1)
                 if v is None:
-                    _w_long(out, 0)
                     continue
-                _w_long(out, 1)
             elif v is None:
                 raise ValueError("null in non-nullable avro field")
-            if kind == "long":
-                _w_long(out, int(v))
-            elif kind == "double":
-                out += struct.pack("<d", v)
-            elif kind == "float":
-                out += struct.pack("<f", v)
-            elif kind == "bool":
-                out.append(1 if v else 0)
-            elif kind == "str":
-                _w_bytes(out, v)
-            else:  # array: one block then terminator
+            if isinstance(t, dict):       # array: one block then terminator
                 if v:
-                    _w_long(out, len(v))
+                    out += wire.svarint(len(v))
                     for item in v:
-                        if icode in ("int", "long"):
-                            _w_long(out, int(item))
-                        elif icode == "double":
-                            out += struct.pack("<d", item)
-                        elif icode == "float":
-                            out += struct.pack("<f", item)
-                        elif icode == "boolean":
-                            out.append(1 if item else 0)
-                        elif icode == "string":
-                            _w_bytes(out, item.encode())
-                        else:
-                            _w_bytes(out, item)
-                _w_long(out, 0)
+                        _w_prim(out, t["items"], item)
+                out += wire.svarint(0)
+            else:
+                _w_prim(out, t, v)
     return bytes(out)
+
+
+def _ocf_head(schema: str, codec: str, sync: bytes) -> bytes:
+    """Magic, the metadata map (schema JSON text and codec), sync marker."""
+    meta = bytearray(wire.svarint(2))
+    for b in (b"avro.schema", schema.encode(), b"avro.codec",
+              codec.encode()):
+        _w_bytes(meta, b)
+    return _MAGIC + bytes(meta + wire.svarint(0)) + sync
+
+
+def _ocf_block(nrec: int, body: bytes, codec: str, sync: bytes) -> bytes:
+    """One data block: record count, size, the (deflated) body, sync."""
+    if codec == "deflate":
+        body = zlib.compress(body, 6)[2:-4]  # raw deflate per spec
+    return wire.svarint(nrec) + wire.svarint(len(body)) + body + sync
 
 
 def _write_ocf(path: str, table: pa.Table, codec: str,
@@ -218,26 +212,14 @@ def _write_ocf(path: str, table: pa.Table, codec: str,
     # the same table always gives the same bytes: the sync marker is
     # derived from the schema instead of drawn at random
     sync = uuid.uuid5(uuid.NAMESPACE_OID, schema).bytes
-    meta = bytearray()
-    _w_long(meta, 2)
-    _w_bytes(meta, b"avro.schema")
-    _w_bytes(meta, schema.encode())
-    _w_bytes(meta, b"avro.codec")
-    _w_bytes(meta, codec.encode())
-    _w_long(meta, 0)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + bytes(meta) + sync)
+        fh.write(_ocf_head(schema, codec, sync))
         for a in range(0, max(table.num_rows, 1), rows_per_block):
             chunk = table.slice(a, rows_per_block)
             if chunk.num_rows == 0:
                 continue
-            body = _encode_block(chunk)
-            if codec == "deflate":
-                body = zlib.compress(body, 6)[2:-4]  # raw deflate per spec
-            head = bytearray()
-            _w_long(head, chunk.num_rows)
-            _w_long(head, len(body))
-            fh.write(bytes(head) + body + sync)
+            fh.write(_ocf_block(chunk.num_rows, _encode_block(chunk), codec,
+                                sync))
 
 
 def write_avro(ds_or_table, path: str, codec: str = "deflate") -> str:
@@ -256,40 +238,34 @@ def write_avro(ds_or_table, path: str, codec: str = "deflate") -> str:
 def _read_header(fh):
     """Parse magic + metadata map + sync from a bounded, growable
     prefix (the header is tiny; never pull the whole file)."""
-    if fh.read(4) != _MAGIC:
-        raise ValueError("not an Avro object container file")
     buf = fh.read(1 << 16)
+    if buf[:4] != _MAGIC:
+        raise ValueError("not an Avro object container file")
     while True:
         try:
             return _parse_header(buf)
-        except IndexError:
+        except ValueError:
             more = fh.read(len(buf))
             if not more:
-                raise ValueError("truncated avro header") from None
+                raise
             buf += more
 
 
 def _parse_header(buf):
-    pos = 0
+    pos = 4
     meta = {}
     while True:
-        cnt, pos = _r_long(buf, pos)
+        cnt, pos = wire.read_svarint(buf, pos, "avro")
         if cnt == 0:
             break
         if cnt < 0:  # block with byte size
-            _sz, pos = _r_long(buf, pos)
+            _sz, pos = wire.read_svarint(buf, pos, "avro")
             cnt = -cnt
         for _ in range(cnt):
-            klen, pos = _r_long(buf, pos)
-            k = buf[pos:pos + klen].decode()
-            pos += klen
-            vlen, pos = _r_long(buf, pos)
-            meta[k] = buf[pos:pos + vlen]
-            pos += vlen
-    sync = buf[pos:pos + 16]
-    if len(sync) != 16:
-        raise IndexError("need more header bytes")
-    return meta, sync, 4 + pos + 16
+            k, pos = _r_bytes(buf, pos)
+            meta[k.decode()], pos = _r_bytes(buf, pos)
+    sync, pos = wire.take(buf, pos, 16, "avro")
+    return meta, sync, pos
 
 
 def _block_index(path: str):
@@ -303,15 +279,34 @@ def _block_index(path: str):
         while pos < size:
             fh.seek(pos)
             head = fh.read(20)  # two varints: ≤10 bytes each
-            nrec, p1 = _r_long(head, 0)
-            nbytes, p2 = _r_long(head, p1)
-            data_off = pos + p2
+            try:
+                nrec, p = wire.read_svarint(head, 0, "avro")
+                nbytes, p = wire.read_svarint(head, p, "avro")
+            except ValueError as err:
+                raise ValueError(f"avro block header at byte {pos}: {err}") \
+                    from err
+            data_off = pos + p
+            if nbytes < 0 or data_off + nbytes + 16 > size:
+                raise ValueError(f"truncated avro at byte {size}")
             blocks.append((data_off, nbytes, nrec))
             pos = data_off + nbytes + 16
             fh.seek(data_off + nbytes)
             if fh.read(16) != sync:
                 raise ValueError(f"bad sync marker at block {len(blocks)}")
     return blocks, schema, codec
+
+
+def _block_body(fh, off: int, size: int, codec: str) -> bytes:
+    """One data block's record bytes: seek, read, inflate."""
+    fh.seek(off)
+    body = fh.read(size)
+    if codec != "deflate":
+        return body
+    try:
+        return zlib.decompress(body, -15)
+    except zlib.error as err:
+        raise ValueError(f"avro block at byte {off} does not inflate: "
+                         f"{err}") from err
 
 
 def _decode_block(data: bytes, schema: dict, nrec: int,
@@ -326,24 +321,24 @@ def _decode_block(data: bytes, schema: dict, nrec: int,
         for (name, ft, at, nullable, is_arr) in fields:
             t = ft
             if nullable:
-                ix, pos = _r_long(data, pos)
+                ix, pos = wire.read_svarint(data, pos, "avro")
                 order = [x for x in ft]
                 if order[ix] == "null":
                     outs[name].append(None)
                     continue
                 t = order[ix]
             elif isinstance(t, list):
-                ix, pos = _r_long(data, pos)
+                ix, pos = wire.read_svarint(data, pos, "avro")
                 t = t[ix]
             if isinstance(t, dict) and t.get("type") == "array":
                 items = []
                 icode = t["items"]
                 while True:
-                    cnt, pos = _r_long(data, pos)
+                    cnt, pos = wire.read_svarint(data, pos, "avro")
                     if cnt == 0:
                         break
                     if cnt < 0:
-                        _sz, pos = _r_long(data, pos)
+                        _sz, pos = wire.read_svarint(data, pos, "avro")
                         cnt = -cnt
                     for _i in range(cnt):
                         v, pos = _r_prim(data, pos, icode)
@@ -358,24 +353,6 @@ def _decode_block(data: bytes, schema: dict, nrec: int,
             continue
         arrs[name] = pa.array(outs[name], at)
     return pa.table(arrs)
-
-
-def _r_prim(data, pos, code):
-    if code in ("long", "int"):
-        return _r_long(data, pos)
-    if code == "double":
-        return struct.unpack_from("<d", data, pos)[0], pos + 8
-    if code == "float":
-        return struct.unpack_from("<f", data, pos)[0], pos + 4
-    if code == "boolean":
-        return data[pos] == 1, pos + 1
-    if code in ("string", "bytes"):
-        n, pos = _r_long(data, pos)
-        raw = bytes(data[pos:pos + n])
-        return (raw.decode() if code == "string" else raw), pos + n
-    if isinstance(code, dict):
-        return _r_prim(data, pos, code.get("type"))
-    raise NotImplementedError(f"avro: type {code!r} unsupported")
 
 
 def _avro_units(path: str) -> list[dict]:
@@ -394,10 +371,7 @@ def _avro_units(path: str) -> list[dict]:
 def _avro_block(unit: dict, columns=None) -> pa.Table:
     """One data block: seek, inflate, decode."""
     with open(unit["path"], "rb") as fh:
-        fh.seek(unit["off"])
-        body = fh.read(unit["size"])
-    if unit["codec"] == "deflate":
-        body = zlib.decompress(body, -15)
+        body = _block_body(fh, unit["off"], unit["size"], unit["codec"])
     return _decode_block(body, json.loads(unit["schema"]), unit["nrec"],
                          columns)
 

@@ -33,13 +33,20 @@ __all__ = ["decoded_rows", "pixel_arrays", "with_pixels", "decode_images",
 def decoded_rows(batch: pa.Table):
     """The decode loop: for each row's ``bytes`` + ``fmt``, in order, yield
     ``(rgb, None)`` (uint8 h×w×3, gray turned into RGB) or ``(None,
-    error)`` for a row that does not decode.  Rows are decoded one at a
-    time as the caller asks for them; nothing is collected."""
+    error)`` for a row that does not decode, or that decodes to anything
+    but uint8 gray or RGB (a 16-bit PNG, a PNG with alpha).  Rows are
+    decoded one at a time as the caller asks for them; nothing is
+    collected."""
     for data, fmt in zip(batch["bytes"], batch["fmt"].to_pylist()):
         try:
             arr = codecs.decode_image(data.as_buffer(), fmt)
         except ValueError as err:
             yield None, err
+            continue
+        gray_or_rgb = arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)
+        if arr.dtype != np.uint8 or not gray_or_rgb:
+            yield None, ValueError(f"decodes to {arr.dtype} {arr.shape}, "
+                                   "not uint8 gray or RGB")
             continue
         yield (np.stack([arr] * 3, axis=2) if arr.ndim == 2 else arr), None
 

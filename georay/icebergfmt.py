@@ -60,12 +60,13 @@ import os
 import struct
 import time
 import uuid
-import zlib
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .avrofmt import _MAGIC, _r_long, _w_bytes, _w_long
+from . import wire
+from .avrofmt import (_block_body, _block_index, _ocf_block, _ocf_head,
+                      _r_bytes, _r_prim, _w_bytes, _w_prim)
 from .util import staged
 
 __all__ = [
@@ -82,10 +83,10 @@ def _enc_value(out: bytearray, typ, v):
         if v is None:
             if "null" not in typ:
                 raise ValueError("null for non-nullable union")
-            _w_long(out, typ.index("null"))
+            out += wire.svarint(typ.index("null"))
             return
         idx, t = next((i, t) for i, t in enumerate(typ) if t != "null")
-        _w_long(out, idx)
+        out += wire.svarint(idx)
         _enc_value(out, t, v)
         return
     if isinstance(typ, dict):
@@ -97,41 +98,26 @@ def _enc_value(out: bytearray, typ, v):
             return
         if tt == "array":
             if v:
-                _w_long(out, len(v))
+                out += wire.svarint(len(v))
                 for x in v:
                     _enc_value(out, typ["items"], x)
-            _w_long(out, 0)
+            out += wire.svarint(0)
             return
         if tt == "map":
             if v:
-                _w_long(out, len(v))
+                out += wire.svarint(len(v))
                 for k, x in v.items():
                     _w_bytes(out, str(k).encode())
                     _enc_value(out, typ["values"], x)
-            _w_long(out, 0)
+            out += wire.svarint(0)
             return
         typ = tt                              # {"type": "long", ...}
-    if typ in ("int", "long"):
-        _w_long(out, int(v))
-    elif typ == "string":
-        _w_bytes(out, v.encode())
-    elif typ == "bytes":
-        _w_bytes(out, bytes(v))
-    elif typ == "boolean":
-        out.append(1 if v else 0)
-    elif typ == "double":
-        out += struct.pack("<d", v)
-    elif typ == "float":
-        out += struct.pack("<f", v)
-    elif typ == "null":
-        pass
-    else:
-        raise NotImplementedError(f"avro object codec: type {typ!r}")
+    _w_prim(out, typ, v)
 
 
 def _dec_value(buf: bytes, pos: int, typ):
     if isinstance(typ, list):
-        idx, pos = _r_long(buf, pos)
+        idx, pos = wire.read_svarint(buf, pos, "avro")
         t = typ[idx]
         if t == "null":
             return None, pos
@@ -146,11 +132,11 @@ def _dec_value(buf: bytes, pos: int, typ):
         if tt == "array":
             out = []
             while True:
-                cnt, pos = _r_long(buf, pos)
+                cnt, pos = wire.read_svarint(buf, pos, "avro")
                 if cnt == 0:
                     break
                 if cnt < 0:
-                    _sz, pos = _r_long(buf, pos)
+                    _sz, pos = wire.read_svarint(buf, pos, "avro")
                     cnt = -cnt
                 for _ in range(cnt):
                     v, pos = _dec_value(buf, pos, typ["items"])
@@ -159,36 +145,19 @@ def _dec_value(buf: bytes, pos: int, typ):
         if tt == "map":
             out = {}
             while True:
-                cnt, pos = _r_long(buf, pos)
+                cnt, pos = wire.read_svarint(buf, pos, "avro")
                 if cnt == 0:
                     break
                 if cnt < 0:
-                    _sz, pos = _r_long(buf, pos)
+                    _sz, pos = wire.read_svarint(buf, pos, "avro")
                     cnt = -cnt
                 for _ in range(cnt):
-                    klen, pos = _r_long(buf, pos)
-                    k = buf[pos:pos + klen].decode()
-                    pos += klen
-                    out[k], pos = _dec_value(buf, pos, typ["values"])
+                    k, pos = _r_bytes(buf, pos)
+                    out[k.decode()], pos = _dec_value(buf, pos,
+                                                      typ["values"])
             return out, pos
         typ = tt
-    if typ in ("int", "long"):
-        return _r_long(buf, pos)
-    if typ == "string":
-        n, pos = _r_long(buf, pos)
-        return buf[pos:pos + n].decode(), pos + n
-    if typ == "bytes":
-        n, pos = _r_long(buf, pos)
-        return bytes(buf[pos:pos + n]), pos + n
-    if typ == "boolean":
-        return buf[pos] == 1, pos + 1
-    if typ == "double":
-        return struct.unpack_from("<d", buf, pos)[0], pos + 8
-    if typ == "float":
-        return struct.unpack_from("<f", buf, pos)[0], pos + 4
-    if typ == "null":
-        return None, pos
-    raise NotImplementedError(f"avro object codec: type {typ!r}")
+    return _r_prim(buf, pos, typ)
 
 
 def write_ocf_records(path: str, schema: dict, records: list[dict],
@@ -198,51 +167,24 @@ def write_ocf_records(path: str, schema: dict, records: list[dict],
     body = bytearray()
     for r in records:
         _enc_value(body, schema, r)
-    body = bytes(body)
-    if codec == "deflate":
-        body = zlib.compress(body, 6)[2:-4]
-    meta = bytearray()
-    _w_long(meta, 2)
-    _w_bytes(meta, b"avro.schema")
-    _w_bytes(meta, json.dumps(schema).encode())
-    _w_bytes(meta, b"avro.codec")
-    _w_bytes(meta, codec.encode())
-    _w_long(meta, 0)
     sync = uuid.uuid5(uuid.NAMESPACE_OID, path).bytes
-    head = bytearray()
-    if records:
-        _w_long(head, len(records))
-        _w_long(head, len(body))
     with staged(path) as tmp, open(tmp, "wb") as f:
-        f.write(_MAGIC + bytes(meta) + sync)
+        f.write(_ocf_head(json.dumps(schema), codec, sync))
         if records:
-            f.write(bytes(head) + body + sync)
+            f.write(_ocf_block(len(records), bytes(body), codec, sync))
 
 
 def read_ocf_records(path: str) -> list[dict]:
     """Avro OCF → list of dict records (object-level, nested ok)."""
-    from .avrofmt import _read_header
-    with open(path, "rb") as f:
-        meta, sync, pos = _read_header(f)
-        schema = json.loads(meta["avro.schema"].decode())
-        codec = meta.get("avro.codec", b"null").decode()
-        f.seek(0)
-        raw = f.read()
+    blocks, schema, codec = _block_index(path)
     out = []
-    n = len(raw)
-    while pos < n:
-        nrec, p = _r_long(raw, pos)
-        nbytes, p = _r_long(raw, p)
-        body = raw[p:p + nbytes]
-        if codec == "deflate":
-            body = zlib.decompress(body, -15)
-        bpos = 0
-        for _ in range(nrec):
-            rec, bpos = _dec_value(body, bpos, schema)
-            out.append(rec)
-        pos = p + nbytes + 16
-        if raw[p + nbytes:pos] != sync:
-            raise ValueError("bad avro sync marker")
+    with open(path, "rb") as f:
+        for off, size, nrec in blocks:
+            body = _block_body(f, off, size, codec)
+            bpos = 0
+            for _ in range(nrec):
+                rec, bpos = _dec_value(body, bpos, schema)
+                out.append(rec)
     return out
 
 # --------------------------------------------------- iceberg schemas

@@ -46,17 +46,23 @@ Fragment file layout (`.lancef`), one page per column:
     [column buffers ...][FileMeta protobuf][footer:
         u64 meta_off | u64 meta_len | u16 major | u16 minor | b"LANC"]
 
-Protobuf wire (shared heritage with georay/mvt.py, georay/osmpbf.py):
+Protobuf wire (encoded and decoded by georay/wire.py, which also serves
+the MVT, OSM PBF, PMTiles and Avro drivers):
 
   Manifest:   1 repeated Field schema; 2 repeated Fragment; 3 version;
               4 total_rows
   Field:      1 name; 2 type_code; 3 nullable; 4 list_size;
               5 value_type_code (fixed_size_list only)
-  Fragment:   1 id; 2 filename; 3 num_rows
+  Fragment:   1 id; 2 filename; 3 num_rows; 4 del_file (tombstones)
   FileMeta:   1 num_rows; 2 repeated ColumnMeta
   ColumnMeta: 1 name; 2 repeated Buffer; 3 null_count;
               4 min_bytes; 5 max_bytes
   Buffer:     1 role (1=validity, 2=offsets, 3=data); 2 offset; 3 length
+
+A manifest without version or total_rows, or whose total_rows is not
+its fragments' num_rows sum, a fragment without id/filename/num_rows,
+a field without name/type_code, and a FileMeta without num_rows or
+cut short all raise ``ValueError``.
 
 Type codes: 1 int32 · 2 int64 · 3 float32 · 4 float64 · 5 string ·
 6 binary · 7 bool · 8 fixed_size_list · 9 date32 · 10 timestamp[us] ·
@@ -73,6 +79,7 @@ import uuid
 import numpy as np
 import pyarrow as pa
 
+from . import wire
 from .util import read_units, staged
 
 __all__ = [
@@ -83,71 +90,6 @@ __all__ = [
 
 _MAGIC = b"LANC"
 _MAJOR, _MINOR = 0, 2
-
-# ---------------------------------------------------------------- wire
-
-def _uvarint(n: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _tag(field: int, wire: int) -> bytes:
-    return _uvarint((field << 3) | wire)
-
-
-def _len_field(field: int, payload: bytes) -> bytes:
-    return _tag(field, 2) + _uvarint(len(payload)) + payload
-
-
-def _varint_field(field: int, value: int) -> bytes:
-    return _tag(field, 0) + _uvarint(value)
-
-
-def _fields(buf: bytes):
-    """Decode a protobuf message into [(field, wire, value)] — value is
-    int for varint, bytes for length-delimited."""
-    out, i, n = [], 0, len(buf)
-    while i < n:
-        key = 0
-        shift = 0
-        while True:
-            b = buf[i]; i += 1
-            key |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-        field, wire = key >> 3, key & 7
-        if wire == 0:
-            v = 0
-            shift = 0
-            while True:
-                b = buf[i]; i += 1
-                v |= (b & 0x7F) << shift
-                if not b & 0x80:
-                    break
-                shift += 7
-            out.append((field, 0, v))
-        elif wire == 2:
-            ln = 0
-            shift = 0
-            while True:
-                b = buf[i]; i += 1
-                ln |= (b & 0x7F) << shift
-                if not b & 0x80:
-                    break
-                shift += 7
-            out.append((field, 2, buf[i:i + ln]))
-            i += ln
-        else:  # pragma: no cover - we never write wire types 1/5
-            raise ValueError(f"unsupported wire type {wire}")
-    return out
 
 # ------------------------------------------------------------- types
 
@@ -324,18 +266,18 @@ def write_fragment(table: pa.Table, path: str) -> dict:
                              "split the block")
         bmeta = b""
         for role, data in bufs:
-            bmeta += _len_field(2, _varint_field(1, role)
-                                + _varint_field(2, pos)
-                                + _varint_field(3, len(data)))
+            bmeta += wire.len_field(2, wire.varint_field(1, role)
+                                    + wire.varint_field(2, pos)
+                                    + wire.varint_field(3, len(data)))
             chunks.append(data)
             pos += len(data)
         mn, mx = _col_stats(col, table.schema.field(name).type)
-        meta = (_len_field(1, name.encode()) + bmeta
-                + _varint_field(3, arr.null_count))
+        meta = (wire.len_field(1, name.encode()) + bmeta
+                + wire.varint_field(3, arr.null_count))
         if mn:
-            meta += _len_field(4, mn) + _len_field(5, mx)
-        col_metas.append(_len_field(2, meta))
-    filemeta = _varint_field(1, table.num_rows) + b"".join(col_metas)
+            meta += wire.len_field(4, mn) + wire.len_field(5, mx)
+        col_metas.append(wire.len_field(2, meta))
+    filemeta = wire.varint_field(1, table.num_rows) + b"".join(col_metas)
     with staged(path) as tmp, open(tmp, "wb") as f:
         for c in chunks:
             f.write(c)
@@ -345,38 +287,65 @@ def write_fragment(table: pa.Table, path: str) -> dict:
     return {"filename": os.path.basename(path), "num_rows": table.num_rows}
 
 
-def _read_filemeta(path: str):
-    """(num_rows, [per-column meta dict]) from footer + one small read."""
-    with open(path, "rb") as f:
-        f.seek(-24, os.SEEK_END)
-        meta_off, meta_len, major, minor = struct.unpack("<QQHH", f.read(20))
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a lance-layout fragment")
-        f.seek(meta_off)
-        raw = f.read(meta_len)
-    num_rows = 0
+_BUFFER = {1: "role", 2: "offset", 3: "length"}
+_FIELD = {1: "name", 2: "code", 3: "nullable", 4: "list_size",
+          5: "value_code"}
+_FRAGMENT = {1: "id", 2: "filename", 3: "num_rows", 4: "del_file"}
+
+
+def _record(raw, keys: dict, what: str, required=()) -> dict:
+    """One flat message's fields named by ``keys``; each of ``required``
+    must be present."""
+    rec = {keys[f]: v for f, _, v in wire.fields(raw, "lance") if f in keys}
+    missing = [k for k in required if k not in rec]
+    if missing:
+        raise ValueError(f"lance {what} lacks {', '.join(missing)}")
+    return rec
+
+
+def _filemeta(raw: bytes):
+    """FileMeta bytes → (num_rows, [per-column meta dict])."""
+    num_rows = None
     cols = []
-    for field, wire, val in _fields(raw):
+    for field, _, val in wire.fields(raw, "lance"):
         if field == 1:
             num_rows = val
         elif field == 2:
             cm = {"buffers": [], "null_count": 0, "min": b"", "max": b""}
-            for f2, w2, v2 in _fields(val):
+            for f2, _, v2 in wire.fields(val, "lance"):
                 if f2 == 1:
                     cm["name"] = v2.decode()
                 elif f2 == 2:
-                    b = dict(role=0, offset=0, length=0)
-                    for f3, _, v3 in _fields(v2):
-                        b[("role", "offset", "length")[f3 - 1]] = v3
-                    cm["buffers"].append(b)
+                    cm["buffers"].append(_record(v2, _BUFFER, "buffer",
+                                                 _BUFFER.values()))
                 elif f2 == 3:
                     cm["null_count"] = v2
                 elif f2 == 4:
                     cm["min"] = v2
                 elif f2 == 5:
                     cm["max"] = v2
+            if "name" not in cm:
+                raise ValueError("lance column meta lacks name")
             cols.append(cm)
+    if num_rows is None:
+        raise ValueError("lance FileMeta lacks num_rows")
     return num_rows, cols
+
+
+def _read_filemeta(path: str):
+    """(num_rows, [per-column meta dict]) from footer + one small read."""
+    with open(path, "rb") as f:
+        if f.seek(0, os.SEEK_END) < 24:
+            raise ValueError(f"{path}: not a lance-layout fragment")
+        f.seek(-24, os.SEEK_END)
+        meta_off, meta_len, major, minor = struct.unpack("<QQHH", f.read(20))
+        if f.read(4) != _MAGIC:
+            raise ValueError(f"{path}: not a lance-layout fragment")
+        f.seek(meta_off)
+        raw = f.read(meta_len)
+    if len(raw) != meta_len:
+        raise ValueError(f"truncated lance at byte {meta_off + len(raw)}")
+    return _filemeta(raw)
 
 
 def read_fragment(path: str, schema: pa.Schema,
@@ -391,18 +360,22 @@ def read_fragment(path: str, schema: pa.Schema,
     a, b = (0, num_rows) if row_range is None else row_range
     b = min(b, num_rows)
     n = max(b - a, 0)
-    want = list(columns) if columns is not None else [
-        c["name"] for c in cols]
+    want = list(columns) if columns is not None else schema.names
     by_name = {c["name"]: c for c in cols}
     arrays, names = [], []
     with open(path, "rb") as f:
 
         def _read(off, ln):
             f.seek(off)
-            return f.read(ln)
+            got = f.read(ln)
+            if len(got) != ln:
+                raise ValueError(f"truncated lance at byte {off + len(got)}")
+            return got
 
         for name in want:
-            cm = by_name[name]
+            cm = by_name.get(name)
+            if cm is None:
+                raise ValueError(f"{path}: fragment has no column {name!r}")
             bufs = {bb["role"]: bb for bb in cm["buffers"]}
             t = schema.field(name).type
             code, list_size, value_code = _type_code(t)
@@ -462,11 +435,13 @@ def _schema_proto(schema: pa.Schema) -> bytes:
     out = b""
     for f in schema:
         code, list_size, value_code = _type_code(f.type)
-        body = (_len_field(1, f.name.encode()) + _varint_field(2, code)
-                + _varint_field(3, 1 if f.nullable else 0))
+        body = (wire.len_field(1, f.name.encode())
+                + wire.varint_field(2, code)
+                + wire.varint_field(3, 1 if f.nullable else 0))
         if code == 8:
-            body += _varint_field(4, list_size) + _varint_field(5, value_code)
-        out += _len_field(1, body)
+            body += (wire.varint_field(4, list_size)
+                     + wire.varint_field(5, value_code))
+        out += wire.len_field(1, body)
     return out
 
 
@@ -474,14 +449,14 @@ def _write_manifest(root: str, version: int, schema: pa.Schema,
                     fragments: list[dict]):
     body = _schema_proto(schema)
     for i, fr in enumerate(fragments):
-        frag = (_varint_field(1, i)
-                + _len_field(2, fr["filename"].encode())
-                + _varint_field(3, fr["num_rows"]))
+        frag = (wire.varint_field(1, i)
+                + wire.len_field(2, fr["filename"].encode())
+                + wire.varint_field(3, fr["num_rows"]))
         if fr.get("del_file"):
-            frag += _len_field(4, fr["del_file"].encode())
-        body += _len_field(2, frag)
-    body += _varint_field(3, version)
-    body += _varint_field(4, sum(fr["num_rows"] for fr in fragments))
+            frag += wire.len_field(4, fr["del_file"].encode())
+        body += wire.len_field(2, frag)
+    body += wire.varint_field(3, version)
+    body += wire.varint_field(4, sum(fr["num_rows"] for fr in fragments))
     vdir = os.path.join(root, "_versions")
     os.makedirs(vdir, exist_ok=True)
     # manifest commit IS the transaction: both renames are atomic, and
@@ -507,42 +482,29 @@ def lance_manifest(root: str, version: int | None = None) -> dict:
         path = os.path.join(root, "_versions", f"{version}.manifest")
     with open(path, "rb") as f:
         raw = f.read()
-    fields, frags, ver, total = [], [], 0, 0
-    for field, wire, val in _fields(raw):
+    fields, frags, top = [], [], {}
+    for field, _, val in wire.fields(raw, "lance"):
         if field == 1:
-            d = {"nullable": True, "list_size": 0, "value_code": 0}
-            for f2, _, v2 in _fields(val):
-                if f2 == 1:
-                    d["name"] = v2.decode()
-                elif f2 == 2:
-                    d["code"] = v2
-                elif f2 == 3:
-                    d["nullable"] = bool(v2)
-                elif f2 == 4:
-                    d["list_size"] = v2
-                elif f2 == 5:
-                    d["value_code"] = v2
-            fields.append(d)
+            fields.append({"nullable": 1, "list_size": 0, "value_code": 0,
+                           **_record(val, _FIELD, "field", ("name", "code"))})
         elif field == 2:
-            fr = {}
-            for f2, _, v2 in _fields(val):
-                if f2 == 1:
-                    fr["id"] = v2
-                elif f2 == 2:
-                    fr["filename"] = v2.decode()
-                elif f2 == 3:
-                    fr["num_rows"] = v2
-                elif f2 == 4:
-                    fr["del_file"] = v2.decode()
-            frags.append(fr)
-        elif field == 3:
-            ver = val
-        elif field == 4:
-            total = val
+            fr = _record(val, _FRAGMENT, "fragment",
+                         ("id", "filename", "num_rows"))
+            frags.append({k: v.decode() if isinstance(v, bytes) else v
+                          for k, v in fr.items()})
+        elif field in (3, 4):
+            top[field] = val
+    if 3 not in top or 4 not in top:
+        raise ValueError(f"{path}: lance manifest lacks version or "
+                         "total_rows")
+    ver, total = top[3], top[4]
+    if total != sum(fr["num_rows"] for fr in frags):
+        raise ValueError(f"{path}: lance manifest total_rows {total} is not "
+                         "the sum of its fragments' num_rows")
     schema = pa.schema([
-        pa.field(d["name"],
+        pa.field(d["name"].decode(),
                  _arrow_type(d["code"], d["list_size"], d["value_code"]),
-                 nullable=d["nullable"]) for d in fields])
+                 nullable=bool(d["nullable"])) for d in fields])
     return {"schema": schema, "fragments": frags, "version": ver,
             "total_rows": total}
 

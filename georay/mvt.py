@@ -1,9 +1,8 @@
 """Mapbox Vector Tile writer/reader — the reference's MVT driver
 (ogr/ogrsf_frmts/mvt, which serializes vector_tile.proto via its own
 protobuf runtime), re-implemented from scratch against the public MVT
-2.1 specification: hand-rolled protobuf wire format (varints, zigzag,
-length-delimited messages), command-integer geometry streams, and the
-layer key/value dictionaries.
+2.1 specification: the protobuf wire format of georay/wire.py,
+command-integer geometry streams, and the layer key/value dictionaries.
 
 * ``encode_mvt({layer_name: [feature, ...]})`` → tile bytes.  A feature
   is ``{"geom": wkb, "attrs": {...}, "id": int?}`` with geometry in
@@ -18,55 +17,15 @@ counter-clockwise; the encoder normalizes whatever the WKB carried.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
+
+from . import wire
 
 __all__ = ["encode_mvt", "decode_mvt", "wkb_to_tile_coords"]
 
 _MOVETO, _LINETO, _CLOSEPATH = 1, 2, 7
-
-
-# ---------------------------------------------------------------------------
-# protobuf wire primitives
-# ---------------------------------------------------------------------------
-
-def _varint(v: int) -> bytes:
-    out = bytearray()
-    v &= (1 << 64) - 1
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v < 0 else v << 1
-
-
-def _unzigzag(v: int) -> int:
-    return (v >> 1) ^ -(v & 1)
-
-
-def _field(num: int, wire: int) -> bytes:
-    return _varint((num << 3) | wire)
-
-
-def _len_field(num: int, payload: bytes) -> bytes:
-    return _field(num, 2) + _varint(len(payload)) + payload
-
-
-def _read_varint(buf: memoryview, pos: int):
-    v = shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        v |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return v, pos
-        shift += 7
 
 
 # ---------------------------------------------------------------------------
@@ -146,43 +105,39 @@ def _pack_commands(pairs) -> list:
             if a != _CLOSEPATH:
                 expect_params = b
         else:
-            out.append(_zigzag(a))
-            out.append(_zigzag(b))
+            out.append(wire.zigzag(a))
+            out.append(wire.zigzag(b))
             expect_params -= 1
     return out
 
 
 def _encode_value(v) -> bytes:
-    import struct
     if isinstance(v, bool):
-        return _field(7, 0) + _varint(1 if v else 0)
+        return wire.varint_field(7, 1 if v else 0)
     if isinstance(v, int):
-        return _field(6, 0) + _varint(_zigzag(v))
+        return wire.varint_field(6, wire.zigzag(v))
     if isinstance(v, float):
-        return _field(3, 1) + struct.pack("<d", v)
-    return _len_field(1, str(v).encode("utf-8"))
+        return wire.tag(3, 1) + struct.pack("<d", v)
+    return wire.len_field(1, str(v).encode("utf-8"))
 
 
 def _decode_value(payload: memoryview):
-    import struct
-    pos = 0
-    key, pos = _read_varint(payload, pos)
-    num, wire = key >> 3, key & 7
+    """A Value message's first field."""
+    got = wire.fields(payload, "mvt")
+    if not got:
+        raise ValueError("empty MVT Value")
+    num, _, v = got[0]
     if num == 1:
-        ln, pos = _read_varint(payload, pos)
-        return bytes(payload[pos:pos + ln]).decode("utf-8")
+        return bytes(v).decode("utf-8")
     if num == 3:
-        return struct.unpack_from("<d", payload, pos)[0]
+        return struct.unpack("<d", v)[0]
     if num == 2:
-        return struct.unpack_from("<f", payload, pos)[0]
+        return struct.unpack("<f", v)[0]
     if num == 6:
-        v, _ = _read_varint(payload, pos)
-        return _unzigzag(v)
+        return wire.unzigzag(v)
     if num in (4, 5):
-        v, _ = _read_varint(payload, pos)
         return v
     if num == 7:
-        v, _ = _read_varint(payload, pos)
         return bool(v)
     raise ValueError(f"unknown Value field {num}")
 
@@ -216,24 +171,23 @@ def encode_mvt(layers: dict, extent: int = 4096) -> bytes:
                 tags += [key_idx[k], val_idx[vk]]
             fb = bytearray()
             if "id" in f and f["id"] is not None:
-                fb += _field(1, 0) + _varint(int(f["id"]))
+                fb += wire.varint_field(1, int(f["id"]))
             if tags:
-                payload = b"".join(_varint(t) for t in tags)
-                fb += _len_field(2, payload)
-            fb += _field(3, 0) + _varint(mvt_type)
-            fb += _len_field(4, b"".join(_varint(i) for i in ints))
+                fb += wire.len_field(2, wire.varints(tags))
+            fb += wire.varint_field(3, mvt_type)
+            fb += wire.len_field(4, wire.varints(ints))
             fbufs.append(bytes(fb))
         lb = bytearray()
-        lb += _field(15, 0) + _varint(2)            # version
-        lb += _len_field(1, name.encode("utf-8"))
+        lb += wire.varint_field(15, 2)            # version
+        lb += wire.len_field(1, name.encode("utf-8"))
         for fb in fbufs:
-            lb += _len_field(2, fb)
+            lb += wire.len_field(2, fb)
         for k in keys:
-            lb += _len_field(3, k.encode("utf-8"))
+            lb += wire.len_field(3, k.encode("utf-8"))
         for v in vals:
-            lb += _len_field(4, _encode_value(v))
-        lb += _field(5, 0) + _varint(extent)
-        out += _len_field(3, bytes(lb))
+            lb += wire.len_field(4, _encode_value(v))
+        lb += wire.varint_field(5, extent)
+        out += wire.len_field(3, bytes(lb))
     return bytes(out)
 
 
@@ -256,8 +210,8 @@ def _decode_geometry(ints, mvt_type):
                 part = []
             continue
         for _ in range(cnt):
-            cx += _unzigzag(ints[i])
-            cy += _unzigzag(ints[i + 1])
+            cx += wire.unzigzag(ints[i])
+            cy += wire.unzigzag(ints[i + 1])
             i += 2
             if cid == _MOVETO and part:
                 pts.append(part)
@@ -288,60 +242,34 @@ def _decode_geometry(ints, mvt_type):
 
 
 def decode_mvt(data: bytes) -> dict:
-    buf = memoryview(data)
-    pos = 0
     layers = {}
-    while pos < len(buf):
-        key, pos = _read_varint(buf, pos)
-        ln, pos = _read_varint(buf, pos)
-        payload = buf[pos:pos + ln]
-        pos += ln
-        if key >> 3 != 3:
+    for key, _, payload in wire.fields(memoryview(data), "mvt"):
+        if key != 3:
             continue
         name, extent = "", 4096
         feats_raw, keys, vals = [], [], []
-        p = 0
-        while p < len(payload):
-            fk, p = _read_varint(payload, p)
-            num, wire = fk >> 3, fk & 7
-            if wire == 2:
-                fl, p = _read_varint(payload, p)
-                chunk = payload[p:p + fl]
-                p += fl
-                if num == 1:
-                    name = bytes(chunk).decode("utf-8")
-                elif num == 2:
-                    feats_raw.append(chunk)
-                elif num == 3:
-                    keys.append(bytes(chunk).decode("utf-8"))
-                elif num == 4:
-                    vals.append(_decode_value(chunk))
-            else:
-                v, p = _read_varint(payload, p)
-                if num == 5:
-                    extent = v
+        for num, _, v in wire.fields(payload, "mvt"):
+            if num == 1:
+                name = bytes(v).decode("utf-8")
+            elif num == 2:
+                feats_raw.append(v)
+            elif num == 3:
+                keys.append(bytes(v).decode("utf-8"))
+            elif num == 4:
+                vals.append(_decode_value(v))
+            elif num == 5:
+                extent = v
         feats = []
         for fr in feats_raw:
             fid, tags, mvt_type, ints = None, [], 0, []
-            q = 0
-            while q < len(fr):
-                fk, q = _read_varint(fr, q)
-                num, wire = fk >> 3, fk & 7
-                if wire == 2:
-                    fl, q = _read_varint(fr, q)
-                    chunk = fr[q:q + fl]
-                    q += fl
-                    r = 0
-                    target = tags if num == 2 else ints
-                    while r < len(chunk):
-                        v, r = _read_varint(chunk, r)
-                        target.append(v)
-                else:
-                    v, q = _read_varint(fr, q)
-                    if num == 1:
-                        fid = v
-                    elif num == 3:
-                        mvt_type = v
+            for num, wt, v in wire.fields(fr, "mvt"):
+                if wt == 2:
+                    (tags if num == 2 else ints).extend(
+                        wire.packed_varints(v, "mvt").tolist())
+                elif num == 1:
+                    fid = v
+                elif num == 3:
+                    mvt_type = v
             attrs = {keys[tags[k]]: vals[tags[k + 1]]
                      for k in range(0, len(tags), 2)}
             feats.append({"id": fid, "attrs": attrs,

@@ -18,20 +18,23 @@ Ray-Data-first read path: OSMData fileblocks are INDEPENDENT by design
 (each re-deltas from zero and carries its own string table), so the
 driver side only scans the cheap BlobHeader chain for (offset, size)
 extents and the per-block decode fans out to Ray tasks (4 blocks each) —
-at 100 TB each worker reads only its own byte ranges.  The packed
-varint streams decode VECTORIZED: one ``np.add.reduceat`` over 7-bit
-limbs per packed field, never a Python loop per value.
+at 100 TB each worker reads only its own byte ranges.  The protobuf
+wire format is georay/wire.py's: packed varint streams encode and decode
+vectorized (one ``np.add.reduceat`` over 7-bit limbs per packed field,
+never a Python loop per value), and a file, BlobHeader or block cut
+short raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
 import numpy as np
 import pyarrow as pa
 
-from .mvt import _field, _len_field, _read_varint, _varint, _zigzag
+from . import wire
 from .util import read_units
 
 __all__ = ["write_osm_pbf", "scan_osm_pbf", "decode_block",
@@ -43,55 +46,19 @@ _NANO = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# vectorized packed-varint decode
-# ---------------------------------------------------------------------------
-
-def _packed_varints(buf) -> np.ndarray:
-    """Decode a packed varint payload to uint64, vectorized: group the
-    7-bit limbs at continuation-bit boundaries and fold each group with
-    one ``reduceat`` (no Python loop over values)."""
-    a = np.frombuffer(buf, dtype=np.uint8)
-    if a.size == 0:
-        return np.zeros(0, np.uint64)
-    ends = np.flatnonzero(a < 0x80)
-    starts = np.empty(len(ends), np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    pos = np.arange(len(a), dtype=np.int64) - np.repeat(
-        starts, np.diff(np.append(starts, len(a))))
-    limbs = (a & np.uint8(0x7F)).astype(np.uint64) << (
-        np.uint64(7) * pos.astype(np.uint64))
-    return np.add.reduceat(limbs, starts)
-
-
-def _unzigzag64(u: np.ndarray) -> np.ndarray:
-    return ((u >> np.uint64(1)) ^ (-(u & np.uint64(1)).astype(np.int64))
-            .astype(np.uint64)).astype(np.int64)
-
-
-def _pack_sint_deltas(vals: np.ndarray) -> bytes:
-    d = np.diff(np.concatenate(([np.int64(0)], vals.astype(np.int64))))
-    return b"".join(_varint(_zigzag(int(v))) for v in d)
-
-
-def _pack_uints(vals) -> bytes:
-    return b"".join(_varint(int(v)) for v in vals)
-
-
-# ---------------------------------------------------------------------------
 # writer
 # ---------------------------------------------------------------------------
 
 def _blob(type_: str, payload: bytes) -> bytes:
-    blob = (_len_field(3, zlib.compress(payload, 6))
-            + _field(2, 0) + _varint(len(payload)))
-    header = (_len_field(1, type_.encode())
-              + _field(3, 0) + _varint(len(blob)))
+    blob = (wire.len_field(3, zlib.compress(payload, 6))
+            + wire.varint_field(2, len(payload)))
+    header = (wire.len_field(1, type_.encode())
+              + wire.varint_field(3, len(blob)))
     return struct.pack(">I", len(header)) + header + blob
 
 
 def _string_table(strings: list[bytes]) -> bytes:
-    return b"".join(_len_field(1, s) for s in strings)
+    return b"".join(wire.len_field(1, s) for s in strings)
 
 
 def write_osm_pbf(path: str, nodes: pa.Table | None = None,
@@ -104,8 +71,8 @@ def write_osm_pbf(path: str, nodes: pa.Table | None = None,
     (|roundtrip error| ≤ 5e-8 deg).  Returns entities written."""
     n_out = 0
     with open(path, "wb") as f:
-        f.write(_blob("OSMHeader", _len_field(4, b"OsmSchema-V0.6")
-                      + _len_field(4, b"DenseNodes")))
+        f.write(_blob("OSMHeader", wire.len_field(4, b"OsmSchema-V0.6")
+                      + wire.len_field(4, b"DenseNodes")))
         if nodes is not None:
             for lo in range(0, nodes.num_rows, block_rows):
                 g = nodes.slice(lo, block_rows).combine_chunks()
@@ -151,17 +118,15 @@ def _dense_block(g: pa.Table) -> bytes:
     ids = g["id"].to_numpy().astype(np.int64)
     lat = np.rint(g["lat"].to_numpy() / (_NANO * _GRAN)).astype(np.int64)
     lon = np.rint(g["lon"].to_numpy() / (_NANO * _GRAN)).astype(np.int64)
-    keys_vals = b"".join(
-        _pack_uints(p + [0]) for p in kv) if any(kv) else b""
-    dense = (_len_field(1, _pack_sint_deltas(ids))
-             + _len_field(8, _pack_sint_deltas(lat))
-             + _len_field(9, _pack_sint_deltas(lon)))
-    if keys_vals:
-        dense += _len_field(10, keys_vals)
-    group = _len_field(2, dense)
-    return (_len_field(1, _string_table(strings))
-            + _len_field(2, group)
-            + _field(17, 0) + _varint(_GRAN))
+    # sint64 delta runs
+    dense = b"".join(wire.len_field(n, wire.varints(wire.zigzag(
+        np.diff(v, prepend=0)))) for n, v in ((1, ids), (8, lat), (9, lon)))
+    if any(kv):
+        dense += wire.len_field(10, wire.varints(
+            [i for p in kv for i in p + [0]]))
+    return (wire.len_field(1, _string_table(strings))
+            + wire.len_field(2, wire.len_field(2, dense))
+            + wire.varint_field(17, _GRAN))
 
 
 def _way_block(g: pa.Table) -> bytes:
@@ -172,85 +137,60 @@ def _way_block(g: pa.Table) -> bytes:
     refs = g["refs"].to_pylist()
     ways = []
     for i in range(g.num_rows):
-        w = _field(1, 0) + _varint(int(ids[i]))
+        w = wire.varint_field(1, int(ids[i]))
         if kv[i]:
-            w += _len_field(2, _pack_uints(kv[i][0::2]))
-            w += _len_field(3, _pack_uints(kv[i][1::2]))
-        w += _len_field(8, _pack_sint_deltas(
-            np.asarray(refs[i] or [], np.int64)))
-        ways.append(_len_field(3, w))
-    group = b"".join(ways)
-    return (_len_field(1, _string_table(strings))
-            + _len_field(2, group)
-            + _field(17, 0) + _varint(_GRAN))
+            w += wire.len_field(2, wire.varints(kv[i][0::2]))
+            w += wire.len_field(3, wire.varints(kv[i][1::2]))
+        w += wire.len_field(8, wire.varints(wire.zigzag(
+            np.diff(np.asarray(refs[i] or [], np.int64), prepend=0))))
+        ways.append(wire.len_field(3, w))
+    return (wire.len_field(1, _string_table(strings))
+            + wire.len_field(2, b"".join(ways))
+            + wire.varint_field(17, _GRAN))
 
 
 # ---------------------------------------------------------------------------
 # reader
 # ---------------------------------------------------------------------------
 
-def _fields(buf) -> list[tuple[int, int, object]]:
-    """Flat protobuf message scan → [(field_no, wire_type, value)];
-    length-delimited values are memoryview slices (zero-copy)."""
-    mv = memoryview(buf)
-    out = []
-    pos = 0
-    n = len(mv)
-    while pos < n:
-        tag, pos = _read_varint(mv, pos)
-        fno, wt = tag >> 3, tag & 7
-        if wt == 0:
-            v, pos = _read_varint(mv, pos)
-        elif wt == 2:
-            ln, pos = _read_varint(mv, pos)
-            v = mv[pos:pos + ln]
-            pos += ln
-        elif wt == 5:
-            v = struct.unpack_from("<I", mv, pos)[0]
-            pos += 4
-        elif wt == 1:
-            v = struct.unpack_from("<Q", mv, pos)[0]
-            pos += 8
-        else:
-            raise ValueError(f"bad wire type {wt}")
-        out.append((fno, wt, v))
-    return out
-
-
 def scan_osm_pbf(path: str) -> list[dict]:
     """Driver-side index pass: walk only the BlobHeader chain and return
     one extent record per OSMData fileblock (offset/size of the Blob) —
-    the payload bytes are NOT read here."""
+    the payload bytes are NOT read here.  A chain cut short raises."""
     out = []
     with open(path, "rb") as f:
-        while True:
-            raw = f.read(4)
-            if len(raw) < 4:
-                break
-            hlen = struct.unpack(">I", raw)[0]
-            header = _fields(f.read(hlen))
-            btype = bytes([v for n, _, v in header if n == 1][0]).decode()
-            dsize = [v for n, _, v in header if n == 3][0]
+        size = os.fstat(f.fileno()).st_size
+        while raw := f.read(4):
+            hlen = int.from_bytes(raw, "big")
+            hdr = f.read(hlen)
+            if len(raw) < 4 or len(hdr) < hlen:
+                raise ValueError(f"truncated osmpbf at byte {size}")
+            header = {n: v for n, _, v in wire.fields(hdr, "osmpbf")}
+            if 1 not in header or 3 not in header:
+                raise ValueError(f"{path}: BlobHeader lacks type or datasize")
             off = f.tell()
-            f.seek(dsize, 1)
-            if btype == "OSMData":
-                out.append({"path": path, "offset": off, "size": dsize})
+            if off + header[3] > size:
+                raise ValueError(f"truncated osmpbf at byte {size}")
+            f.seek(header[3], 1)
+            if header[1] == b"OSMData":
+                out.append({"path": path, "offset": off, "size": header[3]})
     return out
 
 
 def _blob_payload(blob: bytes) -> bytes:
-    raw = zdata = None
-    for n, _, v in _fields(blob):
-        if n == 1:
-            raw = bytes(v)
-        elif n == 3:
-            zdata = bytes(v)
-    if raw is not None:
-        return raw
-    if zdata is not None:
-        return zlib.decompress(zdata)
-    raise ValueError("Blob carries no raw/zlib data "
-                     "(lzma/zstd not supported)")
+    parts = {n: v for n, _, v in wire.fields(blob, "osmpbf")}
+    if 1 in parts:
+        return parts[1]
+    if 3 not in parts:
+        raise ValueError("Blob carries no raw/zlib data "
+                         "(lzma/zstd not supported)")
+    try:
+        raw = zlib.decompress(parts[3])
+    except zlib.error as err:
+        raise ValueError(f"osmpbf blob does not inflate: {err}") from err
+    if 2 in parts and len(raw) != parts[2]:
+        raise ValueError("osmpbf blob inflates to the wrong raw_size")
+    return raw
 
 
 def decode_block(payload: bytes) -> dict:
@@ -258,10 +198,10 @@ def decode_block(payload: bytes) -> dict:
     gran, lat_off, lon_off = _GRAN, 0, 0
     strings: list[str] = []
     groups = []
-    for n, _, v in _fields(payload):
+    for n, _, v in wire.fields(memoryview(payload), "osmpbf"):
         if n == 1:
             strings = [bytes(s).decode("utf-8", "replace")
-                       for f, _, s in _fields(v) if f == 1]
+                       for f, _, s in wire.fields(v, "osmpbf") if f == 1]
         elif n == 2:
             groups.append(v)
         elif n == 17:
@@ -272,7 +212,7 @@ def decode_block(payload: bytes) -> dict:
             lon_off = v
     nodes, ways = [], []
     for grp in groups:
-        for n, _, v in _fields(grp):
+        for n, _, v in wire.fields(grp, "osmpbf"):
             if n == 2:
                 nodes.append(_decode_dense(v, strings, gran,
                                            lat_off, lon_off))
@@ -300,15 +240,17 @@ _SCHEMAS = {
 
 def _decode_dense(buf, strings, gran, lat_off, lon_off) -> pa.Table:
     ids = lat = lon = kv = None
-    for n, _, v in _fields(buf):
-        if n == 1:
-            ids = np.cumsum(_unzigzag64(_packed_varints(v)))
-        elif n == 8:
-            lat = np.cumsum(_unzigzag64(_packed_varints(v)))
-        elif n == 9:
-            lon = np.cumsum(_unzigzag64(_packed_varints(v)))
+    for n, _, v in wire.fields(buf, "osmpbf"):
+        if n in (1, 8, 9):
+            run = np.cumsum(wire.unzigzag(wire.packed_varints(v, "osmpbf")))
+            if n == 1:
+                ids = run
+            elif n == 8:
+                lat = run
+            else:
+                lon = run
         elif n == 10:
-            kv = _packed_varints(v).astype(np.int64)
+            kv = wire.packed_varints(v, "osmpbf").astype(np.int64)
     n_nodes = len(ids)
     cols = {
         "id": pa.array(ids, pa.int64()),
@@ -336,18 +278,15 @@ def _decode_dense(buf, strings, gran, lat_off, lon_off) -> pa.Table:
 
 def _decode_way(buf, strings) -> dict:
     out = {"id": 0, "refs": [], "tag_keys": [], "tag_vals": []}
-    for n, _, v in _fields(buf):
+    for n, _, v in wire.fields(buf, "osmpbf"):
         if n == 1:
             out["id"] = v
-        elif n == 2:
-            out["tag_keys"] = [strings[i]
-                               for i in _packed_varints(v)]
-        elif n == 3:
-            out["tag_vals"] = [strings[i]
-                               for i in _packed_varints(v)]
+        elif n in (2, 3):
+            out["tag_keys" if n == 2 else "tag_vals"] = [
+                strings[i] for i in wire.packed_varints(v, "osmpbf")]
         elif n == 8:
-            out["refs"] = np.cumsum(
-                _unzigzag64(_packed_varints(v))).tolist()
+            out["refs"] = np.cumsum(wire.unzigzag(
+                wire.packed_varints(v, "osmpbf"))).tolist()
     return out
 
 

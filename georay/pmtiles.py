@@ -6,8 +6,8 @@ ogrpmtilesdataset.cpp) built on the vendored single-header spec
 implementation (ogr/ogrsf_frmts/pmtiles/pmtiles/pmtiles.hpp) — cited
 here for WHAT the format stores, not copied: this module re-derives the
 wire format with numpy-vectorized kernels (tile-ID Hilbert math over
-whole arrays, one-``reduceat`` varint decode, vectorized varint encode)
-instead of the scalar C++ loops.
+whole arrays; the vectorized varint encode and one-``reduceat`` decode of
+georay/wire.py) instead of the scalar C++ loops.
 
 Format essentials (pmtiles.hpp:52-127, 408-441, 443-540):
 
@@ -27,6 +27,11 @@ Format essentials (pmtiles.hpp:52-127, 408-441, 443-540):
 * Internal compression (directories + JSON metadata) and tile
   compression are independent enums; gzip is the interoperable choice.
 
+Every span the reader slices (header, root and leaf directories,
+metadata, tiles) must lie inside the archive, else it raises
+``ValueError("truncated pmtiles at byte N")``; a gzip error raises
+``ValueError`` too.
+
 Scale contract: like the MBTiles sink (georay/gpkg.py:390), ONE archive
 == one writer — the unit of parallelism at 100 TB is one .pmtiles per
 partition/zone.  The READ side is range-request-shaped: the driver
@@ -41,11 +46,12 @@ import gzip
 import hashlib
 import json
 import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
 
-from .osmpbf import _packed_varints
+from . import wire
 from .util import read_units, staged
 
 __all__ = [
@@ -154,32 +160,6 @@ def tileid_to_zxy(tileid):
 
 
 # ---------------------------------------------------------------------------
-# varint encode (decode reuses osmpbf's one-reduceat kernel)
-# ---------------------------------------------------------------------------
-
-def _encode_varints(vals) -> bytes:
-    """uint64 array → concatenated LEB128 varints, no Python loop."""
-    v = np.asarray(vals, np.uint64)
-    if v.size == 0:
-        return b""
-    nb = np.ones(v.shape, np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nb += tmp > 0
-        tmp >>= np.uint64(7)
-    ends = np.cumsum(nb)
-    starts = ends - nb
-    total = int(ends[-1])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, nb)
-    vv = np.repeat(v, nb)
-    limb = ((vv >> (np.uint64(7) * pos.astype(np.uint64)))
-            & np.uint64(0x7F)).astype(np.uint8)
-    limb[: total - 1] |= 0x80          # set continuation bits …
-    limb[ends[:-1] - 1] &= 0x7F        # … then clear at value ends
-    return limb.tobytes()
-
-
-# ---------------------------------------------------------------------------
 # directories
 # ---------------------------------------------------------------------------
 
@@ -202,14 +182,13 @@ def serialize_directory(tile_ids, offsets, lengths, run_lengths) -> bytes:
     if n > 1:
         chained = off[1:] == off[:-1] + ln[:-1]
         field[1:][chained] = 0
-    return (_encode_varints([n]) + _encode_varints(deltas)
-            + _encode_varints(rl) + _encode_varints(ln)
-            + _encode_varints(field))
+    return wire.varints(np.concatenate([np.array([n], np.uint64), deltas,
+                                        rl, ln, field]))
 
 
 def deserialize_directory(buf: bytes):
     """Directory bytes → (tile_ids, offsets, lengths, run_lengths)."""
-    vals = _packed_varints(np.frombuffer(buf, np.uint8))
+    vals = wire.packed_varints(buf, "pmtiles")
     if len(vals) == 0:
         return (np.zeros(0, np.uint64),) * 4
     n = int(vals[0])
@@ -285,12 +264,17 @@ def _pack_header(h: dict) -> bytes:
         int(round(h["center_lon"] * 1e7)), int(round(h["center_lat"] * 1e7)))
 
 
+def _span(data: bytes, off: int, n: int) -> bytes:
+    """``data[off:off + n]``; raises unless the span lies inside."""
+    return wire.take(data, off, n, "pmtiles")[0]
+
+
 def pmtiles_header(data: bytes) -> dict:
     if data[:7] != MAGIC[:7]:
         raise ValueError("not a PMTiles archive")
-    if data[7] != 3:
+    if data[7:8] != MAGIC[7:]:
         raise ValueError("only PMTiles v3 supported")
-    f = _HDR.unpack(data[8:HEADER_LEN])
+    f = _HDR.unpack(_span(data, 8, HEADER_LEN - 8))
     keys = ["root_dir_offset", "root_dir_bytes", "json_metadata_offset",
             "json_metadata_bytes", "leaf_dirs_offset", "leaf_dirs_bytes",
             "tile_data_offset", "tile_data_bytes", "addressed_tiles_count",
@@ -308,7 +292,11 @@ def pmtiles_header(data: bytes) -> dict:
 
 def _unpack(blob: bytes, compression: int) -> bytes:
     if compression == COMPRESSION_GZIP:
-        return gzip.decompress(blob)
+        try:
+            return gzip.decompress(blob)
+        except (OSError, EOFError, zlib.error) as err:
+            raise ValueError(f"pmtiles gzip span does not inflate: {err}") \
+                from err
     if compression == COMPRESSION_NONE:
         return blob
     raise NotImplementedError(
@@ -321,7 +309,7 @@ def pmtiles_metadata(data: bytes) -> dict:
     o, n = h["json_metadata_offset"], h["json_metadata_bytes"]
     if n == 0:
         return {}
-    return json.loads(_unpack(data[o:o + n], h["internal_compression"]))
+    return json.loads(_unpack(_span(data, o, n), h["internal_compression"]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +445,7 @@ def write_pmtiles(ds, path: str, *, metadata: dict | None = None,
 def _resolved_entries(data: bytes, h: dict):
     """Root (+ leaves) → one flat sorted entry table; leaf pointers
     (run_length == 0 in the root) are expanded."""
-    rt = _unpack(data[h["root_dir_offset"]:
-                      h["root_dir_offset"] + h["root_dir_bytes"]],
+    rt = _unpack(_span(data, h["root_dir_offset"], h["root_dir_bytes"]),
                  h["internal_compression"])
     tid, off, ln, rl = deserialize_directory(rt)
     if not (rl == 0).any():
@@ -467,8 +454,8 @@ def _resolved_entries(data: bytes, h: dict):
     lo = h["leaf_dirs_offset"]
     for i in range(len(tid)):
         if rl[i] == 0:
-            blob = _unpack(data[lo + int(off[i]):lo + int(off[i])
-                                + int(ln[i])], h["internal_compression"])
+            blob = _unpack(_span(data, lo + int(off[i]), int(ln[i])),
+                           h["internal_compression"])
             parts.append(deserialize_directory(blob))
         else:
             parts.append((tid[i:i + 1], off[i:i + 1], ln[i:i + 1],
@@ -503,7 +490,7 @@ def read_pmtiles(data: bytes) -> pa.Table:
     the tile pipeline's convention)."""
     h = pmtiles_header(data)
     tid, off, ln, rl = _resolved_entries(data, h)
-    return _entries_to_table(lambda o, n: data[o:o + n], h, tid, off,
+    return _entries_to_table(lambda o, n: _span(data, o, n), h, tid, off,
                              ln, rl)
 
 
@@ -512,8 +499,7 @@ def get_tile(data: bytes, z: int, x: int, y: int) -> bytes | None:
     search, trailing run-length containment, leaf indirection)."""
     h = pmtiles_header(data)
     want = zxy_to_tileid(z, x, y)
-    rt = _unpack(data[h["root_dir_offset"]:
-                      h["root_dir_offset"] + h["root_dir_bytes"]],
+    rt = _unpack(_span(data, h["root_dir_offset"], h["root_dir_bytes"]),
                  h["internal_compression"])
     tid, off, ln, rl = deserialize_directory(rt)
     for _ in range(4):                       # spec bounds leaf depth
@@ -522,13 +508,13 @@ def get_tile(data: bytes, z: int, x: int, y: int) -> bytes | None:
             return None
         if rl[i] == 0:                       # leaf pointer
             lo = h["leaf_dirs_offset"]
-            blob = _unpack(data[lo + int(off[i]):lo + int(off[i])
-                                + int(ln[i])], h["internal_compression"])
+            blob = _unpack(_span(data, lo + int(off[i]), int(ln[i])),
+                           h["internal_compression"])
             tid, off, ln, rl = deserialize_directory(blob)
             continue
         if want - tid[i] < rl[i]:
-            o = h["tile_data_offset"] + int(off[i])
-            return _unpack(data[o:o + int(ln[i])], h["tile_compression"])
+            return _unpack(_span(data, h["tile_data_offset"] + int(off[i]),
+                                 int(ln[i])), h["tile_compression"])
         return None
     return None
 
@@ -543,9 +529,12 @@ def _pmtiles_entries(unit: dict) -> pa.Table:
         sl = slice(unit["start"], unit["stop"])
         tid, off, ln, rl = (a[sl] for a in _resolved_entries(prefix, h))
         lo = int(off.min())
-        f.seek(h["tile_data_offset"] + lo)
-        span = f.read(int((off + ln).max()) - lo)
-    base = h["tile_data_offset"] + lo
+        need = int((off + ln).max()) - lo
+        base = h["tile_data_offset"] + lo
+        f.seek(base)
+        span = f.read(need)
+    if len(span) != need:
+        raise ValueError(f"truncated pmtiles at byte {base + len(span)}")
     return _entries_to_table(lambda o, n: span[o - base:o - base + n], h,
                              tid, off, ln, rl)
 

@@ -149,6 +149,48 @@ def test_wkb_read_only_in_geom():
              for n in ast.walk(tree) if refs(n) & helpers}
     assert found == {"geom.py"}
 
+
+def test_varints_only_in_wire():
+    """(module, name) of every definition or import of a per-format wire
+    helper that ``georay.wire`` replaced, and of every function outside
+    ``wire`` that reads or writes varints: named ``*varint*`` /
+    ``*zigzag*``, or working in 7-bit limbs (uses 0x7F, 0x80 and 7).  The
+    protobuf / LEB128 wire format is decided in ``georay.wire`` alone;
+    what is left are other encodings: SQLite's big-endian varint
+    (``gpkg._varint``), the JPEG DCT scan order (``jpeg._zigzag``) and a
+    FlatBuffers table's field lookup (``flatgeobuf`` ``_field``)."""
+    replaced = {"_uvarint", "_tag", "_len_field", "_varint_field",
+                "_fields", "_varint", "_zigzag", "_unzigzag", "_field",
+                "_read_varint", "_packed_varints", "_unzigzag64",
+                "_pack_sint_deltas", "_pack_uints", "_encode_varints",
+                "_w_long", "_r_long"}
+
+    def consts(fn):
+        out = set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and len(n.args) == 1:
+                n = n.args[0]                    # np.uint64(7)
+            if isinstance(n, ast.Constant) and type(n.value) is int:
+                out.add(n.value)
+        return out
+
+    found = set()
+    for fname, tree in _trees().items():
+        if fname == "wire.py":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                found |= {(fname, a.name) for a in n.names
+                          if a.name in replaced}
+            elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    n.name in replaced
+                    or re.search("varint|zigzag", n.name, re.I)
+                    or {0x7F, 0x80, 7} <= consts(n)):
+                found.add((fname, n.name))
+    assert found == {("gpkg.py", "_varint"), ("jpeg.py", "_zigzag"),
+                     ("flatgeobuf.py", "_field")}
+
+
 def test_pipelines_read_images_through_work_units():
     tree = _trees()["pipelines.py"]
     calls = {_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}

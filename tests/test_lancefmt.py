@@ -152,6 +152,32 @@ def test_stats_recorded(tmp_path):
     assert st["name"][0] == b"row-00000"
 
 
+def test_manifest_validates_what_it_parses(tmp_path):
+    """A manifest whose fields all parse still raises when it breaks the
+    row sum or lacks a required field (every cut of one is swept in
+    tests/test_wire.py)."""
+    from georay import wire
+    schema = pa.schema([("x", pa.int64())])
+    frag = (wire.varint_field(1, 0) + wire.len_field(2, b"f.lancef")
+            + wire.varint_field(3, 5))
+    root = tmp_path / "t"
+    root.mkdir()
+    for body, err in [
+            (wire.len_field(2, frag) + wire.varint_field(3, 1)
+             + wire.varint_field(4, 6), "total_rows 6"),
+            (wire.len_field(2, frag[2:]) + wire.varint_field(3, 1)
+             + wire.varint_field(4, 5), "fragment lacks id"),
+            (wire.len_field(2, frag) + wire.varint_field(4, 5),
+             "lacks version"),
+            (wire.len_field(1, wire.len_field(1, b"x"))
+             + wire.varint_field(3, 1) + wire.varint_field(4, 0),
+             "field lacks code")]:
+        (root / "_latest.manifest").write_bytes(
+            lf._schema_proto(schema) + body)
+        with pytest.raises(ValueError, match=err):
+            lf.lance_manifest(str(root))
+
+
 def test_unsupported_type_raises(tmp_path):
     t = pa.table({"m": pa.array([{"a": 1}], pa.struct([("a", pa.int64())]))})
     with pytest.raises(TypeError):

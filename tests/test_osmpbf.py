@@ -5,9 +5,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from georay.osmpbf import (_packed_varints, _unzigzag64, decode_block,
-                           read_osm_pbf, read_osm_pbf_table, scan_osm_pbf,
-                           write_osm_pbf)
+from georay.osmpbf import (decode_block, read_osm_pbf, read_osm_pbf_table,
+                           scan_osm_pbf, write_osm_pbf)
 
 
 def _mk_nodes(n, seed=7, tagged=True):
@@ -22,15 +21,6 @@ def _mk_nodes(n, seed=7, tagged=True):
         t["tag_vals"] = pa.array([[s] for s in segs],
                                  pa.list_(pa.string()))
     return pa.table(t)
-
-
-def test_packed_varint_vectorized_matches_scalar():
-    rng = np.random.default_rng(1)
-    vals = rng.integers(0, 2**63, 5000, dtype=np.int64)
-    from georay.mvt import _varint, _zigzag
-    buf = b"".join(_varint(_zigzag(int(v))) for v in vals)
-    got = _unzigzag64(_packed_varints(buf))
-    assert got.tolist() == vals.tolist()
 
 
 def test_node_roundtrip_multiblock(tmp_path):
@@ -85,6 +75,20 @@ def test_ray_block_parallel_source(ray_session, tmp_path):
     ds = read_osm_pbf(path, "nodes")
     got = ds.to_pandas().sort_values("id").reset_index(drop=True)
     assert got["id"].tolist() == nodes["id"].to_pylist()
+
+
+def test_corrupt_blob_raises_value_error(tmp_path):
+    """zlib data that does not inflate raises ``ValueError``, as a cut
+    file does (tests/test_wire.py sweep)."""
+    path = tmp_path / "z.osm.pbf"
+    write_osm_pbf(str(path), nodes=_mk_nodes(50))
+    ext = scan_osm_pbf(str(path))[0]
+    data = bytearray(path.read_bytes())
+    mid = ext["offset"] + ext["size"] // 2
+    data[mid:mid + 8] = b"\xff" * 8
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="osmpbf blob"):
+        read_osm_pbf_table(str(path))
 
 
 def test_untagged_block_has_no_keys_vals_field(tmp_path):

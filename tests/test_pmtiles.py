@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 
 from georay import pmtiles as pmt
+from georay import wire
 
 
 # ---------------------------------------------------------------------------
@@ -53,23 +54,8 @@ def test_tileid_bounds_checks():
 
 
 # ---------------------------------------------------------------------------
-# varints + directories
+# directories
 # ---------------------------------------------------------------------------
-
-def test_encode_varints_matches_manual():
-    vals = [0, 1, 127, 128, 300, 2 ** 32, 2 ** 63]
-    enc = pmt._encode_varints(vals)
-
-    def manual(v):
-        out = b""
-        while v >= 0x80:
-            out += bytes([(v & 0x7F) | 0x80])
-            v >>= 7
-        return out + bytes([v])
-    assert enc == b"".join(manual(v) for v in vals)
-    dec = pmt._packed_varints(np.frombuffer(enc, np.uint8))
-    assert list(dec) == vals
-
 
 def test_directory_roundtrip_with_chaining_and_runs():
     tid = np.array([0, 1, 5, 100], np.uint64)
@@ -83,7 +69,7 @@ def test_directory_roundtrip_with_chaining_and_runs():
     np.testing.assert_array_equal(l2, ln)
     np.testing.assert_array_equal(r2, rl)
     # chained entries serialize their offset field as 0 (spec)
-    vals = pmt._packed_varints(np.frombuffer(buf, np.uint8))
+    vals = wire.packed_varints(buf, "pmtiles")
     assert list(vals[-4:]) == [1, 0, 0, 26]      # off+1, chains, off+1
 
 
@@ -182,6 +168,23 @@ def test_get_tile_miss_and_magic(tmp_path):
         pmt.pmtiles_header(b"NotTiles" + data[8:])
     with pytest.raises(ValueError):
         pmt.pmtiles_header(data[:7] + b"\x02" + data[8:])
+
+
+def test_corrupt_gzip_span_raises_value_error(tmp_path):
+    """A gzip directory or metadata span that does not inflate raises
+    ``ValueError``, as a cut one does (tests/test_wire.py sweep)."""
+    p = str(tmp_path / "g.pmtiles")
+    pmt.write_pmtiles(_tile_table(n=10), p, metadata={"k": "v"})
+    data = bytearray(open(p, "rb").read())
+    h = pmt.pmtiles_header(bytes(data))
+    for off, n, read in [
+            (h["root_dir_offset"], h["root_dir_bytes"], pmt.read_pmtiles),
+            (h["json_metadata_offset"], h["json_metadata_bytes"],
+             pmt.pmtiles_metadata)]:
+        bad = data.copy()
+        bad[off + 10:off + n] = b"\xff" * (n - 10)
+        with pytest.raises(ValueError, match="does not inflate"):
+            read(bytes(bad))
 
 
 def test_mvt_payload_gzip_and_png_detection(tmp_path):

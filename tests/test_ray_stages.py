@@ -332,6 +332,55 @@ def test_decode_images_names_the_bad_row(polygons):
     assert not set(frag_rows) & set(bad.values())
 
 
+def test_wide_and_alpha_pngs_are_flagged(polygons):
+    """A 16-bit RGB PNG row and an RGBA PNG row decode, but not to uint8
+    gray or RGB: ``decode_images`` raises naming the first one's
+    ``image_id``, the fused stage flags exactly those two rows, and every
+    other row's phash check and fragments are those of the intact batch."""
+    import re
+    import struct
+    import zlib
+
+    from georay.codecs import _PNG_SIG, _chunk, png_encode
+    from georay.decode import add_georef, decode_images
+    from georay.join import PolygonIndex
+    from georay.pipelines import FlagshipStage
+    t = fx.images_table(32)
+    rows = t.to_pylist()
+    wide, alpha = [i for i, r in enumerate(rows) if r["fmt"] == "png"][:2]
+    rng = np.random.default_rng(5)
+    h, w = rows[wide]["h"], rows[wide]["w"]
+    a16 = rng.integers(0, 65536, (h, w, 3)).astype(">u2")
+    raw16 = np.zeros((h, 1 + 6 * w), np.uint8)
+    raw16[:, 1:] = a16.reshape(h, -1).view(np.uint8)
+    data = t["bytes"].to_pylist()
+    data[wide] = (_PNG_SIG + _chunk(b"IHDR", struct.pack(
+        ">IIBBBBB", w, h, 16, 2, 0, 0, 0))
+        + _chunk(b"IDAT", zlib.compress(raw16.tobytes()))
+        + _chunk(b"IEND", b""))
+    data[alpha] = png_encode(rng.integers(
+        0, 256, (rows[alpha]["h"], rows[alpha]["w"], 4), dtype=np.uint8))
+    broken = t.set_column(t.schema.get_field_index("bytes"), "bytes",
+                          pa.array(data, t.schema.field("bytes").type))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{rows[wide]['image_id']!r} (png)") + ".*uint16"):
+        decode_images(broken)
+    stage = FlagshipStage(PolygonIndex.build(polygons), decode=True,
+                          cut=True, verify=True)
+    decode_ok, phash_ok, frags = stage._decode_rows(add_georef(broken))
+    ref_ok, ref_phash, ref_frags = stage._decode_rows(add_georef(t))
+    bad = [wide, alpha]
+    assert set(np.flatnonzero(~decode_ok)) == set(bad)
+    assert set(np.flatnonzero(~phash_ok)) == set(bad)
+    assert ref_ok.all()
+    others = np.delete(np.arange(len(rows)), bad)
+    assert np.array_equal(phash_ok[others], ref_phash[others])
+    keep = ~np.isin(ref_frags[0], bad)
+    assert not np.isin(frags[0], bad).any()
+    for got, want in zip(frags, ref_frags):
+        assert np.array_equal(got, want[keep])
+
+
 def test_flagship_bad_rows_are_flagged_not_fatal(ray_session, polygons,
                                                  tmp_path):
     """A truncated JPEG row and a truncated PNG row get decode_ok=False,
