@@ -91,7 +91,8 @@ def compare_images(golden_ds, new_ds, *, key: str = "image_id",
         return pa.table({key: pa.array(out_k, key_type),
                          "issue": pa.array(out_issue, pa.string())})
 
-    from .util import hash_strings
+    from .util import hash_strings, shuffle_partitions
+    P = shuffle_partitions()
 
     def add_part(batch: pa.Table) -> pa.Table:
         col = batch[key]
@@ -99,8 +100,6 @@ def compare_images(golden_ds, new_ds, *, key: str = "image_id",
             h = hash_strings(col)
         else:
             h = batch[key].to_numpy().astype(np.uint64)
-        import ray
-        P = 4 * max(2, int(ray.cluster_resources().get("CPU", 8)))
         part = (((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40))
                 % np.uint64(P)).astype(np.int64)
         return batch.append_column("part__", pa.array(part))
@@ -135,7 +134,7 @@ def info_images(ds) -> pa.Table:
 def info_vector(ds, wkb_col: str = "wkb"):
     """ogrinfo -so over a WKB table: geometry-type census + layer
     extent (small driver-side result)."""
-    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_header_type
 
     def prep(batch: pa.Table) -> pa.Table:
         types, minx, miny, maxx, maxy = [], [], [], [], []
@@ -146,7 +145,7 @@ def info_vector(ds, wkb_col: str = "wkb"):
                 minx.append(None); miny.append(None)
                 maxx.append(None); maxy.append(None)
                 continue
-            types.append(WKB_TYPE_NAMES[wkb_type(w)[0]].upper())
+            types.append(WKB_TYPE_NAMES[wkb_header_type(w)[0]].upper())
             e = [None if v != v else v for v in wkb_envelope(w)]
             minx.append(e[0]); miny.append(e[1])
             maxx.append(e[2]); maxy.append(e[3])

@@ -17,8 +17,7 @@ _H1 = np.uint64(0x9E3779B97F4A7C15)
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def exact_dedup(ds, key_col: str, order_col: str,
-                num_partitions: int | None = None):
+def exact_dedup(ds, key_col: str, order_col: str):
     """Keep the first row (min ``order_col``) per ``key_col`` group.
 
     Hash-PARTITIONED (``groupby(hash(key) % P)``, P ≈ 4×CPUs), one
@@ -26,7 +25,8 @@ def exact_dedup(ds, key_col: str, order_col: str,
     Python call per distinct key (when most keys are unique,
     ``groupby(key)`` directly would pay per-group dispatch for EVERY
     surviving row; NOTES.md per-group-overhead rule)."""
-    P = num_partitions or _num_partitions()
+    from .util import shuffle_partitions
+    P = shuffle_partitions()
 
     def add_part(batch: pa.Table) -> pa.Table:
         k = batch[key_col].to_numpy(zero_copy_only=False)
@@ -47,16 +47,6 @@ def exact_dedup(ds, key_col: str, order_col: str,
     return (ds.map_batches(add_part, batch_format="pyarrow")
             .groupby("part__").map_groups(first_per_key,
                                           batch_format="pyarrow"))
-
-
-def _num_partitions(mult: int = 4) -> int:
-    """Hash-partition count for the dedup shuffle: ~mult×cluster CPUs —
-    enough groups for parallelism, few enough that per-group Python-call
-    overhead (NOTES.md: ~0.1–1 ms/group) is negligible."""
-    import ray
-    n = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    return mult * max(2, n)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

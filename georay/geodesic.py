@@ -640,16 +640,18 @@ def geodesic_areas_wkb(wkb_list, geod: Geodesic = WGS84,
                        max_seg: float = 20_000.0) -> np.ndarray:
     """|outer| - sum|holes| geodesic area (m^2) per polygon/multipolygon
     feature, the OGR_G_GeodesicArea analog (ogr/ogr_api.cpp:1750)."""
-    from .geom import wkb_type
+    from .geom import wkb_header_type, wkb_type
 
     out = np.zeros(len(wkb_list))
     poly_idx = []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        base, _ = wkb_type(b)
+        base, _ = wkb_header_type(b)
         if base in (3, 6):
             poly_idx.append(i)
+        else:
+            wkb_type(b)     # not a surface: area 0, once read
     if not poly_idx:
         return out
     coords, rs, rf, rh, _ = _packed([wkb_list[i] for i in poly_idx])
@@ -714,7 +716,7 @@ def geodesic_lengths_wkb(wkb_list, geod: Geodesic = WGS84) -> np.ndarray:
     ogr/ogr_api.cpp:1666; surfaces per ogr/ogrcurvepolygon.cpp).  All
     features' edges are solved in ONE vectorized inverse() call."""
     from .curves import _linearize_curve, parse_curve_wkb
-    from .geom import wkb_type
+    from .geom import wkb_header_type
 
     lat1s, lon1s, lat2s, lon2s, feat = [], [], [], [], []
 
@@ -730,7 +732,7 @@ def geodesic_lengths_wkb(wkb_list, geod: Geodesic = WGS84) -> np.ndarray:
         if b is None:
             continue
         bb = bytes(b)
-        base, _ = wkb_type(bb)
+        base, _ = wkb_header_type(bb)
         if base in (3, 6):                      # polygon family: rings
             coords, rs, _rf, _rh, _ = _packed([bb])
             for r in range(len(rs) - 1):

@@ -39,6 +39,7 @@ __all__ = [
     "parse_wkb_multi",
     "read_wkb",
     "wkb_type",
+    "wkb_header_type",
     "wkb_has_z",
     "WKB_TYPE_NAMES",
     "wkb_envelope",
@@ -196,6 +197,14 @@ def wkb_type(buf):
     """(base_type, dims) of a WKB geometry, after a full bounds-checked
     read (a cut blob raises like any other reader)."""
     base, dims, _ = read_wkb(buf)
+    return base, dims
+
+
+def wkb_header_type(buf):
+    """(base_type, dims) from the geometry header alone — the dispatch
+    word for a caller whose next step reads (and bounds-checks) the
+    whole geometry."""
+    base, dims, _, _ = _wkb_header(buf, 0)
     return base, dims
 
 

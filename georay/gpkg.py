@@ -53,10 +53,16 @@ class SQLiteFile:
 
     def __init__(self, data: bytes):
         self.buf = memoryview(data)
-        if bytes(self.buf[:16]) != b"SQLite format 3\x00":
+        if bytes(self.buf[:16]) != b"SQLite format 3\x00"[:len(data)]:
             raise ValueError("not a SQLite 3 database")
+        if len(self.buf) < 100:
+            raise self._truncated()
         ps = struct.unpack_from(">H", self.buf, 16)[0]
         self.page_size = 65536 if ps == 1 else ps
+        # the header's page count (0 from writers older than 3.7.0)
+        if struct.unpack_from(">I", self.buf, 28)[0] * self.page_size \
+                > len(self.buf):
+            raise self._truncated()
         self.usable = self.page_size - self.buf[20]  # reserved bytes/page
         enc = struct.unpack_from(">I", self.buf, 56)[0]
         if enc != 1:
@@ -69,35 +75,57 @@ class SQLiteFile:
                 self.tables[row[1]] = (int(row[3]), cols, alias)
 
     # -- page access -------------------------------------------------------
-    def _page(self, n: int) -> tuple:
+    def _truncated(self) -> ValueError:
+        return ValueError(f"truncated gpkg at byte {len(self.buf)}")
+
+    def _page(self, n: int) -> int:
+        """Byte offset of page ``n``; a page outside the file raises."""
         off = (n - 1) * self.page_size
-        hdr = off + (100 if n == 1 else 0)
-        return off, hdr
+        if n < 1 or off + self.page_size > len(self.buf):
+            raise self._truncated()
+        return off
+
+    def _cells(self, page: int):
+        """(cell offsets, right-most child) of table b-tree ``page``:
+        the one decoder of a page header and its cell-pointer array.  A
+        leaf's right child is None; a cell outside the page raises."""
+        off = self._page(page)
+        hdr = off + (100 if page == 1 else 0)
+        ptype = self.buf[hdr]
+        if ptype not in (5, 13):
+            raise ValueError(f"unexpected table b-tree page type {ptype}")
+        ptrs = hdr + (12 if ptype == 5 else 8)
+        ncell = struct.unpack_from(">H", self.buf, hdr + 3)[0]
+        end = off + self.page_size
+        if ptrs + 2 * ncell > end:
+            raise self._truncated()
+        cells = [off + c for c in struct.unpack_from(
+            f">{ncell}H", self.buf, ptrs)]
+        if any(c + 4 > end for c in cells):
+            raise self._truncated()
+        if ptype == 13:
+            return cells, None
+        return cells, struct.unpack_from(">I", self.buf, hdr + 8)[0]
+
+    def _leaf_cell(self, cp: int):
+        """(rowid, payload length, payload offset) of a leaf cell."""
+        plen, p = _varint(self.buf, cp)
+        rowid, p = _varint(self.buf, p)
+        return rowid, plen, p
 
     def _walk_table(self, root: int):
         """Yield (values, rowid) for every row of a table b-tree, in
         rowid order."""
-        off, hdr = self._page(root)
-        ptype = self.buf[hdr]
-        ncell = struct.unpack_from(">H", self.buf, hdr + 3)[0]
-        if ptype == 5:      # interior table page
-            for i in range(ncell):
-                cp = off + struct.unpack_from(
-                    ">H", self.buf, hdr + 12 + 2 * i)[0]
-                child = struct.unpack_from(">I", self.buf, cp)[0]
-                yield from self._walk_table(child)
-            right = struct.unpack_from(">I", self.buf, hdr + 8)[0]
-            yield from self._walk_table(right)
-        elif ptype == 13:   # leaf table page
-            for i in range(ncell):
-                cp = off + struct.unpack_from(
-                    ">H", self.buf, hdr + 8 + 2 * i)[0]
-                plen, p = _varint(self.buf, cp)
-                rowid, p = _varint(self.buf, p)
-                payload = self._payload(p, plen)
-                yield _decode_record(payload), rowid
-        else:
-            raise ValueError(f"unexpected table b-tree page type {ptype}")
+        cells, right = self._cells(root)
+        if right is None:
+            for cp in cells:
+                rowid, plen, p = self._leaf_cell(cp)
+                yield _decode_record(self._payload(p, plen)), rowid
+            return
+        for cp in cells:
+            yield from self._walk_table(
+                struct.unpack_from(">I", self.buf, cp)[0])
+        yield from self._walk_table(right)
 
     def _payload(self, pos: int, plen: int) -> memoryview:
         """Cell payload, following the overflow chain when needed
@@ -106,15 +134,19 @@ class SQLiteFile:
         U = self.usable
         X = U - 35
         if plen <= X:
+            if pos + plen > len(self.buf):
+                raise self._truncated()
             return self.buf[pos:pos + plen]
         M = ((U - 12) * 32 // 255) - 23
         K = M + (plen - M) % (U - 4)
         inline = K if K <= X else M
+        if pos + inline + 4 > len(self.buf):
+            raise self._truncated()
         out = bytearray(self.buf[pos:pos + inline])
         nxt = struct.unpack_from(">I", self.buf, pos + inline)[0]
         remaining = plen - inline
         while remaining > 0 and nxt:
-            poff, _ = self._page(nxt)
+            poff = self._page(nxt)
             nxt = struct.unpack_from(">I", self.buf, poff)[0]
             take = min(U - 4, remaining)
             out += self.buf[poff + 4:poff + 4 + take]
@@ -125,17 +157,11 @@ class SQLiteFile:
         """First-level children of the table's root page — rowid-range
         split points for parallel reads of one big file."""
         root = self.tables[table][0]
-        off, hdr = self._page(root)
-        if self.buf[hdr] != 5:
+        cells, right = self._cells(root)
+        if right is None:
             return [root]
-        ncell = struct.unpack_from(">H", self.buf, hdr + 3)[0]
-        kids = []
-        for i in range(ncell):
-            cp = off + struct.unpack_from(">H", self.buf,
-                                          hdr + 12 + 2 * i)[0]
-            kids.append(struct.unpack_from(">I", self.buf, cp)[0])
-        kids.append(struct.unpack_from(">I", self.buf, hdr + 8)[0])
-        return kids
+        return [struct.unpack_from(">I", self.buf, cp)[0]
+                for cp in cells] + [right]
 
     def read_table(self, name: str, root_override: int | None = None):
         """All rows of ``name`` → (columns, list of value tuples) with
@@ -529,36 +555,20 @@ def sqlite_lookup_rowid(db: SQLiteFile, table: str, rowid: int):
     """Targeted single-row fetch by rowid (OGR GetFeature(fid) contract):
     descends interior pages by key instead of walking the whole tree."""
     root, cols, alias = db.tables[table]
-    page = root
-    while True:
-        off, hdr = db._page(page)
-        ptype = db.buf[hdr]
-        ncell = struct.unpack_from(">H", db.buf, hdr + 3)[0]
-        if ptype == 5:
-            nxt = None
-            for i in range(ncell):
-                cp = off + struct.unpack_from(">H", db.buf,
-                                              hdr + 12 + 2 * i)[0]
-                child = struct.unpack_from(">I", db.buf, cp)[0]
-                key, _ = _varint(db.buf, cp + 4)
-                if rowid <= key:
-                    nxt = child
-                    break
-            if nxt is None:
-                nxt = struct.unpack_from(">I", db.buf, hdr + 8)[0]
-            page = nxt
-        elif ptype == 13:
-            for i in range(ncell):
-                cp = off + struct.unpack_from(">H", db.buf,
-                                              hdr + 8 + 2 * i)[0]
-                plen, p = _varint(db.buf, cp)
-                rid, p = _varint(db.buf, p)
-                if rid == rowid:
-                    vals = list(_decode_record(db._payload(p, plen)))
-                    vals += [None] * (len(cols) - len(vals))
-                    if alias is not None and vals[alias] is None:
-                        vals[alias] = rid
-                    return tuple(vals[:len(cols)])
-            return None
-        else:
-            raise ValueError(f"unexpected page type {ptype}")
+    cells, right = db._cells(root)
+    while right is not None:            # interior: descend by key
+        page = right
+        for cp in cells:
+            if rowid <= _varint(db.buf, cp + 4)[0]:
+                page = struct.unpack_from(">I", db.buf, cp)[0]
+                break
+        cells, right = db._cells(page)
+    for cp in cells:
+        rid, plen, p = db._leaf_cell(cp)
+        if rid == rowid:
+            vals = list(_decode_record(db._payload(p, plen)))
+            vals += [None] * (len(cols) - len(vals))
+            if alias is not None and vals[alias] is None:
+                vals[alias] = rid
+            return tuple(vals[:len(cols)])
+    return None

@@ -14,7 +14,7 @@ import pyarrow as pa
 __all__ = ["layer_info", "raster_info"]
 
 def _batch_partial(batch: pa.Table, wkb_col: str) -> pa.Table:
-    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_type
+    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_header_type
     n = batch.num_rows
     ext = [np.inf, np.inf, -np.inf, -np.inf]
     counts: dict[str, int] = {}
@@ -25,7 +25,7 @@ def _batch_partial(batch: pa.Table, wkb_col: str) -> pa.Table:
             if b is None:
                 counts["NULL"] = counts.get("NULL", 0) + 1
                 continue
-            name = WKB_TYPE_NAMES[wkb_type(b)[0]].upper()
+            name = WKB_TYPE_NAMES[wkb_header_type(b)[0]].upper()
             counts[name] = counts.get(name, 0) + 1
             x0, y0, x1, y1 = wkb_envelope(b)
             ext[0] = min(ext[0], x0)

@@ -62,8 +62,10 @@ def _dtype(fmt: int) -> np.dtype:
 def las_header(path: str) -> dict:
     with open(path, "rb") as f:
         raw = f.read(_HDR_LEN)
-    if raw[:4] != _SIG:
+    if raw[:4] != _SIG[:len(raw)]:
         raise ValueError("not a LAS file (bad signature)")
+    if len(raw) < _HDR_LEN:
+        raise ValueError(f"truncated las at byte {len(raw)}")
     ver_major, ver_minor = raw[24], raw[25]
     hdr_size, data_off = struct.unpack_from("<HI", raw, 94)
     n_vlr = struct.unpack_from("<I", raw, 100)[0]
@@ -116,6 +118,8 @@ def read_las(path: str, *, start: int = 0,
     with open(path, "rb") as f:
         f.seek(hdr["data_offset"] + start * hdr["reclen"])
         raw = f.read(n * hdr["reclen"])
+        if len(raw) < n * hdr["reclen"]:
+            raise ValueError(f"truncated las at byte {f.tell()}")
     return _decode(raw, hdr)
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .geom import parse_wkb_multi, wkb_polygon, wkb_type
+from .geom import parse_wkb_multi, wkb_header_type, wkb_polygon, wkb_type
 from .overlay import polygon_boolean
 
 __all__ = [
@@ -362,12 +362,13 @@ def lengths_any_wkb(wkb_list) -> np.ndarray:
     through the packed-ring perimeter kernel; linestring and curve types
     (WKB 2/5/8/9/11) through the analytic curve-length path (exact arc
     lengths, ogr/ogrcurve.cpp).  Mixed-type columns dispatch per row on
-    the WKB type word."""
+    the WKB header's type word; the measuring pass reads each geometry
+    once."""
     poly_idx, curve_idx = [], []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        base, _ = wkb_type(b)
+        base, _ = wkb_header_type(b)
         (poly_idx if base in (3, 6) else curve_idx).append(i)
     out = np.zeros(len(wkb_list))
     if poly_idx:
@@ -387,14 +388,15 @@ def areas_any_wkb(wkb_list) -> np.ndarray:
     OGR ladder (curves.curve_areas — full-circle / convex chord+segment
     / linearize fallback, ogrcircularstring.cpp:846); Point and
     MultiPoint measure 0.  Mixed-type columns dispatch per row on the WKB
-    type word."""
+    header's type word; the measuring pass reads each geometry once."""
     poly_idx, curve_idx = [], []
     for i, b in enumerate(wkb_list):
         if b is None:
             continue
-        base, _ = wkb_type(b)
+        base, _ = wkb_header_type(b)
         if base in (1, 4):
-            continue   # points: not a surface, area 0 as in OGR_G_Area
+            wkb_type(b)    # points: area 0 as in OGR_G_Area, once read
+            continue
         (poly_idx if base in (3, 6) else curve_idx).append(i)
     out = np.zeros(len(wkb_list))
     if poly_idx:

@@ -9,10 +9,11 @@ shapes reappear here, re-expressed Ray-Data-first:
 
 - ``grouped_quantiles`` — the (key, value)-CENSUS plan.  Each block
   pre-shrinks with one arrow ``group_by`` (a combiner: at most
-  |distinct (key, value)| rows leave a block), one Ray groupby sums the
-  partials, then census rows hash-partition on the key ALONE (~4×CPU
-  buckets) and EVERY key's quantiles resolve in one vectorized
-  lexsort + cumsum + searchsorted pass per bucket — no per-key Python
+  |distinct (key, value)| rows leave a block), census rows
+  hash-partition on the key ALONE (``util.key_partition``: NULL and
+  −0.0 keys as SQL groups them), and each bucket merges its census with
+  one more arrow ``group_by`` and resolves EVERY key's quantiles in one
+  vectorized lexsort + cumsum + searchsorted pass — no per-key Python
   dispatch (NOTES.md per-group rule).  Exact for any input; shuffle
   volume is bounded by distinct (key, value) pairs per block — the same
   boundedness the reference's integral-band histograms rely on.  Other
@@ -44,18 +45,8 @@ __all__ = ["grouped_quantiles", "global_quantiles"]
 _CENSUS_AGGS = ("count_star", "count", "sum", "avg", "min", "max")
 
 
-def _default_parts() -> int:
-    import ray
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(8, 4 * cpus)
-
-
 def grouped_quantiles(ds, group_cols, value_col, qs,
-                      q_names=None, extras=None,
-                      num_partitions: int | None = None):
+                      q_names=None, extras=None):
     """Exact per-key quantiles of ``value_col`` grouped by ``group_cols``.
 
     ``qs``: quantile fractions (0..1); ``q_names``: output column per q
@@ -68,9 +59,8 @@ def grouped_quantiles(ds, group_cols, value_col, qs,
     census degenerates to the input size — use ``global_quantiles`` per
     key-partition or bucketize first; this is documented, not silent.
     """
-    from ray.data.aggregate import Sum
-
-    from .windows import _fold_codes, _part_hash
+    from .util import key_codes, key_group_by, key_partition, \
+        shuffle_partitions
 
     group_cols = list(group_cols)
     if not group_cols:
@@ -85,50 +75,35 @@ def grouped_quantiles(ds, group_cols, value_col, qs,
     for kind in extras.values():
         if kind not in _CENSUS_AGGS:
             raise ValueError(f"unknown census aggregate {kind!r}")
-    nparts = num_partitions or _default_parts()
+    P = shuffle_partitions()
+
+    census_keys = group_cols + ["v__"]
 
     def census(batch: pa.Table) -> pa.Table:
-        v = batch[value_col]
-        isnull = pc.is_null(v)
-        # NULL values keep a census row (cnt only — feeds COUNT(*));
-        # the value slot is filled so Ray's sort-based groupby never
-        # sees a null key column.
-        cols = {c: batch[c] for c in group_cols}
-        cols["isnull__"] = pc.cast(isnull, pa.int8())
-        cols["v__"] = pc.fill_null(pc.cast(v, pa.float64()), 0.0)
-        t = pa.table(cols)
-        part = t.group_by(group_cols + ["isnull__", "v__"]) \
-                .aggregate([([], "count_all")])
-        return part.rename_columns(
-            ["cnt__" if n == "count_all" else n
-             for n in part.column_names])
-
-    cen = (ds.map_batches(census, batch_format="pyarrow")
-             .groupby(group_cols + ["isnull__", "v__"])
-             .aggregate(Sum("cnt__", alias_name="cnt__")))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("part__",
-                                       pa.array([], pa.int64()))
-        return batch.append_column(
-            "part__", pa.array(_part_hash(batch, group_cols, nparts)))
+        # one row per (key, value) of the block, NULL values included
+        # (their count feeds COUNT(*)); hash-partitioned on the key alone
+        t = batch.select(group_cols).append_column(
+            "v__", pc.cast(batch[value_col], pa.float64()))
+        return key_partition(
+            key_group_by(t, census_keys, [([], "count_all")]),
+            group_cols, P)
 
     qs_arr = np.asarray(qs, dtype=np.float64)
 
     def resolve(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["part__"]).combine_chunks()
+        g = key_group_by(g.drop_columns(["part__"]).combine_chunks(),
+                         census_keys, [("count_all", "sum")])
         m = g.num_rows
         if m == 0:
             cols = {c: g[c] for c in group_cols}
             for nm in list(q_names) + list(extras):
                 cols[nm] = pa.array([], pa.float64())
             return pa.table(cols)
-        keys = [g[c].to_numpy(zero_copy_only=False) for c in group_cols]
-        codes = _fold_codes(keys)
-        isnull = g["isnull__"].to_numpy().astype(np.int64)
-        v = g["v__"].to_numpy()
-        cnt = g["cnt__"].to_numpy()
+        _, codes = key_codes(g, group_cols)
+        isnull = g["v__"].is_null().to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        v = g["v__"].fill_null(0.0).to_numpy()
+        cnt = g["count_all_sum"].to_numpy()
         # group-major, NULL census rows last inside each group, values
         # ascending — ONE lexsort covers every key in the bucket
         order = np.lexsort((v, isnull, codes))
@@ -137,12 +112,10 @@ def grouped_quantiles(ds, group_cols, value_col, qs,
         new = np.ones(m, dtype=bool)
         new[1:] = codes[1:] != codes[:-1]
         starts = np.nonzero(new)[0]
-        ends = np.concatenate([starts[1:], [m]])
         cnt_val = np.where(isnull == 0, cnt, 0)
         cum = np.cumsum(cnt_val)
         base = np.where(starts > 0, cum[starts - 1], 0)
         n_val = np.add.reduceat(cnt_val, starts)
-        ng = len(starts)
 
         out = {c: g[c].take(pa.array(order[starts]))
                for c in group_cols}
@@ -183,9 +156,9 @@ def grouped_quantiles(ds, group_cols, value_col, qs,
                 out[nm] = pa.array(res, pa.float64(), mask=empty)
         return pa.table(out)
 
-    return (cen.map_batches(add_part, batch_format="pyarrow")
-               .groupby("part__")
-               .map_groups(resolve, batch_format="pyarrow"))
+    return (ds.map_batches(census, batch_format="pyarrow")
+              .groupby("part__")
+              .map_groups(resolve, batch_format="pyarrow"))
 
 
 def _bin_census(ds, value_col, intervals, bins):

@@ -51,8 +51,7 @@ def sample_sql(key_expr: str, fraction: float) -> str:
     return (f"(({key_expr} * {_KNUTH}) % {_MOD}) < {cut}")
 
 
-def hash_topk_per_key(ds, key_col: str, order_col: str, k: int,
-                      num_partitions: int | None = None):
+def hash_topk_per_key(ds, key_col: str, order_col: str, k: int):
     """Deterministic k rows per key — "k examples per group" (dedup
     canonicalization, per-domain caps, eval-set drawing) without a
     global sort: rows are ranked inside each key by the Knuth hash of
@@ -65,11 +64,8 @@ def hash_topk_per_key(ds, key_col: str, order_col: str, k: int,
     vectorized lexsort+run-detect per partition — never one Python call
     per key).  Oracle: ROW_NUMBER() OVER (PARTITION BY key ORDER BY
     hash, order) <= k."""
-    import ray
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8)))
-    P = num_partitions
+    from .util import shuffle_partitions
+    P = shuffle_partitions()
 
     def _keep_k(batch: pa.Table, with_part: bool) -> pa.Table:
         kcol = batch[key_col]

@@ -236,7 +236,12 @@ def _dbf_write(path: str, table: pa.Table, wkb_col: str):
 def _dbf_read(path: str) -> pa.Table:
     with open(path, "rb") as f:
         data = f.read()
+    cut = ValueError(f"truncated dbf at byte {len(data)}")
+    if len(data) < 32:
+        raise cut
     nrec, hdr_size, rec_size = struct.unpack_from("<IHH", data, 4)
+    if hdr_size + nrec * rec_size > len(data):
+        raise cut
     fields, off = [], 32
     while data[off] != 0x0D:
         name = data[off:off + 11].split(b"\x00")[0].decode("ascii")

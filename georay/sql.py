@@ -30,10 +30,13 @@ Grammar::
     broadcast semi-join — the subquery runs ONCE, never per row).
 
 Compilation is Ray-Data-first: WHERE → vectorized ``map_batches`` filter;
-scalar projections → one ``map_batches``; GROUP BY + aggregates → one
-``map_batches`` computing key/input columns then ``groupby().aggregate``
-(Sum/Count/Min/Max/Mean — Ray's native distributed partials); DISTINCT →
-``groupby(all).map_groups`` first-row; ORDER BY → ``Dataset.sort``;
+scalar projections → one ``map_batches``; every aggregate (GROUP BY,
+global, ROLLUP/CUBE, the regular items beside COUNT(DISTINCT) or a
+global MEDIAN) → one ``map_batches`` computing key/input columns, then
+the one hash-aggregate engine (:class:`_AggPlan`: arrow partials per block →
+key-hash partition → arrow combine); DISTINCT, INTERSECT/EXCEPT and
+COUNT(DISTINCT) partition on the same key hash
+(:func:`georay.util.key_partition`); ORDER BY → ``Dataset.sort``;
 HAVING → a post-aggregate filter (its aggregates must also appear in the
 SELECT list).  ``LIMIT n OFFSET m`` slices the (small, post-ORDER BY)
 result.  ``JOIN ... ON`` folds left through the engine's hash-shuffle
@@ -60,6 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .expr import FilterSyntaxError, _eval, _Parser, _tokenize
+from .util import key_codes, key_group_by, key_partition, shuffle_partitions
 
 __all__ = ["execute_sql", "SqlError"]
 
@@ -1368,7 +1372,7 @@ def _execute_recursive_cte(name, body, tables, col_alias):
         work = work.rename_columns(col_alias)
     seen_df = None
     if distinct:
-        work = work.group_by(work.column_names).aggregate([])
+        work = key_group_by(work, work.column_names, [])
         seen_df = work.to_pandas()
     acc = [work]
     total_rows = work.num_rows
@@ -1386,7 +1390,7 @@ def _execute_recursive_cte(name, body, tables, col_alias):
         new = pa.concat_tables(
             [o.rename_columns(acc[0].column_names) for o in outs])
         if distinct:
-            new = new.group_by(new.column_names).aggregate([])
+            new = key_group_by(new, new.column_names, [])
             # drop rows already produced (UNION semantics): anti-join
             # against the ACCUMULATED seen set (kept as one pandas
             # frame, appended incrementally — not re-materialized from
@@ -1838,28 +1842,17 @@ def _set_op_rows(parts, names, op):
     a INTERSECT b INTERSECT c keeps rows present in every branch;
     a EXCEPT b EXCEPT c = a − (b ∪ c) keeps rows present ONLY in the
     first branch.  Shape: per-branch local arrow dedup → side-tagged
-    row-hash partition (NULL-safe, same scheme as _distinct_rows) → one
-    arrow group_by per bucket counting distinct sides."""
-    import os
-
-    import numpy as np
-    import pandas as pd
-
-    P = max(8, 4 * (os.cpu_count() or 8))
+    row-hash partition (:func:`georay.util.key_partition`, as in
+    _distinct_rows) → one arrow group_by per bucket counting distinct
+    sides."""
+    P = shuffle_partitions()
     nb = len(parts)
 
     def tagger(si):
         def tag(batch: pa.Table) -> pa.Table:
-            g = batch.select(names) \
-                .group_by(names, use_threads=False).aggregate([]) \
-                .select(names)
-            key = pd.util.hash_pandas_object(
-                g.to_pandas(), index=False).to_numpy(np.uint64)
-            g = g.append_column(
-                "part__", pa.array((key % np.uint64(P)).astype(np.int64)))
-            return g.append_column(
-                "side__",
-                pa.array(np.full(g.num_rows, si, dtype=np.int64)))
+            g = key_group_by(batch, names, []).select(names)
+            return key_partition(g, names, P).append_column(
+                "side__", pa.array([si] * g.num_rows, pa.int64()))
         return tag
 
     tagged = [p.ds.map_batches(tagger(si), batch_format="pyarrow")
@@ -1868,8 +1861,8 @@ def _set_op_rows(parts, names, op):
 
     def resolve(gt: pa.Table) -> pa.Table:
         gt = gt.drop_columns(["part__"]).combine_chunks()
-        t = gt.group_by(names, use_threads=False).aggregate(
-            [("side__", "count_distinct"), ("side__", "min")])
+        t = key_group_by(gt, names, [("side__", "count_distinct"),
+                                     ("side__", "min")])
         nd = t["side___count_distinct"]
         if op == "intersect":
             keep = pc.equal(nd, nb)
@@ -1885,30 +1878,20 @@ def _set_op_rows(parts, names, op):
 def _distinct_rows(out, names):
     """Distributed DISTINCT over full rows, NULL-safe and never one
     Python call per distinct key: a local (per-batch) arrow hash
-    group_by shrinks each block, rows hash-partition to ~4×CPU buckets,
-    and each bucket deduplicates with one more arrow group_by.  (Ray's
-    own ``groupby(cols)`` sort-shuffles and cannot compare NULL keys;
-    arrow's hash aggregation treats NULL as an ordinary key value —
-    SQL set semantics.)"""
-    import os
-
-    import numpy as np
-    import pandas as pd
-
-    P = max(8, 4 * (os.cpu_count() or 8))
+    group_by shrinks each block, rows hash-partition to
+    :func:`georay.util.shuffle_partitions` buckets
+    (:func:`georay.util.key_partition`: −0.0 joins 0.0, NULL is an
+    ordinary key), and each bucket deduplicates with one more arrow
+    group_by."""
+    P = shuffle_partitions()
 
     def local(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(names, use_threads=False).aggregate([])
-        g = g.select(names)
-        key = pd.util.hash_pandas_object(
-            g.to_pandas(), index=False).to_numpy(np.uint64)
-        return g.append_column(
-            "part__", pa.array((key % np.uint64(P)).astype(np.int64)))
+        g = key_group_by(batch, names, [])
+        return key_partition(g.select(names), names, P)
 
     def uniq(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["part__"]).combine_chunks()
-        return g.group_by(names, use_threads=False).aggregate([]) \
-            .select(names)
+        return key_group_by(g, names, []).select(names)
 
     return out.shuffle(local, "part__", uniq)
 
@@ -2099,145 +2082,155 @@ def _rename_instance(rel: _Rel, alias: str, cols) -> _Rel:
     return rel.map(ren)
 
 
-def _group_key_hash(batch: pa.Table, group_cols, P: int):
-    """Deterministic uint64 hash of the group-key tuple per row →
-    partition id in [0, P).  NULL keys hash like ordinary values (a
-    null-indicator bit is mixed in).  Returns None for key types the
-    vectorized hash doesn't cover (caller falls back)."""
-    import numpy as np
+# The one aggregation engine: every GROUP BY, global aggregate, the
+# regular items of a COUNT(DISTINCT) query and a global MEDIAN's
+# companions run arrow hash partials per block → key-hash partition → arrow combine.  A partial
+# ROLE is one per-key partial over one input column: (arrow kernel per
+# block, arrow kernel that merges partial rows).  ``mean``/``m2`` have no
+# merge kernel: they merge by Chan's formula in :meth:`_AggPlan.combine`.
+_ROLES = {"rows": ("count_all", "sum"), "n": ("count", "sum"),
+          "sum": ("sum", "sum"), "min": ("min", "min"),
+          "max": ("max", "max"), "mean": ("mean", None),
+          "m2": ("variance", None)}
 
-    from .util import hash_strings
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for g in group_cols:
-        col = batch[g]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        t = col.type
-        if pa.types.is_integer(t) or pa.types.is_boolean(t) \
-                or pa.types.is_temporal(t):
-            x = pc.fill_null(pc.cast(col, pa.int64()), -1) \
-                .to_numpy(zero_copy_only=False).astype(np.uint64)
-        elif pa.types.is_string(t) or pa.types.is_large_string(t) \
-                or pa.types.is_binary(t):
-            x = hash_strings(pc.fill_null(col, ""))
-        elif pa.types.is_floating(t):
-            # x + 0.0 normalizes -0.0 → +0.0 so bit-hashing agrees
-            # with arrow group_by equality
-            x = pc.fill_null(pc.add(pc.cast(col, pa.float64()), 0.0),
-                             float("nan")) \
-                .to_numpy(zero_copy_only=False).view(np.uint64)
+
+def _count(p):
+    return pc.fill_null(pc.cast(p, pa.int64()), 0)
+
+
+def _ratio(a, b):
+    return pc.divide(pc.cast(a, pa.float64()), pc.cast(b, pa.float64()))
+
+
+def _stddev(ddof: int):
+    def final(p):
+        n = pc.cast(p["n"], pa.float64())
+        var = pc.divide(p["m2"], pc.subtract(n, float(ddof)))
+        # SQL: NULL when n <= ddof (no rows, or one row for STDDEV_SAMP)
+        return pc.sqrt(pc.if_else(pc.greater(n, float(ddof)), var, None))
+    return final
+
+
+# aggregate → (its partial roles, its final expression over them)
+_AGGS = {
+    "COUNT_ALL": (("rows",), lambda p: _count(p["rows"])),
+    "COUNT": (("n",), lambda p: _count(p["n"])),
+    "SUM": (("sum",), lambda p: p["sum"]),
+    "AVG": (("sum", "n"), lambda p: _ratio(p["sum"], p["n"])),
+    "MIN": (("min",), lambda p: p["min"]),
+    "MAX": (("max",), lambda p: p["max"]),
+    "STDDEV_POP": (("n", "mean", "m2"), _stddev(0)),
+    "STDDEV_SAMP": (("n", "mean", "m2"), _stddev(1)),
+}
+
+
+class _AggPlan:
+    """The partials of aggregates ``[(alias, FUNC, col)]`` (FUNC a key of
+    ``_AGGS``; ``col`` is None for COUNT_ALL).  Partial rows are keys
+    then one column per distinct (col, role); :meth:`combine` maps
+    partial rows to partial rows, so it can run more than once."""
+
+    def __init__(self, specs):
+        self.specs = list(specs)
+        self.parts = {}                 # (col, role) → partial column
+        for _, func, col in self.specs:
+            for role in _AGGS[func][0]:
+                self.parts.setdefault((col, role), f"p{len(self.parts)}__")
+        self.chan = [c for c, r in self.parts if r == "m2"]
+
+    def partial(self, batch: pa.Table, keys) -> pa.Table:
+        """One row per key tuple of ``batch``: the keys, then each
+        partial (``m2`` = n × population variance, arrow's stable
+        two-pass kernel)."""
+        aggs = [([] if c is None else c, _ROLES[r][0])
+                + ((pc.VarianceOptions(ddof=0),) if r == "m2" else ())
+                for c, r in self.parts]
+        g = key_group_by(batch, keys, aggs)
+        g = g.rename_columns(list(keys) + list(self.parts.values()))
+        for c in self.chan:
+            m2 = self.parts[(c, "m2")]
+            g = g.set_column(g.schema.get_field_index(m2), m2, pc.multiply(
+                g[m2], pc.cast(g[self.parts[(c, "n")]], pa.float64())))
+        return g
+
+    def combine(self, t: pa.Table, keys, extra=()) -> pa.Table:
+        """Merge the partial rows of ``t`` per key tuple: the keys, each
+        merged partial, then each ``extra`` arrow aggregation of ``t``
+        (named by arrow).  (n, mean, M2) triples merge by Chan et al.'s
+        formula, M2 = ΣM2ᵢ + Σnᵢ(meanᵢ − mean)² — the merge Ray's ``Std``
+        does pairwise, here over all of a key's partials at once."""
+        import numpy as np
+
+        keys = list(keys)
+        merge = [(name, _ROLES[r][1]) for (c, r), name in self.parts.items()
+                 if _ROLES[r][1]]
+        aggs = merge + list(extra)            # arrow names them col_fn
+        if self.chan:                         # row → group code, for Chan
+            g, code = key_codes(t, keys, aggs)
         else:
-            raise SqlError(
-                f"GROUP BY key {g!r} has type {t} — unsupported by "
-                "the hash partitioner")
-        x = x.copy()
-        x ^= pc.is_null(col).to_numpy(zero_copy_only=False) \
-            .astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        # splitmix-style avalanche, folded into the rolling key hash
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x &= np.uint64(0xFFFFFFFFFFFFFFFF)
-        x ^= x >> np.uint64(31)
-        h = h * np.uint64(0x100000001B3) + x
-        h &= np.uint64(0xFFFFFFFFFFFFFFFF)
-    return (h % np.uint64(P)).astype(np.int64)
+            g = key_group_by(t, keys, aggs)
+        cols = {k: g[k] for k in keys}
+        cols.update({name: g[f"{name}_{fn}"] for name, fn in merge})
+        if self.chan:
+            def f64(name):
+                return pc.fill_null(pc.cast(t[name], pa.float64()), 0.0) \
+                    .to_numpy()
 
-
-def _hash_grouped_aggregate(prepped, group_cols, specs,
-                            num_partitions: int | None = None):
-    """Distributed GROUP BY via per-block arrow hash-aggregation
-    partials → key-hash partition → per-partition arrow combine —
-    the partial-aggregation shape a 100 TB groupby needs (measured
-    4-5× faster than Ray's sort-based ``groupby().aggregate`` at 150k
-    int keys / 600k rows, and NULL keys are ordinary groups, which the
-    sort-based path rejects).
-
-    ``specs``: [(alias, FUNC, col)] with FUNC in COUNT_ALL / COUNT /
-    SUM / AVG / MIN / MAX (COUNT counts non-null of ``col``).  The
-    partition hash covers int/bool/temporal/string/binary/float keys —
-    everything the dialect's GROUP BY can produce; STDDEV stays on the
-    native Ray path (Welford), decided by the caller."""
-    import numpy as np
-
-    import ray
-    P = num_partitions or 4 * max(
-        2, int(ray.cluster_resources().get("CPU", 8))
-        if ray.is_initialized() else 8)
-
-    # arrow partial plan: one (col, fn) per distinct need
-    part_plan = {}                      # (col|None, fn) -> output name
-
-    def need(col, fn):
-        key = (col, fn)
-        if key not in part_plan:
-            part_plan[key] = ("count_all" if col is None
-                              else f"{col}_{fn}")
-        return part_plan[key]
-
-    finals = []                         # (alias, kind, p1, p2)
-    for alias, func, col in specs:
-        if func == "COUNT_ALL":
-            finals.append((alias, "sum", need(None, "count_all"), None))
-        elif func == "COUNT":
-            finals.append((alias, "sum", need(col, "count"), None))
-        elif func == "SUM":
-            finals.append((alias, "sum", need(col, "sum"), None))
-        elif func == "MIN":
-            finals.append((alias, "min", need(col, "min"), None))
-        elif func == "MAX":
-            finals.append((alias, "max", need(col, "max"), None))
-        elif func == "AVG":
-            finals.append((alias, "avg", need(col, "sum"),
-                           need(col, "count")))
-        else:
-            return None
-    agg_list = [(([] if col is None else col),
-                 ("count_all" if col is None else fn))
-                for (col, fn) in part_plan]
-    pnames = list(part_plan.values())
-    nk = len(group_cols)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(group_cols, use_threads=False) \
-            .aggregate(agg_list)
-        # arrow output: keys first, then aggregates in plan order,
-        # named col_fn / "count_all" — realign to pnames
-        gn = g.column_names
-        out_cols = {k: g[k] for k in group_cols}
-        for want, got in zip(pnames, gn[nk:]):
-            out_cols[want] = g[got]
-        g2 = pa.table(out_cols)
-        pid = _group_key_hash(g2, group_cols, P)
-        return g2.append_column("part__", pa.array(pid))
-
-    comb_list = []
-    for (col, fn), name in part_plan.items():
-        comb_fn = {"count_all": "sum", "count": "sum", "sum": "sum",
-                   "min": "min", "max": "max"}[fn]
-        comb_list.append((name, comb_fn))
-
-    def combine(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["part__"]).combine_chunks()
-        gg = g.group_by(group_cols, use_threads=False) \
-            .aggregate(comb_list)
-        gn = gg.column_names
-        agg_out = {name: gg[got]
-                   for (name, _), got in zip(comb_list, gn[nk:])}
-        cols = {k: gg[k] for k in group_cols}
-        for alias, kind, p1, p2 in finals:
-            if kind == "avg":
-                s = pc.cast(agg_out[p1], pa.float64())
-                n = pc.cast(agg_out[p2], pa.float64())
-                cols[alias] = pc.divide(s, n)
-            elif kind == "sum" and (p1 == "count_all"
-                                    or p1.endswith("_count")):
-                # COUNT must come back int64 and never NULL
-                cols[alias] = pc.fill_null(
-                    pc.cast(agg_out[p1], pa.int64()), 0)
-            else:
-                cols[alias] = agg_out[p1]
+            for c in self.chan:
+                n_i = f64(self.parts[(c, "n")])
+                mu_i = f64(self.parts[(c, "mean")])
+                n = np.bincount(code, n_i, g.num_rows)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    mean = np.bincount(code, n_i * mu_i, g.num_rows) / n
+                m2 = np.bincount(code, f64(self.parts[(c, "m2")]),
+                                 g.num_rows) + np.bincount(
+                    code, n_i * (mu_i - mean[code]) ** 2, g.num_rows)
+                cols[self.parts[(c, "mean")]] = pa.array(mean, mask=n == 0)
+                cols[self.parts[(c, "m2")]] = pa.array(m2, mask=n == 0)
+        cols = {k: cols[k] for k in keys + list(self.parts.values())}
+        cols.update({f"{a[0]}_{a[1]}": g[f"{a[0]}_{a[1]}"] for a in extra})
         return pa.table(cols)
 
+    def final(self, t: pa.Table) -> dict:
+        """Each alias's column from merged partial rows ``t``."""
+        return {alias: _AGGS[func][1]({r: t[self.parts[(col, r)]]
+                                       for r in _AGGS[func][0]})
+                for alias, func, col in self.specs}
+
+
+def _hash_grouped_aggregate(prepped, group_cols, specs):
+    """Distributed GROUP BY: per-block arrow hash partials → key-hash
+    partition → per-partition arrow combine — the partial-aggregation
+    shape a 100 TB groupby needs (measured 4-5× faster than Ray's
+    sort-based ``groupby().aggregate`` at 150k int keys / 600k rows).
+    NULL keys are ordinary groups and −0.0 joins 0.0
+    (:func:`georay.util.key_partition`).  ``specs``: the aggregates,
+    as :class:`_AggPlan` takes them."""
+    plan = _AggPlan(specs)
+    P = shuffle_partitions()
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return key_partition(plan.partial(batch, group_cols), group_cols, P)
+
+    def combine(g: pa.Table) -> pa.Table:
+        g = plan.combine(g.drop_columns(["part__"]).combine_chunks(),
+                         group_cols)
+        return pa.table({**{k: g[k] for k in group_cols}, **plan.final(g)})
+
     return prepped.shuffle(partial, "part__", combine)
+
+
+def _global_aggregate(prepped: _Rel, specs) -> pa.Table:
+    """The one-row global aggregate of ``specs`` (as :class:`_AggPlan`
+    takes them): one partial row per block, merged on the driver (an
+    empty input gives COUNT 0 and NULL otherwise)."""
+    plan = _AggPlan(specs)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return plan.partial(batch, [])
+
+    rows = _collect(*prepped.map(partial))
+    return pa.table(plan.final(plan.combine(rows.combine_chunks(), [])))
 
 
 def _asof_join_fold(rel: _Rel, rrel: _Rel, pairs) -> _Rel:
@@ -2302,8 +2295,7 @@ def _asof_join_fold(rel: _Rel, rrel: _Rel, pairs) -> _Rel:
     right_cols = sorted(rnames)
     out = _asof_join(lrel.ds, rprep.ds, lrel.schema, rprep.schema,
                      key_col="__asof_k__", ts_col="__asof_ts__",
-                     right_cols=tuple(right_cols), suffix="",
-                     num_partitions=None)
+                     right_cols=tuple(right_cols), suffix="")
     # output: every left column, then the right columns
     schema = pa.schema(list(lrel.schema)
                        + [rprep.schema.field(c) for c in right_cols])
@@ -2315,8 +2307,6 @@ def _asof_join_fold(rel: _Rel, rrel: _Rel, pairs) -> _Rel:
 
 
 def _execute(q: dict, tables: dict):
-    from ray.data.aggregate import Count, Max, Mean, Min, Std, Sum
-
     q = _dequalify(q, tables)
     if q["table"] == "__dual__" and "__dual__" not in tables:
         import ray
@@ -2702,23 +2692,38 @@ def _execute(q: dict, tables: dict):
                     else v.type
                 v = pc.if_else(c, v, pa.scalar(None, vt))
             cols[f"a{i}__"] = v
-        if any(it.star and i not in filt_nodes
-               for i, it in agg_items) or not cols:
-            # COUNT(*) needs a concrete column: Ray's Count() without
-            # `on` yields 0 in the global-aggregate path
+        if not cols:
+            # a table without columns would lose its row count
             cols["one__"] = pa.array([1] * batch.num_rows, pa.int64())
         return pa.table(cols)
 
     prepped = rel.map(prep)
+    specs = [(names[i], "COUNT_ALL", None) if it.star and i not in filt_nodes
+             else (names[i], "COUNT" if it.star else it.func, f"a{i}__")
+             for i, it in agg_items]
+    if not group_cols:
+        # global aggregate → one-row table
+        if q["having"]:
+            raise SqlError("HAVING requires GROUP BY")
+        t = _global_aggregate(prepped, specs)
+        if postagg:
+            cols = {}
+            for i, it in enumerate(items[:visible_n]):
+                if i in postagg:
+                    v = _eval(postagg[i], t)
+                    cols[names[i]] = (pa.array([v.as_py()])
+                                      if isinstance(v, pa.Scalar) else v)
+                elif it.kind == "agg":
+                    cols[names[i]] = t[names[i]]
+            t = pa.table(cols)
+        return _Rel(t, t.schema)
+
     gsets = q.get("grouping_sets")
-    rollup = (bool(q.get("rollup")) or gsets is not None) \
-        and bool(group_cols)
-    if rollup:
+    if q.get("rollup") or gsets is not None:
         # GROUP BY ROLLUP/CUBE/GROUPING SETS: each prepped row explodes
         # into one copy per grouping set (gid = BITMASK of kept keys;
-        # dropped keys take a type filler so Ray's sort-based groupby
-        # never sees nulls) — ONE shuffle computes every set; dropped
-        # keys are nulled back after the aggregate, matching SQL.
+        # dropped keys are NULL) — ONE shuffle computes every set, and
+        # gid keeps a dropped key apart from a NULL one.
         L = len(group_cols)
         if q.get("rollup") == "cube":
             if L > 6:
@@ -2736,160 +2741,40 @@ def _execute(q: dict, tables: dict):
         else:                                   # ROLLUP: prefix masks
             masks = [(1 << g) - 1 for g in range(L, -1, -1)]
 
-        def _filler(t):
-            if pa.types.is_string(t) or pa.types.is_large_string(t):
-                return pa.scalar("", t)
-            if pa.types.is_timestamp(t) or pa.types.is_date(t):
-                return pa.scalar(0, t)
-            if pa.types.is_boolean(t):
-                return pa.scalar(False, t)
-            return pa.scalar(0, t)
-
         def explode(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
             parts = []
             for gid in masks:
-                cols = {}
+                t = batch
                 for j, g in enumerate(group_cols):
-                    col = batch[g]
-                    if (gid >> j) & 1:
-                        cols[g] = col
-                    else:
-                        t = col.type
-                        cols[g] = pa.array([_filler(t).as_py()] * n, t)
-                for name in batch.column_names:
-                    if name not in cols:
-                        cols[name] = batch[name]
-                cols["gid__"] = pa.array([gid] * n, pa.int64())
-                parts.append(pa.table(cols))
-            return pa.concat_tables(parts, promote_options="default")
+                    if not (gid >> j) & 1:
+                        t = t.set_column(t.schema.get_field_index(g), g,
+                                         pa.nulls(n, t.schema.field(g).type))
+                parts.append(t.append_column(
+                    "gid__", pa.array([gid] * n, pa.int64())))
+            return pa.concat_tables(parts)
 
-        prepped = prepped.map(explode)
-        group_cols = group_cols + ["gid__"]
-    aggs = []
-    hash_specs = []                  # (alias, FUNC, col) — None'd on Std
-    for i, it in agg_items:
-        alias = names[i]
-        col = f"a{i}__"
-        if it.func == "COUNT" and it.star:
-            if i in filt_nodes:
-                aggs.append(Count(col, ignore_nulls=True,
-                                  alias_name=alias))
-                if hash_specs is not None:
-                    hash_specs.append((alias, "COUNT", col))
-            else:
-                aggs.append(Count(alias_name=alias) if group_cols
-                            else Sum("one__", alias_name=alias))
-                if hash_specs is not None:
-                    hash_specs.append((alias, "COUNT_ALL", None))
-        elif it.func == "COUNT":
-            aggs.append(Count(col, ignore_nulls=True, alias_name=alias))
-            if hash_specs is not None:
-                hash_specs.append((alias, "COUNT", col))
-        elif it.func == "SUM":
-            aggs.append(Sum(col, alias_name=alias))
-            if hash_specs is not None:
-                hash_specs.append((alias, "SUM", col))
-        elif it.func == "AVG":
-            aggs.append(Mean(col, alias_name=alias))
-            if hash_specs is not None:
-                hash_specs.append((alias, "AVG", col))
-        elif it.func == "MIN":
-            aggs.append(Min(col, alias_name=alias))
-            if hash_specs is not None:
-                hash_specs.append((alias, "MIN", col))
-        elif it.func == "MAX":
-            aggs.append(Max(col, alias_name=alias))
-            if hash_specs is not None:
-                hash_specs.append((alias, "MAX", col))
-        elif it.func == "STDDEV_POP":
-            aggs.append(Std(col, ddof=0, alias_name=alias))
-            hash_specs = None
-        elif it.func == "STDDEV_SAMP":
-            aggs.append(Std(col, ddof=1, alias_name=alias))
-            hash_specs = None
-        else:
-            raise SqlError(f"unsupported aggregate {it.func}")
+        out = _hash_grouped_aggregate(prepped.map(explode),
+                                      group_cols + ["gid__"], specs)
+    else:
+        out = _hash_grouped_aggregate(prepped, group_cols, specs)
 
-    if group_cols:
-        if hash_specs is not None:
-            # partial-aggregation plan: per-block arrow hash partials →
-            # key-hash partition → arrow combine (4-5× the sort-based
-            # native groupby at high key cardinality; NULL keys are
-            # ordinary groups)
-            out = _hash_grouped_aggregate(prepped, group_cols,
-                                          hash_specs)
-        else:
-            # Ray's aggregates: COUNT int64, AVG and STDDEV float64, SUM
-            # arrow's sum type, MIN/MAX the input type
-            fields = [prepped.schema.field(g) for g in group_cols]
-            for i, it in agg_items:
-                t = (pa.int64() if it.func == "COUNT"
-                     else prepped.schema.field(f"a{i}__").type)
-                if it.func == "SUM":
-                    t = pc.sum(pa.array([], t)).type
-                elif it.func in ("AVG", "STDDEV_POP", "STDDEV_SAMP"):
-                    t = pa.float64()
-                fields.append(pa.field(names[i], t))
-            out = _Rel(prepped.ds.groupby(group_cols).aggregate(*aggs),
-                       pa.schema(fields))
-        if rollup:
-            group_cols = group_cols[:-1]     # drop gid__ from scope
-
-            def unroll(batch: pa.Table) -> pa.Table:
-                gid = batch["gid__"]
-                for j, g in enumerate(group_cols):
-                    col = batch[g]
-                    keep = pc.not_equal(
-                        pc.bit_wise_and(gid, 1 << j), 0)
-                    t = col.type if not isinstance(col, pa.ChunkedArray) \
-                        else col.type
-                    batch = batch.set_column(
-                        batch.column_names.index(g), g,
-                        pc.if_else(keep, col, pa.scalar(None, t)))
-                return batch.drop_columns(["gid__"])
-
-            out = out.map(unroll)
-
-        def proj2(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for i, it in enumerate(items[:visible_n]):
-                if i in postagg:
-                    cols[names[i]] = _const(_eval(postagg[i], batch),
-                                            batch.num_rows)
-                elif it.kind == "agg" or names[i] in group_cols:
-                    cols[names[i]] = batch[names[i]]
-                else:
-                    cols[names[i]] = batch[it.expr_toks[0][1]]
-            for h in having_hidden:     # HAVING's hoisted aggregates
-                cols[h] = batch[h]      # pass through; dropped post-filter
-            return pa.table(cols)
-
-        return _having_finish(out.map(proj2), q, names[:visible_n],
-                              having_node, having_hidden)
-
-    # global aggregate → one-row table
-    if q["having"]:
-        raise SqlError("HAVING requires GROUP BY")
-    res = prepped.ds.aggregate(*aggs)
-    row = {}
-    for i, it in agg_items:
-        v = res[names[i]]
-        if v is None and it.func == "COUNT":
-            v = 0   # SQL COUNT over an empty input is 0, not NULL
-        row[names[i]] = [v]
-    t = pa.table(row)
-    if postagg:
+    def proj2(batch: pa.Table) -> pa.Table:
         cols = {}
         for i, it in enumerate(items[:visible_n]):
             if i in postagg:
-                v = _eval(postagg[i], t)
-                cols[names[i]] = (pa.array([v.as_py()])
-                                  if isinstance(v, pa.Scalar) else v)
-            elif it.kind == "agg":
-                cols[names[i]] = t[names[i]]
-        t = pa.table(cols)
-    return _Rel(t, t.schema)
+                cols[names[i]] = _const(_eval(postagg[i], batch),
+                                        batch.num_rows)
+            elif it.kind == "agg" or names[i] in group_cols:
+                cols[names[i]] = batch[names[i]]
+            else:
+                cols[names[i]] = batch[it.expr_toks[0][1]]
+        for h in having_hidden:     # HAVING's hoisted aggregates
+            cols[h] = batch[h]      # pass through; dropped post-filter
+        return pa.table(cols)
+
+    return _having_finish(out.map(proj2), q, names[:visible_n],
+                          having_node, having_hidden)
 
 
 def _split_call_args(toks):
@@ -2973,9 +2858,6 @@ def _execute_quantile(rel, q, items, names, group_cols, agg_items,
             else:
                 cols[g] = batch[g]
         cols["qv__"] = _const(_eval(vnode, batch), batch.num_rows)
-        if "count_star" in extras.values() and not group_cols:
-            # Ray's Count() without `on` yields 0 in the global path
-            cols["one__"] = pa.array([1] * batch.num_rows, pa.int64())
         return pa.table(cols)
 
     prepped = rel.map(prep)
@@ -3010,62 +2892,33 @@ def _execute_quantile(rel, q, items, names, group_cols, agg_items,
     if q["having"]:
         raise SqlError("HAVING requires GROUP BY")
     qt = global_quantiles(prepped.ds, "qv__", qs_list, q_names=q_names)
-    row = {}
+    cols = {nm: [qt[nm][0].as_py()] for nm in q_names}
     if extras:
-        from ray.data.aggregate import Count, Max, Mean, Min, Sum
-        aggs, kinds = [], []
-        for nm, kind in extras.items():
-            kinds.append((nm, kind))
-            if kind == "count_star":
-                aggs.append(Sum("one__", alias_name=nm))
-            elif kind == "count":
-                aggs.append(Count("qv__", ignore_nulls=True,
-                                  alias_name=nm))
-            elif kind == "sum":
-                aggs.append(Sum("qv__", alias_name=nm))
-            elif kind == "avg":
-                aggs.append(Mean("qv__", alias_name=nm))
-            elif kind == "min":
-                aggs.append(Min("qv__", alias_name=nm))
-            else:
-                aggs.append(Max("qv__", alias_name=nm))
-        res = prepped.ds.aggregate(*aggs)
-        for nm, kind in kinds:
-            v = res[nm]
-            if v is None and kind in ("count", "count_star"):
-                v = 0
-            row[nm] = [v]
-    for nm in q_names:
-        row[nm] = [qt[nm][0].as_py()]
-    t = pa.table({nm: row[nm] for nm in names})
+        cols.update(_global_aggregate(prepped, [
+            (nm, "COUNT_ALL", None) if kind == "count_star"
+            else (nm, kind.upper(), "qv__")
+            for nm, kind in extras.items()]).to_pydict())
+    t = pa.table({nm: cols[nm] for nm in names})
     return _Rel(t, t.schema)
 
 
 def _execute_count_distinct(rel, q, items, names, group_cols, agg_items,
                             alias_nodes, having_node, having_hidden):
-    """COUNT(DISTINCT) — grouped, global, several at once, and mixed
-    with COUNT/SUM/AVG/MIN/MAX — in ONE shuffle and no per-key Python
-    (the reference's SQLite dialect gets this from sqlite3 itself;
+    """COUNT/SUM/AVG(DISTINCT) — grouped, global, several at once, and
+    mixed with the regular aggregates — in ONE shuffle and no per-key
+    Python (the reference's SQLite dialect gets this from sqlite3 itself;
     ogr/ogrsf_frmts/sqlite/ogrsqliteexecutesql.cpp).
 
-    Shape: each block pre-shrinks with an arrow hash ``group_by`` on
-    (group keys, distinct exprs) — regular aggregates become mergeable
-    PARTIALS while every group's distinct value SETS survive — then rows
-    hash-partition on the GROUP key alone, so a group finalizes in
-    exactly one bucket with a single arrow ``group_by`` call
-    (``count_distinct`` + partial combination).  NULL group keys are
-    ordinary hash values (arrow kernels), unlike Ray's sort-based
-    groupby.  Global form: partitions on the distinct value itself when
-    there is one distinct expr (buckets split the value space, so
-    per-bucket distinct counts SUM), else one bucket of block-shrunk
-    rows; either way only ≤P tiny partial rows reach the driver."""
-    import os
-
-    import numpy as np
-    import pandas as pd
-
+    Shape: each block takes the regular items' partials
+    (:class:`_AggPlan`) keyed on (group keys, distinct exprs), so every
+    group's distinct value SETS survive; rows hash-partition on the GROUP
+    key alone and each bucket merges them with one arrow ``group_by``
+    that also lists each group's distinct values.  Global form:
+    partitions on the distinct value itself when there is one distinct
+    expr (buckets split the value space, so per-bucket distinct counts
+    and sums add up), else one bucket; either way only ≤P one-row
+    partials reach the driver."""
     dist = [(i, it) for i, it in agg_items if it.distinct]
-    regular = [(i, it) for i, it in agg_items if not it.distinct]
     nodes = {}
     for i, it in agg_items:
         if it.star:
@@ -3074,27 +2927,12 @@ def _execute_count_distinct(rel, q, items, names, group_cols, agg_items,
         if used != len(it.expr_toks):
             raise SqlError("bad aggregate expression")
         nodes[i] = node
-    need_one = any(it.star for _, it in regular)
     dcols = {i: f"d{i}__" for i, _ in dist}
-    rcols = {i: f"a{i}__" for i, it in regular if not it.star}
-
-    # mergeable partials per regular item: (input col, arrow fn) pairs
-    partials = {}   # (col, fn) -> partial output column name
-    item_partials = {}   # item idx -> dict(role -> partial col)
-    for i, it in regular:
-        col = "one__" if it.star else rcols[i]
-        want = {"COUNT": [("sum", col) if it.star else ("count", col)],
-                "SUM": [("sum", col)], "MIN": [("min", col)],
-                "MAX": [("max", col)],
-                "AVG": [("sum", col), ("count", col)]}[it.func]
-        item_partials[i] = {}
-        for fn, c in want:
-            key = (c, fn)
-            if key not in partials:
-                partials[key] = f"p{len(partials)}__"
-            item_partials[i][fn] = partials[key]
-
-    P = max(8, 4 * (os.cpu_count() or 8))
+    keys = list(group_cols) + list(dcols.values())
+    plan = _AggPlan((names[i], "COUNT_ALL", None) if it.star
+                    else (names[i], it.func, f"a{i}__")
+                    for i, it in agg_items if not it.distinct)
+    P = shuffle_partitions()
     part_keys = list(group_cols) if group_cols else (
         [dcols[dist[0][0]]] if len(dist) == 1 else [])
 
@@ -3106,140 +2944,73 @@ def _execute_count_distinct(rel, q, items, names, group_cols, agg_items,
                                  batch.num_rows)
             else:
                 cols[g] = batch[g]
-        for i, _ in dist:
-            cols[dcols[i]] = _eval(nodes[i], batch)
-        for i in rcols:
-            cols[rcols[i]] = _eval(nodes[i], batch)
-        if need_one:
-            cols["one__"] = pa.array(
-                np.ones(batch.num_rows, np.int64))
-        t = pa.table(cols)
-        keys = list(group_cols) + [dcols[i] for i, _ in dist]
-        specs = [(c, fn) for (c, fn), _ in partials.items()]
-        g = t.group_by(keys, use_threads=False).aggregate(specs)
-        ren = {f"{c}_{fn}": out for (c, fn), out in partials.items()}
-        g = g.rename_columns([ren.get(n, n) for n in g.schema.names])
-        if part_keys:
-            key = pd.util.hash_pandas_object(
-                g.select(part_keys).to_pandas(), index=False) \
-                .to_numpy(np.uint64)
-            part = (key % np.uint64(P)).astype(np.int64)
-        else:
-            part = np.zeros(g.num_rows, np.int64)
-        return g.append_column("part__", pa.array(part))
+        for i in nodes:
+            cols[dcols.get(i, f"a{i}__")] = _const(_eval(nodes[i], batch),
+                                                  batch.num_rows)
+        return key_partition(plan.partial(pa.table(cols), keys), part_keys,
+                             P)
 
-    def _item_col(i, it, t, cd_name):
-        """Final output column for one select item from the combined
-        bucket table ``t``."""
-        if it.kind != "agg":
-            return t[names[i]] if names[i] in t.schema.names \
-                else t[it.expr_toks[0][1]]
-        if it.distinct:
-            if it.func == "COUNT":
-                return pc.cast(t[cd_name(i)], pa.int64())
-            if it.func == "SUM":
-                return t[f"{dcols[i]}_dsum"]
-            # AVG(DISTINCT) = sum of distinct / count of distinct
-            return pc.divide(
-                pc.cast(t[f"{dcols[i]}_dsum"], pa.float64()),
-                pc.cast(t[f"{dcols[i]}_dcnt"], pa.float64()))
-        p = item_partials[i]
-        if it.func == "COUNT":
-            v = p.get("count", p.get("sum"))
-            return pc.cast(pc.fill_null(t[v], 0), pa.int64())
-        if it.func == "AVG":
-            return pc.divide(pc.cast(t[p["sum"]], pa.float64()),
-                             pc.cast(t[p["count"]], pa.float64()))
-        return t[p[{"SUM": "sum", "MIN": "min", "MAX": "max"}[it.func]]]
+    def distinct_sets(g: pa.Table, by) -> pa.Table:
+        """Merged partials per ``by`` key (``part__`` for the global
+        form: arrow lists distinct values per key only), then each
+        distinct expr's value count ``dN__n`` and sum ``dN__s``."""
+        g = plan.combine(g.combine_chunks(), by, [
+            (d, "distinct", pc.CountOptions("only_valid"))
+            for d in dcols.values()])
+        for i, it in dist:
+            vals = g[f"{dcols[i]}_distinct"].combine_chunks()
+            g = g.append_column(f"{dcols[i]}n", pc.list_value_length(vals))
+            if it.func != "COUNT":
+                g = g.append_column(f"{dcols[i]}s", _list_sums(vals))
+        return g.drop_columns([f"{d}_distinct" for d in dcols.values()])
+
+    def select(t: pa.Table) -> pa.Table:
+        fin = plan.final(t)
+        cols = {}
+        for i, it in enumerate(items):
+            if it.kind != "agg":
+                cols[names[i]] = t[names[i]] if names[i] in t.schema.names \
+                    else t[it.expr_toks[0][1]]
+            elif not it.distinct:
+                cols[names[i]] = fin[names[i]]
+            elif it.func == "COUNT":
+                cols[names[i]] = _count(t[f"{dcols[i]}n"])
+            else:
+                sm = t[f"{dcols[i]}s"]
+                cols[names[i]] = sm if it.func == "SUM" \
+                    else _ratio(sm, t[f"{dcols[i]}n"])
+        return pa.table(cols)
 
     if group_cols:
         def finish_bucket(g: pa.Table) -> pa.Table:
-            g = g.drop_columns(["part__"]).combine_chunks()
-            specs = [(dcols[i], "count_distinct") for i, _ in dist]
-            specs += [(out, {"count": "sum"}.get(fn, fn))
-                      for (c, fn), out in partials.items()]
-            t = g.group_by(list(group_cols),
-                           use_threads=False).aggregate(specs)
-            # combined-partial names: p3___sum etc.
-            comb = {out: f"{out}_{({'count': 'sum'}).get(fn, fn)}"
-                    for (c, fn), out in partials.items()}
-            t = t.rename_columns(
-                [ {v: k for k, v in comb.items()}.get(n, n)
-                  for n in t.schema.names])
-            # SUM/AVG(DISTINCT): dedupe (group, value) pairs, aggregate
-            # the distinct values per group, join back on the group keys
-            for i, it in dist:
-                if it.func == "COUNT":
-                    continue
-                d2 = g.group_by(list(group_cols) + [dcols[i]],
-                                use_threads=False).aggregate([])
-                a2 = [(dcols[i], "sum")]
-                if it.func == "AVG":
-                    a2.append((dcols[i], "count"))
-                s2 = d2.group_by(list(group_cols),
-                                 use_threads=False).aggregate(a2)
-                ren = {f"{dcols[i]}_sum": f"{dcols[i]}_dsum",
-                       f"{dcols[i]}_count": f"{dcols[i]}_dcnt"}
-                s2 = s2.rename_columns(
-                    [ren.get(n, n) for n in s2.schema.names])
-                t = t.join(s2, keys=list(group_cols))
-            cols = {names[i]: _item_col(
-                        i, it, t,
-                        lambda j: f"{dcols[j]}_count_distinct")
-                    for i, it in enumerate(items)}
-            return pa.table(cols)
+            return select(distinct_sets(g, group_cols))
 
         return _having_finish(rel.shuffle(prep, "part__", finish_bucket),
                               q, names, having_node, having_hidden)
 
-    # global: per-bucket scalar partials, tiny driver-side combine
+    # global: per-bucket one-row partials, tiny driver-side combine
     if q["having"]:
         raise SqlError("HAVING requires GROUP BY")
-
-    def bucket_scalars(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        cols = {}
-        for i, it in dist:
-            # buckets partition the distinct-VALUE space (single
-            # distinct expr) or everything is in one bucket — either
-            # way per-bucket distinct partials combine by addition
-            uniq = pc.unique(g[dcols[i]])
-            cols[dcols[i]] = pa.array(
-                [pc.count_distinct(g[dcols[i]]).as_py()], pa.int64())
-            if it.func in ("SUM", "AVG"):
-                cols[f"{dcols[i]}_dsum"] = pa.array(
-                    [pc.sum(uniq).as_py()])
-        for (c, fn), out in partials.items():
-            v = {"sum": pc.sum, "count": pc.sum, "min": pc.min,
-                 "max": pc.max}[fn](g[out])
-            cols[out] = pa.array([v.as_py()])
-        return pa.table(cols)
-
-    rows = _collect(*rel.shuffle(prep, "part__", bucket_scalars))
-    final = {}
-    for i, it in dist:
-        col = rows[dcols[i]] if rows.num_rows else None
-        final[dcols[i] + "_count_distinct"] = pa.array(
-            [int(pc.sum(col).as_py() or 0) if col is not None else 0],
-            pa.int64())
-        if it.func in ("SUM", "AVG"):
-            sc = rows[f"{dcols[i]}_dsum"] if rows.num_rows else None
-            final[f"{dcols[i]}_dsum"] = pa.array(
-                [pc.sum(sc).as_py() if sc is not None else None])
-            final[f"{dcols[i]}_dcnt"] = final[
-                dcols[i] + "_count_distinct"]
-    for (c, fn), out in partials.items():
-        if rows.num_rows:
-            v = {"sum": pc.sum, "count": pc.sum, "min": pc.min,
-                 "max": pc.max}[fn](rows[out]).as_py()
-        else:
-            v = 0 if fn in ("sum", "count") and c == "one__" else None
-        final[out] = pa.array([v])
-    t = pa.table(final)
-    t = pa.table({names[i]: _item_col(
-                     i, it, t, lambda j: f"{dcols[j]}_count_distinct")
-                  for i, it in enumerate(items)})
+    rows = _collect(*rel.shuffle(prep, "part__",
+                                 lambda g: distinct_sets(g, ["part__"])))
+    t = plan.combine(rows.combine_chunks(), [], [
+        (c, "sum") for c in rows.column_names if c[-1:] in "ns"
+        and c[:-1] in dcols.values()])
+    t = t.rename_columns([c.removesuffix("_sum") for c in t.column_names])
+    t = select(t)
     return _Rel(t, t.schema)
+
+
+def _list_sums(vals: pa.Array) -> pa.Array:
+    """Per-row sum of a list array's values (NULL for an empty list)."""
+    import numpy as np
+
+    s = key_group_by(pa.table({"r": pc.list_parent_indices(vals),
+                               "v": pc.list_flatten(vals)}),
+                     ["r"], [("v", "sum")])
+    at = np.full(len(vals), -1, np.int64)
+    at[s["r"].to_numpy()] = np.arange(s.num_rows)
+    return s["v_sum"].take(pa.array(at, mask=at < 0))
 
 
 def _execute_window(rel, q, items, names, win_items):

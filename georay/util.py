@@ -1,5 +1,7 @@
 """Small shared helpers: the per-worker stage cache, process tuning,
-vectorized string hashing, the one loader of the package's C kernels
+vectorized string hashing, the one key step of every keyed operator
+(:func:`key_group_by`, :func:`key_codes`, :func:`key_partition`,
+:func:`shuffle_partitions`), the one loader of the package's C kernels
 (:func:`compiled`), the one file-commit protocol every writer uses
 (:func:`staged`, :func:`write_parts`, :func:`write_groups`), and the one
 Ray source every reader builds (:func:`read_units`)."""
@@ -15,6 +17,8 @@ import uuid
 import numpy as np
 
 __all__ = ["worker_cached", "worker_get", "tune_malloc", "hash_strings",
+           "shuffle_partitions", "key_group_by", "key_codes",
+           "key_partition",
            "compiled", "staged", "write_parts", "write_groups", "list_parts",
            "read_units"]
 
@@ -87,6 +91,106 @@ def hash_strings(col) -> np.ndarray:
     if nz.any():
         sums[nz] = np.add.reduceat(terms, rel_starts[nz])
     return sums
+
+
+def shuffle_partitions() -> int:
+    """Bucket count of every keyed hash shuffle: 4 × the cluster's CPUs
+    (at least 2; 8 before ``ray.init``) — enough buckets to keep every
+    CPU busy, few enough that the per-bucket Python call stays cheap."""
+    import ray
+    cpus = int(ray.cluster_resources().get("CPU", 8)) \
+        if ray.is_initialized() else 8
+    return 4 * max(2, cpus)
+
+
+def key_group_by(batch, keys, aggs):
+    """``batch.group_by(keys).aggregate(aggs)`` (single-threaded: groups
+    in first-appearance order, keys first) with SQL key equality: NULL
+    is one key value, and float keys are normalized by ``x + 0.0``,
+    which turns −0.0 into the +0.0 that arrow's grouper would keep
+    apart from it.  String and binary keys group as their 64-bit-offset
+    types and come back as their own: pyarrow 16's multi-key grouper
+    splits NULL keys of 32-bit-offset string/binary columns into many
+    groups."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    keys = list(keys)
+    back = {}
+    for k in keys:
+        t = batch.schema.field(k).type
+        wide = pa.large_string() if pa.types.is_string(t) \
+            else pa.large_binary() if pa.types.is_binary(t) else None
+        if pa.types.is_floating(t):
+            batch = batch.set_column(batch.schema.get_field_index(k), k,
+                                     pc.add(batch[k], pa.scalar(0.0, t)))
+        elif wide is not None:
+            back[k] = t
+            batch = batch.set_column(batch.schema.get_field_index(k), k,
+                                     batch[k].cast(wide))
+    g = batch.group_by(keys, use_threads=False).aggregate(list(aggs))
+    for k, t in back.items():
+        g = g.set_column(g.schema.get_field_index(k), k, g[k].cast(t))
+    return g
+
+
+def key_codes(batch, keys, aggs=()):
+    """:func:`key_group_by` of ``batch``, and each row's index of its
+    group in that result (int64)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    keys, aggs = list(keys), list(aggs)
+    if not keys:                    # arrow has no keyless "list" kernel
+        return (key_group_by(batch, [], aggs),
+                np.zeros(batch.num_rows, np.int64))
+    g = key_group_by(
+        batch.append_column("i__", pa.array(np.arange(batch.num_rows))),
+        keys, aggs + [("i__", "list")])
+    rows = g["i___list"].combine_chunks()
+    code = np.empty(batch.num_rows, np.int64)
+    code[pc.list_flatten(rows).to_numpy()] = np.repeat(
+        np.arange(g.num_rows), pc.list_value_length(rows).to_numpy())
+    return g.drop_columns(["i___list"]), code
+
+
+def key_partition(batch, cols, P: int):
+    """``batch`` with an int64 ``part__`` column: the hash of the key
+    tuple in ``cols``, mod ``P``.  Keys equal as :func:`key_group_by`
+    groups them get equal buckets in every batch whatever its layout:
+    NULL is an ordinary key value (a null bit is mixed in), integers,
+    booleans and temporals hash as int64, and floats by the float64
+    bits of ``x + 0.0`` (−0.0 joins +0.0).  Raises ``TypeError`` for any
+    other key type."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    for c in cols:
+        col = batch[c]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        t = col.type
+        if pa.types.is_temporal(t):
+            col = col.view(pa.int64() if t.bit_width == 64 else pa.int32())
+        if pa.types.is_integer(col.type) or pa.types.is_boolean(t):
+            x = pc.fill_null(pc.cast(col, pa.int64(), safe=False), -1) \
+                .to_numpy(zero_copy_only=False).view(np.uint64)
+        elif pa.types.is_string(t) or pa.types.is_large_string(t) \
+                or pa.types.is_binary(t) or pa.types.is_large_binary(t):
+            x = hash_strings(pc.fill_null(col, ""))
+        elif pa.types.is_floating(t):
+            x = pc.fill_null(pc.add(pc.cast(col, pa.float64()), 0.0),
+                             float("nan")) \
+                .to_numpy(zero_copy_only=False).view(np.uint64)
+        else:
+            raise TypeError(f"key column {c!r} has type {t}, which the "
+                            "hash partitioner does not cover")
+        x = x ^ pc.is_null(col).to_numpy(zero_copy_only=False) \
+            .astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        # splitmix-style avalanche, folded into the rolling key hash
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(31)
+        h = h * np.uint64(0x100000001B3) + x
+    return batch.append_column(
+        "part__", pa.array((h % np.uint64(P)).astype(np.int64)))
 
 
 def tune_malloc(threshold: int = 1 << 30) -> None:

@@ -160,7 +160,8 @@ def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
     reads kv_metadata["geo"]).  CRS omitted = OGC:CRS84 per spec."""
     import json
 
-    from .geom import WKB_TYPE_NAMES, wkb_envelope, wkb_has_z, wkb_type
+    from .geom import (WKB_TYPE_NAMES, wkb_envelope, wkb_has_z,
+                       wkb_header_type)
 
     types = set()
     bbox = [float("inf"), float("inf"), float("-inf"), float("-inf")]
@@ -169,7 +170,7 @@ def attach_geoparquet_metadata(t, wkb_col: str = "wkb"):
         if buf is None:
             continue
         # GeoParquet names Z only: an M ordinate is dropped from the name
-        types.add(WKB_TYPE_NAMES[wkb_type(buf)[0]]
+        types.add(WKB_TYPE_NAMES[wkb_header_type(buf)[0]]
                   + (" Z" if wkb_has_z(buf) else ""))
         x0, y0, x1, y1 = wkb_envelope(buf)
         if x0 != x0:                       # empty geometry: no extent

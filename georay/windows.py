@@ -37,30 +37,6 @@ __all__ = ["sliding_window_counts", "session_windows", "asof_join",
 # reduceat) — one Python call per partition, never per key (the
 # session_windows discipline; VERDICT r2 wrong-3).
 
-def _part_hash(batch: pa.Table, key_cols, num_partitions: int):
-    """Combined hash of the partition-key columns → int64 bucket ids."""
-    from .util import hash_strings
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for c in key_cols:
-        col = batch[c]
-        vals = col.to_numpy(zero_copy_only=False)
-        if vals.dtype.kind in "iu":
-            k = vals.astype(np.uint64)
-        elif vals.dtype.kind == "M":
-            k = vals.astype("datetime64[us]").astype(np.int64) \
-                    .astype(np.uint64)
-        elif vals.dtype.kind == "f":
-            k = vals.view(np.uint64)
-        else:
-            k = hash_strings(col)
-        k = (k ^ (k >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        k &= np.uint64(0xFFFFFFFFFFFFFFFF)
-        k ^= k >> np.uint64(31)
-        h = h * np.uint64(0x100000001B3) + k
-        h &= np.uint64(0xFFFFFFFFFFFFFFFF)
-    return (h % np.uint64(num_partitions)).astype(np.int64)
-
-
 def _sortable(col: pa.ChunkedArray | pa.Array, desc: bool) -> np.ndarray:
     """A numeric array whose ascending order equals the column's
     [desc-flipped] SQL order.  Strings factorize through np.unique (which
@@ -91,7 +67,7 @@ def _fold_codes(arrays) -> np.ndarray:
     return codes
 
 
-def window_compute(ds, specs, num_partitions: int | None = None):
+def window_compute(ds, specs):
     """Append window-function columns to ``ds``.
 
     Each spec is a dict: ``func`` (row_number|rank|dense_rank|lag|lead|
@@ -104,11 +80,8 @@ def window_compute(ds, specs, num_partitions: int | None = None):
     (UNBOUNDED PRECEDING → CURRENT ROW, ties share the value); MIN/MAX
     require an empty ORDER BY (whole-partition value).
     """
-    import ray
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
+    from .util import shuffle_partitions
+    P = shuffle_partitions()
 
     passes = {}
     for s in specs:
@@ -126,8 +99,7 @@ def window_compute(ds, specs, num_partitions: int | None = None):
                           None if f[1] is None else num(f[1]))
 
     for (part_cols, order_items), group in passes.items():
-        ds = _window_pass(ds, list(part_cols), list(order_items), group,
-                          num_partitions)
+        ds = _window_pass(ds, list(part_cols), list(order_items), group, P)
     return ds
 
 
@@ -185,28 +157,25 @@ def _cast_default(value, typ: pa.DataType) -> pa.Scalar:
     return pa.scalar(value, typ)
 
 
-def _window_pass(ds, part_cols, order_items, specs, num_partitions):
+def _window_pass(ds, part_cols, order_items, specs, P):
+    from .util import key_codes, key_partition
     if not part_cols:
         raise ValueError("window functions need PARTITION BY (a global "
                          "window would serialize the whole dataset)")
 
     def add_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("part__", pa.array([], pa.int64()))
-        return batch.append_column(
-            "part__", pa.array(_part_hash(batch, part_cols,
-                                          num_partitions)))
+        return key_partition(batch, part_cols, P)
 
     def win_part(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["part__"]).combine_chunks()
         n = g.num_rows
         if n == 0:
             return g
-        for c in part_cols + [c for c, _ in order_items]:
+        for c, _ in order_items:
             if g[c].null_count:
                 raise ValueError(f"window key column {c!r} contains nulls")
-        pkeys = [g[c].to_numpy(zero_copy_only=False) for c in part_cols]
-        codes = _fold_codes(pkeys)
+        # partition codes under SQL key equality: NULL is one partition
+        _, codes = key_codes(g, part_cols)
         okeys = [_sortable(g[c], d) for c, d in order_items]
         order = np.lexsort(tuple(reversed(okeys)) + (codes,))
         c_s = codes[order]
@@ -527,45 +496,28 @@ def sliding_window_counts(ds, size_s: int = 3600, step_s: int = 1800,
 
 
 def session_windows(ds, gap_s: int = 1800, key_col: str = "user_id",
-                    ts_col: str = "ts", value_col: str = "value",
-                    num_partitions: int | None = None):
+                    ts_col: str = "ts", value_col: str = "value"):
     """Session windows: per key, sort by ts; a gap > ``gap_s`` starts a new
     session.  Emits ``(key, session_start, n_events, sum_value)``.
 
-    Keys are hash-PARTITIONED (P ≈ 4×CPUs) and every partition resolves
-    ALL its keys in one vectorized gaps-and-islands pass (lexsort by
-    (key, ts) → run detection → ``reduceat`` aggregates) — never one
+    Keys are hash-PARTITIONED (``util.shuffle_partitions`` buckets) and
+    every partition resolves ALL its keys in one vectorized
+    gaps-and-islands pass (lexsort by (key, ts) → run detection →
+    ``reduceat`` aggregates) — never one
     Python/pandas call per key (VERDICT r2 wrong-3: per-user
     ``map_groups`` dominates at 10^8 users)."""
-    import ray
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
+    from .util import key_codes, key_partition, shuffle_partitions
+    P = shuffle_partitions()
 
     def add_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("part__", pa.array([], pa.int64()))
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
-        if keys.dtype.kind in "iu":
-            h = keys.astype(np.uint64)
-            h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            h &= np.uint64(0xFFFFFFFFFFFFFFFF)
-            h ^= h >> np.uint64(31)
-        else:
-            from .util import hash_strings
-            h = hash_strings(batch[key_col])
-        return batch.append_column(
-            "part__",
-            pa.array((h % np.uint64(num_partitions)).astype(np.int64)))
+        return key_partition(batch, [key_col], P)
 
     def sessions_part(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
-        keys = g[key_col].to_numpy(zero_copy_only=False)
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        # integer codes for any key dtype (string keys included) so the
-        # lexsort + run detection stays fully vectorized
-        _, codes = np.unique(keys, return_inverse=True)
+        # integer codes for any key dtype (string and NULL keys included)
+        # so the lexsort + run detection stays fully vectorized
+        _, codes = key_codes(g, [key_col])
         order = np.lexsort((ts, codes))
         c_s, t_s = codes[order], ts[order]
         new = np.ones(len(c_s), dtype=bool)
@@ -589,8 +541,7 @@ def session_windows(ds, gap_s: int = 1800, key_col: str = "user_id",
 
 
 def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str = "ts",
-              right_cols=("event_id",), suffix: str = "_right",
-              num_partitions: int | None = None):
+              right_cols=("event_id",), suffix: str = "_right"):
     """As-of join: for every left row, the latest right row of the same
     key with ``right.ts <= left.ts`` (inner).  Oracle: DuckDB ``ASOF
     JOIN``.
@@ -612,38 +563,20 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str = "ts",
     same reduction."""
     return _asof_join(left_ds, right_ds, left_ds.schema(),
                       right_ds.schema(), key_col=key_col, ts_col=ts_col,
-                      right_cols=right_cols, suffix=suffix,
-                      num_partitions=num_partitions)
+                      right_cols=right_cols, suffix=suffix)
 
 
 def _asof_join(left_ds, right_ds, l_schema, r_schema, *, key_col, ts_col,
-               right_cols, suffix, num_partitions):
+               right_cols, suffix):
     """:func:`asof_join` for a caller that already holds both sides'
     schemas (anything with ``names`` and ``types``)."""
-    import ray
-
-    if num_partitions is None:
-        num_partitions = 4 * max(
-            2, int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    P = num_partitions
+    from .util import key_partition, shuffle_partitions
+    P = shuffle_partitions()
 
     left_names = list(l_schema.names)
     r_types = {c: r_schema.types[list(r_schema.names).index(c)]
                for c in right_cols}
     rnames = [f"{c}{suffix}" for c in right_cols]
-
-    def _part_of(col) -> pa.Array:
-        keys = col.to_numpy(zero_copy_only=False)
-        if keys.dtype.kind in "iu":
-            h = keys.astype(np.uint64)
-            h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            h &= np.uint64(0xFFFFFFFFFFFFFFFF)
-            h ^= h >> np.uint64(31)
-        else:
-            from .util import hash_strings
-            h = hash_strings(col)
-        return pa.array((h % np.uint64(P)).astype(np.int64))
 
     def align_right(batch: pa.Table) -> pa.Table:
         cols = {key_col: batch[key_col], ts_col: batch[ts_col]}
@@ -655,7 +588,7 @@ def _asof_join(left_ds, right_ds, l_schema, r_schema, *, key_col, ts_col,
                                    l_schema.types[left_names.index(c)])
         t = pa.table(cols).append_column(
             "side__", pa.array(np.ones(batch.num_rows, np.int8)))
-        return t.append_column("part__", _part_of(batch[key_col]))
+        return key_partition(t, [key_col], P)
 
     def align_left(batch: pa.Table) -> pa.Table:
         cols = {c: batch[c] for c in left_names}
@@ -663,7 +596,7 @@ def _asof_join(left_ds, right_ds, l_schema, r_schema, *, key_col, ts_col,
             cols[f"{c}{suffix}"] = pa.nulls(batch.num_rows, r_types[c])
         t = pa.table(cols).append_column(
             "side__", pa.array(np.zeros(batch.num_rows, np.int8)))
-        return t.append_column("part__", _part_of(batch[key_col]))
+        return key_partition(t, [key_col], P)
 
     both = (left_ds.map_batches(align_left, batch_format="pyarrow")
             .union(right_ds.map_batches(align_right,

@@ -258,6 +258,32 @@ def test_from_items_only_in_read_units():
     assert not bad, "\n".join(bad)
 
 
+def test_sql_has_one_aggregation_engine():
+    """What ``georay.sql`` and ``georay.windows`` do with keys: the SQL
+    front-end never imports ``ray.data.aggregate``, calls ``aggregate``
+    (Ray's or arrow's — arrow's hash ``group_by`` runs through
+    ``util.key_group_by``), hashes rows with pandas or sizes a shuffle
+    from ``os.cpu_count``; neither module defines its own key hash
+    (touches ``hash_strings`` or the splitmix constants): every keyed
+    operator partitions through ``util.key_partition``."""
+    mix = {0xBF58476D1CE4E5B9, 0x9E3779B97F4A7C15}
+    found = set()
+    for fname in ("sql.py", "windows.py"):
+        tree = _trees()[fname]
+        for n in ast.walk(tree):
+            if fname == "sql.py" and isinstance(n, ast.ImportFrom) \
+                    and n.module == "ray.data.aggregate":
+                found.add((fname, "import ray.data.aggregate"))
+            if fname == "sql.py" and isinstance(n, ast.Call) and _name(n) \
+                    in {"aggregate", "group_by", "hash_pandas_object",
+                        "cpu_count"}:
+                found.add((fname, _name(n)))
+            if (isinstance(n, ast.Name) and n.id == "hash_strings") or (
+                    isinstance(n, ast.Constant) and n.value in mix):
+                found.add((fname, "key hash"))
+    assert found == set()
+
+
 # ---------------------------------------------------------------------------
 # task layout: one Ray task per planned unit
 

@@ -374,3 +374,27 @@ def test_read_gpkg_bbox_without_index(tmp_path):
         if -60 <= x <= 20 and -30 <= y <= 40:
             expect.add(fid)
     assert set(t["fid"].to_pylist()) == expect and 0 < len(expect) < 400
+
+
+def test_every_gpkg_cut_raises_truncated(tmp_path):
+    """Each cut at k/25 of a 20-polygon ``write_gpkg`` file raises
+    ``ValueError("truncated gpkg at byte N")``: the header's page count
+    catches it, and with that count zeroed (as writers before SQLite
+    3.7.0 leave it) the b-tree page walker does."""
+    import pytest
+
+    from georay import fixtures
+    from georay.gpkg import write_gpkg
+
+    p = str(tmp_path / "c.gpkg")
+    write_gpkg(fixtures.polygons_table(20), p)
+    data = open(p, "rb").read()
+    assert read_gpkg(data).num_rows == 20
+    legacy = data[:28] + bytes(4) + data[32:]
+    assert read_gpkg(legacy).num_rows == 20
+    for whole in (data, legacy):
+        for k in range(1, 25):
+            cut = whole[:len(whole) * k // 25]
+            with pytest.raises(ValueError,
+                               match=f"truncated gpkg at byte {len(cut)}$"):
+                read_gpkg(cut)

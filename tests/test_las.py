@@ -119,3 +119,19 @@ def test_unsupported_gates(tmp_path):
         las.las_header(p)
     with pytest.raises(NotImplementedError):
         las.write_las(t, str(tmp_path / "b.las"), point_format=7)
+
+
+def test_every_las_cut_raises_truncated(tmp_path):
+    """A ``.las`` cut at k/25 raises ``ValueError("truncated las at byte
+    N")`` instead of returning the points that survived the cut."""
+    p = str(tmp_path / "p.las")
+    las.write_las(_cloud(200), p)
+    data = open(p, "rb").read()
+    assert las.read_las(p).num_rows == 200
+    for k in range(1, 25):
+        cut = data[:len(data) * k // 25]
+        with open(p, "wb") as f:
+            f.write(cut)
+        with pytest.raises(ValueError,
+                           match=f"truncated las at byte {len(cut)}$"):
+            las.read_las(p)

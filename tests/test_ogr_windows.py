@@ -98,6 +98,23 @@ def test_session_windows_semantics(ray_session):
     assert out["sum_value"].tolist() == [3.0, 7.0]
 
 
+def test_session_windows_null_key_is_one_key(ray_session):
+    """A NULL user key sessionizes like any other key, beside string keys
+    in the same partition."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+    from georay.windows import session_windows
+    ts = pd.to_datetime(["2024-01-01 10:00:00", "2024-01-01 10:10:00",
+                         "2024-01-01 11:30:00", "2024-01-01 10:05:00"])
+    t = pa.table({"user_id": pa.array([None, None, None, "a"], pa.string()),
+                  "ts": ts, "value": [1.0, 2.0, 3.0, 4.0]})
+    out = session_windows(ray.data.from_arrow(t)).to_pandas()
+    got = sorted(zip(out["user_id"].fillna("<null>"), out["n_events"],
+                     out["sum_value"]))
+    assert got == [("<null>", 1, 3.0), ("<null>", 2, 3.0), ("a", 1, 4.0)]
+
+
 def test_write_tiles_png_resume(ray_session, tmp_path):
     from georay.codecs import png_decode
     from georay.pipelines import tile_pipeline

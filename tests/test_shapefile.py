@@ -150,3 +150,21 @@ def test_header_and_shx_layout(tmp_path):
     assert off0 * 2 == 100 and clen0 * 2 == 20
     off1, _ = struct.unpack_from(">ii", shx, 108)
     assert off1 * 2 == 128
+
+
+def test_every_dbf_cut_raises_truncated(tmp_path):
+    """A ``.dbf`` cut at k/25 raises ``ValueError("truncated dbf at byte
+    N")`` instead of reading its missing records as NULLs."""
+    from georay import fixtures
+
+    base = str(tmp_path / "p")
+    write_shapefile(fixtures.polygons_table(20), base)
+    data = open(base + ".dbf", "rb").read()
+    assert read_shapefile(base).table["polygon_id"].null_count == 0
+    for k in range(1, 25):
+        cut = data[:len(data) * k // 25]
+        with open(base + ".dbf", "wb") as f:
+            f.write(cut)
+        with pytest.raises(ValueError,
+                           match=f"truncated dbf at byte {len(cut)}$"):
+            read_shapefile(base)

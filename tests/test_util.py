@@ -86,3 +86,34 @@ def test_staged_temp_name_is_never_listed_by_a_reader(tmp_path):
             assert list_parts(str(tmp_path), exts) == sorted(committed)
         committed.append(final)
     assert list_parts(str(tmp_path), exts) == sorted(committed)
+
+
+def test_key_step_is_batch_independent_and_sql_equal():
+    """``key_partition`` sends equal keys to one bucket whatever batch
+    they arrive in (an int key beside a NULL, −0.0 beside 0.0, a string
+    key in a sliced batch), and ``key_group_by`` groups by SQL equality:
+    one −0.0/0.0 group and one NULL group, also for a NULL string key
+    beside an int key, where pyarrow 16's grouper splits NULL 32-bit
+    string keys into many groups; key types come back unchanged."""
+    import pyarrow as pa
+
+    from georay.util import key_group_by, key_partition
+
+    def bucket(t):
+        return key_partition(t, t.column_names, 8)["part__"].to_pylist()
+
+    assert bucket(pa.table({"k": [5, 6]}))[0] \
+        == bucket(pa.table({"k": [5, None]}))[0]
+    assert len(set(bucket(pa.table({"k": [0.0, -0.0]})))) == 1
+    s = pa.table({"s": ["a", "b", None, "a"], "k": [1, 1, 2, 1]})
+    assert bucket(s)[::3] == bucket(s.slice(3))[:1] * 2
+    assert bucket(s)[2] == bucket(pa.table({"s": pa.array([None], pa.string()),
+                                             "k": [2]}))[0]
+    n = 600
+    t = pa.table({"s": pa.array([None if i % 3 else "x" for i in range(n)],
+                                pa.string()),
+                  "k": [0] * n, "f": [-0.0 if i % 2 else 0.0
+                                      for i in range(n)]})
+    g = key_group_by(t, ["s", "k", "f"], [([], "count_all")])
+    assert sorted(g["count_all"].to_pylist()) == [200, 400]
+    assert g.schema.field("s").type == pa.string()
