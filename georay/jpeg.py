@@ -1,5 +1,5 @@
 """Baseline JPEG (ITU-T T.81) encoder/decoder — numpy + Python, plus one
-small C kernel for the baseline entropy decode; no libjpeg.
+C kernel file for the decode; no libjpeg.
 
 This is the engine's ``fmt="jpeg"`` path: fixtures emit real JFIF bytes
 and :func:`georay.codecs.decode_image` decodes them.  Scope is the
@@ -20,12 +20,16 @@ reference semantics: frmts/jpeg/jpgdataset.cpp wrapping libjpeg):
 Encoder: batched matrix FDCT over all blocks at once, per-symbol Huffman
 in a tight Python bit-writer (the encoder runs only in fixture
 generation, cached on disk).  Decoder is the hot path (the decode
-stage): per restart interval, one compiled pass (``_huff.c``, built with
-gcc at first use and loaded with ctypes, see :func:`_huff`) reads every
-DC and AC symbol through the 16-bit window LUTs of :func:`_huff_lut` and
-writes the quantized coefficients straight into one int32 store; then
-dequantize/IDCT/level-shift run batched in numpy over every block of
-the image.  The progressive path stays pure Python + numpy.
+stage), compiled in ``_jpeg.c`` (built with gcc at first use and loaded
+with ctypes, see :func:`_kernel`): per restart interval, one entropy
+pass reads every DC and AC symbol through the 16-bit window LUTs of
+:func:`_huff_lut` and writes the quantized coefficients straight into
+one int32 store; then one pass per component dequantizes, inverse-
+transforms (any scale) and level-shifts into its plane, and one pass
+upsamples the planes and rounds (gray) or converts YCbCr → RGB.  Every
+float32 step is one rounded operation in a fixed order, so the pixels do
+not depend on the machine.  The progressive path's scans stay pure
+Python + numpy and share the compiled back end.
 
 All tables (quantization, Huffman) are carried IN the file (DQT/DHT),
 so output is valid JPEG for any conformant reader regardless of the
@@ -417,62 +421,61 @@ def _huff_lut(bits, vals):
     return out
 
 
-def _huff():
-    """The compiled entropy pass, ``_huff.c``'s ``huff_interval``
+_SIGNATURES = {
+    "huff_interval": ([ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                       ctypes.c_void_p], ctypes.c_int),
+    "idct_plane": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                    ctypes.c_void_p], None),
+    "color_pass": ([ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p],
+                   ctypes.c_int),
+}
+
+
+def _kernel(name: str):
+    """Function ``name`` of the compiled decode kernels, ``_jpeg.c``
     (:func:`georay.util.compiled`)."""
-    return compiled("_huff.c", "huff_interval",
-                    [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
-                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_void_p], ctypes.c_int)
+    return compiled("_jpeg.c", name, *_SIGNATURES[name])
 
 
-_C32 = None
+_IDCT_MATRIX: dict = {}
 
 
-def _idct_blocks(zz: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(n, 64) zigzag ints → (n, 8, 8) float32 spatial samples (+128).
-
-    float32 throughout: the IDCT error is ~1e-3 of a code value — far
-    inside the uint8 rounding budget and the 40 dB PSNR gate — and it
-    halves the memory traffic of the densest numpy stage (decisive under
-    32-way concurrency on a shared memory bus)."""
-    global _C32
-    if _C32 is None:
-        _C32 = _C.astype(np.float32)
-    deq = zz.astype(np.float32)
-    deq *= q[_ZZ].astype(np.float32)[None, :]
-    rast = np.empty_like(deq)
-    rast[:, _ZZ] = deq
-    f = rast.reshape(-1, 8, 8)
-    out = _C32.T[None] @ f @ _C32[None]
-    out += np.float32(128.0)
-    return out
-
-
-def _idct_blocks_scaled(zz: np.ndarray, q: np.ndarray,
-                        N: int) -> np.ndarray:
-    """(n, 64) zigzag ints → (n, N, N) spatial samples at 1/(8/N) scale:
-    the top-left N×N coefficient block inverse-transforms with the
-    orthonormal N-point DCT, rescaled by N/8 — libjpeg's reduced-size
-    IDCT (jidctred.c), the mechanism behind GDAL's JPEG overview levels
-    (frmts/jpeg exposes 1/2,1/4,1/8 via jpeg_core scale_denom).  N=1 is
-    exactly the block mean."""
-    deq = zz.astype(np.float32)
-    deq *= q[_ZZ].astype(np.float32)[None, :]
-    rast = np.empty_like(deq)
-    rast[:, _ZZ] = deq
-    f = rast.reshape(-1, 8, 8)[:, :N, :N] * np.float32(N / 8.0)
-    if N == 1:
-        out = f
-    else:
+def _idct_matrix(N: int) -> np.ndarray:
+    """The orthonormal N-point DCT-II matrix in float32 (N = 8 is
+    :data:`_C`); N = 1 is exactly [[1]]."""
+    m = _IDCT_MATRIX.get(N)
+    if m is None:
         k = np.arange(N)
-        cn = np.cos((2 * k[None, :] + 1) * k[:, None] * np.pi / (2 * N))
-        cn *= np.sqrt(2.0 / N)
-        cn[0] *= 1.0 / np.sqrt(2.0)
-        cn = cn.astype(np.float32)
-        out = cn.T[None] @ f @ cn[None]
-    return out + np.float32(128.0)
+        c = np.cos((2 * k[None, :] + 1) * k[:, None] * np.pi / (2 * N))
+        c *= np.sqrt(2.0 / N)
+        c[0] *= 1.0 / np.sqrt(2.0)
+        m = _IDCT_MATRIX[N] = np.ascontiguousarray(c, dtype=np.float32)
+    return m
+
+
+def _idct_plane(zz: np.ndarray, q: np.ndarray, bw: int, bh: int,
+                N: int) -> np.ndarray:
+    """One component's quantized zigzag blocks ``zz`` ((bw·bh, 64) int32,
+    raster block order) and raster quantization table ``q`` → its
+    (bh·N, bw·N) float32 plane of spatial samples (+128), N = 8/scale
+    samples per block side.  N < 8 inverse-transforms the top-left N×N
+    coefficients with the orthonormal N-point DCT, rescaled by N/8 —
+    libjpeg's reduced-size IDCT (jidctred.c), the mechanism behind GDAL's
+    JPEG overview levels; N = 1 is exactly the block mean."""
+    zz = np.ascontiguousarray(zz, dtype=np.int32)
+    if zz.shape != (bw * bh, 64):
+        raise ValueError(f"corrupt jpeg: {zz.shape} coefficient store "
+                         f"for {bw}x{bh} blocks")
+    q = np.ascontiguousarray(q, dtype=np.int32)
+    plane = np.empty((bh * N, bw * N), dtype=np.float32)
+    _kernel("idct_plane")(zz.ctypes.data, bw, bh, q.ctypes.data,
+                          _idct_matrix(N).ctypes.data, N, plane.ctypes.data)
+    return plane
 
 
 class _MCUPlan:
@@ -507,7 +510,7 @@ class _MCUPlan:
         """Decode MCUs ``[m0, m1)`` from one restart interval's unstuffed
         bytes into ``store`` (C-contiguous int32).  A symbol that starts
         past the interval's end plus 4 zero bytes raises ``ValueError``."""
-        if _huff()(seg + bytes(8), len(seg) + 4, self.sym.ctypes.data,
+        if _kernel("huff_interval")(seg + bytes(8), len(seg) + 4, self.sym.ctypes.data,
                    self.len.ctypes.data, self.slots.ctypes.data, self.nblk,
                    self.mcux, m0, m1, store.ctypes.data):
             raise ValueError(f"corrupt jpeg: entropy data of MCUs "
@@ -629,71 +632,42 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
 def _coef_to_image(coef, comps, qtables, h, w, hmax, vmax,
                    scale: int = 1) -> np.ndarray:
     """Quantized zigzag coefficient stores (one (bw·bh, 64) array per
-    component on the padded MCU block grid) → decoded image: IDCT,
-    de-pad, chroma upsample, color convert.  Shared by the baseline and
-    progressive decoders.  ``scale`` > 1 swaps in the reduced-size IDCT
-    (N = 8/scale output samples per block)."""
+    component on the padded MCU block grid) → decoded image: one compiled
+    IDCT pass per component into its plane (:func:`_idct_plane`), then
+    one compiled pass that upsamples every plane by its own integer
+    factors and rounds (gray) or converts YCbCr → RGB.  Shared by the
+    baseline and progressive decoders.  ``scale`` > 1 decodes at
+    1/scale: N = 8/scale output samples per block side."""
     if scale not in (1, 2, 4, 8):
         raise ValueError("scale must be 1, 2, 4 or 8")
+    if len(comps) not in (1, 3):
+        raise ValueError(f"corrupt jpeg: {len(comps)} components, "
+                         f"not 1 or 3")
     N = 8 // scale
-    planes = []
+    planes, geom = [], []
     for ci, c in enumerate(comps):
-        if scale == 1:
-            blocks = _idct_blocks(coef[ci], qtables[c["tq"]])
-        else:
-            blocks = _idct_blocks_scaled(coef[ci], qtables[c["tq"]], N)
-        bh_, bw_ = c["bh"], c["bw"]
-        plane = blocks.reshape(bh_, bw_, N, N).transpose(0, 2, 1, 3)\
-            .reshape(bh_ * N, bw_ * N)
-        cw_full = -(-w * c["h"] // hmax)
-        ch_full = -(-h * c["v"] // vmax)
-        cw = -(-cw_full // scale)
-        ch = -(-ch_full // scale)
-        plane = plane[:ch, :cw]
-        if c["h"] != hmax or c["v"] != vmax:
-            plane = np.repeat(np.repeat(plane, vmax // c["v"], axis=0),
-                              hmax // c["h"], axis=1)
+        q = qtables.get(c["tq"])
+        if q is None:
+            raise ValueError(f"corrupt jpeg: no quantization table "
+                             f"{c['tq']}")
+        plane = _idct_plane(coef[ci], q, c["bw"], c["bh"], N)
+        # the samples of the component's own size, before upsampling
+        ch = -(-(-(-h * c["v"] // vmax)) // scale)
+        cw = -(-(-(-w * c["h"] // hmax)) // scale)
+        geom += [plane.shape[1], plane.shape[0], ch, cw,
+                 vmax // c["v"], hmax // c["h"]]
         planes.append(plane)
     h = -(-h // scale)
     w = -(-w // scale)
-    planes = [p[:h, :w] for p in planes]
-
-    if len(planes) == 1:
-        p = planes[0]
-        np.rint(p, out=p)
-        np.clip(p, 0, 255, out=p)
-        return p.astype(np.uint8)
-    # YCbCr -> RGB with two float32 scratch planes and in-place passes —
-    # the naive float64 expression tree allocates ~10 full-resolution
-    # temporaries and is memory-bound, not compute-bound, at 32-way
-    # concurrency.  Final strided uint8 store truncates, which is exact
-    # because every value is already rint-ed and clipped.
-    y, cb, cr = planes
-    np.subtract(cb, np.float32(128.0), out=cb)
-    np.subtract(cr, np.float32(128.0), out=cr)
-    out = np.empty((h, w, 3), dtype=np.uint8)
-    t = np.empty((h, w), dtype=np.float32)
-    t2 = np.empty((h, w), dtype=np.float32)
-    # R = y + 1.402 cr
-    np.multiply(cr, np.float32(1.402), out=t)
-    np.add(t, y, out=t)
-    np.rint(t, out=t)
-    np.clip(t, 0, 255, out=t)
-    out[:, :, 0] = t
-    # G = y - 0.344136286 cb - 0.714136286 cr
-    np.multiply(cb, np.float32(-0.344136286), out=t)
-    np.multiply(cr, np.float32(-0.714136286), out=t2)
-    np.add(t, t2, out=t)
-    np.add(t, y, out=t)
-    np.rint(t, out=t)
-    np.clip(t, 0, 255, out=t)
-    out[:, :, 1] = t
-    # B = y + 1.772 cb
-    np.multiply(cb, np.float32(1.772), out=t)
-    np.add(t, y, out=t)
-    np.rint(t, out=t)
-    np.clip(t, 0, 255, out=t)
-    out[:, :, 2] = t
+    out = np.empty((h, w) if len(planes) == 1 else (h, w, 3), np.uint8)
+    ptrs = [p.ctypes.data for p in planes] + [None] * (3 - len(planes))
+    # named, so that both buffers outlive the call
+    geom = np.array(geom, np.int64)
+    buf = np.empty(3 * w, np.float32)
+    if _kernel("color_pass")(len(planes), *ptrs, geom.ctypes.data, h, w,
+                             buf.ctypes.data, out.ctypes.data):
+        raise ValueError("corrupt jpeg: sampling factors do not tile the "
+                         "image")
     return out
 
 

@@ -9,7 +9,16 @@
   quantized coefficients, with RST markers and predictor resets every 1
   and every 3 MCUs, decode to the same pixels as the same coefficients
   without restarts — and both equal the coefficients' own inverse
-  transform, so the chase is checked against ground truth.
+  transform by a numpy oracle in this module, so the chase is checked
+  against ground truth.
+* Back end: the compiled dequantize/IDCT/upsample/color pass equals the
+  numpy oracle bit for bit, on its float32 planes and on its pixels, for
+  seeded random coefficient stores (4:4:4, 4:2:0, 4:2:2 and gray, at
+  scales 1/2/4/8) with extreme values: ±32767 at quantizer 255 and
+  int32-range coefficients, as a malformed DHT can produce.  The oracle
+  spells each matrix product out as its sequential float32 sum over k:
+  numpy's ``@`` goes to the CPU's BLAS kernel, which may fuse products
+  and sums, and the pinned digests above were taken with plain sums.
 * Damaged streams: every non-progressive stream above, cut at k/25 of
   its length and with seeded single-byte flips in its entropy-coded
   data, either raises ``ValueError`` through ``codecs.decode_image`` or
@@ -122,6 +131,108 @@ def test_reduced_size_decode_is_pinned(corpus):
 
 
 # ---------------------------------------------------------------------------
+# Numpy oracle of the back end
+# ---------------------------------------------------------------------------
+
+def _matmul_seq(a, b):
+    """a @ b for stacks of n×n float32 matrices, each output the
+    sequential sum over k of rounded products (no fused multiply-add)."""
+    n = a.shape[-1]
+    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.float32)
+    for k in range(n):
+        acc = acc + a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return acc
+
+
+def _oracle_blocks(zz, q, N):
+    """(n, 64) zigzag ints → (n, N, N) float32 samples (+128): dequantize
+    in float32, keep the top-left N×N coefficients times N/8, and
+    inverse-transform with the orthonormal N-point DCT."""
+    deq = zz.astype(np.float32)
+    deq *= q[J._ZZ].astype(np.float32)[None, :]
+    rast = np.empty_like(deq)
+    rast[:, J._ZZ] = deq
+    f = rast.reshape(-1, 8, 8)[:, :N, :N]
+    if N < 8:
+        f = f * np.float32(N / 8.0)
+    k = np.arange(N)
+    cn = np.cos((2 * k[None, :] + 1) * k[:, None] * np.pi / (2 * N))
+    cn *= np.sqrt(2.0 / N)
+    cn[0] *= 1.0 / np.sqrt(2.0)
+    cn = cn.astype(np.float32)
+    out = f if N == 1 else _matmul_seq(_matmul_seq(cn.T[None], f), cn[None])
+    return out + np.float32(128.0)
+
+
+def _oracle_plane(zz, q, c, N):
+    bh, bw = c["bh"], c["bw"]
+    return _oracle_blocks(zz, q, N).reshape(bh, bw, N, N)\
+        .transpose(0, 2, 1, 3).reshape(bh * N, bw * N)
+
+
+def _oracle_image(coef, comps, qtables, h, w, hmax, vmax, scale=1):
+    """The former numpy back end: IDCT, de-pad, upsample, color."""
+    N = 8 // scale
+    planes = []
+    for ci, c in enumerate(comps):
+        plane = _oracle_plane(coef[ci], qtables[c["tq"]], c, N)
+        cw = -(-(-(-w * c["h"] // hmax)) // scale)
+        ch = -(-(-(-h * c["v"] // vmax)) // scale)
+        plane = plane[:ch, :cw]
+        plane = np.repeat(np.repeat(plane, vmax // c["v"], axis=0),
+                          hmax // c["h"], axis=1)
+        planes.append(plane)
+    h, w = -(-h // scale), -(-w // scale)
+    planes = [p[:h, :w] for p in planes]
+    if len(planes) == 1:
+        return np.clip(np.rint(planes[0]), 0, 255).astype(np.uint8)
+    y, cb, cr = planes
+    cb = cb - np.float32(128.0)
+    cr = cr - np.float32(128.0)
+    r = cr * np.float32(1.402) + y
+    g = (cb * np.float32(-0.344136286) + cr * np.float32(-0.714136286)) + y
+    b = cb * np.float32(1.772) + y
+    return np.stack([np.clip(np.rint(t), 0, 255) for t in (r, g, b)],
+                    axis=-1).astype(np.uint8)
+
+
+_LAYOUTS = {"444": [(1, 1), (1, 1), (1, 1)], "420": [(2, 2), (1, 1), (1, 1)],
+            "422": [(2, 1), (1, 1), (1, 1)], "gray": [(1, 1)]}
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4, 8])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_back_end_equals_numpy_oracle(layout, scale):
+    rng = np.random.default_rng(31 + scale)
+    h, w = 37, 45
+    sampling = _LAYOUTS[layout]
+    hmax = max(s[0] for s in sampling)
+    vmax = max(s[1] for s in sampling)
+    mcux, mcuy = -(-w // (8 * hmax)), -(-h // (8 * vmax))
+    comps = [{"h": hi, "v": vi, "tq": min(i, 1), "bw": mcux * hi,
+              "bh": mcuy * vi} for i, (hi, vi) in enumerate(sampling)]
+    qt = {0: J._scale_qtable(J._Q_LUMA, 75),
+          1: np.full(64, 255, np.int32)}
+    coef = []
+    for c in comps:
+        n = c["bw"] * c["bh"]
+        zz = rng.integers(-60, 60, (n, 64)).astype(np.int32)
+        zz[rng.random((n, 64)) < 0.6] = 0
+        zz[n // 3] = rng.choice([-32767, 32767], 64)
+        zz[n // 2] = rng.integers(-2**31, 2**31, 64)
+        coef.append(zz)
+    N = 8 // scale
+    for ci, c in enumerate(comps):
+        got = J._idct_plane(coef[ci], qt[c["tq"]], c["bw"], c["bh"], N)
+        want = _oracle_plane(coef[ci], qt[c["tq"]], c, N)
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+    args = (coef, comps, qt, h, w, hmax, vmax, scale)
+    got = J._coef_to_image(*args)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _oracle_image(*args))
+
+
+# ---------------------------------------------------------------------------
 # Restart intervals
 # ---------------------------------------------------------------------------
 
@@ -202,8 +313,7 @@ def test_restart_intervals_decode_equal(subsample):
     coefs = [_random_coefs(rng, c["bw"] * c["bh"]) for c in comps]
     qt = {0: J._scale_qtable(J._Q_LUMA, _QUALITY),
           1: J._scale_qtable(J._Q_CHROMA, _QUALITY)}
-    truth = J._coef_to_image([z.copy() for z in coefs], comps, qt, h, w,
-                             f, f)
+    truth = _oracle_image(coefs, comps, qt, h, w, f, f)
     plain = _stream(h, w, subsample, coefs, 0)
     assert np.array_equal(J.jpeg_decode(plain), truth)
     for restart in (1, 3):
