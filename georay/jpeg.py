@@ -510,11 +510,51 @@ class _MCUPlan:
         """Decode MCUs ``[m0, m1)`` from one restart interval's unstuffed
         bytes into ``store`` (C-contiguous int32).  A symbol that starts
         past the interval's end plus 4 zero bytes raises ``ValueError``."""
-        if _kernel("huff_interval")(seg + bytes(8), len(seg) + 4, self.sym.ctypes.data,
-                   self.len.ctypes.data, self.slots.ctypes.data, self.nblk,
-                   self.mcux, m0, m1, store.ctypes.data):
+        fn = _kernel("huff_interval")
+        if fn(seg + bytes(8), len(seg) + 4, self.sym.ctypes.data,
+              self.len.ctypes.data, self.slots.ctypes.data, self.nblk,
+              self.mcux, m0, m1, store.ctypes.data):
             raise ValueError(f"corrupt jpeg: entropy data of MCUs "
                              f"[{m0}, {m1}) ends early")
+
+
+def _frame_header(seg: bytes):
+    """``(h, w, comps)`` of a SOF segment, one dict per component.
+    Raises ``ValueError`` for a segment shorter than its component list,
+    no component, a repeated component id, a sampling factor outside
+    1..4 (T.81 B.2.2) or a zero dimension (a DNL marker, which would
+    give the height later, is not supported)."""
+    if len(seg) < 6 or len(seg) < 6 + 3 * seg[5]:
+        raise ValueError("corrupt jpeg: SOF shorter than its components")
+    if seg[0] != 8:
+        raise NotImplementedError("only 8-bit JPEG")
+    h, w = struct.unpack_from(">HH", seg, 1)
+    comps = []
+    for i in range(seg[5]):
+        cid, hv, tq = seg[6 + 3 * i:9 + 3 * i]
+        comps.append({"id": cid, "h": hv >> 4, "v": hv & 15, "tq": tq})
+    if not comps or len({c["id"] for c in comps}) < len(comps):
+        raise ValueError("corrupt jpeg: no or repeated component ids")
+    if not all(1 <= c["h"] <= 4 and 1 <= c["v"] <= 4 for c in comps):
+        raise ValueError("corrupt jpeg: sampling factor outside 1..4")
+    if not h or not w:
+        raise ValueError(f"corrupt jpeg: {w}x{h} frame")
+    return h, w, comps
+
+
+def _scan_components(seg: bytes, comps):
+    """The ``[(component id, DC table, AC table)]`` of a SOS segment.
+    Raises ``ValueError`` for a segment shorter than its list or a
+    component that is not in the frame."""
+    ns = seg[0] if seg else 0
+    if len(seg) < 4 + 2 * ns:
+        raise ValueError("corrupt jpeg: SOS shorter than its components")
+    scan = [(cs, tt >> 4, tt & 15)
+            for cs, tt in zip(seg[1:1 + 2 * ns:2], seg[2:2 + 2 * ns:2])]
+    ids = {c["id"] for c in comps}
+    if not scan or any(cs not in ids for cs, _, _ in scan):
+        raise ValueError("corrupt jpeg: scan component not in the frame")
+    return scan
 
 
 def jpeg_decode(data, scale: int = 1) -> np.ndarray:
@@ -568,16 +608,7 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
                 hufftabs[(tc, th_)] = (bits, vals)
                 o += 17 + nv
         elif marker == 0xC0 or marker == 0xC1:  # SOF0/1 (baseline/ext seq)
-            prec = seg[0]
-            if prec != 8:
-                raise NotImplementedError("only 8-bit JPEG")
-            h, w = struct.unpack_from(">HH", seg, 1)
-            nc = seg[5]
-            comps = []
-            for i in range(nc):
-                cid, hv, tq = seg[6 + 3 * i:9 + 3 * i]
-                comps.append({"id": cid, "h": hv >> 4, "v": hv & 15,
-                              "tq": tq})
+            h, w, comps = _frame_header(seg)
         elif marker == 0xC2:  # SOF2 — progressive: dedicated multi-scan path
             return _jpeg_decode_progressive(d, scale)
         elif marker in (0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB,
@@ -587,11 +618,9 @@ def jpeg_decode(data, scale: int = 1) -> np.ndarray:
         elif marker == 0xDD:  # DRI
             (restart_interval,) = struct.unpack_from(">H", seg, 0)
         elif marker == 0xDA:  # SOS
-            ns = seg[0]
-            scan = []
-            for i in range(ns):
-                cs, tt = seg[1 + 2 * i:3 + 2 * i]
-                scan.append((cs, tt >> 4, tt & 15))
+            if comps is None:
+                raise ValueError("corrupt jpeg: SOS before SOF")
+            scan = _scan_components(seg, comps)
             _, segments = _entropy_segments(d, pos)
             break
         # else: APPn/COM — skipped
@@ -852,15 +881,7 @@ def _jpeg_decode_progressive(d: bytes, scale: int = 1) -> np.ndarray:
                 lut_cache.pop((tc, th_), None)
                 o += 17 + nv
         elif marker == 0xC2:
-            if seg[0] != 8:
-                raise NotImplementedError("only 8-bit JPEG")
-            h, w = struct.unpack_from(">HH", seg, 1)
-            nc = seg[5]
-            comps = []
-            for i in range(nc):
-                cid, hv, tq = seg[6 + 3 * i:9 + 3 * i]
-                comps.append({"id": cid, "h": hv >> 4, "v": hv & 15,
-                              "tq": tq})
+            h, w, comps = _frame_header(seg)
             hmax = max(c["h"] for c in comps)
             vmax = max(c["v"] for c in comps)
             mcux = -(-w // (8 * hmax))
@@ -878,11 +899,8 @@ def _jpeg_decode_progressive(d: bytes, scale: int = 1) -> np.ndarray:
         elif marker == 0xDA:
             if comps is None:
                 raise ValueError("SOS before SOF2")
-            ns = seg[0]
-            sc = []
-            for i in range(ns):
-                cs, tt = seg[1 + 2 * i:3 + 2 * i]
-                sc.append((cs, tt >> 4, tt & 15))
+            sc = _scan_components(seg, comps)
+            ns = len(sc)
             Ss, Se = seg[1 + 2 * ns], seg[2 + 2 * ns]
             Ah, Al = seg[3 + 2 * ns] >> 4, seg[3 + 2 * ns] & 15
             pos, segments = _entropy_segments(d, pos)

@@ -39,8 +39,14 @@ __all__ = ["sliding_window_counts", "session_windows", "asof_join",
 
 def _sortable(col: pa.ChunkedArray | pa.Array, desc: bool) -> np.ndarray:
     """A numeric array whose ascending order equals the column's
-    [desc-flipped] SQL order.  Strings factorize through np.unique (which
-    sorts), so their dense codes preserve lexicographic order."""
+    [desc-flipped] SQL order over its non-NULL rows.  Strings factorize
+    through np.unique (which sorts), so their dense codes preserve
+    lexicographic order.  NULL rows hold 0: the caller orders them by
+    :func:`_nulls_last` first."""
+    valid = None
+    if col.null_count:
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        col = col.drop_null()
     vals = col.to_numpy(zero_copy_only=False)
     if vals.dtype.kind == "M":
         vals = vals.astype("datetime64[us]").astype(np.int64)
@@ -51,7 +57,17 @@ def _sortable(col: pa.ChunkedArray | pa.Array, desc: bool) -> np.ndarray:
     if desc:
         vals = -vals.astype(np.float64) if vals.dtype.kind == "f" \
             else -vals.astype(np.int64)
+    if valid is not None:
+        out = np.zeros(len(valid), vals.dtype)
+        out[valid] = vals
+        vals = out
     return vals
+
+
+def _nulls_last(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """1 for a NULL row, else 0: DuckDB's default order puts NULLs last
+    under ASC and under DESC, and makes them one another's peers."""
+    return pc.is_null(col).to_numpy(zero_copy_only=False).astype(np.int8)
 
 
 def _fold_codes(arrays) -> np.ndarray:
@@ -171,13 +187,13 @@ def _window_pass(ds, part_cols, order_items, specs, P):
         n = g.num_rows
         if n == 0:
             return g
-        for c, _ in order_items:
-            if g[c].null_count:
-                raise ValueError(f"window key column {c!r} contains nulls")
         # partition codes under SQL key equality: NULL is one partition
         _, codes = key_codes(g, part_cols)
         okeys = [_sortable(g[c], d) for c, d in order_items]
-        order = np.lexsort(tuple(reversed(okeys)) + (codes,))
+        # each ORDER BY key sorts by its NULL flag first, then its value
+        skeys = [k for (c, _), v in zip(order_items, okeys)
+                 for k in (_nulls_last(g[c]), v)]
+        order = np.lexsort(tuple(reversed(skeys)) + (codes,))
         c_s = codes[order]
         seg_new = np.ones(n, dtype=bool)
         seg_new[1:] = c_s[1:] != c_s[:-1]
@@ -188,7 +204,7 @@ def _window_pass(ds, part_cols, order_items, specs, P):
         idx = np.arange(n)
         # peer runs: rows equal on (partition, order) keys
         if order_items:
-            ocodes = _fold_codes([k[order] for k in okeys])
+            ocodes = _fold_codes([k[order] for k in skeys])
             chg = seg_new.copy()
             chg[1:] |= ocodes[1:] != ocodes[:-1]
         else:
@@ -220,6 +236,9 @@ def _window_pass(ds, part_cols, order_items, specs, P):
                         or pa.types.is_boolean(t0)):
                     raise ValueError("RANGE frame offsets need a numeric "
                                      f"ORDER BY key, got {t0}")
+                if g[c0].null_count and (lo, hi) != (None, None):
+                    raise ValueError("RANGE frame offsets over a NULL "
+                                     f"ORDER BY key ({c0!r})")
                 v = okeys[0][order].astype(np.float64)
                 span = float(v.max() - v.min()) if n else 0.0
                 bmax = max(abs(lo) if lo is not None else 0.0,
@@ -611,6 +630,11 @@ def _asof_join(left_ds, right_ds, l_schema, r_schema, *, key_col, ts_col,
 
     def asof_part(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
+        # a NULL key or timestamp matches nothing: its left row is dropped
+        # like any other unmatched row, its right row is no candidate
+        live = pc.and_(pc.is_valid(g[key_col]), pc.is_valid(g[ts_col]))
+        if not pc.all(live).as_py():
+            g = g.filter(live)
         side = g["side__"].to_numpy()
         keys = g[key_col].to_numpy(zero_copy_only=False)
         ts = _ts_i64(g[ts_col])

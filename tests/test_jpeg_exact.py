@@ -23,8 +23,12 @@
   its length and with seeded single-byte flips in its entropy-coded
   data, either raises ``ValueError`` through ``codecs.decode_image`` or
   decodes to a uint8 array of the intact stream's shape; a cut of more
-  than 4 bytes into the entropy-coded data raises.  The sweep runs in a
-  child process, so a memory fault in the compiled pass fails the test.
+  than 4 bytes into the entropy-coded data raises.  Damaged frame
+  headers (dimensions, sampling factors that do not tile the image,
+  other than 1 or 3 components) raise or decode to the shape the header
+  gives, and the back end refuses every frame it cannot cover.  These
+  run in a child process, so a memory fault in the compiled pass fails
+  the test.
   The loader of the compiled pass is tested with every kernel's, in
   tests/test_compiled.py.
 """
@@ -349,29 +353,32 @@ def _on_alarm(signum, frame):
     raise TimeoutError("decode ran over 5 s")
 
 
+def _outcome(b, shape):
+    """``"ValueError"`` if ``codecs.decode_image`` raises it on ``b``
+    within 5 s, ``"ok"`` if it returns a uint8 array of ``shape``, else a
+    description of what went wrong."""
+    from georay import codecs
+    signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(5)
+    try:
+        a = codecs.decode_image(b, "jpeg")
+    except ValueError:
+        return "ValueError"
+    except Exception as e:         # reported by the test, not hidden
+        return f"{type(e).__name__}: {e}"
+    finally:
+        signal.alarm(0)
+    ok = a.dtype == np.uint8 and a.shape == shape
+    return "ok" if ok else f"array {a.dtype} {a.shape}"
+
+
 def _fuzz_outcomes():
     """Every non-progressive corpus stream and restart stream, cut at k/25
     of its length (k = 1..24) and with 8 seeded single-byte flips in its
     entropy-coded data, through ``codecs.decode_image``, each under a 5 s
-    alarm.  Returns ``[(case, scan_bytes_cut, outcome)]``: the outcome is
-    ``"ValueError"``, ``"ok"`` for a uint8 array of the intact stream's
-    shape, else a description of what went wrong."""
-    from georay import codecs
-
-    def outcome(b, shape):
-        signal.alarm(5)
-        try:
-            a = codecs.decode_image(b, "jpeg")
-        except ValueError:
-            return "ValueError"
-        except Exception as e:     # reported by the test, not hidden
-            return f"{type(e).__name__}: {e}"
-        finally:
-            signal.alarm(0)
-        ok = a.dtype == np.uint8 and a.shape == shape
-        return "ok" if ok else f"array {a.dtype} {a.shape}"
-
-    signal.signal(signal.SIGALRM, _on_alarm)
+    alarm.  Returns ``[(case, scan_bytes_cut, outcome)]`` with the
+    outcome of :func:`_outcome` for the intact stream's shape."""
+    outcome = _outcome
     streams = {k: v for k, v in _corpus().items()
                if not k.startswith("progressive")}
     streams.update(_restart_streams())
@@ -389,6 +396,155 @@ def _fuzz_outcomes():
             x = bytearray(d)
             x[int(rng.integers(e0, e1))] ^= int(rng.integers(1, 256))
             res.append((f"{name}/flip{j}", 0, outcome(bytes(x), shape)))
+    return res
+
+
+def _segment(d, markers):
+    """``(start, end)`` of the first header segment whose marker is in
+    ``markers``; the segments before the first SOS are walked by their
+    lengths, so a marker-like pair inside a table is never taken."""
+    pos = 2
+    while d[pos + 1] not in markers:
+        pos += 2 + struct.unpack_from(">H", d, pos + 2)[0]
+    return pos, pos + 2 + struct.unpack_from(">H", d, pos + 2)[0]
+
+
+def _resegment(d, markers, edit):
+    """``d`` with the payload of its first ``markers`` segment replaced by
+    ``edit(payload)`` and the segment length fixed."""
+    i, e = _segment(d, markers)
+    body = bytes(edit(bytearray(d[i + 4:e])))
+    return d[:i + 2] + struct.pack(">H", len(body) + 2) + body + d[e:]
+
+
+def _sof_cases(d):
+    """Damaged frame headers of stream ``d``: ``[(case, stream, shape,
+    allowed outcomes)]``.  A frame that cannot be decoded must raise;
+    one that can must raise or decode to the shape its header gives;
+    dimensions past the coded MCUs must raise in a baseline stream,
+    whose decoder reads no more than 4 zero bytes past the data, and
+    may decode in a progressive one, which reads zero bits past it."""
+    sof = (0xC0, 0xC2)
+    i, _ = _segment(d, sof)
+    prog = d[i + 1] == 0xC2
+    h, w = struct.unpack_from(">HH", d, i + 5)
+    nc = d[i + 9]
+    vmax = max(d[i + 11 + 3 * j] & 15 for j in range(nc))
+    RAISE, EITHER = {"ValueError"}, {"ValueError", "ok"}
+    PAST = EITHER if prog else RAISE
+
+    def shape(hh, ww, k=nc):
+        return (hh, ww, 3) if k == 3 else (hh, ww)
+
+    def sof_edit(fn):
+        def edit(b):
+            fn(b)
+            return b
+        return _resegment(d, sof, edit)
+
+    def dims(hh, ww):
+        return sof_edit(lambda b: b.__setitem__(slice(1, 5),
+                                                struct.pack(">HH", hh, ww)))
+
+    def factors(*hv):
+        def fn(b):
+            for j, x in enumerate(hv):
+                b[7 + 3 * j] = x
+        return sof_edit(fn)
+
+    def components(k):
+        """The frame and its first scan with ``k`` components: the last
+        ones dropped, or copies of the last one under new ids added."""
+        def sof_fn(b):
+            cs = [b[6 + 3 * j:9 + 3 * j] for j in range(nc)]
+            cs = cs[:k] + [bytearray([200 + j]) + cs[-1][1:]
+                           for j in range(k - nc)]
+            return b[:5] + bytes([k]) + b"".join(cs)
+
+        def sos_fn(b):
+            ns = b[0]
+            cs = [b[1 + 2 * j:3 + 2 * j] for j in range(ns)]
+            cs = cs[:k] + [bytearray([200 + j]) + cs[-1][1:]
+                           for j in range(k - ns)]
+            return bytes([len(cs)]) + b"".join(cs) + b[1 + 2 * ns:]
+        return _resegment(_resegment(d, sof, sof_fn), (0xDA,), sos_fn)
+
+    mcu_h = 8 * vmax
+    cases = [
+        ("h0", dims(0, w), None, RAISE),
+        ("w0", dims(h, 0), None, RAISE),
+        ("h8x", dims(8 * h, w), shape(8 * h, w), PAST),
+        ("w8x", dims(h, 8 * w), shape(h, 8 * w), PAST),
+        ("mcu_row_more", dims(h + mcu_h, w), shape(h + mcu_h, w), PAST),
+        ("rows_to_mcu", dims(-(-h // mcu_h) * mcu_h, w),
+         shape(-(-h // mcu_h) * mcu_h, w), EITHER),
+        ("factor_0", factors(0x01), None, RAISE),
+        ("factor_5", factors(0x15), None, RAISE),
+        ("nc_0", sof_edit(lambda b: b.__setitem__(5, 0)), None, RAISE),
+        ("nc_plus_1", sof_edit(lambda b: b.__setitem__(5, nc + 1)), None,
+         RAISE),
+        ("frame_2", components(2), None, RAISE),
+        ("frame_4", components(4), None, RAISE),
+    ]
+    if nc == 3:
+        cases += [
+            ("nc_minus_1", sof_edit(lambda b: b.__setitem__(5, 2)), None,
+             RAISE),
+            ("repeated_id", sof_edit(lambda b: b.__setitem__(9, b[6])),
+             None, RAISE),
+            ("luma3x1_chroma2x1", factors(0x31, 0x21, 0x21), None, RAISE),
+            ("luma1x3_chroma1x2", factors(0x13, 0x12, 0x12), None, RAISE),
+            ("chroma_over_luma", factors(0x11, 0x22, 0x22), shape(h, w),
+             EITHER),
+            ("luma4x4", factors(0x44, 0x11, 0x11), shape(h, w), EITHER),
+        ]
+    return cases
+
+
+def _sof_outcomes():
+    """:func:`_sof_cases` of a 4:4:4, a 4:2:0, a gray, a restart-interval
+    and a progressive 4:2:0 stream: ``[(case, allowed, outcome)]``."""
+    c = _corpus()
+    streams = {k: c[k] for k in ("fixture_20x16", "sub420_33x47",
+                                 "gray_37x29", "progressive_420_33x47")}
+    streams["restart3_True"] = _restart_streams()["restart3_True"]
+    return [(f"{name}/{case}", sorted(allowed), _outcome(b, shape))
+            for name, d in sorted(streams.items())
+            for case, b, shape, allowed in _sof_cases(d)]
+
+
+def _back_end_outcomes():
+    """``J._coef_to_image`` at scales 1, 2 and 8 on frames that it must
+    refuse: sampling factors whose upsampled planes do not cover the
+    image, across and down; 2 and 4 components; a missing quantization
+    table.  Returns ``[(case, outcome)]``."""
+    qt = {0: J._scale_qtable(J._Q_LUMA, _QUALITY),
+          1: J._scale_qtable(J._Q_CHROMA, _QUALITY)}
+    cases = {
+        "luma3x1_chroma2x1": (16, 48, [(3, 1), (2, 1), (2, 1)], (0, 1, 1)),
+        "luma1x3_chroma1x2": (48, 16, [(1, 3), (1, 2), (1, 2)], (0, 1, 1)),
+        "two_components": (16, 16, [(1, 1)] * 2, (0, 1)),
+        "four_components": (16, 16, [(1, 1)] * 4, (0, 1, 1, 1)),
+        "no_quant_table": (16, 16, [(1, 1)] * 3, (0, 1, 7)),
+    }
+    res = []
+    for name, (h, w, sampling, tqs) in sorted(cases.items()):
+        hmax = max(a for a, _ in sampling)
+        vmax = max(b for _, b in sampling)
+        mcux, mcuy = -(-w // (8 * hmax)), -(-h // (8 * vmax))
+        comps = [{"h": a, "v": b, "tq": t, "bw": mcux * a, "bh": mcuy * b}
+                 for (a, b), t in zip(sampling, tqs)]
+        coef = [np.ones((c["bw"] * c["bh"], 64), np.int32) for c in comps]
+        for scale in (1, 2, 8):
+            try:
+                J._coef_to_image(coef, comps, qt, h, w, hmax, vmax,
+                                 scale=scale)
+                o = "decoded"
+            except ValueError:
+                o = "ValueError"
+            except Exception as e:
+                o = f"{type(e).__name__}: {e}"
+            res.append((f"{name}/scale{scale}", o))
     return res
 
 
@@ -414,3 +570,26 @@ def test_damaged_streams_raise_value_error_or_decode():
     # past the 4 zero bytes the decoder may read, a cut must be caught
     early = [case for case, cut, o in res if cut > 4 and o != "ValueError"]
     assert not early
+
+
+def test_damaged_frame_headers_raise_value_error_or_decode():
+    """Frame-header damage, in a child process for the same reason."""
+    out, err, rc = _run("import json, test_jpeg_exact as t; "
+                        "print(json.dumps(t._sof_outcomes()))")
+    assert rc == 0, err[-2000:]
+    res = json.loads(out)
+    assert len(res) == 5 * 12 + 4 * 6
+    bad = [(case, o) for case, allowed, o in res if o not in allowed]
+    assert not bad
+
+
+def test_back_end_refuses_frames_it_cannot_cover():
+    """The compiled back end raises ``ValueError`` for every frame it
+    cannot decode, in a child process, so that a read outside a plane
+    that faults fails this test."""
+    out, err, rc = _run("import json, test_jpeg_exact as t; "
+                        "print(json.dumps(t._back_end_outcomes()))")
+    assert rc == 0, err[-2000:]
+    res = json.loads(out)
+    assert len(res) == 5 * 3
+    assert all(o == "ValueError" for _, o in res), res

@@ -115,6 +115,36 @@ def test_session_windows_null_key_is_one_key(ray_session):
     assert got == [("<null>", 1, 3.0), ("<null>", 2, 3.0), ("a", 1, 4.0)]
 
 
+@pytest.mark.parametrize("ktype", ["string", "int64"])
+def test_asof_join_null_key_matches_nothing(ray_session, ktype):
+    """A NULL key or timestamp matches nothing, on either side: the left
+    row is dropped as unmatched, as in DuckDB's ASOF JOIN for a NULL key.
+    DuckDB 1.0.0 matches a NULL left timestamp as if it were the largest;
+    SQL's ``>=`` on NULL is unknown, so here that row matches nothing."""
+    import duckdb
+    import pyarrow as pa
+    import ray
+    from georay.windows import asof_join
+    keys = {"string": ["a", None, "a", None, "b"],
+            "int64": [1, None, 1, None, 2]}[ktype]
+    left = pa.table({"k": pa.array(keys, getattr(pa, ktype)()),
+                     "ts": pa.array([5, 6, 7, 8, None], pa.int64()),
+                     "lid": pa.array([0, 1, 2, 3, 4], pa.int64())})
+    right = pa.table({"k": pa.array(keys, getattr(pa, ktype)()),
+                      "ts": pa.array([1, 2, 6, 3, 4], pa.int64()),
+                      "rv": pa.array([10, 11, 12, 13, 14], pa.int64())})
+    out = asof_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                    key_col="k", right_cols=("rv",)).to_pandas()
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    want = con.execute("SELECT l.lid, r.rv FROM l ASOF JOIN r "
+                       "ON l.k = r.k AND l.ts >= r.ts "
+                       "WHERE l.ts IS NOT NULL").fetchall()
+    got = sorted(zip(out["lid"].tolist(), out["rv_right"].tolist()))
+    assert got == sorted(want) == [(0, 10), (2, 12)]
+
+
 def test_write_tiles_png_resume(ray_session, tmp_path):
     from georay.codecs import png_decode
     from georay.pipelines import tile_pipeline

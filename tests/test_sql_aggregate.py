@@ -2,7 +2,8 @@
 (georay.util.key_group_by / key_partition): every GROUP BY, global
 aggregate, DISTINCT, set operation, COUNT(DISTINCT), grouped MEDIAN,
 ROLLUP/CUBE and window PARTITION BY agrees with DuckDB on the keys SQL calls equal
-(−0.0 and 0.0, NULL and NULL), on empty input, and on STDDEV accuracy."""
+(−0.0 and 0.0, NULL and NULL), on empty input, and on STDDEV accuracy;
+window ORDER BY keys order NULLs as DuckDB does."""
 
 import numpy as np
 import pandas as pd
@@ -50,6 +51,15 @@ PARITY = [
     "SELECT s, STDDEV_SAMP(v) AS sd, COUNT(v) AS nv FROM t GROUP BY s",
     "SELECT s, lon, RANK() OVER (PARTITION BY s ORDER BY lon) AS rk, "
     "SUM(v) OVER (PARTITION BY s) AS sv FROM t",
+    # NULL ORDER BY keys: last under ASC and DESC, one another's peers
+    "SELECT s, v, ROW_NUMBER() OVER (PARTITION BY s ORDER BY v) AS rn, "
+    "RANK() OVER (PARTITION BY s ORDER BY v) AS rk, "
+    "DENSE_RANK() OVER (PARTITION BY s ORDER BY v DESC) AS dr FROM t",
+    "SELECT s, v, SUM(lon) OVER (PARTITION BY s ORDER BY v DESC) AS cs, "
+    "CUME_DIST() OVER (PARTITION BY s ORDER BY v) AS cd, "
+    "PERCENT_RANK() OVER (PARTITION BY s ORDER BY v DESC) AS pr FROM t",
+    "SELECT v, s, RANK() OVER (PARTITION BY v ORDER BY s DESC) AS rk, "
+    "COUNT(*) OVER (PARTITION BY v ORDER BY s) AS n FROM t",
     "SELECT s, MEDIAN(v) AS m, COUNT(*) AS n, MAX(v) AS mx FROM t "
     "GROUP BY s",
     "SELECT ROUND(lon) AS gx, MEDIAN(lon) AS m, AVG(lon) AS a FROM t "
